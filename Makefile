@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check check-short chaos docs gate bench
+.PHONY: build test check check-short chaos docs gate bench bench-smoke
 
 build:
 	$(GO) build ./...
@@ -34,3 +34,9 @@ gate:
 
 bench:
 	$(GO) test -bench . -benchmem -benchtime 1s .
+
+# The benchmark module (benchmark/, outside the root go test ./...): vet it
+# and run its tests, which include a 300 ms smoke of all five workloads.
+# The measured run is `bash benchmark/run.sh`.
+bench-smoke:
+	./scripts/check.sh bench

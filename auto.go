@@ -191,7 +191,7 @@ func (s *System) ExplainPlan(opts ...Option) (string, float64, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	g, choice, err := s.buildGraph(s.Program, nil, &cfg)
+	g, choice, err := s.buildGraph(s.program(), nil, &cfg)
 	if err != nil {
 		return "", 0, err
 	}

@@ -6,21 +6,22 @@ import (
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/bottomup"
 	"repro/internal/edb"
 	"repro/internal/engine"
+	"repro/internal/relation"
 	"repro/internal/rgg"
 	"repro/internal/workload"
 )
 
-// batchWorkloads are the end-to-end instances the vectorized-delivery
+// batchWorkloads are the end-to-end instances the packaged-delivery
 // experiments run: the original E7/E11 instances (narrow wavefronts — a
-// chain discovers one tuple at a time, so batches degenerate to singles and
-// the only requirement is "no worse"), plus wide-wavefront instances of the
-// same query families, where set-at-a-time delivery must collapse message
-// counts by at least minDrop.
+// chain discovers one tuple at a time, so batches degenerate to singles),
+// plus wide-wavefront instances of the same query families, where
+// set-at-a-time delivery must move at least minDrop rows per frame.
 var batchWorkloads = []struct {
 	name    string
-	minDrop float64 // required plain/batched message ratio; 1 = no worse
+	minDrop float64 // required rows-as-messages/frames ratio; 1 = no requirement
 	mk      func() *ast.Program
 }{
 	{"E7-chain", 1, func() *ast.Program {
@@ -37,43 +38,45 @@ var batchWorkloads = []struct {
 	}},
 }
 
-// TestBatchingMessageDrop pins the vectorized-delivery acceptance: with
-// Options.Batch set the answer set must stay byte-identical on every
-// workload, and on the wide-wavefront instances total basic messages must
-// drop at least 5×.
-func TestBatchingMessageDrop(t *testing.T) {
+// TestPackagedMessageDrop pins the packaged-delivery acceptance: the answer
+// set must be byte-identical to semi-naive on every workload, and on the
+// wide-wavefront instances the frames sent must be at least 5× fewer than
+// the rows they carry (each row was one message before packaging became the
+// only mode).
+func TestPackagedMessageDrop(t *testing.T) {
 	for _, w := range batchWorkloads {
 		prog := w.mk()
 		g, err := rgg.Build(prog, rgg.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		render := func(batch bool) (string, int64) {
-			db := edb.FromProgram(prog)
-			res, err := engine.Run(g, db, engine.Options{Batch: batch})
-			if err != nil {
-				t.Fatal(err)
-			}
+		db := edb.FromProgram(prog)
+		res, err := engine.Run(g, db, engine.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		render := func(r *relation.Relation) string {
 			var b strings.Builder
-			for _, row := range res.Answers.Sorted() {
+			for _, row := range r.Sorted() {
 				b.WriteString(row.String(db.Syms))
 				b.WriteByte('\n')
 			}
-			return b.String(), res.Stats.Messages()
+			return b.String()
 		}
-		plainAns, plainMsgs := render(false)
-		batchAns, batchMsgs := render(true)
-		if plainAns != batchAns {
-			t.Errorf("%s: batched answers differ from unbatched", w.name)
+		got, want := render(res.Answers), render(bottomup.SemiNaive(prog, db).Goal)
+		if got != want {
+			t.Errorf("%s: answers differ from semi-naive", w.name)
 		}
-		if plainAns == "" {
+		if got == "" {
 			t.Errorf("%s: no answers", w.name)
 		}
-		ratio := float64(plainMsgs) / float64(batchMsgs)
-		t.Logf("%s: messages plain=%d batched=%d (%.1fx)", w.name, plainMsgs, batchMsgs, ratio)
+		sn := res.Stats
+		rows := sn.RowMessages()
+		ratio := float64(rows) / float64(sn.Messages())
+		t.Logf("%s: rows=%d frames=%d (%.1fx)", w.name, rows, sn.Messages(), ratio)
 		if ratio < w.minDrop {
-			t.Errorf("%s: message drop %.2fx, want ≥%.0fx (plain=%d batched=%d)",
-				w.name, ratio, w.minDrop, plainMsgs, batchMsgs)
+			t.Errorf("%s: %.2f rows per frame, want ≥%.0f (rows=%d frames=%d)",
+				w.name, ratio, w.minDrop, rows, sn.Messages())
 		}
 	}
 }

@@ -302,9 +302,9 @@ func BenchmarkA1QualTree(b *testing.B)    { benchmarkStrategy(b, rgg.QualTreeStr
 func BenchmarkA1LeftToRight(b *testing.B) { benchmarkStrategy(b, rgg.LeftToRightStrategy) }
 func BenchmarkA1Basic(b *testing.B)       { benchmarkStrategy(b, rgg.BasicStrategy) }
 
-// BenchmarkA2 ablates footnote 2's packaged tuple requests on the
-// cross-product workload of experiment A2.
-func benchmarkBatching(b *testing.B, batch bool) {
+// BenchmarkA2Packaged runs the cross-product workload of experiment A2,
+// where one handled message generates many (packaged) tuple requests.
+func BenchmarkA2Packaged(b *testing.B) {
 	src := ""
 	for i := 1; i <= 25; i++ {
 		src += fmt.Sprintf("a(x%d). b(y%d). g(x%d, y%d, z%d).\n", i, i, i, i, i)
@@ -320,14 +320,11 @@ func benchmarkBatching(b *testing.B, batch bool) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.Run(g, edb.FromProgram(prog), engine.Options{Batch: batch}); err != nil {
+		if _, err := engine.Run(g, edb.FromProgram(prog), engine.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-func BenchmarkA2Individual(b *testing.B) { benchmarkBatching(b, false) }
-func BenchmarkA2Packaged(b *testing.B)   { benchmarkBatching(b, true) }
 
 // ---- substrate micro-benchmarks -------------------------------------------
 
@@ -415,51 +412,16 @@ func BenchmarkRelationJoin2Col(b *testing.B) {
 	}
 }
 
-// BenchmarkE7EngineBatched / BenchmarkE11InProcessBatched are the original
-// experiment instances with vectorized delivery; their wavefronts are
-// narrow (a chain discovers one tuple at a time), so they bound batching
-// overhead rather than showcase it.
-func BenchmarkE7EngineBatched(b *testing.B) {
-	prog := workload.Program(workload.TCRules, workload.Chain("edge", 10))
-	g, _ := rgg.Build(prog, rgg.Options{})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := engine.Run(g, edb.FromProgram(prog), engine.Options{Batch: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE11InProcessBatched(b *testing.B) {
-	rng := rand.New(rand.NewSource(11))
-	prog := workload.Program(workload.P1Rules, workload.P1Data(16, 0.7, rng))
-	g, _ := rgg.Build(prog, rgg.Options{})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := engine.Run(g, edb.FromProgram(prog), engine.Options{Batch: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkBatchingWide run the E7 query family (TC reachability) on a
-// wide-wavefront random graph, where set-at-a-time delivery collapses the
-// message count (see TestBatchingMessageDrop for the ratio assertion).
-func BenchmarkBatchingWideOff(b *testing.B) {
-	benchWide(b, false)
-}
-
-func BenchmarkBatchingWideOn(b *testing.B) {
-	benchWide(b, true)
-}
-
-func benchWide(b *testing.B, batch bool) {
+// BenchmarkWideWavefront runs the E7 query family (TC reachability) on a
+// wide-wavefront random graph, where packaged delivery collapses the frame
+// count (see TestPackagedMessageDrop for the ratio assertion).
+func BenchmarkWideWavefront(b *testing.B) {
 	prog := workload.Program(workload.TCRules, workload.Random("edge", 64, 512, rand.New(rand.NewSource(11))))
 	g, _ := rgg.Build(prog, rgg.Options{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.Run(g, edb.FromProgram(prog), engine.Options{Batch: batch}); err != nil {
+		if _, err := engine.Run(g, edb.FromProgram(prog), engine.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -181,7 +181,7 @@ func runGate() int {
 		var times []time.Duration
 		for t := 0; t < 3; t++ {
 			start := time.Now()
-			if _, err := engine.Run(g, db, engine.Options{Partitions: p, EDBDelay: 500 * time.Microsecond, Batch: true}); err != nil {
+			if _, err := engine.Run(g, db, engine.Options{Partitions: p, EDBDelay: 500 * time.Microsecond}); err != nil {
 				panic(err)
 			}
 			times = append(times, time.Since(start))

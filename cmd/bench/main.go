@@ -748,12 +748,15 @@ func a1Strategies(quick bool) {
 	}
 }
 
-// a2Batching ablates footnote 2's packaged tuple requests on a workload
-// where one handled message generates many requests (a cross product under
-// left-to-right information passing).
+// a2Batching reports what footnote 2's packaged tuple requests save on a
+// workload where one handled message generates many requests (a cross
+// product under left-to-right information passing). Packaged delivery is
+// the engine's only mode, so this is a frames-versus-rows report: every
+// row would have been a message of its own (the historical on/off ablation
+// is in EXPERIMENTS.md).
 func a2Batching(quick bool) {
 	header("A2", "packaged tuple requests (footnote 2)",
-		"packaging related tuple requests cuts message count without changing answers")
+		"packaging related tuple requests sends far fewer frames than the bindings they carry")
 	n := 40
 	if quick {
 		n = 12
@@ -771,34 +774,29 @@ func a2Batching(quick bool) {
 	if err != nil {
 		panic(err)
 	}
-	row("mode", "answers", "tupreq msgs", "total msgs", "time")
-	row("---", "---", "---", "---", "---")
-	for _, mode := range []struct {
-		name  string
-		batch bool
-	}{{"individual", false}, {"packaged", true}} {
-		db := edb.FromProgram(prog)
-		start := time.Now()
-		res, err := engine.Run(g, db, engine.Options{Batch: mode.batch})
-		if err != nil {
-			panic(err)
-		}
-		el := time.Since(start)
-		row(mode.name, res.Answers.Len(), res.Stats.TupReqs, res.Stats.Messages(), el)
+	db := edb.FromProgram(prog)
+	start := time.Now()
+	res, err := engine.Run(g, db, engine.Options{})
+	if err != nil {
+		panic(err)
 	}
+	el := time.Since(start)
+	row("answers", "tupreq frames", "tupreq rows", "total frames", "total rows", "time")
+	row("---", "---", "---", "---", "---", "---")
+	row(res.Answers.Len(), res.Stats.TupReqs, res.Stats.TupReqRows, res.Stats.Messages(), res.Stats.RowMessages(), el)
 }
 
 // a3Substrate measures the allocation-free relational substrate and the
-// vectorized tuple delivery of Options.Batch: substrate microbenchmarks
-// (fresh insert, duplicate insert, 2-column composite equijoin) plus
-// message counts for the E7/E11 query families with batching off and on.
-// The narrow original instances bound batching overhead (a chain's
-// wavefront is one tuple wide, so there is nothing to batch); the wide
-// instances of the same families show the message collapse. With -json
-// the measurements are written out as the "after" half of BENCH_1.json.
+// engine's packaged tuple delivery: substrate microbenchmarks (fresh
+// insert, duplicate insert, 2-column composite equijoin) plus frames
+// against rows for the E7/E11 query families. The narrow original
+// instances have nothing to package (a chain's wavefront is one tuple
+// wide); the wide instances of the same families show the collapse. With
+// -json the measurements are written out in the shape of the "after" half
+// of BENCH_1.json, whose on/off ablation is now historical.
 func a3Substrate(quick bool) {
 	header("A3", "allocation-free substrate and vectorized tuple delivery",
-		"duplicate insert allocates nothing; composite indexes probe once per tuple; batching collapses messages on wide wavefronts without changing answers")
+		"duplicate insert allocates nothing; composite indexes probe once per tuple; packaging collapses frames on wide wavefronts")
 
 	micros := []struct {
 		name string
@@ -821,8 +819,8 @@ func a3Substrate(quick bool) {
 	}{
 		Machine: machineInfo(),
 		Micro:   map[string]microResult{},
-		Commentary: "Batching gains scale with wavefront width: the original E7/E11 " +
-			"instances are chains (one new tuple per step), so their ratio is ~1; " +
+		Commentary: "Packaging gains scale with wavefront width: the original E7/E11 " +
+			"instances are chains (one new tuple per step), so rows per frame is ~1; " +
 			"the wide instances of the same query families show the collapse.",
 	}
 
@@ -858,35 +856,28 @@ func a3Substrate(quick bool) {
 			workload.Program(workload.TCRules, workload.Grid("edge", gw, gh))},
 	}
 	fmt.Println()
-	row("workload", "answers", "msgs unbatched", "msgs batched", "ratio", "identical")
-	row("---", "---", "---", "---", "---", "---")
+	row("workload", "answers", "row messages", "frames", "ratio")
+	row("---", "---", "---", "---", "---")
 	for _, w := range workloads {
-		g := mustBuild(w.prog)
-		run := func(batch bool) (*engine.Result, time.Duration) {
-			db := edb.FromProgram(w.prog)
-			start := time.Now()
-			res, err := engine.Run(g, db, engine.Options{Batch: batch})
-			if err != nil {
-				panic(err)
-			}
-			return res, time.Since(start)
+		db := edb.FromProgram(w.prog)
+		start := time.Now()
+		res, err := engine.Run(mustBuild(w.prog), db, engine.Options{})
+		if err != nil {
+			panic(err)
 		}
-		off, offEl := run(false)
-		on, onEl := run(true)
-		identical := relation.Equal(off.Answers, on.Answers)
-		ratio := float64(off.Stats.Messages()) / float64(on.Stats.Messages())
-		row(w.name, off.Answers.Len(), off.Stats.Messages(), on.Stats.Messages(), ratio, identical)
+		el := time.Since(start)
+		rows, frames := res.Stats.RowMessages(), res.Stats.Messages()
+		ratio := float64(rows) / float64(frames)
+		row(w.name, res.Answers.Len(), rows, frames, ratio)
 		record.Messaging = append(record.Messaging, map[string]any{
-			"workload":           w.name,
-			"answers":            off.Answers.Len(),
-			"messages_unbatched": off.Stats.Messages(),
-			"messages_batched":   on.Stats.Messages(),
-			"message_ratio":      ratio,
-			"batched_rows":       on.Stats.TupleRows,
-			"batches":            on.Stats.TupleBatches,
-			"identical_answers":  identical,
-			"time_unbatched":     offEl.String(),
-			"time_batched":       onEl.String(),
+			"workload":      w.name,
+			"answers":       res.Answers.Len(),
+			"row_messages":  rows,
+			"frames":        frames,
+			"message_ratio": ratio,
+			"batched_rows":  res.Stats.TupleRows,
+			"batches":       res.Stats.TupleBatches,
+			"time":          el.String(),
 		})
 	}
 
@@ -1664,7 +1655,7 @@ func a7Partitions(quick bool) {
 		var rendered string
 		for t := 0; t < trials; t++ {
 			start := time.Now()
-			r, err := engine.Run(g, db, engine.Options{Partitions: p, EDBDelay: delay, Batch: true})
+			r, err := engine.Run(g, db, engine.Options{Partitions: p, EDBDelay: delay})
 			if err != nil {
 				panic(err)
 			}
@@ -1710,7 +1701,7 @@ func a7Partitions(quick bool) {
 		var res *engine.Result
 		for t := 0; t < trials; t++ {
 			r, el, err := runSitesGraph(gp, prog, 2, transport.Config{HeartbeatInterval: transport.NoHeartbeat},
-				engine.Options{Partitions: p, EDBDelay: delay, Batch: true})
+				engine.Options{Partitions: p, EDBDelay: delay})
 			if err != nil {
 				panic(err)
 			}
@@ -1787,7 +1778,7 @@ func a7Partitions(quick bool) {
 				"with `go run ./cmd/bench -e A7 -json BENCH_5.json`.",
 			Machine: machineInfo(),
 			Workload: fmt.Sprintf("transitive closure from n0 over random graph (%d vertices, %d edges), "+
-				"EDBDelay=%s, batching on; %d trials per point", n, m, delay, trials),
+				"EDBDelay=%s; %d trials per point", n, m, delay, trials),
 			InProcess: intra,
 			TwoSite:   dist,
 			Sequential: map[string]any{

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	mpq [-engine message-passing|semi-naive|naive|magic-sets|brute-force]
-//	    [-strategy greedy|qualtree|leftright] [-batch] [-stats] [-graph]
+//	    [-strategy greedy|qualtree|leftright] [-stats] [-graph]
 //	    [-profile] [-trace-out events.json]
 //	    [-data pred=file.csv]... [-i] [program.dl]
 //
@@ -71,7 +71,6 @@ func (d *dataFlags) Set(v string) error { *d = append(*d, v); return nil }
 func main() {
 	engineName := flag.String("engine", "message-passing", "evaluation engine")
 	strategy := flag.String("strategy", "greedy", "information passing strategy: greedy, qualtree, leftright, basic, stats, auto")
-	batch := flag.Bool("batch", false, "package tuple requests (footnote 2)")
 	stats := flag.Bool("stats", false, "print execution statistics")
 	graph := flag.Bool("graph", false, "print the rule/goal graph before evaluating")
 	interactive := flag.Bool("i", false, "interactive session")
@@ -114,9 +113,6 @@ func main() {
 		fatal(err)
 	}
 	opts := []mpq.Option{mpq.WithEngine(eng), mpq.WithStrategy(*strategy)}
-	if *batch {
-		opts = append(opts, mpq.WithBatching())
-	}
 	if *traceMsgs {
 		opts = append(opts, mpq.WithTrace(os.Stderr))
 	}

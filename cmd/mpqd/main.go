@@ -91,7 +91,6 @@ func main() {
 	sloTarget := flag.Float64("slo-target", 0.99, "-serve: fraction of requests that should meet -slo")
 	sloWindow := flag.Duration("slo-window", time.Minute, "-serve: sliding window for the burn-rate gauge")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "-serve: how long SIGINT/SIGTERM lets in-flight queries finish before aborting them")
-	batch := flag.Bool("batch", false, "-serve: evaluate with footnote-2 request batching")
 	partitions := flag.Int("partitions", 0, "hash-partitioned worker shards per node process (-serve: 0 = GOMAXPROCS; multi-site: must be set identically on every site, 0 = sequential)")
 	store := flag.String("store", "", "-serve: persistent EDB directory (created on first run; facts, statistics epoch, and result-cache version survive restarts)")
 	flag.Parse()
@@ -100,7 +99,6 @@ func main() {
 		runServe(*serveAddr, *programPath, *metricsAddr, *store, *drainTimeout, serve.Config{
 			Strategy:        *strategy,
 			ReoptThreshold:  *reoptThreshold,
-			Batch:           *batch,
 			Partitions:      resolvePartitions(*partitions),
 			MaxConcurrent:   *maxConcurrent,
 			Quota:           *tenantQuota,
@@ -259,6 +257,11 @@ func runServe(addr, programPath, metricsAddr, storeDir string, drainTimeout time
 		fmt.Fprintln(os.Stderr, "usage: mpqd -program q.dl -serve ADDR [-store DIR] [-max-concurrent N] [-deadline D] [-metrics ADDR]")
 		os.Exit(2)
 	}
+	// The handler goes in before the store is opened and the port is bound:
+	// a SIGTERM from the moment the port accepts (a supervisor's health check
+	// passing, then an immediate stop) must drain and Sync, not kill.
+	sig, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	var sys *mpq.System
 	var err error
 	if storeDir != "" {
@@ -300,8 +303,6 @@ func runServe(addr, programPath, metricsAddr, storeDir string, drainTimeout time
 	if err != nil {
 		fatal(err)
 	}
-	sig, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "mpqd: serving %s on %s\n", programPath, ln.Addr())

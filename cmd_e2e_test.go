@@ -1,10 +1,14 @@
 package mpq
 
 import (
+	"context"
+	"fmt"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -146,4 +150,83 @@ func TestCommandsEndToEnd(t *testing.T) {
 			t.Errorf("mpq -connect answers = %q, want \"b\\nc\\ny\\n\"", got)
 		}
 	})
+}
+
+// TestMpqdSigtermAtStartup closes the start-up signal window of mpqd
+// -serve: a SIGTERM sent the moment the port accepts must find the handler
+// installed, so the daemon drains, syncs its store and exits 0 — and every
+// fact it acknowledged before the signal is in the store on reopen.
+func TestMpqdSigtermAtStartup(t *testing.T) {
+	if testing.Short() {
+		t.Skip("e2e daemon test skipped in -short mode")
+	}
+	bin := filepath.Join(t.TempDir(), "mpqd")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/mpqd").CombinedOutput(); err != nil {
+		t.Fatalf("building mpqd: %v\n%s", err, out)
+	}
+	dir := t.TempDir()
+	prog := filepath.Join(dir, "q.dl")
+	if err := os.WriteFile(prog, []byte(persistProgram+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	store := filepath.Join(dir, "store")
+	var acked []string
+	for round := 0; round < 6; round++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := ln.Addr().String()
+		ln.Close()
+		cmd := exec.Command(bin, "-program", prog, "-serve", addr, "-store", store)
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		var conn net.Conn
+		for deadline := time.Now().Add(10 * time.Second); ; {
+			if conn, err = net.Dial("tcp", addr); err == nil {
+				break
+			}
+			if time.Now().After(deadline) {
+				cmd.Process.Kill()
+				t.Fatalf("round %d: port never accepted: %v\n%s", round, err, stderr.String())
+			}
+			time.Sleep(200 * time.Microsecond)
+		}
+		// Odd rounds get a fact acknowledged first; even rounds signal at once.
+		if round%2 == 1 {
+			node := fmt.Sprintf("s%d", round)
+			fmt.Fprintf(conn, "fact edge(%s, t).\n", node)
+			buf := make([]byte, 64)
+			conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+			if n, err := conn.Read(buf); err != nil || !strings.HasPrefix(string(buf[:n]), "+ 1") {
+				cmd.Process.Kill()
+				t.Fatalf("round %d: fact not acknowledged: %q %v", round, buf[:n], err)
+			}
+			acked = append(acked, node)
+		}
+		if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		conn.Close()
+		if err := cmd.Wait(); err != nil {
+			t.Fatalf("round %d: mpqd did not exit 0 on SIGTERM at start-up: %v\n%s", round, err, stderr.String())
+		}
+	}
+	sys, err := OpenSystem(store, persistProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	for _, node := range acked {
+		ans, err := sys.Query(context.Background(), fmt.Sprintf("?- edge(%s, Y).", node))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ans.Has("t") {
+			t.Errorf("acknowledged fact edge(%s, t) is missing after reopen", node)
+		}
+	}
 }

@@ -3,48 +3,26 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/bottomup"
 	"repro/internal/edb"
+	"repro/internal/msg"
 	"repro/internal/parser"
+	"repro/internal/relation"
 	"repro/internal/rgg"
+	"repro/internal/transport"
+	"repro/internal/workload"
 )
 
-// runBatched evaluates src with footnote 2's packaged tuple requests.
-func runBatched(t *testing.T, src string, strategy rgg.Strategy) (*Result, *edb.Database) {
-	t.Helper()
-	prog := parser.MustParse(src)
-	db := edb.FromProgram(prog)
-	g, err := rgg.Build(prog, rgg.Options{Strategy: strategy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	type out struct {
-		res *Result
-		err error
-	}
-	ch := make(chan out, 1)
-	go func() {
-		res, err := Run(g, db, Options{Batch: true})
-		ch <- out{res, err}
-	}()
-	select {
-	case o := <-ch:
-		if o.err != nil {
-			t.Fatal(o.err)
-		}
-		return o.res, db
-	case <-time.After(30 * time.Second):
-		t.Fatalf("batched engine hung on:\n%s", src)
-		return nil, nil
-	}
-}
+// Packaged delivery (footnote 2) is the engine's only mode: these tests pin
+// its answers against semi-naive and its framing rules at the edges.
 
-// TestBatchingAgrees re-runs the core correctness programs with batching
-// enabled and checks answers against semi-naive.
-func TestBatchingAgrees(t *testing.T) {
+// TestPackagedAgrees re-runs the core correctness programs and checks
+// answers against semi-naive.
+func TestPackagedAgrees(t *testing.T) {
 	programs := []string{
 		p1data,
 		`edge(a, b). edge(b, c). edge(c, d). edge(d, b).
@@ -60,19 +38,13 @@ func TestBatchingAgrees(t *testing.T) {
 		 t(X, Y) :- t(X, U), t(U, Y).
 		 goal(Y) :- t(a, Y).`,
 	}
-	for i, src := range programs {
-		res, db := runBatched(t, src, nil)
-		truth := bottomup.SemiNaive(parser.MustParse(src), edb.FromProgram(parser.MustParse(src)))
-		if res.Answers.Len() != truth.Goal.Len() {
-			t.Errorf("program %d: batched answers %d != %d", i, res.Answers.Len(), truth.Goal.Len())
-		}
-		_ = db
+	for _, src := range programs {
+		checkAgainstSemiNaive(t, src, nil)
 	}
 }
 
-// TestBatchingAgreesRandom cross-checks batched evaluation on random
-// graphs.
-func TestBatchingAgreesRandom(t *testing.T) {
+// TestPackagedAgreesRandom cross-checks evaluation on random graphs.
+func TestPackagedAgreesRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 8; trial++ {
 		n := 4 + rng.Intn(8)
@@ -86,19 +58,19 @@ func TestBatchingAgreesRandom(t *testing.T) {
 			path(X, Y) :- path(X, U), edge(U, Y).
 			goal(Y) :- path(n0, Y).
 		`
-		res, _ := runBatched(t, src, nil)
+		res, _ := runQuery(t, src, nil)
 		truth := bottomup.SemiNaive(parser.MustParse(src), edb.FromProgram(parser.MustParse(src)))
 		if res.Answers.Len() != truth.Goal.Len() {
-			t.Fatalf("trial %d: batched %d != %d\n%s", trial, res.Answers.Len(), truth.Goal.Len(), src)
+			t.Fatalf("trial %d: %d answers != %d\n%s", trial, res.Answers.Len(), truth.Goal.Len(), src)
 		}
 	}
 }
 
-// TestBatchingReducesMessages verifies the footnote's point: one packaged
+// TestPackagingReducesMessages verifies the footnote's point: one packaged
 // message replaces many individual requests. Under left-to-right
 // information passing, each new b tuple joins every stored a tuple and
 // requests |a| bindings from g in a single handling step.
-func TestBatchingReducesMessages(t *testing.T) {
+func TestPackagingReducesMessages(t *testing.T) {
 	src := ""
 	for i := 1; i <= 15; i++ {
 		src += fmt.Sprintf("a(x%d). b(y%d). g(x%d, y%d, z%d).\n", i, i, i, i, i)
@@ -107,20 +79,270 @@ func TestBatchingReducesMessages(t *testing.T) {
 		r(Z) :- a(X), b(Y), g(X, Y, Z).
 		goal(Z) :- r(Z).
 	`
-	plain, _ := runQuery(t, src, rgg.LeftToRightStrategy)
-	batched, _ := runBatched(t, src, rgg.LeftToRightStrategy)
-	if plain.Answers.Len() != batched.Answers.Len() || plain.Answers.Len() != 15 {
-		t.Fatalf("answers differ: %d vs %d (want 15)", plain.Answers.Len(), batched.Answers.Len())
+	res, _ := runQuery(t, src, rgg.LeftToRightStrategy)
+	if res.Answers.Len() != 15 {
+		t.Fatalf("%d answers, want 15", res.Answers.Len())
 	}
-	// Plain: one message per (a,b) combination sent to g (225); batched:
-	// one per handled b tuple (≈15).
-	if batched.Stats.TupReqs*4 >= plain.Stats.TupReqs {
-		t.Errorf("batching did not reduce tuple-request messages enough: %d vs %d",
-			batched.Stats.TupReqs, plain.Stats.TupReqs)
+	// One binding per (a,b) combination reaches g (225), in about one frame
+	// per handled batch of b tuples.
+	if res.Stats.TupReqRows < 225 || res.Stats.TupReqs*4 >= res.Stats.TupReqRows {
+		t.Errorf("packaging did not reduce tuple-request messages enough: %d frames for %d bindings",
+			res.Stats.TupReqs, res.Stats.TupReqRows)
 	}
-	// End watermarks must still cover every binding: both runs complete
-	// with identical answers, so the accounting held.
-	if batched.Stats.Ends == 0 {
-		t.Error("no end messages under batching")
+	// End watermarks must still cover every binding: the run completed with
+	// the right answers, so the accounting held.
+	if res.Stats.Ends == 0 {
+		t.Error("no end messages")
+	}
+}
+
+// recNet records every message the engine sends, in send order.
+type recNet struct {
+	inner transport.Network
+	mu    sync.Mutex
+	sent  []msg.Message
+}
+
+func (n *recNet) Send(m msg.Message) {
+	n.mu.Lock()
+	n.sent = append(n.sent, m)
+	n.mu.Unlock()
+	n.inner.Send(m)
+}
+
+// runRecorded evaluates prog over a recording network.
+func runRecorded(t *testing.T, prog string, opts Options) (*runner, *recNet, *relation.Relation) {
+	t.Helper()
+	p := parser.MustParse(prog)
+	g, err := rgg.Build(p, rgg.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := transport.NewLocal(len(g.Nodes) + 1)
+	net := &recNet{inner: local}
+	rt, err := newRunner(g, edb.FromProgram(p), net, opts, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.local = local
+	var answers *relation.Relation
+	guard(t, 30*time.Second, "recorded run", func() {
+		for id := range g.Nodes {
+			rt.startProc(id, local.Boxes[id])
+		}
+		answers, err = rt.drive(local.Boxes[len(g.Nodes)])
+		local.Close()
+		rt.wg.Wait()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rt, net, answers
+}
+
+// TestFramingInvariants checks every data frame of a wide, partitioned run:
+// a lone row travels as a Tuple and never as a one-row batch; a batch's
+// payload is exactly Count rows of the receiver's width; and a frame
+// addressed to a worker shard carries only rows that shard owns — so one
+// sender drain that produced rows for several shards split them into one
+// frame each.
+func TestFramingInvariants(t *testing.T) {
+	facts := workload.Random("edge", 48, 300, rand.New(rand.NewSource(5)))
+	src := workload.Program(workload.TCRules, facts).String()
+	rt, net, answers := runRecorded(t, src, Options{Partitions: 4})
+	truth := bottomup.SemiNaive(parser.MustParse(src), edb.FromProgram(parser.MustParse(src)))
+	if answers.Len() != truth.Goal.Len() {
+		t.Fatalf("%d answers, want %d", answers.Len(), truth.Goal.Len())
+	}
+	width := func(m msg.Message) int {
+		if m.To == rt.driver {
+			return len(rt.g.Nodes[rt.g.Root].Atom.Args)
+		}
+		to := rt.g.Nodes[m.To]
+		if m.Kind == msg.TupReq {
+			return len(dynamicPositions(to.Ad))
+		}
+		if to.Kind == rgg.Goal {
+			return len(carriedPositions(to.Ad))
+		}
+		return len(carriedPositions(rt.g.Nodes[m.From].Ad))
+	}
+	lone, batches := 0, 0
+	shardsHit := map[int]map[int32]bool{}
+	for _, m := range net.sent {
+		switch m.Kind {
+		case msg.Tuple:
+			lone++
+			if m.Count != 0 || len(m.Vals) != width(m) {
+				t.Fatalf("lone row framed wrongly: %v", m)
+			}
+		case msg.TupleBatch:
+			batches++
+			if m.Count < 2 || len(m.Vals) != m.Count*width(m) {
+				t.Fatalf("batch framed wrongly (width %d): %v", width(m), m)
+			}
+		case msg.TupReq:
+			if n := rowsIn(m); len(m.Vals) != n*width(m) {
+				t.Fatalf("tuple request framed wrongly (width %d): %v", width(m), m)
+			}
+			continue
+		default:
+			continue
+		}
+		sp := rt.partSpec(m.To)
+		if sp == nil {
+			if m.Shard != 0 {
+				t.Fatalf("shard tag on a frame for unpartitioned node: %v", m)
+			}
+			continue
+		}
+		sk, routed := sp.key[m.From]
+		if !routed {
+			continue
+		}
+		if shardsHit[m.To] == nil {
+			shardsHit[m.To] = map[int32]bool{}
+		}
+		shardsHit[m.To][m.Shard] = true
+		for i, w := 0, sk.width; i < rowsIn(m); i++ {
+			row := m.Vals[i*w : (i+1)*w]
+			if want := int32(relation.HashTupleAt(row, sk.pos)%uint64(sp.n)) + 1; m.Shard != want {
+				t.Fatalf("row %v of %v belongs to shard %d", row, m, want)
+			}
+		}
+	}
+	if lone == 0 || batches == 0 {
+		t.Errorf("want both lone rows and batches on a wide wavefront, got %d and %d", lone, batches)
+	}
+	split := false
+	for _, hit := range shardsHit {
+		split = split || len(hit) > 1
+	}
+	if !split {
+		t.Error("no partitioned node received frames on more than one shard")
+	}
+}
+
+// TestZeroWidthRows drives propositional rows (no carried positions)
+// through the buffers and a goal node: a batch of them is Count empty rows
+// with no payload.
+func TestZeroWidthRows(t *testing.T) {
+	var b rowBuf
+	for i := 0; i < 3; i++ {
+		b.add(nil)
+	}
+	m := tupleMsg(7, 0, &b)
+	if m.Kind != msg.TupleBatch || m.Count != 3 || len(m.Vals) != 0 || b.count != 0 {
+		t.Fatalf("zero-width batch = %v (buffer left with %d rows)", m, b.count)
+	}
+	b.add(nil)
+	if m := tupleMsg(7, 0, &b); m.Kind != msg.Tuple || rowsIn(m) != 1 {
+		t.Fatalf("lone zero-width row = %v", m)
+	}
+
+	// End to end: q's argument is existential, so its leaf answers with
+	// zero-width rows, and goal itself is propositional.
+	src := `q(a). q(b). q(c). e(x).
+		p :- q(W).
+		goal :- p, e(V).`
+	res, _ := runQuery(t, src, nil)
+	if res.Answers.Len() != 1 {
+		t.Fatalf("propositional goal has %d answers, want the empty tuple", res.Answers.Len())
+	}
+	s, _ := newSchedRunner(t, src, 1, Options{})
+	root := s.procs[s.rt.g.Root]
+	root.goal.customers[0].registered = true
+	root.goal.handle(msg.Message{Kind: msg.TupleBatch, From: root.node.Children[0], To: root.id, Count: 3})
+	if root.work.Stored != 1 || root.work.Dups != 2 || root.buffered != 1 {
+		t.Errorf("3 empty rows: stored=%d dups=%d buffered=%d, want 1, 2, 1", root.work.Stored, root.work.Dups, root.buffered)
+	}
+}
+
+// TestProtocolMessageForcesFlush pins the rule that keeps packaging
+// protocol-transparent: a node holding buffered rows (its mailbox did not
+// drain after the work that produced them) flushes them before it handles
+// any termination-protocol message, so no End request, answer or nudge it
+// then sends can overtake them.
+func TestProtocolMessageForcesFlush(t *testing.T) {
+	src := `edge(a, b). edge(b, c). edge(c, a). edge(c, d). edge(a, d). edge(d, e).
+		path(X, Y) :- edge(X, Y).
+		path(X, Y) :- path(X, U), edge(U, Y).
+		goal(Y) :- path(a, Y).`
+	forced := 0
+	for seed := int64(0); seed < 60; seed++ {
+		s, _ := newSchedRunner(t, src, seed, Options{})
+		net := &recNet{inner: s.local}
+		s.rt.net = net
+		s.rt.send(msg.Message{Kind: msg.RelReq, From: s.rt.driver, To: s.rt.g.Root})
+		s.rt.send(msg.Message{Kind: msg.ReqEnd, From: s.rt.driver, To: s.rt.g.Root})
+		for steps := 0; ; steps++ {
+			if steps > 1_000_000 {
+				t.Fatalf("seed %d: no quiescence", seed)
+			}
+			var runnable []*proc
+			for _, p := range s.procs {
+				if p.box.Len() > 0 {
+					runnable = append(runnable, p)
+				}
+			}
+			if len(runnable) == 0 {
+				break
+			}
+			p := runnable[s.rng.Intn(len(runnable))]
+			m, _ := p.box.Get()
+			held, before := p.buffered, len(net.sent)
+			p.step(m)
+			if isWork(m.Kind) || held == 0 {
+				continue
+			}
+			forced++
+			rows := 0
+			for _, out := range net.sent[before:] {
+				if rows == held {
+					break
+				}
+				if out.From != p.id || (out.Kind != msg.TupReq && out.Kind != msg.Tuple && out.Kind != msg.TupleBatch) {
+					t.Fatalf("seed %d: node %d sent %v while still holding %d buffered rows", seed, p.id, out, held-rows)
+				}
+				rows += rowsIn(out)
+			}
+			if rows != held {
+				t.Fatalf("seed %d: node %d flushed %d of %d buffered rows before handling %v", seed, p.id, rows, held, m)
+			}
+		}
+	}
+	if forced == 0 {
+		t.Error("no schedule delivered a protocol message to a node holding buffered rows")
+	}
+}
+
+// TestDeltaWindowBatches: a delta round whose EDB window holds several rows
+// delivers them packaged, and yields exactly the new answers.
+func TestDeltaWindowBatches(t *testing.T) {
+	src := `edge(a, b).
+		path(X, Y) :- edge(X, Y).
+		path(X, Y) :- path(X, U), edge(U, Y).
+		goal(X, Y) :- path(X, Y).`
+	prog := parser.MustParse(src)
+	db := edb.FromProgram(prog)
+	g, err := rgg.Build(prog, rgg.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{1, 2} {
+		inc := NewPlan(g, db).Incremental(Options{Partitions: p})
+		if rows, _ := incRound(t, inc); len(rows) == 0 {
+			t.Fatal("first round found nothing")
+		}
+		for i := 0; i < 6; i++ {
+			db.Add("edge", fmt.Sprintf("m%d_%d", p, i), fmt.Sprintf("m%d_%d", p, i+1))
+		}
+		rows, res := incRound(t, inc)
+		if want := 6 * 7 / 2; len(rows) != want {
+			t.Errorf("Partitions=%d: delta round yielded %d answers, want %d", p, len(rows), want)
+		}
+		if res.Stats.TupleBatches == 0 {
+			t.Errorf("Partitions=%d: a 6-row delta window travelled without a single batch: %v", p, res.Stats)
+		}
 	}
 }

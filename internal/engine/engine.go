@@ -51,11 +51,6 @@ type Options struct {
 	// Stats, when non-nil, receives the execution counters (useful for
 	// aggregating across runs). A fresh Stats is used otherwise.
 	Stats *trace.Stats
-	// Batch enables footnote 2's "packaged" tuple requests: all requests a
-	// node generates while handling one message travel to each child in a
-	// single message. Answers and end watermarks are unchanged (watermarks
-	// count bindings); only message counts drop.
-	Batch bool
 	// Trace, when non-nil, receives one line per message sent, in send
 	// order per sender (global order is the scheduler's). Intended for
 	// debugging and teaching; it serializes sends and is slow.
@@ -239,7 +234,6 @@ type runner struct {
 	stats    *trace.Stats
 	driver   int // driver's node id: len(g.Nodes)
 	bind     []symtab.Sym
-	batch    bool
 	edbDelay time.Duration
 	traceW   io.Writer
 	traceMu  sync.Mutex
@@ -287,7 +281,7 @@ func newRunner(g *rgg.Graph, db edb.Storage, net transport.Network, opts Options
 		return nil, fmt.Errorf("engine: Bind has %d values, root has %d dynamic positions", len(opts.Bind), w)
 	}
 	rt := &runner{g: g, db: db, net: net, stats: stats, driver: len(g.Nodes),
-		bind: opts.Bind, batch: opts.Batch, edbDelay: opts.EDBDelay, traceW: opts.Trace,
+		bind: opts.Bind, edbDelay: opts.EDBDelay, traceW: opts.Trace,
 		prof: opts.Profile, events: opts.Events,
 		hosts: hosts, site: site}
 	if opts.Partitions >= 2 {
@@ -454,18 +448,12 @@ func (rt *runner) driveStream(box *transport.Mailbox, yield func(relation.Tuple)
 		}
 		switch m.Kind {
 		case msg.Tuple, msg.TupleBatch:
-			cancelled := false
-			eachRow(m, arity, func(vals []symtab.Sym) {
-				if cancelled {
-					return
+			for i, n := 0, rowsIn(m); i < n; i++ {
+				row := relation.Tuple(m.Vals[i*arity : (i+1)*arity])
+				answers.Insert(row)
+				if yield != nil && !yield(row) {
+					goto done // caller cancelled: stop early
 				}
-				answers.Insert(relation.Tuple(vals))
-				if yield != nil && !yield(relation.Tuple(vals)) {
-					cancelled = true
-				}
-			})
-			if cancelled {
-				goto done // caller cancelled: stop early
 			}
 		case msg.End:
 			if m.All {
@@ -502,11 +490,7 @@ func (rt *runner) send(m msg.Message) {
 		rt.stats.RelReq()
 	case msg.TupReq:
 		rt.stats.TupReq()
-		rows := m.Count
-		if rows < 1 {
-			rows = 1
-		}
-		rt.stats.TupReqRows(rows)
+		rt.stats.TupReqRows(rowsIn(m))
 	case msg.Tuple:
 		rt.stats.TupleMsg()
 	case msg.TupleBatch:
@@ -525,17 +509,10 @@ func (rt *runner) send(m msg.Message) {
 			sh.Msg()
 		case msg.TupReq:
 			sh.Msg()
-			rows := m.Count
-			if rows < 1 {
-				rows = 1
-			}
-			sh.ReqRows(rows)
-		case msg.Tuple:
+			sh.ReqRows(rowsIn(m))
+		case msg.Tuple, msg.TupleBatch:
 			sh.Msg()
-			sh.RowsOut(1)
-		case msg.TupleBatch:
-			sh.Msg()
-			sh.RowsOut(m.Count)
+			sh.RowsOut(rowsIn(m))
 		case msg.EndReq, msg.EndNeg, msg.EndConf, msg.Nudge:
 			sh.ProtocolMsg()
 		}

@@ -26,12 +26,21 @@ type goalState struct {
 	carried []int // argument positions whose values travel in tuples
 	dIdx    []int // index of each dPos within carried
 
-	customers map[int]*customerState
+	// customers[i] is the per-successor view of p.custs[i]; the tree
+	// customer comes first.
+	customers []customerState
 
 	relReqForwarded bool
-	reqSeen         map[string]bool // d-bindings already forwarded/serviced
-	answers         *relation.Relation
-	byDKey          map[string][]relation.Tuple
+	// reqs holds the d-bindings already forwarded/serviced. A binding's
+	// ordinal there names it in each customer's asked set.
+	reqs    *relation.Relation
+	answers *relation.Relation
+
+	// Scratch, reused by every row: an answer's d-projection, the probe for
+	// the stored answers under one d-binding, and probe results.
+	dVals   relation.Tuple
+	ansBind relation.Binding
+	rows    []relation.Tuple
 
 	// EDB leaves.
 	isEDB bool
@@ -39,34 +48,79 @@ type goalState struct {
 	// a private relation holding exactly this leaf's hash slice of the base
 	// relation. Plain leaves leave it nil and scan the store directly, so a
 	// predicate with no facts at plan time picks up rows as they arrive.
-	edbRel   *relation.Relation
-	consts   relation.Binding // constant positions, pre-interned
-	varPoses map[string][]int // variable → its argument positions
+	edbRel *relation.Relation
+	consts relation.Binding // constant positions, pre-interned
+	eqPos  [][2]int         // argument positions repeating a variable: [later, first]
 	// seenBase is the base-relation cardinality this leaf has absorbed:
 	// ordinals [seenBase:] are the next delta window (Incremental rounds),
 	// streamed from the store with ScanSince.
 	seenBase int
+	binding  relation.Binding // scratch: one selection against the base relation
+	buf      relation.Tuple   // scratch: a base row projected to the carried positions
 
 	// Variant nodes.
 	cycleTo int
-
-	// Non-recursive end bookkeeping (single customer).
-	lastWatermark int
-	allSent       bool
 }
 
 // customerState is the per-successor view: which tuple requests this
 // customer has issued (so answers can be filtered into its stream), how
-// many, and whether it has promised to send no more.
+// many, whether it has promised to send no more, and — for the tree
+// customer, the only one owed end messages — how far its End watermark has
+// advanced. A rule node keeps one for its parent goal.
 type customerState struct {
-	id         int
 	registered bool
-	reqs       map[string]bool
+	asked      []uint64 // bitset over goalState.reqs ordinals
 	reqCount   int
 	reqEnd     bool
-	// deltaEnded latches this round's drain End (see feedState.drained);
-	// reset by deltaReset.
+	// lastWatermark is the reqCount of the latest End; allSent latches the
+	// final End{All}.
+	lastWatermark int
+	allSent       bool
+	// deltaEnded latches this round's drain End (see feedState.drained).
 	deltaEnded bool
+}
+
+// ask records that the customer requested binding ord and reports whether
+// it had not before.
+func (cs *customerState) ask(ord int) bool {
+	w, bit := ord>>6, uint64(1)<<(ord&63)
+	for len(cs.asked) <= w {
+		cs.asked = append(cs.asked, 0)
+	}
+	first := cs.asked[w]&bit == 0
+	cs.asked[w] |= bit
+	return first
+}
+
+func (cs *customerState) has(ord int) bool {
+	w := ord >> 6
+	return w < len(cs.asked) && cs.asked[w]&(1<<(ord&63)) != 0
+}
+
+// reset returns the view to its just-constructed state, keeping the
+// bitset's capacity.
+func (cs *customerState) reset() {
+	*cs = customerState{asked: cs.asked[:0]}
+}
+
+// deltaReset re-arms the per-round liveness flags; registration, the
+// request set and both sides of the watermark are cumulative across rounds.
+func (cs *customerState) deltaReset() {
+	cs.reqEnd, cs.allSent, cs.deltaEnded = false, false, false
+}
+
+// emitEnd sends customer `to` an End when there is something to report:
+// the watermark advanced, the final End{All} is due, or this delta round's
+// drain End has not gone out yet.
+func (p *proc) emitEnd(to int, cs *customerState) {
+	final := cs.reqEnd && !cs.allSent
+	drain := p.rt.delta && !cs.deltaEnded
+	if cs.reqCount > cs.lastWatermark || final || drain {
+		p.send(msg.Message{Kind: msg.End, To: to, N: cs.reqCount, All: cs.reqEnd})
+		cs.lastWatermark = cs.reqCount
+		cs.deltaEnded = true
+		cs.allSent = cs.reqEnd
+	}
 }
 
 func newGoalState(p *proc) *goalState {
@@ -75,13 +129,14 @@ func newGoalState(p *proc) *goalState {
 		p:         p,
 		dPos:      dynamicPositions(n.Ad),
 		carried:   carriedPositions(n.Ad),
-		customers: make(map[int]*customerState),
-		reqSeen:   make(map[string]bool),
-		byDKey:    make(map[string][]relation.Tuple),
+		customers: make([]customerState, len(p.custs)),
 		cycleTo:   n.CycleTo,
 		isEDB:     n.EDB,
 	}
+	g.reqs = relation.New(len(g.dPos))
 	g.answers = relation.New(len(g.carried))
+	g.dVals = make(relation.Tuple, len(g.dPos))
+	g.ansBind = make(relation.Binding, len(g.carried))
 	idx := make(map[int]int, len(g.carried))
 	for i, pos := range g.carried {
 		idx[pos] = i
@@ -109,48 +164,48 @@ func newGoalState(p *proc) *goalState {
 			g.edbRel = slice
 		}
 		g.consts = make(relation.Binding, len(n.Atom.Args))
-		g.varPoses = make(map[string][]int)
+		g.binding = make(relation.Binding, len(n.Atom.Args))
+		g.buf = make(relation.Tuple, len(g.carried))
+		first := make(map[string]int) // variable → its first argument position
 		for i, t := range n.Atom.Args {
-			if t.IsVar() {
-				g.varPoses[t.Var] = append(g.varPoses[t.Var], i)
-			} else {
+			if !t.IsVar() {
 				g.consts[i] = p.rt.db.Symbols().Intern(t.Const)
+			} else if f, seen := first[t.Var]; seen {
+				g.eqPos = append(g.eqPos, [2]int{i, f})
+			} else {
+				first[t.Var] = i
 			}
 		}
 	}
 	return g
 }
 
-func (g *goalState) customer(id int) *customerState {
-	cs, ok := g.customers[id]
-	if !ok {
-		cs = &customerState{id: id, reqs: make(map[string]bool)}
-		g.customers[id] = cs
-	}
-	return cs
-}
-
 func (g *goalState) handle(m msg.Message) {
 	switch m.Kind {
 	case msg.RelReq:
-		g.onRelReq(m)
+		g.onRelReq(g.p.custPos(m.From))
 	case msg.TupReq:
-		eachBinding(m, len(g.dPos), func(vals []symtab.Sym) { g.onTupReq(m.From, vals) })
+		c := g.p.custPos(m.From)
+		for i, n, w := 0, rowsIn(m), len(g.dPos); i < n; i++ {
+			g.onTupReq(c, m.Vals[i*w:(i+1)*w])
+		}
 	case msg.Tuple, msg.TupleBatch:
-		eachRow(m, len(g.carried), g.onTuple)
+		for i, n, w := 0, rowsIn(m), len(g.carried); i < n; i++ {
+			g.onTuple(m.Vals[i*w : (i+1)*w])
+		}
 	case msg.ReqEnd:
-		g.customer(m.From).reqEnd = true
+		g.customers[g.p.custPos(m.From)].reqEnd = true
 	default:
 		g.p.internalf("unexpected %s", m.Kind)
 	}
 }
 
-// onRelReq registers the customer and, on the first relation request,
+// onRelReq registers customer c and, on the first relation request,
 // propagates the request tree-downward (or across the cycle edge). A node
 // with no "d" positions has a single implicit request, so the relation
 // request doubles as the request-end.
-func (g *goalState) onRelReq(m msg.Message) {
-	cs := g.customer(m.From)
+func (g *goalState) onRelReq(c int) {
+	cs := &g.customers[c]
 	fresh := !cs.registered
 	cs.registered = true
 	if len(g.dPos) == 0 {
@@ -163,7 +218,7 @@ func (g *goalState) onRelReq(m msg.Message) {
 		// registrations survive deltaReset).
 		if fresh {
 			for _, t := range g.answers.Rows() {
-				g.p.queueTuple(cs.id, t)
+				g.p.queueTuple(c, t)
 			}
 		}
 	}
@@ -194,31 +249,37 @@ func (g *goalState) onRelReq(m msg.Message) {
 	}
 }
 
-// onTupReq records the customer's binding, replays stored matching answers
+// onTupReq records customer c's binding, replays stored matching answers
 // into its stream, and forwards the binding once to whoever computes this
 // relation.
-func (g *goalState) onTupReq(from int, vals []symtab.Sym) {
-	cs := g.customer(from)
+func (g *goalState) onTupReq(c int, vals []symtab.Sym) {
+	cs := &g.customers[c]
 	cs.reqCount++
-	key := relation.Tuple(vals).Key()
-	if !cs.reqs[key] {
-		cs.reqs[key] = true
-		for _, t := range g.byDKey[key] {
-			g.p.queueTuple(cs.id, t)
+	ord, fresh := g.reqs.Add(vals)
+	first := cs.ask(ord)
+	if !fresh {
+		if first {
+			// Another customer asked before this one: catch it up through
+			// the answers' index over the "d" columns.
+			clear(g.ansBind)
+			for i, k := range g.dIdx {
+				g.ansBind[k] = vals[i]
+			}
+			g.rows = g.answers.SelectInto(g.rows[:0], g.ansBind)
+			for _, t := range g.rows {
+				g.p.queueTuple(c, t)
+			}
 		}
-	}
-	if g.reqSeen[key] {
 		return
 	}
-	g.reqSeen[key] = true
 	switch {
 	case g.cycleTo != rgg.NoNode:
-		g.p.queueTupReq(g.cycleTo, vals)
+		g.p.queueTupReq(0, vals)
 	case g.isEDB:
 		g.serviceEDB(vals)
 	default:
-		for _, c := range g.p.node.Children {
-			g.p.queueTupReq(c, vals)
+		for k := range g.p.kids {
+			g.p.queueTupReq(k, vals)
 		}
 	}
 }
@@ -228,36 +289,30 @@ func (g *goalState) onTupReq(from int, vals []symtab.Sym) {
 // ... exempt" from storing: they just relay the ancestor's stream.
 func (g *goalState) onTuple(vals []symtab.Sym) {
 	if g.cycleTo != rgg.NoNode {
-		g.p.queueTuple(g.p.customerID(), vals)
+		g.p.queueTuple(0, vals)
 		return
 	}
-	t := relation.Tuple(vals)
-	if !g.answers.Insert(t) {
-		g.p.statDup()
+	if !g.answers.Insert(vals) {
+		g.p.work.Dups++
 		return
 	}
-	g.p.statStored()
-	stored := g.answers.Rows()[g.answers.Len()-1] // the engine-owned copy
-	key := g.dKey(stored)
-	g.byDKey[key] = append(g.byDKey[key], stored)
-	for _, cs := range g.customers {
-		if !cs.registered {
-			continue
+	g.p.work.Stored++
+	req := 0 // with no "d" positions every customer made the one implicit request
+	if len(g.dPos) > 0 {
+		// The d-position values of a carried tuple are the tuple request
+		// that asked for it.
+		for i, k := range g.dIdx {
+			g.dVals[i] = vals[k]
 		}
-		if len(g.dPos) == 0 || cs.reqs[key] {
-			g.p.queueTuple(cs.id, stored)
+		if req = g.reqs.Ordinal(g.dVals); req < 0 {
+			return
 		}
 	}
-}
-
-// dKey extracts the d-position values of a carried tuple; it equals the
-// Key of the tuple request that asked for it.
-func (g *goalState) dKey(t relation.Tuple) string {
-	vals := make(relation.Tuple, len(g.dIdx))
-	for i, k := range g.dIdx {
-		vals[i] = t[k]
+	for c := range g.customers {
+		if cs := &g.customers[c]; cs.registered && (len(g.dPos) == 0 || cs.has(req)) {
+			g.p.queueTuple(c, vals)
+		}
 	}
-	return vals.Key()
 }
 
 // serviceEDB answers one tuple request (or the implicit request when vals
@@ -265,8 +320,7 @@ func (g *goalState) dKey(t relation.Tuple) string {
 // "d" bindings select, repeated variables filter, and the projection to the
 // carried positions drops existential values.
 func (g *goalState) serviceEDB(vals []symtab.Sym) {
-	atom := g.p.node.Atom
-	binding := make(relation.Binding, len(atom.Args))
+	binding := g.binding
 	copy(binding, g.consts)
 	for i, pos := range g.dPos {
 		if binding[pos] != symtab.NoSym && binding[pos] != vals[i] {
@@ -274,38 +328,38 @@ func (g *goalState) serviceEDB(vals []symtab.Sym) {
 		}
 		binding[pos] = vals[i]
 	}
-	g.p.statEDBScan()
+	g.p.work.EDBScans++
 	if d := g.p.rt.edbDelay; d > 0 {
 		time.Sleep(d) // simulated retrieval latency (see Options.EDBDelay)
 	}
-	buf := make(relation.Tuple, len(g.carried))
-	matched := 0
-	emit := func(row relation.Tuple) {
-		matched++
-		for _, poses := range g.varPoses {
-			for _, pos := range poses[1:] {
-				if row[pos] != row[poses[0]] {
-					return // repeated variable mismatch
-				}
-			}
-		}
-		for i, pos := range g.carried {
-			buf[i] = row[pos]
-		}
-		// Dedup through the answer store (projection may collapse rows
-		// that differ only existentially), then stream to the customer.
-		g.onTuple(buf)
-	}
 	if g.edbRel != nil {
-		for _, row := range g.edbRel.Select(binding) {
-			emit(row)
+		g.rows = g.edbRel.SelectInto(g.rows[:0], binding)
+		g.p.work.EDBTuples += int64(len(g.rows))
+		for _, row := range g.rows {
+			g.emitBase(row)
 		}
-	} else {
-		for row := range g.p.rt.db.Scan(atom.Key(), binding) {
-			emit(row)
+		return
+	}
+	for row := range g.p.rt.db.Scan(g.p.node.Atom.Key(), binding) {
+		g.p.work.EDBTuples++
+		g.emitBase(row)
+	}
+}
+
+// emitBase delivers one selected base row: repeated variables filter, the
+// projection drops existential values, and the answer store dedups (the
+// projection may collapse rows that differ only existentially) before the
+// row streams to the customer.
+func (g *goalState) emitBase(row relation.Tuple) {
+	for _, eq := range g.eqPos {
+		if row[eq[0]] != row[eq[1]] {
+			return
 		}
 	}
-	g.p.statEDBTuples(matched)
+	for i, pos := range g.carried {
+		g.buf[i] = row[pos]
+	}
+	g.onTuple(g.buf)
 }
 
 // serviceEDBDelta seeds one delta round at an EDB leaf: the base-relation
@@ -315,7 +369,7 @@ func (g *goalState) serviceEDB(vals []symtab.Sym) {
 //
 // Free-access leaves (no "d" positions) deliver every surviving window row.
 // Bound-access leaves deliver only rows whose d-projection was already
-// requested (g.reqSeen): a row under a never-requested binding is not part
+// requested (g.reqs): a row under a never-requested binding is not part
 // of any answer yet — it waits in the relation and is found by the ordinary
 // Select when its binding first arrives. Leaves holding a private slice
 // (EDB shard leaves, worker shards, predicates with no facts at plan time)
@@ -366,17 +420,12 @@ func (g *goalState) serviceEDBDelta() {
 	if from >= total {
 		return
 	}
-	g.p.statEDBScan()
+	g.p.work.EDBScans++
 	if d := g.p.rt.edbDelay; d > 0 {
 		time.Sleep(d) // one simulated retrieval for the whole window
 	}
 	sliced := g.edbRel != nil
 	owned, seeded := 0, 0
-	buf := make(relation.Tuple, len(g.carried))
-	var dVals relation.Tuple
-	if len(g.dPos) > 0 {
-		dVals = make(relation.Tuple, len(g.dPos))
-	}
 window:
 	for row := range g.p.rt.db.ScanSince(n.Atom.Key(), from) {
 		if !g.ownsRow(row) {
@@ -391,28 +440,26 @@ window:
 				continue window
 			}
 		}
-		for _, poses := range g.varPoses {
-			for _, pos := range poses[1:] {
-				if row[pos] != row[poses[0]] {
-					continue window
-				}
+		for _, eq := range g.eqPos {
+			if row[eq[0]] != row[eq[1]] {
+				continue window
 			}
 		}
 		if len(g.dPos) > 0 {
 			for i, pos := range g.dPos {
-				dVals[i] = row[pos]
+				g.dVals[i] = row[pos]
 			}
-			if !g.reqSeen[dVals.Key()] {
+			if !g.reqs.Contains(g.dVals) {
 				continue
 			}
 		}
 		seeded++
 		for i, pos := range g.carried {
-			buf[i] = row[pos]
+			g.buf[i] = row[pos]
 		}
-		g.onTuple(buf)
+		g.onTuple(g.buf)
 	}
-	g.p.statEDBTuples(owned)
+	g.p.work.EDBTuples += int64(owned)
 	g.p.rt.stats.DeltaSeeded(int64(seeded))
 }
 
@@ -425,33 +472,14 @@ func (g *goalState) maybeEnd() {
 	if !g.p.box.Empty() || !g.p.feedersSettled() {
 		return
 	}
-	cs, ok := g.customers[g.p.customerID()]
-	if !ok || !cs.registered {
-		return
-	}
-	g.emitEnd(cs)
+	g.confirmedEnd()
 }
 
 // confirmedEnd is invoked on the component leader when a protocol round
 // confirms quiescence: everything requested so far is complete, so the
 // leader advances its customer's watermark (Theorem 3.1's "end message").
 func (g *goalState) confirmedEnd() {
-	cs, ok := g.customers[g.p.customerID()]
-	if !ok || !cs.registered {
-		return
-	}
-	g.emitEnd(cs)
-}
-
-func (g *goalState) emitEnd(cs *customerState) {
-	final := cs.reqEnd && !g.allSent
-	drain := g.p.rt.delta && !cs.deltaEnded
-	if cs.reqCount > g.lastWatermark || final || drain {
-		g.p.send(msg.Message{Kind: msg.End, To: cs.id, N: cs.reqCount, All: cs.reqEnd})
-		g.lastWatermark = cs.reqCount
-		cs.deltaEnded = true
-		if cs.reqEnd {
-			g.allSent = true
-		}
+	if cs := &g.customers[0]; cs.registered {
+		g.p.emitEnd(g.p.custs[0].id, cs)
 	}
 }

@@ -129,11 +129,12 @@ func (inc *Incremental) Round(cancel <-chan struct{}, yield func(relation.Tuple)
 //   kept (cumulative / memo state)          reset (per-round liveness)
 //   ------------------------------          --------------------------
 //   feedState.sent / acked                  feedState.allEnd
-//   customer registered / reqs / reqCount   customer reqEnd
-//   goal reqSeen / answers / byDKey         relReqForwarded
-//   rule hb / sentHeads / subs[i].rel       relReqReceived / parentReqEnd
-//     / sentReqs / headReqCount             allSent
-//   lastWatermark                           Fig 2 state, mailboxes, batches
+//   customer registered / asked / reqCount   customer reqEnd / allSent
+//     / lastWatermark                         / deltaEnded
+//   goal reqs / answers                     relReqForwarded
+//   rule hb / sentHeads / subs[i].rel       relReqReceived
+//     / sentReqs                            Fig 2 state, mailboxes,
+//                                             output buffers
 //   worker work counters / workAtProbe
 //
 // Keeping both sides of each watermark pair (sent/acked, reqCount/
@@ -159,12 +160,7 @@ func (p *proc) deltaReset(rt *runner) {
 	}
 	p.idleness, p.round, p.waitingFor = 0, 0, 0
 	p.anyNeg, p.inRound, p.confirmed = false, false, false
-	for _, b := range p.pending {
-		b.vals, b.count = nil, 0
-	}
-	for _, b := range p.pendTups {
-		b.vals, b.count = nil, 0
-	}
+	p.clearOutput()
 	p.box.Reset()
 	switch {
 	case p.part != nil:
@@ -177,37 +173,27 @@ func (p *proc) deltaReset(rt *runner) {
 }
 
 func (ps *partState) deltaReset(rt *runner) {
-	for _, cs := range ps.customers {
-		cs.reqEnd = false // registered/reqs/reqCount stay
-		cs.deltaEnded = false
+	for i := range ps.customers {
+		ps.customers[i].deltaReset()
 	}
 	ps.relReqReceived = false
-	ps.parentReqEnd = false
-	ps.deltaEnded = false
-	// headReqCount, lastWatermark, workAtProbe, and the worker completion
-	// counters all stay: each is compared only against its cumulative
-	// counterpart.
-	ps.allSent = false
+	// workAtProbe and the worker completion counters stay: each is compared
+	// only against its cumulative counterpart.
 	for _, w := range ps.workers {
 		w.deltaReset(rt)
 	}
 }
 
 func (g *goalState) deltaReset() {
-	for _, cs := range g.customers {
-		cs.reqEnd = false // registered/reqs/reqCount stay
-		cs.deltaEnded = false
+	for i := range g.customers {
+		g.customers[i].deltaReset()
 	}
 	g.relReqForwarded = false
-	// reqSeen, answers, byDKey, lastWatermark stay: the memo state.
-	g.allSent = false
+	// reqs and answers stay: the memo state.
 }
 
 func (r *ruleState) deltaReset() {
-	// hb, sentHeads, subs[i].{rel,sentReqs}, headReqCount, lastWatermark
-	// stay: the memo state.
+	// hb, sentHeads and subs[i].{rel,sentReqs} stay: the memo state.
 	r.relReqReceived = false
-	r.parentReqEnd = false
-	r.allSent = false
-	r.deltaEnded = false
+	r.parent.deltaReset()
 }

@@ -118,7 +118,6 @@ func testIncrementalTC(t *testing.T, strategy rgg.Strategy, opts Options) {
 func TestIncrementalTC(t *testing.T)          { testIncrementalTC(t, nil, Options{}) }
 func TestIncrementalTCSeq(t *testing.T)       { testIncrementalTC(t, rgg.LeftToRightStrategy, Options{}) }
 func TestIncrementalTCPartition(t *testing.T) { testIncrementalTC(t, nil, Options{Partitions: 4}) }
-func TestIncrementalTCBatch(t *testing.T)     { testIncrementalTC(t, nil, Options{Batch: true}) }
 
 // TestIncrementalNewPredicate: a base predicate that is empty when the
 // plan is built (the plan sees a detached empty relation) must still feed

@@ -42,7 +42,6 @@ func TestProfileMatchesAggregate(t *testing.T) {
 		opts      Options
 	}{
 		{"P1", p1data, Options{}},
-		{"P1 batched", p1data, Options{Batch: true}},
 		{"linear TC", `
 			edge(a, b). edge(b, c). edge(c, d). edge(d, b). edge(x, y).
 			path(X, Y) :- edge(X, Y).

@@ -135,20 +135,6 @@ func TestPartitionedStrategiesAgree(t *testing.T) {
 	}
 }
 
-// TestPartitionedBatching crosses partitioning with footnote-2 request
-// batching: per-(destination, shard) accumulation must not reorder a
-// binding relative to its own shard's stream.
-func TestPartitionedBatching(t *testing.T) {
-	for name, src := range partitionPrograms {
-		t.Run(name, func(t *testing.T) {
-			res, db := runQueryOpts(t, src, nil, Options{Partitions: 4, Batch: true})
-			if got, want := renderSet(res.Answers, db), renderSetBottomup(t, src); got != want {
-				t.Errorf("partitioned+batched answers differ\n got: %s\nwant: %s", got, want)
-			}
-		})
-	}
-}
-
 // TestPlanPartitionFallbacks pins the planner's "when in doubt, stay
 // sequential" rules: EDB leaves and the driver never partition, and a rule
 // whose recursive subgoals share no carried variable has no consistent

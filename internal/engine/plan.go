@@ -6,6 +6,7 @@ import (
 	"repro/internal/edb"
 	"repro/internal/relation"
 	"repro/internal/rgg"
+	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
@@ -31,7 +32,7 @@ type Plan struct {
 
 // scratch is one run's worth of reusable per-node state: the in-process
 // network and the node processes (whose goal/rule temporaries keep their
-// map and relation capacity across runs). partitions records the
+// relation capacity across runs). partitions records the
 // Options.Partitions the procs were built for — worker shard wiring is
 // structural, so a scratch only serves runs with the same setting
 // (System's plan cache keys plans by partition count, so in practice a
@@ -122,8 +123,8 @@ func (pl *Plan) get(partitions int) (s *scratch, reused bool) {
 //
 // The reset methods below return a node process to its just-constructed
 // state while keeping every allocation whose size tracks the data, not the
-// run: temporary relations keep row/index capacity, maps are cleared in
-// place, and mailbox backing arrays survive. Only run-scoped wiring — the
+// run: temporary relations keep row/index capacity, request bitsets and
+// output-buffer size hints stay, and mailbox backing arrays survive. Only run-scoped wiring — the
 // runner pointer and its profile shard — is rebound. They may only be
 // called once the previous run's WaitGroup has drained (no goroutine still
 // owns the state).
@@ -144,12 +145,8 @@ func (p *proc) reset(rt *runner) {
 	}
 	p.idleness, p.round, p.waitingFor = 0, 0, 0
 	p.anyNeg, p.inRound, p.confirmed = false, false, false
-	for _, b := range p.pending {
-		b.vals, b.count = nil, 0
-	}
-	for _, b := range p.pendTups {
-		b.vals, b.count = nil, 0
-	}
+	p.clearOutput()
+	p.work = trace.Work{}
 	p.box.Reset()
 	switch {
 	case p.part != nil:
@@ -166,17 +163,10 @@ func (p *proc) reset(rt *runner) {
 // proc, so their reset re-clears those counters — harmless, since reset
 // runs strictly between evaluations.
 func (ps *partState) reset(rt *runner) {
-	for _, cs := range ps.customers {
-		cs.registered = false
-		clear(cs.reqs)
-		cs.reqCount = 0
-		cs.reqEnd = false
+	for i := range ps.customers {
+		ps.customers[i].reset()
 	}
 	ps.relReqReceived = false
-	ps.parentReqEnd = false
-	ps.headReqCount = 0
-	ps.lastWatermark = 0
-	ps.allSent = false
 	ps.workAtProbe = 0
 	for _, w := range ps.workers {
 		w.wk.work.Store(0)
@@ -185,19 +175,13 @@ func (ps *partState) reset(rt *runner) {
 }
 
 func (g *goalState) reset() {
-	for _, cs := range g.customers {
-		cs.registered = false
-		clear(cs.reqs)
-		cs.reqCount = 0
-		cs.reqEnd = false
+	for i := range g.customers {
+		g.customers[i].reset()
 	}
 	g.relReqForwarded = false
-	clear(g.reqSeen)
+	g.reqs.Reset()
 	g.answers.Reset()
-	clear(g.byDKey)
-	g.lastWatermark = 0
-	g.allSent = false
-	// isEDB wiring (edbRel, consts, varPoses) is graph+db-scoped, not
+	// isEDB wiring (edbRel, consts, eqPos) is graph+db-scoped, not
 	// run-scoped: a Plan binds exactly one database, so it stays — but a
 	// leaf holding a private slice of the base relation (shard and worker
 	// leaves, or a predicate that had no facts when the plan was built)
@@ -210,14 +194,11 @@ func (g *goalState) reset() {
 
 func (r *ruleState) reset() {
 	r.hb.Reset()
-	clear(r.sentHeads)
+	r.sentHeads.Reset()
 	for _, s := range r.subs {
 		s.rel.Reset()
-		clear(s.sentReqs)
+		s.sentReqs.Reset()
 	}
 	r.relReqReceived = false
-	r.parentReqEnd = false
-	r.headReqCount = 0
-	r.lastWatermark = 0
-	r.allSent = false
+	r.parent.reset()
 }

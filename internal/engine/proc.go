@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/adorn"
 	"repro/internal/msg"
+	"repro/internal/relation"
 	"repro/internal/rgg"
 	"repro/internal/symtab"
 	"repro/internal/trace"
@@ -26,9 +27,9 @@ type proc struct {
 	box  *transport.Mailbox
 
 	// shard is this node's profile counter shard, nil unless
-	// Options.Profile is set. Hooks that attribute work to a node
-	// (statDerived, statJoins, ...) update it alongside the aggregate
-	// stats; rt.send attributes sent messages by m.From.
+	// Options.Profile is set. flushWork adds the node's work tally to it
+	// alongside the aggregate stats; rt.send attributes sent messages by
+	// m.From.
 	shard *trace.NodeShard
 
 	// recursive is true when the node belongs to a nontrivial strong
@@ -43,8 +44,8 @@ type proc struct {
 	bfstParent   int
 
 	// feeds tracks each cross-component child edge for the watermark
-	// accounting: feeds[childID].
-	feeds map[int]*feedState
+	// accounting.
+	feeds []*feedState
 
 	// Protocol state (§3.2, Fig 2).
 	idleness   int
@@ -65,30 +66,70 @@ type proc struct {
 	part *partState
 	wk   *workerCtx
 
-	// pending buffers outgoing tuple requests per child and pendTups
-	// buffers outgoing tuples per destination (and, for partitioned
-	// receivers, per worker shard — each shard still receives one frame per
-	// drain), when footnote 2's batching is enabled. Both are flushed at
+	// Packaged delivery (footnote 2), the only mode: kids buffers outgoing
+	// tuple requests per child, custs outgoing tuples per customer (and,
+	// for partitioned receivers, per worker shard — each shard receives one
+	// frame per drain). Both are built once per proc and flushed at
 	// mailbox-drain boundaries and before any termination-protocol message
 	// is handled, so completion logic never observes a state with
-	// undelivered buffered traffic.
-	pending  map[int]*reqBatch
-	pendTups map[destShard]*reqBatch
+	// undelivered buffered traffic. buffered counts the rows they hold.
+	kids     []kidOut
+	custs    []custOut
+	buffered int
+
+	// work tallies this process's data-path counters; flushWork adds them
+	// to the shared stats (and the profile shard) once per mailbox drain.
+	work trace.Work
 }
 
-// destShard keys the tuple batching buffer: destination node plus worker
-// shard (0 = control mailbox).
-type destShard struct {
-	dest  int
-	shard int32
+// kidOut is the request stream to one child: node.Children in order, then
+// the cycle edge's target on a variant node.
+type kidOut struct {
+	id   int
+	feed *feedState // nil on an edge inside this node's strong component
+	buf  rowBuf
 }
 
-// reqBatch accumulates concatenated same-width rows for one destination
-// (d-bindings of packaged tuple requests, or carried rows of tuple batches).
-type reqBatch struct {
+// custOut is the answer stream to one customer: the tree parent (the driver
+// for the root) first, then every variant node selecting from this one
+// through a cycle edge. bufs has one entry when the customer runs as a
+// single process; otherwise entry k > 0 feeds its worker shard k-1, chosen
+// by hashing the row's key columns — the receiver's partition plan,
+// evaluated here at the sender.
+type custOut struct {
+	id   int
+	key  []int
+	bufs []rowBuf
+}
+
+// rowBuf accumulates concatenated same-width rows bound for one mailbox
+// (d-bindings of a packaged tuple request, or carried rows of a tuple
+// batch). A flush hands vals to the receiver, so each flush costs one
+// allocation, sized by the flush before it.
+type rowBuf struct {
 	vals  []symtab.Sym
 	count int
+	hint  int
 }
+
+func (b *rowBuf) add(vals []symtab.Sym) {
+	if b.vals == nil && b.hint > 0 {
+		b.vals = make([]symtab.Sym, 0, b.hint)
+	}
+	b.vals = append(b.vals, vals...)
+	b.count++
+}
+
+// take empties the buffer, returning what it held.
+func (b *rowBuf) take() (vals []symtab.Sym, count int) {
+	vals, count = b.vals, b.count
+	b.hint = len(vals)
+	b.drop()
+	return vals, count
+}
+
+// drop discards the buffered rows, keeping the size hint.
+func (b *rowBuf) drop() { b.vals, b.count = nil, 0 }
 
 // feedState is the customer's view of one cross-component child: how many
 // tuple requests were sent and how many the child has acknowledged as fully
@@ -101,6 +142,7 @@ type reqBatch struct {
 // control process, which alone receives End) can never overtake a count
 // that was not yet visible, and settled() stays conservative.
 type feedState struct {
+	child  int
 	hasD   bool
 	sent   atomic.Int64
 	acked  int
@@ -125,7 +167,7 @@ func (f *feedState) settled() bool {
 
 func newProc(rt *runner, id int, box *transport.Mailbox) *proc {
 	n := rt.g.Nodes[id]
-	p := &proc{rt: rt, id: id, node: n, box: box, feeds: make(map[int]*feedState)}
+	p := &proc{rt: rt, id: id, node: n, box: box}
 	if rt.prof != nil {
 		p.shard = rt.prof.Shard(id)
 	}
@@ -142,9 +184,10 @@ func newProc(rt *runner, id int, box *transport.Mailbox) *proc {
 	}
 	for _, c := range n.Children {
 		if rt.g.Nodes[c].SCC != n.SCC {
-			p.feeds[c] = &feedState{hasD: hasDynamic(childAdornment(rt.g, c))}
+			p.feeds = append(p.feeds, &feedState{child: c, hasD: hasDynamic(childAdornment(rt.g, c))})
 		}
 	}
+	p.wire()
 	if sp := rt.partSpec(id); sp != nil {
 		// Partitioned node: the goal/rule state lives in the worker shards
 		// (which share p.feeds); this proc is the control process.
@@ -158,6 +201,70 @@ func newProc(rt *runner, id int, box *transport.Mailbox) *proc {
 		p.rule = newRuleState(p)
 	}
 	return p
+}
+
+// wire builds the proc's output buffers from the graph and the partition
+// plan. A worker shard calls it too: it shares its control process's feeds
+// but buffers privately.
+func (p *proc) wire() {
+	rt, n := p.rt, p.node
+	kids := n.Children
+	if n.CycleTo != rgg.NoNode {
+		kids = append(kids[:len(kids):len(kids)], n.CycleTo)
+	}
+	p.kids = make([]kidOut, len(kids))
+	for i, c := range kids {
+		p.kids[i] = kidOut{id: c, feed: p.feed(c)}
+	}
+	custs := []int{p.customerID()}
+	for id, v := range rt.g.Nodes {
+		if v.CycleTo == p.id {
+			custs = append(custs, id)
+		}
+	}
+	p.custs = make([]custOut, len(custs))
+	for i, c := range custs {
+		out := custOut{id: c, bufs: make([]rowBuf, 1)}
+		if sp := rt.partSpec(c); sp != nil {
+			if sk, ok := sp.key[p.id]; ok {
+				out.key, out.bufs = sk.pos, make([]rowBuf, sp.n+1)
+			}
+		}
+		p.custs[i] = out
+	}
+}
+
+// kidPos returns child c's position in p.kids.
+func (p *proc) kidPos(c int) int {
+	for k := range p.kids {
+		if p.kids[k].id == c {
+			return k
+		}
+	}
+	p.internalf("node %d is not a child", c)
+	return -1
+}
+
+// custPos returns customer c's position in p.custs.
+func (p *proc) custPos(c int) int {
+	for i := range p.custs {
+		if p.custs[i].id == c {
+			return i
+		}
+	}
+	p.internalf("node %d is not a customer", c)
+	return -1
+}
+
+// feed returns the watermark state of cross-component child c, nil for a
+// child inside this node's strong component.
+func (p *proc) feed(c int) *feedState {
+	for _, f := range p.feeds {
+		if f.child == c {
+			return f
+		}
+	}
+	return nil
 }
 
 // childAdornment returns the adornment governing requests to child c: a
@@ -202,7 +309,7 @@ func dynamicPositions(ad adorn.Adornment) []int {
 // loop is the process body: receive, handle, flush batched output at
 // mailbox-drain boundaries, then re-evaluate completion.
 //
-// The flush discipline is what keeps batching protocol-transparent: buffered
+// The flush discipline is what keeps packaging protocol-transparent: buffered
 // rows are flushed (a) before handling any termination-protocol message, so
 // an idleness probe never observes a node holding undelivered traffic, and
 // (b) whenever the mailbox drains, which always precedes after() — the only
@@ -218,6 +325,7 @@ func (p *proc) loop() {
 	for {
 		m, ok := p.box.Get()
 		if !ok || m.Kind == msg.Shutdown {
+			p.flushWork() // an early cancel can stop the node mid-drain
 			return
 		}
 		if m.Kind == msg.Abort {
@@ -231,18 +339,24 @@ func (p *proc) loop() {
 		if observe {
 			start = time.Now()
 		}
-		if !isWork(m.Kind) {
-			p.flushAll()
-		}
-		p.handle(m)
-		if p.box.Empty() {
-			p.flushAll()
-		}
-		p.after(m)
+		p.step(m)
 		if observe {
 			p.observe(m, start)
 		}
 	}
+}
+
+// step handles one dequeued message under the flush discipline above.
+func (p *proc) step(m msg.Message) {
+	if !isWork(m.Kind) {
+		p.flushAll()
+	}
+	p.handle(m)
+	if p.box.Empty() {
+		p.flushAll()
+		p.flushWork()
+	}
+	p.after(m)
 }
 
 // observe records the handling span of one message — wall-clock from
@@ -256,166 +370,104 @@ func (p *proc) observe(m msg.Message, start time.Time) {
 		p.shard.Handled(at, dur)
 	}
 	if l := p.rt.events; l != nil {
-		rows := m.Count
-		if rows < 1 {
-			rows = 1
-		}
 		l.Add(trace.Event{At: at, Dur: dur, Op: trace.EvHandle,
-			Node: p.id, From: m.From, Kind: uint8(m.Kind), Rows: rows})
+			Node: p.id, From: m.From, Kind: uint8(m.Kind), Rows: rowsIn(m)})
 	}
 }
 
-// Attribution hooks: each updates the aggregate stats and, when profiling,
-// this node's shard. Rule/goal handlers call these instead of rt.stats so
-// every derived tuple, join probe, and EDB scan lands on the node that did
-// the work.
-
-func (p *proc) statDerived() {
-	p.rt.stats.Derived()
-	if p.shard != nil {
-		p.shard.Derived()
-	}
-}
-
-func (p *proc) statStored() {
-	p.rt.stats.Stored()
-	if p.shard != nil {
-		p.shard.Stored()
-	}
-}
-
-func (p *proc) statDup() {
-	p.rt.stats.Dup()
-	if p.shard != nil {
-		p.shard.Dup()
-	}
-}
-
-func (p *proc) statJoins(n int) {
-	p.rt.stats.Joins(n)
-	if p.shard != nil {
-		p.shard.Joins(n)
-	}
-}
-
-func (p *proc) statEDBScan() {
-	p.rt.stats.EDBScan()
-	if p.shard != nil {
-		p.shard.EDBScan()
-	}
-}
-
-func (p *proc) statEDBTuples(n int) {
-	p.rt.stats.EDBTuples(n)
-	if p.shard != nil {
-		p.shard.EDBTuples(n)
-	}
-}
-
-// queueTupReq sends (or, under batching, buffers) one tuple-request binding
-// for the child, maintaining the cross-component watermark accounting.
-func (p *proc) queueTupReq(child int, vals []symtab.Sym) {
-	if f := p.feeds[child]; f != nil {
-		f.sent.Add(1)
-	}
-	if !p.rt.batch {
-		p.send(msg.Message{Kind: msg.TupReq, To: child, Vals: vals, Count: 1})
+// flushWork adds the process's private tally (p.work: every derived tuple,
+// join probe and EDB scan lands on the node that did the work) to the
+// aggregate stats and, when profiling, this node's shard.
+func (p *proc) flushWork() {
+	if p.work == (trace.Work{}) {
 		return
 	}
-	if p.pending == nil {
-		p.pending = make(map[int]*reqBatch)
+	p.rt.stats.AddWork(p.work)
+	if p.shard != nil {
+		p.shard.AddWork(p.work)
 	}
-	b, ok := p.pending[child]
-	if !ok {
-		b = &reqBatch{}
-		p.pending[child] = b
-	}
-	b.vals = append(b.vals, vals...)
-	b.count++
+	p.work = trace.Work{}
 }
 
-// flushReqs emits one packaged tuple request per child with buffered
-// bindings (footnote 2: "if packaged, the retrieval can be done in one
-// scan").
-func (p *proc) flushReqs() {
-	for child, b := range p.pending {
-		if b.count > 0 {
-			p.send(msg.Message{Kind: msg.TupReq, To: child, Vals: b.vals, Count: b.count})
-			b.vals, b.count = nil, 0
-		}
+// queueTupReq buffers one tuple-request binding for child position k,
+// maintaining the cross-component watermark accounting. The binding is
+// copied, so callers may reuse vals.
+func (p *proc) queueTupReq(k int, vals []symtab.Sym) {
+	kid := &p.kids[k]
+	if kid.feed != nil {
+		kid.feed.sent.Add(1)
 	}
+	kid.buf.add(vals)
+	p.buffered++
 }
 
-// queueTuple sends (or, under batching, buffers) one derived tuple for the
-// destination. The row is copied when buffered, so callers may reuse vals.
-// When the destination is partitioned the owning worker shard is computed
-// here, at the sender, and rows are buffered per (dest, shard) so each
-// shard still receives one frame per drain.
-func (p *proc) queueTuple(dest int, vals []symtab.Sym) {
-	shard := p.rt.shardOf(p.id, dest, vals)
-	if !p.rt.batch {
-		p.send(msg.Message{Kind: msg.Tuple, To: dest, Vals: vals, Shard: shard})
-		return
+// queueTuple buffers one derived tuple for customer position c. The row is
+// copied, so callers may reuse vals.
+func (p *proc) queueTuple(c int, vals []symtab.Sym) {
+	cust := &p.custs[c]
+	shard := 0
+	if n := len(cust.bufs) - 1; n > 0 {
+		shard = 1 + int(relation.HashTupleAt(vals, cust.key)%uint64(n))
 	}
-	if p.pendTups == nil {
-		p.pendTups = make(map[destShard]*reqBatch)
-	}
-	k := destShard{dest: dest, shard: shard}
-	b, ok := p.pendTups[k]
-	if !ok {
-		b = &reqBatch{}
-		p.pendTups[k] = b
-	}
-	b.vals = append(b.vals, vals...)
-	b.count++
+	cust.bufs[shard].add(vals)
+	p.buffered++
 }
 
-// flushTuples emits buffered tuples: a lone row goes out as an ordinary
-// Tuple, several rows as one TupleBatch carrying their concatenation.
-func (p *proc) flushTuples() {
-	for k, b := range p.pendTups {
-		switch {
-		case b.count == 1:
-			p.send(msg.Message{Kind: msg.Tuple, To: k.dest, Vals: b.vals, Shard: k.shard})
-		case b.count > 1:
-			p.send(msg.Message{Kind: msg.TupleBatch, To: k.dest, Vals: b.vals, Count: b.count, Shard: k.shard})
-		}
-		if b.count > 0 {
-			b.vals, b.count = nil, 0
-		}
-	}
-}
-
-// flushAll drains both batching buffers onto the channel.
+// flushAll drains the output buffers onto the channel: one packaged tuple
+// request per child with buffered bindings (footnote 2: "if packaged, the
+// retrieval can be done in one scan"), then per customer mailbox a lone row
+// as an ordinary Tuple, several as one TupleBatch.
 func (p *proc) flushAll() {
-	p.flushReqs()
-	p.flushTuples()
-}
-
-// eachBinding invokes f once per binding of a (possibly batched) tuple
-// request; width is the receiver's d-binding width.
-func eachBinding(m msg.Message, width int, f func(vals []symtab.Sym)) {
-	count := m.Count
-	if count <= 1 {
-		f(m.Vals)
+	if p.buffered == 0 {
 		return
 	}
-	for i := 0; i < count; i++ {
-		f(m.Vals[i*width : (i+1)*width])
+	p.buffered = 0
+	for i := range p.kids {
+		if kid := &p.kids[i]; kid.buf.count > 0 {
+			vals, n := kid.buf.take()
+			p.send(msg.Message{Kind: msg.TupReq, To: kid.id, Vals: vals, Count: n})
+		}
+	}
+	for i := range p.custs {
+		cust := &p.custs[i]
+		for shard := range cust.bufs {
+			if b := &cust.bufs[shard]; b.count > 0 {
+				p.send(tupleMsg(cust.id, shard, b))
+			}
+		}
 	}
 }
 
-// eachRow invokes f once per row of a Tuple or TupleBatch message; width is
-// the row width at the receiver (zero-width rows are legal: a propositional
-// batch is Count empty rows).
-func eachRow(m msg.Message, width int, f func(vals []symtab.Sym)) {
-	if m.Kind != msg.TupleBatch {
-		f(m.Vals)
-		return
+// tupleMsg empties a row buffer into the message that carries it.
+func tupleMsg(to, shard int, b *rowBuf) msg.Message {
+	vals, n := b.take()
+	if n == 1 {
+		return msg.Message{Kind: msg.Tuple, To: to, Vals: vals, Shard: int32(shard)}
 	}
-	for i := 0; i < m.Count; i++ {
-		f(m.Vals[i*width : (i+1)*width])
+	return msg.Message{Kind: msg.TupleBatch, To: to, Vals: vals, Count: n, Shard: int32(shard)}
+}
+
+// clearOutput drops anything still buffered (the previous run ended early).
+func (p *proc) clearOutput() {
+	p.buffered = 0
+	for i := range p.kids {
+		p.kids[i].buf.drop()
 	}
+	for i := range p.custs {
+		for shard := range p.custs[i].bufs {
+			p.custs[i].bufs[shard].drop()
+		}
+	}
+}
+
+// rowsIn is the number of rows a Tuple, TupleBatch or (possibly packaged)
+// TupReq carries; row i of width w is m.Vals[i*w:(i+1)*w]. Zero-width rows
+// are legal: a propositional batch is Count empty rows.
+func rowsIn(m msg.Message) int {
+	if m.Kind == msg.TupleBatch || m.Count > 1 {
+		return m.Count
+	}
+	return 1
 }
 
 func (p *proc) handle(m msg.Message) {
@@ -444,8 +496,8 @@ func (p *proc) handle(m msg.Message) {
 
 // onEnd updates the watermark for a cross-component child.
 func (p *proc) onEnd(m msg.Message) {
-	f, ok := p.feeds[m.From]
-	if !ok {
+	f := p.feed(m.From)
+	if f == nil {
 		return // end from an internal edge; ignore (should not happen)
 	}
 	if m.N > f.acked {

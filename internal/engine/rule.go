@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"repro/internal/adorn"
-	"repro/internal/ast"
 	"repro/internal/msg"
 	"repro/internal/relation"
 	"repro/internal/symtab"
@@ -21,147 +19,181 @@ import (
 // Internally a rule instance's variables map to dense slots; each stored
 // source (the head-binding relation plus one relation per subgoal) lists
 // which slots its columns populate, and derivations enumerate matching
-// slot assignments by indexed backtracking join.
+// slot assignments by indexed backtracking join. Which sources a new row
+// joins against, in what order, and which of their columns are probe keys
+// is a pure function of (rule, SIP, source), so it is compiled once here
+// into joinPlans; the row path only fills preallocated scratch.
 type ruleState struct {
-	p    *proc
-	rule ast.Rule
-	sip  *adorn.SIP
+	p *proc
 
-	slotOf map[string]int
-	nslots int
+	// Head request interface: hb holds the distinct head d-variables, in
+	// order; a tuple request is nHeadD values wide, hbFrom names the value
+	// each hb column takes and hbChecks what the instantiated head demands
+	// of the rest (constants introduced by unification, repeated variables).
+	nHeadD   int
+	hb       *relation.Relation
+	hbSlots  []int
+	hbFrom   []int
+	hbChecks []valCheck
 
-	// Head request interface.
-	headDPos  []int      // head argument positions of class "d"
-	headDTerm []ast.Term // term at each such position
-	headDSym  []symtab.Sym
-	hb        *relation.Relation // distinct head d-variables, in order
-	hbSlots   []int
+	// Head emission: the slot (or, at -1, the pre-interned constant) at
+	// each carried head position, and the tuples already sent.
+	headSlots  []int
+	headConsts []symtab.Sym
+	sentHeads  *relation.Relation
 
-	// Head emission.
-	headCarried []ast.Term // terms at carried head positions
-	headConsts  []symtab.Sym
-	sentHeads   map[string]bool
+	subs []*subSource
+	// plans[src+1] lists what a new row of source src sets off (index 0:
+	// a new head binding): the head derivation, then one sideways pass per
+	// later subgoal with "d" arguments.
+	plans [][]joinPlan
 
-	subs     []*subSource
-	orderPos []int // body index → position in sip.Order (head is -1 / before all)
+	// Scratch, reused by every row: the slot assignment and the
+	// head-binding and head-tuple rows (each joinStep owns its probe's).
+	slots   []symtab.Sym
+	hbRow   relation.Tuple
+	headBuf relation.Tuple
 
 	relReqReceived bool
-	parentReqEnd   bool
-	headReqCount   int
-	lastWatermark  int
-	allSent        bool
-	// deltaEnded latches this round's drain End (see feedState.drained);
-	// reset by deltaReset.
-	deltaEnded bool
+	// parent counts the head bindings received and tracks the End watermark
+	// owed to the parent goal.
+	parent customerState
 }
 
 // subSource is one subgoal's stored temporary relation plus the mappings
 // between its carried argument positions, its distinct variables, and the
-// rule's slots. children holds the node ids serving the subgoal — one goal
-// node normally, N shard leaves when the subgoal reads a hash-partitioned
-// EDB relation (tuple requests broadcast to all of them; their answer
-// streams merge in rel).
+// rule's slots. kids holds the positions (in proc.kids) of the nodes serving
+// the subgoal — one goal node normally, N shard leaves when the subgoal
+// reads a hash-partitioned EDB relation (tuple requests broadcast to all of
+// them; their answer streams merge in rel).
 type subSource struct {
-	children []int
-	atom     ast.Atom
-	carried  []int // carried argument positions
-	varCols  []string
-	colSlots []int // slot of each varCol
-	posCol   []int // for each carried position, its varCol index
+	kids     []int
+	width    int        // carried argument positions: the width of an answer row
+	colSlots []int      // slot of each distinct variable (column of rel)
+	colFrom  []int      // the carried position supplying each column
+	checks   []valCheck // carried positions repeating an earlier variable
 	rel      *relation.Relation
-	dPos     []int // the subgoal's "d" argument positions
-	dSlots   []int // slot providing each d position's value
-	sentReqs map[string]bool
-	hasD     bool
+	row      relation.Tuple // scratch: the answer projected to rel's columns
+	dSlots   []int          // slot providing each "d" argument's value
+	dBuf     relation.Tuple // scratch: one d-binding
+	sentReqs *relation.Relation
 }
+
+// valCheck is one equality an incoming row must satisfy before it is
+// stored: vals[at] equals vals[other], or the constant sym when other < 0.
+type valCheck struct {
+	at, other int
+	sym       symtab.Sym
+}
+
+func (c valCheck) ok(vals []symtab.Sym) bool {
+	if c.other >= 0 {
+		return vals[c.at] == vals[c.other]
+	}
+	return vals[c.at] == c.sym
+}
+
+// joinPlan extends a new row's slot assignment through steps, one stored
+// source each; every complete extension derives a head tuple (req < 0) or
+// requests subgoal req's "d" projection.
+type joinPlan struct {
+	steps []joinStep
+	req   int
+}
+
+// joinStep probes rel on the columns whose slots are assigned by then
+// (bound) and assigns the rest (fresh) from each matching row. bind and
+// rows are the probe's scratch: the binding (only its bound columns are
+// ever written) and the result buffer.
+type joinStep struct {
+	rel          *relation.Relation
+	bound, fresh []colSlot
+	bind         relation.Binding
+	rows         []relation.Tuple
+}
+
+type colSlot struct{ col, slot int }
 
 func newRuleState(p *proc) *ruleState {
 	n := p.node
-	r := &ruleState{
-		p:         p,
-		rule:      *n.Rule,
-		sip:       n.SIP,
-		slotOf:    make(map[string]int),
-		sentHeads: make(map[string]bool),
-	}
+	r := &ruleState{p: p}
+	slotOf := make(map[string]int)
 	slot := func(v string) int {
-		s, ok := r.slotOf[v]
+		s, ok := slotOf[v]
 		if !ok {
-			s = r.nslots
-			r.slotOf[v] = s
-			r.nslots++
+			s = len(slotOf)
+			slotOf[v] = s
 		}
 		return s
 	}
+	syms := p.rt.db.Symbols()
 
-	// Head "d" interface: positions, expected constants, and the
-	// head-binding relation over the distinct head d-variables.
-	r.headDPos = dynamicPositions(n.Ad)
-	var hbVars []string
-	seen := make(map[string]bool)
-	for _, pos := range r.headDPos {
-		t := r.rule.Head.Args[pos]
-		r.headDTerm = append(r.headDTerm, t)
-		if t.IsVar() {
-			r.headDSym = append(r.headDSym, symtab.NoSym)
-			if !seen[t.Var] {
-				seen[t.Var] = true
-				hbVars = append(hbVars, t.Var)
-			}
-		} else {
-			r.headDSym = append(r.headDSym, p.rt.db.Symbols().Intern(t.Const))
+	// Head "d" interface: the head-binding relation over the distinct head
+	// d-variables, and the checks on everything else a binding carries.
+	hbCol := make(map[string]int) // head d-variable → hb column
+	for i, pos := range dynamicPositions(n.Ad) {
+		t := n.Rule.Head.Args[pos]
+		switch first, seen := hbCol[t.Var]; {
+		case !t.IsVar():
+			r.hbChecks = append(r.hbChecks, valCheck{at: i, other: -1, sym: syms.Intern(t.Const)})
+		case seen:
+			r.hbChecks = append(r.hbChecks, valCheck{at: i, other: r.hbFrom[first]})
+		default:
+			hbCol[t.Var] = len(r.hbFrom)
+			r.hbFrom = append(r.hbFrom, i)
+			r.hbSlots = append(r.hbSlots, slot(t.Var))
 		}
+		r.nHeadD++
 	}
-	r.hb = relation.New(len(hbVars))
-	for _, v := range hbVars {
-		r.hbSlots = append(r.hbSlots, slot(v))
-	}
+	r.hb = relation.New(len(r.hbFrom))
+	r.hbRow = make(relation.Tuple, len(r.hbFrom))
 
-	// Head emission: terms at carried positions (pre-interning constants).
+	// Head emission: slots at carried positions (pre-interning constants).
 	for _, pos := range carriedPositions(n.Ad) {
-		t := r.rule.Head.Args[pos]
-		r.headCarried = append(r.headCarried, t)
-		if t.IsVar() {
+		if t := n.Rule.Head.Args[pos]; t.IsVar() {
+			r.headSlots = append(r.headSlots, slot(t.Var))
 			r.headConsts = append(r.headConsts, symtab.NoSym)
-			slot(t.Var)
 		} else {
-			r.headConsts = append(r.headConsts, p.rt.db.Symbols().Intern(t.Const))
+			r.headSlots = append(r.headSlots, -1)
+			r.headConsts = append(r.headConsts, syms.Intern(t.Const))
 		}
 	}
+	r.sentHeads = relation.New(len(r.headSlots))
+	r.headBuf = make(relation.Tuple, len(r.headSlots))
 
-	// Subgoal sources, in body order; orderPos records each subgoal's rank
-	// in the information passing order.
-	r.orderPos = make([]int, len(r.rule.Body))
-	for rank, i := range r.sip.Order {
-		r.orderPos[i] = rank
-	}
-	for i, atom := range r.rule.Body {
-		ad := r.sip.SubAd[i]
-		s := &subSource{
-			children: bodyKids(n, i),
-			atom:     atom,
-			carried:  carriedPositions(ad),
-			dPos:     dynamicPositions(ad),
-			sentReqs: make(map[string]bool),
+	// Subgoal sources, in body order.
+	for i, atom := range n.Rule.Body {
+		ad := n.SIP.SubAd[i]
+		s := &subSource{}
+		for _, c := range bodyKids(n, i) {
+			s.kids = append(s.kids, p.kidPos(c))
 		}
-		colIdx := make(map[string]int)
-		for _, pos := range s.carried {
+		col := make(map[string]int) // variable → column of rel
+		for k, pos := range carriedPositions(ad) {
 			v := atom.Args[pos].Var // carried positions always hold variables
-			ci, ok := colIdx[v]
-			if !ok {
-				ci = len(s.varCols)
-				colIdx[v] = ci
-				s.varCols = append(s.varCols, v)
+			if ci, seen := col[v]; seen {
+				s.checks = append(s.checks, valCheck{at: k, other: s.colFrom[ci]})
+			} else {
+				col[v] = len(s.colFrom)
+				s.colFrom = append(s.colFrom, k)
 				s.colSlots = append(s.colSlots, slot(v))
 			}
-			s.posCol = append(s.posCol, ci)
+			s.width++
 		}
-		s.rel = relation.New(len(s.varCols))
-		for _, pos := range s.dPos {
+		s.rel = relation.New(len(s.colFrom))
+		s.row = make(relation.Tuple, len(s.colFrom))
+		for _, pos := range dynamicPositions(ad) {
 			s.dSlots = append(s.dSlots, slot(atom.Args[pos].Var))
 		}
-		s.hasD = len(s.dPos) > 0
+		s.dBuf = make(relation.Tuple, len(s.dSlots))
+		s.sentReqs = relation.New(len(s.dSlots))
 		r.subs = append(r.subs, s)
+	}
+
+	r.slots = make([]symtab.Sym, len(slotOf))
+	r.plans = make([][]joinPlan, len(r.subs)+1)
+	for src := headSource; src < len(r.subs); src++ {
+		r.plans[src+1] = r.compile(src)
 	}
 	return r
 }
@@ -170,19 +202,102 @@ func newRuleState(p *proc) *ruleState {
 // join source.
 const headSource = -1
 
+// compile builds the plans a new row of source src runs (see trigger).
+func (r *ruleState) compile(src int) []joinPlan {
+	order := r.p.node.SIP.Order
+	// orderPos: body index → rank in the information passing order.
+	orderPos := make([]int, len(r.subs))
+	for rank, i := range order {
+		orderPos[i] = rank
+	}
+	// before lists the sources joined ahead of rank: the head bindings (so
+	// only requested derivations survive), then the earlier subgoals.
+	before := func(rank int) []int {
+		var out []int
+		if src != headSource {
+			out = append(out, headSource)
+		}
+		for _, k := range order[:rank] {
+			if k != src {
+				out = append(out, k)
+			}
+		}
+		return out
+	}
+	// (a) Derive head tuples: join the new assignment against every other
+	// source.
+	plans := []joinPlan{r.plan(src, before(len(r.subs)), -1)}
+	// (b) Sideways information passing: for each subgoal j with "d"
+	// arguments strictly after src, project the prefix join onto j's d
+	// variables and request the new bindings.
+	for rank, j := range order {
+		if len(r.subs[j].dSlots) == 0 || j == src {
+			continue
+		}
+		if src != headSource && orderPos[src] >= rank {
+			continue
+		}
+		prefix := before(rank)
+		if src == headSource && len(prefix) == 0 && r.p.wk != nil && r.p.wk.idx > 0 {
+			// Worker shard of a partitioned rule: a request derived from the
+			// head binding alone (no supporting subgoal rows) is identical
+			// in every shard — head bindings are replicated — so only worker
+			// 0 sends it. Requests below depend on at least one stored row
+			// and are naturally disjoint across shards.
+			continue
+		}
+		plans = append(plans, r.plan(src, prefix, j))
+	}
+	return plans
+}
+
+// source returns a join source's relation and the slots of its columns.
+func (r *ruleState) source(i int) (*relation.Relation, []int) {
+	if i == headSource {
+		return r.hb, r.hbSlots
+	}
+	return r.subs[i].rel, r.subs[i].colSlots
+}
+
+// plan compiles the join of a new src row against the listed sources.
+func (r *ruleState) plan(src int, sources []int, req int) joinPlan {
+	assigned := make([]bool, len(r.slots))
+	_, own := r.source(src)
+	for _, sl := range own {
+		assigned[sl] = true
+	}
+	pl := joinPlan{req: req}
+	for _, i := range sources {
+		rel, colSlots := r.source(i)
+		st := joinStep{rel: rel, bind: make(relation.Binding, rel.Arity())}
+		for col, sl := range colSlots {
+			if assigned[sl] {
+				st.bound = append(st.bound, colSlot{col, sl})
+			} else {
+				st.fresh = append(st.fresh, colSlot{col, sl})
+				assigned[sl] = true
+			}
+		}
+		pl.steps = append(pl.steps, st)
+	}
+	return pl
+}
+
 func (r *ruleState) handle(m msg.Message) {
 	switch m.Kind {
 	case msg.RelReq:
 		r.onRelReq()
 	case msg.ReqEnd:
-		r.parentReqEnd = true
+		r.parent.reqEnd = true
 	case msg.TupReq:
-		eachBinding(m, len(r.headDPos), r.onHeadBinding)
+		for i, n, w := 0, rowsIn(m), r.nHeadD; i < n; i++ {
+			r.onHeadBinding(m.Vals[i*w : (i+1)*w])
+		}
 	case msg.Tuple, msg.TupleBatch:
 		src := r.sourceIdx(m.From)
-		eachRow(m, len(r.subs[src].carried), func(vals []symtab.Sym) {
-			r.onSubTuple(src, vals)
-		})
+		for i, n, w := 0, rowsIn(m), r.subs[src].width; i < n; i++ {
+			r.onSubTuple(src, m.Vals[i*w:(i+1)*w])
+		}
 	default:
 		r.p.internalf("unexpected %s", m.Kind)
 	}
@@ -203,13 +318,13 @@ func (r *ruleState) onRelReq() {
 			r.p.send(msg.Message{Kind: msg.RelReq, To: c})
 		}
 	}
-	if len(r.headDPos) == 0 {
-		r.parentReqEnd = true
+	if r.nHeadD == 0 {
+		r.parent.reqEnd = true
 		// Insert's report gates the trigger so a delta round (which retains
 		// hb across rounds) does not re-enumerate every join from the
 		// implicit empty binding: new joins are triggered by the delta
 		// tuples themselves as they arrive.
-		if r.hb.Insert(relation.Tuple{}) {
+		if r.hb.Insert(r.hbRow) {
 			r.trigger(headSource, nil, nil)
 		}
 	}
@@ -219,44 +334,25 @@ func (r *ruleState) onRelReq() {
 // constants introduced by unification must match, repeated variables must
 // agree — and, when new, triggers information passing from the head.
 func (r *ruleState) onHeadBinding(vals []symtab.Sym) {
-	r.headReqCount++
-	row := make(relation.Tuple, r.hb.Arity())
-	bound := make([]bool, r.hb.Arity())
-	for i := range r.headDPos {
-		t := r.headDTerm[i]
-		if !t.IsVar() {
-			if vals[i] != r.headDSym[i] {
-				return // the rule's head constant rejects this binding
-			}
-			continue
-		}
-		ci := r.hbColOf(t.Var)
-		if bound[ci] && row[ci] != vals[i] {
-			return // repeated head variable bound inconsistently
-		}
-		row[ci], bound[ci] = vals[i], true
-	}
-	if r.hb.Insert(row) {
-		r.trigger(headSource, r.hbSlots, row)
-	}
-}
-
-func (r *ruleState) hbColOf(v string) int {
-	s := r.slotOf[v]
-	for i, hs := range r.hbSlots {
-		if hs == s {
-			return i
+	r.parent.reqCount++
+	for _, c := range r.hbChecks {
+		if !c.ok(vals) {
+			return // the rule's head rejects this binding
 		}
 	}
-	r.p.internalf("head d-variable %s not in head-binding relation", v)
-	return -1
+	for ci, i := range r.hbFrom {
+		r.hbRow[ci] = vals[i]
+	}
+	if r.hb.Insert(r.hbRow) {
+		r.trigger(headSource, r.hbSlots, r.hbRow)
+	}
 }
 
 // sourceIdx maps a sender's node id to its subgoal position in the body.
 func (r *ruleState) sourceIdx(from int) int {
 	for i, s := range r.subs {
-		for _, c := range s.children {
-			if c == from {
+		for _, k := range s.kids {
+			if r.p.kids[k].id == from {
 				return i
 			}
 		}
@@ -269,19 +365,18 @@ func (r *ruleState) sourceIdx(from int) int {
 // new, triggers derivations and downstream requests.
 func (r *ruleState) onSubTuple(src int, vals []symtab.Sym) {
 	s := r.subs[src]
-	row := make(relation.Tuple, len(s.varCols))
-	bound := make([]bool, len(s.varCols))
-	for k := range s.carried {
-		ci := s.posCol[k]
-		if bound[ci] && row[ci] != vals[k] {
+	for _, c := range s.checks {
+		if !c.ok(vals) {
 			return // repeated variable mismatch: not a real match
 		}
-		row[ci], bound[ci] = vals[k], true
 	}
-	if s.rel.Insert(row) {
-		r.trigger(src, s.colSlots, row)
+	for ci, k := range s.colFrom {
+		s.row[ci] = vals[k]
+	}
+	if s.rel.Insert(s.row) {
+		r.trigger(src, s.colSlots, s.row)
 	} else {
-		r.p.statDup()
+		r.p.work.Dups++
 	}
 }
 
@@ -289,142 +384,76 @@ func (r *ruleState) onSubTuple(src int, vals []symtab.Sym) {
 // assignment (cols→vals): derive any now-complete head tuples, and extend
 // prefix joins into tuple requests for later subgoals.
 func (r *ruleState) trigger(src int, cols []int, vals relation.Tuple) {
-	slots := make([]symtab.Sym, r.nslots)
 	for i, c := range cols {
-		slots[c] = vals[i]
+		r.slots[c] = vals[i]
 	}
+	plans := r.plans[src+1]
+	for i := range plans {
+		r.extend(&plans[i], 0)
+	}
+}
 
-	// (a) Derive head tuples: join the new assignment against every other
-	// source (head bindings included, so only requested derivations
-	// survive).
-	sources := make([]int, 0, len(r.subs)+1)
-	if src != headSource {
-		sources = append(sources, headSource)
+// extend completes the slot assignment with one matching row from each
+// remaining step of the plan, backtracking through the relations' hash
+// indexes, and acts on every complete extension.
+func (r *ruleState) extend(pl *joinPlan, depth int) {
+	if depth == len(pl.steps) {
+		if pl.req < 0 {
+			r.emitHead()
+		} else {
+			r.requestSub(pl.req)
+		}
+		return
 	}
-	for _, i := range r.sip.Order {
-		if i != src {
-			sources = append(sources, i)
+	st := &pl.steps[depth]
+	rows := st.rel.Rows()
+	if len(st.bound) > 0 {
+		for _, cs := range st.bound {
+			st.bind[cs.col] = r.slots[cs.slot]
 		}
+		rows = st.rel.SelectInto(st.rows[:0], st.bind)
+		st.rows = rows
 	}
-	r.enumerate(sources, 0, slots, r.emitHead)
-
-	// (b) Sideways information passing: for each subgoal j with "d"
-	// arguments strictly after src, project the prefix join onto j's d
-	// variables and request the new bindings.
-	prefix := make([]int, 0, len(r.subs)+1)
-	for _, j := range r.sip.Order {
-		if !r.subs[j].hasD || j == src {
-			continue
+	r.p.work.Joins += int64(len(rows))
+	for _, row := range rows {
+		for _, cs := range st.fresh {
+			r.slots[cs.slot] = row[cs.col]
 		}
-		if src != headSource && r.orderPos[src] >= r.orderPos[j] {
-			continue
-		}
-		prefix = prefix[:0]
-		if src != headSource {
-			prefix = append(prefix, headSource)
-		}
-		for _, k := range r.sip.Order {
-			if r.orderPos[k] >= r.orderPos[j] {
-				break
-			}
-			if k != src {
-				prefix = append(prefix, k)
-			}
-		}
-		if src == headSource && len(prefix) == 0 && r.p.wk != nil && r.p.wk.idx > 0 {
-			// Worker shard of a partitioned rule: a request derived from the
-			// head binding alone (no supporting subgoal rows) is identical
-			// in every shard — head bindings are replicated — so only worker
-			// 0 sends it. Requests below depend on at least one stored row
-			// and are naturally disjoint across shards.
-			continue
-		}
-		r.enumerate(prefix, 0, slots, func(sl []symtab.Sym) {
-			r.requestSub(j, sl)
-		})
+		r.extend(pl, depth+1)
 	}
 }
 
 // requestSub sends subgoal j one tuple request for the d-binding read from
 // the slots, unless already sent.
-func (r *ruleState) requestSub(j int, slots []symtab.Sym) {
+func (r *ruleState) requestSub(j int) {
 	s := r.subs[j]
-	vals := make(relation.Tuple, len(s.dPos))
 	for i, sl := range s.dSlots {
-		vals[i] = slots[sl]
+		s.dBuf[i] = r.slots[sl]
 	}
-	key := vals.Key()
-	if s.sentReqs[key] {
+	if !s.sentReqs.Insert(s.dBuf) {
 		return
 	}
-	s.sentReqs[key] = true
 	// A partitioned EDB subgoal has one child per shard; each holds a hash
 	// slice of the relation, so the request goes to all of them and the
 	// matching slices merge back in s.rel.
-	for _, c := range s.children {
-		r.p.queueTupReq(c, vals)
+	for _, k := range s.kids {
+		r.p.queueTupReq(k, s.dBuf)
 	}
 }
 
-// emitHead sends one derived head tuple to the parent goal node.
-func (r *ruleState) emitHead(slots []symtab.Sym) {
-	vals := make(relation.Tuple, len(r.headCarried))
-	for i, t := range r.headCarried {
-		if t.IsVar() {
-			vals[i] = slots[r.slotOf[t.Var]]
+// emitHead sends one derived head tuple to the parent goal node, unless
+// already sent.
+func (r *ruleState) emitHead() {
+	for i, sl := range r.headSlots {
+		if sl >= 0 {
+			r.headBuf[i] = r.slots[sl]
 		} else {
-			vals[i] = r.headConsts[i]
+			r.headBuf[i] = r.headConsts[i]
 		}
 	}
-	r.p.statDerived()
-	key := vals.Key()
-	if r.sentHeads[key] {
-		return
-	}
-	r.sentHeads[key] = true
-	r.p.queueTuple(r.p.node.Parent, vals)
-}
-
-// enumerate extends the slot assignment with one matching row from each
-// listed source, backtracking through the relations' hash indexes, and
-// yields every complete extension.
-func (r *ruleState) enumerate(sources []int, depth int, slots []symtab.Sym, yield func([]symtab.Sym)) {
-	if depth == len(sources) {
-		yield(slots)
-		return
-	}
-	var rel *relation.Relation
-	var colSlots []int
-	if sources[depth] == headSource {
-		rel, colSlots = r.hb, r.hbSlots
-	} else {
-		s := r.subs[sources[depth]]
-		rel, colSlots = s.rel, s.colSlots
-	}
-	binding := make(relation.Binding, len(colSlots))
-	for i, sl := range colSlots {
-		binding[i] = slots[sl] // NoSym when the slot is unset
-	}
-	rows := rel.Select(binding)
-	r.p.statJoins(len(rows))
-	for _, row := range rows {
-		var set []int
-		ok := true
-		for i, sl := range colSlots {
-			if slots[sl] == symtab.NoSym {
-				slots[sl] = row[i]
-				set = append(set, sl)
-			} else if slots[sl] != row[i] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			r.enumerate(sources, depth+1, slots, yield)
-		}
-		for _, sl := range set {
-			slots[sl] = symtab.NoSym
-		}
+	r.p.work.Derived++
+	if r.sentHeads.Insert(r.headBuf) {
+		r.p.queueTuple(0, r.headBuf)
 	}
 }
 
@@ -432,17 +461,7 @@ func (r *ruleState) enumerate(sources []int, depth int, slots []symtab.Sym, yiel
 // every cross-component subgoal has serviced all forwarded requests. See
 // goalState.maybeEnd for the mirror logic.
 func (r *ruleState) maybeEnd() {
-	if !r.relReqReceived || !r.p.box.Empty() || !r.p.feedersSettled() {
-		return
-	}
-	final := r.parentReqEnd && !r.allSent
-	drain := r.p.rt.delta && !r.deltaEnded
-	if r.headReqCount > r.lastWatermark || final || drain {
-		r.p.send(msg.Message{Kind: msg.End, To: r.p.node.Parent, N: r.headReqCount, All: r.parentReqEnd})
-		r.lastWatermark = r.headReqCount
-		r.deltaEnded = true
-		if r.parentReqEnd {
-			r.allSent = true
-		}
+	if r.relReqReceived && r.p.box.Empty() && r.p.feedersSettled() {
+		r.p.emitEnd(r.p.node.Parent, &r.parent)
 	}
 }

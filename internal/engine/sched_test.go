@@ -84,15 +84,7 @@ func (s *schedRunner) step() bool {
 	if !ok || m.Kind == msg.Shutdown {
 		return true
 	}
-	// Mirror proc.loop's flush discipline exactly (see proc.go).
-	if !isWork(m.Kind) {
-		p.flushAll()
-	}
-	p.handle(m)
-	if p.box.Empty() {
-		p.flushAll()
-	}
-	p.after(m)
+	p.step(m)
 	return true
 }
 
@@ -143,7 +135,7 @@ func TestScheduledInterleavings(t *testing.T) {
 		truth := bottomup.SemiNaive(parser.MustParse(src), edb.FromProgram(parser.MustParse(src)))
 		want := truth.Goal.Len()
 		for seed := int64(0); seed < seeds; seed++ {
-			s, _ := newSchedRunner(t, src, seed, Options{Batch: seed%3 == 2})
+			s, _ := newSchedRunner(t, src, seed, Options{})
 			s.run(t, 2_000_000)
 			if !s.done {
 				t.Fatalf("program %d seed %d: quiescent without final end (lost termination)", pi, seed)

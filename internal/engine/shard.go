@@ -39,7 +39,6 @@ import (
 	"repro/internal/msg"
 	"repro/internal/relation"
 	"repro/internal/rgg"
-	"repro/internal/symtab"
 	"repro/internal/transport"
 )
 
@@ -211,25 +210,6 @@ func bodyKids(n *rgg.Node, i int) []int {
 	return n.Children[i : i+1]
 }
 
-// shardOf computes the worker shard a tuple from node `from` to node `to`
-// belongs to: 0 when the receiver is unpartitioned (control mailbox), k > 0
-// for worker k-1. Every sender — local or remote — runs the same function
-// over the same plan.
-func (rt *runner) shardOf(from, to int, vals []symtab.Sym) int32 {
-	if rt.parts == nil {
-		return 0
-	}
-	sp := rt.parts[to]
-	if sp == nil {
-		return 0
-	}
-	sk, ok := sp.key[from]
-	if !ok {
-		return 0
-	}
-	return int32(relation.HashTupleAt(vals, sk.pos)%uint64(sp.n)) + 1
-}
-
 // workerCtx marks a proc as worker shard idx of a partitioned node.
 type workerCtx struct {
 	ps   *partState
@@ -248,22 +228,21 @@ type partState struct {
 	wg      sync.WaitGroup
 
 	// Watermark bookkeeping, mirroring ruleState/goalState's customer-side
-	// fields (the worker copies of those fields are unused).
-	customers      map[int]*customerState // goal nodes
+	// fields (the worker copies of those fields are unused): customers[i]
+	// is the view of p.custs[i]; a rule node has just its parent goal.
+	customers      []customerState
 	relReqReceived bool
-	parentReqEnd   bool // rule nodes
-	headReqCount   int  // rule nodes
-	lastWatermark  int
-	allSent        bool
-	// deltaEnded latches this round's drain End for rule-mode nodes (goal
-	// mode uses the per-customer latch); reset by deltaReset.
-	deltaEnded bool
+
+	// split packages the bindings of one tuple request per owning worker
+	// (goal nodes).
+	split []rowBuf
 
 	workAtProbe int64 // worker completions at the previous Fig 2 probe
 }
 
 func newPartState(p *proc, spec *partSpec) *partState {
-	ps := &partState{p: p, spec: spec, customers: make(map[int]*customerState)}
+	ps := &partState{p: p, spec: spec, customers: make([]customerState, len(p.custs)),
+		split: make([]rowBuf, spec.n)}
 	boxes := p.rt.local.Partition(p.id, spec.n)
 	ps.workers = make([]*proc, spec.n)
 	for i := range ps.workers {
@@ -322,15 +301,6 @@ func (ps *partState) workNow() int64 {
 	return n
 }
 
-func (ps *partState) customer(id int) *customerState {
-	cs, ok := ps.customers[id]
-	if !ok {
-		cs = &customerState{id: id, reqs: make(map[string]bool)}
-		ps.customers[id] = cs
-	}
-	return cs
-}
-
 // handle dispatches a control-mailbox message of a partitioned node: the
 // watermark-relevant bookkeeping happens here, the data work in whichever
 // shard owns the row.
@@ -341,11 +311,7 @@ func (ps *partState) handle(m msg.Message) {
 	case msg.TupReq:
 		ps.onTupReq(m)
 	case msg.ReqEnd:
-		if ps.spec.isRule {
-			ps.parentReqEnd = true
-		} else {
-			ps.customer(m.From).reqEnd = true
-		}
+		ps.customers[ps.p.custPos(m.From)].reqEnd = true
 	case msg.Tuple, msg.TupleBatch:
 		// Normally routed straight to a worker mailbox by the sender; a
 		// tuple reaches the control mailbox only when it raced a multi-site
@@ -361,20 +327,14 @@ func (ps *partState) handle(m msg.Message) {
 // it to every worker: rule workers open their head-binding state, goal
 // workers register the customer and replay their slice of stored answers.
 func (ps *partState) onRelReq(m msg.Message) {
-	if ps.spec.isRule {
-		if len(dynamicPositions(ps.p.node.Ad)) == 0 {
-			// Mirror ruleState.onRelReq: a head with no "d" positions never
-			// receives tuple requests, so the relation request doubles as the
-			// parent's implicit request-end (the workers set their own copy;
-			// the control must too, or the final End never fires).
-			ps.parentReqEnd = true
-		}
-	} else {
-		cs := ps.customer(m.From)
-		cs.registered = true
-		if ps.spec.dWidth == 0 {
-			cs.reqEnd = true
-		}
+	// A node with no "d" positions never receives tuple requests, so the
+	// relation request doubles as the customer's implicit request-end (the
+	// workers set their own copy; the control must too, or the final End
+	// never fires).
+	cs := &ps.customers[ps.p.custPos(m.From)]
+	cs.registered = true
+	if !hasDynamic(ps.p.node.Ad) {
+		cs.reqEnd = true
 	}
 	if !ps.relReqReceived {
 		ps.relReqReceived = true
@@ -392,36 +352,30 @@ func (ps *partState) onRelReq(m msg.Message) {
 // the answers matching the binding) the request, counting bindings for the
 // watermark either way.
 func (ps *partState) onTupReq(m msg.Message) {
+	n := rowsIn(m)
+	ps.customers[ps.p.custPos(m.From)].reqCount += n
 	if ps.spec.isRule {
-		n := m.Count
-		if n < 1 {
-			n = 1
-		}
-		ps.headReqCount += n
 		for _, w := range ps.workers {
 			w.box.Put(m)
 		}
 		return
 	}
-	if ps.spec.dWidth == 0 {
+	w := ps.spec.dWidth
+	if w == 0 {
 		ps.p.internalf("tuple request at goal with no d positions")
 	}
-	cs := ps.customer(m.From)
-	vals := make([][]symtab.Sym, len(ps.workers))
-	counts := make([]int, len(ps.workers))
-	eachBinding(m, ps.spec.dWidth, func(b []symtab.Sym) {
-		cs.reqCount++
+	for i := 0; i < n; i++ {
 		// The binding is the d-projection of the rows it selects, in the
 		// same column order the tuple router hashes, so request and
 		// answers land on the same shard.
-		s := int(relation.HashTuple(b) % uint64(len(ps.workers)))
-		vals[s] = append(vals[s], b...)
-		counts[s]++
-	})
-	for s, w := range ps.workers {
-		if counts[s] > 0 {
-			w.box.Put(msg.Message{Kind: msg.TupReq, From: m.From, To: ps.p.id,
-				Vals: vals[s], Count: counts[s], Shard: int32(s + 1)})
+		b := m.Vals[i*w : (i+1)*w]
+		ps.split[relation.HashTuple(b)%uint64(len(ps.split))].add(b)
+	}
+	for s, wk := range ps.workers {
+		if b := &ps.split[s]; b.count > 0 {
+			vals, count := b.take()
+			wk.box.Put(msg.Message{Kind: msg.TupReq, From: m.From, To: ps.p.id,
+				Vals: vals, Count: count, Shard: int32(s + 1)})
 		}
 	}
 }
@@ -436,21 +390,15 @@ func (ps *partState) reroute(m msg.Message) {
 	if !ok {
 		ps.p.internalf("tuple from unexpected sender %d", m.From)
 	}
-	vals := make([][]symtab.Sym, len(ps.workers))
-	counts := make([]int, len(ps.workers))
-	eachRow(m, sk.width, func(row []symtab.Sym) {
-		s := int(relation.HashTupleAt(row, sk.pos) % uint64(len(ps.workers)))
-		vals[s] = append(vals[s], row...)
-		counts[s]++
-	})
-	for s, w := range ps.workers {
-		switch {
-		case counts[s] == 1:
-			w.box.Put(msg.Message{Kind: msg.Tuple, From: m.From, To: ps.p.id,
-				Vals: vals[s], Shard: int32(s + 1)})
-		case counts[s] > 1:
-			w.box.Put(msg.Message{Kind: msg.TupleBatch, From: m.From, To: ps.p.id,
-				Vals: vals[s], Count: counts[s], Shard: int32(s + 1)})
+	for i, n, w := 0, rowsIn(m), sk.width; i < n; i++ {
+		row := m.Vals[i*w : (i+1)*w]
+		ps.split[relation.HashTupleAt(row, sk.pos)%uint64(len(ps.split))].add(row)
+	}
+	for s, wk := range ps.workers {
+		if b := &ps.split[s]; b.count > 0 {
+			out := tupleMsg(ps.p.id, s+1, b)
+			out.From = m.From
+			wk.box.Put(out)
 		}
 	}
 }
@@ -466,49 +414,17 @@ func (ps *partState) maybeEnd() {
 	if ps.spec.isRule && !ps.relReqReceived {
 		return
 	}
-	if !p.box.Empty() || !ps.quiet() || !p.feedersSettled() {
-		return
+	if p.box.Empty() && ps.quiet() && p.feedersSettled() {
+		ps.confirmedEnd()
 	}
-	if ps.spec.isRule {
-		final := ps.parentReqEnd && !ps.allSent
-		drain := p.rt.delta && !ps.deltaEnded
-		if ps.headReqCount > ps.lastWatermark || final || drain {
-			p.send(msg.Message{Kind: msg.End, To: p.node.Parent, N: ps.headReqCount, All: ps.parentReqEnd})
-			ps.lastWatermark = ps.headReqCount
-			ps.deltaEnded = true
-			if ps.parentReqEnd {
-				ps.allSent = true
-			}
-		}
-		return
-	}
-	cs, ok := ps.customers[p.customerID()]
-	if !ok || !cs.registered {
-		return
-	}
-	ps.emitEnd(cs)
 }
 
-// confirmedEnd advances the watermark after a confirmed Fig 2 round
-// (partitioned component leaders are always goal nodes).
+// confirmedEnd advances the tree customer's watermark: from maybeEnd, or
+// after a confirmed Fig 2 round (partitioned component leaders are always
+// goal nodes).
 func (ps *partState) confirmedEnd() {
-	cs, ok := ps.customers[ps.p.customerID()]
-	if !ok || !cs.registered {
-		return
-	}
-	ps.emitEnd(cs)
-}
-
-func (ps *partState) emitEnd(cs *customerState) {
-	final := cs.reqEnd && !ps.allSent
-	drain := ps.p.rt.delta && !cs.deltaEnded
-	if cs.reqCount > ps.lastWatermark || final || drain {
-		ps.p.send(msg.Message{Kind: msg.End, To: cs.id, N: cs.reqCount, All: cs.reqEnd})
-		ps.lastWatermark = cs.reqCount
-		cs.deltaEnded = true
-		if cs.reqEnd {
-			ps.allSent = true
-		}
+	if cs := &ps.customers[0]; cs.registered {
+		ps.p.emitEnd(ps.p.custs[0].id, cs)
 	}
 }
 
@@ -524,6 +440,7 @@ func newWorkerProc(ctl *proc, box *transport.Mailbox, idx int, ps *partState) *p
 	if rt.prof != nil {
 		p.shard = rt.prof.WorkerShard(ctl.id, idx, ps.spec.n)
 	}
+	p.wire()
 	switch ctl.node.Kind {
 	case rgg.Goal:
 		p.goal = newGoalState(p)
@@ -545,6 +462,7 @@ func (p *proc) workerLoop() {
 	for {
 		m, ok := p.box.GetWork()
 		if !ok || m.Kind == msg.Shutdown {
+			p.flushWork()
 			return
 		}
 		if m.Kind == msg.Abort {
@@ -563,6 +481,7 @@ func (p *proc) workerLoop() {
 		drained := p.box.Empty()
 		if drained {
 			p.flushAll()
+			p.flushWork()
 		}
 		wk.work.Add(1)
 		p.box.ClearBusy()

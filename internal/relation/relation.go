@@ -123,40 +123,100 @@ func colsKey(cols []int) uint64 {
 	return k
 }
 
-// index is a hash index over a fixed column list: value key → ordinals of
-// the rows holding those values. Single-column indexes use the symbol
-// itself as the key, so their key count is an exact distinct count;
-// composite indexes use an FNV-1a hash of the column values (probes verify
-// the actual equalities, so collisions cost comparisons, never wrong
-// answers).
+// index is a hash index over a fixed column list. Every distinct value of
+// the indexed columns owns one bucket of an open-addressed table, and the
+// rows holding that value are chained through next in insertion order, so
+// adding a row — under a new key or an old one — allocates nothing beyond
+// the amortized growth of the two flat slices, and Reset keeps both. The
+// bucket count is the exact distinct count of the column list.
 type index struct {
-	cols []int
-	m    map[uint64][]int32
+	key     uint64 // colsKey(cols)
+	cols    []int
+	buckets []bucket // power-of-two size, under 3/4 occupancy
+	next    []int32  // next[ord]: ordinal+1 of the following row with the same key, 0 at the end
+	keys    int      // occupied buckets
 }
 
-func (ix *index) rowKey(row Tuple) uint64 {
-	if len(ix.cols) == 1 {
-		return uint64(uint32(row[ix.cols[0]]))
+// bucket is one key's chain: ordinal+1 of its first and last row (head 0
+// marks an empty bucket) and its length.
+type bucket struct{ head, tail, n int32 }
+
+func newIndex(cols []int, rows []Tuple) *index {
+	ix := &index{key: colsKey(cols), cols: append([]int(nil), cols...),
+		buckets: make([]bucket, 16), next: make([]int32, 0, len(rows))}
+	for ord, row := range rows {
+		ix.add(rows, row, int32(ord))
 	}
-	h := uint64(fnvOffset64)
-	for _, c := range ix.cols {
-		h = fnvMix(h, uint32(row[c]))
-	}
-	return h
+	return ix
 }
 
-// probe returns the candidate row ordinals for the given values of the
-// indexed columns (in index-column order).
-func (ix *index) probe(vals []symtab.Sym) []int32 {
-	if len(ix.cols) == 1 {
-		return ix.m[uint64(uint32(vals[0]))]
+// find returns the bucket for the given values of the indexed columns (in
+// index-column order): the key's own bucket, or the empty one where it
+// would go (head == 0). A chain is walked from head (ordinal+1 of its
+// first row) through next[ref-1] until 0.
+func (ix *index) find(rows []Tuple, vals []symtab.Sym) *bucket {
+	mask := uint64(len(ix.buckets) - 1)
+probe:
+	for i := hashSyms(vals) & mask; ; i = (i + 1) & mask {
+		b := &ix.buckets[i]
+		if b.head == 0 {
+			return b
+		}
+		row := rows[b.head-1]
+		for k, c := range ix.cols {
+			if row[c] != vals[k] {
+				continue probe
+			}
+		}
+		return b
 	}
-	return ix.m[hashSyms(vals)]
 }
 
-func (ix *index) add(row Tuple, ord int32) {
-	k := ix.rowKey(row)
-	ix.m[k] = append(ix.m[k], ord)
+// add appends row ord (the next ordinal: rows are indexed in order) to its
+// key's chain.
+func (ix *index) add(rows []Tuple, row Tuple, ord int32) {
+	if (ix.keys+1)*4 > len(ix.buckets)*3 {
+		ix.grow(rows)
+	}
+	var buf [maxIndexCols]symtab.Sym
+	vals := buf[:len(ix.cols)]
+	for k, c := range ix.cols {
+		vals[k] = row[c]
+	}
+	ix.next = append(ix.next, 0)
+	b := ix.find(rows, vals)
+	if b.head == 0 {
+		b.head = ord + 1
+		ix.keys++
+	} else {
+		ix.next[b.tail-1] = ord + 1
+	}
+	b.tail = ord + 1
+	b.n++
+}
+
+// grow doubles the bucket table. Keys are distinct, so re-placing a bucket
+// needs its hash but no comparisons.
+func (ix *index) grow(rows []Tuple) {
+	old := ix.buckets
+	ix.buckets = make([]bucket, 2*len(old))
+	mask := uint64(len(ix.buckets) - 1)
+	for _, b := range old {
+		if b.head == 0 {
+			continue
+		}
+		i := HashTupleAt(rows[b.head-1], ix.cols) & mask
+		for ix.buckets[i].head != 0 {
+			i = (i + 1) & mask
+		}
+		ix.buckets[i] = b
+	}
+}
+
+func (ix *index) reset() {
+	clear(ix.buckets)
+	ix.next = ix.next[:0]
+	ix.keys = 0
 }
 
 // Relation is a mutable set of same-arity tuples. Insertion order is
@@ -176,9 +236,9 @@ type Relation struct {
 	hashes []uint64 // hashes[i] = hashSyms(rows[i])
 	chunk  []symtab.Sym
 	slots  []int32 // open-addressed dedup set: row ordinal+1; 0 = empty
-	// indexes maps colsKey → index.
-	indexes     map[uint64]*index
-	indexBuilds int
+	// indexes holds the built indexes, found by colsKey (a relation has a
+	// handful at most, so a scan beats hashing the key).
+	indexes []*index
 }
 
 // New returns an empty relation of the given arity. Arity zero is legal and
@@ -276,46 +336,65 @@ func (r *Relation) arena(t Tuple) Tuple {
 // Insert adds the tuple and reports whether it was new. The relation keeps
 // its own copy of the tuple. Inserting a duplicate performs no allocation.
 func (r *Relation) Insert(t Tuple) bool {
+	_, isNew := r.Add(t)
+	return isNew
+}
+
+// Add is Insert that also returns the tuple's ordinal: its position in
+// Rows(), whether it was just appended or already present. Ordinals are
+// dense and stable until Reset, so callers can key side tables (bitsets,
+// per-row lists) by them instead of by a materialized tuple key.
+func (r *Relation) Add(t Tuple) (ord int, isNew bool) {
 	if len(t) != r.arity {
 		panic(fmt.Sprintf("relation: inserting arity-%d tuple into arity-%d relation", len(t), r.arity))
 	}
 	h := hashSyms(t)
-	if r.lookup(h, t) >= 0 {
-		return false
+	if ord := r.lookup(h, t); ord >= 0 {
+		return ord, false
 	}
 	r.grow()
 	row := r.arena(t)
+	ord = len(r.rows)
 	r.rows = append(r.rows, row)
 	r.hashes = append(r.hashes, h)
-	r.place(h, int32(len(r.rows)))
+	r.place(h, int32(ord+1))
 	for _, ix := range r.indexes {
-		ix.add(row, int32(len(r.rows)-1))
+		ix.add(r.rows, row, int32(ord))
 	}
-	return true
+	return ord, true
+}
+
+// Ordinal returns the position of t in Rows(), or -1 when t is not a
+// member. It never allocates.
+func (r *Relation) Ordinal(t Tuple) int {
+	if len(t) != r.arity {
+		return -1
+	}
+	return r.lookup(hashSyms(t), t)
 }
 
 // Reset empties the relation while keeping its allocations: the row and
 // hash slices, the open-addressed dedup table, the current arena chunk,
-// and every built index (cleared, then maintained incrementally by later
-// inserts) all retain their capacity. Repeated evaluations on one prepared
+// and every built index (bucket table and row chains; cleared, then
+// maintained incrementally by later inserts) all retain their capacity. Repeated evaluations on one prepared
 // plan reset their temporary relations instead of reallocating them.
 func (r *Relation) Reset() {
+	if need := len(r.rows) * r.arity; need > cap(r.chunk) {
+		// The rows spilled over several arena chunks: keep one that holds
+		// them all, so a refill of the same size allocates nothing.
+		r.chunk = make([]symtab.Sym, 0, need)
+	}
 	r.rows = r.rows[:0]
 	r.hashes = r.hashes[:0]
 	r.chunk = r.chunk[:0]
 	clear(r.slots)
 	for _, ix := range r.indexes {
-		clear(ix.m)
+		ix.reset()
 	}
 }
 
 // Contains reports membership. It never allocates.
-func (r *Relation) Contains(t Tuple) bool {
-	if len(t) != r.arity {
-		return false
-	}
-	return r.lookup(hashSyms(t), t) >= 0
-}
+func (r *Relation) Contains(t Tuple) bool { return r.Ordinal(t) >= 0 }
 
 // Rows returns the stored tuples in insertion order. The slice and its
 // tuples are owned by the relation; callers must not mutate them.
@@ -327,20 +406,22 @@ func (r *Relation) indexOn(cols []int) *index {
 	if len(cols) > maxIndexCols {
 		cols = cols[:maxIndexCols]
 	}
-	k := colsKey(cols)
-	ix, ok := r.indexes[k]
-	if !ok {
-		ix = &index{cols: append([]int(nil), cols...), m: make(map[uint64][]int32, len(r.rows))}
-		for i, row := range r.rows {
-			ix.add(row, int32(i))
-		}
-		if r.indexes == nil {
-			r.indexes = make(map[uint64]*index)
-		}
-		r.indexes[k] = ix
-		r.indexBuilds++
+	if ix := r.index(colsKey(cols)); ix != nil {
+		return ix
 	}
+	ix := newIndex(cols, r.rows)
+	r.indexes = append(r.indexes, ix)
 	return ix
+}
+
+// index returns the built index with the given colsKey, or nil.
+func (r *Relation) index(key uint64) *index {
+	for _, ix := range r.indexes {
+		if ix.key == key {
+			return ix
+		}
+	}
+	return nil
 }
 
 // Distinct reports the number of distinct values in column col, building
@@ -350,7 +431,7 @@ func (r *Relation) Distinct(col int) int {
 	if r.Len() == 0 {
 		return 0
 	}
-	return len(r.indexOn([]int{col}).m)
+	return r.indexOn([]int{col}).keys
 }
 
 // BuildIndex forces construction of the hash index on column col. Indexes
@@ -381,7 +462,7 @@ func (r *Relation) BuildIndexOn(cols ...int) {
 // IndexBuilds reports how many index constructions this relation has
 // performed (rebuilding an existing index never happens; the count exists
 // so tests can assert that).
-func (r *Relation) IndexBuilds() int { return r.indexBuilds }
+func (r *Relation) IndexBuilds() int { return len(r.indexes) }
 
 // Binding is a partial assignment of values to columns; NoSym entries are
 // unconstrained. It is the relational form of a tuple request: "each tuple
@@ -409,35 +490,78 @@ func (b Binding) Constrains() bool {
 	return false
 }
 
+// boundCols lists the bound columns of b (at most maxIndexCols: the index
+// key) into cols and their values into vals, returning how many there are
+// and whether they are all of b's constraints — when not, candidates still
+// need Matches.
+func boundCols(b Binding, cols *[maxIndexCols]int, vals *[maxIndexCols]symtab.Sym) (n int, exact bool) {
+	exact = true
+	for i, v := range b {
+		if v == symtab.NoSym {
+			continue
+		}
+		if n == maxIndexCols {
+			exact = false
+			break
+		}
+		cols[n], vals[n] = i, v
+		n++
+	}
+	return n, exact
+}
+
+// probe finds the chain of rows matching b's bound columns (n > 0 of them)
+// in the composite index over exactly that column set, building the index
+// on first use.
+func (r *Relation) probe(b Binding) (ix *index, bk *bucket, exact bool) {
+	if len(b) != r.arity {
+		panic(fmt.Sprintf("relation: select binding arity %d on arity-%d relation", len(b), r.arity))
+	}
+	var cols [maxIndexCols]int
+	var vals [maxIndexCols]symtab.Sym
+	n, exact := boundCols(b, &cols, &vals)
+	if n == 0 {
+		return nil, nil, exact
+	}
+	ix = r.indexOn(cols[:n])
+	return ix, ix.find(r.rows, vals[:n]), exact
+}
+
 // Select returns the tuples matching the binding, probing the composite
 // index over all bound columns (so a k-column binding is one hash lookup,
 // not an index probe plus a filter scan). The returned tuples are owned by
 // r. Note the index over the bound-column set is built on first use; see
 // the concurrency note on Relation.
 func (r *Relation) Select(b Binding) []Tuple {
-	if len(b) != r.arity {
-		panic(fmt.Sprintf("relation: select binding arity %d on arity-%d relation", len(b), r.arity))
-	}
-	var colsBuf [maxIndexCols]int
-	var valsBuf [maxIndexCols]symtab.Sym
-	cols := colsBuf[:0]
-	for i, v := range b {
-		if v != symtab.NoSym && len(cols) < maxIndexCols {
-			valsBuf[len(cols)] = v
-			cols = append(cols, i)
-		}
-	}
-	if len(cols) == 0 {
+	ix, bk, exact := r.probe(b)
+	switch {
+	case ix == nil:
 		return r.rows
+	case bk.head == 0:
+		return nil
 	}
-	ix := r.indexOn(cols)
-	var out []Tuple
-	for _, ord := range ix.probe(valsBuf[:len(cols)]) {
-		if b.Matches(r.rows[ord]) {
-			out = append(out, r.rows[ord])
+	return r.chain(make([]Tuple, 0, bk.n), ix, bk, b, exact)
+}
+
+// SelectInto is Select appending to dst, for callers that probe per row and
+// keep a scratch buffer: it allocates only when dst must grow.
+func (r *Relation) SelectInto(dst []Tuple, b Binding) []Tuple {
+	ix, bk, exact := r.probe(b)
+	if ix == nil {
+		return append(dst, r.rows...)
+	}
+	return r.chain(dst, ix, bk, b, exact)
+}
+
+// chain appends the bucket's rows, in insertion order. The index key covers
+// every bound column unless there are more than maxIndexCols (!exact).
+func (r *Relation) chain(dst []Tuple, ix *index, bk *bucket, b Binding, exact bool) []Tuple {
+	for ref := bk.head; ref != 0; ref = ix.next[ref-1] {
+		if row := r.rows[ref-1]; exact || b.Matches(row) {
+			dst = append(dst, row)
 		}
 	}
-	return out
+	return dst
 }
 
 // HasSelectIndex reports whether the composite index Select(b) would probe
@@ -445,18 +569,10 @@ func (r *Relation) Select(b Binding) []Tuple {
 // binding scans without an index and always reports true. Storage
 // implementations use this to decide between their read and write locks.
 func (r *Relation) HasSelectIndex(b Binding) bool {
-	var colsBuf [maxIndexCols]int
-	cols := colsBuf[:0]
-	for i, v := range b {
-		if v != symtab.NoSym && len(cols) < maxIndexCols {
-			cols = append(cols, i)
-		}
-	}
-	if len(cols) == 0 {
-		return true
-	}
-	_, ok := r.indexes[colsKey(cols)]
-	return ok
+	var cols [maxIndexCols]int
+	var vals [maxIndexCols]symtab.Sym
+	n, _ := boundCols(b, &cols, &vals)
+	return n == 0 || r.index(colsKey(cols[:n])) != nil
 }
 
 // Project returns a new relation containing each row restricted to cols, in
@@ -547,8 +663,8 @@ func Join(r, s *Relation, on []EqPair) *Relation {
 			for i := 0; i < n; i++ {
 				valsBuf[i] = b[on[i].R]
 			}
-			for _, ord := range ix.probe(valsBuf[:n]) {
-				if a := r.rows[ord]; eqAll(a, b, on) {
+			for ref := ix.find(r.rows, valsBuf[:n]).head; ref != 0; ref = ix.next[ref-1] {
+				if a := r.rows[ref-1]; eqAll(a, b, on) {
 					emit(a, b)
 				}
 			}
@@ -564,8 +680,8 @@ func Join(r, s *Relation, on []EqPair) *Relation {
 		for i := 0; i < n; i++ {
 			valsBuf[i] = a[on[i].L]
 		}
-		for _, ord := range ix.probe(valsBuf[:n]) {
-			if b := s.rows[ord]; eqAll(a, b, on) {
+		for ref := ix.find(s.rows, valsBuf[:n]).head; ref != 0; ref = ix.next[ref-1] {
+			if b := s.rows[ref-1]; eqAll(a, b, on) {
 				emit(a, b)
 			}
 		}
@@ -603,8 +719,8 @@ func SemiJoin(r, s *Relation, on []EqPair) *Relation {
 		for i := 0; i < n; i++ {
 			valsBuf[i] = a[on[i].L]
 		}
-		for _, ord := range ix.probe(valsBuf[:n]) {
-			if eqAll(a, s.rows[ord], on) {
+		for ref := ix.find(s.rows, valsBuf[:n]).head; ref != 0; ref = ix.next[ref-1] {
+			if eqAll(a, s.rows[ref-1], on) {
 				out.Insert(a)
 				break
 			}

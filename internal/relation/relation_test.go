@@ -401,6 +401,43 @@ func TestDuplicateInsertZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestIndexedInsertZeroAllocsAfterReset: once a relation and its indexes
+// have held a working set, Reset keeps all of it — dedup table, arena, index
+// buckets and row chains — so refilling (every row a new index key, the case
+// that used to allocate a slice per key) and probing into a scratch buffer
+// allocate nothing.
+func TestIndexedInsertZeroAllocsAfterReset(t *testing.T) {
+	const n = 2000
+	rows := make([]Tuple, n)
+	for i := range rows {
+		rows[i] = tup(symtab.Sym(i+1), symtab.Sym(i%97+1), symtab.Sym(n-i))
+	}
+	r := New(3)
+	r.BuildIndex(0)
+	r.BuildIndexOn(1, 2)
+	fill := func() {
+		r.Reset()
+		for _, row := range rows {
+			r.Insert(row)
+		}
+	}
+	fill()
+	if allocs := testing.AllocsPerRun(10, fill); allocs != 0 {
+		t.Errorf("refilling %d indexed rows after Reset allocates %.0f times, want 0", n, allocs)
+	}
+	if d := r.Distinct(0); d != n {
+		t.Errorf("Distinct(0) = %d after refill, want %d", d, n)
+	}
+	buf := make([]Tuple, 0, n)
+	probe := Binding{symtab.NoSym, 5, symtab.NoSym}
+	if allocs := testing.AllocsPerRun(100, func() { buf = r.SelectInto(buf[:0], probe) }); allocs != 0 {
+		t.Errorf("SelectInto allocates %.1f times per probe, want 0", allocs)
+	}
+	if want := r.Select(probe); len(buf) != len(want) || len(buf) == 0 {
+		t.Errorf("SelectInto found %d rows, Select %d", len(buf), len(want))
+	}
+}
+
 // TestJoinProbeSideSelection pins the build-side heuristic: the smaller
 // relation gets the index, so joining a tiny relation against a large one
 // builds no index on the large side.

@@ -93,8 +93,6 @@ type Config struct {
 	// Strategy is the information-passing strategy compiled into every
 	// plan ("" = greedy). It keys the plan cache alongside query shape.
 	Strategy string
-	// Batch enables footnote-2 request batching in every evaluation.
-	Batch bool
 	// Partitions splits partitionable node processes into this many
 	// hash-partitioned worker shards per evaluation (see
 	// mpq.WithPartitions). It keys the plan cache alongside Strategy and
@@ -444,9 +442,6 @@ func (s *Server) queryOpts() []mpq.Option {
 	opts := []mpq.Option{mpq.WithStrategy(s.cfg.Strategy), mpq.WithStats(s.cfg.Stats)}
 	if s.cfg.ReoptThreshold != 0 {
 		opts = append(opts, mpq.WithReoptThreshold(s.cfg.ReoptThreshold))
-	}
-	if s.cfg.Batch {
-		opts = append(opts, mpq.WithBatching())
 	}
 	if s.cfg.Partitions >= 2 {
 		opts = append(opts, mpq.WithPartitions(s.cfg.Partitions))

@@ -374,7 +374,7 @@ func TestWriteReport(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		hot.Msg()
 		hot.RowsOut(1)
-		hot.Joins(4)
+		hot.AddWork(trace.Work{Joins: 4})
 		hot.Handled(time.Duration(i)*time.Millisecond, time.Millisecond)
 	}
 	p.Shard(0).Msg()

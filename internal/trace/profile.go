@@ -41,17 +41,21 @@ type NodeShard struct {
 
 // Per-node increment hooks, mirroring the Stats hooks.
 
-func (s *NodeShard) Msg()            { s.msgs.Add(1) }
-func (s *NodeShard) ProtocolMsg()    { s.protocol.Add(1) }
-func (s *NodeShard) RowsOut(n int)   { s.rowsOut.Add(int64(n)) }
-func (s *NodeShard) ReqRows(n int)   { s.reqRows.Add(int64(n)) }
-func (s *NodeShard) Derived()        { s.derived.Add(1) }
-func (s *NodeShard) Stored()         { s.stored.Add(1) }
-func (s *NodeShard) Dup()            { s.dups.Add(1) }
-func (s *NodeShard) Joins(n int)     { s.joins.Add(int64(n)) }
-func (s *NodeShard) EDBScan()        { s.edbScans.Add(1) }
-func (s *NodeShard) EDBTuples(n int) { s.edbRows.Add(int64(n)) }
-func (s *NodeShard) Round()          { s.rounds.Add(1) }
+func (s *NodeShard) Msg()          { s.msgs.Add(1) }
+func (s *NodeShard) ProtocolMsg()  { s.protocol.Add(1) }
+func (s *NodeShard) RowsOut(n int) { s.rowsOut.Add(int64(n)) }
+func (s *NodeShard) ReqRows(n int) { s.reqRows.Add(int64(n)) }
+func (s *NodeShard) Round()        { s.rounds.Add(1) }
+
+// AddWork folds the owning process's tally into the shard (see Work).
+func (s *NodeShard) AddWork(w Work) {
+	add(&s.derived, w.Derived)
+	add(&s.stored, w.Stored)
+	add(&s.dups, w.Dups)
+	add(&s.joins, w.Joins)
+	add(&s.edbScans, w.EDBScans)
+	add(&s.edbRows, w.EDBTuples)
+}
 
 // Handled records one handled message and its handling span: at is the
 // handling start relative to the profile start, busy the wall-clock spent.

@@ -24,12 +24,7 @@ func TestProfileConcurrentShards(t *testing.T) {
 				sh.RowsOut(2)
 				sh.ReqRows(1)
 				sh.ProtocolMsg()
-				sh.Derived()
-				sh.Stored()
-				sh.Dup()
-				sh.Joins(3)
-				sh.EDBScan()
-				sh.EDBTuples(4)
+				sh.AddWork(Work{Derived: 1, Stored: 1, Dups: 1, Joins: 3, EDBScans: 1, EDBTuples: 4})
 				sh.Handled(time.Duration(i)*time.Microsecond, time.Microsecond)
 			}
 		}(id)

@@ -1,7 +1,11 @@
 // Package trace collects execution counters from the message-passing
 // engine: messages by kind, tuples derived and deduplicated, joins probed,
 // and termination-protocol rounds. Counters are updated with atomic
-// operations because every node process increments them concurrently.
+// operations because every node process increments them concurrently; the
+// per-row ones (derived, stored, duplicate, join and EDB counts) are tallied
+// privately by each process in a Work and added once per mailbox drain, so
+// the row path never touches a cache line other processes — or other
+// evaluations sharing the Stats — write.
 package trace
 
 import (
@@ -102,12 +106,6 @@ func (s *Stats) EndMsg()             { s.ends.Add(1) }
 func (s *Stats) ReqEndMsg()          { s.reqEnds.Add(1) }
 func (s *Stats) ProtocolMsg()        { s.protocol.Add(1) }
 func (s *Stats) Round()              { s.rounds.Add(1) }
-func (s *Stats) Derived()            { s.derived.Add(1) }
-func (s *Stats) Stored()             { s.stored.Add(1) }
-func (s *Stats) Dup()                { s.dups.Add(1) }
-func (s *Stats) Joins(n int)         { s.joins.Add(int64(n)) }
-func (s *Stats) EDBScan()            { s.edbScans.Add(1) }
-func (s *Stats) EDBTuples(n int)     { s.edbTuples.Add(int64(n)) }
 func (s *Stats) Heartbeat()          { s.heartbeats.Add(1) }
 func (s *Stats) Reconnect()          { s.reconnects.Add(1) }
 func (s *Stats) Replays(n int)       { s.replays.Add(int64(n)) }
@@ -122,6 +120,34 @@ func (s *Stats) PlanReopt()          { s.planReopts.Add(1) }
 func (s *Stats) StatsRefresh()       { s.statsRefreshes.Add(1) }
 func (s *Stats) DeltaRound()         { s.deltaRounds.Add(1) }
 func (s *Stats) DeltaSeeded(n int64) { s.deltaSeeded.Add(n) }
+
+// Work is one node process's private tally of data-path events since its
+// last flush: head tuples derived at rule nodes (before dedup), new tuples
+// stored at goal nodes, duplicates discarded, join probe candidates
+// examined, EDB selections performed and tuples read from the EDB. The
+// process owns it exclusively (plain fields, no atomics) and hands it to
+// Stats.AddWork / NodeShard.AddWork when its mailbox drains.
+type Work struct {
+	Derived, Stored, Dups, Joins, EDBScans, EDBTuples int64
+}
+
+// AddWork folds a process's tally into the shared counters.
+func (s *Stats) AddWork(w Work) {
+	add(&s.derived, w.Derived)
+	add(&s.stored, w.Stored)
+	add(&s.dups, w.Dups)
+	add(&s.joins, w.Joins)
+	add(&s.edbScans, w.EDBScans)
+	add(&s.edbTuples, w.EDBTuples)
+}
+
+// add skips the atomic (and the cache-line ownership transfer) for the
+// counters a flush did not move — most of them, for any one node kind.
+func add(c *atomic.Int64, n int64) {
+	if n != 0 {
+		c.Add(n)
+	}
+}
 
 // StrategyAuto counts one auto-planner decision for the named winning
 // candidate. Unknown names are ignored (the exported label set is fixed
@@ -279,6 +305,13 @@ func (s *Stats) Snapshot() Snapshot {
 // counts units, rows_total counts rows (see doc/OBSERVABILITY.md).
 func (sn Snapshot) Messages() int64 {
 	return sn.RelReqs + sn.TupReqs + sn.Tuples + sn.TupleBatches + sn.Ends + sn.ReqEnds
+}
+
+// RowMessages is what Messages would be if every row travelled alone, as in
+// the paper's tuple-at-a-time model: the information moved, in messages.
+// RowMessages()/Messages() is the mean number of rows per frame.
+func (sn Snapshot) RowMessages() int64 {
+	return sn.RelReqs + sn.TupReqRows + sn.TupleRows + sn.Ends + sn.ReqEnds
 }
 
 // String renders the snapshot as a single diagnostic line.

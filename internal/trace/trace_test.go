@@ -16,12 +16,7 @@ func TestCountersAndSnapshot(t *testing.T) {
 	s.ReqEndMsg()
 	s.ProtocolMsg()
 	s.Round()
-	s.Derived()
-	s.Stored()
-	s.Dup()
-	s.Joins(5)
-	s.EDBScan()
-	s.EDBTuples(7)
+	s.AddWork(Work{Derived: 1, Stored: 1, Dups: 1, Joins: 5, EDBScans: 1, EDBTuples: 7})
 	sn := s.Snapshot()
 	if sn.RelReqs != 1 || sn.TupReqs != 2 || sn.Tuples != 1 || sn.Ends != 1 || sn.ReqEnds != 1 {
 		t.Errorf("basic counters wrong: %+v", sn)
@@ -47,7 +42,7 @@ func TestConcurrentIncrements(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
 				s.TupleMsg()
-				s.Joins(2)
+				s.AddWork(Work{Joins: 2})
 			}
 		}()
 	}

@@ -237,6 +237,106 @@ func MonotonePrograms(n, fanout int) (r2, r3 *ast.Program) {
 	return r2, r3
 }
 
+// RandomProgram generates a random positive Datalog program for
+// differential testing: two or three binary/unary IDB predicates over the
+// EDB relations e/2, f/2 and u/1 on a handful of constants, each with a
+// non-recursive base rule plus rules whose bodies mix EDB and IDB atoms
+// freely (so linear, nonlinear and mutual recursion all occur), with the
+// occasional constant or repeated variable in heads and bodies, and a goal
+// that binds some arguments of one IDB predicate. Every rule is range
+// restricted by construction; relations stay small because the constant
+// pool is. The same rng state yields the same program.
+func RandomProgram(rng *rand.Rand) *ast.Program {
+	const nconst = 6
+	c := func() string { return node(rng.Intn(nconst)) }
+	var facts []ast.Atom
+	for i, n := 0, 6+rng.Intn(10); i < n; i++ {
+		facts = append(facts, fact("e", c(), c()))
+	}
+	for i, n := 0, 3+rng.Intn(6); i < n; i++ {
+		facts = append(facts, fact("f", c(), c()))
+	}
+	for i, n := 0, 1+rng.Intn(3); i < n; i++ {
+		facts = append(facts, fact("u", c()))
+	}
+
+	type pred struct {
+		name  string
+		arity int
+	}
+	edbPreds := []pred{{"e", 2}, {"f", 2}, {"u", 1}}
+	idb := make([]pred, 2+rng.Intn(2))
+	for i := range idb {
+		idb[i] = pred{fmt.Sprintf("p%d", i), 1 + rng.Intn(2)}
+	}
+	vars := []string{"X", "Y", "Z", "W"}
+	// atom renders pr over random terms, recording the variables it uses.
+	atom := func(pr pred, used map[string]bool) string {
+		args := make([]string, pr.arity)
+		for i := range args {
+			if rng.Intn(8) == 0 {
+				args[i] = c()
+			} else {
+				args[i] = vars[rng.Intn(len(vars))]
+				used[args[i]] = true
+			}
+		}
+		return pr.name + "(" + strings.Join(args, ", ") + ")"
+	}
+	// rule renders one rule for head predicate h over body predicates drawn
+	// from pool; head arguments are body variables (or, rarely, constants).
+	rule := func(h pred, pool []pred) string {
+		used := map[string]bool{}
+		body := make([]string, 1+rng.Intn(3))
+		for i := range body {
+			body[i] = atom(pool[rng.Intn(len(pool))], used)
+		}
+		if len(used) == 0 {
+			body = append(body, "e(X, Y)")
+			used["X"], used["Y"] = true, true
+		}
+		var bound []string
+		for _, v := range vars {
+			if used[v] {
+				bound = append(bound, v)
+			}
+		}
+		args := make([]string, h.arity)
+		for i := range args {
+			if rng.Intn(10) == 0 {
+				args[i] = c()
+			} else {
+				args[i] = bound[rng.Intn(len(bound))]
+			}
+		}
+		return h.name + "(" + strings.Join(args, ", ") + ") :- " + strings.Join(body, ", ") + ".\n"
+	}
+	var rules strings.Builder
+	all := append(append([]pred{}, edbPreds...), idb...)
+	for _, h := range idb {
+		rules.WriteString(rule(h, edbPreds))
+		for i, n := 0, 1+rng.Intn(2); i < n; i++ {
+			rules.WriteString(rule(h, all))
+		}
+	}
+	q := idb[rng.Intn(len(idb))]
+	qargs, gargs := make([]string, q.arity), []string{}
+	for i := range qargs {
+		if rng.Intn(2) == 0 {
+			qargs[i] = c()
+		} else {
+			qargs[i] = vars[i]
+			gargs = append(gargs, vars[i])
+		}
+	}
+	goal := "goal"
+	if len(gargs) > 0 {
+		goal += "(" + strings.Join(gargs, ", ") + ")"
+	}
+	rules.WriteString(goal + " :- " + q.name + "(" + strings.Join(qargs, ", ") + ").\n")
+	return Program(rules.String(), facts)
+}
+
 // Describe summarizes a fact set for experiment logs.
 func Describe(facts []ast.Atom) string {
 	byPred := map[string]int{}

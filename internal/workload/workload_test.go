@@ -154,3 +154,16 @@ func TestProgramPanicsOnBadTemplate(t *testing.T) {
 	}()
 	Program("not valid datalog(", nil)
 }
+
+func TestRandomProgramValidAndSeeded(t *testing.T) {
+	for seed := int64(0); seed < 50; seed++ {
+		a := RandomProgram(rand.New(rand.NewSource(seed)))
+		b := RandomProgram(rand.New(rand.NewSource(seed)))
+		if a.String() != b.String() {
+			t.Fatalf("seed %d: two generations differ", seed)
+		}
+		if err := a.Validate(true); err != nil {
+			t.Fatalf("seed %d: %v\n%s", seed, err, a)
+		}
+	}
+}

@@ -314,6 +314,17 @@ func (s *System) AddFact(pred string, args ...string) bool {
 	return added
 }
 
+// program returns a snapshot of the loaded program for compilation: rules
+// are fixed at load time, and the fact slice is cut at its current length
+// under the lock, so a concurrent AddFact/LoadData (which append under the
+// same lock) never touches what the snapshot's reader sees.
+func (s *System) program() *ast.Program {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := len(s.Program.Facts)
+	return &ast.Program{Rules: s.Program.Rules, Facts: s.Program.Facts[:n:n]}
+}
+
 // EDBVersion returns a counter that increases whenever a new fact enters
 // the System's database (AddFact, LoadData). Result caches key on it so
 // cached answers are invalidated by any mutation: equal versions bracket a
@@ -327,7 +338,6 @@ type config struct {
 	engine       Engine
 	strategyName string
 	stats        *trace.Stats
-	batch        bool
 	trace        io.Writer
 	ctx          context.Context
 	deadline     time.Duration
@@ -388,11 +398,6 @@ func (s *System) resolveStrategy(cfg *config) rgg.Strategy {
 // WithStats directs the message engine's counters into the given
 // accumulator (useful across repeated runs).
 func WithStats(st *trace.Stats) Option { return func(c *config) { c.stats = st } }
-
-// WithBatching enables the paper's footnote-2 enhancement: tuple requests
-// generated while handling one message are packaged into a single message
-// per destination. Answers are unchanged; message counts drop.
-func WithBatching() Option { return func(c *config) { c.batch = true } }
 
 // WithPartitions splits every partitionable rule and IDB goal node into n
 // hash-partitioned worker shards (engine.Options.Partitions), parallelizing
@@ -473,7 +478,7 @@ func (c *config) evalContext() (context.Context, context.CancelFunc) {
 // context's own timer enforces any deadline, so engine.Options.Deadline
 // stays unset).
 func (c *config) engineOptions(ctx context.Context) engine.Options {
-	return engine.Options{Stats: c.stats, Batch: c.batch, Trace: c.trace,
+	return engine.Options{Stats: c.stats, Trace: c.trace,
 		Cancel: ctx.Done(), Profile: c.profile, Events: c.events,
 		Partitions: c.partitions, EDBDelay: c.edbDelay}
 }
@@ -540,7 +545,7 @@ func (s *System) Eval(opts ...Option) (*Answer, error) {
 	}
 	switch cfg.engine {
 	case MessagePassing:
-		g, _, err := s.buildGraph(s.Program, nil, &cfg)
+		g, _, err := s.buildGraph(s.program(), nil, &cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -553,20 +558,20 @@ func (s *System) Eval(opts ...Option) (*Answer, error) {
 		}
 		return &Answer{Engine: cfg.engine, Tuples: render(res.Answers, s.DB), Stats: res.Stats}, nil
 	case SemiNaive:
-		res := bottomup.SemiNaive(s.Program, s.DB)
+		res := bottomup.SemiNaive(s.program(), s.DB)
 		return &Answer{Engine: cfg.engine, Tuples: render(res.Goal, s.DB), Counts: res.Counts}, nil
 	case Naive:
-		res := bottomup.Naive(s.Program, s.DB)
+		res := bottomup.Naive(s.program(), s.DB)
 		return &Answer{Engine: cfg.engine, Tuples: render(res.Goal, s.DB), Counts: res.Counts}, nil
 	case BruteForce:
-		res := bottomup.BruteForce(s.Program, s.DB)
+		res := bottomup.BruteForce(s.program(), s.DB)
 		return &Answer{Engine: cfg.engine, Tuples: render(res.Goal, s.DB), Counts: res.Counts}, nil
 	case MagicSets:
 		strat, err := s.magicStrategy(&cfg)
 		if err != nil {
 			return nil, err
 		}
-		res, _, db, err := magic.EvaluateWith(s.Program, strat)
+		res, _, db, err := magic.EvaluateWith(s.program(), strat)
 		if err != nil {
 			return nil, err
 		}
@@ -630,7 +635,7 @@ func (s *System) EvalStream(yield func(tuple []string) bool, opts ...Option) (tr
 	if cfg.engine != MessagePassing {
 		return trace.Snapshot{}, fmt.Errorf("mpq: EvalStream supports only the message-passing engine")
 	}
-	g, _, err := s.buildGraph(s.Program, nil, &cfg)
+	g, _, err := s.buildGraph(s.program(), nil, &cfg)
 	if err != nil {
 		return trace.Snapshot{}, err
 	}
@@ -659,7 +664,7 @@ func (s *System) Graph(opts ...Option) (*rgg.Graph, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	g, _, err := s.buildGraph(s.Program, nil, &cfg)
+	g, _, err := s.buildGraph(s.program(), nil, &cfg)
 	return g, err
 }
 
@@ -671,7 +676,7 @@ func (s *System) Graph(opts ...Option) (*rgg.Graph, error) {
 func (s *System) magicStrategy(cfg *config) (rgg.Strategy, error) {
 	switch normStrategy(cfg.strategyName) {
 	case AutoStrategy:
-		_, choice, err := s.chooseAuto(s.Program, nil, cfg.stats)
+		_, choice, err := s.chooseAuto(s.program(), nil, cfg.stats)
 		if err != nil {
 			return nil, err
 		}

@@ -112,21 +112,6 @@ func TestLoadData(t *testing.T) {
 	}
 }
 
-func TestBatchingOption(t *testing.T) {
-	sys := MustLoad(tcProgram)
-	plain, err := sys.Eval()
-	if err != nil {
-		t.Fatal(err)
-	}
-	batched, err := sys.Eval(WithBatching())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain.Tuples, batched.Tuples) {
-		t.Errorf("batched answers differ: %v vs %v", batched.Tuples, plain.Tuples)
-	}
-}
-
 func TestLoadErrors(t *testing.T) {
 	cases := []string{
 		`edge(a, b).`,                       // no query

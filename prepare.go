@@ -39,9 +39,8 @@ type PreparedQuery struct {
 	plan     *engine.Plan
 	strategy string
 	shape    string
-	defaults []string     // source-text constants: the bindings Eval() uses with no args
-	nout     int          // answer columns (parameters are projected away)
-	batch    bool
+	defaults []string // source-text constants: the bindings Eval() uses with no args
+	nout     int      // answer columns (parameters are projected away)
 	// partitions is the WithPartitions setting the plan serves. It is part
 	// of the plan-cache key: engine.Plan pools per-run scratch whose worker
 	// wiring is structural, so plans for different partition counts must
@@ -167,7 +166,7 @@ func canonicalShape(r ast.Rule) string {
 // Prepare compiles query — a `?- body.` query (or one explicit goal rule)
 // evaluated against the System's loaded rules and facts, replacing any
 // query rules the program itself defines — into a PreparedQuery. Options
-// select the sideways-information-passing strategy and batching; only the
+// select the sideways-information-passing strategy; only the
 // message-passing engine supports preparation. The graph build, adornment,
 // and index warming all happen here, once; see PreparedQuery for the
 // re-evaluation contract.
@@ -220,7 +219,7 @@ func (s *System) prepare(q *parsedQuery, cfg *config) (*PreparedQuery, error) {
 	plan := engine.NewPlan(g, s.DB) // warms every index the graph probes, once
 	s.mu.Unlock()
 	pq := &PreparedQuery{sys: s, plan: plan, strategy: normStrategy(cfg.strategyName),
-		shape: q.shape, defaults: q.consts, nout: nout, batch: cfg.batch,
+		shape: q.shape, defaults: q.consts, nout: nout,
 		partitions: cfg.partitions, edbDelay: cfg.edbDelay, stats: cfg.stats,
 		choice: choice, fingerprint: rgg.PlanFingerprint(g)}
 	if choice != nil {
@@ -296,7 +295,7 @@ func (pq *PreparedQuery) Eval(ctx context.Context, args ...string) (*Answer, err
 	if stats == nil {
 		stats = &trace.Stats{}
 	}
-	tuples, err := pq.evalWith(ctx, args, stats, pq.batch)
+	tuples, err := pq.evalWith(ctx, args, stats)
 	if err != nil {
 		return nil, err
 	}
@@ -304,12 +303,12 @@ func (pq *PreparedQuery) Eval(ctx context.Context, args ...string) (*Answer, err
 }
 
 // evalWith is the collection core shared by Eval and System.Query.
-func (pq *PreparedQuery) evalWith(ctx context.Context, args []string, stats *trace.Stats, batch bool) ([][]string, error) {
+func (pq *PreparedQuery) evalWith(ctx context.Context, args []string, stats *trace.Stats) ([][]string, error) {
 	bind, err := pq.bindSyms(args)
 	if err != nil {
 		return nil, err
 	}
-	res, err := pq.plan.Run(engine.Options{Stats: stats, Batch: batch, Bind: bind,
+	res, err := pq.plan.Run(engine.Options{Stats: stats, Bind: bind,
 		Cancel: ctxDone(ctx), Partitions: pq.partitions, EDBDelay: pq.edbDelay})
 	if err != nil {
 		return nil, engineError(err, ctx)
@@ -340,7 +339,7 @@ func (pq *PreparedQuery) Answers(ctx context.Context, args ...string) iter.Seq2[
 			return
 		}
 		stopped := false
-		_, err = pq.plan.RunStream(engine.Options{Stats: pq.stats, Batch: pq.batch, Bind: bind,
+		_, err = pq.plan.RunStream(engine.Options{Stats: pq.stats, Bind: bind,
 			Cancel: ctxDone(ctx), Partitions: pq.partitions, EDBDelay: pq.edbDelay},
 			func(t relation.Tuple) bool {
 				row := make([]string, pq.nout)
@@ -553,7 +552,7 @@ func (s *System) Query(ctx context.Context, src string, opts ...Option) (*Answer
 	}
 	ectx, cancel := cfg.evalContext()
 	defer cancel()
-	tuples, err := pq.evalWith(ectx, args, stats, cfg.batch)
+	tuples, err := pq.evalWith(ectx, args, stats)
 	if err != nil {
 		return nil, err
 	}

@@ -2,11 +2,14 @@ package mpq
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/workload"
 )
 
 // TestProgramCorpus runs every program in testdata/programs through every
@@ -56,24 +59,68 @@ func TestProgramCorpus(t *testing.T) {
 					t.Errorf("%v: answers %q, want %q", e, got, wantSet)
 				}
 			}
-			// The batched engine and every strategy must agree too.
-			for _, opt := range []Option{WithBatching(), WithStrategy("qualtree"),
-				WithStrategy("leftright"), WithStrategy("basic"), WithStrategy("stats"),
-				WithStrategy("auto")} {
-				sys := MustLoad(string(src))
-				ans, err := sys.Eval(opt)
+		})
+	}
+}
+
+// checkDeliveryMatrix evaluates src with the message-passing engine at every
+// strategy (auto included) × partition count × storage backend and requires
+// each answer set to be byte-identical to semi-naive bottom-up evaluation.
+// The engine has one delivery path — packaged, buffered per destination and
+// shard — so this matrix is what stands behind it.
+func checkDeliveryMatrix(t *testing.T, src string) {
+	t.Helper()
+	truth, err := MustLoad(src).Eval(WithEngine(SemiNaive))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprint(truth.Tuples)
+	for _, store := range []string{"memory", "disk"} {
+		sys := MustLoad(src)
+		if store == "disk" {
+			sys = diskSystem(t, src)
+		}
+		for _, strat := range []string{"greedy", "qualtree", "leftright", "basic", "stats", "auto"} {
+			for _, parts := range []int{1, 2, 4} {
+				ans, err := sys.Eval(WithStrategy(strat), WithPartitions(parts))
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("%s/%s/p%d: %v\n%s", store, strat, parts, err, src)
 				}
-				if wantCount >= 0 {
-					if len(ans.Tuples) != wantCount {
-						t.Errorf("variant run: %d answers, want %d", len(ans.Tuples), wantCount)
-					}
-				} else if got := renderTuples(ans.Tuples); got != wantSet {
-					t.Errorf("variant run: answers %q, want %q", got, wantSet)
+				if got := fmt.Sprint(ans.Tuples); got != want {
+					t.Fatalf("%s/%s/p%d: answers %s, want %s\n%s", store, strat, parts, got, want, src)
 				}
 			}
+		}
+	}
+}
+
+// TestDeliveryMatrixCorpus runs the matrix over the program corpus.
+func TestDeliveryMatrixCorpus(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "programs", "*.dl"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no corpus programs found: %v", err)
+	}
+	for _, file := range files {
+		t.Run(filepath.Base(file), func(t *testing.T) {
+			src, err := os.ReadFile(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkDeliveryMatrix(t, string(src))
 		})
+	}
+}
+
+// TestDeliveryMatrixRandom runs it over random positive programs: constants
+// and repeated variables in heads and bodies, mutual and nonlinear
+// recursion, bound and free goals.
+func TestDeliveryMatrixRandom(t *testing.T) {
+	seeds := int64(40)
+	if testing.Short() {
+		seeds = 8
+	}
+	for seed := int64(0); seed < seeds; seed++ {
+		checkDeliveryMatrix(t, workload.RandomProgram(rand.New(rand.NewSource(seed))).String())
 	}
 }
 

@@ -15,6 +15,10 @@
 # noise floor (thresholds: EXPERIMENTS.md). Self-test with
 # MPQ_GATE_HANDICAP=2ms, which simulates a slowed build — the gate must
 # then fail.
+# `./scripts/check.sh bench` (or `make bench-smoke`) vets and tests the
+# benchmark module. It is a Go module of its own (benchmark/go.mod), outside
+# the root `go test ./...`, so nothing else notices when an internal API it
+# calls changes; its tests include a 300 ms smoke run of all five workloads.
 set -eu
 cd "$(dirname "$0")/.."
 go build ./...
@@ -31,6 +35,11 @@ if [ "${1:-}" = "docs" ]; then
 fi
 if [ "${1:-}" = "gate" ]; then
 	go run ./cmd/bench -gate
+	exit 0
+fi
+if [ "${1:-}" = "bench" ]; then
+	go vet -C benchmark ./...
+	go test -C benchmark ./...
 	exit 0
 fi
 if [ "${1:-}" = "chaos" ]; then
@@ -55,3 +64,7 @@ MPQ_STORE=disk go test -race "$@" ./internal/engine/ ./internal/edb/
 # one-in-two schedules still surface; see doc/SUBSCRIPTIONS.md.
 go test -race -count=2 -run 'TestServeSubscribe|TestServeFact|TestSubscription|TestSubscribe|TestAddFactWake' \
 	"$@" ./internal/serve/ .
+# Graph compilation racing AddFact: the compiler must read a program
+# snapshot taken under the System lock. The race needs several schedules to
+# show, hence the CPU sweep and the repeat count.
+go test -race -cpu 1,2,4 -count=5 -run TestAddFactDuringWarming .

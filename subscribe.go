@@ -47,7 +47,7 @@ func (pq *PreparedQuery) Subscription(args ...string) (*Subscription, error) {
 		args = pq.defaults
 	}
 	return &Subscription{pq: pq, args: args, bind: bind, first: true,
-		inc: pq.plan.Incremental(engine.Options{Stats: pq.stats, Batch: pq.batch,
+		inc: pq.plan.Incremental(engine.Options{Stats: pq.stats,
 			Bind: bind, Partitions: pq.partitions, EDBDelay: pq.edbDelay})}, nil
 }
 
