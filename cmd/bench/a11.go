@@ -24,41 +24,42 @@ type a11Result struct {
 	DiskColdScanUs  float64 `json:"disk_cold_full_scan_us"`
 	DiskWarmScanUs  float64 `json:"disk_warm_full_scan_us"`
 	MemPointNs      float64 `json:"memory_point_scan_ns"`
+	MemFirstPointNs float64 `json:"memory_first_point_scan_ns"`
 	DiskColdPointNs float64 `json:"disk_cold_point_scan_ns"`
 	DiskHotPointNs  float64 `json:"disk_hot_point_scan_ns"`
 
-	HotVsMemoryX float64 `json:"hot_point_vs_memory_x"`
-	ColdVsHotX   float64 `json:"cold_point_vs_hot_x"`
+	HotVsMemoryX   float64 `json:"hot_point_vs_memory_x"`
+	FirstVsMemoryX float64 `json:"first_point_vs_memory_x"`
 
-	CacheHits     uint64  `json:"cache_hits"`
-	CacheMisses   uint64  `json:"cache_misses"`
-	HotHitRatio   float64 `json:"hot_cache_hit_ratio"`
-	ByteIdentical bool    `json:"scan_byte_identical"`
+	ByteIdentical bool `json:"scan_byte_identical"`
 }
 
-// a11Checks are the acceptance criteria. Point-scan latencies are tiny
-// (hundreds of nanoseconds), so the hot-vs-memory bound is the only tight
-// ratio; the cold-vs-hot bound just requires the cache to be observably
-// doing something.
+// a11Checks are the acceptance criteria: a disk point scan stays within a
+// constant factor of a memory one, repeated pass against repeated pass and
+// first pass against first pass. Rows are read in place through the segment
+// mapping, so there is no cache to warm: the first pass after a reopen pays
+// what a first pass over the memory store pays (cold processor caches), and
+// its bound is looser only because it is one unrepeated measurement.
 func (r a11Result) a11Checks() map[string]bool {
 	return map[string]bool{
-		"hot_point_scan_within_2x_of_memory": r.HotVsMemoryX <= 2.0,
-		"hot_cache_hit_ratio_at_least_0.9":   r.HotHitRatio >= 0.9,
-		"cold_point_scan_slower_than_hot":    r.ColdVsHotX >= 1.0,
-		"memory_disk_byte_identical":         r.ByteIdentical,
+		"hot_point_scan_within_2x_of_memory":   r.HotVsMemoryX <= 2.0,
+		"first_point_scan_within_3x_of_memory": r.FirstVsMemoryX <= 3.0,
+		"memory_disk_byte_identical":           r.ByteIdentical,
 	}
 }
 
-// a11Median times f three times and returns the median, in nanoseconds.
+// a11Median times f nine times and returns the median, in nanoseconds. A
+// quick point pass is ~100 us, so with fewer repeats one collection or
+// preemption lands in the median.
 func a11Median(f func()) float64 {
 	var times []time.Duration
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 9; i++ {
 		start := time.Now()
 		f()
 		times = append(times, time.Since(start))
 	}
 	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-	return float64(times[1].Nanoseconds())
+	return float64(times[len(times)/2].Nanoseconds())
 }
 
 // a11Seed inserts the workload into a store: a binary relation where every
@@ -76,14 +77,13 @@ func a11Seed(st edb.Storage, rows, fanout int) {
 }
 
 // a11Probes interns the probe bindings once, outside the timed region.
-func a11Probes(st edb.Storage, keys, queries, fanout int) []relation.Binding {
+func a11Probes(st edb.Storage, keys, queries int) []relation.Binding {
 	syms := st.Symbols()
 	probes := make([]relation.Binding, queries)
 	for q := 0; q < queries; q++ {
 		k := (q * 7919) % keys // deterministic spread over the keyspace
 		probes[q] = relation.Binding{syms.Intern(fmt.Sprintf("k%d", k)), symtab.NoSym}
 	}
-	_ = fanout
 	return probes
 }
 
@@ -100,8 +100,9 @@ func a11PointPass(st edb.Storage, key ast.PredKey, probes []relation.Binding) in
 }
 
 // a11Measure builds identical datasets on the in-memory and disk backends,
-// reopens the disk store so its caches start cold, and measures full-scan
-// and point-scan latency on both sides of the Storage interface.
+// reopens the disk store so nothing of it is resident in the process, and
+// measures full-scan and point-scan latency on both sides of the Storage
+// interface.
 func a11Measure(quick bool) a11Result {
 	rows := 200000
 	queries := 2000
@@ -131,8 +132,8 @@ func a11Measure(quick bool) a11Result {
 		panic(err)
 	}
 
-	// Reopen: recovery from the segment files alone, every cache cold.
-	// The cold full scan is the first read the recovered store serves.
+	// Reopen: recovery from the segment files alone. The cold full scan is
+	// the first read the recovered store serves.
 	disk, err := edb.OpenDisk(dir)
 	if err != nil {
 		panic(err)
@@ -175,68 +176,55 @@ func a11Measure(quick bool) a11Result {
 
 	// Point scans. WarmFor pre-builds the column indexes on both backends
 	// so the timed region measures row retrieval, not index construction.
-	// The disk cold pass faults every probed tuple in from the segment
-	// files and populates the LRU; the hot pass must then serve from it.
+	// The disk cold pass is the first to probe the reopened store; the hot
+	// passes repeat it.
 	disk.WarmFor(nil)
-	probes := a11Probes(mem, keys, queries, fanout)
-	diskProbes := a11Probes(disk, keys, queries, fanout)
+	probes := a11Probes(mem, keys, queries)
+	diskProbes := a11Probes(disk, keys, queries)
 	want := queries * fanout
+	coldStart = time.Now()
 	if got := a11PointPass(mem, key, probes); got != want {
 		panic(fmt.Sprintf("A11: memory point pass %d rows, want %d", got, want))
 	}
+	r.MemFirstPointNs = float64(time.Since(coldStart).Nanoseconds()) / float64(queries)
 	r.MemPointNs = a11Median(func() { a11PointPass(mem, key, probes) }) / float64(queries)
 
-	h0, m0 := disk.CacheStats()
 	coldStart = time.Now()
 	if got := a11PointPass(disk, key, diskProbes); got != want {
 		panic(fmt.Sprintf("A11: disk point pass %d rows, want %d", got, want))
 	}
 	r.DiskColdPointNs = float64(time.Since(coldStart).Nanoseconds()) / float64(queries)
 	r.DiskHotPointNs = a11Median(func() { a11PointPass(disk, key, diskProbes) }) / float64(queries)
-	h1, m1 := disk.CacheStats()
-	r.CacheHits, r.CacheMisses = h1-h0, m1-m0
-	if reads := (h1 + m1) - (h0 + m0); reads > 0 {
-		// Hit ratio over the hot passes alone: subtract the cold pass,
-		// which by construction misses on every probed tuple.
-		coldReads := uint64(want)
-		hotReads := reads - coldReads
-		hotHits := (h1 - h0) // the cold pass contributes no hits
-		if hotReads > 0 {
-			r.HotHitRatio = float64(hotHits) / float64(hotReads)
-		}
-	}
 
 	if r.MemPointNs > 0 {
 		r.HotVsMemoryX = r.DiskHotPointNs / r.MemPointNs
 	}
-	if r.DiskHotPointNs > 0 {
-		r.ColdVsHotX = r.DiskColdPointNs / r.DiskHotPointNs
+	if r.MemFirstPointNs > 0 {
+		r.FirstVsMemoryX = r.DiskColdPointNs / r.MemFirstPointNs
 	}
 	return r
 }
 
 // a11Storage is experiment A11: the persistent-EDB cost model. It compares
 // the in-memory and disk-backed Storage implementations on full scans and
-// point scans, and measures what the hot-tuple LRU buys a disk-backed
-// server on a skewed (repeating) probe set. With -json the measurements
-// are written out as BENCH_9.json.
+// point scans, first touch after a reopen and repeated. With -json the
+// measurements are written out in BENCH_9.json's shape (the committed
+// BENCH_9.json is the historical record of the tuple-LRU store).
 func a11Storage(quick bool) {
 	header("A11", "persistent EDB: memory vs disk-backed storage",
-		"a disk-backed segment store makes mpqd restartable; the hot-tuple cache must keep its point-scan latency within the same regime as the in-memory store")
+		"a disk-backed segment store makes mpqd restartable; reading rows in place through the segment mapping must keep its point-scan latency within the same regime as the in-memory store")
 
 	r := a11Measure(quick)
 
-	row("metric", "memory", "disk cold", "disk hot/warm")
-	row("---", "---", "---", "---")
-	row("full scan (us)", fmt.Sprintf("%.0f", r.MemFullScanUs),
+	row("metric", "memory first", "memory", "disk cold", "disk hot/warm")
+	row("---", "---", "---", "---", "---")
+	row("full scan (us)", "-", fmt.Sprintf("%.0f", r.MemFullScanUs),
 		fmt.Sprintf("%.0f", r.DiskColdScanUs), fmt.Sprintf("%.0f", r.DiskWarmScanUs))
-	row("point scan (ns/query)", fmt.Sprintf("%.0f", r.MemPointNs),
+	row("point scan (ns/query)", fmt.Sprintf("%.0f", r.MemFirstPointNs), fmt.Sprintf("%.0f", r.MemPointNs),
 		fmt.Sprintf("%.0f", r.DiskColdPointNs), fmt.Sprintf("%.0f", r.DiskHotPointNs))
 	fmt.Println()
-	fmt.Printf("rows %d, point queries %d; hot point scan %.2fx of memory, cold %.1fx of hot\n",
-		r.Rows, r.PointQueries, r.HotVsMemoryX, r.ColdVsHotX)
-	fmt.Printf("hot-tuple cache: %d hits / %d misses over the point passes, hot-pass hit ratio %.3f\n",
-		r.CacheHits, r.CacheMisses, r.HotHitRatio)
+	fmt.Printf("rows %d, point queries %d; disk point scan %.2fx of memory repeated, %.2fx first pass against first pass\n",
+		r.Rows, r.PointQueries, r.HotVsMemoryX, r.FirstVsMemoryX)
 
 	checks := r.a11Checks()
 	names := make([]string, 0, len(checks))
@@ -266,23 +254,21 @@ func a11Storage(quick bool) {
 			Description: "Persistent EDB storage comparison: the same workload (a binary " +
 				"relation, every key owning exactly 4 rows) measured through the Storage " +
 				"interface on the in-memory reference store and on the disk-backed segment " +
-				"store reopened cold from its files. Full scans stream the segment " +
-				"sequentially and bypass the tuple cache; point scans probe the column " +
-				"index and fetch rows through the hot-tuple LRU, so a repeated probe set " +
-				"is served from memory after the first pass. Reproduce with " +
-				"`go run ./cmd/bench -e A11 -json BENCH_9.json`. The hot-within-2x and " +
-				"hit-ratio checks are re-measured quick in `bench -gate`.",
+				"store reopened cold from its files. Rows are read in place through a " +
+				"shared read-only mapping of the segment: full scans walk it in order, " +
+				"point scans probe the column index and view the rows it names. Reproduce " +
+				"with `go run ./cmd/bench -e A11 -json <file>`. Both within-k-of-memory " +
+				"checks are re-measured quick in `bench -gate`.",
 			Machine: machineInfo(),
 			Storage: r,
 			Checks:  checks,
 			Commentary: "The contract the engine relies on is that a warmed disk store is " +
 				"interchangeable with the in-memory one: point scans within 2x, identical " +
 				"rows. Cold numbers are honest about what a restart costs — the first " +
-				"scan after reopen pays per-tuple segment reads (and on a genuinely cold " +
-				"OS page cache would pay real IO on top) — but the LRU converts a skewed " +
-				"serving workload back to memory speed after one pass, which is the " +
-				"scenario a restarted mpqd faces: the store recovers instantly and the " +
-				"first queries re-warm exactly the tuples production traffic touches.",
+				"touch of a mapped page is a fault (and on a genuinely cold OS page " +
+				"cache would pay real IO on top) — but nothing in the process has to " +
+				"warm: the store keeps no row cache, so the first pass and the repeats " +
+				"take the same path.",
 		}
 		buf, err := json.MarshalIndent(record, "", "  ")
 		if err != nil {

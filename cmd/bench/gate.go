@@ -228,16 +228,20 @@ func runGate() int {
 		r10.PlanReopts >= 1 && r10.ReoptChangedPlan)
 
 	// Checks 10-11 — the A11 persistent-storage headline: the disk-backed
-	// store's hot-tuple cache must keep point scans within 2x of the
-	// in-memory store, at a near-unity hit ratio on a repeated probe set.
-	// Both are ratios, so the bounds stay tight across machines.
-	fmt.Println("measuring disk-store cache effectiveness (BENCH_9 baseline)...")
+	// store reads rows in place through the segment mapping, so its point
+	// scans must stay within 2x of the in-memory store's — and, there being
+	// no cache to warm, its first pass after a reopen within 3x of the
+	// memory store's own first pass (one unrepeated measurement, hence the
+	// looser bound). Both are ratios, so the bounds hold across machines.
+	// The committed BENCH_9.json predates the mapping (it measured the
+	// tuple LRU) and has no first-pass figure for memory.
+	fmt.Println("measuring disk-store point scans against memory (BENCH_9 baseline)...")
 	r11 := a11Measure(true)
-	add("disk_hot_point_vs_memory_x", fmt.Sprintf("%.2f", r11.HotVsMemoryX), "<= 2.00",
+	add("disk_point_vs_memory_x", fmt.Sprintf("%.2f", r11.HotVsMemoryX), "<= 2.00",
 		fmt.Sprintf("%.2f", b9.Storage.HotVsMemoryX),
 		r11.HotVsMemoryX <= 2.0 && r11.ByteIdentical)
-	add("disk_hot_cache_hit_ratio", fmt.Sprintf("%.3f", r11.HotHitRatio), ">= 0.900",
-		fmt.Sprintf("%.3f", b9.Storage.HotHitRatio), r11.HotHitRatio >= 0.9)
+	add("disk_first_point_vs_memory_x", fmt.Sprintf("%.2f", r11.FirstVsMemoryX), "<= 3.00",
+		"-", r11.FirstVsMemoryX <= 3.0)
 
 	fmt.Println()
 	row("check", "measured", "bound", "baseline", "result")

@@ -1790,8 +1790,8 @@ func a7Partitions(quick bool) {
 			Commentary: "The hot node of this workload is the bound-access edge leaf: every " +
 				"recursion step requests edge(U,Y) for each frontier vertex U, and each " +
 				"retrieval is charged the simulated latency. Partitioned, the leaf's P " +
-				"workers own disjoint hash slices of the bindings (and pre-sliced copies " +
-				"of the base relation), so their waits overlap — the measured speedup is " +
+				"workers own disjoint hash slices of the bindings, each probing the one " +
+				"shared store, so their waits overlap — the measured speedup is " +
 				"latency overlap, the form of parallelism a one-CPU host can demonstrate " +
 				"honestly (and the form the 1986 paper cared about most; see E12). On a " +
 				"multi-core host the same sharding also spreads join and scan CPU. " +

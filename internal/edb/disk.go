@@ -1,8 +1,9 @@
 // Disk-backed Storage: append-only segment files per relation, a compact
 // journal giving the store a persistent version/change log, a symbol-table
-// log keeping interned ids stable across restarts, and a bounded hot-tuple
-// LRU cache in front of point reads. See doc/STORAGE.md for the layout and
-// the durability contract.
+// log keeping interned ids stable across restarts. Rows are written with
+// WriteAt and read in place through a shared read-only mapping of the
+// segment, so a read is a slice expression: no system call, no copy, no
+// cache. See doc/STORAGE.md for the layout and the durability contract.
 //
 // On-disk layout (all integers little-endian):
 //
@@ -17,6 +18,9 @@
 //	             result-cache version survive a restart for free.
 //	seg-<id>.dat fixed-width rows (arity × 4 bytes), append-only; a row's
 //	             ordinal is its offset / width.
+//
+// Rows are viewed where they lie, so the store needs a little-endian host
+// and a unix mmap; OpenDisk refuses a big-endian one.
 //
 // Crash safety (against process kill; power-loss durability requires the
 // Close-time sync): writes happen segment-first, journal-second, with no
@@ -36,8 +40,11 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"syscall"
+	"unsafe"
 
 	"repro/internal/ast"
 	"repro/internal/relation"
@@ -48,35 +55,23 @@ const (
 	diskManifest     = "mpq-edb v1\n"
 	journalRecSize   = 8
 	diskMaxIndexCols = 8 // mirror of relation.maxIndexCols
-	// DefaultCacheTuples bounds the hot-tuple LRU when DiskOptions leaves
-	// CacheTuples zero: 64Ki tuples ≈ a few MB for typical arities.
-	DefaultCacheTuples = 64 * 1024
-	// scanChunkRows is the batch size of sequential segment scans: one
-	// read syscall and one decode buffer per chunk.
-	scanChunkRows = 256
+	// extentRows is how many rows one mapping of a segment covers: 2^18
+	// rows of arity × 4 bytes is arity MiB, a page multiple for every arity.
+	extentRows = 1 << 18
 )
-
-// DiskOptions tune OpenDisk. The zero value is ready to use.
-type DiskOptions struct {
-	// CacheTuples bounds the hot-tuple LRU cache (0 = DefaultCacheTuples,
-	// negative disables caching). Point reads — index probes and journal
-	// row fetches — populate it; sequential scans bypass it so a full
-	// table scan cannot evict the hot set.
-	CacheTuples int
-	// removeOnClose deletes the store directory on Close — the
-	// MPQ_STORE=disk temporary-store mode.
-	removeOnClose bool
-}
 
 // DiskStore is the disk-backed Storage. Safe for concurrent readers and
 // for a lone writer overlapping readers (the same contract as the
-// in-memory store): committed rows are immutable, so file reads need no
-// lock; the in-RAM metadata (dedup set, indexes, statistics) lives behind
+// in-memory store): committed rows are immutable and their mappings never
+// move, so a row view outlives the lock it was taken under; the in-RAM
+// metadata (dedup set, indexes, statistics, the extent list) lives behind
 // an RWMutex.
 type DiskStore struct {
 	dir  string
 	syms *symtab.Table
-	opts DiskOptions
+	// removeOnClose deletes the store directory on Close — the
+	// MPQ_STORE=disk temporary-store mode.
+	removeOnClose bool
 
 	mu            sync.RWMutex
 	symsFile      *os.File
@@ -90,21 +85,24 @@ type DiskStore struct {
 
 	version atomic.Uint64 // == committed journal record count
 
-	cache *tupleCache
-
 	closed bool
 }
 
 // diskRel is the in-RAM metadata of one relation's segment file: the
-// committed row count, the open-addressed dedup set over row hashes
-// (≈12 bytes per row; the rows themselves stay on disk), the hash
-// indexes over row ordinals, and the statistics sketches.
+// committed row count, the segment's mappings, the open-addressed dedup set
+// over row hashes (≈12 bytes per row; the rows themselves stay on disk),
+// the hash indexes over row ordinals, and the statistics sketches.
 type diskRel struct {
 	key   ast.PredKey
 	id    uint32
 	f     *os.File
 	width int // bytes per row: arity × 4 (0 for propositional predicates)
 	n     int // committed rows
+	// extents[e] views rows [e×extentRows, (e+1)×extentRows) of the segment
+	// through a shared read-only mapping, made when the committed count
+	// first reaches the extent and unmapped only by Close. An extent may
+	// reach past the end of the file; only rows below n are ever addressed.
+	extents [][]symtab.Sym
 
 	hashes  []uint64
 	slots   []int32 // ordinal+1; 0 = empty
@@ -124,23 +122,17 @@ type diskIndex struct {
 // and version are rebuilt. The returned store's Version equals the count
 // of successful inserts ever committed, so statistics epochs and
 // result-cache keys derived from it survive the restart.
-func OpenDisk(dir string, opts ...DiskOptions) (*DiskStore, error) {
-	var o DiskOptions
-	if len(opts) > 0 {
-		o = opts[0]
+func OpenDisk(dir string) (*DiskStore, error) {
+	// Rows are viewed in place, so the segment's byte order must be the host's.
+	if binary.NativeEndian.Uint16([]byte{1, 0}) != 1 {
+		return nil, errors.New("edb: disk store: segments are little-endian and read in place; this host is big-endian")
 	}
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, fmt.Errorf("edb: disk store: %w", err)
 	}
-	ds := &DiskStore{dir: dir, syms: symtab.New(), opts: o,
-		byKey: make(map[ast.PredKey]*diskRel)}
-	if n := o.CacheTuples; n >= 0 {
-		if n == 0 {
-			n = DefaultCacheTuples
-		}
-		ds.cache = newTupleCache(n)
-	}
+	ds := &DiskStore{dir: dir, syms: symtab.New(), byKey: make(map[ast.PredKey]*diskRel)}
 	if err := ds.open(); err != nil {
+		ds.unmap() // its error would only shadow the one that failed the open
 		ds.closeFiles()
 		return nil, err
 	}
@@ -331,11 +323,14 @@ func (ds *DiskStore) replayJournal() error {
 	return nil
 }
 
-// rebuildRel truncates the segment to the journaled row count and rebuilds
-// the dedup set and statistics with one sequential scan.
+// rebuildRel truncates the segment to the journaled row count, maps it, and
+// rebuilds the dedup set and statistics with one pass over the rows.
 func (ds *DiskStore) rebuildRel(dr *diskRel, count int) error {
 	if err := dr.f.Truncate(int64(count * dr.width)); err != nil {
 		return fmt.Errorf("edb: disk store: %s segment: %w", dr.key.Name, err)
+	}
+	if err := dr.mapRows(count); err != nil {
+		return err
 	}
 	dr.n = count
 	if count == 0 {
@@ -347,83 +342,62 @@ func (ds *DiskStore) rebuildRel(dr *diskRel, count int) error {
 		size *= 2
 	}
 	dr.slots = make([]int32, size)
-	for t, err := range ds.segRows(dr, 0, count) {
-		if err != nil {
-			return err
-		}
+	for ord := 0; ord < count; ord++ {
+		t := dr.row(ord)
 		h := relation.HashTuple(t)
-		dr.place(h, int32(len(dr.hashes)+1))
+		dr.place(h, int32(ord+1))
 		dr.hashes = append(dr.hashes, h)
 		dr.stats.note(t)
 	}
 	return nil
 }
 
-// ---- row IO ---------------------------------------------------------------
+// ---- row access -----------------------------------------------------------
 
-// segRows streams rows [from, to) of the segment by chunked reads — the
-// sequential path that bypasses the tuple cache. Each chunk decodes into a
-// fresh symbol buffer, so yielded tuples remain valid after the scan.
-func (ds *DiskStore) segRows(dr *diskRel, from, to int) iter.Seq2[relation.Tuple, error] {
-	return func(yield func(relation.Tuple, error) bool) {
-		if dr.width == 0 {
-			for ord := from; ord < to; ord++ {
-				if !yield(relation.Tuple{}, nil) {
-					return
-				}
-			}
-			return
+// mapRows extends the mappings to cover the first n rows. An extent starts
+// at a multiple of arity MiB, which every page size divides. Caller holds
+// the write lock (or is opening the store).
+func (dr *diskRel) mapRows(n int) error {
+	for dr.width > 0 && len(dr.extents)*extentRows < n {
+		b, err := syscall.Mmap(int(dr.f.Fd()), int64(len(dr.extents))*extentRows*int64(dr.width),
+			extentRows*dr.width, syscall.PROT_READ, syscall.MAP_SHARED)
+		if err != nil {
+			return fmt.Errorf("edb: disk store: mapping %s segment: %w", dr.key.Name, err)
 		}
-		buf := make([]byte, scanChunkRows*dr.width)
-		for ord := from; ord < to; {
-			rows := to - ord
-			if rows > scanChunkRows {
-				rows = scanChunkRows
-			}
-			if _, err := dr.f.ReadAt(buf[:rows*dr.width], int64(ord)*int64(dr.width)); err != nil {
-				yield(nil, fmt.Errorf("edb: disk store: %s segment row %d: %w", dr.key.Name, ord, err))
-				return
-			}
-			syms := make([]symtab.Sym, rows*dr.key.Arity)
-			for i := range syms {
-				syms[i] = symtab.Sym(binary.LittleEndian.Uint32(buf[i*4:]))
-			}
-			for r := 0; r < rows; r++ {
-				t := relation.Tuple(syms[r*dr.key.Arity : (r+1)*dr.key.Arity])
-				if !yield(t, nil) {
-					return
-				}
-				ord++
-			}
-		}
+		dr.extents = append(dr.extents, unsafe.Slice((*symtab.Sym)(unsafe.Pointer(&b[0])), len(b)/4))
 	}
+	return nil
 }
 
-// readRow fetches one committed row by ordinal. Point reads go through
-// the hot-tuple cache when cached is true; dedup-verification reads pass
-// false so duplicate-insert probes cannot evict hot query tuples.
-func (ds *DiskStore) readRow(dr *diskRel, ord int32, cached bool) (relation.Tuple, error) {
-	if dr.width == 0 {
-		return relation.Tuple{}, nil
+// row views committed row ord in place. Caller holds the lock.
+func (dr *diskRel) row(ord int) relation.Tuple {
+	if ord < 0 || ord >= dr.n {
+		panic(fmt.Sprintf("edb: disk store: %s row %d of %d", dr.key.Name, ord, dr.n))
 	}
-	ck := uint64(dr.id)<<32 | uint64(uint32(ord))
-	if cached && ds.cache != nil {
-		if t, ok := ds.cache.get(ck); ok {
-			return t, nil
+	return extentRow(dr.extents, dr.key.Arity, ord)
+}
+
+// extentRow views row ord of a segment mapped as extents. The view's
+// capacity ends with the row, so an append to it copies rather than faults.
+func extentRow(extents [][]symtab.Sym, arity, ord int) relation.Tuple {
+	if arity == 0 {
+		return relation.Tuple{}
+	}
+	off := ord % extentRows * arity
+	return extents[ord/extentRows][off : off+arity : off+arity]
+}
+
+// matchInto appends the candidate rows that satisfy b (index keys are
+// hashes, and columns past the index cap are not in the key at all),
+// growing dst at most once. Caller holds the lock.
+func (dr *diskRel) matchInto(dst []relation.Tuple, ords []int32, b relation.Binding) []relation.Tuple {
+	dst = slices.Grow(dst, len(ords))
+	for _, ord := range ords {
+		if t := dr.row(int(ord)); b.Matches(t) {
+			dst = append(dst, t)
 		}
 	}
-	buf := make([]byte, dr.width)
-	if _, err := dr.f.ReadAt(buf, int64(ord)*int64(dr.width)); err != nil {
-		return nil, fmt.Errorf("edb: disk store: %s segment row %d: %w", dr.key.Name, ord, err)
-	}
-	t := make(relation.Tuple, dr.key.Arity)
-	for i := range t {
-		t[i] = symtab.Sym(binary.LittleEndian.Uint32(buf[i*4:]))
-	}
-	if cached && ds.cache != nil {
-		ds.cache.put(ck, t)
-	}
-	return t, nil
+	return dst
 }
 
 // ---- dedup ----------------------------------------------------------------
@@ -453,26 +427,19 @@ func (dr *diskRel) grow() {
 }
 
 // lookup returns the ordinal of the row equal to t (hash h), or -1.
-// Equality candidates are verified against the segment (uncached reads).
-func (ds *DiskStore) lookup(dr *diskRel, h uint64, t relation.Tuple) (int32, error) {
+// Equality candidates are verified against the segment.
+func (dr *diskRel) lookup(h uint64, t relation.Tuple) int {
 	if len(dr.slots) == 0 {
-		return -1, nil
+		return -1
 	}
 	mask := uint64(len(dr.slots) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
 		s := dr.slots[i]
 		if s == 0 {
-			return -1, nil
+			return -1
 		}
-		ord := s - 1
-		if dr.hashes[ord] == h {
-			row, err := ds.readRow(dr, ord, false)
-			if err != nil {
-				return -1, err
-			}
-			if row.Equal(t) {
-				return ord, nil
-			}
+		if ord := int(s - 1); dr.hashes[ord] == h && dr.row(ord).Equal(t) {
+			return ord
 		}
 	}
 }
@@ -501,9 +468,7 @@ func (ds *DiskStore) Insert(key ast.PredKey, t relation.Tuple) bool {
 		}
 	}
 	h := relation.HashTuple(t)
-	if ord, err := ds.lookup(dr, h, t); err != nil {
-		panic(err)
-	} else if ord >= 0 {
+	if dr.lookup(h, t) >= 0 {
 		return false
 	}
 	if err := ds.commitRow(dr, h, t); err != nil {
@@ -524,6 +489,11 @@ func (ds *DiskStore) commitRow(dr *diskRel, h uint64, t relation.Tuple) error {
 		}
 		if _, err := dr.f.WriteAt(buf, int64(ord)*int64(dr.width)); err != nil {
 			return fmt.Errorf("edb: disk store: %s segment: %w", dr.key.Name, err)
+		}
+		// Before the journal record: a row that cannot be mapped stays an
+		// orphan the next open truncates away.
+		if err := dr.mapRows(dr.n + 1); err != nil {
+			return err
 		}
 	}
 	var rec [journalRecSize]byte
@@ -568,94 +538,64 @@ func (ds *DiskStore) persistSyms() error {
 	return nil
 }
 
-func (ds *DiskStore) Scan(key ast.PredKey, b relation.Binding) iter.Seq[relation.Tuple] {
-	return func(yield func(relation.Tuple) bool) {
-		var cols [diskMaxIndexCols]int
-		var vals [diskMaxIndexCols]symtab.Sym
-		nb := 0
-		for i, v := range b {
-			if v != symtab.NoSym && nb < diskMaxIndexCols {
-				cols[nb], vals[nb] = i, v
-				nb++
-			}
+func (ds *DiskStore) ScanInto(dst []relation.Tuple, key ast.PredKey, b relation.Binding) []relation.Tuple {
+	var cols [diskMaxIndexCols]int
+	var vals [diskMaxIndexCols]symtab.Sym
+	nb := 0
+	for i, v := range b {
+		if v != symtab.NoSym && nb < diskMaxIndexCols {
+			cols[nb], vals[nb] = i, v
+			nb++
 		}
-		ds.mu.RLock()
-		dr, ok := ds.byKey[key]
-		if !ok {
-			ds.mu.RUnlock()
-			return
-		}
-		if nb == 0 {
-			// Sequential scan: snapshot the committed count, then stream
-			// the segment without locks (committed rows are immutable) and
-			// without touching the cache.
-			n := dr.n
-			ds.mu.RUnlock()
-			for t, err := range ds.segRows(dr, 0, n) {
-				if err != nil {
-					panic(err)
-				}
-				if !yield(t) {
-					return
-				}
-			}
-			return
-		}
-		// Point probe: find (building if needed) the composite index over
-		// the bound columns, snapshot the candidate list, then verify and
-		// yield through the hot-tuple cache.
-		ix, ok := dr.indexes[diskColsKey(cols[:nb])]
-		if ok {
-			ords := ix.probe(vals[:nb])
-			ds.mu.RUnlock()
-			ds.yieldOrds(dr, ords, b, yield)
-			return
+	}
+	ds.mu.RLock()
+	dr, ok := ds.byKey[key]
+	if !ok {
+		ds.mu.RUnlock()
+		return dst
+	}
+	if nb == 0 {
+		dst = slices.Grow(dst, dr.n)
+		for ord := 0; ord < dr.n; ord++ {
+			dst = append(dst, dr.row(ord))
 		}
 		ds.mu.RUnlock()
-		ds.mu.Lock()
-		ix, err := ds.buildIndex(dr, cols[:nb])
-		if err != nil {
-			ds.mu.Unlock()
-			panic(err)
-		}
-		ords := ix.probe(vals[:nb])
-		ds.mu.Unlock()
-		ds.yieldOrds(dr, ords, b, yield)
+		return dst
 	}
+	// Point probe: the composite index over the bound columns names the
+	// candidate ordinals; the rows are views into the mapping.
+	if ix, ok := dr.indexes[diskColsKey(cols[:nb])]; ok {
+		dst = dr.matchInto(dst, ix.probe(vals[:nb]), b)
+		ds.mu.RUnlock()
+		return dst
+	}
+	// The index is missing: take the write lock for the one-time build
+	// (WarmFor makes this path cold).
+	ds.mu.RUnlock()
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
+	return dr.matchInto(dst, ds.buildIndex(dr, cols[:nb]).probe(vals[:nb]), b)
 }
 
-// yieldOrds fetches candidate ordinals through the cache, verifies the
-// binding (index keys are hashes; columns past the index cap are not in
-// the key at all), and yields the matches.
-func (ds *DiskStore) yieldOrds(dr *diskRel, ords []int32, b relation.Binding, yield func(relation.Tuple) bool) {
-	for _, ord := range ords {
-		t, err := ds.readRow(dr, ord, true)
-		if err != nil {
-			panic(err)
-		}
-		if b.Matches(t) && !yield(t) {
-			return
-		}
-	}
+func (ds *DiskStore) Scan(key ast.PredKey, b relation.Binding) iter.Seq[relation.Tuple] {
+	return scanSeq(ds, key, b)
 }
 
 func (ds *DiskStore) ScanSince(key ast.PredKey, from int) iter.Seq[relation.Tuple] {
 	return func(yield func(relation.Tuple) bool) {
+		// Snapshot the committed count and the extent list, then stream
+		// without the lock: committed rows are immutable and mappings never
+		// move.
 		ds.mu.RLock()
 		dr, ok := ds.byKey[key]
 		var n int
+		var extents [][]symtab.Sym
 		if ok {
-			n = dr.n
+			n, extents = dr.n, dr.extents
 		}
 		ds.mu.RUnlock()
-		if !ok || from >= n {
-			return
-		}
-		for t, err := range ds.segRows(dr, from, n) {
-			if err != nil {
-				panic(err)
-			}
-			if !yield(t) {
+		for ord := max(from, 0); ord < n; ord++ {
+			if !yield(extentRow(extents, key.Arity, ord)) {
 				return
 			}
 		}
@@ -696,11 +636,8 @@ func (ds *DiskStore) Distinct(key ast.PredKey, col int) int {
 	if !ok || col < 0 || col >= dr.key.Arity || dr.n == 0 {
 		return 0
 	}
-	ix, err := ds.buildIndex(dr, []int{col})
-	if err != nil {
-		panic(err)
-	}
-	return len(ix.m) // single-column keys are the symbols themselves: exact
+	// Single-column keys are the symbols themselves: exact.
+	return len(ds.buildIndex(dr, []int{col}).m)
 }
 
 func (ds *DiskStore) Stats() Stats {
@@ -716,30 +653,26 @@ func (ds *DiskStore) Stats() Stats {
 func (ds *DiskStore) Version() uint64 { return ds.version.Load() }
 
 // ChangesSince reads the journal tail past v and resolves each record's
-// row — through the cache: a subscription's delta rows are hot by
-// definition.
+// row as a view into its segment.
 func (ds *DiskStore) ChangesSince(v uint64) []Change {
 	cur := ds.version.Load()
 	if v >= cur {
 		return nil
 	}
-	ds.mu.RLock()
-	preds := ds.preds // the slice header is stable; append replaces it
-	ds.mu.RUnlock()
+	// Records up to cur are committed and immutable: the file read needs no
+	// lock, only the row views do.
 	buf := make([]byte, (cur-v)*journalRecSize)
 	if _, err := ds.journalFile.ReadAt(buf, int64(v)*journalRecSize); err != nil {
 		panic(fmt.Errorf("edb: disk store: journal.log: %w", err))
 	}
 	out := make([]Change, 0, cur-v)
+	ds.mu.RLock()
+	defer ds.mu.RUnlock()
 	for i := uint64(0); i < cur-v; i++ {
 		predID := binary.LittleEndian.Uint32(buf[i*journalRecSize:])
 		ordinal := binary.LittleEndian.Uint32(buf[i*journalRecSize+4:])
-		dr := preds[predID]
-		row, err := ds.readRow(dr, int32(ordinal), true)
-		if err != nil {
-			panic(err)
-		}
-		out = append(out, Change{Seq: v + i + 1, Key: dr.key, Row: row})
+		dr := ds.preds[predID]
+		out = append(out, Change{Seq: v + i + 1, Key: dr.key, Row: dr.row(int(ordinal))})
 	}
 	return out
 }
@@ -749,18 +682,13 @@ func (ds *DiskStore) WarmFor(needs []IndexNeed) {
 	defer ds.mu.Unlock()
 	for _, dr := range ds.preds {
 		for c := 0; c < dr.key.Arity; c++ {
-			if _, err := ds.buildIndex(dr, []int{c}); err != nil {
-				panic(err)
-			}
+			ds.buildIndex(dr, []int{c})
 		}
 	}
 	for _, nd := range needs {
 		dr, ok := ds.byKey[nd.Key]
-		if !ok || len(nd.Cols) == 0 {
-			continue
-		}
-		if _, err := ds.buildIndex(dr, nd.Cols); err != nil {
-			panic(err)
+		if ok && len(nd.Cols) > 0 {
+			ds.buildIndex(dr, nd.Cols)
 		}
 	}
 }
@@ -773,24 +701,7 @@ func (ds *DiskStore) contains(key ast.PredKey, t relation.Tuple) bool {
 	ds.mu.RLock()
 	defer ds.mu.RUnlock()
 	dr, ok := ds.byKey[key]
-	if !ok {
-		return false
-	}
-	ord, err := ds.lookup(dr, relation.HashTuple(t), t)
-	if err != nil {
-		panic(err)
-	}
-	return ord >= 0
-}
-
-// CacheStats reports the hot-tuple cache's cumulative hits and misses
-// (both zero when the cache is disabled) — the cache-effectiveness signal
-// benchmarked by A11/BENCH_9.
-func (ds *DiskStore) CacheStats() (hits, misses uint64) {
-	if ds.cache == nil {
-		return 0, 0
-	}
-	return ds.cache.hits.Load(), ds.cache.misses.Load()
+	return ok && dr.lookup(relation.HashTuple(t), t) >= 0
 }
 
 // Sync flushes all store files to stable storage.
@@ -818,8 +729,9 @@ func (ds *DiskStore) syncLocked() error {
 	return first
 }
 
-// Close syncs and closes every file. Closing twice is harmless. Temporary
-// stores (MPQ_STORE=disk) also remove their directory.
+// Close syncs, unmaps every segment and closes every file; row views taken
+// from the store die with it. Closing twice is harmless. Temporary stores
+// (MPQ_STORE=disk) also remove their directory.
 func (ds *DiskStore) Close() error {
 	ds.mu.Lock()
 	if ds.closed {
@@ -828,13 +740,31 @@ func (ds *DiskStore) Close() error {
 	}
 	ds.closed = true
 	err := ds.syncLocked()
+	if uerr := ds.unmap(); err == nil {
+		err = uerr
+	}
 	ds.mu.Unlock()
 	runtime.SetFinalizer(ds, nil)
 	ds.closeFiles()
-	if ds.opts.removeOnClose {
+	if ds.removeOnClose {
 		os.RemoveAll(ds.dir)
 	}
 	return err
+}
+
+// unmap releases every segment mapping, returning the first failure.
+func (ds *DiskStore) unmap() error {
+	var first error
+	for _, dr := range ds.preds {
+		for _, ext := range dr.extents {
+			b := unsafe.Slice((*byte)(unsafe.Pointer(&ext[0])), len(ext)*4)
+			if err := syscall.Munmap(b); err != nil && first == nil {
+				first = fmt.Errorf("edb: disk store: unmapping %s segment: %w", dr.key.Name, err)
+			}
+		}
+		dr.extents = nil
+	}
+	return first
 }
 
 func (ds *DiskStore) closeFiles() {
@@ -881,122 +811,23 @@ func (ix *diskIndex) add(t relation.Tuple, ord int32) {
 	ix.m[k] = append(ix.m[k], ord)
 }
 
-// buildIndex returns (building by one sequential segment scan if needed)
-// the hash index over cols, capped at diskMaxIndexCols. Caller holds mu.
-func (ds *DiskStore) buildIndex(dr *diskRel, cols []int) (*diskIndex, error) {
+// buildIndex returns (building by one pass over the segment if needed) the
+// hash index over cols, capped at diskMaxIndexCols. Caller holds mu.
+func (ds *DiskStore) buildIndex(dr *diskRel, cols []int) *diskIndex {
 	if len(cols) > diskMaxIndexCols {
 		cols = cols[:diskMaxIndexCols]
 	}
 	k := diskColsKey(cols)
 	if ix, ok := dr.indexes[k]; ok {
-		return ix, nil
+		return ix
 	}
 	ix := &diskIndex{cols: append([]int(nil), cols...), m: make(map[uint64][]int32, dr.n)}
-	ord := int32(0)
-	for t, err := range ds.segRows(dr, 0, dr.n) {
-		if err != nil {
-			return nil, err
-		}
-		ix.add(t, ord)
-		ord++
+	for ord := 0; ord < dr.n; ord++ {
+		ix.add(dr.row(ord), int32(ord))
 	}
 	if dr.indexes == nil {
 		dr.indexes = make(map[uint64]*diskIndex)
 	}
 	dr.indexes[k] = ix
-	return ix, nil
-}
-
-// ---- hot-tuple cache ------------------------------------------------------
-
-// tupleCache is a bounded LRU over (predicate, ordinal) → tuple. Point
-// reads (index probes, journal fetches) populate it; sequential scans
-// bypass it entirely, so scanning a huge relation never evicts the hot
-// set a point-query workload depends on.
-type tupleCache struct {
-	capacity int
-	hits     atomic.Uint64
-	misses   atomic.Uint64
-
-	mu   sync.Mutex
-	m    map[uint64]*cacheEnt
-	head *cacheEnt // most recent
-	tail *cacheEnt // least recent
-}
-
-type cacheEnt struct {
-	key        uint64
-	t          relation.Tuple
-	prev, next *cacheEnt
-}
-
-func newTupleCache(capacity int) *tupleCache {
-	return &tupleCache{capacity: capacity, m: make(map[uint64]*cacheEnt, capacity)}
-}
-
-func (c *tupleCache) get(key uint64) (relation.Tuple, bool) {
-	c.mu.Lock()
-	e, ok := c.m[key]
-	if !ok {
-		c.mu.Unlock()
-		c.misses.Add(1)
-		return nil, false
-	}
-	c.moveFront(e)
-	t := e.t
-	c.mu.Unlock()
-	c.hits.Add(1)
-	return t, true
-}
-
-func (c *tupleCache) put(key uint64, t relation.Tuple) {
-	c.mu.Lock()
-	if e, ok := c.m[key]; ok {
-		e.t = t
-		c.moveFront(e)
-		c.mu.Unlock()
-		return
-	}
-	e := &cacheEnt{key: key, t: t}
-	c.m[key] = e
-	c.push(e)
-	if len(c.m) > c.capacity {
-		ev := c.tail
-		c.unlink(ev)
-		delete(c.m, ev.key)
-	}
-	c.mu.Unlock()
-}
-
-func (c *tupleCache) push(e *cacheEnt) {
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-func (c *tupleCache) unlink(e *cacheEnt) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (c *tupleCache) moveFront(e *cacheEnt) {
-	if c.head == e {
-		return
-	}
-	c.unlink(e)
-	c.push(e)
+	return ix
 }

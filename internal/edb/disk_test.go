@@ -1,9 +1,11 @@
 package edb
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/ast"
@@ -26,6 +28,9 @@ func TestDiskReopen(t *testing.T) {
 	before := collect(st, tern, nil)
 	wantVersion := st.Version()
 	wantChanges := st.ChangesSince(0)
+	for i := range wantChanges {
+		wantChanges[i].Row = wantChanges[i].Row.Clone() // views die with Close
+	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -237,68 +242,296 @@ func TestDiskManifestGuard(t *testing.T) {
 	}
 }
 
-// TestDiskHotTupleCache checks the point-read cache: repeated bound scans
-// hit it, sequential scans bypass it, and a tiny capacity evicts.
-func TestDiskHotTupleCache(t *testing.T) {
-	st, err := OpenDisk(t.TempDir(), DiskOptions{CacheTuples: 4})
+// wideKey names a relation of the given arity for the mapped-segment tests.
+func wideKey(arity int) ast.PredKey {
+	return ast.PredKey{Name: fmt.Sprintf("w%d", arity), Arity: arity}
+}
+
+// wideRow is row i of a wide relation: distinct in every arity (i is spread
+// over the columns base-1000, so symbols stay few and rows stay many), and
+// column 0 repeats every 1000 rows so bound probes have something to find.
+func wideRow(ids []symtab.Sym, arity, i int) relation.Tuple {
+	t := make(relation.Tuple, arity)
+	for c := range t {
+		t[c] = ids[i%1000]
+		i /= 1000
+	}
+	return t
+}
+
+// TestDiskViewsSurviveGrowth pins the "retained tuples stay valid" half of
+// the Storage contract on mapped segments: views handed out by Scan,
+// ScanInto and ChangesSince read the same after the relation grew by 300k
+// rows — past an extent boundary, so new mappings were made beside theirs.
+func TestDiskViewsSurviveGrowth(t *testing.T) {
+	if testing.Short() {
+		t.Skip("inserts 300k rows per arity")
+	}
+	for arity := 1; arity <= 3; arity++ {
+		t.Run(fmt.Sprint("arity", arity), func(t *testing.T) {
+			st, err := OpenDisk(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			// Arity 1 has only as many distinct rows as symbols.
+			ids := make([]symtab.Sym, 1000)
+			if arity == 1 {
+				ids = make([]symtab.Sym, extentRows+50_000)
+			}
+			for i := range ids {
+				ids[i] = st.Symbols().Intern(fmt.Sprint("s", i))
+			}
+			row := func(i int) relation.Tuple {
+				if arity == 1 {
+					return relation.Tuple{ids[i]}
+				}
+				return wideRow(ids, arity, i)
+			}
+			key := wideKey(arity)
+			const early = 5000
+			for i := 0; i < early; i++ {
+				st.Insert(key, row(i))
+			}
+			probe := make(relation.Binding, arity)
+			probe[0] = ids[7]
+			var views []relation.Tuple
+			for v := range st.Scan(key, nil) {
+				views = append(views, v)
+			}
+			views = st.ScanInto(views, key, probe)
+			for _, ch := range st.ChangesSince(uint64(early - 100)) {
+				views = append(views, ch.Row)
+			}
+			want := make([]relation.Tuple, len(views))
+			for i, v := range views {
+				want[i] = v.Clone()
+			}
+			grown := early + 300_000
+			if arity == 1 {
+				grown = len(ids)
+			}
+			for i := early; i < grown; i++ {
+				if !st.Insert(key, row(i)) {
+					t.Fatalf("row %d rejected as a duplicate", i)
+				}
+			}
+			if grown <= extentRows {
+				t.Fatalf("%d rows do not cross the %d-row extent boundary", grown, extentRows)
+			}
+			for i, v := range views {
+				if !v.Equal(want[i]) {
+					t.Fatalf("view %d changed: %v, was %v", i, v, want[i])
+				}
+			}
+			// The last rows live in the second extent: read them back.
+			got := st.ScanInto(nil, key, relation.Binding(row(grown-1)))
+			if len(got) != 1 || !got[0].Equal(row(grown-1)) {
+				t.Fatalf("row %d reads back as %v", grown-1, got)
+			}
+		})
+	}
+}
+
+// TestDiskWriterCrossesExtent overlaps a lone writer, appending across an
+// extent boundary, with four readers that keep probing and scanning the
+// tail: every row a reader sees is whole and is the row written at that
+// ordinal, in the old extent and in the one mapped under their feet. Run
+// under -race.
+func TestDiskWriterCrossesExtent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fills most of an extent first")
+	}
+	st, err := OpenDisk(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	syms := st.Symbols()
-	e := ast.PredKey{Name: "e", Arity: 2}
-	for i := 0; i < 16; i++ {
-		st.Insert(e, relation.Tuple{syms.Intern(string(rune('a' + i%4))), syms.Intern(string(rune('m' + i)))})
+	ids := make([]symtab.Sym, 1000)
+	for i := range ids {
+		ids[i] = st.Symbols().Intern(fmt.Sprint("s", i))
 	}
-	a, _ := syms.Lookup("a")
-	probe := relation.Binding{a, symtab.NoSym}
-	collect(st, e, probe) // cold: misses populate
-	h0, m0 := st.CacheStats()
-	if h0 != 0 || m0 == 0 {
-		t.Fatalf("cold probe: hits %d misses %d", h0, m0)
+	key := wideKey(2)
+	const start, end = extentRows - 2000, extentRows + 2000
+	for i := 0; i < start; i++ {
+		st.Insert(key, wideRow(ids, 2, i))
 	}
-	collect(st, e, probe) // warm: all hits
-	h1, m1 := st.CacheStats()
-	if h1 != m0 || m1 != m0 {
-		t.Errorf("warm probe: hits %d misses %d, want %d hits and no new misses", h1, m1, m0)
+	st.WarmFor(nil)
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			probe := relation.Binding{ids[r], symtab.NoSym}
+			var buf []relation.Tuple
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				ord := start - 100
+				for row := range st.ScanSince(key, ord) {
+					if !row.Equal(wideRow(ids, 2, ord)) {
+						t.Errorf("row %d reads %v", ord, row)
+						return
+					}
+					ord++
+				}
+				n := st.Cardinality(key)
+				buf = st.ScanInto(buf[:0], key, probe)
+				for _, row := range buf {
+					if row[0] != ids[r] {
+						t.Errorf("probe for %v yielded %v", ids[r], row)
+						return
+					}
+				}
+				if want := n/1000 - 1; len(buf) < want {
+					t.Errorf("probe found %d rows, want at least %d", len(buf), want)
+					return
+				}
+			}
+		}(r)
 	}
-	// Sequential scans must not touch the cache at all.
-	collect(st, e, nil)
-	h2, m2 := st.CacheStats()
-	if h2 != h1 || m2 != m1 {
-		t.Errorf("sequential scan touched the cache: %d/%d -> %d/%d", h1, m1, h2, m2)
+	for i := start; i < end; i++ {
+		st.Insert(key, wideRow(ids, 2, i))
 	}
-	// Probing all four key groups cycles 16 tuples through 4 slots:
-	// eviction must keep the cache bounded without breaking results.
-	for _, s := range []string{"a", "b", "c", "d"} {
-		v, _ := syms.Lookup(s)
-		if n := len(collect(st, e, relation.Binding{v, symtab.NoSym})); n != 4 {
-			t.Errorf("group %s: %d rows, want 4", s, n)
-		}
+	close(done)
+	wg.Wait()
+	if n := st.Cardinality(key); n != end {
+		t.Errorf("cardinality %d, want %d", n, end)
 	}
-	// Disabled cache: no counters move, results unchanged.
-	off, err := OpenDisk(t.TempDir(), DiskOptions{CacheTuples: -1})
+}
+
+// TestDiskCloseUnmapsAndReopens checks that Close leaves no mapping behind
+// and that a reopened store maps the same rows.
+func TestDiskCloseUnmapsAndReopens(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenDisk(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer off.Close()
-	off.Insert(e, relation.Tuple{off.Symbols().Intern("p"), off.Symbols().Intern("q")})
-	p, _ := off.Symbols().Lookup("p")
-	if n := len(collect(off, e, relation.Binding{p, symtab.NoSym})); n != 1 {
-		t.Errorf("uncached probe: %d rows, want 1", n)
+	seedStore(st)
+	tern, bin := ast.PredKey{Name: "t", Arity: 3}, ast.PredKey{Name: "e", Arity: 2}
+	a0, _ := st.Symbols().Lookup("a0")
+	scans := func(st Storage) [][]relation.Tuple {
+		return [][]relation.Tuple{collect(st, tern, nil), collect(st, bin, nil),
+			collect(st, tern, relation.Binding{a0, symtab.NoSym, symtab.NoSym})}
 	}
-	if h, m := off.CacheStats(); h != 0 || m != 0 {
-		t.Errorf("disabled cache counted %d/%d", h, m)
+	before := scans(st)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
 	}
+	for _, dr := range st.preds {
+		if dr.extents != nil {
+			t.Errorf("%s still mapped after Close", dr.key.Name)
+		}
+	}
+	re, err := OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	for i, after := range scans(re) {
+		if len(after) != len(before[i]) {
+			t.Fatalf("scan %d: %d rows after reopen, want %d", i, len(after), len(before[i]))
+		}
+		for j := range after {
+			if !after[j].Equal(before[i][j]) {
+				t.Fatalf("scan %d row %d = %v, want %v", i, j, after[j], before[i][j])
+			}
+		}
+	}
+}
+
+// TestDiskSegmentEdges covers the segment shapes with no or odd mappings: a
+// relation with no rows, a propositional one (width 0: nothing to map), and
+// one exactly an extent long, before and after a reopen.
+func TestDiskSegmentEdges(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fills a whole extent")
+	}
+	dir := t.TempDir()
+	st, err := OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	syms := st.Symbols()
+	flag, full, empty := ast.PredKey{Name: "flag", Arity: 0}, wideKey(2), ast.PredKey{Name: "none", Arity: 2}
+	ids := make([]symtab.Sym, 1000)
+	for i := range ids {
+		ids[i] = syms.Intern(fmt.Sprint("s", i))
+	}
+	if !st.Insert(flag, relation.Tuple{}) || st.Insert(flag, relation.Tuple{}) {
+		t.Fatal("propositional fact: want new once, then a duplicate")
+	}
+	for i := 0; i < extentRows; i++ {
+		st.Insert(full, wideRow(ids, 2, i))
+	}
+	check := func(st *DiskStore) {
+		t.Helper()
+		if rows := collect(st, flag, nil); len(rows) != 1 || len(rows[0]) != 0 {
+			t.Errorf("propositional scan = %v", rows)
+		}
+		if rows := st.ScanInto(nil, flag, relation.Binding{}); len(rows) != 1 {
+			t.Errorf("propositional ScanInto = %v", rows)
+		}
+		if dr := st.byKey[flag]; len(dr.extents) != 0 {
+			t.Errorf("propositional relation mapped %d extents", len(dr.extents))
+		}
+		if rows := collect(st, empty, nil); rows != nil {
+			t.Errorf("unknown relation yields %v", rows)
+		}
+		if rows := st.ScanInto(nil, empty, relation.Binding{ids[0], symtab.NoSym}); rows != nil {
+			t.Errorf("unknown relation probe yields %v", rows)
+		}
+		dr := st.byKey[full]
+		if dr.n != extentRows || len(dr.extents) != 1 {
+			t.Fatalf("full relation: %d rows in %d extents, want %d in 1", dr.n, len(dr.extents), extentRows)
+		}
+		last := wideRow(ids, 2, extentRows-1)
+		if got := st.ScanInto(nil, full, relation.Binding(last)); len(got) != 1 || !got[0].Equal(last) {
+			t.Errorf("last row of the extent reads back as %v", got)
+		}
+		n := 0
+		for range st.ScanSince(full, extentRows-10) {
+			n++
+		}
+		if n != 10 {
+			t.Errorf("tail window of the extent: %d rows, want 10", n)
+		}
+	}
+	check(st)
+	// One row more opens the second extent.
+	st.Insert(full, wideRow(ids, 2, extentRows))
+	if dr := st.byKey[full]; len(dr.extents) != 2 {
+		t.Errorf("row %d did not map a second extent (%d mapped)", extentRows, len(dr.extents))
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Cut the extra row off again, as a crash between the segment write and
+	// the journal write would: the reopened relation is exactly one extent.
+	if err := os.Truncate(filepath.Join(dir, "journal.log"), int64(st.Version()-1)*journalRecSize); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	check(re)
 }
 
 // TestDiskRemoveOnClose pins the MPQ_STORE=disk temp-store contract.
 func TestDiskRemoveOnClose(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "scratch")
-	st, err := OpenDisk(dir, DiskOptions{removeOnClose: true})
+	st, err := OpenDisk(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	st.removeOnClose = true
 	st.Insert(ast.PredKey{Name: "e", Arity: 1}, relation.Tuple{st.Symbols().Intern("x")})
 	if err := st.Close(); err != nil {
 		t.Fatal(err)

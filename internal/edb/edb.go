@@ -63,19 +63,25 @@ func New() *Database {
 
 // newTempDiskStore opens a disk store in a fresh temporary directory for
 // MPQ_STORE=disk runs. The store removes its directory on Close, and a
-// finalizer closes leaked stores so long test runs do not exhaust file
-// descriptors. Failure panics: a store-backend CI run must never silently
+// finalizer does the same for leaked stores so long test runs do not exhaust
+// file descriptors — but it leaves the segments mapped: a row view does not
+// keep its store reachable, so it may still be read after the store is
+// collected. Failure panics: a store-backend CI run must never silently
 // fall back to memory.
 func newTempDiskStore() Storage {
 	dir, err := os.MkdirTemp("", "mpq-edb-")
 	if err != nil {
 		panic(fmt.Sprintf("edb: MPQ_STORE=disk: %v", err))
 	}
-	ds, err := OpenDisk(dir, DiskOptions{removeOnClose: true})
+	ds, err := OpenDisk(dir)
 	if err != nil {
 		panic(fmt.Sprintf("edb: MPQ_STORE=disk: %v", err))
 	}
-	runtime.SetFinalizer(ds, func(s *DiskStore) { s.Close() })
+	ds.removeOnClose = true
+	runtime.SetFinalizer(ds, func(s *DiskStore) {
+		s.closeFiles()
+		os.RemoveAll(s.dir)
+	})
 	return ds
 }
 
@@ -133,6 +139,12 @@ func (db *Database) Symbols() *symtab.Table { return db.Syms }
 // Insert adds one pre-interned row; see Storage.Insert.
 func (db *Database) Insert(key ast.PredKey, t relation.Tuple) bool {
 	return db.store.Insert(key, t)
+}
+
+// ScanInto appends key's rows matching the partial binding to dst; see
+// Storage.ScanInto.
+func (db *Database) ScanInto(dst []relation.Tuple, key ast.PredKey, b relation.Binding) []relation.Tuple {
+	return db.store.ScanInto(dst, key, b)
 }
 
 // Scan streams key's rows matching the partial binding; see Storage.Scan.

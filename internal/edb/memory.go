@@ -17,9 +17,9 @@ import (
 //
 // mu guards the relation map and the relation internals (index
 // construction mutates a relation), so a lone writer may overlap readers:
-// Scan computes its row set under RLock and yields outside it — row
-// storage is an append-only arena, so captured views stay valid while an
-// insert lands.
+// a scan collects its row views under RLock and hands them out outside it —
+// row storage is an append-only arena, so captured views stay valid while
+// an insert lands.
 type memStore struct {
 	syms *symtab.Table
 	mu   sync.RWMutex
@@ -94,36 +94,27 @@ func (ms *memStore) noteInsert(key ast.PredKey, t relation.Tuple) {
 	rs.note(t)
 }
 
-func (ms *memStore) Scan(key ast.PredKey, b relation.Binding) iter.Seq[relation.Tuple] {
-	return func(yield func(relation.Tuple) bool) {
-		ms.mu.RLock()
-		r, ok := ms.rels[key]
-		if !ok {
-			ms.mu.RUnlock()
-			return
-		}
-		var rows []relation.Tuple
-		switch {
-		case !b.Constrains():
-			rows = r.Rows()
-			ms.mu.RUnlock()
-		case r.HasSelectIndex(b):
-			rows = r.Select(b)
-			ms.mu.RUnlock()
-		default:
-			// The composite index Select probes is missing: take the write
-			// lock for the one-time build (WarmFor makes this path cold).
-			ms.mu.RUnlock()
-			ms.mu.Lock()
-			rows = r.Select(b)
-			ms.mu.Unlock()
-		}
-		for _, t := range rows {
-			if !yield(t) {
-				return
-			}
-		}
+func (ms *memStore) ScanInto(dst []relation.Tuple, key ast.PredKey, b relation.Binding) []relation.Tuple {
+	ms.mu.RLock()
+	r, ok := ms.rels[key]
+	if !ok {
+		ms.mu.RUnlock()
+		return dst
 	}
+	out, indexed := r.TrySelectInto(dst, b)
+	ms.mu.RUnlock()
+	if !indexed {
+		// The composite index the probe needs is missing: take the write
+		// lock for the one-time build (WarmFor makes this path cold).
+		ms.mu.Lock()
+		out = r.SelectInto(dst, b)
+		ms.mu.Unlock()
+	}
+	return out
+}
+
+func (ms *memStore) Scan(key ast.PredKey, b relation.Binding) iter.Seq[relation.Tuple] {
+	return scanSeq(ms, key, b)
 }
 
 func (ms *memStore) ScanSince(key ast.PredKey, from int) iter.Seq[relation.Tuple] {

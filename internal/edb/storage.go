@@ -25,10 +25,9 @@ import (
 //
 // Rows are tuples of symbols interned in Symbols(); Insert callers intern
 // first. Scans yield tuples in insertion order — the property the engine's
-// delta windows and shard slices rely on — and the yielded tuples are
-// read-only (they may alias store-internal or scratch memory; copy before
-// mutating or retaining across iterations is not required for retention,
-// only for mutation: retained tuples stay valid).
+// delta windows rely on — and the yielded tuples are read-only views of
+// store-owned memory (relation arenas, mapped segments): never mutate one,
+// but retaining one is fine — it stays valid until Close.
 type Storage interface {
 	// Symbols returns the store's symbol table. All rows are expressed in
 	// it; persistent stores restore it on reopen so symbol ids are stable.
@@ -41,9 +40,15 @@ type Storage interface {
 	// observable effect (no version bump).
 	Insert(key ast.PredKey, t relation.Tuple) bool
 
-	// Scan streams the rows of key matching the partial binding (NoSym
-	// entries are unconstrained; a nil binding scans everything), in
-	// insertion order. Scanning an unknown predicate yields nothing.
+	// ScanInto appends the rows of key matching the partial binding (NoSym
+	// entries are unconstrained; a nil binding matches everything) to dst,
+	// in insertion order, and returns the extended slice. It is the one
+	// probe path of a backend — an EDB leaf calls it once per tuple request
+	// with a reused buffer, so a bound probe over a warmed index allocates
+	// nothing and makes no system call. An unknown predicate appends nothing.
+	ScanInto(dst []relation.Tuple, key ast.PredKey, b relation.Binding) []relation.Tuple
+
+	// Scan streams what ScanInto would append.
 	Scan(key ast.PredKey, b relation.Binding) iter.Seq[relation.Tuple]
 
 	// ScanSince streams the rows of key with insertion ordinal >= from —
@@ -87,6 +92,22 @@ type Storage interface {
 	// Close releases the store's resources (files, caches). The in-memory
 	// store's Close is a no-op. Using a store after Close is undefined.
 	Close() error
+}
+
+// scanSeq is every backend's Scan: a bound scan is one ScanInto, and a scan
+// of everything is the delta window from ordinal 0, which streams without
+// collecting the relation first.
+func scanSeq(st Storage, key ast.PredKey, b relation.Binding) iter.Seq[relation.Tuple] {
+	if !b.Constrains() {
+		return st.ScanSince(key, 0)
+	}
+	return func(yield func(relation.Tuple) bool) {
+		for _, t := range st.ScanInto(nil, key, b) {
+			if !yield(t) {
+				return
+			}
+		}
+	}
 }
 
 // liveRelation is the internal fast path for Materialize: stores that hold

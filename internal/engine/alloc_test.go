@@ -12,23 +12,26 @@ import (
 	"repro/internal/symtab"
 )
 
-// reachCluster is the benchmark's dataset D cut down to one cluster: the
-// reach rules over a seeded random digraph of 1000 nodes and 4000 distinct
-// edges, compiled the way a prepared `?- path(K, Y).` is (the constant is a
-// "d" position of the root, supplied per run through Options.Bind).
-func reachCluster(tb testing.TB) (*Plan, []symtab.Sym) {
+// reachClusters loads db with the benchmark's dataset D cut down to the given
+// number of clusters — each a seeded random digraph of 1000 nodes and 4000
+// distinct edges, nodes named c<k>_n<i> — and compiles the reach rules over
+// it the way a prepared `?- path(K, Y).` is (the constant is a "d" position
+// of the root, supplied per run through Options.Bind). It returns the graph
+// and cluster 0's node symbols.
+func reachClusters(tb testing.TB, db *edb.Database, clusters int) (*rgg.Graph, []symtab.Sym) {
 	tb.Helper()
 	const nodes, edges = 1000, 4000
 	rng := rand.New(rand.NewSource(1))
-	db := edb.New()
-	seen := make(map[[2]int]bool, edges)
-	for len(seen) < edges {
-		e := [2]int{rng.Intn(nodes), rng.Intn(nodes)}
-		if e[0] == e[1] || seen[e] {
-			continue
+	for k := 0; k < clusters; k++ {
+		seen := make(map[[2]int]bool, edges)
+		for len(seen) < edges {
+			e := [2]int{rng.Intn(nodes), rng.Intn(nodes)}
+			if e[0] == e[1] || seen[e] {
+				continue
+			}
+			seen[e] = true
+			db.Add("edge", fmt.Sprintf("c%d_n%d", k, e[0]), fmt.Sprintf("c%d_n%d", k, e[1]))
 		}
-		seen[e] = true
-		db.Add("edge", fmt.Sprintf("n%d", e[0]), fmt.Sprintf("n%d", e[1]))
 	}
 	prog := parser.MustParse(`
 		path(X, Y) :- edge(X, Y).
@@ -41,43 +44,71 @@ func reachCluster(tb testing.TB) (*Plan, []symtab.Sym) {
 	}
 	ids := make([]symtab.Sym, nodes)
 	for i := range ids {
-		ids[i] = db.Symbols().Intern(fmt.Sprintf("n%d", i))
+		ids[i] = db.Symbols().Intern(fmt.Sprintf("c0_n%d", i))
 	}
+	return g, ids
+}
+
+// reachCluster is one cluster of D behind a plan.
+func reachCluster(tb testing.TB, db *edb.Database) (*Plan, []symtab.Sym) {
+	g, ids := reachClusters(tb, db, 1)
 	return NewPlan(g, db), ids
 }
 
+// diskDB is a database over a disk store in a test directory.
+func diskDB(tb testing.TB) *edb.Database {
+	tb.Helper()
+	st, err := edb.OpenDisk(tb.TempDir())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { st.Close() })
+	return edb.FromStorage(st)
+}
+
 // TestAllocBudget pins the allocation-free hot path: a pooled Plan.Run of
-// the reach rules may spend at most 1.5 heap objects per delivered row
-// (tuples plus tuple requests), at Partitions 1 and 2. Before the node
-// processes became batch-at-a-time it was about 9.
+// the reach rules may spend at most 0.1 heap objects per delivered row
+// (tuples plus tuple requests), at Partitions 1 and 2, on either backend —
+// an EDB leaf's bound scan appends row views into its own buffer, so what
+// is left is per-run wiring. Before the node processes became
+// batch-at-a-time it was about 9.
 func TestAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation budget is measured on the full cluster")
 	}
-	plan, ids := reachCluster(t)
-	for _, p := range []int{1, 2} {
-		opts := Options{Partitions: p, Bind: []symtab.Sym{ids[7]}}
-		var rows int64
-		run := func() {
-			res, err := plan.Run(opts)
-			if err != nil {
-				t.Fatal(err)
+	budget := 0.1
+	if raceEnabled {
+		budget = 0.25 // measured 0.05 and 0.11: mailbox and frame buffers the pools dropped
+	}
+	for _, backend := range []struct {
+		name string
+		db   *edb.Database
+	}{{"memory", edb.FromStorage(edb.NewMemory())}, {"disk", diskDB(t)}} {
+		plan, ids := reachCluster(t, backend.db)
+		for _, p := range []int{1, 2} {
+			opts := Options{Partitions: p, Bind: []symtab.Sym{ids[7]}}
+			var rows int64
+			run := func() {
+				res, err := plan.Run(opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows = res.Stats.TupleRows + res.Stats.TupReqRows
 			}
-			rows = res.Stats.TupleRows + res.Stats.TupReqRows
-		}
-		run() // two warm-up runs: the second draws the pooled scratch
-		run()
-		allocs := testing.AllocsPerRun(10, run)
-		if per := allocs / float64(rows); per > 1.5 {
-			t.Errorf("Partitions=%d: %.0f allocs for %d delivered rows = %.2f per row, budget 1.5", p, allocs, rows, per)
-		} else {
-			t.Logf("Partitions=%d: %.0f allocs for %d delivered rows = %.2f per row", p, allocs, rows, per)
+			run() // two warm-up runs: the second draws the pooled scratch
+			run()
+			allocs := testing.AllocsPerRun(10, run)
+			if per := allocs / float64(rows); per > budget {
+				t.Errorf("%s, Partitions=%d: %.0f allocs for %d delivered rows = %.2f per row, budget %.2f", backend.name, p, allocs, rows, per, budget)
+			} else {
+				t.Logf("%s, Partitions=%d: %.0f allocs for %d delivered rows = %.2f per row", backend.name, p, allocs, rows, per)
+			}
 		}
 	}
 }
 
 func BenchmarkReachCluster(b *testing.B) {
-	plan, ids := reachCluster(b)
+	plan, ids := reachCluster(b, edb.New())
 	for _, p := range []int{1, 2} {
 		b.Run(fmt.Sprintf("P%d", p), func(b *testing.B) {
 			b.ReportAllocs()

@@ -42,13 +42,10 @@ type goalState struct {
 	ansBind relation.Binding
 	rows    []relation.Tuple
 
-	// EDB leaves.
-	isEDB bool
-	// edbRel is non-nil only for SLICED leaves (EDB shards, worker shards):
-	// a private relation holding exactly this leaf's hash slice of the base
-	// relation. Plain leaves leave it nil and scan the store directly, so a
-	// predicate with no facts at plan time picks up rows as they arrive.
-	edbRel *relation.Relation
+	// EDB leaves: retrieval processes in front of the one shared store. A
+	// leaf holds no rows of its own, so a predicate with no facts at plan
+	// time picks up rows as they arrive.
+	isEDB  bool
 	consts relation.Binding // constant positions, pre-interned
 	eqPos  [][2]int         // argument positions repeating a variable: [later, first]
 	// seenBase is the base-relation cardinality this leaf has absorbed:
@@ -145,24 +142,7 @@ func newGoalState(p *proc) *goalState {
 		g.dIdx = append(g.dIdx, idx[pos])
 	}
 	if g.isEDB {
-		key := n.Atom.Key()
-		g.seenBase = p.rt.db.Cardinality(key)
-		if n.EDBShardOf > 1 || (p.wk != nil && len(g.dPos) > 0) {
-			// Sliced leaf — an EDB shard of a hash-partitioned base relation
-			// (requests are broadcast to all shards, so the union of the
-			// slices answers each request) and/or a worker shard keeping
-			// only the rows whose "d" projection hashes to this worker
-			// (tuple requests are routed by the same hash of the same
-			// projection in partState.onTupReq). Materialize the slice once
-			// by scanning the store; ownsRow applies both hash filters.
-			slice := relation.New(len(n.Atom.Args))
-			for row := range p.rt.db.Scan(key, nil) {
-				if g.ownsRow(row) {
-					slice.Insert(row)
-				}
-			}
-			g.edbRel = slice
-		}
+		g.seenBase = p.rt.db.Cardinality(n.Atom.Key())
 		g.consts = make(relation.Binding, len(n.Atom.Args))
 		g.binding = make(relation.Binding, len(n.Atom.Args))
 		g.buf = make(relation.Tuple, len(g.carried))
@@ -228,7 +208,7 @@ func (g *goalState) onRelReq(c int) {
 		case g.p.wk != nil:
 			// Worker shard of a partitioned goal: the control process
 			// already forwarded the relation request downstream, once on
-			// behalf of all shards. An EDB worker still seeds its slice of
+			// behalf of all shards. An EDB worker still seeds its share of
 			// the delta window on delta rounds.
 			if g.p.rt.delta && g.isEDB {
 				g.serviceEDBDelta()
@@ -332,15 +312,17 @@ func (g *goalState) serviceEDB(vals []symtab.Sym) {
 	if d := g.p.rt.edbDelay; d > 0 {
 		time.Sleep(d) // simulated retrieval latency (see Options.EDBDelay)
 	}
-	if g.edbRel != nil {
-		g.rows = g.edbRel.SelectInto(g.rows[:0], binding)
-		g.p.work.EDBTuples += int64(len(g.rows))
-		for _, row := range g.rows {
-			g.emitBase(row)
+	n := g.p.node
+	g.rows = g.p.rt.db.ScanInto(g.rows[:0], n.Atom.Key(), binding)
+	// A worker shard needs no filter here: every row matching the binding
+	// has the binding as its d-projection, and partState.onTupReq routed the
+	// binding to this worker by the hash of exactly that projection. An EDB
+	// shard leaf (requests are broadcast to all N) keeps its hash share.
+	sharded := n.EDBShardOf > 1
+	for _, row := range g.rows {
+		if sharded && !g.ownsRow(row) {
+			continue
 		}
-		return
-	}
-	for row := range g.p.rt.db.Scan(g.p.node.Atom.Key(), binding) {
 		g.p.work.EDBTuples++
 		g.emitBase(row)
 	}
@@ -362,23 +344,12 @@ func (g *goalState) emitBase(row relation.Tuple) {
 	g.onTuple(g.buf)
 }
 
-// serviceEDBDelta seeds one delta round at an EDB leaf: the base-relation
-// rows appended since the previous round (the Δ window) are filtered and
-// delivered exactly as serviceEDB would have, but without rescanning the
-// rows every earlier round already absorbed.
-//
-// Free-access leaves (no "d" positions) deliver every surviving window row.
-// Bound-access leaves deliver only rows whose d-projection was already
-// requested (g.reqs): a row under a never-requested binding is not part
-// of any answer yet — it waits in the relation and is found by the ordinary
-// Select when its binding first arrives. Leaves holding a private slice
-// (EDB shard leaves, worker shards, predicates with no facts at plan time)
-// fold their share of the window into the slice first, so those later
-// Selects observe it.
-// ownsRow applies the hash filters that carve this leaf's slice out of the
-// base relation: the EDB-shard filter (hash-partitioned base relations) and
-// the worker-shard filter (the d-projection routing of partState.onTupReq).
-// Plain leaves own every row.
+// ownsRow applies the hash filters that carve this leaf's share out of the
+// shared base relation: the EDB-shard filter (hash-partitioned base
+// relations) and the worker-shard filter (the d-projection routing of
+// partState.onTupReq). Plain leaves own every row. It filters every row of a
+// delta window and the scan results of EDB shard leaves; a worker's bound
+// scan is owned by construction (see serviceEDB).
 func (g *goalState) ownsRow(row relation.Tuple) bool {
 	n := g.p.node
 	if n.EDBShardOf > 1 && int(relation.HashTuple(row)%uint64(n.EDBShardOf)) != n.EDBShard {
@@ -391,27 +362,16 @@ func (g *goalState) ownsRow(row relation.Tuple) bool {
 	return true
 }
 
-// refreshEDBSlice folds base-relation rows appended since this leaf's
-// seenBase watermark into its private slice. Shard and worker leaves hold
-// a slice; plain leaves scan the store directly and only advance the
-// watermark. Called from reset() strictly between pooled evaluations, so
-// the inserts race no readers. Delta rounds do the same fold inline in
-// serviceEDBDelta (an Incremental's procs are never reset()).
-func (g *goalState) refreshEDBSlice() {
-	key := g.p.node.Atom.Key()
-	from := g.seenBase
-	total := g.p.rt.db.Cardinality(key)
-	g.seenBase = total
-	if g.edbRel == nil || from >= total {
-		return
-	}
-	for row := range g.p.rt.db.ScanSince(key, from) {
-		if g.ownsRow(row) {
-			g.edbRel.Insert(row)
-		}
-	}
-}
-
+// serviceEDBDelta seeds one delta round at an EDB leaf: the base-relation
+// rows appended since the previous round (the Δ window) are filtered and
+// delivered exactly as serviceEDB would have, but without rescanning the
+// rows every earlier round already absorbed.
+//
+// Free-access leaves (no "d" positions) deliver every surviving window row.
+// Bound-access leaves deliver only rows whose d-projection was already
+// requested (g.reqs): a row under a never-requested binding is not part
+// of any answer yet — it waits in the relation and is found by the ordinary
+// scan when its binding first arrives.
 func (g *goalState) serviceEDBDelta() {
 	n := g.p.node
 	from := g.seenBase
@@ -424,7 +384,6 @@ func (g *goalState) serviceEDBDelta() {
 	if d := g.p.rt.edbDelay; d > 0 {
 		time.Sleep(d) // one simulated retrieval for the whole window
 	}
-	sliced := g.edbRel != nil
 	owned, seeded := 0, 0
 window:
 	for row := range g.p.rt.db.ScanSince(n.Atom.Key(), from) {
@@ -432,9 +391,6 @@ window:
 			continue
 		}
 		owned++
-		if sliced {
-			g.edbRel.Insert(row)
-		}
 		for i, sym := range g.consts {
 			if sym != symtab.NoSym && row[i] != sym {
 				continue window

@@ -181,15 +181,11 @@ func (g *goalState) reset() {
 	g.relReqForwarded = false
 	g.reqs.Reset()
 	g.answers.Reset()
-	// isEDB wiring (edbRel, consts, eqPos) is graph+db-scoped, not
-	// run-scoped: a Plan binds exactly one database, so it stays — but a
-	// leaf holding a private slice of the base relation (shard and worker
-	// leaves, or a predicate that had no facts when the plan was built)
-	// must fold in any rows the relation gained since, or pooled re-runs
-	// would serve a snapshot frozen at construction time.
-	if g.isEDB {
-		g.refreshEDBSlice()
-	}
+	// isEDB wiring (consts, eqPos) is graph+db-scoped, not run-scoped: a Plan
+	// binds exactly one database, so it stays. A leaf holds no rows — it
+	// filters the one shared store — so rows the relation gained since the
+	// last run are simply there; seenBase matters only to delta rounds, and
+	// an Incremental's procs are never reset().
 }
 
 func (r *ruleState) reset() {

@@ -155,10 +155,11 @@ func rulePartSpec(n *rgg.Node, p int) *partSpec {
 // and every answer to it then land on the same shard) and by the whole
 // carried row otherwise. Variant relays stay single — they only forward.
 // EDB leaves partition exactly when access is bound (dPos non-empty): each
-// worker pre-slices the base relation to its hash slice of the "d"
-// projection (see newGoalState), so the P selections — and any simulated
-// retrieval latency (Options.EDBDelay) — proceed concurrently. A
-// free-access leaf has a single implicit request: nothing to split.
+// worker answers the bindings that hash to it by probing the one shared
+// store (see goalState.serviceEDB; ownsRow filters only delta windows and
+// EDB shard leaves), so the P selections — and any simulated retrieval
+// latency (Options.EDBDelay) — proceed concurrently. A free-access leaf
+// has a single implicit request: nothing to split.
 func goalPartSpec(n *rgg.Node, p int) *partSpec {
 	if n.CycleTo != rgg.NoNode {
 		return nil

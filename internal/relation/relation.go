@@ -16,6 +16,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -510,21 +511,29 @@ func boundCols(b Binding, cols *[maxIndexCols]int, vals *[maxIndexCols]symtab.Sy
 	return n, exact
 }
 
-// probe finds the chain of rows matching b's bound columns (n > 0 of them)
-// in the composite index over exactly that column set, building the index
-// on first use.
-func (r *Relation) probe(b Binding) (ix *index, bk *bucket, exact bool) {
+// probe finds the chain of rows matching b's bound columns in the composite
+// index over exactly that column set. all reports a binding with no bound
+// column: every row matches and no index is involved. Otherwise ix is the
+// index, built on first use when build is set; without build a missing index
+// leaves ix nil and the relation untouched (a pure read).
+func (r *Relation) probe(b Binding, build bool) (ix *index, bk *bucket, exact, all bool) {
 	if len(b) != r.arity {
 		panic(fmt.Sprintf("relation: select binding arity %d on arity-%d relation", len(b), r.arity))
 	}
 	var cols [maxIndexCols]int
 	var vals [maxIndexCols]symtab.Sym
 	n, exact := boundCols(b, &cols, &vals)
-	if n == 0 {
-		return nil, nil, exact
+	switch {
+	case n == 0:
+		return nil, nil, exact, true
+	case build:
+		ix = r.indexOn(cols[:n])
+	default:
+		if ix = r.index(colsKey(cols[:n])); ix == nil {
+			return nil, nil, exact, false
+		}
 	}
-	ix = r.indexOn(cols[:n])
-	return ix, ix.find(r.rows, vals[:n]), exact
+	return ix, ix.find(r.rows, vals[:n]), exact, false
 }
 
 // Select returns the tuples matching the binding, probing the composite
@@ -533,46 +542,49 @@ func (r *Relation) probe(b Binding) (ix *index, bk *bucket, exact bool) {
 // r. Note the index over the bound-column set is built on first use; see
 // the concurrency note on Relation.
 func (r *Relation) Select(b Binding) []Tuple {
-	ix, bk, exact := r.probe(b)
-	switch {
-	case ix == nil:
+	ix, bk, exact, all := r.probe(b, true)
+	if all {
 		return r.rows
-	case bk.head == 0:
-		return nil
 	}
-	return r.chain(make([]Tuple, 0, bk.n), ix, bk, b, exact)
+	return r.chain(nil, ix, bk, b, exact)
 }
 
 // SelectInto is Select appending to dst, for callers that probe per row and
 // keep a scratch buffer: it allocates only when dst must grow.
 func (r *Relation) SelectInto(dst []Tuple, b Binding) []Tuple {
-	ix, bk, exact := r.probe(b)
-	if ix == nil {
+	ix, bk, exact, all := r.probe(b, true)
+	if all {
 		return append(dst, r.rows...)
 	}
 	return r.chain(dst, ix, bk, b, exact)
 }
 
-// chain appends the bucket's rows, in insertion order. The index key covers
-// every bound column unless there are more than maxIndexCols (!exact).
+// TrySelectInto is SelectInto as a pure read: when the composite index over
+// b's bound columns is not built yet it reports false and leaves r alone.
+// Stores shared between goroutines probe with it under their read lock and
+// fall back to SelectInto under the write lock.
+func (r *Relation) TrySelectInto(dst []Tuple, b Binding) ([]Tuple, bool) {
+	ix, bk, exact, all := r.probe(b, false)
+	switch {
+	case all:
+		return append(dst, r.rows...), true
+	case ix == nil:
+		return dst, false
+	}
+	return r.chain(dst, ix, bk, b, exact), true
+}
+
+// chain appends the bucket's rows, in insertion order, growing dst at most
+// once. The index key covers every bound column unless there are more than
+// maxIndexCols (!exact).
 func (r *Relation) chain(dst []Tuple, ix *index, bk *bucket, b Binding, exact bool) []Tuple {
+	dst = slices.Grow(dst, int(bk.n))
 	for ref := bk.head; ref != 0; ref = ix.next[ref-1] {
 		if row := r.rows[ref-1]; exact || b.Matches(row) {
 			dst = append(dst, row)
 		}
 	}
 	return dst
-}
-
-// HasSelectIndex reports whether the composite index Select(b) would probe
-// is already built — i.e. whether Select(b) is a pure read. An all-free
-// binding scans without an index and always reports true. Storage
-// implementations use this to decide between their read and write locks.
-func (r *Relation) HasSelectIndex(b Binding) bool {
-	var cols [maxIndexCols]int
-	var vals [maxIndexCols]symtab.Sym
-	n, _ := boundCols(b, &cols, &vals)
-	return n == 0 || r.index(colsKey(cols[:n])) != nil
 }
 
 // Project returns a new relation containing each row restricted to cols, in

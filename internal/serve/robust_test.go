@@ -207,7 +207,7 @@ func TestResultCacheIdentity(t *testing.T) {
 	}
 
 	cold := raw("?- path(a, Y).") // populates the entry
-	hit := raw("?- path(a, Y).") // replays it
+	hit := raw("?- path(a, Y).")  // replays it
 	// The tuple block must match byte for byte; the terminator differs
 	// only in the plan word (miss vs hit), which is diagnostics.
 	if !reflect.DeepEqual(cold[:len(cold)-1], hit[:len(hit)-1]) {

@@ -35,9 +35,9 @@
 // of System.AddFact, and what makes subscriptions (below) drivable by
 // remote writers. The reply is one line:
 //
-//	+ <a> v=<version>    a=1: the fact was new (EDB now at <version>);
-//	                     a=0: duplicate, nothing changed
-//	E <message>          the atom was malformed or not ground
+//   - <a> v=<version>    a=1: the fact was new (EDB now at <version>);
+//     a=0: duplicate, nothing changed
+//     E <message>          the atom was malformed or not ground
 //
 // Mutations exclude evaluations: a fact waits for in-flight query
 // evaluations to finish and conversely, so no evaluation ever observes a
@@ -171,8 +171,8 @@ type Server struct {
 	cache *resultCache // nil when disabled
 	slo   *sloTracker  // nil when no objective configured
 
-	closed   chan struct{}      // closed when Shutdown/Close begins
-	stop     context.Context    // cancelled to abort in-flight evaluations
+	closed   chan struct{}   // closed when Shutdown/Close begins
+	stop     context.Context // cancelled to abort in-flight evaluations
 	stopEval context.CancelFunc
 	once     sync.Once
 	wg       sync.WaitGroup // live connections

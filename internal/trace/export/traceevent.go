@@ -25,8 +25,8 @@ type traceEvent struct {
 }
 
 type traceFile struct {
-	TraceEvents     []traceEvent `json:"traceEvents"`
-	DisplayTimeUnit string       `json:"displayTimeUnit"`
+	TraceEvents     []traceEvent   `json:"traceEvents"`
+	DisplayTimeUnit string         `json:"displayTimeUnit"`
 	OtherData       map[string]any `json:"otherData,omitempty"`
 }
 

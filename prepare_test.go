@@ -343,13 +343,13 @@ func TestAddFactDuringWarming(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPreparedSlicedLeafSeesNewFacts: shard and worker leaves hold private
-// slices of the base relations, carved out when the plan is built; facts
-// added afterwards must be folded in on the next evaluation (goalState
-// refreshEDBSlice), or a pooled partitioned plan silently serves a frozen
-// snapshot. The cyclic answers below need the two post-Prepare edges to
-// join with each other inside the recursion, which is exactly what a
-// stale slice loses first.
+// TestPreparedSlicedLeafSeesNewFacts: a pooled partitioned plan must see
+// facts added after it was built. Shard and worker leaves once held private
+// slices of the base relations, carved out at plan time, and served a frozen
+// snapshot unless the slices were refreshed; they now filter the one shared
+// store. The cyclic answers below need the two post-Prepare edges to join
+// with each other inside the recursion, which is exactly what a stale leaf
+// loses first.
 func TestPreparedSlicedLeafSeesNewFacts(t *testing.T) {
 	s := MustLoad(`
 		edge(n0, n1).

@@ -10,19 +10,32 @@
 # gate: intra-repo markdown links must resolve, and `go vet` must be clean.
 # `./scripts/check.sh gate` (or `make gate`) runs the perf-regression
 # release gate: cmd/bench re-measures the headline ratios of the committed
-# BENCH_4/5/6/8/9.json records on this tree — including the disk-store
-# cache-effectiveness headline — and exits nonzero if any falls past its
-# noise floor (thresholds: EXPERIMENTS.md). Self-test with
+# BENCH_4/5/6/8/9.json records on this tree — including the disk store's
+# point scans against the memory store's — and exits nonzero if any falls
+# past its noise floor (thresholds: EXPERIMENTS.md). Self-test with
 # MPQ_GATE_HANDICAP=2ms, which simulates a slowed build — the gate must
 # then fail.
 # `./scripts/check.sh bench` (or `make bench-smoke`) vets and tests the
 # benchmark module. It is a Go module of its own (benchmark/go.mod), outside
 # the root `go test ./...`, so nothing else notices when an internal API it
 # calls changes; its tests include a 300 ms smoke run of all five workloads.
+# The default path runs it too, after the race suite.
 set -eu
 cd "$(dirname "$0")/.."
+bench_smoke() {
+	go vet -C benchmark ./...
+	go test -C benchmark ./...
+}
 go build ./...
 go vet ./...
+# Format gate: gofmt must have nothing to say about any tracked source file
+# (.bench_build/ holds generated programs, not ours to format).
+unformatted=$(gofmt -l . | grep -v '^\.bench_build/' || true)
+if [ -n "$unformatted" ]; then
+	echo "gofmt -l reports unformatted files:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 # Docs gate: every relative markdown link in the repo's own documentation
 # must point at a real file. SNIPPETS/PAPERS/ISSUE quote external material
 # whose links are not ours to keep alive, so they are not listed.
@@ -38,8 +51,7 @@ if [ "${1:-}" = "gate" ]; then
 	exit 0
 fi
 if [ "${1:-}" = "bench" ]; then
-	go vet -C benchmark ./...
-	go test -C benchmark ./...
+	bench_smoke
 	exit 0
 fi
 if [ "${1:-}" = "chaos" ]; then
@@ -68,3 +80,6 @@ go test -race -count=2 -run 'TestServeSubscribe|TestServeFact|TestSubscription|T
 # snapshot taken under the System lock. The race needs several schedules to
 # show, hence the CPU sweep and the repeat count.
 go test -race -cpu 1,2,4 -count=5 -run TestAddFactDuringWarming .
+# The benchmark module compiles against internal signatures (edb.Storage,
+# engine.Plan, relation) that nothing above builds it against.
+bench_smoke
