@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check check-short chaos docs gate bench bench-smoke
+.PHONY: build test check check-short chaos docs gate bench bench-smoke pairs
 
 build:
 	$(GO) build ./...
@@ -40,3 +40,8 @@ bench:
 # The measured run is `bash benchmark/run.sh`.
 bench-smoke:
 	./scripts/check.sh bench
+
+# Paired runs of the benchmark, a base commit against this tree, alternating
+# which goes first: make pairs BASE=HEAD~1 WORKLOAD=point_mem [N=10].
+pairs:
+	./scripts/pairs.sh $(BASE) $(WORKLOAD) $(N)

@@ -53,7 +53,6 @@ import (
 	"math"
 	"net"
 	"os"
-	"runtime"
 	"strings"
 
 	"repro"
@@ -80,7 +79,7 @@ func main() {
 	traceOut := flag.String("trace-out", "", "write the evaluation's event log as Chrome trace_event JSON to this file")
 	traceCap := flag.Int("trace-events", 0, "event-log ring capacity for -trace-out (0 = default 65536; oldest events drop first)")
 	timeout := flag.Duration("timeout", 0, "abort the evaluation after this wall-clock time (message-passing engine; 0 = none)")
-	partitions := flag.Int("partitions", 0, "hash-partitioned worker shards per node process (message-passing engine; 0 = GOMAXPROCS, 1 = sequential)")
+	partitions := flag.Int("partitions", 0, "hash-partitioned worker shards per node process (message-passing engine; 0 or 1 = none: the evaluation runs on one goroutine)")
 	explain := flag.String("explain", "", "'plan' prints the compiled plan (chosen strategy, SIP orders, estimated vs. observed cost); a ground fact like 'path(a,d)' prints its proof tree instead of evaluating")
 	connect := flag.String("connect", "", "client mode: send queries to an `mpqd -serve` address instead of evaluating locally")
 	tenant := flag.String("tenant", "", "-connect: admission tenant name for fair queueing and quotas (default tenant when empty)")
@@ -119,8 +118,8 @@ func main() {
 	if *timeout > 0 {
 		opts = append(opts, mpq.WithDeadline(*timeout))
 	}
-	if p := resolvePartitions(*partitions); p >= 2 {
-		opts = append(opts, mpq.WithPartitions(p))
+	if *partitions >= 2 {
+		opts = append(opts, mpq.WithPartitions(*partitions))
 	}
 	obs := &observer{top: *profileTop, out: *traceOut}
 	if *profile {
@@ -531,16 +530,6 @@ func printProof(sys *mpq.System, factSrc string) error {
 	}
 	fmt.Print(proof)
 	return nil
-}
-
-// resolvePartitions maps the -partitions flag to a worker-shard count:
-// 0 is "auto" (one shard per available CPU), anything else passes through
-// (values below 2 mean sequential evaluation).
-func resolvePartitions(n int) int {
-	if n == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
 }
 
 func fatal(err error) {

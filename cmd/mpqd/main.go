@@ -53,7 +53,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -91,7 +90,7 @@ func main() {
 	sloTarget := flag.Float64("slo-target", 0.99, "-serve: fraction of requests that should meet -slo")
 	sloWindow := flag.Duration("slo-window", time.Minute, "-serve: sliding window for the burn-rate gauge")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "-serve: how long SIGINT/SIGTERM lets in-flight queries finish before aborting them")
-	partitions := flag.Int("partitions", 0, "hash-partitioned worker shards per node process (-serve: 0 = GOMAXPROCS; multi-site: must be set identically on every site, 0 = sequential)")
+	partitions := flag.Int("partitions", 0, "hash-partitioned worker shards per node process (0 or 1 = none: each evaluation runs on one goroutine; multi-site: must be set identically on every site)")
 	store := flag.String("store", "", "-serve: persistent EDB directory (created on first run; facts, statistics epoch, and result-cache version survive restarts)")
 	flag.Parse()
 
@@ -99,7 +98,7 @@ func main() {
 		runServe(*serveAddr, *programPath, *metricsAddr, *store, *drainTimeout, serve.Config{
 			Strategy:        *strategy,
 			ReoptThreshold:  *reoptThreshold,
-			Partitions:      resolvePartitions(*partitions),
+			Partitions:      *partitions,
 			MaxConcurrent:   *maxConcurrent,
 			Quota:           *tenantQuota,
 			QueueDepth:      *queueDepth,
@@ -163,7 +162,7 @@ func main() {
 		*site, tcp.Addr(), count(hosts[:len(g.Nodes)], *site), len(g.Nodes))
 
 	// Merge transport failure events (and, under -chaos, injected crashes)
-	// into one channel for the engine's watchdog.
+	// into one channel for the engine's run loop.
 	down := make(chan transport.PeerDown, len(addrs)+1)
 	forward := func(ch <-chan transport.PeerDown) {
 		go func() {
@@ -200,8 +199,7 @@ func main() {
 
 	// Multi-site: shard planning is a pure function of (graph, partition
 	// count), and senders stamp shard routes for remote nodes too, so every
-	// site must run the same count. GOMAXPROCS can differ across machines —
-	// no auto here; the flag must be set explicitly (and identically).
+	// site must run the same count: the flag must be set identically.
 	// SIGINT/SIGTERM cancel the evaluation (it aborts with ErrCancelled)
 	// instead of killing the process mid-protocol.
 	sig, stopSig := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -326,16 +324,6 @@ func runServe(addr, programPath, metricsAddr, storeDir string, drainTimeout time
 			scancel()
 		}
 	}
-}
-
-// resolvePartitions maps the -partitions flag to a worker-shard count:
-// 0 is "auto" (one shard per available CPU), anything else passes through
-// (values below 2 mean sequential evaluation).
-func resolvePartitions(n int) int {
-	if n == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
 }
 
 func count(hosts []int, site int) int {

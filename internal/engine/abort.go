@@ -3,15 +3,14 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/msg"
 )
 
 // Typed evaluation failures. Before these existed, a dead site or a stuck
-// query left every process blocked in Mailbox.Get forever; now the engine
-// detects the condition, broadcasts msg.Abort so all sites drain and exit,
-// and Run/RunSites return one of these (test with errors.Is).
+// query left the evaluation waiting for mail forever; now the engine detects
+// the condition, sends msg.Abort so all sites stop, and Run/RunSites return
+// one of these (test with errors.Is).
 var (
 	// ErrSiteDown: a peer site was declared unreachable by the transport
 	// (heartbeat loss followed by a failed reconnect window, or an
@@ -50,52 +49,39 @@ func abortReasonError(reason uint8, note string) error {
 	return fmt.Errorf("%w: %s", base, note)
 }
 
-// abort aborts the evaluation exactly once per runner: it records the
-// typed error, counts the abort, and broadcasts msg.Abort to every node
-// process and the driver. Local deliveries happen synchronously (a mailbox
-// Put cannot block), remote ones in the background (a send to an already-
-// dead site may wait out a dial window; it must not delay local
-// shutdown). Every site that observes an Abort relays it once through this
-// same path, so a partially delivered broadcast still reaches every
-// process whose site is alive — and the per-site once-guard bounds the
-// echo at sites × nodes messages.
+// abort aborts the evaluation exactly once per runner: it records the typed
+// error, which the run loop finds before its next step (the hub is rung in
+// case the loop is parked and the abort comes from a worker shard), and tells
+// every node hosted elsewhere — in the background: a send to a dead site may
+// wait out a dial window. Every site that observes an Abort relays it once
+// through this same path, so a partially delivered broadcast still reaches
+// every live site, and the once-guard bounds the echo at sites × nodes.
 func (rt *runner) abort(reason uint8, note string) {
-	rt.abortMu.Lock()
-	if rt.abortErr != nil || rt.abortOff {
-		rt.abortMu.Unlock()
+	err := abortReasonError(reason, note)
+	if !rt.abortErr.CompareAndSwap(nil, &err) {
 		return
 	}
-	rt.abortErr = abortReasonError(reason, note)
-	rt.abortMu.Unlock()
 	rt.stats.Abort()
-
-	// The broadcast's From must be a node hosted on THIS site: fault
-	// injection (and tracing) attributes a message to its sender's site, and
-	// a site aborting itself must not have its own local Aborts classified
-	// as cross-site traffic (which a cut link would swallow, resurrecting
-	// the hang this mechanism exists to prevent).
-	origin := rt.driver
-	if rt.hosts != nil {
-		for id := 0; id <= rt.driver; id++ {
-			if rt.hosts[id] == rt.site {
-				origin = id
-				break
-			}
-		}
+	rt.hub.Ring()
+	if rt.hosts == nil {
+		return
 	}
+	// The broadcast's From must be a node hosted on THIS site: fault
+	// injection (and tracing) attributes a message to its sender's site.
+	origin := rt.driver
 	var remote []int
-	for id := 0; id <= rt.driver; id++ {
-		if rt.hosts == nil || rt.hosts[id] == rt.site {
-			rt.send(msg.Message{Kind: msg.Abort, From: origin, To: id, Reason: reason, Note: note})
+	for id := rt.driver; id >= 0; id-- {
+		if rt.hosts[id] == rt.site {
+			origin = id
 		} else {
 			remote = append(remote, id)
 		}
 	}
 	if len(remote) > 0 {
 		go func() {
-			// One Abort per remote *site* would suffice for detection, but
-			// per-node delivery lets every remote process exit without its
-			// site relaying; sends to dead sites drop fast after the first.
+			// One Abort per remote *site* would suffice, but per-node
+			// delivery survives a link that loses some; sends to dead sites
+			// drop fast after the first.
 			for _, id := range remote {
 				rt.send(msg.Message{Kind: msg.Abort, From: origin, To: id, Reason: reason, Note: note})
 			}
@@ -106,66 +92,54 @@ func (rt *runner) abort(reason uint8, note string) {
 // abortError returns the recorded abort error, nil if the evaluation was
 // not aborted.
 func (rt *runner) abortError() error {
-	rt.abortMu.Lock()
-	defer rt.abortMu.Unlock()
-	return rt.abortErr
+	if err := rt.abortErr.Load(); err != nil {
+		return *err
+	}
+	return nil
 }
 
-// startWatch launches the failure watchdog for this site: it aborts the
-// evaluation when the wall-clock deadline passes, the caller cancels, or
-// the transport reports a peer site down. The returned stop function ends
-// the watchdog on normal completion. Two costs are deliberately kept off
-// the per-query path (experiment A4): the deadline is a time.AfterFunc —
-// no goroutine parked on a timer channel — and stop does not wait for the
-// watcher goroutine to exit; it latches abortOff first, so a watchdog
-// firing after completion is a recorded no-op that unwinds in the
-// background.
-func (rt *runner) startWatch(opts Options) (stop func()) {
-	var tm *time.Timer
-	if opts.Deadline > 0 {
-		d := opts.Deadline
-		tm = time.AfterFunc(d, func() {
-			rt.abort(msg.AbortDeadline, fmt.Sprintf("after %v", d))
-		})
+// poll turns Options.Cancel closing and the deadline passing into a recorded
+// abort. The loop polls between steps (a few nanoseconds on an unset or quiet
+// channel), so either takes effect no later than the end of the step in
+// progress, without a watchdog goroutine. A lost peer is park's business: a
+// site with mail keeps stepping; only one waiting for a dead site needs rescue.
+func (rt *runner) poll() {
+	select {
+	case <-rt.cancel:
+		rt.abort(msg.AbortCancelled, "cancelled by caller")
+	default:
 	}
-	var stopCh chan struct{}
-	if opts.Cancel != nil || opts.PeerDown != nil {
-		stopCh = make(chan struct{})
-		go func() {
-			peerDown := opts.PeerDown
-			for {
-				select {
-				case <-stopCh:
-					return
-				case <-opts.Cancel:
-					rt.abort(msg.AbortCancelled, "cancelled by caller")
-					return
-				case pd, ok := <-peerDown:
-					if !ok {
-						// Channel closed without an event: stop watching it
-						// (a nil channel blocks forever) but keep honoring
-						// Cancel and stop.
-						peerDown = nil
-						continue
-					}
-					rt.abort(msg.AbortSiteDown, fmt.Sprintf("site %d: %v", pd.Site, pd.Err))
-					return
-				}
+	select {
+	case <-rt.expired:
+		rt.abort(msg.AbortDeadline, fmt.Sprintf("after %v", rt.deadline))
+	default:
+	}
+}
+
+// park blocks the loop, which found no mail, until the hub's bell rings, an
+// abort source fires or the transport reports a peer site down. Hub.Next has
+// raised the parked flag, so park first re-checks what a producer publishes
+// before reading that flag: no wake-up is lost, a stale token costs one look.
+func (rt *runner) park() {
+	switch {
+	case rt.abortError() != nil:
+	case rt.hub.Closed():
+		// The site is being torn down under the evaluation (an injected crash).
+		rt.abort(msg.AbortSiteDown, "mailbox closed mid-query")
+	case rt.hosts == nil && rt.parts == nil:
+		// Every producer is this loop: waiting would never end.
+		rt.abort(msg.AbortNone, "no process holds mail before the final end (lost termination)")
+	default:
+		select {
+		case <-rt.hub.Bell():
+		case <-rt.cancel: // closed for good, like expired: the next poll records it
+		case <-rt.expired:
+		case pd, ok := <-rt.peerDown:
+			if ok {
+				rt.abort(msg.AbortSiteDown, fmt.Sprintf("site %d: %v", pd.Site, pd.Err))
+			} else {
+				rt.peerDown = nil // closed without an event: stop watching it
 			}
-		}()
-	}
-	if tm == nil && stopCh == nil {
-		return func() {}
-	}
-	return func() {
-		rt.abortMu.Lock()
-		rt.abortOff = true
-		rt.abortMu.Unlock()
-		if tm != nil {
-			tm.Stop()
-		}
-		if stopCh != nil {
-			close(stopCh)
 		}
 	}
 }

@@ -131,3 +131,15 @@ func BenchmarkReachCluster(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPointLookup is the in-process twin of the point_mem workload: a
+// pooled `?- edge(K, Y).`, nearly all of it per-run fixed cost.
+func BenchmarkPointLookup(b *testing.B) {
+	plan, ids := pointCluster(b, edb.New())
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := plan.Run(Options{Partitions: 1, Bind: ids[i%len(ids) : i%len(ids)+1]}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

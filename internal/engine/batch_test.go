@@ -13,6 +13,7 @@ import (
 	"repro/internal/parser"
 	"repro/internal/relation"
 	"repro/internal/rgg"
+	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/workload"
 )
@@ -110,8 +111,39 @@ func (n *recNet) Send(m msg.Message) {
 	n.inner.Send(m)
 }
 
+// newTestRunner builds what Plan.runOn builds for a fresh scratch — a runner
+// with every node process hosted — but sends through a recording network and
+// hands back the pieces, so a test can reach the processes while the
+// production loop (rt.run) steps them.
+func newTestRunner(t *testing.T, src string, opts Options) (*runner, *recNet) {
+	t.Helper()
+	prog := parser.MustParse(src)
+	g, err := rgg.Build(prog, rgg.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := transport.NewLocal(len(g.Nodes) + 1)
+	net := &recNet{inner: local}
+	rt, err := newRunner(g, edb.FromProgram(prog), net, opts, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.local, rt.hub, rt.procs = local, transport.NewHub(), make([]*proc, len(g.Nodes))
+	rt.hub.Attach(local.Boxes...)
+	for id := range g.Nodes {
+		rt.procs[id] = newProc(rt, id, local.Boxes[id])
+	}
+	return rt, net
+}
+
+// runOver evaluates g on one site whose messages travel over net, a wrapper
+// around local: RunSites with everything hosted here.
+func runOver(g *rgg.Graph, db edb.Storage, net transport.Network, local *transport.Local, opts Options) (*Result, error) {
+	return RunSites(g, db, net, local, make([]int, len(g.Nodes)+1), 0, opts)
+}
+
 // runRecorded evaluates prog over a recording network.
-func runRecorded(t *testing.T, prog string, opts Options) (*runner, *recNet, *relation.Relation) {
+func runRecorded(t *testing.T, prog string, opts Options) (*rgg.Graph, *recNet, *relation.Relation) {
 	t.Helper()
 	p := parser.MustParse(prog)
 	g, err := rgg.Build(p, rgg.Options{})
@@ -120,24 +152,14 @@ func runRecorded(t *testing.T, prog string, opts Options) (*runner, *recNet, *re
 	}
 	local := transport.NewLocal(len(g.Nodes) + 1)
 	net := &recNet{inner: local}
-	rt, err := newRunner(g, edb.FromProgram(p), net, opts, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.local = local
-	var answers *relation.Relation
+	var res *Result
 	guard(t, 30*time.Second, "recorded run", func() {
-		for id := range g.Nodes {
-			rt.startProc(id, local.Boxes[id])
-		}
-		answers, err = rt.drive(local.Boxes[len(g.Nodes)])
-		local.Close()
-		rt.wg.Wait()
+		res, err = runOver(g, edb.FromProgram(p), net, local, opts)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rt, net, answers
+	return g, net, res.Answers
 }
 
 // TestFramingInvariants checks every data frame of a wide, partitioned run:
@@ -149,23 +171,24 @@ func runRecorded(t *testing.T, prog string, opts Options) (*runner, *recNet, *re
 func TestFramingInvariants(t *testing.T) {
 	facts := workload.Random("edge", 48, 300, rand.New(rand.NewSource(5)))
 	src := workload.Program(workload.TCRules, facts).String()
-	rt, net, answers := runRecorded(t, src, Options{Partitions: 4})
+	g, net, answers := runRecorded(t, src, Options{Partitions: 4})
+	parts := planPartitions(g, 4)
 	truth := bottomup.SemiNaive(parser.MustParse(src), edb.FromProgram(parser.MustParse(src)))
 	if answers.Len() != truth.Goal.Len() {
 		t.Fatalf("%d answers, want %d", answers.Len(), truth.Goal.Len())
 	}
 	width := func(m msg.Message) int {
-		if m.To == rt.driver {
-			return len(rt.g.Nodes[rt.g.Root].Atom.Args)
+		if m.To == len(g.Nodes) {
+			return len(g.Nodes[g.Root].Atom.Args)
 		}
-		to := rt.g.Nodes[m.To]
+		to := g.Nodes[m.To]
 		if m.Kind == msg.TupReq {
 			return len(dynamicPositions(to.Ad))
 		}
 		if to.Kind == rgg.Goal {
 			return len(carriedPositions(to.Ad))
 		}
-		return len(carriedPositions(rt.g.Nodes[m.From].Ad))
+		return len(carriedPositions(g.Nodes[m.From].Ad))
 	}
 	lone, batches := 0, 0
 	shardsHit := map[int]map[int32]bool{}
@@ -189,7 +212,7 @@ func TestFramingInvariants(t *testing.T) {
 		default:
 			continue
 		}
-		sp := rt.partSpec(m.To)
+		sp := parts[m.To]
 		if sp == nil {
 			if m.Shard != 0 {
 				t.Fatalf("shard tag on a frame for unpartitioned node: %v", m)
@@ -249,8 +272,8 @@ func TestZeroWidthRows(t *testing.T) {
 	if res.Answers.Len() != 1 {
 		t.Fatalf("propositional goal has %d answers, want the empty tuple", res.Answers.Len())
 	}
-	s, _ := newSchedRunner(t, src, 1, Options{})
-	root := s.procs[s.rt.g.Root]
+	rt, _ := newTestRunner(t, src, Options{})
+	root := rt.procs[rt.g.Root]
 	root.goal.customers[0].registered = true
 	root.goal.handle(msg.Message{Kind: msg.TupleBatch, From: root.node.Children[0], To: root.id, Count: 3})
 	if root.work.Stored != 1 || root.work.Dups != 2 || root.buffered != 1 {
@@ -270,45 +293,47 @@ func TestProtocolMessageForcesFlush(t *testing.T) {
 		goal(Y) :- path(a, Y).`
 	forced := 0
 	for seed := int64(0); seed < 60; seed++ {
-		s, _ := newSchedRunner(t, src, seed, Options{})
-		net := &recNet{inner: s.local}
-		s.rt.net = net
-		s.rt.send(msg.Message{Kind: msg.RelReq, From: s.rt.driver, To: s.rt.g.Root})
-		s.rt.send(msg.Message{Kind: msg.ReqEnd, From: s.rt.driver, To: s.rt.g.Root})
-		for steps := 0; ; steps++ {
-			if steps > 1_000_000 {
-				t.Fatalf("seed %d: no quiescence", seed)
-			}
-			var runnable []*proc
-			for _, p := range s.procs {
-				if p.box.Len() > 0 {
-					runnable = append(runnable, p)
+		// The seeded pick runs before every step: it first judges the step
+		// that just finished — the event log (capacity one) names the node and
+		// the message it handled, the recording network what it sent — then
+		// notes what every node holds now.
+		var rt *runner
+		var net *recNet
+		rng := rand.New(rand.NewSource(seed))
+		events := trace.NewEventLog(1)
+		held, before, judged := []int(nil), 0, 0
+		pick := func(n int) int {
+			evs, dropped, _ := events.Events()
+			if total := dropped + len(evs); total > judged && evs[0].Op == trace.EvHandle {
+				judged = total
+				e := evs[0]
+				if h := held[e.Node]; h > 0 && !isWork(msg.Kind(e.Kind)) {
+					forced++
+					rows := 0
+					for _, out := range net.sent[before:] {
+						if rows == h {
+							break
+						}
+						if out.From != e.Node || (out.Kind != msg.TupReq && out.Kind != msg.Tuple && out.Kind != msg.TupleBatch) {
+							t.Fatalf("seed %d: node %d sent %v while still holding %d buffered rows", seed, e.Node, out, h-rows)
+						}
+						rows += rowsIn(out)
+					}
+					if rows != h {
+						t.Fatalf("seed %d: node %d flushed %d of %d buffered rows before handling %v", seed, e.Node, rows, h, msg.Kind(e.Kind))
+					}
 				}
 			}
-			if len(runnable) == 0 {
-				break
+			held = held[:0]
+			for _, p := range rt.procs {
+				held = append(held, p.buffered)
 			}
-			p := runnable[s.rng.Intn(len(runnable))]
-			m, _ := p.box.Get()
-			held, before := p.buffered, len(net.sent)
-			p.step(m)
-			if isWork(m.Kind) || held == 0 {
-				continue
-			}
-			forced++
-			rows := 0
-			for _, out := range net.sent[before:] {
-				if rows == held {
-					break
-				}
-				if out.From != p.id || (out.Kind != msg.TupReq && out.Kind != msg.Tuple && out.Kind != msg.TupleBatch) {
-					t.Fatalf("seed %d: node %d sent %v while still holding %d buffered rows", seed, p.id, out, held-rows)
-				}
-				rows += rowsIn(out)
-			}
-			if rows != held {
-				t.Fatalf("seed %d: node %d flushed %d of %d buffered rows before handling %v", seed, p.id, rows, held, m)
-			}
+			before = len(net.sent)
+			return rng.Intn(n)
+		}
+		rt, net = newTestRunner(t, src, Options{pick: pick, Events: events})
+		if _, err := rt.run(nil); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
 	if forced == 0 {

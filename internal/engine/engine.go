@@ -1,12 +1,15 @@
 // Package engine evaluates queries by message-controlled computation (§3):
-// every rule/goal graph node becomes a process (a goroutine) owning private
-// state and a FIFO mailbox; processes exchange relation requests, tuple
-// requests, tuples, and end messages; recursive components terminate via
-// the Fig 2 protocol run over each component's breadth-first spanning tree.
+// every rule/goal graph node becomes a process owning private state and a
+// FIFO mailbox; processes exchange relation requests, tuple requests,
+// tuples, and end messages; recursive components terminate via the Fig 2
+// protocol run over each component's breadth-first spanning tree.
 //
 // No state is shared between node processes — all coordination is by
 // message, so the same engine runs over in-process mailboxes or the TCP
-// transport (see RunSites and transport.TCP).
+// transport (see RunSites and transport.TCP). Which process handles its next
+// message is ours to choose: one run loop per (evaluation, site), on the
+// goroutine that called Run (see runner.loop). Only the worker shards of
+// Options.Partitions >= 2 run on goroutines of their own.
 //
 // # Completion accounting
 //
@@ -26,7 +29,9 @@ import (
 	"fmt"
 	"io"
 	"runtime/debug"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/edb"
@@ -56,14 +61,14 @@ type Options struct {
 	// debugging and teaching; it serializes sends and is slow.
 	Trace io.Writer
 	// EDBDelay simulates per-retrieval latency at EDB leaves (disk or a
-	// remote store), for the parallelism experiments: independent node
-	// processes overlap these waits, sequential evaluation cannot. Zero
-	// (the default) disables the simulation.
+	// remote store), for the parallelism experiments: worker shards and
+	// sites overlap these waits, one run loop cannot. Zero (the default)
+	// disables the simulation.
 	EDBDelay time.Duration
 	// Deadline, when positive, bounds the evaluation in wall-clock time:
-	// when it expires the query is aborted everywhere (an Abort message is
-	// broadcast to every node process) and Run/RunSites return ErrDeadline
-	// instead of hanging.
+	// when it expires the query is aborted everywhere (an Abort message goes
+	// to every other site) and Run/RunSites return ErrDeadline instead of
+	// hanging. It takes effect when the step in progress ends.
 	Deadline time.Duration
 	// Cancel, when non-nil, aborts the evaluation when closed; Run returns
 	// ErrCancelled. (RunStream's yield-false is still the graceful early
@@ -100,14 +105,14 @@ type Options struct {
 	// node into that many hash-partitioned worker shards — goroutines with
 	// private mailboxes and join state, fed by sender-side hash routing on
 	// the node's partition key (see DESIGN.md, "Partitioned node
-	// processes"). 0 or 1 keeps the one-goroutine-per-node behavior. The
-	// answer set is identical at any setting; only the schedule (and hence
-	// wall-clock on multi-core hosts) changes. Multi-site runs must pass
-	// the same value at every site, since senders compute the shard of
-	// remote receivers. The mpq/mpqd CLIs default their -partitions flag to
-	// GOMAXPROCS; the engine zero value stays sequential so embedders opt
-	// in explicitly.
+	// processes"). 0 or 1 evaluates on the calling goroutine alone, here and
+	// in the mpq/mpqd CLIs. The answer set is identical at any setting;
+	// only the schedule (and hence wall-clock on multi-core hosts) changes.
+	// Multi-site runs must pass the same value at every site, since senders
+	// compute the shard of remote receivers.
 	Partitions int
+	// pick is the scheduling seam (see runner.pick); tests seed it.
+	pick func(n int) int
 }
 
 // Run evaluates the graph's query against the database with every node
@@ -119,30 +124,10 @@ func Run(g *rgg.Graph, db edb.Storage, opts Options) (*Result, error) {
 // RunStream is Run with answer streaming: yield is invoked for each goal
 // tuple as it arrives, in derivation order ("answer tuples come trickling
 // in throughout the computation", §3.1). Returning false cancels the
-// evaluation early — remaining node processes are shut down and the
-// partial Result returned. A nil yield collects answers silently.
+// evaluation early and the partial Result is returned. A nil yield collects
+// answers silently.
 func RunStream(g *rgg.Graph, db edb.Storage, opts Options, yield func(relation.Tuple) bool) (*Result, error) {
-	n := len(g.Nodes)
-	db.WarmFor(edbIndexNeeds(g))
-	local := transport.NewLocal(n + 1) // +1: the driver's mailbox
-	rt, err := newRunner(g, db, local, opts, nil, 0)
-	if err != nil {
-		return nil, err
-	}
-	rt.local = local
-	stop := rt.startWatch(opts)
-	for id := range g.Nodes {
-		rt.startProc(id, local.Boxes[id])
-	}
-	answers, runErr := rt.driveStream(local.Boxes[n], yield)
-	stop()
-	local.Close() // unblocks any process still waiting after Shutdown races
-	rt.wg.Wait()
-	rt.stats.DroppedPuts(local.Dropped())
-	if runErr != nil {
-		return nil, runErr
-	}
-	return &Result{Answers: answers, Stats: rt.stats.Snapshot()}, nil
+	return NewPlan(g, db).RunStream(opts, yield)
 }
 
 // RunSites evaluates the graph with node processes partitioned across
@@ -153,7 +138,7 @@ func RunStream(g *rgg.Graph, db edb.Storage, opts Options, yield func(relation.T
 //
 // Each participating site calls RunSites with its own site id and network;
 // the call on the driver's site returns the Result, all others return
-// (nil, nil) after their nodes shut down.
+// (nil, nil) once the driver's site released them.
 func RunSites(g *rgg.Graph, db edb.Storage, net transport.Network, local *transport.Local,
 	hosts []int, site int, opts Options) (*Result, error) {
 	if len(hosts) != len(g.Nodes)+1 {
@@ -169,36 +154,24 @@ func RunSites(g *rgg.Graph, db edb.Storage, net transport.Network, local *transp
 			}
 		}
 	}
+	if !slices.Contains(hosts, site) {
+		return nil, nil // nothing hosted here: no message would ever release this site
+	}
 	db.WarmFor(edbIndexNeeds(g))
 	rt, err := newRunner(g, db, net, opts, hosts, site)
 	if err != nil {
 		return nil, err
 	}
-	rt.local = local
-	stop := rt.startWatch(opts)
-	for id := range g.Nodes {
-		if hosts[id] == site {
-			rt.startProc(id, local.Boxes[id])
+	rt.local, rt.hub, rt.procs = local, transport.NewHub(), make([]*proc, len(g.Nodes))
+	for id, h := range hosts {
+		if h == site {
+			rt.hub.Attach(local.Boxes[id])
+			if id != rt.driver {
+				rt.procs[id] = newProc(rt, id, local.Boxes[id])
+			}
 		}
 	}
-	if hosts[len(g.Nodes)] == site {
-		answers, runErr := rt.drive(local.Boxes[len(g.Nodes)])
-		stop()
-		rt.wg.Wait()
-		rt.stats.DroppedPuts(local.Dropped())
-		if runErr != nil {
-			return nil, runErr
-		}
-		return &Result{Answers: answers, Stats: rt.stats.Snapshot()}, nil
-	}
-	// Non-driver site: wait for this site's processes to exit (Shutdown
-	// from the driver, or an Abort). The watchdog covers this wait too, so
-	// a dead driver site cannot leave us blocked forever when a deadline or
-	// PeerDown channel is configured.
-	rt.wg.Wait()
-	stop()
-	rt.stats.DroppedPuts(local.Dropped())
-	return nil, rt.abortError()
+	return rt.run(nil)
 }
 
 // Partition assigns graph nodes to sites such that each nontrivial strong
@@ -224,9 +197,10 @@ func Partition(g *rgg.Graph, sites int) []int {
 	return hosts
 }
 
-// runtime holds the per-evaluation immutable context shared by node
-// processes: the graph, the database (read-only), the network, and the
-// stats sink. Mutable evaluation state lives inside each proc.
+// runner is one site's share of one evaluation: the immutable context its
+// node processes share (the graph, the read-only database, the network, the
+// stats sink) and the run loop that steps them. Mutable evaluation state
+// lives inside each proc.
 type runner struct {
 	g        *rgg.Graph
 	db       edb.Storage
@@ -237,7 +211,6 @@ type runner struct {
 	edbDelay time.Duration
 	traceW   io.Writer
 	traceMu  sync.Mutex
-	wg       sync.WaitGroup
 
 	// Observability (nil when disabled): prof shards the counters by node,
 	// events records the structured event log, begin anchors both clocks.
@@ -253,16 +226,27 @@ type runner struct {
 	parts []*partSpec
 	local *transport.Local
 
+	// The run loop's side: hub lists the hosted mailboxes (the driver's too,
+	// on its site) that hold mail; procs are the hosted processes by node id,
+	// nil for nodes hosted elsewhere. pick is the one scheduling decision —
+	// which of the n processes with mail steps next — nil meaning the one
+	// that has waited longest.
+	hub   *transport.Hub
+	procs []*proc
+	pick  func(n int) int
+
 	// hosts/site describe the node→site partition for multi-site runs (nil
-	// hosts means everything is local); abort uses them to deliver Abort
-	// messages to local mailboxes synchronously but remote sites in the
-	// background. abortErr records the first abort's typed error; abortOff
-	// marks the evaluation complete, turning any later abort into a no-op.
+	// hosts means everything is local). abortErr records the first abort's
+	// typed error; the loop looks at it between steps. cancel, peerDown and
+	// deadline are the caller's abort sources (Options), which the loop polls
+	// itself — no watchdog goroutine — and expired closes at the deadline.
 	hosts    []int
 	site     int
-	abortMu  sync.Mutex
-	abortErr error
-	abortOff bool
+	abortErr atomic.Pointer[error]
+	cancel   <-chan struct{}
+	peerDown <-chan transport.PeerDown
+	deadline time.Duration
+	expired  <-chan struct{}
 
 	// delta marks a delta round of an Incremental evaluation: node state is
 	// retained from the previous round, EDB leaves seed only their delta
@@ -282,8 +266,9 @@ func newRunner(g *rgg.Graph, db edb.Storage, net transport.Network, opts Options
 	}
 	rt := &runner{g: g, db: db, net: net, stats: stats, driver: len(g.Nodes),
 		bind: opts.Bind, edbDelay: opts.EDBDelay, traceW: opts.Trace,
-		prof: opts.Profile, events: opts.Events,
-		hosts: hosts, site: site}
+		prof: opts.Profile, events: opts.Events, pick: opts.pick,
+		hosts: hosts, site: site,
+		cancel: opts.Cancel, peerDown: opts.PeerDown, deadline: opts.Deadline}
 	if opts.Partitions >= 2 {
 		rt.parts = planPartitions(g, opts.Partitions)
 	}
@@ -390,90 +375,117 @@ func edbIndexNeeds(g *rgg.Graph) []edb.IndexNeed {
 	return needs
 }
 
-func (rt *runner) startProc(id int, box *transport.Mailbox) {
-	rt.spawn(newProc(rt, id, box))
-}
-
-// spawn runs an already-constructed (or pool-recycled, see Plan) node
-// process on its own goroutine, tracked by the runner's WaitGroup.
-func (rt *runner) spawn(p *proc) {
-	rt.wg.Add(1)
-	go func() {
-		defer rt.wg.Done()
-		// A panicking node process must not take down the whole site (in
-		// mpqd, other queries' sites) or leave its peers blocked forever:
-		// convert the panic into an abort so every process drains and the
-		// driver returns ErrNodePanic carrying the stack.
-		defer func() {
-			if r := recover(); r != nil {
-				rt.abort(msg.AbortPanic, fmt.Sprintf("node %d (%s): %v\n%s",
-					p.id, rt.g.Nodes[p.id].Adorned(), r, debug.Stack()))
+// run executes this site's share of the evaluation on the calling goroutine:
+// the Result on the driver's site, (nil, nil) elsewhere, the abort on either.
+func (rt *runner) run(yield func(relation.Tuple) bool) (*Result, error) {
+	answers := rt.loop(yield)
+	err := rt.abortError()
+	if err == nil {
+		for _, p := range rt.procs {
+			if p != nil {
+				p.flushWork() // an early cancel can stop a node mid-drain
 			}
-		}()
-		p.loop()
-	}()
-}
-
-// drive plays the user process: it issues the top-level relation request,
-// collects goal tuples until the root's final end message, then shuts the
-// network down.
-func (rt *runner) drive(box *transport.Mailbox) (*relation.Relation, error) {
-	return rt.driveStream(box, nil)
-}
-
-func (rt *runner) driveStream(box *transport.Mailbox, yield func(relation.Tuple) bool) (*relation.Relation, error) {
-	rt.send(msg.Message{Kind: msg.RelReq, From: rt.driver, To: rt.g.Root})
-	if len(rt.bind) > 0 {
-		// Seed the root's "d" positions with the caller's runtime constants
-		// (Options.Bind): one tuple request, exactly as any customer node
-		// would issue — so the graph below needs no special casing.
-		rt.send(msg.Message{Kind: msg.TupReq, From: rt.driver, To: rt.g.Root, Vals: rt.bind, Count: 1})
-	}
-	rt.send(msg.Message{Kind: msg.ReqEnd, From: rt.driver, To: rt.g.Root})
-
-	arity := len(rt.g.Nodes[rt.g.Root].Atom.Args)
-	answers := relation.New(arity)
-	for {
-		m, ok := box.Get()
-		if !ok {
-			// A closed driver mailbox is never normal completion (RunStream
-			// closes the Local only after this function returns): the site
-			// is being torn down under us — e.g. an injected crash of the
-			// driver's own site racing the watchdog's PeerDown event.
-			// Record a typed abort so the caller gets an error instead of
-			// the partial answer set as success; abort is a no-op if the
-			// watchdog already recorded the real reason.
-			rt.abort(msg.AbortSiteDown, "driver mailbox closed mid-query")
-			break
 		}
-		switch m.Kind {
-		case msg.Tuple, msg.TupleBatch:
+		if answers != nil && rt.hosts != nil {
+			// Release the other sites: each leaves its loop at its first Shutdown.
+			for id := range rt.g.Nodes {
+				if rt.hosts[id] != rt.site {
+					rt.send(msg.Message{Kind: msg.Shutdown, From: rt.driver, To: id})
+				}
+			}
+		}
+	}
+	rt.stats.DroppedPuts(rt.local.Dropped())
+	if err != nil || answers == nil {
+		return nil, err
+	}
+	return &Result{Answers: answers, Stats: rt.stats.Snapshot()}, nil
+}
+
+// loop is the control strategy: it plays the user process (the top-level
+// relation request, then goal tuples until the root's final end) and steps
+// the hosted node processes one message at a time, whichever rt.pick chooses
+// among those with mail — Query-Subquery Nets proves such a net sound and
+// complete under every control strategy, so the choice only moves
+// wall-clock. It ends at the final end, when yield declines, when the
+// driver's site releases this one, or at a recorded abort, and blocks only
+// when no hosted mailbox has mail. answers is nil off the driver's site.
+func (rt *runner) loop(yield func(relation.Tuple) bool) (answers *relation.Relation) {
+	if rt.deadline > 0 {
+		expired := make(chan struct{})
+		defer time.AfterFunc(rt.deadline, func() { close(expired) }).Stop()
+		rt.expired = expired
+	}
+	rt.eachPart((*partState).start) // worker shards live exactly as long as the loop
+	defer rt.eachPart((*partState).stop)
+	// A panicking node process must not take down the site (in mpqd, other
+	// queries) or leave other sites waiting: it becomes an abort, ErrNodePanic
+	// carrying the stack. stepping is the process inside step; any other
+	// panic (yield's) is the caller's.
+	var stepping *proc
+	defer func() {
+		if stepping == nil {
+			return
+		}
+		if r := recover(); r != nil {
+			rt.abort(msg.AbortPanic, fmt.Sprintf("node %d (%s): %v\n%s",
+				stepping.id, stepping.node.Adorned(), r, debug.Stack()))
+		}
+	}()
+
+	if rt.hosts == nil || rt.hosts[rt.driver] == rt.site {
+		answers = relation.New(len(rt.g.Nodes[rt.g.Root].Atom.Args))
+		rt.send(msg.Message{Kind: msg.RelReq, From: rt.driver, To: rt.g.Root})
+		if len(rt.bind) > 0 {
+			// Seed the root's "d" positions with the caller's runtime constants
+			// (Options.Bind): one tuple request, exactly as any customer node
+			// would issue — so the graph below needs no special casing.
+			rt.send(msg.Message{Kind: msg.TupReq, From: rt.driver, To: rt.g.Root, Vals: rt.bind, Count: 1})
+		}
+		rt.send(msg.Message{Kind: msg.ReqEnd, From: rt.driver, To: rt.g.Root})
+	}
+	observe := rt.prof != nil || rt.events != nil
+	for {
+		rt.poll()
+		if rt.abortError() != nil {
+			return answers
+		}
+		m, ok := rt.hub.Next(rt.pick)
+		switch {
+		case !ok:
+			rt.park()
+		case m.Kind == msg.Abort:
+			// Relayed from another site's failure; abort relays it onward
+			// once, so a partially delivered broadcast still reaches everyone.
+			rt.abort(m.Reason, m.Note)
+		case m.Kind == msg.Shutdown:
+			return answers
+		case m.To != rt.driver:
+			stepping = rt.procs[m.To]
+			var start time.Time
+			if observe {
+				start = time.Now()
+			}
+			stepping.step(m)
+			if observe {
+				stepping.observe(m, start)
+			}
+			stepping = nil
+		case m.Kind == msg.End:
+			if m.All {
+				return answers
+			}
+		default: // goal tuples for the user process: collected, yielded as they arrive
+			arity := answers.Arity()
 			for i, n := 0, rowsIn(m); i < n; i++ {
 				row := relation.Tuple(m.Vals[i*arity : (i+1)*arity])
 				answers.Insert(row)
 				if yield != nil && !yield(row) {
-					goto done // caller cancelled: stop early
+					return answers
 				}
 			}
-		case msg.End:
-			if m.All {
-				goto done
-			}
-		case msg.Abort:
-			// Either relayed from another site's failure or injected by our
-			// own watchdog; abort() is a no-op if already recorded.
-			rt.abort(m.Reason, m.Note)
-			goto done
 		}
 	}
-done:
-	for id := range rt.g.Nodes {
-		rt.send(msg.Message{Kind: msg.Shutdown, From: rt.driver, To: id})
-	}
-	if err := rt.abortError(); err != nil {
-		return nil, err
-	}
-	return answers, nil
 }
 
 // send dispatches a message and records it: once into the aggregate

@@ -110,17 +110,8 @@ func TestNodePanicAborts(t *testing.T) {
 	}
 	db := edb.FromProgram(prog)
 	local := transport.NewLocal(len(g.Nodes) + 1)
-	rt, err := newRunner(g, db, &panicNet{inner: local}, Options{}, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	guard(t, 30*time.Second, "panic abort", func() {
-		for id := range g.Nodes {
-			rt.startProc(id, local.Boxes[id])
-		}
-		_, runErr := rt.drive(local.Boxes[len(g.Nodes)])
-		local.Close()
-		rt.wg.Wait()
+		_, runErr := runOver(g, db, &panicNet{inner: local}, local, Options{})
 		if !errors.Is(runErr, ErrNodePanic) {
 			t.Errorf("err = %v, want ErrNodePanic", runErr)
 		}
@@ -298,60 +289,45 @@ func TestChaosSoak(t *testing.T) {
 	}
 }
 
-// TestDriverMailboxCloseAborts pins the driveStream fix: a driver mailbox
-// that closes mid-query (the site torn down under the driver, e.g. an
-// injected crash racing the watchdog) must surface as a typed error, never
-// as a silently partial answer set returned with a nil error.
+// TestDriverMailboxCloseAborts: mailboxes that close mid-query (the site
+// torn down under the driver, e.g. an injected crash racing the transport's
+// PeerDown event) must surface as a typed error, never as a silently partial
+// answer set returned with a nil error.
 func TestDriverMailboxCloseAborts(t *testing.T) {
 	g, db := slowWorkload(t)
 	guard(t, 30*time.Second, "driver mailbox close", func() {
-		n := len(g.Nodes)
-		local := transport.NewLocal(n + 1)
-		rt, err := newRunner(g, db, local, Options{EDBDelay: 2 * time.Millisecond}, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for id := range g.Nodes {
-			rt.startProc(id, local.Boxes[id])
-		}
+		local := transport.NewLocal(len(g.Nodes) + 1)
 		go func() {
 			time.Sleep(10 * time.Millisecond)
 			local.Close()
 		}()
-		res, err := rt.driveStream(local.Boxes[n], nil)
+		res, err := runOver(g, db, local, local, Options{EDBDelay: 2 * time.Millisecond})
 		if !errors.Is(err, ErrSiteDown) {
 			t.Errorf("err = %v, want ErrSiteDown", err)
 		}
 		if res != nil {
 			t.Error("partial answers returned as success after the mailbox closed")
 		}
-		rt.wg.Wait()
 	})
 }
 
-// TestWatchdogSurvivesClosedPeerDownChannel pins the startWatch fix: a
-// PeerDown channel that is closed without ever delivering an event must not
-// park the watchdog — a later Cancel still has to abort the evaluation.
-func TestWatchdogSurvivesClosedPeerDownChannel(t *testing.T) {
+// TestClosedPeerDownChannelIsNotAnEvent: a PeerDown channel that is closed
+// without ever delivering an event must neither abort the evaluation nor
+// stop the loop from watching its other sources — a later Cancel still has
+// to abort it.
+func TestClosedPeerDownChannelIsNotAnEvent(t *testing.T) {
 	g, db := slowWorkload(t)
-	local := transport.NewLocal(len(g.Nodes) + 1)
-	rt, err := newRunner(g, db, local, Options{}, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	pd := make(chan transport.PeerDown)
 	close(pd) // closed immediately, no event ever sent
 	cancel := make(chan struct{})
-	stop := rt.startWatch(Options{PeerDown: pd, Cancel: cancel})
-	defer stop()
-
-	time.Sleep(10 * time.Millisecond) // let the watchdog observe the close
-	close(cancel)
-	deadline := time.Now().Add(5 * time.Second)
-	for rt.abortError() == nil && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if err := rt.abortError(); !errors.Is(err, ErrCancelled) {
-		t.Errorf("abort error = %v, want ErrCancelled (watchdog parked by the closed PeerDown channel?)", err)
-	}
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		close(cancel)
+	}()
+	guard(t, 30*time.Second, "cancel after closed PeerDown", func() {
+		_, err := Run(g, db, Options{EDBDelay: 2 * time.Millisecond, PeerDown: pd, Cancel: cancel})
+		if !errors.Is(err, ErrCancelled) {
+			t.Errorf("err = %v, want ErrCancelled (the closed PeerDown channel taken for an event?)", err)
+		}
+	})
 }

@@ -95,15 +95,15 @@ func (cs *customerState) has(ord int) bool {
 }
 
 // reset returns the view to its just-constructed state, keeping the
-// bitset's capacity.
-func (cs *customerState) reset() {
+// bitset's capacity — or, for a delta round, only re-arms the per-round
+// liveness flags: registration, the request set and both sides of the
+// watermark are cumulative across rounds.
+func (cs *customerState) reset(delta bool) {
+	if delta {
+		cs.reqEnd, cs.allSent, cs.deltaEnded = false, false, false
+		return
+	}
 	*cs = customerState{asked: cs.asked[:0]}
-}
-
-// deltaReset re-arms the per-round liveness flags; registration, the
-// request set and both sides of the watermark are cumulative across rounds.
-func (cs *customerState) deltaReset() {
-	cs.reqEnd, cs.allSent, cs.deltaEnded = false, false, false
 }
 
 // emitEnd sends customer `to` an End when there is something to report:
@@ -195,7 +195,7 @@ func (g *goalState) onRelReq(c int) {
 		// not sent fresh answers twice (once here, once on arrival). On a
 		// delta round the customer re-registers but already received the
 		// store in earlier rounds, so the replay is skipped (fresh=false:
-		// registrations survive deltaReset).
+		// registrations survive a delta reset).
 		if fresh {
 			for _, t := range g.answers.Rows() {
 				g.p.queueTuple(c, t)

@@ -26,7 +26,6 @@ import (
 	"errors"
 
 	"repro/internal/relation"
-	"repro/internal/transport"
 )
 
 // ErrIncrementalBroken marks an Incremental whose previous round failed:
@@ -51,7 +50,6 @@ type Incremental struct {
 	pl     *Plan
 	opts   Options
 	s      *scratch
-	ran    bool
 	broken bool
 }
 
@@ -78,122 +76,11 @@ func (inc *Incremental) Round(cancel <-chan struct{}, yield func(relation.Tuple)
 		opts.Cancel = cancel
 	}
 	if inc.s == nil {
-		partitions := opts.Partitions
-		if partitions < 2 {
-			partitions = 0
-		}
-		n := len(inc.pl.g.Nodes)
-		inc.s = &scratch{local: transport.NewLocal(n + 1), procs: make([]*proc, n),
-			partitions: partitions}
+		inc.s = inc.pl.newScratch(opts.Partitions)
 	}
-	s := inc.s
-	rt, err := newRunner(inc.pl.g, inc.pl.db, s.local, opts, nil, 0)
-	if err != nil {
-		return nil, err
-	}
-	rt.local = s.local
-	if inc.ran {
-		rt.delta = true
-		rt.stats.DeltaRound()
-		s.local.Boxes[rt.driver].Reset()
-		for _, p := range s.procs {
-			p.deltaReset(rt)
-		}
-	} else {
-		for id := range inc.pl.g.Nodes {
-			s.procs[id] = newProc(rt, id, s.local.Boxes[id])
-		}
-	}
-	inc.ran = true
-	stop := rt.startWatch(opts)
-	for _, p := range s.procs {
-		rt.spawn(p)
-	}
-	answers, runErr := rt.driveStream(s.local.Boxes[rt.driver], yield)
-	stop()
-	s.local.Close() // Mailbox.Reset reopens the boxes next round
-	rt.wg.Wait()
-	rt.stats.DroppedPuts(s.local.Dropped())
-	if runErr != nil {
-		inc.broken = true
-		return nil, runErr
-	}
-	return &Result{Answers: answers, Stats: rt.stats.Snapshot()}, nil
-}
-
-// ---- delta reset ----------------------------------------------------------
-//
-// deltaReset prepares a node process for the NEXT round while keeping
-// everything the semi-naive re-evaluation relies on:
-//
-//   kept (cumulative / memo state)          reset (per-round liveness)
-//   ------------------------------          --------------------------
-//   feedState.sent / acked                  feedState.allEnd
-//   customer registered / asked / reqCount   customer reqEnd / allSent
-//     / lastWatermark                         / deltaEnded
-//   goal reqs / answers                     relReqForwarded
-//   rule hb / sentHeads / subs[i].rel       relReqReceived
-//     / sentReqs                            Fig 2 state, mailboxes,
-//                                             output buffers
-//   worker work counters / workAtProbe
-//
-// Keeping both sides of each watermark pair (sent/acked, reqCount/
-// lastWatermark) cumulative is what lets the unmodified End accounting
-// carry over: a delta round that sends k new requests down an edge raises
-// sent by k and the child's eventual End{N} by the same k. Resetting
-// allEnd/allSent/reqEnd re-arms the final End{All} chain, which the
-// re-swept relation request re-triggers once the round settles.
-
-func (p *proc) deltaReset(rt *runner) {
-	p.rt = rt
-	p.shard = nil
-	if rt.prof != nil {
-		if p.wk != nil {
-			p.shard = rt.prof.WorkerShard(p.id, p.wk.idx, p.wk.ps.spec.n)
-		} else {
-			p.shard = rt.prof.Shard(p.id)
-		}
-	}
-	for _, f := range p.feeds {
-		f.allEnd = false // sent/acked stay: cumulative across rounds
-		f.drained = false
-	}
-	p.idleness, p.round, p.waitingFor = 0, 0, 0
-	p.anyNeg, p.inRound, p.confirmed = false, false, false
-	p.clearOutput()
-	p.box.Reset()
-	switch {
-	case p.part != nil:
-		p.part.deltaReset(rt)
-	case p.goal != nil:
-		p.goal.deltaReset()
-	default:
-		p.rule.deltaReset()
-	}
-}
-
-func (ps *partState) deltaReset(rt *runner) {
-	for i := range ps.customers {
-		ps.customers[i].deltaReset()
-	}
-	ps.relReqReceived = false
-	// workAtProbe and the worker completion counters stay: each is compared
-	// only against its cumulative counterpart.
-	for _, w := range ps.workers {
-		w.deltaReset(rt)
-	}
-}
-
-func (g *goalState) deltaReset() {
-	for i := range g.customers {
-		g.customers[i].deltaReset()
-	}
-	g.relReqForwarded = false
-	// reqs and answers stay: the memo state.
-}
-
-func (r *ruleState) deltaReset() {
-	// hb, sentHeads and subs[i].{rel,sentReqs} stay: the memo state.
-	r.relReqReceived = false
-	r.parent.deltaReset()
+	// The scratch is built by the first round that runs; rounds after it are
+	// delta rounds, and only a round that ran can break the retained state.
+	res, err := inc.pl.runOn(inc.s, opts, inc.s.built, yield)
+	inc.broken = err != nil && inc.s.built
+	return res, err
 }

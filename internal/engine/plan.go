@@ -31,15 +31,17 @@ type Plan struct {
 }
 
 // scratch is one run's worth of reusable per-node state: the in-process
-// network and the node processes (whose goal/rule temporaries keep their
-// relation capacity across runs). partitions records the
-// Options.Partitions the procs were built for — worker shard wiring is
-// structural, so a scratch only serves runs with the same setting
-// (System's plan cache keys plans by partition count, so in practice a
-// Plan sees one value).
+// network, the hub listing its mailboxes for the run loop, and the node
+// processes (whose temporaries keep their relation capacity across runs),
+// built by the first run that gets as far as needing them. partitions is the
+// Options.Partitions they are built for — worker shard wiring is structural,
+// so a scratch only serves runs with the same setting (System's plan cache
+// keys plans by partition count, so in practice a Plan sees one value).
 type scratch struct {
 	local      *transport.Local
+	hub        *transport.Hub
 	procs      []*proc
+	built      bool
 	partitions int
 }
 
@@ -60,74 +62,96 @@ func (pl *Plan) Run(opts Options) (*Result, error) {
 	return pl.RunStream(opts, nil)
 }
 
-// RunStream is Run with answer streaming, mirroring the package-level
-// RunStream contract (nil yield collects silently; yield returning false
-// cancels early).
+// RunStream is Run with answer streaming, as the package-level RunStream
+// (nil yield collects silently; yield returning false cancels early). It runs
+// to completion on the calling goroutine; at Partitions <= 1 it starts none.
 func (pl *Plan) RunStream(opts Options, yield func(relation.Tuple) bool) (*Result, error) {
-	s, reused := pl.get(opts.Partitions)
+	s := pl.get(opts.Partitions)
+	res, err := pl.runOn(s, opts, false, yield)
+	if s.built {
+		// A shell whose run failed before building its procs has nothing
+		// worth keeping, and reset could not tell it from a recycled one.
+		pl.pool.Put(s)
+	}
+	return res, err
+}
+
+// runOn evaluates once over scratch s, whose procs are built on first use
+// and otherwise returned to their just-constructed state — or, for the
+// delta round of an Incremental, to the state its next round starts from.
+func (pl *Plan) runOn(s *scratch, opts Options, delta bool, yield func(relation.Tuple) bool) (*Result, error) {
 	rt, err := newRunner(pl.g, pl.db, s.local, opts, nil, 0)
 	if err != nil {
-		pl.pool.Put(s)
 		return nil, err
 	}
-	rt.local = s.local
-	if reused {
+	rt.local, rt.hub, rt.procs, rt.delta = s.local, s.hub, s.procs, delta
+	if !s.built {
+		for id := range pl.g.Nodes {
+			s.procs[id] = newProc(rt, id, s.local.Boxes[id])
+		}
+		s.built = true
+	} else {
+		s.hub.Reset()
 		s.local.Boxes[rt.driver].Reset()
 		for _, p := range s.procs {
 			p.reset(rt)
 		}
-	} else {
-		for id := range pl.g.Nodes {
-			s.procs[id] = newProc(rt, id, s.local.Boxes[id])
-		}
 	}
-	stop := rt.startWatch(opts)
-	for _, p := range s.procs {
-		rt.spawn(p)
+	if delta {
+		rt.stats.DeltaRound()
 	}
-	answers, runErr := rt.driveStream(s.local.Boxes[rt.driver], yield)
-	stop()
-	s.local.Close() // unblocks any process still waiting after Shutdown races
-	rt.wg.Wait()
-	// Harvest the dropped-Put count before the scratch can be recycled:
-	// Mailbox.Reset zeroes the counter, so each run observes only its own
-	// drops.
-	rt.stats.DroppedPuts(s.local.Dropped())
-	pl.pool.Put(s)
-	if runErr != nil {
-		return nil, runErr
-	}
-	return &Result{Answers: answers, Stats: rt.stats.Snapshot()}, nil
+	return rt.run(yield)
 }
 
-// get draws a scratch set from the pool, reporting whether it is a recycled
-// one (whose procs must be reset) or a fresh shell (whose procs the caller
-// constructs against its runner). A pooled scratch built for a different
-// partition count is discarded — its worker wiring would not match — and a
-// fresh shell returned instead.
-func (pl *Plan) get(partitions int) (s *scratch, reused bool) {
-	if partitions < 2 {
-		partitions = 0
-	}
+// get draws a scratch from the pool, or makes a fresh shell; one built for a
+// different partition count is discarded — its worker wiring would not match.
+func (pl *Plan) get(partitions int) *scratch {
 	if v := pl.pool.Get(); v != nil {
-		if sc := v.(*scratch); sc.partitions == partitions {
-			return sc, true
+		if s := v.(*scratch); s.partitions == max(partitions, 1) {
+			return s
 		}
 	}
-	n := len(pl.g.Nodes)
-	return &scratch{local: transport.NewLocal(n + 1), procs: make([]*proc, n),
-		partitions: partitions}, false
+	return pl.newScratch(partitions)
 }
 
-// ---- per-run reset --------------------------------------------------------
+func (pl *Plan) newScratch(partitions int) *scratch {
+	n := len(pl.g.Nodes)
+	s := &scratch{local: transport.NewLocal(n + 1), hub: transport.NewHub(),
+		procs: make([]*proc, n), partitions: max(partitions, 1)}
+	s.hub.Attach(s.local.Boxes...)
+	return s
+}
+
+// ---- reset between evaluations -------------------------------------------
 //
-// The reset methods below return a node process to its just-constructed
-// state while keeping every allocation whose size tracks the data, not the
-// run: temporary relations keep row/index capacity, request bitsets and
-// output-buffer size hints stay, and mailbox backing arrays survive. Only run-scoped wiring — the
-// runner pointer and its profile shard — is rebound. They may only be
-// called once the previous run's WaitGroup has drained (no goroutine still
-// owns the state).
+// reset prepares a node process for the next evaluation over its scratch:
+// back to its just-constructed state for a pooled run, or — rt.delta, the
+// next round of an Incremental — to the state that round starts from. Either
+// way every allocation whose size tracks the data survives (relation
+// row/index capacity, request bitsets, output-buffer size hints, mailbox
+// backing arrays) and the run-scoped wiring — the runner pointer and its
+// profile shard — is rebound. It runs strictly between evaluations: the
+// previous loop has returned and its worker shards have exited.
+//
+// A delta round keeps everything the semi-naive re-evaluation relies on:
+//
+//   kept (cumulative / memo state)          reset (per-round liveness)
+//   ------------------------------          --------------------------
+//   feedState.sent / acked                  feedState.allEnd / drained
+//   customer registered / asked / reqCount   customer reqEnd / allSent
+//     / lastWatermark                         / deltaEnded
+//   goal reqs / answers / seenBase          relReqForwarded
+//   rule hb / sentHeads / subs[i].rel       relReqReceived
+//     / sentReqs                            Fig 2 state, mailboxes,
+//   worker work counters / workAtProbe        output buffers
+//
+// Keeping both sides of each watermark pair (sent/acked, reqCount/
+// lastWatermark) cumulative is what lets the unmodified End accounting
+// carry over: a delta round that sends k new requests down an edge raises
+// sent by k and the child's eventual End{N} by the same k. Resetting
+// allEnd/allSent/reqEnd re-arms the final End{All} chain, which the
+// re-swept relation request re-triggers once the round settles. (A pooled
+// run leaves seenBase alone too: only delta rounds read that watermark.)
 
 func (p *proc) reset(rt *runner) {
 	p.rt = rt
@@ -140,11 +164,14 @@ func (p *proc) reset(rt *runner) {
 		}
 	}
 	for _, f := range p.feeds {
-		f.sent.Store(0)
-		f.acked, f.allEnd = 0, false
+		if !rt.delta {
+			f.sent.Store(0)
+			f.acked = 0
+		}
+		f.allEnd, f.drained = false, false
 	}
 	p.idleness, p.round, p.waitingFor = 0, 0, 0
-	p.anyNeg, p.inRound, p.confirmed = false, false, false
+	p.anyNeg, p.inRound, p.confirmed, p.probeWaits = false, false, false, false
 	p.clearOutput()
 	p.work = trace.Work{}
 	p.box.Reset()
@@ -152,49 +179,54 @@ func (p *proc) reset(rt *runner) {
 	case p.part != nil:
 		p.part.reset(rt)
 	case p.goal != nil:
-		p.goal.reset()
+		p.goal.reset(rt.delta)
 	default:
-		p.rule.reset()
+		p.rule.reset(rt.delta)
 	}
 }
 
-// reset returns a partitioned node's control state and worker procs to
-// their just-constructed state. The workers share p.feeds with the control
-// proc, so their reset re-clears those counters — harmless, since reset
-// runs strictly between evaluations.
+// reset does the same for a partitioned node's control state and worker
+// procs. The workers share p.feeds with the control proc, so their reset
+// re-clears those counters — harmless between evaluations. workAtProbe and
+// the completion counters are only ever compared with each other, so a delta
+// round keeps both.
 func (ps *partState) reset(rt *runner) {
 	for i := range ps.customers {
-		ps.customers[i].reset()
+		ps.customers[i].reset(rt.delta)
 	}
 	ps.relReqReceived = false
-	ps.workAtProbe = 0
+	if !rt.delta {
+		ps.workAtProbe = 0
+	}
 	for _, w := range ps.workers {
-		w.wk.work.Store(0)
+		if !rt.delta {
+			w.wk.work.Store(0)
+		}
 		w.reset(rt)
 	}
 }
 
-func (g *goalState) reset() {
+func (g *goalState) reset(delta bool) {
 	for i := range g.customers {
-		g.customers[i].reset()
+		g.customers[i].reset(delta)
 	}
 	g.relReqForwarded = false
-	g.reqs.Reset()
-	g.answers.Reset()
-	// isEDB wiring (consts, eqPos) is graph+db-scoped, not run-scoped: a Plan
-	// binds exactly one database, so it stays. A leaf holds no rows — it
-	// filters the one shared store — so rows the relation gained since the
-	// last run are simply there; seenBase matters only to delta rounds, and
-	// an Incremental's procs are never reset().
+	if !delta {
+		g.reqs.Reset()
+		g.answers.Reset()
+	}
 }
 
-func (r *ruleState) reset() {
+func (r *ruleState) reset(delta bool) {
+	r.relReqReceived = false
+	r.parent.reset(delta)
+	if delta {
+		return
+	}
 	r.hb.Reset()
 	r.sentHeads.Reset()
 	for _, s := range r.subs {
 		s.rel.Reset()
 		s.sentReqs.Reset()
 	}
-	r.relReqReceived = false
-	r.parent.reset()
 }

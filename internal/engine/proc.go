@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -16,7 +15,8 @@ import (
 )
 
 // proc is one node process. It owns its mailbox and all mutable state; the
-// only interaction with other processes is rt.send. The behavior dispatch
+// only interaction with other processes is rt.send, and it runs only when
+// the site's run loop hands it a message. The behavior dispatch
 // is by node kind: goal nodes (including EDB leaves and variant nodes with
 // cycle edges) live in goal.go, rule nodes in rule.go; the strong-component
 // termination protocol below is shared.
@@ -49,6 +49,7 @@ type proc struct {
 
 	// Protocol state (§3.2, Fig 2).
 	idleness   int
+	probeWaits bool // an end request is held here until the node is locally quiet
 	round      int  // current round number at this node
 	waitingFor int  // outstanding child answers in the current round
 	anyNeg     bool // some child answered negative this round
@@ -61,8 +62,8 @@ type proc struct {
 
 	// part is set on the control process of a hash-partitioned node (the
 	// goal/rule state then lives in the workers); wk is set on a worker
-	// shard proc (which runs workerLoop, not loop). Both nil on an ordinary
-	// node process. See shard.go.
+	// shard proc (which runs workerLoop on its own goroutine). Both nil on an
+	// ordinary node process. See shard.go.
 	part *partState
 	wk   *workerCtx
 
@@ -154,7 +155,7 @@ type feedState struct {
 	// one End per delta round once its own subtree has drained, and a
 	// customer treats a feeder as settled only after seeing it (FIFO
 	// delivery puts the End behind every delta tuple the child pushed).
-	// Ignored outside delta rounds; reset by deltaReset.
+	// Ignored outside delta rounds; cleared by reset.
 	drained bool
 }
 
@@ -306,7 +307,8 @@ func dynamicPositions(ad adorn.Adornment) []int {
 	return out
 }
 
-// loop is the process body: receive, handle, flush batched output at
+// step is the process body for one dequeued message, called by the run loop
+// for whichever process it picked: handle, flush batched output at
 // mailbox-drain boundaries, then re-evaluate completion.
 //
 // The flush discipline is what keeps packaging protocol-transparent: buffered
@@ -316,37 +318,6 @@ func dynamicPositions(ad adorn.Adornment) []int {
 // place End messages and protocol rounds originate. Hence every buffered
 // tuple reaches the channel before any End that covers it (per-sender FIFO
 // does the rest), and emptyQueues() is never evaluated with hidden output.
-func (p *proc) loop() {
-	if ps := p.part; ps != nil {
-		ps.start()
-		defer ps.stop()
-	}
-	observe := p.shard != nil || p.rt.events != nil
-	for {
-		m, ok := p.box.Get()
-		if !ok || m.Kind == msg.Shutdown {
-			p.flushWork() // an early cancel can stop the node mid-drain
-			return
-		}
-		if m.Kind == msg.Abort {
-			// Record + relay (once per site) so sibling processes exit even
-			// if the originator's broadcast only partially arrived, then die
-			// without flushing: the query's answers no longer matter.
-			p.rt.abort(m.Reason, m.Note)
-			return
-		}
-		var start time.Time
-		if observe {
-			start = time.Now()
-		}
-		p.step(m)
-		if observe {
-			p.observe(m, start)
-		}
-	}
-}
-
-// step handles one dequeued message under the flush discipline above.
 func (p *proc) step(m msg.Message) {
 	if !isWork(m.Kind) {
 		p.flushAll()
@@ -566,6 +537,14 @@ func (p *proc) after(m msg.Message) {
 				p.confirmed = false
 			}
 		}
+		if p.probeWaits {
+			// A round is in progress and waiting for this node: no cue needed,
+			// only the probe's turn once the node has gone quiet.
+			if p.emptyQueues() {
+				p.processEndReq()
+			}
+			return
+		}
 		if p.isLeader {
 			if !p.inRound && p.emptyQueues() && !p.confirmed {
 				p.startRound()
@@ -625,18 +604,23 @@ func (p *proc) onEndReq(m msg.Message) {
 // idleness through the counters (in-flight work is already caught by the
 // Quiet check inside emptyQueues). The counters are read after the Quiet
 // loads so a completion observed via Quiet is never missed.
+//
+// A probe waits at a node that is not locally quiet — mail queued behind it,
+// worker shards busy, feeders unsettled — until it is (see after). Delaying
+// a probe is a message delay, which the protocol tolerates anywhere, while a
+// negative answer given at once would only make the leader probe again, round
+// after round: harmless while the busy party shares the run loop (it steps
+// in between), a burnt core when it is a worker shard running beside it.
 func (p *proc) processEndReq() {
-	idle := p.emptyQueues()
+	if p.probeWaits = !p.emptyQueues(); p.probeWaits {
+		return
+	}
+	p.idleness++
 	if ps := p.part; ps != nil {
 		if w := ps.workNow(); w != ps.workAtProbe {
 			ps.workAtProbe = w
-			idle = false
+			p.idleness = 0
 		}
-	}
-	if idle {
-		p.idleness++
-	} else {
-		p.idleness = 0
 	}
 	p.waitingFor = len(p.bfstChildren)
 	p.anyNeg = false
@@ -697,14 +681,11 @@ func (p *proc) answerRound() {
 		}
 		return
 	}
-	// Fig 2's process_end_negative: retry immediately while locally quiet.
+	// Fig 2's process_end_negative: retry while locally quiet. The new probe
+	// queues behind whatever the members still hold, so in-flight work lands
+	// first; otherwise new work arrived and the normal after() path restarts.
 	if p.emptyQueues() {
-		runtime.Gosched() // let in-flight work land before probing again
-		if p.emptyQueues() {
-			p.startRound()
-		} else {
-			// New work just arrived; the normal after() path will restart.
-		}
+		p.startRound()
 	}
 }
 

@@ -9,106 +9,45 @@ import (
 	"repro/internal/adorn"
 	"repro/internal/bottomup"
 	"repro/internal/edb"
-	"repro/internal/msg"
 	"repro/internal/parser"
+	"repro/internal/relation"
 	"repro/internal/rgg"
-	"repro/internal/transport"
 )
 
-// schedRunner drives the whole node network single-threadedly under a
-// controlled delivery schedule: every send lands in the recipient's mailbox
-// immediately (preserving the FIFO-enqueue semantics the protocol needs),
-// but *which* node processes its next message is chosen by a seeded RNG.
-// This explores radically different interleavings deterministically —
-// a lightweight model check of the §3.2 termination protocol.
-type schedRunner struct {
-	rt    *runner
-	local *transport.Local
-	procs []*proc
-	rng   *rand.Rand
-
-	answers int
-	done    bool
+// seeded is a scheduling seam (Options.pick) that steps a random process
+// among those with mail. Every send still lands in the recipient's mailbox
+// immediately (the FIFO-enqueue semantics the protocol needs), but which
+// process handles its next message is the seed's choice, so the production
+// loop explores radically different interleavings deterministically — a
+// lightweight model check of the §3.2 termination protocol, and a failing
+// interleaving is one number.
+func seeded(seed int64) func(n int) int {
+	return rand.New(rand.NewSource(seed)).Intn
 }
 
-func newSchedRunner(t *testing.T, src string, seed int64, opts Options) (*schedRunner, *edb.Database) {
+// runSeeded evaluates src under the seed's schedule and returns how many
+// goal tuples the driver received. The loop itself reports a schedule that
+// goes quiet without the final end (lost termination) as an error.
+func runSeeded(t *testing.T, src string, seed int64) int {
 	t.Helper()
 	prog := parser.MustParse(src)
-	db := edb.FromProgram(prog)
 	g, err := rgg.Build(prog, rgg.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	local := transport.NewLocal(len(g.Nodes) + 1)
-	rt, err := newRunner(g, db, local, opts, nil, 0)
+	answers := 0
+	_, err = RunStream(g, edb.FromProgram(prog), Options{pick: seeded(seed)},
+		func(relation.Tuple) bool { answers++; return true })
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("seed %d: %v", seed, err)
 	}
-	s := &schedRunner{rt: rt, local: local, rng: rand.New(rand.NewSource(seed))}
-	for id := range g.Nodes {
-		s.procs = append(s.procs, newProc(rt, id, local.Boxes[id]))
-	}
-	return s, db
-}
-
-// step delivers one pending message at one runnable node, chosen at random.
-// It returns false when no node has pending work.
-func (s *schedRunner) step() bool {
-	var runnable []int
-	for id := range s.procs {
-		if s.local.Boxes[id].Len() > 0 {
-			runnable = append(runnable, id)
-		}
-	}
-	// Drain the driver's mailbox eagerly: answers and the final end.
-	driverBox := s.local.Boxes[len(s.procs)]
-	for driverBox.Len() > 0 {
-		m, _ := driverBox.Get()
-		switch m.Kind {
-		case msg.Tuple:
-			s.answers++
-		case msg.TupleBatch:
-			s.answers += m.Count
-		case msg.End:
-			if m.All {
-				s.done = true
-			}
-		}
-	}
-	if len(runnable) == 0 {
-		return false
-	}
-	id := runnable[s.rng.Intn(len(runnable))]
-	p := s.procs[id]
-	m, ok := p.box.Get()
-	if !ok || m.Kind == msg.Shutdown {
-		return true
-	}
-	p.step(m)
-	return true
-}
-
-// run drives the schedule to quiescence and returns the number of distinct
-// steps taken. maxSteps guards against livelock (a protocol bug).
-func (s *schedRunner) run(t *testing.T, maxSteps int) int {
-	t.Helper()
-	s.rt.send(msg.Message{Kind: msg.RelReq, From: s.rt.driver, To: s.rt.g.Root})
-	s.rt.send(msg.Message{Kind: msg.ReqEnd, From: s.rt.driver, To: s.rt.g.Root})
-	steps := 0
-	for s.step() {
-		steps++
-		if steps > maxSteps {
-			t.Fatalf("no quiescence after %d steps (livelock?)", maxSteps)
-		}
-	}
-	s.step() // final driver drain
-	return steps
+	return answers
 }
 
 // TestScheduledInterleavings model-checks the engine across hundreds of
 // delivery schedules per program: every schedule must reach the driver's
 // final end with the right number of distinct answers (the driver counts
-// tuple messages; per-customer streams never repeat a tuple, so the count
+// delivered rows; per-customer streams never repeat a tuple, so the count
 // must equal the answer-set size exactly).
 func TestScheduledInterleavings(t *testing.T) {
 	programs := []string{
@@ -135,14 +74,9 @@ func TestScheduledInterleavings(t *testing.T) {
 		truth := bottomup.SemiNaive(parser.MustParse(src), edb.FromProgram(parser.MustParse(src)))
 		want := truth.Goal.Len()
 		for seed := int64(0); seed < seeds; seed++ {
-			s, _ := newSchedRunner(t, src, seed, Options{})
-			s.run(t, 2_000_000)
-			if !s.done {
-				t.Fatalf("program %d seed %d: quiescent without final end (lost termination)", pi, seed)
-			}
-			if s.answers != want {
+			if got := runSeeded(t, src, seed); got != want {
 				t.Fatalf("program %d seed %d: %d answers, want %d (duplicate stream or premature end)",
-					pi, seed, s.answers, want)
+					pi, seed, got, want)
 			}
 		}
 	}
@@ -150,18 +84,14 @@ func TestScheduledInterleavings(t *testing.T) {
 
 // TestScheduledNoEndBeforeAnswers asserts a stream-order invariant under
 // arbitrary schedules: by the time the final end reaches the driver, all
-// answers have too (per-sender FIFO from the root).
+// answers have too (per-sender FIFO from the root) — the loop stops at the
+// final end, so an answer behind it would go uncounted.
 func TestScheduledNoEndBeforeAnswers(t *testing.T) {
 	src := p1data
 	truth := bottomup.SemiNaive(parser.MustParse(src), edb.FromProgram(parser.MustParse(src)))
 	for seed := int64(150); seed < 200; seed++ {
-		s, _ := newSchedRunner(t, src, seed, Options{})
-		s.run(t, 2_000_000)
-		// run's driver drain processes messages in arrival order, so if an
-		// answer followed the final end we would have counted it anyway —
-		// assert the count matches to pin the invariant.
-		if s.answers != truth.Goal.Len() {
-			t.Fatalf("seed %d: %d answers after final end, want %d", seed, s.answers, truth.Goal.Len())
+		if got := runSeeded(t, src, seed); got != truth.Goal.Len() {
+			t.Fatalf("seed %d: %d answers before the final end, want %d", seed, got, truth.Goal.Len())
 		}
 	}
 }

@@ -1,5 +1,6 @@
 // Hash-partitioned node processes: Options.Partitions > 1 splits every
-// partitionable rule/goal node into P worker shards, each a goroutine with
+// partitionable rule/goal node into P worker shards, each a goroutine (the
+// only ones an evaluation starts) with
 // a private mailbox, join state, and duplicate-elimination set for one hash
 // slice of the node's partition key. Senders route Tuple/TupleBatch
 // messages to the owning shard (msg.Message.Shard), so shards never share
@@ -252,12 +253,19 @@ func newPartState(p *proc, spec *partSpec) *partState {
 	return ps
 }
 
-// start spawns the worker goroutines; the control process calls it at loop
-// entry and stop at loop exit, so worker lifetime nests inside the node
-// process and the runner's WaitGroup covers both.
+// eachPart applies f to every partitioned node this site hosts.
+func (rt *runner) eachPart(f func(*partState)) {
+	for _, p := range rt.procs {
+		if p != nil && p.part != nil {
+			f(p.part)
+		}
+	}
+}
+
+// start spawns the worker goroutines; the run loop calls it on entry and
+// stop on exit, so worker lifetime nests inside the evaluation.
 func (ps *partState) start() {
 	for _, w := range ps.workers {
-		w := w
 		ps.wg.Add(1)
 		go func() {
 			defer ps.wg.Done()
@@ -432,7 +440,7 @@ func (ps *partState) confirmedEnd() {
 // newWorkerProc builds worker shard idx of a partitioned node: a proc that
 // shares the control process's identity (id, node, feeds — the request
 // counters are atomic) but owns a private mailbox, rule/goal state, and
-// profile shard. Worker procs run workerLoop, never loop: the protocol
+// profile shard. Worker procs run workerLoop, never step: the protocol
 // fields stay unused.
 func newWorkerProc(ctl *proc, box *transport.Mailbox, idx int, ps *partState) *proc {
 	rt := ctl.rt
@@ -451,23 +459,19 @@ func newWorkerProc(ctl *proc, box *transport.Mailbox, idx int, ps *partState) *p
 	return p
 }
 
-// workerLoop is the worker shard's process body. The discipline mirrors
-// proc.loop's flush rules with one addition: the busy flag spans dequeue →
-// flush, and the completion counter is bumped before ClearBusy, so the
-// control process's Quiet/workNow observations never miss output (see the
-// package comment at the top of this file).
+// workerLoop is the worker shard's process body, ended by stop closing its
+// mailbox. The discipline mirrors proc.step's flush rules with one addition:
+// the busy flag spans dequeue → flush, and the completion counter is bumped
+// before ClearBusy, so the control process's Quiet/workNow observations never
+// miss output (see the package comment at the top of this file).
 func (p *proc) workerLoop() {
 	wk := p.wk
 	ctl := wk.ps.p.box
 	observe := p.shard != nil || p.rt.events != nil
 	for {
 		m, ok := p.box.GetWork()
-		if !ok || m.Kind == msg.Shutdown {
+		if !ok {
 			p.flushWork()
-			return
-		}
-		if m.Kind == msg.Abort {
-			p.rt.abort(m.Reason, m.Note)
 			return
 		}
 		var start time.Time

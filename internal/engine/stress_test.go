@@ -48,26 +48,20 @@ func runJittered(t *testing.T, src string, seed int64, maxDelay time.Duration) *
 	}
 	local := transport.NewLocal(len(g.Nodes) + 1)
 	net := &jitterNet{local: local, rng: rand.New(rand.NewSource(seed)), maxNs: int64(maxDelay)}
-	rt, err := newRunner(g, db, net, Options{}, nil, 0)
-	if err != nil {
-		t.Fatal(err)
+	type out struct {
+		res *Result
+		err error
 	}
-	for id := range g.Nodes {
-		rt.startProc(id, local.Boxes[id])
-	}
-	type out struct{ res *Result }
 	ch := make(chan out, 1)
 	go func() {
-		answers, err := rt.drive(local.Boxes[len(g.Nodes)])
-		if err != nil {
-			t.Error(err)
-		}
-		rt.wg.Wait()
-		local.Close()
-		ch <- out{&Result{Answers: answers, Stats: rt.stats.Snapshot()}}
+		res, err := runOver(g, db, net, local, Options{})
+		ch <- out{res, err}
 	}()
 	select {
 	case o := <-ch:
+		if o.err != nil {
+			t.Fatal(o.err)
+		}
 		return o.res
 	case <-time.After(60 * time.Second):
 		t.Fatalf("jittered engine hung (seed %d) on:\n%s", seed, src)

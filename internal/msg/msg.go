@@ -52,8 +52,9 @@ const (
 	// Nudge tells a component's leader that a member just drained its
 	// queue, so a protocol round may now succeed.
 	Nudge
-	// Shutdown stops a node process; broadcast by the driver once the
-	// query answer is complete.
+	// Shutdown releases another site: the driver's site sends it to the
+	// nodes hosted elsewhere once the query answer is complete, and a site
+	// leaves its run loop at the first one it finds.
 	Shutdown
 	// TupleBatch carries Count derived tuples in one message: Vals is the
 	// concatenation of Count rows of equal width. It is the tuple-side
@@ -61,10 +62,9 @@ const (
 	// exactly Count consecutive Tuple messages from the same sender (see
 	// doc/PROTOCOL.md, "Vectorized tuple delivery").
 	TupleBatch
-	// Abort tells a node process to stop immediately: the query cannot
-	// complete (a site died, the deadline passed, or a node panicked) and
-	// every process should drain and exit instead of waiting for messages
-	// that will never arrive. Reason carries the cause; Note optional
+	// Abort tells a site to stop immediately: the query cannot complete (a
+	// site died, the deadline passed, or a node panicked) and its run loop
+	// should return instead of waiting for messages that will never arrive. Reason carries the cause; Note optional
 	// detail (e.g. a panic stack trace). Abort is outside the §3.2 message
 	// vocabulary and is never counted by End/ReqEnd watermark accounting —
 	// see doc/PROTOCOL.md, "Failure model".

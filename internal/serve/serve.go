@@ -147,8 +147,8 @@ type Config struct {
 }
 
 // DefaultMaxConcurrent is the admission limit when Config leaves
-// MaxConcurrent unset: one evaluation per available CPU, since a single
-// evaluation saturates one core (and more with Partitions).
+// MaxConcurrent unset: one evaluation per available CPU, since an evaluation
+// runs on the one goroutine that admitted it (more only with Partitions).
 func DefaultMaxConcurrent() int { return runtime.GOMAXPROCS(0) }
 
 // DefaultQueueDepth bounds each tenant's admission queue when Config
@@ -376,15 +376,25 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
+// writeTuple appends one answer line — "T", then the columns tab-separated —
+// to a reply: the connection's bufio.Writer or the HTTP handler's buffer.
+// Answers are most of a reply's bytes, so no formatting machinery.
+func writeTuple(w io.StringWriter, tuple []string) {
+	w.WriteString("T") // a write error sticks to the bufio.Writer and surfaces at its Flush
+	sep := " "
+	for _, col := range tuple {
+		w.WriteString(sep)
+		w.WriteString(col)
+		sep = "\t"
+	}
+	w.WriteString("\n")
+}
+
 // serveLine evaluates one protocol line and writes its full response.
-func (s *Server) serveLine(tenant, src string, w io.Writer) {
+func (s *Server) serveLine(tenant, src string, w *bufio.Writer) {
 	n := 0
 	reused, _, err := s.run(context.Background(), tenant, src, func(tuple []string) {
-		if len(tuple) == 0 {
-			fmt.Fprintf(w, "T\n")
-		} else {
-			fmt.Fprintf(w, "T %s\n", strings.Join(tuple, "\t"))
-		}
+		writeTuple(w, tuple)
 		n++
 	})
 	if err != nil {
@@ -521,11 +531,7 @@ func (s *Server) serveSubscribe(tenant, src string, sc *bufio.Scanner, w *bufio.
 			return
 		}
 		for _, tuple := range rows {
-			if len(tuple) == 0 {
-				fmt.Fprintf(w, "T\n")
-			} else {
-				fmt.Fprintf(w, "T %s\n", strings.Join(tuple, "\t"))
-			}
+			writeTuple(w, tuple)
 		}
 		fmt.Fprintf(w, "~ %d v=%d\n", len(rows), sub.Version())
 		if w.Flush() != nil {
@@ -665,11 +671,7 @@ func (s *Server) Handler() http.Handler {
 		var buf strings.Builder
 		n := 0
 		reused, cached, err := s.run(r.Context(), tenant, src, func(tuple []string) {
-			if len(tuple) == 0 {
-				buf.WriteString("T\n")
-			} else {
-				fmt.Fprintf(&buf, "T %s\n", strings.Join(tuple, "\t"))
-			}
+			writeTuple(&buf, tuple)
 			n++
 		})
 		if err != nil {

@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -160,15 +161,20 @@ func (f *FaultNet) crashLocked(site int) func() {
 		return nil
 	}
 	f.crashed[site] = true
-	select {
-	case f.down <- PeerDown{Site: site, Err: fmt.Errorf("faultnet: site %d crashed", site)}:
-	default:
+	// One copy per site: in-process harnesses run every site of the topology
+	// against this one channel, a site stops reading after its first event,
+	// and the crashed site itself may be among the readers.
+	for range slices.Max(f.hosts) + 1 {
+		select {
+		case f.down <- PeerDown{Site: site, Err: fmt.Errorf("faultnet: site %d crashed", site)}:
+		default:
+		}
 	}
 	return f.onCrash[site]
 }
 
-// Down emits one PeerDown event per crashed site — the perfect-failure-
-// detector view of the injected schedule. Wire it into
+// Down reports each crashed site, once per site of the topology — the
+// perfect-failure-detector view of the injected schedule. Wire it into
 // engine.Options.PeerDown to test abort-on-failure without real sockets.
 func (f *FaultNet) Down() <-chan PeerDown { return f.down }
 

@@ -5,6 +5,10 @@
 // Mailboxes are unbounded so that message cycles through recursive
 // components can never deadlock on channel capacity.
 //
+// A consumer that owns many mailboxes — the run loop stepping every node
+// process a site hosts — attaches them to one Hub: the list of those holding
+// mail plus the one doorbell it parks on when none does.
+//
 // Two Network implementations are provided: Local, which routes every
 // message to an in-process mailbox, and the TCP transport in tcp.go, which
 // carries messages between OS processes over sockets — demonstrating the
@@ -20,48 +24,53 @@ import (
 )
 
 // Mailbox is an unbounded FIFO queue of messages. Any number of goroutines
-// may Put; one owner goroutine is expected to Get.
+// may Put; one owner consumes, with Get on this mailbox alone or through the
+// Hub it is attached to. The zero value is an empty open mailbox.
 type Mailbox struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	queue   []msg.Message
-	head    int
-	closed  bool
+	mu     sync.Mutex
+	queue  []msg.Message
+	head   int
+	closed bool
+	// A Put lists the mailbox with the Hub it is attached to (listed: it is
+	// there already) and rings bell — the hub's, or a private one made by the
+	// first Get that had to block.
+	hub     *Hub
+	listed  bool
+	bell    *bell
 	dropped atomic.Int64 // Puts after Close (late messages during shutdown)
 	busy    atomic.Bool  // raised by GetWork, cleared by ClearBusy
 }
 
 // NewMailbox returns an empty open mailbox.
-func NewMailbox() *Mailbox {
-	m := &Mailbox{}
-	m.cond = sync.NewCond(&m.mu)
-	return m
-}
+func NewMailbox() *Mailbox { return &Mailbox{} }
 
-// Put enqueues a message. Put on a closed mailbox is a no-op (late
-// messages during shutdown are dropped deliberately); the drop is counted
-// so it can be surfaced in trace.Stats rather than lost silently.
+// Put enqueues a message. On a closed mailbox it is a no-op (late messages
+// during shutdown are dropped deliberately), counted so that trace.Stats can
+// surface the drop.
 func (m *Mailbox) Put(x msg.Message) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.closed {
+		m.mu.Unlock()
 		m.dropped.Add(1)
 		return
 	}
 	m.queue = append(m.queue, x)
-	m.cond.Signal()
+	h, b := m.hub, m.bell
+	list := h != nil && !m.listed
+	m.listed = m.listed || list
+	m.mu.Unlock()
+	if list {
+		h.list(m)
+	}
+	if b != nil {
+		b.ring()
+	}
 }
 
-// Get blocks until a message is available or the mailbox is closed.
-// ok is false once the mailbox is closed and drained.
-func (m *Mailbox) Get() (x msg.Message, ok bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for m.head == len(m.queue) && !m.closed {
-		m.cond.Wait()
-	}
+// pop dequeues the oldest message; the caller holds m.mu.
+func (m *Mailbox) pop() (x msg.Message, ok bool) {
 	if m.head == len(m.queue) {
-		return msg.Message{}, false
+		return x, false
 	}
 	x = m.queue[m.head]
 	m.queue[m.head] = msg.Message{} // release Vals for GC
@@ -78,58 +87,50 @@ func (m *Mailbox) Get() (x msg.Message, ok bool) {
 	return x, true
 }
 
-// GetWork is Get for owners whose activity is observed by another
-// goroutine (the worker shards of a partitioned node): the mailbox's busy
-// flag is raised atomically with the dequeue — under the same lock — and
-// stays up until ClearBusy. An observer that sees Quiet() therefore knows
-// the owner holds no dequeued-but-unfinished message: there is no window
-// in which a message is out of the queue but not yet flagged.
-func (m *Mailbox) GetWork() (x msg.Message, ok bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for m.head == len(m.queue) && !m.closed {
-		m.cond.Wait()
+// Get blocks until a message is available or the mailbox is closed.
+// ok is false once the mailbox is closed and drained.
+func (m *Mailbox) Get() (x msg.Message, ok bool) { return m.get(false) }
+
+// GetWork is Get for owners whose activity another goroutine observes (the
+// worker shards of a partitioned node): the busy flag is raised under the
+// same lock as the dequeue and stays up until ClearBusy, so there is no
+// window in which a message is out of the queue but not yet flagged, and an
+// observer that sees Quiet() knows the owner holds no unfinished message.
+func (m *Mailbox) GetWork() (x msg.Message, ok bool) { return m.get(true) }
+
+func (m *Mailbox) get(work bool) (x msg.Message, ok bool) {
+	for {
+		m.mu.Lock()
+		if x, ok = m.pop(); ok || m.closed {
+			if ok && work {
+				m.busy.Store(true)
+			}
+			m.mu.Unlock()
+			return x, ok
+		}
+		if m.bell == nil {
+			m.bell = newBell()
+		}
+		b := m.bell
+		b.parked.Store(true) // before the unlock: the next Put sees it and rings
+		m.mu.Unlock()
+		<-b.ch
 	}
-	if m.head == len(m.queue) {
-		return msg.Message{}, false
-	}
-	x = m.queue[m.head]
-	m.queue[m.head] = msg.Message{}
-	m.head++
-	if m.head == len(m.queue) {
-		m.queue = m.queue[:0]
-		m.head = 0
-	} else if m.head > 64 && m.head*2 >= len(m.queue) {
-		n := copy(m.queue, m.queue[m.head:])
-		m.queue = m.queue[:n]
-		m.head = 0
-	}
-	m.busy.Store(true)
-	return x, true
 }
 
 // ClearBusy lowers the busy flag; the owner calls it after finishing (and
-// flushing the output of) the message obtained by GetWork, so that once an
-// observer sees Quiet() every side effect of past messages has reached its
-// destination mailbox.
+// flushing the output of) the message obtained by GetWork, so that Quiet()
+// implies every side effect of past messages has reached its destination.
 func (m *Mailbox) ClearBusy() { m.busy.Store(false) }
 
 // Quiet reports whether the mailbox is empty AND its owner is not holding
 // a message dequeued via GetWork. This is the shard-worker half of the
 // partitioned empty_queues() test (see doc/PROTOCOL.md, "Shard routing").
-func (m *Mailbox) Quiet() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.head == len(m.queue) && !m.busy.Load()
-}
+func (m *Mailbox) Quiet() bool { return m.Len() == 0 && !m.busy.Load() }
 
 // Empty reports whether the mailbox currently holds no messages. This is
 // the queue-emptiness half of the protocol's empty_queues() test.
-func (m *Mailbox) Empty() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.head == len(m.queue)
-}
+func (m *Mailbox) Empty() bool { return m.Len() == 0 }
 
 // Len reports the number of queued messages.
 func (m *Mailbox) Len() int {
@@ -138,22 +139,24 @@ func (m *Mailbox) Len() int {
 	return len(m.queue) - m.head
 }
 
-// Dropped reports how many Puts arrived after Close and were discarded.
-func (m *Mailbox) Dropped() int64 { return m.dropped.Load() }
-
-// Close wakes any blocked Get and makes further Puts no-ops.
+// Close makes further Puts no-ops and wakes the consumer: a blocked Get
+// returns once the queue is drained, a Hub reports Closed.
 func (m *Mailbox) Close() {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.closed = true
-	m.cond.Broadcast()
+	h, b := m.hub, m.bell
+	m.mu.Unlock()
+	if h != nil {
+		h.closed.Store(true)
+	}
+	if b != nil {
+		b.ring()
+	}
 }
 
-// Reset reopens a closed (or drained) mailbox for reuse: the queue is
-// emptied, the closed flag and the dropped-Put counter are cleared, and the
-// backing array keeps its capacity. The caller must guarantee no goroutine
-// is still using the mailbox (the engine resets only after its process
-// WaitGroup has drained).
+// Reset reopens a closed (or drained) mailbox for reuse, keeping the backing
+// array. No goroutine may still be using it (the engine resets only between
+// evaluations).
 func (m *Mailbox) Reset() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -161,8 +164,123 @@ func (m *Mailbox) Reset() {
 	m.queue = m.queue[:0]
 	m.head = 0
 	m.closed = false
+	m.listed = false // its hub, if any, is Reset with it
 	m.dropped.Store(0)
 	m.busy.Store(false)
+}
+
+// bell is a consumer's one wake-up primitive. A consumer about to block
+// raises parked; the producer that then finds it raised lowers it and puts a
+// token in ch. Each side publishes (mail, an abort, a close) before looking
+// at the other's flag, so a consumer that re-checks after raising parked
+// cannot sleep through a wake-up. A token may be stale.
+type bell struct {
+	parked atomic.Bool
+	ch     chan struct{}
+}
+
+func newBell() *bell { return &bell{ch: make(chan struct{}, 1)} }
+
+func (b *bell) ring() {
+	if b.parked.Load() && b.parked.CompareAndSwap(true, false) {
+		select {
+		case b.ch <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// Hub is the receiving end of a consumer that owns several mailboxes — a
+// site's run loop: Next hands it their messages one at a time, and when none
+// holds mail it blocks on Bell, the site's one wake-up primitive. Producers
+// (the consumer itself, TCP readers, worker shards) only ever Put.
+type Hub struct {
+	mu     sync.Mutex
+	ready  []*Mailbox // attached mailboxes holding mail, each listed once, oldest first
+	bell   *bell
+	closed atomic.Bool
+}
+
+// NewHub returns a hub with no mailboxes attached.
+func NewHub() *Hub { return &Hub{bell: newBell()} }
+
+// Attach makes h the consumer of the given mailboxes; mail they already hold
+// (a remote site may send before this one is ready) is listed at once.
+func (h *Hub) Attach(boxes ...*Mailbox) {
+	for _, m := range boxes {
+		m.mu.Lock()
+		m.hub, m.bell = h, h.bell
+		m.listed = m.head < len(m.queue)
+		list := m.listed
+		if m.closed {
+			h.closed.Store(true)
+		}
+		m.mu.Unlock()
+		if list {
+			h.list(m)
+		}
+	}
+}
+
+// list puts m, which just got mail, on the ready list.
+func (h *Hub) list(m *Mailbox) {
+	h.mu.Lock()
+	h.ready = append(h.ready, m)
+	h.mu.Unlock()
+}
+
+// Reset forgets pending mail; the consumer Resets its mailboxes with it.
+func (h *Hub) Reset() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	clear(h.ready)
+	h.ready = h.ready[:0]
+}
+
+// Ring wakes the consumer if it is parked (or about to park) on Bell.
+func (h *Hub) Ring() { h.bell.ring() }
+
+// Bell delivers a (possibly stale) token after a Put, Close or Ring that
+// followed a Next which found nothing.
+func (h *Hub) Bell() <-chan struct{} { return h.bell.ch }
+
+// Closed reports whether an attached mailbox was closed: the site is going.
+func (h *Hub) Closed() bool { return h.closed.Load() }
+
+// Next dequeues one message (for x.To) from an attached mailbox holding
+// mail. pick chooses among the n such mailboxes; nil takes the one listed
+// longest, so mailboxes take turns. With ok false nothing is pending and the
+// consumer may block on Bell — after re-checking whatever else can wake it.
+func (h *Hub) Next(pick func(n int) int) (x msg.Message, ok bool) {
+	for {
+		h.mu.Lock()
+		n := len(h.ready)
+		if n == 0 {
+			h.bell.parked.Store(true)
+			h.mu.Unlock()
+			return x, false
+		}
+		i := 0
+		if pick != nil {
+			i = pick(n)
+		}
+		m := h.ready[i]
+		copy(h.ready[i:], h.ready[i+1:])
+		h.ready[n-1] = m // provisionally back in line, behind the others
+		m.mu.Lock()
+		x, ok = m.pop()
+		m.listed = m.head < len(m.queue)
+		if !m.listed {
+			h.ready[n-1] = nil
+			h.ready = h.ready[:n-1]
+		}
+		m.mu.Unlock()
+		h.mu.Unlock()
+		if ok {
+			return x, true
+		}
+		// m was listed but already drained (a direct Get beat us to it).
+	}
 }
 
 // Network delivers messages to node processes by id. Implementations must
@@ -187,11 +305,15 @@ type Local struct {
 
 // NewLocal creates n mailboxes addressed 0..n-1.
 func NewLocal(n int) *Local {
-	l := &Local{Boxes: make([]*Mailbox, n), shards: make([]atomic.Pointer[[]*Mailbox], n)}
-	for i := range l.Boxes {
-		l.Boxes[i] = NewMailbox()
+	return &Local{Boxes: newBoxes(n), shards: make([]atomic.Pointer[[]*Mailbox], n)}
+}
+
+func newBoxes(n int) []*Mailbox {
+	boxes, store := make([]*Mailbox, n), make([]Mailbox, n)
+	for i := range boxes {
+		boxes[i] = &store[i]
 	}
-	return l
+	return boxes
 }
 
 // Partition equips node id with p worker mailboxes (idempotent for equal
@@ -201,20 +323,9 @@ func (l *Local) Partition(id, p int) []*Mailbox {
 	if sb := l.shards[id].Load(); sb != nil && len(*sb) == p {
 		return *sb
 	}
-	boxes := make([]*Mailbox, p)
-	for i := range boxes {
-		boxes[i] = NewMailbox()
-	}
+	boxes := newBoxes(p)
 	l.shards[id].Store(&boxes)
 	return boxes
-}
-
-// ShardBoxes returns node id's worker mailboxes, or nil.
-func (l *Local) ShardBoxes(id int) []*Mailbox {
-	if sb := l.shards[id].Load(); sb != nil {
-		return *sb
-	}
-	return nil
 }
 
 // Send enqueues the message into the recipient's mailbox: the worker shard
@@ -231,32 +342,25 @@ func (l *Local) Send(x msg.Message) {
 	l.Boxes[x.To].Put(x)
 }
 
-// Close closes every mailbox, shard boxes included.
-func (l *Local) Close() {
+// each calls f on every mailbox, shard boxes included.
+func (l *Local) each(f func(*Mailbox)) {
 	for _, b := range l.Boxes {
-		b.Close()
+		f(b)
 	}
 	for i := range l.shards {
 		if sb := l.shards[i].Load(); sb != nil {
 			for _, b := range *sb {
-				b.Close()
+				f(b)
 			}
 		}
 	}
 }
 
+// Close closes every mailbox, shard boxes included.
+func (l *Local) Close() { l.each((*Mailbox).Close) }
+
 // Dropped sums the post-Close Put drops across all mailboxes.
-func (l *Local) Dropped() int64 {
-	var n int64
-	for _, b := range l.Boxes {
-		n += b.Dropped()
-	}
-	for i := range l.shards {
-		if sb := l.shards[i].Load(); sb != nil {
-			for _, b := range *sb {
-				n += b.Dropped()
-			}
-		}
-	}
+func (l *Local) Dropped() (n int64) {
+	l.each(func(b *Mailbox) { n += b.dropped.Load() })
 	return n
 }

@@ -462,13 +462,18 @@ func (c *config) evalContext() (context.Context, context.CancelFunc) {
 		return ctx, func() {}
 	}
 	if ch := c.cancel; ch != nil {
-		go func() {
-			select {
-			case <-ch:
-				cancel()
-			case <-ctx.Done():
-			}
-		}()
+		select {
+		case <-ch:
+			cancel() // already closed: a short evaluation could outrun the shim goroutine
+		default:
+			go func() {
+				select {
+				case <-ch:
+					cancel()
+				case <-ctx.Done():
+				}
+			}()
+		}
 	}
 	return ctx, cancel
 }
