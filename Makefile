@@ -25,9 +25,9 @@ chaos:
 docs:
 	./scripts/check.sh docs
 
-# Perf-regression release gate: re-measure the committed BENCH_4/5/6/8/9
-# headline ratios (prepared speedup, partition overlap, serving fairness,
-# adaptive planning, disk-store point scans against memory) on this tree,
+# Perf-regression release gate: re-measure the committed BENCH_4/6/8/9
+# headline ratios (prepared speedup, serving fairness, adaptive planning,
+# disk-store point scans against memory) on this tree,
 # nonzero exit past the noise floor.
 gate:
 	./scripts/check.sh gate

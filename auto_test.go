@@ -38,18 +38,30 @@ var autoCorpus = []struct {
 
 // TestAutoMatchesManualStrategies is the adaptive-planning correctness
 // property: strategy=auto produces byte-identical answers to every manual
-// strategy on every corpus program, sequential and partitioned. Plans may
-// differ; answers may not.
+// strategy on every corpus program. Plans may differ; answers may not. The
+// partitions=N axis pins the compatibility contract of the deprecated
+// WithPartitions: at N=4 every answer is the N=1 answer, in the same order,
+// and Stats.Workers stays 0.
 func TestAutoMatchesManualStrategies(t *testing.T) {
 	manual := []string{"greedy", "qualtree", "leftright", "basic", "stats"}
 	for _, prog := range autoCorpus {
+		unsharded := ""
 		for _, parts := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/partitions=%d", prog.name, parts), func(t *testing.T) {
-				auto, err := MustLoad(prog.src).Eval(WithStrategy("auto"), WithPartitions(parts))
+				st := &trace.Stats{}
+				auto, err := MustLoad(prog.src).Eval(WithStrategy("auto"), WithPartitions(parts), WithStats(st))
 				if err != nil {
 					t.Fatalf("auto: %v", err)
 				}
 				want := fmt.Sprint(auto.Tuples)
+				if parts == 1 {
+					unsharded = want
+				} else if want != unsharded {
+					t.Errorf("partitions=%d answers %s, partitions=1 answers %s", parts, want, unsharded)
+				}
+				if w := st.Snapshot().Workers; w != 0 {
+					t.Errorf("partitions=%d reports %d workers, want 0", parts, w)
+				}
 				for _, s := range manual {
 					ans, err := MustLoad(prog.src).Eval(WithStrategy(s), WithPartitions(parts))
 					if err != nil {

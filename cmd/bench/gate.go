@@ -1,7 +1,7 @@
 // The release gate: `bench -gate` re-measures the headline ratios of the
-// committed BENCH_4/5/6/8/9 records on the current tree and exits nonzero if
+// committed BENCH_4/6/8/9 records on the current tree and exits nonzero if
 // any falls past its noise floor. Every gated metric is a ratio (speedup,
-// overlap, p99 inflation) rather than an absolute time, so the gate is
+// p99 inflation) rather than an absolute time, so the gate is
 // portable across machines: a uniformly slower host moves numerator and
 // denominator together. Floors are max(absolute floor, 0.5x the committed
 // baseline ratio) — 50% headroom, far outside the ±10% cross-session
@@ -15,16 +15,11 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"os"
-	"sort"
 	"testing"
 	"time"
 
 	"repro"
-	"repro/internal/edb"
-	"repro/internal/engine"
-	"repro/internal/workload"
 )
 
 // gateHandicap reads MPQ_GATE_HANDICAP, the per-evaluation latency
@@ -78,12 +73,6 @@ func runGate() int {
 	var b4 struct {
 		SpeedupX float64 `json:"prepared_speedup_x"`
 	}
-	var b5 struct {
-		InProcess []struct {
-			Partitions int     `json:"partitions"`
-			SpeedupX   float64 `json:"speedup_x_vs_p1"`
-		} `json:"in_process"`
-	}
 	var b6 struct {
 		Serving a8Result `json:"serving"`
 	}
@@ -96,15 +85,9 @@ func runGate() int {
 	for _, b := range []struct {
 		path string
 		v    any
-	}{{"BENCH_4.json", &b4}, {"BENCH_5.json", &b5}, {"BENCH_6.json", &b6}, {"BENCH_8.json", &b8}, {"BENCH_9.json", &b9}} {
+	}{{"BENCH_4.json", &b4}, {"BENCH_6.json", &b6}, {"BENCH_8.json", &b8}, {"BENCH_9.json", &b9}} {
 		if err := gateLoad(b.path, b.v); err != nil {
 			add("baseline "+b.path, "unreadable", "committed", "-", false)
-		}
-	}
-	b5P4 := 0.0
-	for _, p := range b5.InProcess {
-		if p.Partitions == 4 {
-			b5P4 = p.SpeedupX
 		}
 	}
 
@@ -169,35 +152,7 @@ func runGate() int {
 	add("prepared_speedup_x", fmt.Sprintf("%.2f", speedup), fmt.Sprintf(">= %.2f", floor),
 		fmt.Sprintf("%.2f", b4.SpeedupX), speedup >= floor)
 
-	// Check 2 — partition latency overlap at P=4 (BENCH_5's headline):
-	// wide-wavefront reachability with a simulated per-retrieval I/O
-	// latency; the P worker shards of the hot edge leaf must overlap their
-	// waits. A ratio, so it holds on one-CPU hosts too.
-	fmt.Println("measuring partition overlap at P=4 (BENCH_5 baseline)...")
-	prog := workload.Program(workload.TCRules, workload.Random("edge", 48, 192, rand.New(rand.NewSource(7))))
-	g := mustBuild(prog)
-	db := edb.FromProgram(prog)
-	medMs := func(p int) float64 {
-		var times []time.Duration
-		for t := 0; t < 3; t++ {
-			start := time.Now()
-			if _, err := engine.Run(g, db, engine.Options{Partitions: p, EDBDelay: 500 * time.Microsecond}); err != nil {
-				panic(err)
-			}
-			times = append(times, time.Since(start))
-		}
-		sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-		return float64(times[1].Microseconds()) / 1000
-	}
-	overlap := medMs(1) / medMs(4)
-	floor = 1.50
-	if f := 0.5 * b5P4; f > floor {
-		floor = f
-	}
-	add("partition_overlap_p4_x", fmt.Sprintf("%.2f", overlap), fmt.Sprintf(">= %.2f", floor),
-		fmt.Sprintf("%.2f", b5P4), overlap >= floor)
-
-	// Checks 3-6 — the A8 serving acceptance criteria, re-measured quick:
+	// Checks 2-5 — the A8 serving acceptance criteria, re-measured quick:
 	// fairness under flood, fail-fast typed shedding, cache byte identity.
 	fmt.Println("measuring multi-tenant serving behaviour (BENCH_6 baseline)...")
 	r := a8Measure(true)
@@ -213,7 +168,7 @@ func runGate() int {
 	add("result_cache_identical", fmt.Sprintf("%v", r.CacheIdentical), "== true",
 		fmt.Sprintf("%v", b6.Serving.CacheIdentical), r.CacheIdentical)
 
-	// Checks 7-9 — the A10 adaptive-planning acceptance criteria, quick.
+	// Checks 6-8 — the A10 adaptive-planning acceptance criteria, quick.
 	// Rows processed is deterministic (no wall clock involved), so the
 	// auto-within-noise bound stays tight rather than halved.
 	fmt.Println("measuring adaptive planning (BENCH_8 baseline)...")
@@ -227,7 +182,7 @@ func runGate() int {
 		fmt.Sprintf("%d", b8.Adaptive.PlanReopts),
 		r10.PlanReopts >= 1 && r10.ReoptChangedPlan)
 
-	// Checks 10-11 — the A11 persistent-storage headline: the disk-backed
+	// Checks 9-10 — the A11 persistent-storage headline: the disk-backed
 	// store reads rows in place through the segment mapping, so its point
 	// scans must stay within 2x of the in-memory store's — and, there being
 	// no cache to warm, its first pass after a reopen within 3x of the

@@ -1,5 +1,5 @@
-// Command bench runs the experiment suite of DESIGN.md (E1–E12 plus the
-// A1–A6 ablations): for every figure and checkable claim of the paper it
+// Command bench runs the experiment suite of DESIGN.md (E1–E11 plus the
+// A ablations): for every figure and checkable claim of the paper it
 // generates workloads, runs the message-passing engine against the
 // baselines, and prints the tables recorded in EXPERIMENTS.md.
 //
@@ -56,14 +56,12 @@ var experiments = map[string]func(quick bool){
 	"E9":  e9Restriction,
 	"E10": e10Nonlinear,
 	"E11": e11Transport,
-	"E12": e12Parallel,
 	"A1":  a1Strategies,
 	"A2":  a2Batching,
 	"A3":  a3Substrate,
 	"A4":  a4Failure,
 	"A5":  a5Observability,
 	"A6":  a6Prepared,
-	"A7":  a7Partitions,
 	"A8":  a8Serving,
 	"A9":  a9Incremental,
 	"A10": a10Adaptive,
@@ -73,9 +71,8 @@ var experiments = map[string]func(quick bool){
 // jsonOut, when non-empty, makes A3 write its measurement record (the
 // "after" half of BENCH_1.json), A4 its failure-handling overhead
 // record (BENCH_2.json), A5 its observability overhead record
-// (BENCH_3.json), A6 its prepared-query serving record (BENCH_4.json),
-// A7 its partitioned-parallelism record (BENCH_5.json), A8 its
-// multi-tenant serving record (BENCH_6.json), A9 its incremental
+// (BENCH_3.json), A6 its prepared-query serving record (BENCH_4.json), A8
+// its multi-tenant serving record (BENCH_6.json), A9 its incremental
 // view-maintenance record (BENCH_7.json), A10 its adaptive-planning
 // record (BENCH_8.json), and A11 its persistent-storage record
 // (BENCH_9.json) to the named file.
@@ -608,75 +605,12 @@ func e11Transport(quick bool) {
 	row("---", "---", "---", "---", "---")
 	row("in-process", 1, res.Answers.Len(), res.Stats.Messages(), el)
 	for _, sites := range []int{2, 4} {
-		ans, msgs, el, err := runTCP(prog, sites)
+		ans, msgs, el, err := runTCP(prog, sites, transport.Config{})
 		if err != nil {
 			fmt.Println("tcp error:", err)
 			continue
 		}
 		row("tcp", sites, ans, msgs, el)
-	}
-}
-
-// e12Parallel measures the §1.2 parallelism claim: the node-per-process
-// decomposition "provides a natural approach to parallel implementation"
-// and to multi-tasking. Because the benchmark host may have a single CPU,
-// the experiment demonstrates *latency overlap*, the form of parallelism a
-// 1986 database cared about most: every EDB retrieval is charged a
-// simulated I/O delay, and a query that unions k independent recursive
-// closures lets k subtrees of the graph wait concurrently. The sequential
-// baseline evaluates the k closures one after another with the same delay.
-func e12Parallel(quick bool) {
-	header("E12", "parallel evaluation / multi-tasking (§1.2)",
-		"the modular decomposition is a natural approach to parallel implementation; independent subtrees overlap their (simulated) I/O waits")
-	ks := []int{2, 4, 8}
-	n, m := 24, 72
-	delay := 2 * time.Millisecond
-	if quick {
-		ks = []int{2, 4}
-		n, m = 12, 36
-	}
-	row("independent closures k", "answers", "combined (overlapped)", "sequential (sum)", "overlap speedup")
-	row("---", "---", "---", "---", "---")
-	for _, k := range ks {
-		rng := rand.New(rand.NewSource(12))
-		var rules strings.Builder
-		var facts []ast.Atom
-		singles := make([]*ast.Program, k)
-		for i := 0; i < k; i++ {
-			fmt.Fprintf(&rules, "p%d(X, Y) :- e%d(X, Y).\n", i, i)
-			fmt.Fprintf(&rules, "p%d(X, Y) :- p%d(X, U), e%d(U, Y).\n", i, i, i)
-			fmt.Fprintf(&rules, "goal(Y) :- p%d(n0, Y).\n", i)
-			part := workload.Random(fmt.Sprintf("e%d", i), n, m, rng)
-			facts = append(facts, part...)
-			singles[i] = workload.Program(fmt.Sprintf(
-				"p%d(X, Y) :- e%d(X, Y).\np%d(X, Y) :- p%d(X, U), e%d(U, Y).\ngoal(Y) :- p%d(n0, Y).\n",
-				i, i, i, i, i, i), part)
-		}
-		combined := workload.Program(rules.String(), facts)
-		g := mustBuild(combined)
-		db := edb.FromProgram(combined)
-		start := time.Now()
-		res, err := engine.Run(g, db, engine.Options{EDBDelay: delay})
-		if err != nil {
-			panic(err)
-		}
-		overlapped := time.Since(start)
-
-		var sequential time.Duration
-		answers := 0
-		for _, sp := range singles {
-			sg := mustBuild(sp)
-			sdb := edb.FromProgram(sp)
-			start = time.Now()
-			sres, err := engine.Run(sg, sdb, engine.Options{EDBDelay: delay})
-			if err != nil {
-				panic(err)
-			}
-			sequential += time.Since(start)
-			answers += sres.Answers.Len()
-		}
-		_ = answers // union may dedup across closures; report combined count
-		row(k, res.Answers.Len(), overlapped, sequential, float64(sequential)/float64(overlapped))
 	}
 }
 
@@ -932,22 +866,10 @@ func microJoin2Col(b *testing.B) {
 	}
 }
 
-func runTCP(prog *ast.Program, sites int) (answers int, msgs int64, elapsed time.Duration, err error) {
-	return runTCPConfig(prog, sites, transport.Config{HeartbeatInterval: transport.NoHeartbeat})
-}
-
-func runTCPConfig(prog *ast.Program, sites int, cfg transport.Config) (answers int, msgs int64, elapsed time.Duration, err error) {
-	res, elapsed, err := runSitesGraph(mustBuild(prog), prog, sites, cfg, engine.Options{})
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return res.Answers.Len(), res.Stats.Messages(), elapsed, nil
-}
-
-// runSitesGraph evaluates a pre-built graph across TCP sites with explicit
-// engine options — the graph may carry rgg options (partitioned EDB
-// relations, a strategy) the default build path doesn't.
-func runSitesGraph(g *rgg.Graph, prog *ast.Program, sites int, cfg transport.Config, opts engine.Options) (*engine.Result, time.Duration, error) {
+// runTCP evaluates prog across TCP sites on loopback, one goroutine per
+// site, with the given transport configuration.
+func runTCP(prog *ast.Program, sites int, cfg transport.Config) (answers int, msgs int64, elapsed time.Duration, err error) {
+	g := mustBuild(prog)
 	hosts := engine.Partition(g, sites)
 	addrs := make([]string, sites)
 	for i := range addrs {
@@ -959,7 +881,7 @@ func runSitesGraph(g *rgg.Graph, prog *ast.Program, sites int, cfg transport.Con
 		locals[i] = transport.NewLocal(len(g.Nodes) + 1)
 		n, err := transport.NewTCPConfig(i, addrs, hosts, locals[i], cfg)
 		if err != nil {
-			return nil, 0, err
+			return 0, 0, 0, err
 		}
 		addrs[i] = n.Addr()
 		nets[i] = n
@@ -970,9 +892,7 @@ func runSitesGraph(g *rgg.Graph, prog *ast.Program, sites int, cfg transport.Con
 		}
 	}()
 	start := time.Now()
-	if opts.Stats == nil {
-		opts.Stats = &trace.Stats{} // one sink so message counts cover all sites
-	}
+	opts := engine.Options{Stats: &trace.Stats{}} // one sink so message counts cover all sites
 	type siteOut struct {
 		res *engine.Result
 		err error
@@ -989,13 +909,13 @@ func runSitesGraph(g *rgg.Graph, prog *ast.Program, sites int, cfg transport.Con
 	for i := 0; i < sites; i++ {
 		o := <-outs
 		if o.err != nil {
-			return nil, 0, o.err
+			return 0, 0, 0, o.err
 		}
 		if o.res != nil {
 			res = o.res
 		}
 	}
-	return res, time.Since(start), nil
+	return res.Answers.Len(), res.Stats.Messages(), time.Since(start), nil
 }
 
 // a4Failure measures what failure-aware evaluation costs a query that
@@ -1009,7 +929,7 @@ func runSitesGraph(g *rgg.Graph, prog *ast.Program, sites int, cfg transport.Con
 // the record behind BENCH_2.json.
 func a4Failure(quick bool) {
 	header("A4", "failure-handling overhead on the failure-free path",
-		"the default path (heartbeats on, abort checks always on) regresses <2%; an armed deadline is an opt-in runtime timer tax, reported separately")
+		"the default path (heartbeats and abort checks always on) regresses <2%; an armed deadline is an opt-in runtime timer tax, reported separately")
 
 	type microResult struct {
 		NsPerOp     float64 `json:"ns_per_op"`
@@ -1095,9 +1015,9 @@ func a4Failure(quick bool) {
 			on.NsPerOp, fmt.Sprintf("%+.2f%%", pct))
 	}
 
-	// Distributed: 2 TCP sites, heartbeats off vs a 20ms interval — tight
-	// enough that liveness frames demonstrably flow during the run (the
-	// 500ms production default would never fire on a run this short).
+	// Distributed: 2 TCP sites at a 20ms heartbeat interval — tight enough
+	// that liveness frames demonstrably flow during the run (the 500ms
+	// production default would never fire on a run this short).
 	trials, n := 5, 32
 	if quick {
 		trials, n = 3, 12
@@ -1109,28 +1029,23 @@ func a4Failure(quick bool) {
 		Heartbeats int64  `json:"heartbeats"`
 		Answers    int    `json:"answers"`
 	}
-	runOne := func(hb time.Duration, label string) tcpResult {
-		st := &trace.Stats{}
-		times := make([]time.Duration, 0, trials)
-		answers := 0
-		for i := 0; i < trials; i++ {
-			ans, _, el, err := runTCPConfig(prog, 2, transport.Config{HeartbeatInterval: hb, Stats: st})
-			if err != nil {
-				panic(err)
-			}
-			answers = ans
-			times = append(times, el)
+	st := &trace.Stats{}
+	times := make([]time.Duration, 0, trials)
+	answers := 0
+	for i := 0; i < trials; i++ {
+		ans, _, el, err := runTCP(prog, 2, transport.Config{HeartbeatInterval: 20 * time.Millisecond, Stats: st})
+		if err != nil {
+			panic(err)
 		}
-		sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-		return tcpResult{label, times[len(times)/2].String(), st.Snapshot().Heartbeats, answers}
+		answers = ans
+		times = append(times, el)
 	}
+	sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
+	dist := []tcpResult{{"20ms", times[len(times)/2].String(), st.Snapshot().Heartbeats, answers}}
 	fmt.Println()
 	row("tcp 2 sites (E11 shape)", "median time", "heartbeats", "answers")
 	row("---", "---", "---", "---")
-	dist := []tcpResult{runOne(transport.NoHeartbeat, "off"), runOne(20*time.Millisecond, "20ms")}
-	for _, r := range dist {
-		row("heartbeat "+r.Heartbeat, r.MedianTime, r.Heartbeats, r.Answers)
-	}
+	row("heartbeat "+dist[0].Heartbeat, dist[0].MedianTime, dist[0].Heartbeats, dist[0].Answers)
 
 	if jsonOut != "" {
 		record := struct {
@@ -1149,8 +1064,8 @@ func a4Failure(quick bool) {
 				"in-process rows compare this tree with no deadline armed (but the Abort " +
 				"check and abort bookkeeping compiled into every process loop) against the " +
 				"same benchmarks recorded in BENCH_1.json before the change " +
-				"(off_vs_bench1_pct), and TCP rows compare heartbeats on vs off on the " +
-				"same tree. deadline_overhead_pct is reported separately: arming a " +
+				"(off_vs_bench1_pct), and the TCP row reports heartbeat traffic at a 20ms " +
+				"interval. deadline_overhead_pct is reported separately: arming a " +
 				"wall-clock deadline is opt-in and pays the Go runtime's pending-timer " +
 				"scheduler tax (see commentary). Best of 6 interleaved benchmark runs per " +
 				"side; TCP rows are the median of 5 trials. Reproduce with " +
@@ -1160,8 +1075,7 @@ func a4Failure(quick bool) {
 			InProcess:   micro,
 			Distributed: dist,
 			Commentary: "Heartbeats ride per-connection ticker goroutines and never touch " +
-				"the engine's message path, so the TCP rows with heartbeats on and off are " +
-				"indistinguishable. The per-message Abort check (one predictable branch per " +
+				"the engine's message path. The per-message Abort check (one predictable branch per " +
 				"process-loop iteration) plus the abort bookkeeping is the only always-on " +
 				"cost; off_vs_bench1_pct bounds it against the pre-change tree. Arming a " +
 				"deadline is different: any pending timer in a Go process makes the " +
@@ -1580,236 +1494,6 @@ func a6Prepared(quick bool) {
 				"shrinks. Server throughput is scheduler-bound on loopback: each " +
 				"query is a full message-passing evaluation, so queries/s scales " +
 				"with evaluation cost, not connection count.",
-		}
-		buf, err := json.MarshalIndent(record, "", "  ")
-		if err != nil {
-			panic(err)
-		}
-		if err := os.WriteFile(jsonOut, append(buf, '\n'), 0o644); err != nil {
-			panic(err)
-		}
-		fmt.Printf("\nwrote %s\n", jsonOut)
-	}
-}
-
-// a7Partitions measures hash-partitioned data parallelism: worker shards
-// inside hot node processes (engine.Options.Partitions) and a logical EDB
-// relation hash-partitioned across TCP sites (rgg.Options.PartitionEDB).
-// The workload is wide-wavefront reachability with every edge retrieval
-// charged a simulated I/O latency — E12's methodology: on a one-CPU host
-// the measurable form of parallelism is latency overlap (the P workers of
-// the hot bound-access edge leaf sleep concurrently, each serving its hash
-// slice of the request bindings); on a multi-core host the same sharding
-// also spreads join and scan CPU. Answers must be byte-identical at every
-// P, and the sequential path must stay within noise of BENCH_4. With -json
-// the measurements are written out as BENCH_5.json.
-func a7Partitions(quick bool) {
-	header("A7", "hash-partitioned node processes (§1.2 'natural approach to parallel implementation')",
-		"P worker shards per hot node evaluate disjoint hash slices with no shared state; answers byte-identical at every P; the sequential path is untouched")
-
-	n, m := 160, 640
-	delay := time.Millisecond
-	trials, reps := 3, 6
-	if quick {
-		n, m = 48, 192
-		delay = 500 * time.Microsecond
-		trials, reps = 2, 2
-	}
-	prog := workload.Program(workload.TCRules, workload.Random("edge", n, m, rand.New(rand.NewSource(7))))
-	g := mustBuild(prog)
-	db := edb.FromProgram(prog)
-
-	// Canonical answer rendering: sorted row keys, so "byte-identical" is a
-	// string comparison. Every run interns symbols in program order, so the
-	// keys compare across runs and across transports.
-	render := func(r *relation.Relation) string {
-		keys := make([]string, 0, r.Len())
-		for _, t := range r.Rows() {
-			keys = append(keys, t.Key())
-		}
-		sort.Strings(keys)
-		return strings.Join(keys, "\x00")
-	}
-	medianMs := func(times []time.Duration) float64 {
-		sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-		return float64(times[len(times)/2].Microseconds()) / 1000
-	}
-
-	type pRun struct {
-		Partitions int     `json:"partitions"`
-		MedianMs   float64 `json:"median_ms"`
-		SpeedupX   float64 `json:"speedup_x_vs_p1"`
-		Workers    int64   `json:"worker_shards"`
-		Messages   int64   `json:"messages"`
-		Answers    int     `json:"answers"`
-		Identical  bool    `json:"answers_identical_to_p1"`
-	}
-
-	var intra []pRun
-	var ref string
-	row("in-process partitions", "median", "speedup", "worker shards", "msgs", "answers", "identical")
-	row("---", "---", "---", "---", "---", "---", "---")
-	for _, p := range []int{1, 2, 4, 8} {
-		var times []time.Duration
-		var res *engine.Result
-		var rendered string
-		for t := 0; t < trials; t++ {
-			start := time.Now()
-			r, err := engine.Run(g, db, engine.Options{Partitions: p, EDBDelay: delay})
-			if err != nil {
-				panic(err)
-			}
-			times = append(times, time.Since(start))
-			res, rendered = r, render(r.Answers)
-		}
-		if p == 1 {
-			ref = rendered
-		}
-		pr := pRun{Partitions: p, MedianMs: medianMs(times), SpeedupX: 1,
-			Workers: res.Stats.Workers, Messages: res.Stats.Messages(),
-			Answers: res.Answers.Len(), Identical: rendered == ref}
-		if len(intra) > 0 {
-			pr.SpeedupX = intra[0].MedianMs / pr.MedianMs
-		}
-		intra = append(intra, pr)
-		row(fmt.Sprintf("P=%d", p), fmt.Sprintf("%.1fms", pr.MedianMs),
-			fmt.Sprintf("%.2fx", pr.SpeedupX), pr.Workers, pr.Messages, pr.Answers, pr.Identical)
-		if !pr.Identical {
-			fmt.Printf("MISMATCH: P=%d answers differ from P=1\n", p)
-		}
-	}
-
-	// The same query with the edge relation hash-partitioned across two TCP
-	// sites (shard leaf nodes; relation requests broadcast, per-shard End
-	// watermarks merged), intra-node worker shards stacked on top. Every
-	// site must run the same partition count — shard routing is a pure
-	// function of (graph, P).
-	gp, err := rgg.Build(prog, rgg.Options{PartitionEDB: map[ast.PredKey]int{{Name: "edge", Arity: 2}: 2}})
-	if err != nil {
-		panic(err)
-	}
-	distPs := []int{1, 2, 4}
-	if quick {
-		distPs = []int{1, 4}
-	}
-	var dist []pRun
-	fmt.Println()
-	row("tcp 2 sites, edge sharded across sites; partitions", "median", "speedup", "msgs", "answers", "identical")
-	row("---", "---", "---", "---", "---", "---")
-	for _, p := range distPs {
-		var times []time.Duration
-		var res *engine.Result
-		for t := 0; t < trials; t++ {
-			r, el, err := runSitesGraph(gp, prog, 2, transport.Config{HeartbeatInterval: transport.NoHeartbeat},
-				engine.Options{Partitions: p, EDBDelay: delay})
-			if err != nil {
-				panic(err)
-			}
-			times = append(times, el)
-			res = r
-		}
-		rendered := render(res.Answers)
-		pr := pRun{Partitions: p, MedianMs: medianMs(times), SpeedupX: 1,
-			Workers: res.Stats.Workers, Messages: res.Stats.Messages(),
-			Answers: res.Answers.Len(), Identical: rendered == ref}
-		if len(dist) > 0 {
-			pr.SpeedupX = dist[0].MedianMs / pr.MedianMs
-		}
-		dist = append(dist, pr)
-		row(fmt.Sprintf("P=%d", p), fmt.Sprintf("%.1fms", pr.MedianMs),
-			fmt.Sprintf("%.2fx", pr.SpeedupX), pr.Messages, pr.Answers, pr.Identical)
-		if !pr.Identical {
-			fmt.Printf("MISMATCH: tcp P=%d answers differ from in-process P=1\n", p)
-		}
-	}
-
-	// Sequential-path guard: partitioning must cost nothing when unused.
-	// Re-run BENCH_4's prepared-query latency benchmark on this tree with
-	// Partitions unset and compare against the recorded number.
-	const bench4PreparedNs = 91808.74131756475 // BENCH_4.json latency.prepared_eval
-	sys := mpq.MustLoad(a6ChainSource(64, 56))
-	pq, err := sys.Prepare("?- path(n56, Y).")
-	if err != nil {
-		panic(err)
-	}
-	var p1Ns float64
-	for r := 0; r < reps; r++ {
-		res := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ans, err := pq.Eval(nil, "n56")
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(ans.Tuples) != 8 {
-					b.Fatalf("got %d answers, want 8", len(ans.Tuples))
-				}
-			}
-		})
-		if ns := float64(res.T.Nanoseconds()) / float64(res.N); r == 0 || ns < p1Ns {
-			p1Ns = ns
-		}
-	}
-	refDeltaPct := (p1Ns - bench4PreparedNs) / bench4PreparedNs * 100
-	fmt.Println()
-	row("sequential path (prepared chain query)", "BENCH_4 ns/op", "this tree ns/op", "delta")
-	row("---", "---", "---", "---")
-	row("PreparedQuery.Eval, Partitions unset", bench4PreparedNs, p1Ns, fmt.Sprintf("%+.2f%%", refDeltaPct))
-
-	if jsonOut != "" {
-		record := struct {
-			Record      string         `json:"record"`
-			Description string         `json:"description"`
-			Machine     map[string]any `json:"machine"`
-			Workload    string         `json:"workload"`
-			InProcess   []pRun         `json:"in_process"`
-			TwoSite     []pRun         `json:"two_site_partitioned_edb"`
-			Sequential  map[string]any `json:"sequential_baseline"`
-			Commentary  string         `json:"commentary"`
-		}{
-			Record: "BENCH_5",
-			Description: "Hash-partitioned data parallelism: engine.Options.Partitions splits " +
-				"partitionable node processes into P worker shards (private mailbox, join " +
-				"state, and dedup set per hash slice); rgg.Options.PartitionEDB shards one " +
-				"logical EDB relation across TCP sites. Wide-wavefront reachability over a " +
-				"random graph with a per-retrieval simulated I/O latency (Options.EDBDelay, " +
-				"E12's methodology); medians over repeated trials, answers byte-identical " +
-				"across every P and transport. sequential_baseline re-runs BENCH_4's " +
-				"prepared-query benchmark on this tree with Partitions unset. Reproduce " +
-				"with `go run ./cmd/bench -e A7 -json BENCH_5.json`.",
-			Machine: machineInfo(),
-			Workload: fmt.Sprintf("transitive closure from n0 over random graph (%d vertices, %d edges), "+
-				"EDBDelay=%s; %d trials per point", n, m, delay, trials),
-			InProcess: intra,
-			TwoSite:   dist,
-			Sequential: map[string]any{
-				"benchmark":                 "PreparedQuery.Eval on BENCH_4's chain workload, Partitions unset",
-				"bench4_prepared_ns_per_op": bench4PreparedNs,
-				"this_tree_ns_per_op":       p1Ns,
-				"delta_pct":                 refDeltaPct,
-			},
-			Commentary: "The hot node of this workload is the bound-access edge leaf: every " +
-				"recursion step requests edge(U,Y) for each frontier vertex U, and each " +
-				"retrieval is charged the simulated latency. Partitioned, the leaf's P " +
-				"workers own disjoint hash slices of the bindings, each probing the one " +
-				"shared store, so their waits overlap — the measured speedup is " +
-				"latency overlap, the form of parallelism a one-CPU host can demonstrate " +
-				"honestly (and the form the 1986 paper cared about most; see E12). On a " +
-				"multi-core host the same sharding also spreads join and scan CPU. " +
-				"Speedup saturates below P because the wavefront's dependency depth is " +
-				"serial: round k's bindings exist only after round k-1's answers. The " +
-				"two-site rows stack intra-node shards on cross-site EDB shards; the " +
-				"network adds latency but the partitioned watermark accounting holds — " +
-				"answers stay byte-identical. The sequential baseline bounds what the " +
-				"machinery costs when unused. Partitions unset skips planning and shard " +
-				"routing entirely, but two per-message costs are compiled in: the " +
-				"cross-component watermark counter (feedState.sent) is now atomic so " +
-				"worker shards can share their control process's accounting, and every " +
-				"queued tuple asks shardOf for its destination shard (a nil-plan check). " +
-				"A same-session A/B against the pre-change revision measures those at " +
-				"~4% on this scheduler-bound microquery (best-of-4: 102.7us before, " +
-				"107.1us after); the remainder of delta_pct is cross-session machine " +
-				"drift, which historically runs to +/-10% between records (BENCH_2's E7 " +
-				"watchdog_off is 10.6% below BENCH_1's identical configuration).",
 		}
 		buf, err := json.MarshalIndent(record, "", "  ")
 		if err != nil {

@@ -48,12 +48,14 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"math"
 	"net"
 	"os"
 	"strings"
+	"time"
 
 	"repro"
 	"repro/internal/parser"
@@ -79,7 +81,6 @@ func main() {
 	traceOut := flag.String("trace-out", "", "write the evaluation's event log as Chrome trace_event JSON to this file")
 	traceCap := flag.Int("trace-events", 0, "event-log ring capacity for -trace-out (0 = default 65536; oldest events drop first)")
 	timeout := flag.Duration("timeout", 0, "abort the evaluation after this wall-clock time (message-passing engine; 0 = none)")
-	partitions := flag.Int("partitions", 0, "hash-partitioned worker shards per node process (message-passing engine; 0 or 1 = none: the evaluation runs on one goroutine)")
 	explain := flag.String("explain", "", "'plan' prints the compiled plan (chosen strategy, SIP orders, estimated vs. observed cost); a ground fact like 'path(a,d)' prints its proof tree instead of evaluating")
 	connect := flag.String("connect", "", "client mode: send queries to an `mpqd -serve` address instead of evaluating locally")
 	tenant := flag.String("tenant", "", "-connect: admission tenant name for fair queueing and quotas (default tenant when empty)")
@@ -115,12 +116,6 @@ func main() {
 	if *traceMsgs {
 		opts = append(opts, mpq.WithTrace(os.Stderr))
 	}
-	if *timeout > 0 {
-		opts = append(opts, mpq.WithDeadline(*timeout))
-	}
-	if *partitions >= 2 {
-		opts = append(opts, mpq.WithPartitions(*partitions))
-	}
 	obs := &observer{top: *profileTop, out: *traceOut}
 	if *profile {
 		obs.prof = trace.NewProfile()
@@ -132,7 +127,7 @@ func main() {
 	}
 
 	if *interactive {
-		repl(flag.Arg(0), data, opts, *stats, obs)
+		repl(flag.Arg(0), data, opts, *timeout, *stats, obs)
 		return
 	}
 	if flag.NArg() != 1 {
@@ -154,7 +149,7 @@ func main() {
 		fmt.Println(g.Text())
 	}
 	if *explain == "plan" {
-		if err := explainPlan(sys, eng, opts); err != nil {
+		if err := explainPlan(sys, eng, opts, *timeout); err != nil {
 			fatal(err)
 		}
 		return
@@ -165,7 +160,7 @@ func main() {
 		}
 		return
 	}
-	ans, err := sys.Eval(opts...)
+	ans, err := eval(sys, opts, *timeout)
 	if err != nil {
 		fatal(err)
 	}
@@ -388,13 +383,13 @@ func printStats(ans *mpq.Answer, eng mpq.Engine) {
 // report estimated vs. observed cost. "Observed" is rows processed: the
 // engine's tuple-traffic counters for message passing, candidate tuples
 // examined plus derivations for the bottom-up engines.
-func explainPlan(sys *mpq.System, eng mpq.Engine, opts []mpq.Option) error {
+func explainPlan(sys *mpq.System, eng mpq.Engine, opts []mpq.Option, timeout time.Duration) error {
 	text, est, err := sys.ExplainPlan(opts...)
 	if err != nil {
 		return err
 	}
 	fmt.Print(text)
-	ans, err := sys.Eval(opts...)
+	ans, err := eval(sys, opts, timeout)
 	if err != nil {
 		return err
 	}
@@ -415,7 +410,7 @@ func explainPlan(sys *mpq.System, eng mpq.Engine, opts []mpq.Option) error {
 // repl reads clauses from stdin. Facts and rules accumulate; `?- body.`
 // evaluates immediately against everything accumulated so far. A starting
 // program file (optional) seeds the session.
-func repl(programPath string, data dataFlags, opts []mpq.Option, stats bool, obs *observer) {
+func repl(programPath string, data dataFlags, opts []mpq.Option, timeout time.Duration, stats bool, obs *observer) {
 	var clauses []string
 	if programPath != "" {
 		src, err := os.ReadFile(programPath)
@@ -471,7 +466,7 @@ func repl(programPath string, data dataFlags, opts []mpq.Option, stats bool, obs
 		clause := partial
 		partial = ""
 		if strings.HasPrefix(strings.TrimSpace(clause), "?-") {
-			evalQuery(clauses, clause, data, opts, stats, obs)
+			evalQuery(clauses, clause, data, opts, timeout, stats, obs)
 			continue
 		}
 		// Check the clause stands on its own (syntax, safety) before
@@ -484,7 +479,7 @@ func repl(programPath string, data dataFlags, opts []mpq.Option, stats bool, obs
 	}
 }
 
-func evalQuery(clauses []string, query string, data dataFlags, opts []mpq.Option, stats bool, obs *observer) {
+func evalQuery(clauses []string, query string, data dataFlags, opts []mpq.Option, timeout time.Duration, stats bool, obs *observer) {
 	src := strings.Join(clauses, "\n") + "\n" + query
 	sys, err := mpq.Load(src)
 	if err != nil {
@@ -495,7 +490,7 @@ func evalQuery(clauses []string, query string, data dataFlags, opts []mpq.Option
 		fmt.Println(err)
 		return
 	}
-	ans, err := sys.Eval(opts...)
+	ans, err := eval(sys, opts, timeout)
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -507,6 +502,16 @@ func evalQuery(clauses []string, query string, data dataFlags, opts []mpq.Option
 	if err := obs.finish(); err != nil {
 		fmt.Println(err)
 	}
+}
+
+// eval runs one evaluation, aborted after timeout when it is positive.
+func eval(sys *mpq.System, opts []mpq.Option, timeout time.Duration) (*mpq.Answer, error) {
+	if timeout > 0 {
+		ctx, cancel := context.WithTimeout(context.Background(), timeout)
+		defer cancel()
+		opts = append(opts[:len(opts):len(opts)], mpq.WithContext(ctx))
+	}
+	return sys.Eval(opts...)
 }
 
 // printProof parses "pred(c1,c2,...)" and prints why it holds.

@@ -73,7 +73,7 @@ func main() {
 	reoptThreshold := flag.Float64("reopt-threshold", 0, "-serve with -strategy auto: statistics-drift fraction that re-optimizes cached plans (0 = default, negative disables)")
 	stats := flag.Bool("stats", false, "print execution statistics (driver site)")
 	dialTimeout := flag.Duration("dial-timeout", 10*time.Second, "total window for (re)connecting to a peer site before declaring it down")
-	heartbeat := flag.Duration("heartbeat", 500*time.Millisecond, "liveness heartbeat interval per peer connection (0 disables heartbeats)")
+	heartbeat := flag.Duration("heartbeat", 500*time.Millisecond, "liveness heartbeat interval per peer connection (must be positive)")
 	maxBackoff := flag.Duration("max-backoff", time.Second, "cap on the exponential reconnect backoff")
 	deadline := flag.Duration("deadline", 0, "abort the query after this wall-clock time (0 = no deadline)")
 	chaos := flag.String("chaos", "", "fault-injection spec: 'delay:FROM-TO:D[:JITTER];cut:FROM-TO:N[:HEAL];crash:SITE:N' ('*' = any site)")
@@ -90,15 +90,17 @@ func main() {
 	sloTarget := flag.Float64("slo-target", 0.99, "-serve: fraction of requests that should meet -slo")
 	sloWindow := flag.Duration("slo-window", time.Minute, "-serve: sliding window for the burn-rate gauge")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "-serve: how long SIGINT/SIGTERM lets in-flight queries finish before aborting them")
-	partitions := flag.Int("partitions", 0, "hash-partitioned worker shards per node process (0 or 1 = none: each evaluation runs on one goroutine; multi-site: must be set identically on every site)")
 	store := flag.String("store", "", "-serve: persistent EDB directory (created on first run; facts, statistics epoch, and result-cache version survive restarts)")
 	flag.Parse()
+	if *heartbeat <= 0 {
+		fmt.Fprintln(os.Stderr, "mpqd: -heartbeat must be positive (the TCP transport's replay needs its acknowledgements)")
+		usage()
+	}
 
 	if *serveAddr != "" {
 		runServe(*serveAddr, *programPath, *metricsAddr, *store, *drainTimeout, serve.Config{
 			Strategy:        *strategy,
 			ReoptThreshold:  *reoptThreshold,
-			Partitions:      *partitions,
 			MaxConcurrent:   *maxConcurrent,
 			Quota:           *tenantQuota,
 			QueueDepth:      *queueDepth,
@@ -113,9 +115,7 @@ func main() {
 
 	addrs := strings.Split(*addrList, ",")
 	if *programPath == "" || len(addrs) < 2 || *site < 0 || *site >= len(addrs) {
-		fmt.Fprintln(os.Stderr, "usage: mpqd -program q.dl -site N -addrs a0,a1,... (N < number of addresses)")
-		fmt.Fprintln(os.Stderr, "   or: mpqd -program q.dl -serve ADDR [-max-concurrent N] [-deadline D] [-metrics ADDR]")
-		os.Exit(2)
+		usage()
 	}
 
 	sys, err := mpq.LoadFile(*programPath)
@@ -147,9 +147,6 @@ func main() {
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "mpqd: "+format+"\n", args...)
 		},
-	}
-	if *heartbeat == 0 {
-		cfg.HeartbeatInterval = transport.NoHeartbeat
 	}
 
 	local := transport.NewLocal(len(g.Nodes) + 1)
@@ -197,15 +194,11 @@ func main() {
 		net = fn
 	}
 
-	// Multi-site: shard planning is a pure function of (graph, partition
-	// count), and senders stamp shard routes for remote nodes too, so every
-	// site must run the same count: the flag must be set identically.
 	// SIGINT/SIGTERM cancel the evaluation (it aborts with ErrCancelled)
 	// instead of killing the process mid-protocol.
 	sig, stopSig := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSig()
-	opts := engine.Options{Stats: st, Deadline: *deadline, PeerDown: down,
-		Partitions: *partitions, Cancel: sig.Done()}
+	opts := engine.Options{Stats: st, Deadline: *deadline, PeerDown: down, Cancel: sig.Done()}
 	var prof *trace.Profile
 	if *profile {
 		prof = trace.NewProfile()
@@ -242,6 +235,13 @@ func main() {
 	if *stats {
 		fmt.Fprintf(os.Stderr, "%s\n", res.Stats)
 	}
+}
+
+// usage prints the two invocation forms and exits 2.
+func usage() {
+	fmt.Fprintln(os.Stderr, "usage: mpqd -program q.dl -site N -addrs a0,a1,... (N < number of addresses)")
+	fmt.Fprintln(os.Stderr, "   or: mpqd -program q.dl -serve ADDR [-max-concurrent N] [-deadline D] [-metrics ADDR]")
+	os.Exit(2)
 }
 
 // runServe is the long-lived single-site mode: load the program once,

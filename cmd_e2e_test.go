@@ -2,6 +2,7 @@ package mpq
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -113,6 +114,20 @@ func TestCommandsEndToEnd(t *testing.T) {
 			t.Errorf("mpqd answers wrong:\n%s", out)
 		}
 		site1.Wait()
+	})
+
+	// The TCP transport's replay needs heartbeat acknowledgements, so a
+	// non-positive interval is a usage error, not a quieter transport.
+	t.Run("mpqd-heartbeat-zero", func(t *testing.T) {
+		out, err := exec.Command(filepath.Join(bin, "mpqd"), "-heartbeat", "0",
+			"-program", "unused.dl", "-site", "0", "-addrs", "127.0.0.1:7914,127.0.0.1:7915").CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("mpqd -heartbeat 0: err = %v, want exit status 2\n%s", err, out)
+		}
+		if !strings.Contains(string(out), "usage: mpqd") {
+			t.Errorf("mpqd -heartbeat 0 printed no usage line:\n%s", out)
+		}
 	})
 
 	t.Run("serve", func(t *testing.T) {

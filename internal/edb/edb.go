@@ -30,8 +30,8 @@ import (
 //
 // Loading is not safe for concurrent use with other loading; once loaded,
 // concurrent reads are safe provided every index the readers will probe
-// has been warmed (see WarmFor / WarmIndexesFor, which the engine calls
-// before starting node processes). A lone writer may overlap readers —
+// has been warmed (see WarmFor, which the engine calls before starting node
+// processes). A lone writer may overlap readers —
 // the backends synchronize internally — but callers wanting a consistent
 // read serialize mutation themselves (mpq.System holds its mutation lock).
 type Database struct {
@@ -271,11 +271,3 @@ type IndexNeed struct {
 	Key  ast.PredKey
 	Cols []int
 }
-
-// WarmIndexesFor is the historical name of WarmFor, kept for callers that
-// coordinate warming themselves.
-func (db *Database) WarmIndexesFor(needs []IndexNeed) { db.store.WarmFor(needs) }
-
-// WarmIndexes pre-builds a hash index on every column of every base
-// relation so that later concurrent reads never mutate relation state.
-func (db *Database) WarmIndexes() { db.store.WarmFor(nil) }

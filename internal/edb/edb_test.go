@@ -159,11 +159,11 @@ func TestLoadFile(t *testing.T) {
 	}
 }
 
-func TestWarmIndexes(t *testing.T) {
+func TestWarmFor(t *testing.T) {
 	db := New()
 	db.Add("r", "a", "b")
 	db.Add("empty0") // propositional: zero columns, nothing to index
-	db.WarmIndexes() // must not panic and must allow concurrent reads after
+	db.WarmFor(nil)  // must not panic and must allow concurrent reads after
 	key := ast.PredKey{Name: "r", Arity: 2}
 	a, _ := db.Syms.Lookup("a")
 	done := make(chan bool, 2)
@@ -180,9 +180,9 @@ func TestWarmIndexes(t *testing.T) {
 	<-done
 }
 
-// TestWarmIndexesForIdempotent is the regression test for composite
-// warming: warming the same needs twice must not rebuild any index.
-func TestWarmIndexesForIdempotent(t *testing.T) {
+// TestWarmForIdempotent is the regression test for composite warming:
+// warming the same needs twice must not rebuild any index.
+func TestWarmForIdempotent(t *testing.T) {
 	// Index-build introspection is a relation.Relation feature, so this
 	// test pins the in-memory backend regardless of MPQ_STORE.
 	db := FromStorage(NewMemory())
@@ -194,13 +194,13 @@ func TestWarmIndexesForIdempotent(t *testing.T) {
 		{Key: ast.PredKey{Name: "g", Arity: 3}, Cols: []int{0, 1}}, // duplicate need
 		{Key: ast.PredKey{Name: "absent", Arity: 2}, Cols: []int{0, 1}},
 	}
-	db.WarmIndexesFor(needs)
+	db.WarmFor(needs)
 	g := Materialize(db, ast.PredKey{Name: "g", Arity: 3})
 	builds := g.IndexBuilds()
 	if builds != 4 { // three single-column + one composite
 		t.Errorf("after first warm: %d index builds, want 4", builds)
 	}
-	db.WarmIndexesFor(needs) // warm again: everything already built
+	db.WarmFor(needs) // warm again: everything already built
 	if g.IndexBuilds() != builds {
 		t.Errorf("second warm rebuilt indexes: %d builds, want %d", g.IndexBuilds(), builds)
 	}

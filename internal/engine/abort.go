@@ -50,19 +50,18 @@ func abortReasonError(reason uint8, note string) error {
 }
 
 // abort aborts the evaluation exactly once per runner: it records the typed
-// error, which the run loop finds before its next step (the hub is rung in
-// case the loop is parked and the abort comes from a worker shard), and tells
-// every node hosted elsewhere — in the background: a send to a dead site may
-// wait out a dial window. Every site that observes an Abort relays it once
-// through this same path, so a partially delivered broadcast still reaches
-// every live site, and the once-guard bounds the echo at sites × nodes.
+// error, which the run loop finds before its next step, and tells every node
+// hosted elsewhere — in the background: a send to a dead site may wait out a
+// dial window. Only the run loop calls it. Every site that observes an Abort
+// relays it once through this same path, so a partially delivered broadcast
+// still reaches every live site, and the once-guard bounds the echo at
+// sites × nodes.
 func (rt *runner) abort(reason uint8, note string) {
-	err := abortReasonError(reason, note)
-	if !rt.abortErr.CompareAndSwap(nil, &err) {
+	if rt.abortErr != nil {
 		return
 	}
+	rt.abortErr = abortReasonError(reason, note)
 	rt.stats.Abort()
-	rt.hub.Ring()
 	if rt.hosts == nil {
 		return
 	}
@@ -91,12 +90,7 @@ func (rt *runner) abort(reason uint8, note string) {
 
 // abortError returns the recorded abort error, nil if the evaluation was
 // not aborted.
-func (rt *runner) abortError() error {
-	if err := rt.abortErr.Load(); err != nil {
-		return *err
-	}
-	return nil
-}
+func (rt *runner) abortError() error { return rt.abortErr }
 
 // poll turns Options.Cancel closing and the deadline passing into a recorded
 // abort. The loop polls between steps (a few nanoseconds on an unset or quiet
@@ -126,7 +120,7 @@ func (rt *runner) park() {
 	case rt.hub.Closed():
 		// The site is being torn down under the evaluation (an injected crash).
 		rt.abort(msg.AbortSiteDown, "mailbox closed mid-query")
-	case rt.hosts == nil && rt.parts == nil:
+	case rt.hosts == nil:
 		// Every producer is this loop: waiting would never end.
 		rt.abort(msg.AbortNone, "no process holds mail before the final end (lost termination)")
 	default:

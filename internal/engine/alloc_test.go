@@ -68,10 +68,9 @@ func diskDB(tb testing.TB) *edb.Database {
 
 // TestAllocBudget pins the allocation-free hot path: a pooled Plan.Run of
 // the reach rules may spend at most 0.1 heap objects per delivered row
-// (tuples plus tuple requests), at Partitions 1 and 2, on either backend —
-// an EDB leaf's bound scan appends row views into its own buffer, so what
-// is left is per-run wiring. Before the node processes became
-// batch-at-a-time it was about 9.
+// (tuples plus tuple requests), on either backend — an EDB leaf's bound scan
+// appends row views into its own buffer, so what is left is per-run wiring.
+// Before the node processes became batch-at-a-time it was about 9.
 func TestAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation budget is measured on the full cluster")
@@ -85,51 +84,49 @@ func TestAllocBudget(t *testing.T) {
 		db   *edb.Database
 	}{{"memory", edb.FromStorage(edb.NewMemory())}, {"disk", diskDB(t)}} {
 		plan, ids := reachCluster(t, backend.db)
-		for _, p := range []int{1, 2} {
-			opts := Options{Partitions: p, Bind: []symtab.Sym{ids[7]}}
-			var rows int64
-			run := func() {
-				res, err := plan.Run(opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rows = res.Stats.TupleRows + res.Stats.TupReqRows
+		opts := Options{Bind: []symtab.Sym{ids[7]}}
+		var rows int64
+		run := func() {
+			res, err := plan.Run(opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-			run() // two warm-up runs: the second draws the pooled scratch
-			run()
-			allocs := testing.AllocsPerRun(10, run)
-			if per := allocs / float64(rows); per > budget {
-				t.Errorf("%s, Partitions=%d: %.0f allocs for %d delivered rows = %.2f per row, budget %.2f", backend.name, p, allocs, rows, per, budget)
-			} else {
-				t.Logf("%s, Partitions=%d: %.0f allocs for %d delivered rows = %.2f per row", backend.name, p, allocs, rows, per)
-			}
+			rows = res.Stats.TupleRows + res.Stats.TupReqRows
+		}
+		run() // two warm-up runs: the second draws the pooled scratch
+		run()
+		allocs := testing.AllocsPerRun(10, run)
+		if per := allocs / float64(rows); per > budget {
+			t.Errorf("%s: %.0f allocs for %d delivered rows = %.2f per row, budget %.2f", backend.name, allocs, rows, per, budget)
+		} else {
+			t.Logf("%s: %.0f allocs for %d delivered rows = %.2f per row", backend.name, allocs, rows, per)
 		}
 	}
 }
 
+// BenchmarkReachCluster is the in-process twin of the reach_mem workload:
+// pooled reach queries, one at a time and two concurrent requests.
 func BenchmarkReachCluster(b *testing.B) {
 	plan, ids := reachCluster(b, edb.New())
-	for _, p := range []int{1, 2} {
-		b.Run(fmt.Sprintf("P%d", p), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := plan.Run(Options{Partitions: p, Bind: []symtab.Sym{ids[i%len(ids)]}}); err != nil {
+	b.Run("serial", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := plan.Run(Options{Bind: []symtab.Sym{ids[i%len(ids)]}}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("x2", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetParallelism(1)
+		b.RunParallel(func(pb *testing.PB) {
+			for i := 0; pb.Next(); i++ {
+				if _, err := plan.Run(Options{Bind: []symtab.Sym{ids[i%len(ids)]}}); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-		b.Run(fmt.Sprintf("P%dx2", p), func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetParallelism(1)
-			b.RunParallel(func(pb *testing.PB) {
-				for i := 0; pb.Next(); i++ {
-					if _, err := plan.Run(Options{Partitions: p, Bind: []symtab.Sym{ids[i%len(ids)]}}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		})
-	}
+	})
 }
 
 // BenchmarkPointLookup is the in-process twin of the point_mem workload: a
@@ -138,7 +135,7 @@ func BenchmarkPointLookup(b *testing.B) {
 	plan, ids := pointCluster(b, edb.New())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := plan.Run(Options{Partitions: 1, Bind: ids[i%len(ids) : i%len(ids)+1]}); err != nil {
+		if _, err := plan.Run(Options{Bind: ids[i%len(ids) : i%len(ids)+1]}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -111,10 +111,9 @@ func (n *recNet) Send(m msg.Message) {
 	n.inner.Send(m)
 }
 
-// newTestRunner builds what Plan.runOn builds for a fresh scratch — a runner
-// with every node process hosted — but sends through a recording network and
-// hands back the pieces, so a test can reach the processes while the
-// production loop (rt.run) steps them.
+// newTestRunner binds a runner as Plan.runOn does for a fresh scratch — every
+// node process hosted — but over a recording network, and hands it back so a
+// test can reach the processes while the production loop (rt.run) steps them.
 func newTestRunner(t *testing.T, src string, opts Options) (*runner, *recNet) {
 	t.Helper()
 	prog := parser.MustParse(src)
@@ -122,16 +121,12 @@ func newTestRunner(t *testing.T, src string, opts Options) (*runner, *recNet) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pl := NewPlan(g, edb.FromProgram(prog))
 	local := transport.NewLocal(len(g.Nodes) + 1)
 	net := &recNet{inner: local}
-	rt, err := newRunner(g, edb.FromProgram(prog), net, opts, nil, 0)
+	rt, err := pl.bind(pl.siteScratch(net, local, nil, 0), opts, false)
 	if err != nil {
 		t.Fatal(err)
-	}
-	rt.local, rt.hub, rt.procs = local, transport.NewHub(), make([]*proc, len(g.Nodes))
-	rt.hub.Attach(local.Boxes...)
-	for id := range g.Nodes {
-		rt.procs[id] = newProc(rt, id, local.Boxes[id])
 	}
 	return rt, net
 }
@@ -162,17 +157,19 @@ func runRecorded(t *testing.T, prog string, opts Options) (*rgg.Graph, *recNet, 
 	return g, net, res.Answers
 }
 
-// TestFramingInvariants checks every data frame of a wide, partitioned run:
-// a lone row travels as a Tuple and never as a one-row batch; a batch's
-// payload is exactly Count rows of the receiver's width; and a frame
-// addressed to a worker shard carries only rows that shard owns — so one
-// sender drain that produced rows for several shards split them into one
-// frame each.
+// TestFramingInvariants checks every data frame of a run with a wide
+// wavefront (a dense random graph) and then a narrow one (a chain hanging off
+// it): a lone row travels as a Tuple and never as a one-row batch, and a
+// batch's payload is exactly Count rows of the receiver's width.
 func TestFramingInvariants(t *testing.T) {
 	facts := workload.Random("edge", 48, 300, rand.New(rand.NewSource(5)))
 	src := workload.Program(workload.TCRules, facts).String()
-	g, net, answers := runRecorded(t, src, Options{Partitions: 4})
-	parts := planPartitions(g, 4)
+	for i, from := 0, "n0"; i < 30; i++ {
+		to := fmt.Sprintf("tail%d", i)
+		src += fmt.Sprintf("edge(%s, %s).\n", from, to)
+		from = to
+	}
+	g, net, answers := runRecorded(t, src, Options{})
 	truth := bottomup.SemiNaive(parser.MustParse(src), edb.FromProgram(parser.MustParse(src)))
 	if answers.Len() != truth.Goal.Len() {
 		t.Fatalf("%d answers, want %d", answers.Len(), truth.Goal.Len())
@@ -191,7 +188,6 @@ func TestFramingInvariants(t *testing.T) {
 		return len(carriedPositions(g.Nodes[m.From].Ad))
 	}
 	lone, batches := 0, 0
-	shardsHit := map[int]map[int32]bool{}
 	for _, m := range net.sent {
 		switch m.Kind {
 		case msg.Tuple:
@@ -208,41 +204,10 @@ func TestFramingInvariants(t *testing.T) {
 			if n := rowsIn(m); len(m.Vals) != n*width(m) {
 				t.Fatalf("tuple request framed wrongly (width %d): %v", width(m), m)
 			}
-			continue
-		default:
-			continue
-		}
-		sp := parts[m.To]
-		if sp == nil {
-			if m.Shard != 0 {
-				t.Fatalf("shard tag on a frame for unpartitioned node: %v", m)
-			}
-			continue
-		}
-		sk, routed := sp.key[m.From]
-		if !routed {
-			continue
-		}
-		if shardsHit[m.To] == nil {
-			shardsHit[m.To] = map[int32]bool{}
-		}
-		shardsHit[m.To][m.Shard] = true
-		for i, w := 0, sk.width; i < rowsIn(m); i++ {
-			row := m.Vals[i*w : (i+1)*w]
-			if want := int32(relation.HashTupleAt(row, sk.pos)%uint64(sp.n)) + 1; m.Shard != want {
-				t.Fatalf("row %v of %v belongs to shard %d", row, m, want)
-			}
 		}
 	}
 	if lone == 0 || batches == 0 {
 		t.Errorf("want both lone rows and batches on a wide wavefront, got %d and %d", lone, batches)
-	}
-	split := false
-	for _, hit := range shardsHit {
-		split = split || len(hit) > 1
-	}
-	if !split {
-		t.Error("no partitioned node received frames on more than one shard")
 	}
 }
 
@@ -254,12 +219,12 @@ func TestZeroWidthRows(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		b.add(nil)
 	}
-	m := tupleMsg(7, 0, &b)
+	m := tupleMsg(7, &b)
 	if m.Kind != msg.TupleBatch || m.Count != 3 || len(m.Vals) != 0 || b.count != 0 {
 		t.Fatalf("zero-width batch = %v (buffer left with %d rows)", m, b.count)
 	}
 	b.add(nil)
-	if m := tupleMsg(7, 0, &b); m.Kind != msg.Tuple || rowsIn(m) != 1 {
+	if m := tupleMsg(7, &b); m.Kind != msg.Tuple || rowsIn(m) != 1 {
 		t.Fatalf("lone zero-width row = %v", m)
 	}
 
@@ -354,20 +319,18 @@ func TestDeltaWindowBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []int{1, 2} {
-		inc := NewPlan(g, db).Incremental(Options{Partitions: p})
-		if rows, _ := incRound(t, inc); len(rows) == 0 {
-			t.Fatal("first round found nothing")
-		}
-		for i := 0; i < 6; i++ {
-			db.Add("edge", fmt.Sprintf("m%d_%d", p, i), fmt.Sprintf("m%d_%d", p, i+1))
-		}
-		rows, res := incRound(t, inc)
-		if want := 6 * 7 / 2; len(rows) != want {
-			t.Errorf("Partitions=%d: delta round yielded %d answers, want %d", p, len(rows), want)
-		}
-		if res.Stats.TupleBatches == 0 {
-			t.Errorf("Partitions=%d: a 6-row delta window travelled without a single batch: %v", p, res.Stats)
-		}
+	inc := NewPlan(g, db).Incremental(Options{})
+	if rows, _ := incRound(t, inc); len(rows) == 0 {
+		t.Fatal("first round found nothing")
+	}
+	for i := 0; i < 6; i++ {
+		db.Add("edge", fmt.Sprintf("m%d", i), fmt.Sprintf("m%d", i+1))
+	}
+	rows, res := incRound(t, inc)
+	if want := 6 * 7 / 2; len(rows) != want {
+		t.Errorf("delta round yielded %d answers, want %d", len(rows), want)
+	}
+	if res.Stats.TupleBatches == 0 {
+		t.Errorf("a 6-row delta window travelled without a single batch: %v", res.Stats)
 	}
 }

@@ -8,8 +8,8 @@
 // message, so the same engine runs over in-process mailboxes or the TCP
 // transport (see RunSites and transport.TCP). Which process handles its next
 // message is ours to choose: one run loop per (evaluation, site), on the
-// goroutine that called Run (see runner.loop). Only the worker shards of
-// Options.Partitions >= 2 run on goroutines of their own.
+// goroutine that called Run (see runner.loop); an evaluation starts no
+// goroutine of its own.
 //
 // # Completion accounting
 //
@@ -31,7 +31,6 @@ import (
 	"runtime/debug"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/edb"
@@ -61,9 +60,8 @@ type Options struct {
 	// debugging and teaching; it serializes sends and is slow.
 	Trace io.Writer
 	// EDBDelay simulates per-retrieval latency at EDB leaves (disk or a
-	// remote store), for the parallelism experiments: worker shards and
-	// sites overlap these waits, one run loop cannot. Zero (the default)
-	// disables the simulation.
+	// remote store): sites overlap these waits, one run loop cannot. Zero
+	// (the default) disables the simulation.
 	EDBDelay time.Duration
 	// Deadline, when positive, bounds the evaluation in wall-clock time:
 	// when it expires the query is aborted everywhere (an Abort message goes
@@ -101,15 +99,9 @@ type Options struct {
 	// Its length must equal the root's number of "d" positions — zero for
 	// ordinary all-free roots.
 	Bind []symtab.Sym
-	// Partitions, when >= 2, splits every partitionable rule and IDB goal
-	// node into that many hash-partitioned worker shards — goroutines with
-	// private mailboxes and join state, fed by sender-side hash routing on
-	// the node's partition key (see DESIGN.md, "Partitioned node
-	// processes"). 0 or 1 evaluates on the calling goroutine alone, here and
-	// in the mpq/mpqd CLIs. The answer set is identical at any setting;
-	// only the schedule (and hence wall-clock on multi-core hosts) changes.
-	// Multi-site runs must pass the same value at every site, since senders
-	// compute the shard of remote receivers.
+	// Deprecated: ignored; evaluation is never sharded. Kept only because
+	// benchmark/ still references it; removed with ROADMAP item 1's
+	// [benchmark] PR.
 	Partitions int
 	// pick is the scheduling seam (see runner.pick); tests seed it.
 	pick func(n int) int
@@ -157,21 +149,8 @@ func RunSites(g *rgg.Graph, db edb.Storage, net transport.Network, local *transp
 	if !slices.Contains(hosts, site) {
 		return nil, nil // nothing hosted here: no message would ever release this site
 	}
-	db.WarmFor(edbIndexNeeds(g))
-	rt, err := newRunner(g, db, net, opts, hosts, site)
-	if err != nil {
-		return nil, err
-	}
-	rt.local, rt.hub, rt.procs = local, transport.NewHub(), make([]*proc, len(g.Nodes))
-	for id, h := range hosts {
-		if h == site {
-			rt.hub.Attach(local.Boxes[id])
-			if id != rt.driver {
-				rt.procs[id] = newProc(rt, id, local.Boxes[id])
-			}
-		}
-	}
-	return rt.run(nil)
+	pl := NewPlan(g, db)
+	return pl.runOn(pl.siteScratch(net, local, hosts, site), opts, false, nil)
 }
 
 // Partition assigns graph nodes to sites such that each nontrivial strong
@@ -218,12 +197,7 @@ type runner struct {
 	events *trace.EventLog
 	begin  time.Time
 
-	// parts is the partition plan (Options.Partitions >= 2), indexed by
-	// node id with a nil entry for unpartitioned nodes and the driver; nil
-	// when partitioning is off or no node qualifies. local is the Local
-	// transport hosting this site's mailboxes — partitioned nodes register
-	// their worker shard mailboxes with it for sender-side fan-out.
-	parts []*partSpec
+	// local is the Local transport hosting this site's mailboxes.
 	local *transport.Local
 
 	// The run loop's side: hub lists the hosted mailboxes (the driver's too,
@@ -242,7 +216,7 @@ type runner struct {
 	// itself — no watchdog goroutine — and expired closes at the deadline.
 	hosts    []int
 	site     int
-	abortErr atomic.Pointer[error]
+	abortErr error
 	cancel   <-chan struct{}
 	peerDown <-chan transport.PeerDown
 	deadline time.Duration
@@ -255,8 +229,8 @@ type runner struct {
 	delta bool
 }
 
-func newRunner(g *rgg.Graph, db edb.Storage, net transport.Network, opts Options,
-	hosts []int, site int) (*runner, error) {
+// newRunner starts an evaluation's runner over scratch s (see Plan.bind).
+func newRunner(g *rgg.Graph, db edb.Storage, opts Options, s *scratch) (*runner, error) {
 	stats := opts.Stats
 	if stats == nil {
 		stats = &trace.Stats{}
@@ -264,34 +238,15 @@ func newRunner(g *rgg.Graph, db edb.Storage, net transport.Network, opts Options
 	if w := len(dynamicPositions(g.Nodes[g.Root].Ad)); len(opts.Bind) != w {
 		return nil, fmt.Errorf("engine: Bind has %d values, root has %d dynamic positions", len(opts.Bind), w)
 	}
-	rt := &runner{g: g, db: db, net: net, stats: stats, driver: len(g.Nodes),
+	rt := &runner{g: g, db: db, net: s.net, stats: stats, driver: len(g.Nodes),
 		bind: opts.Bind, edbDelay: opts.EDBDelay, traceW: opts.Trace,
 		prof: opts.Profile, events: opts.Events, pick: opts.pick,
-		hosts: hosts, site: site,
+		local: s.local, hub: s.hub, procs: s.procs, hosts: s.hosts, site: s.site,
 		cancel: opts.Cancel, peerDown: opts.PeerDown, deadline: opts.Deadline}
-	if opts.Partitions >= 2 {
-		rt.parts = planPartitions(g, opts.Partitions)
-	}
-	workers := 0
-	for _, sp := range rt.parts {
-		if sp != nil {
-			workers += sp.n
-		}
-	}
-	stats.SetWorkers(int64(workers))
 	if rt.prof != nil || rt.events != nil {
 		rt.initObservers()
 	}
 	return rt, nil
-}
-
-// partSpec returns node id's partition plan, or nil when it runs as a
-// single process.
-func (rt *runner) partSpec(id int) *partSpec {
-	if rt.parts == nil {
-		return nil
-	}
-	return rt.parts[id]
 }
 
 // initObservers sizes the profile/event log for this graph and labels
@@ -416,8 +371,6 @@ func (rt *runner) loop(yield func(relation.Tuple) bool) (answers *relation.Relat
 		defer time.AfterFunc(rt.deadline, func() { close(expired) }).Stop()
 		rt.expired = expired
 	}
-	rt.eachPart((*partState).start) // worker shards live exactly as long as the loop
-	defer rt.eachPart((*partState).stop)
 	// A panicking node process must not take down the site (in mpqd, other
 	// queries) or leave other sites waiting: it becomes an abort, ErrNodePanic
 	// carrying the stack. stepping is the process inside step; any other
@@ -515,7 +468,7 @@ func (rt *runner) send(m msg.Message) {
 		rt.stats.ProtocolMsg()
 	}
 	if rt.prof != nil && m.From >= 0 && m.From < rt.prof.Size() {
-		sh := rt.prof.Shard(m.From)
+		sh := rt.prof.Counters(m.From)
 		switch m.Kind {
 		case msg.RelReq, msg.End, msg.ReqEnd:
 			sh.Msg()

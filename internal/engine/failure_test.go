@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -121,16 +122,51 @@ func TestNodePanicAborts(t *testing.T) {
 	})
 }
 
-// chaosSites runs the graph across `sites` in-process "sites" (separate
-// RunSites calls sharing one mailbox set) wired through a single FaultNet,
-// and returns the driver's result/error. Every site gets the deadline as a
+// TestWorkerPanicAborts: a node that panics at another site, on that site's
+// own goroutine, while the driver's loop is parked waiting for mail, must
+// reach the driver as a typed abort and end both sites.
+func TestWorkerPanicAborts(t *testing.T) {
+	prog := parser.MustParse(p1data)
+	g, err := rgg.Build(prog, rgg.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts := sitePlacement(g, 2)
+	local := transport.NewLocal(len(g.Nodes) + 1)
+	guard(t, 30*time.Second, "remote panic", func() {
+		// Site 1 hosts EDB leaves, whose first Tuple send panics.
+		errs := make([]error, 2)
+		var wg sync.WaitGroup
+		for site, net := range []transport.Network{local, &panicNet{inner: local}} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, errs[site] = RunSites(g, edb.FromProgram(prog), net, local, hosts, site, Options{})
+			}()
+		}
+		wg.Wait()
+		for site, err := range errs {
+			if !errors.Is(err, ErrNodePanic) {
+				t.Errorf("site %d: err = %v, want ErrNodePanic", site, err)
+			}
+		}
+		if !strings.Contains(errs[0].Error(), "injected node failure") {
+			t.Errorf("driver lost the panic note: %v", errs[0])
+		}
+	})
+}
+
+// chaosSites runs the graph across the in-process sites of hosts (separate
+// RunSites calls sharing one mailbox set, each over its own database from
+// mkDB) wired through a single FaultNet, and returns the driver's
+// result/error. Every site gets the deadline as a
 // backstop and the FaultNet's failure-detector channel, exactly as real
 // mpqd processes would.
-func chaosSites(t *testing.T, g *rgg.Graph, mkDB func() *edb.Database, sites int,
+func chaosSites(t *testing.T, g *rgg.Graph, mkDB func(site int) *edb.Database, hosts []int,
 	configure func(fn *transport.FaultNet, hosts []int, locals *transport.Local),
 	opts Options) (*Result, error, []error, int64) {
 	t.Helper()
-	hosts := Partition(g, sites)
+	sites := slices.Max(hosts) + 1
 	local := transport.NewLocal(len(g.Nodes) + 1)
 	fn := transport.NewFaultNet(local, hosts, 1)
 	defer fn.Close()
@@ -146,7 +182,7 @@ func chaosSites(t *testing.T, g *rgg.Graph, mkDB func() *edb.Database, sites int
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = RunSites(g, mkDB(), fn, local, hosts, i, opts)
+			results[i], errs[i] = RunSites(g, mkDB(i), fn, local, hosts, i, opts)
 		}(i)
 	}
 	done := make(chan struct{})
@@ -261,7 +297,7 @@ func TestChaosSoak(t *testing.T) {
 		for _, sc := range scenarios {
 			sc := sc
 			t.Run(wl.name+"/"+sc.name, func(t *testing.T) {
-				res, derr, errs, faultDrops := chaosSites(t, g, mkDB, 3, sc.configure,
+				res, derr, errs, faultDrops := chaosSites(t, g, func(int) *edb.Database { return mkDB() }, Partition(g, 3), sc.configure,
 					Options{Deadline: 4 * time.Second})
 				for i, e := range errs[1:] {
 					if e != nil && !typedAbort(e) {

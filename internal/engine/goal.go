@@ -205,14 +205,6 @@ func (g *goalState) onRelReq(c int) {
 	if !g.relReqForwarded {
 		g.relReqForwarded = true
 		switch {
-		case g.p.wk != nil:
-			// Worker shard of a partitioned goal: the control process
-			// already forwarded the relation request downstream, once on
-			// behalf of all shards. An EDB worker still seeds its share of
-			// the delta window on delta rounds.
-			if g.p.rt.delta && g.isEDB {
-				g.serviceEDBDelta()
-			}
 		case g.cycleTo != rgg.NoNode:
 			g.p.send(msg.Message{Kind: msg.RelReq, To: g.cycleTo})
 		case g.isEDB:
@@ -314,16 +306,8 @@ func (g *goalState) serviceEDB(vals []symtab.Sym) {
 	}
 	n := g.p.node
 	g.rows = g.p.rt.db.ScanInto(g.rows[:0], n.Atom.Key(), binding)
-	// A worker shard needs no filter here: every row matching the binding
-	// has the binding as its d-projection, and partState.onTupReq routed the
-	// binding to this worker by the hash of exactly that projection. An EDB
-	// shard leaf (requests are broadcast to all N) keeps its hash share.
-	sharded := n.EDBShardOf > 1
+	g.p.work.EDBTuples += int64(len(g.rows))
 	for _, row := range g.rows {
-		if sharded && !g.ownsRow(row) {
-			continue
-		}
-		g.p.work.EDBTuples++
 		g.emitBase(row)
 	}
 }
@@ -342,24 +326,6 @@ func (g *goalState) emitBase(row relation.Tuple) {
 		g.buf[i] = row[pos]
 	}
 	g.onTuple(g.buf)
-}
-
-// ownsRow applies the hash filters that carve this leaf's share out of the
-// shared base relation: the EDB-shard filter (hash-partitioned base
-// relations) and the worker-shard filter (the d-projection routing of
-// partState.onTupReq). Plain leaves own every row. It filters every row of a
-// delta window and the scan results of EDB shard leaves; a worker's bound
-// scan is owned by construction (see serviceEDB).
-func (g *goalState) ownsRow(row relation.Tuple) bool {
-	n := g.p.node
-	if n.EDBShardOf > 1 && int(relation.HashTuple(row)%uint64(n.EDBShardOf)) != n.EDBShard {
-		return false
-	}
-	if g.p.wk != nil && len(g.dPos) > 0 &&
-		int(relation.HashTupleAt(row, g.dPos)%uint64(g.p.wk.ps.spec.n)) != g.p.wk.idx {
-		return false
-	}
-	return true
 }
 
 // serviceEDBDelta seeds one delta round at an EDB leaf: the base-relation
@@ -384,13 +350,10 @@ func (g *goalState) serviceEDBDelta() {
 	if d := g.p.rt.edbDelay; d > 0 {
 		time.Sleep(d) // one simulated retrieval for the whole window
 	}
-	owned, seeded := 0, 0
+	scanned, seeded := 0, 0
 window:
 	for row := range g.p.rt.db.ScanSince(n.Atom.Key(), from) {
-		if !g.ownsRow(row) {
-			continue
-		}
-		owned++
+		scanned++
 		for i, sym := range g.consts {
 			if sym != symtab.NoSym && row[i] != sym {
 				continue window
@@ -415,7 +378,7 @@ window:
 		}
 		g.onTuple(g.buf)
 	}
-	g.p.work.EDBTuples += int64(owned)
+	g.p.work.EDBTuples += int64(scanned)
 	g.p.rt.stats.DeltaSeeded(int64(seeded))
 }
 

@@ -15,7 +15,7 @@
 // customer reqCount, rule headReqCount, lastWatermark) are cumulative
 // across rounds, so the End accounting needs no special cases — both sides
 // of every edge count from the same origin. See doc/SUBSCRIPTIONS.md for
-// the soundness argument and doc/PROTOCOL.md §5d for the wire view.
+// the soundness argument and doc/PROTOCOL.md §5c for the wire view.
 //
 // Additions only: retracting a base tuple would require revising the dedup
 // sets (a counting semiring over derivations); see the future-work note in
@@ -76,7 +76,7 @@ func (inc *Incremental) Round(cancel <-chan struct{}, yield func(relation.Tuple)
 		opts.Cancel = cancel
 	}
 	if inc.s == nil {
-		inc.s = inc.pl.newScratch(opts.Partitions)
+		inc.s = inc.pl.newScratch()
 	}
 	// The scratch is built by the first round that runs; rounds after it are
 	// delta rounds, and only a round that ran can break the retained state.

@@ -12,8 +12,18 @@ import (
 	"repro/internal/rgg"
 )
 
-// incRound runs one Incremental round with a hang guard and returns the
-// tuples it yielded, in arrival order.
+// roundRows runs one Incremental round and returns the tuples it yielded,
+// in arrival order.
+func roundRows(inc *Incremental) ([]relation.Tuple, *Result, error) {
+	var rows []relation.Tuple
+	res, err := inc.Round(nil, func(tu relation.Tuple) bool {
+		rows = append(rows, append(relation.Tuple(nil), tu...))
+		return true
+	})
+	return rows, res, err
+}
+
+// incRound is roundRows with a hang guard.
 func incRound(t *testing.T, inc *Incremental) ([]relation.Tuple, *Result) {
 	t.Helper()
 	type out struct {
@@ -23,11 +33,7 @@ func incRound(t *testing.T, inc *Incremental) ([]relation.Tuple, *Result) {
 	}
 	ch := make(chan out, 1)
 	go func() {
-		var rows []relation.Tuple
-		res, err := inc.Round(nil, func(tu relation.Tuple) bool {
-			rows = append(rows, append(relation.Tuple(nil), tu...))
-			return true
-		})
+		rows, res, err := roundRows(inc)
 		ch <- out{res, rows, err}
 	}()
 	select {
@@ -115,8 +121,11 @@ func testIncrementalTC(t *testing.T, strategy rgg.Strategy, opts Options) {
 	}
 }
 
-func TestIncrementalTC(t *testing.T)          { testIncrementalTC(t, nil, Options{}) }
-func TestIncrementalTCSeq(t *testing.T)       { testIncrementalTC(t, rgg.LeftToRightStrategy, Options{}) }
+func TestIncrementalTC(t *testing.T)    { testIncrementalTC(t, nil, Options{}) }
+func TestIncrementalTCSeq(t *testing.T) { testIncrementalTC(t, rgg.LeftToRightStrategy, Options{}) }
+
+// TestIncrementalTCPartition pins the deprecated Options.Partitions for
+// incremental rounds: asking for 4 shards is the unsharded run, round for round.
 func TestIncrementalTCPartition(t *testing.T) { testIncrementalTC(t, nil, Options{Partitions: 4}) }
 
 // TestIncrementalNewPredicate: a base predicate that is empty when the
@@ -154,9 +163,10 @@ func TestIncrementalNewPredicate(t *testing.T) {
 }
 
 // TestIncrementalRandom drives random insertion sequences through every
-// strategy x partition combination and checks, after every delta round,
-// that the accumulated answers equal a from-scratch evaluation, with no
-// answer ever emitted twice.
+// strategy, with P Incrementals of one plan advancing round by round
+// (pP: each retains a scratch of its own), and checks after every delta round
+// that each one's accumulated answers equal a from-scratch evaluation, that
+// all P yielded the same rows, and that no answer was ever emitted twice.
 func TestIncrementalRandom(t *testing.T) {
 	rules := `
 		path(X, Y) :- edge(X, Y).
@@ -168,37 +178,49 @@ func TestIncrementalRandom(t *testing.T) {
 		name string
 		s    rgg.Strategy
 	}{{"default", nil}, {"sequential", rgg.LeftToRightStrategy}} {
-		for _, parts := range []int{1, 4} {
-			name := fmt.Sprintf("%s/p%d", strat.name, parts)
+		for _, par := range []int{1, 4} {
+			name := fmt.Sprintf("%s/p%d", strat.name, par)
 			t.Run(name, func(t *testing.T) {
 				rng := rand.New(rand.NewSource(7))
-				opts := Options{Partitions: parts}
 				prog := parser.MustParse(rules)
 				db := edb.FromProgram(prog)
 				g, err := rgg.Build(prog, rgg.Options{Strategy: strat.s})
 				if err != nil {
 					t.Fatal(err)
 				}
-				inc := NewPlan(g, db).Incremental(opts)
-				seen := relation.New(2)
-				rows, _ := incRound(t, inc)
-				for _, r := range rows {
-					seen.Insert(r)
+				plan := NewPlan(g, db)
+				incs := make([]*Incremental, par)
+				seen := make([]*relation.Relation, par)
+				for i := range incs {
+					incs[i], seen[i] = plan.Incremental(Options{}), relation.New(2)
 				}
-				for round := 0; round < 8; round++ {
-					for k := rng.Intn(3) + 1; k > 0; k-- {
-						a := fmt.Sprintf("n%d", rng.Intn(10))
-						b := fmt.Sprintf("n%d", rng.Intn(10))
-						db.Add("edge", a, b)
-					}
-					rows, _ := incRound(t, inc)
-					for _, r := range rows {
-						if !seen.Insert(r) {
-							t.Errorf("round %d repeated answer %s", round, r.String(db.Syms))
+				for round := -1; round < 8; round++ {
+					if round >= 0 {
+						for k := rng.Intn(3) + 1; k > 0; k-- {
+							a := fmt.Sprintf("n%d", rng.Intn(10))
+							b := fmt.Sprintf("n%d", rng.Intn(10))
+							db.Add("edge", a, b)
 						}
 					}
-					if got, want := renderSet(seen, db), freshSet(t, rules, db, strat.s, opts); got != want {
-						t.Fatalf("round %d answers = %s, want %s", round, got, want)
+					want := freshSet(t, rules, db, strat.s, Options{})
+					var first string
+					for i, inc := range incs {
+						rows, _ := incRound(t, inc)
+						delta := relation.New(2)
+						for _, r := range rows {
+							delta.Insert(r)
+							if !seen[i].Insert(r) {
+								t.Errorf("round %d, incremental %d repeated answer %s", round, i, r.String(db.Syms))
+							}
+						}
+						if got := renderSet(seen[i], db); got != want {
+							t.Fatalf("round %d, incremental %d answers = %s, want %s", round, i, got, want)
+						}
+						if d := renderSet(delta, db); i == 0 {
+							first = d
+						} else if d != first {
+							t.Errorf("round %d: incremental %d yielded %s, incremental 0 %s", round, i, d, first)
+						}
 					}
 				}
 			})

@@ -5,6 +5,7 @@ import (
 	"iter"
 	"math/rand"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -19,8 +20,8 @@ import (
 
 // An EDB leaf is a retrieval process in front of the one shared store: it
 // holds no rows. These tests pin what that buys (building a scratch does not
-// read the base relation) and what it must not lose (the ownership hash is
-// now a filter on shared scans, where a private slice used to hide it).
+// read the base relation) and what it must not lose (leaves of many plans and
+// concurrent runs read the same rows, however the store is shared).
 
 // fullScanCounter counts the scans that ask a store for a whole relation.
 type fullScanCounter struct {
@@ -67,19 +68,16 @@ func TestScratchIsGraphSized(t *testing.T) {
 	db.Add("edge", "lonely", "lonelier")
 	lonely := []symtab.Sym{db.Symbols().Intern("lonely")}
 	counted := &fullScanCounter{Storage: db}
-	for _, p := range []int{1, 2, 4} {
-		plan := NewPlan(g, counted)
-		opts := Options{Partitions: p, Bind: lonely}
-		for i := 0; i < 3; i++ {
-			for plan.pool.Get() != nil { // empty the pool: the run builds a fresh scratch
-			}
-			if _, err := plan.Run(opts); err != nil {
-				t.Fatal(err)
-			}
+	plan := NewPlan(g, counted)
+	for i := 0; i < 3; i++ {
+		for plan.pool.Get() != nil { // empty the pool: the run builds a fresh scratch
 		}
-		if n := counted.full.Load(); n != 0 {
-			t.Fatalf("Partitions=%d: %d whole-relation scans while compiling and running on fresh scratches, want 0", p, n)
+		if _, err := plan.Run(Options{Bind: lonely}); err != nil {
+			t.Fatal(err)
 		}
+	}
+	if n := counted.full.Load(); n != 0 {
+		t.Fatalf("%d whole-relation scans while compiling and running on fresh scratches, want 0", n)
 	}
 
 	liveHeap := func() uint64 {
@@ -88,12 +86,12 @@ func TestScratchIsGraphSized(t *testing.T) {
 		runtime.ReadMemStats(&m)
 		return m.HeapAlloc
 	}
-	plan := NewPlan(g, db)
+	plan = NewPlan(g, db)
 	const scratches = 4
 	held := make([]*Incremental, 0, scratches) // an Incremental keeps its scratch
 	before := liveHeap()
 	for i := 0; i < scratches; i++ {
-		inc := plan.Incremental(Options{Partitions: 4, Bind: lonely})
+		inc := plan.Incremental(Options{Bind: lonely})
 		if _, err := inc.Round(nil, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -108,14 +106,14 @@ func TestScratchIsGraphSized(t *testing.T) {
 	}
 }
 
-// TestLeafOwnershipMatrix runs random programs over every way a leaf shares
-// the store — base relations hash-partitioned into N shard leaves, nodes
-// split into P worker shards, memory and disk — through a fresh run, a pooled
-// re-run after facts arrived, and a delta round over the same facts. The
-// programs include a predicate with no facts at plan time and a selection
-// whose bound variable repeats (edge(X, X)). Every answer set must equal
-// semi-naive's over the same database, and for one request the base rows
-// delivered must not depend on N or P: each row has one owner.
+// TestLeafOwnershipMatrix runs random programs over every way leaves share
+// the store — N plans compiled over it (edbN), P runs of each plan at once
+// (pP), memory and disk — through a fresh run, a pooled re-run after facts
+// arrived, and a delta round over the same facts. The programs include a
+// predicate with no facts at plan time and a selection whose bound variable
+// repeats (edge(X, X)). Every answer set must equal semi-naive's over the
+// same database, and for one request the base rows delivered must not depend
+// on N or P: no leaf owns a private copy of a row.
 func TestLeafOwnershipMatrix(t *testing.T) {
 	const rules = `
 		path(X, Y) :- edge(X, Y).
@@ -137,9 +135,9 @@ func TestLeafOwnershipMatrix(t *testing.T) {
 		for name, mk := range backends {
 			// step → "edbN/pP" → base rows delivered.
 			delivered := make(map[string]map[string]int64)
-			for _, shards := range []int{2, 3} {
-				for _, p := range []int{1, 2, 4} {
-					cell := fmt.Sprintf("edb%d/p%d", shards, p)
+			for _, plans := range []int{2, 3} {
+				for _, par := range []int{1, 2, 4} {
+					cell := fmt.Sprintf("edb%d/p%d", plans, par)
 					note := func(step string, n int64) {
 						if delivered[step] == nil {
 							delivered[step] = make(map[string]int64)
@@ -153,39 +151,79 @@ func TestLeafOwnershipMatrix(t *testing.T) {
 						for k := 0; k < 2*nodes; k++ {
 							db.Add("edge", node(rng), node(rng))
 						}
-						g, err := rgg.Build(prog, rgg.Options{PartitionEDB: map[ast.PredKey]int{
-							{Name: "edge", Arity: 2}: shards, {Name: "late", Arity: 2}: shards}})
+						g, err := rgg.Build(prog, rgg.Options{})
 						if err != nil {
 							t.Fatal(err)
 						}
 						want := func() string { return renderSet(bottomup.SemiNaive(prog, db).Goal, db) }
-						opts := Options{Partitions: p}
-						plan := NewPlan(g, db)
-						run := func(step string) {
-							t.Helper()
-							res, err := plan.Run(opts)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if got, want := renderSet(res.Answers, db), want(); got != want {
-								t.Fatalf("%s: answers %s, want %s", step, got, want)
-							}
-							note(step, res.Stats.EDBTuples)
+						pls := make([]*Plan, plans)
+						incs := make([]*Incremental, plans)
+						seen := make([]*relation.Relation, plans)
+						for i := range pls {
+							pls[i] = NewPlan(g, db)
+							incs[i] = pls[i].Incremental(Options{})
+							seen[i] = relation.New(2)
 						}
-						inc := plan.Incremental(opts)
-						seen := relation.New(2)
-						round := func(step string) {
+						// each runs f once per (plan, slot) at once and checks
+						// that every one delivered the same base rows.
+						each := func(step string, slots int, f func(i int) *Result) {
 							t.Helper()
-							rows, res := incRound(t, inc)
-							for _, r := range rows {
-								if !seen.Insert(r) {
-									t.Errorf("%s: repeated answer %s", step, r.String(db.Syms))
+							res := make([]*Result, plans*slots)
+							var wg sync.WaitGroup
+							for k := range res {
+								wg.Add(1)
+								go func(k int) {
+									defer wg.Done()
+									res[k] = f(k % plans)
+								}(k)
+							}
+							wg.Wait()
+							for _, r := range res {
+								if r == nil {
+									t.FailNow() // f reported why
+								}
+								if r.Stats.EDBTuples != res[0].Stats.EDBTuples {
+									t.Fatalf("%s: concurrent evaluations delivered %d and %d base rows", step, r.Stats.EDBTuples, res[0].Stats.EDBTuples)
 								}
 							}
-							if got, want := renderSet(seen, db), want(); got != want {
-								t.Fatalf("%s: accumulated answers %s, want %s", step, got, want)
-							}
-							note(step, res.Stats.EDBTuples)
+							note(step, res[0].Stats.EDBTuples)
+						}
+						run := func(step string) {
+							t.Helper()
+							w := want()
+							each(step, par, func(i int) *Result {
+								res, err := pls[i].Run(Options{})
+								if err != nil {
+									t.Error(err)
+									return nil
+								}
+								if got := renderSet(res.Answers, db); got != w {
+									t.Errorf("%s: answers %s, want %s", step, got, w)
+									return nil
+								}
+								return res
+							})
+						}
+						round := func(step string) {
+							t.Helper()
+							w := want()
+							each(step, 1, func(i int) *Result {
+								rows, res, err := roundRows(incs[i])
+								if err != nil {
+									t.Error(err)
+									return nil
+								}
+								for _, r := range rows {
+									if !seen[i].Insert(r) {
+										t.Errorf("%s: repeated answer %s", step, r.String(db.Syms))
+									}
+								}
+								if got := renderSet(seen[i], db); got != w {
+									t.Errorf("%s: accumulated answers %s, want %s", step, got, w)
+									return nil
+								}
+								return res
+							})
 						}
 						run("fresh run")
 						round("first round")
@@ -206,7 +244,7 @@ func TestLeafOwnershipMatrix(t *testing.T) {
 			for step, byCell := range delivered {
 				for _, n := range byCell {
 					if n != byCell["edb2/p1"] {
-						t.Errorf("trial%d/%s, %s: base rows delivered depend on the sharding: %v", trial, name, step, byCell)
+						t.Errorf("trial%d/%s, %s: base rows delivered depend on how the store is shared: %v", trial, name, step, byCell)
 						break
 					}
 				}

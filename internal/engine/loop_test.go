@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -55,21 +54,22 @@ func pointCluster(tb testing.TB, db *edb.Database) (*Plan, []symtab.Sym) {
 // allows half as much again.
 const pointRunAllocs = 20
 
-// TestPointRunBudget pins the fixed cost of a request: a pooled Plan.Run at
-// Partitions=1 runs to completion on the calling goroutine — no goroutine
-// exists during or after it that did not before — and stays within its
-// allocation budget, on either backend.
+// TestPointRunBudget pins the fixed cost of a request: a pooled Plan.Run
+// runs to completion on the calling goroutine — no goroutine exists during or
+// after it that did not before — and stays within its allocation budget, on
+// either backend. It also pins the compatibility contract of the deprecated
+// Options.Partitions: a run asking for 4 shards is the default run, answer for
+// answer in the same order, and reports Stats.Workers == 0.
 func TestPointRunBudget(t *testing.T) {
 	for _, backend := range []struct {
 		name string
 		db   *edb.Database
 	}{{"memory", edb.FromStorage(edb.NewMemory())}, {"disk", diskDB(t)}} {
 		plan, ids := pointCluster(t, backend.db)
-		opts := Options{Partitions: 1, Bind: ids[7:8]}
 		before, during, rows := runtime.NumGoroutine(), 0, 0
-		run := func() {
+		run := func(opts Options) *Result {
 			rows = 0
-			_, err := plan.RunStream(opts, func(relation.Tuple) bool {
+			res, err := plan.RunStream(opts, func(relation.Tuple) bool {
 				during = max(during, runtime.NumGoroutine())
 				rows++
 				return true
@@ -77,16 +77,24 @@ func TestPointRunBudget(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			return res
 		}
-		run() // the second run draws the pooled scratch
-		run()
+		def, sharded := Options{Bind: ids[7:8]}, Options{Partitions: 4, Bind: ids[7:8]}
+		want := run(def) // the second run draws the pooled scratch
+		got := run(sharded)
 		if rows == 0 {
 			t.Fatalf("%s: point lookup found nothing", backend.name)
 		}
 		if after := runtime.NumGoroutine(); during != before || after != before {
 			t.Errorf("%s: goroutines before/during/after a run = %d/%d/%d, want no change", backend.name, before, during, after)
 		}
-		allocs, budget := testing.AllocsPerRun(100, run), 1.5*pointRunAllocs
+		if g, w := fmt.Sprint(got.Answers.Rows()), fmt.Sprint(want.Answers.Rows()); g != w {
+			t.Errorf("%s: Partitions=4 answers %s, default %s", backend.name, g, w)
+		}
+		if got.Stats.Workers != 0 {
+			t.Errorf("%s: Partitions=4 reports %d workers, want 0", backend.name, got.Stats.Workers)
+		}
+		allocs, budget := testing.AllocsPerRun(100, func() { run(def) }), 1.5*pointRunAllocs
 		switch {
 		case raceEnabled:
 			// sync.Pool drops a quarter of the scratches put back, and building
@@ -96,6 +104,32 @@ func TestPointRunBudget(t *testing.T) {
 		default:
 			t.Logf("%s: %.0f allocs per pooled point lookup", backend.name, allocs)
 		}
+	}
+}
+
+// TestPartitionedWorkerGauge pins Stats.Workers, the deprecated worker-shard
+// gauge: a run reports 0 workers, with or without Partitions, and asking for
+// 4 shards changes no answer.
+func TestPartitionedWorkerGauge(t *testing.T) {
+	prog := parser.MustParse(p1data)
+	g, err := rgg.Build(prog, rgg.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := edb.FromProgram(prog)
+	var answers []string
+	for _, opts := range []Options{{}, {Partitions: 4}} {
+		res, err := Run(g, db, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Workers != 0 {
+			t.Errorf("Partitions=%d reports %d workers, want 0", opts.Partitions, res.Stats.Workers)
+		}
+		answers = append(answers, renderSet(res.Answers, db))
+	}
+	if answers[0] != answers[1] {
+		t.Errorf("Partitions=4 answers %s, default %s", answers[1], answers[0])
 	}
 }
 
@@ -110,10 +144,17 @@ func TestSeededLoopRandomPrograms(t *testing.T) {
 	if testing.Short() {
 		programs, seeds = 8, 5
 	}
-	aborted := 0
+	srcs := make([]string, 0, programs+int64(len(randomGraphShapes)))
 	for ps := int64(0); ps < programs; ps++ {
-		prog := workload.RandomProgram(rand.New(rand.NewSource(ps)))
-		src := prog.String()
+		srcs = append(srcs, workload.RandomProgram(rand.New(rand.NewSource(ps))).String())
+	}
+	graphs := rand.New(rand.NewSource(7))
+	for _, shape := range randomGraphShapes {
+		srcs = append(srcs, randomGraphProgram(graphs, shape))
+	}
+	aborted := 0
+	for ps, src := range srcs {
+		prog := parser.MustParse(src)
 		g, err := rgg.Build(prog, rgg.Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -180,58 +221,45 @@ func TestSeededLoopRandomPrograms(t *testing.T) {
 			}
 		}
 	}
-	if aborted < int(programs*seeds)/2 {
-		t.Errorf("only %d of %d injected aborts landed before the run's last step", aborted, programs*seeds)
+	if runs := len(srcs) * int(seeds); aborted < runs/2 {
+		t.Errorf("only %d of %d injected aborts landed before the run's last step", aborted, runs)
 	}
 }
 
-// TestLoopWakesOnWorkerOutput: a control process whose only pending work
-// arrives from a worker shard — the shard's drain report, the answers it
-// routes to an unpartitioned customer — must wake a loop that parked with no
-// mail anywhere. A lost wake-up would hang the run (the guard), so run this
-// under -race -count=20.
+// TestLoopWakesOnWorkerOutput: a site whose every message arrives from
+// another goroutine — FaultNet's delay workers, here delaying each send on
+// the one site's own link — parks with no mail after every step, and each
+// delivery must ring it awake. A lost wake-up would hang the run (the
+// guard), so run this under -race -count=20.
 func TestLoopWakesOnWorkerOutput(t *testing.T) {
-	plan, ids := reachCluster(t, edb.New())
+	db := edb.New()
+	g, ids := reachClusters(t, db, 1)
+	plan := NewPlan(g, db)
+	hosts := make([]int, len(g.Nodes)+1)
 	want := 0
-	for i := 0; i < 30; i++ {
+	for i := 0; i < 6; i++ {
 		bind := ids[i%len(ids) : i%len(ids)+1]
-		var res *Result
-		var err error
-		guard(t, 30*time.Second, "partitioned run", func() {
-			res, err = plan.Run(Options{Partitions: 2 + 2*(i%2), Bind: bind})
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Stats.Workers == 0 {
-			t.Fatal("no worker shards: nothing could have woken the loop from outside")
-		}
 		seq, err := plan.Run(Options{Bind: bind})
 		if err != nil {
 			t.Fatal(err)
 		}
+		local := transport.NewLocal(len(g.Nodes) + 1)
+		fn := transport.NewFaultNet(local, hosts, int64(i))
+		fn.AddLink(transport.LinkFault{From: transport.AnySite, To: transport.AnySite, Jitter: 50 * time.Microsecond})
+		var res *Result
+		guard(t, 30*time.Second, "delayed run", func() {
+			res, err = RunSites(g, db, fn, local, hosts, 0, Options{Bind: bind})
+		})
+		fn.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if res.Answers.Len() != seq.Answers.Len() {
-			t.Fatalf("binding %d: %d answers with worker shards, %d without", i, res.Answers.Len(), seq.Answers.Len())
+			t.Fatalf("binding %d: %d answers with delayed delivery, %d without", i, res.Answers.Len(), seq.Answers.Len())
 		}
 		want += seq.Answers.Len()
 	}
 	if want == 0 {
 		t.Error("no binding had answers")
 	}
-}
-
-// TestWorkerPanicAborts: a worker shard that panics records the abort from
-// its own goroutine, possibly while the loop is parked waiting for that very
-// shard; the abort must ring the loop awake and come back typed.
-func TestWorkerPanicAborts(t *testing.T) {
-	db := edb.New()
-	g, ids := reachClusters(t, db, 1)
-	local := transport.NewLocal(len(g.Nodes) + 1)
-	guard(t, 30*time.Second, "worker panic", func() {
-		// The first tuples of a reach query leave the partitioned edge leaf.
-		_, err := runOver(g, db, &panicNet{inner: local}, local, Options{Partitions: 2, Bind: ids[7:8]})
-		if !errors.Is(err, ErrNodePanic) || !strings.Contains(err.Error(), "worker") {
-			t.Errorf("err = %v, want ErrNodePanic from a worker shard", err)
-		}
-	})
 }

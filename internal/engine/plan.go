@@ -30,19 +30,20 @@ type Plan struct {
 	pool sync.Pool // of *scratch
 }
 
-// scratch is one run's worth of reusable per-node state: the in-process
-// network, the hub listing its mailboxes for the run loop, and the node
-// processes (whose temporaries keep their relation capacity across runs),
-// built by the first run that gets as far as needing them. partitions is the
-// Options.Partitions they are built for — worker shard wiring is structural,
-// so a scratch only serves runs with the same setting (System's plan cache
-// keys plans by partition count, so in practice a Plan sees one value).
+// scratch is one site's worth of reusable per-node state: the network and
+// the in-process mailboxes under it, the hub listing the hosted mailboxes for
+// the run loop, and the hosted node processes (whose temporaries keep their
+// relation capacity across runs), built by the first run that gets as far as
+// needing them. hosts and site place the nodes for a multi-site run (see
+// RunSites); a single-site scratch has nil hosts and sends over local.
 type scratch struct {
-	local      *transport.Local
-	hub        *transport.Hub
-	procs      []*proc
-	built      bool
-	partitions int
+	local *transport.Local
+	net   transport.Network
+	hosts []int
+	site  int
+	hub   *transport.Hub
+	procs []*proc
+	built bool
 }
 
 // NewPlan compiles the graph/database pair into a reusable plan, warming
@@ -64,9 +65,9 @@ func (pl *Plan) Run(opts Options) (*Result, error) {
 
 // RunStream is Run with answer streaming, as the package-level RunStream
 // (nil yield collects silently; yield returning false cancels early). It runs
-// to completion on the calling goroutine; at Partitions <= 1 it starts none.
+// to completion on the calling goroutine and starts none.
 func (pl *Plan) RunStream(opts Options, yield func(relation.Tuple) bool) (*Result, error) {
-	s := pl.get(opts.Partitions)
+	s := pl.get()
 	res, err := pl.runOn(s, opts, false, yield)
 	if s.built {
 		// A shell whose run failed before building its procs has nothing
@@ -80,14 +81,26 @@ func (pl *Plan) RunStream(opts Options, yield func(relation.Tuple) bool) (*Resul
 // and otherwise returned to their just-constructed state — or, for the
 // delta round of an Incremental, to the state its next round starts from.
 func (pl *Plan) runOn(s *scratch, opts Options, delta bool, yield func(relation.Tuple) bool) (*Result, error) {
-	rt, err := newRunner(pl.g, pl.db, s.local, opts, nil, 0)
+	rt, err := pl.bind(s, opts, delta)
 	if err != nil {
 		return nil, err
 	}
-	rt.local, rt.hub, rt.procs, rt.delta = s.local, s.hub, s.procs, delta
+	return rt.run(yield)
+}
+
+// bind makes the runner for one evaluation over scratch s and readies its
+// procs for it. This is the one place node processes are constructed.
+func (pl *Plan) bind(s *scratch, opts Options, delta bool) (*runner, error) {
+	rt, err := newRunner(pl.g, pl.db, opts, s)
+	if err != nil {
+		return nil, err
+	}
+	rt.delta = delta
 	if !s.built {
 		for id := range pl.g.Nodes {
-			s.procs[id] = newProc(rt, id, s.local.Boxes[id])
+			if s.hosts == nil || s.hosts[id] == s.site {
+				s.procs[id] = newProc(rt, id, s.local.Boxes[id])
+			}
 		}
 		s.built = true
 	} else {
@@ -100,25 +113,34 @@ func (pl *Plan) runOn(s *scratch, opts Options, delta bool, yield func(relation.
 	if delta {
 		rt.stats.DeltaRound()
 	}
-	return rt.run(yield)
+	return rt, nil
 }
 
-// get draws a scratch from the pool, or makes a fresh shell; one built for a
-// different partition count is discarded — its worker wiring would not match.
-func (pl *Plan) get(partitions int) *scratch {
+// get draws a scratch from the pool, or makes a fresh shell.
+func (pl *Plan) get() *scratch {
 	if v := pl.pool.Get(); v != nil {
-		if s := v.(*scratch); s.partitions == max(partitions, 1) {
-			return s
+		return v.(*scratch)
+	}
+	return pl.newScratch()
+}
+
+// newScratch makes a single-site shell: every node hosted, sending over
+// in-process mailboxes.
+func (pl *Plan) newScratch() *scratch {
+	local := transport.NewLocal(len(pl.g.Nodes) + 1)
+	return pl.siteScratch(local, local, nil, 0)
+}
+
+// siteScratch makes a shell for site's share of the plan under hosts (nil:
+// every node), sending over net; local holds the mailboxes its hub attaches.
+func (pl *Plan) siteScratch(net transport.Network, local *transport.Local, hosts []int, site int) *scratch {
+	s := &scratch{local: local, net: net, hosts: hosts, site: site,
+		hub: transport.NewHub(), procs: make([]*proc, len(pl.g.Nodes))}
+	for id, b := range local.Boxes {
+		if hosts == nil || hosts[id] == site {
+			s.hub.Attach(b)
 		}
 	}
-	return pl.newScratch(partitions)
-}
-
-func (pl *Plan) newScratch(partitions int) *scratch {
-	n := len(pl.g.Nodes)
-	s := &scratch{local: transport.NewLocal(n + 1), hub: transport.NewHub(),
-		procs: make([]*proc, n), partitions: max(partitions, 1)}
-	s.hub.Attach(s.local.Boxes...)
 	return s
 }
 
@@ -130,8 +152,8 @@ func (pl *Plan) newScratch(partitions int) *scratch {
 // way every allocation whose size tracks the data survives (relation
 // row/index capacity, request bitsets, output-buffer size hints, mailbox
 // backing arrays) and the run-scoped wiring — the runner pointer and its
-// profile shard — is rebound. It runs strictly between evaluations: the
-// previous loop has returned and its worker shards have exited.
+// profile shard — is rebound. It runs strictly between evaluations, after
+// the previous loop has returned.
 //
 // A delta round keeps everything the semi-naive re-evaluation relies on:
 //
@@ -143,7 +165,7 @@ func (pl *Plan) newScratch(partitions int) *scratch {
 //   goal reqs / answers / seenBase          relReqForwarded
 //   rule hb / sentHeads / subs[i].rel       relReqReceived
 //     / sentReqs                            Fig 2 state, mailboxes,
-//   worker work counters / workAtProbe        output buffers
+//                                             output buffers
 //
 // Keeping both sides of each watermark pair (sent/acked, reqCount/
 // lastWatermark) cumulative is what lets the unmodified End accounting
@@ -157,16 +179,11 @@ func (p *proc) reset(rt *runner) {
 	p.rt = rt
 	p.shard = nil
 	if rt.prof != nil {
-		if p.wk != nil {
-			p.shard = rt.prof.WorkerShard(p.id, p.wk.idx, p.wk.ps.spec.n)
-		} else {
-			p.shard = rt.prof.Shard(p.id)
-		}
+		p.shard = rt.prof.Counters(p.id)
 	}
 	for _, f := range p.feeds {
 		if !rt.delta {
-			f.sent.Store(0)
-			f.acked = 0
+			f.sent, f.acked = 0, 0
 		}
 		f.allEnd, f.drained = false, false
 	}
@@ -175,34 +192,10 @@ func (p *proc) reset(rt *runner) {
 	p.clearOutput()
 	p.work = trace.Work{}
 	p.box.Reset()
-	switch {
-	case p.part != nil:
-		p.part.reset(rt)
-	case p.goal != nil:
+	if p.goal != nil {
 		p.goal.reset(rt.delta)
-	default:
+	} else {
 		p.rule.reset(rt.delta)
-	}
-}
-
-// reset does the same for a partitioned node's control state and worker
-// procs. The workers share p.feeds with the control proc, so their reset
-// re-clears those counters — harmless between evaluations. workAtProbe and
-// the completion counters are only ever compared with each other, so a delta
-// round keeps both.
-func (ps *partState) reset(rt *runner) {
-	for i := range ps.customers {
-		ps.customers[i].reset(rt.delta)
-	}
-	ps.relReqReceived = false
-	if !rt.delta {
-		ps.workAtProbe = 0
-	}
-	for _, w := range ps.workers {
-		if !rt.delta {
-			w.wk.work.Store(0)
-		}
-		w.reset(rt)
 	}
 }
 

@@ -2,12 +2,10 @@ package engine
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/adorn"
 	"repro/internal/msg"
-	"repro/internal/relation"
 	"repro/internal/rgg"
 	"repro/internal/symtab"
 	"repro/internal/trace"
@@ -60,20 +58,12 @@ type proc struct {
 	goal *goalState
 	rule *ruleState
 
-	// part is set on the control process of a hash-partitioned node (the
-	// goal/rule state then lives in the workers); wk is set on a worker
-	// shard proc (which runs workerLoop on its own goroutine). Both nil on an
-	// ordinary node process. See shard.go.
-	part *partState
-	wk   *workerCtx
-
 	// Packaged delivery (footnote 2), the only mode: kids buffers outgoing
-	// tuple requests per child, custs outgoing tuples per customer (and,
-	// for partitioned receivers, per worker shard — each shard receives one
-	// frame per drain). Both are built once per proc and flushed at
-	// mailbox-drain boundaries and before any termination-protocol message
-	// is handled, so completion logic never observes a state with
-	// undelivered buffered traffic. buffered counts the rows they hold.
+	// tuple requests per child, custs outgoing tuples per customer. Both
+	// are built once per proc and flushed at mailbox-drain boundaries and
+	// before any termination-protocol message is handled, so completion
+	// logic never observes a state with undelivered buffered traffic.
+	// buffered counts the rows they hold.
 	kids     []kidOut
 	custs    []custOut
 	buffered int
@@ -93,14 +83,10 @@ type kidOut struct {
 
 // custOut is the answer stream to one customer: the tree parent (the driver
 // for the root) first, then every variant node selecting from this one
-// through a cycle edge. bufs has one entry when the customer runs as a
-// single process; otherwise entry k > 0 feeds its worker shard k-1, chosen
-// by hashing the row's key columns — the receiver's partition plan,
-// evaluated here at the sender.
+// through a cycle edge.
 type custOut struct {
-	id   int
-	key  []int
-	bufs []rowBuf
+	id  int
+	buf rowBuf
 }
 
 // rowBuf accumulates concatenated same-width rows bound for one mailbox
@@ -136,16 +122,10 @@ func (b *rowBuf) drop() { b.vals, b.count = nil, 0 }
 // tuple requests were sent and how many the child has acknowledged as fully
 // serviced. Children without "d" positions have one implicit request,
 // completed by End{All}.
-//
-// sent is atomic because the worker shards of a partitioned node share
-// their control process's feeds map: workers add at queue time — before
-// the request can possibly reach the child — so acked (written only by the
-// control process, which alone receives End) can never overtake a count
-// that was not yet visible, and settled() stays conservative.
 type feedState struct {
 	child  int
 	hasD   bool
-	sent   atomic.Int64
+	sent   int
 	acked  int
 	allEnd bool
 	// drained marks that the child has sent at least one End this delta
@@ -161,7 +141,7 @@ type feedState struct {
 
 func (f *feedState) settled() bool {
 	if f.hasD {
-		return int64(f.acked) >= f.sent.Load()
+		return f.acked >= f.sent
 	}
 	return f.allEnd
 }
@@ -170,7 +150,7 @@ func newProc(rt *runner, id int, box *transport.Mailbox) *proc {
 	n := rt.g.Nodes[id]
 	p := &proc{rt: rt, id: id, node: n, box: box}
 	if rt.prof != nil {
-		p.shard = rt.prof.Shard(id)
+		p.shard = rt.prof.Counters(id)
 	}
 	p.recursive = rt.g.Recursive(id)
 	if p.recursive {
@@ -188,27 +168,6 @@ func newProc(rt *runner, id int, box *transport.Mailbox) *proc {
 			p.feeds = append(p.feeds, &feedState{child: c, hasD: hasDynamic(childAdornment(rt.g, c))})
 		}
 	}
-	p.wire()
-	if sp := rt.partSpec(id); sp != nil {
-		// Partitioned node: the goal/rule state lives in the worker shards
-		// (which share p.feeds); this proc is the control process.
-		p.part = newPartState(p, sp)
-		return p
-	}
-	switch n.Kind {
-	case rgg.Goal:
-		p.goal = newGoalState(p)
-	case rgg.Rule:
-		p.rule = newRuleState(p)
-	}
-	return p
-}
-
-// wire builds the proc's output buffers from the graph and the partition
-// plan. A worker shard calls it too: it shares its control process's feeds
-// but buffers privately.
-func (p *proc) wire() {
-	rt, n := p.rt, p.node
 	kids := n.Children
 	if n.CycleTo != rgg.NoNode {
 		kids = append(kids[:len(kids):len(kids)], n.CycleTo)
@@ -225,14 +184,15 @@ func (p *proc) wire() {
 	}
 	p.custs = make([]custOut, len(custs))
 	for i, c := range custs {
-		out := custOut{id: c, bufs: make([]rowBuf, 1)}
-		if sp := rt.partSpec(c); sp != nil {
-			if sk, ok := sp.key[p.id]; ok {
-				out.key, out.bufs = sk.pos, make([]rowBuf, sp.n+1)
-			}
-		}
-		p.custs[i] = out
+		p.custs[i] = custOut{id: c}
 	}
+	switch n.Kind {
+	case rgg.Goal:
+		p.goal = newGoalState(p)
+	case rgg.Rule:
+		p.rule = newRuleState(p)
+	}
+	return p
 }
 
 // kidPos returns child c's position in p.kids.
@@ -366,7 +326,7 @@ func (p *proc) flushWork() {
 func (p *proc) queueTupReq(k int, vals []symtab.Sym) {
 	kid := &p.kids[k]
 	if kid.feed != nil {
-		kid.feed.sent.Add(1)
+		kid.feed.sent++
 	}
 	kid.buf.add(vals)
 	p.buffered++
@@ -375,12 +335,7 @@ func (p *proc) queueTupReq(k int, vals []symtab.Sym) {
 // queueTuple buffers one derived tuple for customer position c. The row is
 // copied, so callers may reuse vals.
 func (p *proc) queueTuple(c int, vals []symtab.Sym) {
-	cust := &p.custs[c]
-	shard := 0
-	if n := len(cust.bufs) - 1; n > 0 {
-		shard = 1 + int(relation.HashTupleAt(vals, cust.key)%uint64(n))
-	}
-	cust.bufs[shard].add(vals)
+	p.custs[c].buf.add(vals)
 	p.buffered++
 }
 
@@ -400,22 +355,19 @@ func (p *proc) flushAll() {
 		}
 	}
 	for i := range p.custs {
-		cust := &p.custs[i]
-		for shard := range cust.bufs {
-			if b := &cust.bufs[shard]; b.count > 0 {
-				p.send(tupleMsg(cust.id, shard, b))
-			}
+		if cust := &p.custs[i]; cust.buf.count > 0 {
+			p.send(tupleMsg(cust.id, &cust.buf))
 		}
 	}
 }
 
 // tupleMsg empties a row buffer into the message that carries it.
-func tupleMsg(to, shard int, b *rowBuf) msg.Message {
+func tupleMsg(to int, b *rowBuf) msg.Message {
 	vals, n := b.take()
 	if n == 1 {
-		return msg.Message{Kind: msg.Tuple, To: to, Vals: vals, Shard: int32(shard)}
+		return msg.Message{Kind: msg.Tuple, To: to, Vals: vals}
 	}
-	return msg.Message{Kind: msg.TupleBatch, To: to, Vals: vals, Count: n, Shard: int32(shard)}
+	return msg.Message{Kind: msg.TupleBatch, To: to, Vals: vals, Count: n}
 }
 
 // clearOutput drops anything still buffered (the previous run ended early).
@@ -425,9 +377,7 @@ func (p *proc) clearOutput() {
 		p.kids[i].buf.drop()
 	}
 	for i := range p.custs {
-		for shard := range p.custs[i].bufs {
-			p.custs[i].bufs[shard].drop()
-		}
+		p.custs[i].buf.drop()
 	}
 }
 
@@ -454,12 +404,9 @@ func (p *proc) handle(m msg.Message) {
 	case msg.End:
 		p.onEnd(m)
 	default:
-		switch {
-		case p.part != nil:
-			p.part.handle(m)
-		case p.goal != nil:
+		if p.goal != nil {
 			p.goal.handle(m)
-		default:
+		} else {
 			p.rule.handle(m)
 		}
 	}
@@ -494,20 +441,11 @@ func (p *proc) feedersSettled() bool {
 }
 
 // emptyQueues is the protocol predicate of Fig 2: the node has no pending
-// work and its feeders have serviced all outstanding requests. For a
-// partitioned node the worker shards count as part of the node: all worker
-// mailboxes must be Quiet (empty, with no dequeued message still in
-// flight). The check order matters — feedersSettled reads the atomic
-// request counters only after the Quiet loads, so a request queued by a
-// worker whose completion we observed is always counted.
+// work and its feeders have serviced all outstanding requests. (Buffered
+// output is no concern here: it is flushed whenever the mailbox drains and
+// before any protocol message is handled, see step.)
 func (p *proc) emptyQueues() bool {
-	if !p.box.Empty() {
-		return false
-	}
-	if p.part != nil && !p.part.quiet() {
-		return false
-	}
-	return p.feedersSettled()
+	return p.box.Empty() && p.feedersSettled()
 }
 
 // isWork classifies messages that constitute computation: anything except
@@ -526,11 +464,6 @@ func isWork(k msg.Kind) bool {
 // bookkeeping, non-recursive end emission, nudges, and leader round starts.
 func (p *proc) after(m msg.Message) {
 	if p.recursive {
-		// A self-addressed Nudge is a worker shard reporting that it just
-		// drained: invisible-to-the-control work happened, so treat it like
-		// work for liveness purposes (member → nudge leader, leader →
-		// re-evaluate a round below).
-		selfNudge := m.Kind == msg.Nudge && m.From == p.id
 		if isWork(m.Kind) {
 			p.idleness = 0
 			if p.isLeader {
@@ -549,7 +482,7 @@ func (p *proc) after(m msg.Message) {
 			if !p.inRound && p.emptyQueues() && !p.confirmed {
 				p.startRound()
 			}
-		} else if (isWork(m.Kind) || selfNudge) && p.emptyQueues() {
+		} else if isWork(m.Kind) && p.emptyQueues() {
 			// Local quiescence may complete global quiescence: hint the
 			// leader to (re)try a protocol round.
 			p.send(msg.Message{Kind: msg.Nudge, To: p.leaderID})
@@ -557,12 +490,9 @@ func (p *proc) after(m msg.Message) {
 		return
 	}
 	// Non-recursive completion: emit watermark/final ends when settled.
-	switch {
-	case p.part != nil:
-		p.part.maybeEnd()
-	case p.goal != nil:
+	if p.goal != nil {
 		p.goal.maybeEnd()
-	default:
+	} else {
 		p.rule.maybeEnd()
 	}
 }
@@ -598,30 +528,17 @@ func (p *proc) onEndReq(m msg.Message) {
 
 // processEndReq is Fig 2's process_end_request: bump or reset idleness,
 // then forward the probe down the spanning tree, or answer immediately at a
-// leaf. A partitioned member additionally compares its workers' completion
-// counters against the previous probe: the control process never sees the
-// shard-routed data traffic, so completed work between probes must reset
-// idleness through the counters (in-flight work is already caught by the
-// Quiet check inside emptyQueues). The counters are read after the Quiet
-// loads so a completion observed via Quiet is never missed.
+// leaf.
 //
 // A probe waits at a node that is not locally quiet — mail queued behind it,
-// worker shards busy, feeders unsettled — until it is (see after). Delaying
-// a probe is a message delay, which the protocol tolerates anywhere, while a
-// negative answer given at once would only make the leader probe again, round
-// after round: harmless while the busy party shares the run loop (it steps
-// in between), a burnt core when it is a worker shard running beside it.
+// feeders unsettled — until it is (see after). Delaying a probe is a message
+// delay, which the protocol tolerates anywhere, while a negative answer given
+// at once would only make the leader probe again, round after round.
 func (p *proc) processEndReq() {
 	if p.probeWaits = !p.emptyQueues(); p.probeWaits {
 		return
 	}
 	p.idleness++
-	if ps := p.part; ps != nil {
-		if w := ps.workNow(); w != ps.workAtProbe {
-			ps.workAtProbe = w
-			p.idleness = 0
-		}
-	}
 	p.waitingFor = len(p.bfstChildren)
 	p.anyNeg = false
 	if p.waitingFor > 0 {
@@ -674,11 +591,7 @@ func (p *proc) answerRound() {
 		if l := p.rt.events; l != nil {
 			l.Add(trace.Event{At: l.Since(), Op: trace.EvConfirm, Node: p.id, Seq: p.round})
 		}
-		if p.part != nil {
-			p.part.confirmedEnd()
-		} else {
-			p.goal.confirmedEnd()
-		}
+		p.goal.confirmedEnd()
 		return
 	}
 	// Fig 2's process_end_negative: retry while locally quiet. The new probe

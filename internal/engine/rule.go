@@ -62,12 +62,9 @@ type ruleState struct {
 
 // subSource is one subgoal's stored temporary relation plus the mappings
 // between its carried argument positions, its distinct variables, and the
-// rule's slots. kids holds the positions (in proc.kids) of the nodes serving
-// the subgoal — one goal node normally, N shard leaves when the subgoal
-// reads a hash-partitioned EDB relation (tuple requests broadcast to all of
-// them; their answer streams merge in rel).
+// rule's slots. Subgoal i is served by child i: proc.kids lists a rule
+// node's children in body order.
 type subSource struct {
-	kids     []int
 	width    int        // carried argument positions: the width of an answer row
 	colSlots []int      // slot of each distinct variable (column of rel)
 	colFrom  []int      // the carried position supplying each column
@@ -165,9 +162,6 @@ func newRuleState(p *proc) *ruleState {
 	for i, atom := range n.Rule.Body {
 		ad := n.SIP.SubAd[i]
 		s := &subSource{}
-		for _, c := range bodyKids(n, i) {
-			s.kids = append(s.kids, p.kidPos(c))
-		}
 		col := make(map[string]int) // variable → column of rel
 		for k, pos := range carriedPositions(ad) {
 			v := atom.Args[pos].Var // carried positions always hold variables
@@ -237,16 +231,7 @@ func (r *ruleState) compile(src int) []joinPlan {
 		if src != headSource && orderPos[src] >= rank {
 			continue
 		}
-		prefix := before(rank)
-		if src == headSource && len(prefix) == 0 && r.p.wk != nil && r.p.wk.idx > 0 {
-			// Worker shard of a partitioned rule: a request derived from the
-			// head binding alone (no supporting subgoal rows) is identical
-			// in every shard — head bindings are replicated — so only worker
-			// 0 sends it. Requests below depend on at least one stored row
-			// and are naturally disjoint across shards.
-			continue
-		}
-		plans = append(plans, r.plan(src, prefix, j))
+		plans = append(plans, r.plan(src, before(rank), j))
 	}
 	return plans
 }
@@ -294,7 +279,7 @@ func (r *ruleState) handle(m msg.Message) {
 			r.onHeadBinding(m.Vals[i*w : (i+1)*w])
 		}
 	case msg.Tuple, msg.TupleBatch:
-		src := r.sourceIdx(m.From)
+		src := r.p.kidPos(m.From)
 		for i, n, w := 0, rowsIn(m), r.subs[src].width; i < n; i++ {
 			r.onSubTuple(src, m.Vals[i*w:(i+1)*w])
 		}
@@ -311,12 +296,8 @@ func (r *ruleState) onRelReq() {
 		return
 	}
 	r.relReqReceived = true
-	if r.p.wk == nil {
-		// On a partitioned node the control process already forwarded the
-		// relation request downstream, once on behalf of all shards.
-		for _, c := range r.p.node.Children {
-			r.p.send(msg.Message{Kind: msg.RelReq, To: c})
-		}
+	for _, c := range r.p.node.Children {
+		r.p.send(msg.Message{Kind: msg.RelReq, To: c})
 	}
 	if r.nHeadD == 0 {
 		r.parent.reqEnd = true
@@ -346,19 +327,6 @@ func (r *ruleState) onHeadBinding(vals []symtab.Sym) {
 	if r.hb.Insert(r.hbRow) {
 		r.trigger(headSource, r.hbSlots, r.hbRow)
 	}
-}
-
-// sourceIdx maps a sender's node id to its subgoal position in the body.
-func (r *ruleState) sourceIdx(from int) int {
-	for i, s := range r.subs {
-		for _, k := range s.kids {
-			if r.p.kids[k].id == from {
-				return i
-			}
-		}
-	}
-	r.p.internalf("tuple from unknown child %d", from)
-	return -2
 }
 
 // onSubTuple folds a subgoal answer into its temporary relation and, when
@@ -430,14 +398,8 @@ func (r *ruleState) requestSub(j int) {
 	for i, sl := range s.dSlots {
 		s.dBuf[i] = r.slots[sl]
 	}
-	if !s.sentReqs.Insert(s.dBuf) {
-		return
-	}
-	// A partitioned EDB subgoal has one child per shard; each holds a hash
-	// slice of the relation, so the request goes to all of them and the
-	// matching slices merge back in s.rel.
-	for _, k := range s.kids {
-		r.p.queueTupReq(k, s.dBuf)
+	if s.sentReqs.Insert(s.dBuf) {
+		r.p.queueTupReq(j, s.dBuf)
 	}
 }
 

@@ -181,7 +181,7 @@ func TestFeedState(t *testing.T) {
 	if !f.settled() {
 		t.Error("fresh d-feed not settled (0 of 0)")
 	}
-	f.sent.Store(3)
+	f.sent = 3
 	if f.settled() {
 		t.Error("settled with 3 outstanding")
 	}

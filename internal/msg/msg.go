@@ -157,13 +157,6 @@ type Message struct {
 	// on Hello and Heartbeat frames it carries the cumulative
 	// acknowledgement (highest sequence delivered so far).
 	Seq uint64
-	// Shard routes a Tuple/TupleBatch to one worker shard of a
-	// hash-partitioned node: 0 (the default) delivers to the node's control
-	// mailbox, k > 0 to worker shard k-1. Senders compute it from the FNV
-	// hash of the receiver's partition-key columns (see engine.Options.
-	// Partitions and doc/PROTOCOL.md, "Shard routing"); the final Local hop
-	// performs the fan-out, so the tag rides the TCP transport unchanged.
-	Shard int32
 }
 
 // String renders the message for traces and test failures.

@@ -94,13 +94,12 @@ func hashSyms(vals []symtab.Sym) uint64 {
 	return h
 }
 
-// HashTuple exposes the relation's FNV-1a row hash. Hash partitioning uses
-// it as the one canonical row→shard function: every site and every sender
-// must agree on which shard owns a row, so there is exactly one hash.
+// HashTuple exposes the relation's FNV-1a row hash, for stores that index
+// rows the same way a Relation does.
 func HashTuple(vals []symtab.Sym) uint64 { return hashSyms(vals) }
 
 // HashTupleAt hashes the values at the given positions of a row, in the
-// given order — the partition-key projection used for shard routing.
+// given order — the key of a column index.
 func HashTupleAt(vals []symtab.Sym, pos []int) uint64 {
 	h := uint64(fnvOffset64)
 	for _, p := range pos {
@@ -230,7 +229,7 @@ func (ix *index) reset() {
 // no-shared-memory regime prescribes. Because index construction is lazy
 // and mutates the relation, code that reads one relation from several
 // goroutines must warm every index it will probe first (see
-// edb.Database.WarmIndexesFor).
+// edb.Database.WarmFor).
 type Relation struct {
 	arity  int
 	rows   []Tuple  // row views into arena chunks, in insertion order

@@ -61,13 +61,6 @@ type Node struct {
 
 	// EDB marks a goal leaf whose predicate belongs to the EDB.
 	EDB bool
-	// EDBShard/EDBShardOf mark an EDB leaf that serves one hash slice of a
-	// partitioned base relation: shard EDBShard of EDBShardOf (see
-	// Options.PartitionEDB). EDBShardOf is 0 on unpartitioned leaves. The
-	// slice is the set of rows r with HashTuple(r) % EDBShardOf == EDBShard,
-	// a property of the row alone, so the shards cover the relation exactly
-	// once regardless of which site stores which rows.
-	EDBShard, EDBShardOf int
 	// CycleTo is the ancestor goal node this variant leaf selects from, or
 	// NoNode. The cycle edge is oriented ancestor → variant (the direction
 	// answers flow).
@@ -80,11 +73,6 @@ type Node struct {
 
 	Parent   int
 	Children []int // goal → rule nodes; rule → subgoal goal nodes in body order
-	// BodyChildren maps, on rule nodes, each body-atom index to the child
-	// node ids serving that subgoal — a single goal node normally, or the N
-	// shard leaves of a partitioned EDB relation. Children remains the flat
-	// concatenation in body order.
-	BodyChildren [][]int
 
 	// SCC is the strong component id (dense, reverse topological from
 	// Tarjan: feeders of a component always have smaller ids than... no
@@ -322,17 +310,6 @@ type Options struct {
 	// positions. Only Dynamic and Free classes are meaningful at the root;
 	// its length must equal the query arity.
 	RootAd adorn.Adornment
-	// PartitionEDB declares hash-partitioned base relations: predicate →
-	// shard count N ≥ 2. Each occurrence of such a predicate in a rule body
-	// expands into N EDB leaf nodes instead of one; leaf i serves only the
-	// rows whose relation.HashTuple lands on slice i. The parent rule
-	// broadcasts its RelReq and TupReqs to all N leaves, and the ordinary
-	// per-child End watermarks merge shard completion — each leaf is just
-	// one more feeder. Shard leaves are independent singleton components,
-	// so Partition/RunSites may place them on different sites: the
-	// distributed half of hash-partitioned data parallelism. Entries with
-	// N < 2 are ignored.
-	PartitionEDB map[ast.PredKey]int
 }
 
 type builder struct {
@@ -443,23 +420,6 @@ func (b *builder) expand(atom ast.Atom, ad adorn.Adornment, parent int) (int, er
 
 	if b.g.EDBPreds[atom.Key()] {
 		n.EDB = true
-		if nshards := b.opts.PartitionEDB[atom.Key()]; nshards >= 2 && parent != NoNode {
-			// Partitioned base relation: this leaf becomes shard 0 and
-			// siblings serve the remaining hash slices. All share the atom
-			// and adornment, so the parent rule treats them as N feeders of
-			// the same subgoal (see Node.BodyChildren).
-			n.EDBShard, n.EDBShardOf = 0, nshards
-			for s := 1; s < nshards; s++ {
-				sn, err := b.newNode(Goal, parent)
-				if err != nil {
-					return NoNode, err
-				}
-				sn.Atom = atom
-				sn.Ad = ad
-				sn.EDB = true
-				sn.EDBShard, sn.EDBShardOf = s, nshards
-			}
-		}
 		return n.ID, nil
 	}
 
@@ -494,14 +454,9 @@ func (b *builder) expand(atom ast.Atom, ad adorn.Adornment, parent int) (int, er
 		rn.Rule = &instCopy
 		rn.SIP = b.opts.Strategy(inst, ad)
 		for i := range inst.Body {
-			pre := len(rn.Children)
 			if _, err := b.expand(inst.Body[i], rn.SIP.SubAd[i], rn.ID); err != nil {
 				return NoNode, err
 			}
-			// Record which children serve body atom i (several when the
-			// subgoal's relation is hash-partitioned). Copy: Children's
-			// backing array still grows.
-			rn.BodyChildren = append(rn.BodyChildren, append([]int(nil), rn.Children[pre:]...))
 		}
 	}
 	return n.ID, nil
@@ -732,8 +687,6 @@ func (g *Graph) Text() string {
 			fmt.Fprintf(&b, "rule#%d %s  [sip: %s]", n.ID, n.Rule, n.SIP)
 		case n.CycleTo != NoNode:
 			fmt.Fprintf(&b, "goal#%d %s  --cycle--> goal#%d", n.ID, n.Adorned(), n.CycleTo)
-		case n.EDB && n.EDBShardOf > 1:
-			fmt.Fprintf(&b, "goal#%d %s  [EDB shard %d/%d]", n.ID, n.Adorned(), n.EDBShard, n.EDBShardOf)
 		case n.EDB:
 			fmt.Fprintf(&b, "goal#%d %s  [EDB]", n.ID, n.Adorned())
 		default:

@@ -73,7 +73,7 @@ func (c *resultCache) len() int {
 }
 
 // resultKey names one cacheable result: the compiled plan (strategy,
-// partitions, shape), the bound constants (length-prefixed, so no
+// shape), the bound constants (length-prefixed, so no
 // argument bytes can collide with the framing), and the EDB version the
 // answer was computed against.
 func resultKey(pq *mpq.PreparedQuery, args []string, version uint64) string {

@@ -93,11 +93,6 @@ type Config struct {
 	// Strategy is the information-passing strategy compiled into every
 	// plan ("" = greedy). It keys the plan cache alongside query shape.
 	Strategy string
-	// Partitions splits partitionable node processes into this many
-	// hash-partitioned worker shards per evaluation (see
-	// mpq.WithPartitions). It keys the plan cache alongside Strategy and
-	// query shape; <2 means sequential.
-	Partitions int
 	// EDBDelay charges every EDB-leaf retrieval a simulated latency (see
 	// mpq.WithEDBDelay) — the E12/A7 methodology for modelling disk or
 	// remote-store access. The A8 bench uses it to keep serving
@@ -148,7 +143,7 @@ type Config struct {
 
 // DefaultMaxConcurrent is the admission limit when Config leaves
 // MaxConcurrent unset: one evaluation per available CPU, since an evaluation
-// runs on the one goroutine that admitted it (more only with Partitions).
+// runs on the one goroutine that admitted it.
 func DefaultMaxConcurrent() int { return runtime.GOMAXPROCS(0) }
 
 // DefaultQueueDepth bounds each tenant's admission queue when Config
@@ -452,9 +447,6 @@ func (s *Server) queryOpts() []mpq.Option {
 	opts := []mpq.Option{mpq.WithStrategy(s.cfg.Strategy), mpq.WithStats(s.cfg.Stats)}
 	if s.cfg.ReoptThreshold != 0 {
 		opts = append(opts, mpq.WithReoptThreshold(s.cfg.ReoptThreshold))
-	}
-	if s.cfg.Partitions >= 2 {
-		opts = append(opts, mpq.WithPartitions(s.cfg.Partitions))
 	}
 	if s.cfg.EDBDelay > 0 {
 		opts = append(opts, mpq.WithEDBDelay(s.cfg.EDBDelay))

@@ -29,8 +29,7 @@ func TestPrometheusGolden(t *testing.T) {
 		StrategyAutoLeftright: 37, StrategyAutoCost: 38,
 		PlanReopts: 39, StatsRefreshes: 40,
 		DeltaRounds: 33, DeltaSeeded: 34,
-		Workers: 27,
-		Shed:    28, ResultHits: 29, ResultMisses: 30,
+		Shed: 28, ResultHits: 29, ResultMisses: 30,
 		SLOGood: 31, SLOBad: 32, BurnRateMicro: 1_500_000,
 	}
 	// One sample in the first bucket, one in the sixth, one beyond the
@@ -123,9 +122,6 @@ mpq_delta_rounds_total 33
 # HELP mpq_delta_seeded_tuples_total Δ base tuples seeded into EDB leaves by delta rounds.
 # TYPE mpq_delta_seeded_tuples_total counter
 mpq_delta_seeded_tuples_total 34
-# HELP mpq_partition_workers Worker shards serving partitioned node processes (gauge; 0 when evaluating sequentially).
-# TYPE mpq_partition_workers gauge
-mpq_partition_workers 27
 # HELP mpq_serve_shed_total Requests rejected by admission load shedding (typed ErrOverloaded, fail-fast).
 # TYPE mpq_serve_shed_total counter
 mpq_serve_shed_total 28
@@ -370,14 +366,14 @@ func TestWriteReport(t *testing.T) {
 	p.SetMeta(0, trace.NodeMeta{Label: "path(X,Y)", Kind: "goal", Site: 0})
 	p.SetMeta(1, trace.NodeMeta{Label: "path(X,Y) :- ...", Kind: "rule", Site: 1})
 	p.SetMeta(2, trace.NodeMeta{Label: "driver", Kind: "driver", Site: 0})
-	hot := p.Shard(1)
+	hot := p.Counters(1)
 	for i := 0; i < 10; i++ {
 		hot.Msg()
 		hot.RowsOut(1)
 		hot.AddWork(trace.Work{Joins: 4})
 		hot.Handled(time.Duration(i)*time.Millisecond, time.Millisecond)
 	}
-	p.Shard(0).Msg()
+	p.Counters(0).Msg()
 	p.MarkRound(0, 1, true)
 
 	var buf bytes.Buffer

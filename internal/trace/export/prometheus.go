@@ -111,10 +111,6 @@ var promRows = []metricRow{
 		func(sn trace.Snapshot) int64 { return sn.DeltaRounds }},
 	{"mpq_delta_seeded_tuples_total", "", "Δ base tuples seeded into EDB leaves by delta rounds.", "counter",
 		func(sn trace.Snapshot) int64 { return sn.DeltaSeeded }},
-	// Hash-partitioned data parallelism: worker-shard goroutines spawned by
-	// the current/latest evaluation (0 = all nodes sequential).
-	{"mpq_partition_workers", "", "Worker shards serving partitioned node processes (gauge; 0 when evaluating sequentially).", "gauge",
-		func(sn trace.Snapshot) int64 { return sn.Workers }},
 	// Multi-tenant serving (internal/serve): admission load shedding and
 	// the versioned result cache in front of evaluation.
 	{"mpq_serve_shed_total", "", "Requests rejected by admission load shedding (typed ErrOverloaded, fail-fast).", "counter",

@@ -101,13 +101,6 @@ type Profile struct {
 	shards []NodeShard
 	meta   []NodeMeta
 
-	// workers holds the extra per-worker counter shards of hash-partitioned
-	// nodes (engine.Options.Partitions), keyed by node id. Allocated
-	// single-threaded during evaluation setup (WorkerShard); at snapshot
-	// time each worker's counters merge into its node's NodeProfile, so the
-	// per-node view stays whole however the node was sharded.
-	workers map[int][]*NodeShard
-
 	mu       sync.Mutex
 	timeline []RoundMark
 }
@@ -123,7 +116,6 @@ func (p *Profile) Init(n int) {
 	p.start = time.Now()
 	p.shards = make([]NodeShard, n)
 	p.meta = make([]NodeMeta, n)
-	p.workers = nil
 	p.mu.Lock()
 	p.timeline = nil
 	p.mu.Unlock()
@@ -132,28 +124,8 @@ func (p *Profile) Init(n int) {
 // SetMeta labels shard id; the engine calls it during setup.
 func (p *Profile) SetMeta(id int, m NodeMeta) { p.meta[id] = m }
 
-// Shard returns node id's counter shard (the driver uses the last shard).
-func (p *Profile) Shard(id int) *NodeShard { return &p.shards[id] }
-
-// WorkerShard returns (allocating on first use) the counter shard of
-// worker idx of node id's `of` worker shards. The engine calls it during
-// evaluation setup, before any worker goroutine runs; it is not safe for
-// concurrent use with itself (the shards it returns are, like all shards,
-// atomic).
-func (p *Profile) WorkerShard(id, idx, of int) *NodeShard {
-	if p.workers == nil {
-		p.workers = make(map[int][]*NodeShard)
-	}
-	ws := p.workers[id]
-	if len(ws) != of {
-		ws = make([]*NodeShard, of)
-		for i := range ws {
-			ws[i] = &NodeShard{}
-		}
-		p.workers[id] = ws
-	}
-	return ws[idx]
-}
+// Counters returns node id's counter shard (the driver uses the last shard).
+func (p *Profile) Counters(id int) *NodeShard { return &p.shards[id] }
 
 // Size returns the number of shards (0 before Init).
 func (p *Profile) Size() int { return len(p.shards) }
@@ -191,13 +163,9 @@ type NodeProfile struct {
 	// Busy is wall-clock spent handling messages (includes triggered joins
 	// and sends). First/Last bound the node's activity window relative to
 	// the evaluation start; Last-First is the node's span, Busy/span its
-	// duty cycle. For a hash-partitioned node Busy sums across the worker
-	// shards, so Busy > Last-First means the shards genuinely overlapped.
+	// duty cycle.
 	Busy        time.Duration
 	First, Last time.Duration
-	// Workers is the node's worker-shard count (0 = unpartitioned). The
-	// counters above include the workers' contributions.
-	Workers int
 }
 
 // Active reports whether the node handled any message at all.
@@ -220,10 +188,6 @@ func (p *Profile) Snapshot() ProfileSnapshot {
 		np := shardProfile(&p.shards[i])
 		np.ID = i
 		np.NodeMeta = p.meta[i]
-		for _, ws := range p.workers[i] {
-			mergeShard(&np, shardProfile(ws))
-		}
-		np.Workers = len(p.workers[i])
 		snap.Nodes[i] = np
 	}
 	p.mu.Lock()
@@ -256,32 +220,6 @@ func shardProfile(s *NodeShard) NodeProfile {
 		First:    time.Duration(first),
 		Last:     time.Duration(s.lastNs.Load()),
 	}
-}
-
-// mergeShard folds a worker shard's counters into its node's profile:
-// counters and busy-time sum, the activity window widens.
-func mergeShard(np *NodeProfile, w NodeProfile) {
-	if w.Handled > 0 {
-		if np.Handled == 0 || w.First < np.First {
-			np.First = w.First
-		}
-		if w.Last > np.Last {
-			np.Last = w.Last
-		}
-	}
-	np.Msgs += w.Msgs
-	np.Protocol += w.Protocol
-	np.RowsOut += w.RowsOut
-	np.ReqRows += w.ReqRows
-	np.Handled += w.Handled
-	np.Derived += w.Derived
-	np.Stored += w.Stored
-	np.Dups += w.Dups
-	np.Joins += w.Joins
-	np.EDBScans += w.EDBScans
-	np.EDBRows += w.EDBRows
-	np.Rounds += w.Rounds
-	np.Busy += w.Busy
 }
 
 // Sites aggregates the snapshot by hosting site, in site order.

@@ -18,7 +18,7 @@ func TestProfileConcurrentShards(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			sh := p.Shard(id)
+			sh := p.Counters(id)
 			for i := 0; i < perNode; i++ {
 				sh.Msg()
 				sh.RowsOut(2)
@@ -69,7 +69,7 @@ func TestProfileConcurrentShards(t *testing.T) {
 func TestProfileActivityWindow(t *testing.T) {
 	p := NewProfile()
 	p.Init(2)
-	sh := p.Shard(0)
+	sh := p.Counters(0)
 	sh.Handled(0, 5*time.Microsecond)
 	sh.Handled(10*time.Microsecond, 2*time.Microsecond)
 	sh.Handled(3*time.Microsecond, time.Microsecond) // out of order: must not shrink the window
@@ -99,8 +99,8 @@ func TestProfileRoundsAndSites(t *testing.T) {
 	p.SetMeta(1, NodeMeta{Label: "b", Kind: "rule", Site: 1})
 	p.SetMeta(2, NodeMeta{Label: "c", Kind: "goal", Site: 1})
 	p.SetMeta(3, NodeMeta{Label: "driver", Kind: "driver", Site: 0})
-	p.Shard(1).Msg()
-	p.Shard(2).Msg()
+	p.Counters(1).Msg()
+	p.Counters(2).Msg()
 	p.MarkRound(1, 1, false)
 	p.MarkRound(1, 2, true)
 
@@ -128,7 +128,7 @@ func TestProfileRoundsAndSites(t *testing.T) {
 func TestProfileInitResets(t *testing.T) {
 	p := NewProfile()
 	p.Init(2)
-	p.Shard(0).Msg()
+	p.Counters(0).Msg()
 	p.MarkRound(0, 1, false)
 	p.Init(3)
 	sn := p.Snapshot()

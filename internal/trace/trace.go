@@ -70,11 +70,6 @@ type Stats struct {
 	deltaRounds atomic.Int64
 	deltaSeeded atomic.Int64
 
-	// workers is a gauge, not a monotone counter: the total worker-shard
-	// goroutine count of the most recent evaluation's partition plan
-	// (engine.Options.Partitions), 0 when that evaluation ran unpartitioned.
-	workers atomic.Int64
-
 	// Serving-layer counters (internal/serve): load shedding, the
 	// versioned result cache, and the SLO surface. Latency histograms
 	// cover a request's time queued behind admission, its evaluation, and
@@ -165,10 +160,6 @@ func (s *Stats) StrategyAuto(name string) {
 	}
 }
 
-// SetWorkers records the worker-shard goroutine count of an evaluation's
-// partition plan (a gauge: the latest evaluation wins).
-func (s *Stats) SetWorkers(n int64) { s.workers.Store(n) }
-
 // Serving-layer hooks (see internal/serve).
 
 func (s *Stats) Shed()       { s.shed.Add(1) }
@@ -224,9 +215,9 @@ type Snapshot struct {
 	// and Δ base tuples seeded at EDB leaves during them (see
 	// engine.Incremental and doc/SUBSCRIPTIONS.md).
 	DeltaRounds, DeltaSeeded int64
-	// Workers is a gauge: the worker-shard goroutine count of the most
-	// recent evaluation's partition plan (engine.Options.Partitions), 0
-	// when it ran unpartitioned.
+	// Deprecated: ignored; evaluation is never sharded. Kept only because
+	// benchmark/ still references it; removed with ROADMAP item 1's
+	// [benchmark] PR. Always 0.
 	Workers int64
 	// Serving-layer counters: requests rejected by admission load
 	// shedding, result-cache outcomes (a hit replays cached answers and
@@ -279,7 +270,6 @@ func (s *Stats) Snapshot() Snapshot {
 		StatsRefreshes:        s.statsRefreshes.Load(),
 		DeltaRounds:           s.deltaRounds.Load(),
 		DeltaSeeded:           s.deltaSeeded.Load(),
-		Workers:               s.workers.Load(),
 		Shed:                  s.shed.Load(),
 		ResultHits:            s.resultHits.Load(),
 		ResultMisses:          s.resultMisses.Load(),
@@ -342,9 +332,6 @@ func (sn Snapshot) String() string {
 	}
 	if sn.SLOGood+sn.SLOBad > 0 {
 		fmt.Fprintf(&b, " slogood=%d slobad=%d burn=%.2f", sn.SLOGood, sn.SLOBad, float64(sn.BurnRateMicro)/1e6)
-	}
-	if sn.Workers > 0 {
-		fmt.Fprintf(&b, " workers=%d", sn.Workers)
 	}
 	return b.String()
 }

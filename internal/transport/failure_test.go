@@ -334,12 +334,22 @@ func TestTCPReconnectReplaysUnacked(t *testing.T) {
 		if i == 100 {
 			// Abruptly close every accepted connection at B: unread bytes
 			// die with them, so frames A already wrote successfully are
-			// gone unless the reconnect replays them.
-			siteB.mu.Lock()
-			for c := range siteB.accepted {
-				c.Close()
+			// gone unless the reconnect replays them. Wait for B's accept
+			// first: severing nothing would test nothing.
+			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+				siteB.mu.Lock()
+				n := len(siteB.accepted)
+				for c := range siteB.accepted {
+					c.Close()
+				}
+				siteB.mu.Unlock()
+				if n > 0 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("site B never accepted A's connection")
+				}
 			}
-			siteB.mu.Unlock()
 		}
 	}
 	done := make(chan error, 1)

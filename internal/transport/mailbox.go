@@ -7,7 +7,9 @@
 //
 // A consumer that owns many mailboxes — the run loop stepping every node
 // process a site hosts — attaches them to one Hub: the list of those holding
-// mail plus the one doorbell it parks on when none does.
+// mail plus the one doorbell it parks on when none does. Within one site the
+// loop feeds its own mailboxes, so the doorbell exists for producers on other
+// goroutines only: TCP readers and FaultNet's delayed deliveries.
 //
 // Two Network implementations are provided: Local, which routes every
 // message to an in-process mailbox, and the TCP transport in tcp.go, which
@@ -38,7 +40,6 @@ type Mailbox struct {
 	listed  bool
 	bell    *bell
 	dropped atomic.Int64 // Puts after Close (late messages during shutdown)
-	busy    atomic.Bool  // raised by GetWork, cleared by ClearBusy
 }
 
 // NewMailbox returns an empty open mailbox.
@@ -89,22 +90,10 @@ func (m *Mailbox) pop() (x msg.Message, ok bool) {
 
 // Get blocks until a message is available or the mailbox is closed.
 // ok is false once the mailbox is closed and drained.
-func (m *Mailbox) Get() (x msg.Message, ok bool) { return m.get(false) }
-
-// GetWork is Get for owners whose activity another goroutine observes (the
-// worker shards of a partitioned node): the busy flag is raised under the
-// same lock as the dequeue and stays up until ClearBusy, so there is no
-// window in which a message is out of the queue but not yet flagged, and an
-// observer that sees Quiet() knows the owner holds no unfinished message.
-func (m *Mailbox) GetWork() (x msg.Message, ok bool) { return m.get(true) }
-
-func (m *Mailbox) get(work bool) (x msg.Message, ok bool) {
+func (m *Mailbox) Get() (x msg.Message, ok bool) {
 	for {
 		m.mu.Lock()
 		if x, ok = m.pop(); ok || m.closed {
-			if ok && work {
-				m.busy.Store(true)
-			}
 			m.mu.Unlock()
 			return x, ok
 		}
@@ -117,16 +106,6 @@ func (m *Mailbox) get(work bool) (x msg.Message, ok bool) {
 		<-b.ch
 	}
 }
-
-// ClearBusy lowers the busy flag; the owner calls it after finishing (and
-// flushing the output of) the message obtained by GetWork, so that Quiet()
-// implies every side effect of past messages has reached its destination.
-func (m *Mailbox) ClearBusy() { m.busy.Store(false) }
-
-// Quiet reports whether the mailbox is empty AND its owner is not holding
-// a message dequeued via GetWork. This is the shard-worker half of the
-// partitioned empty_queues() test (see doc/PROTOCOL.md, "Shard routing").
-func (m *Mailbox) Quiet() bool { return m.Len() == 0 && !m.busy.Load() }
 
 // Empty reports whether the mailbox currently holds no messages. This is
 // the queue-emptiness half of the protocol's empty_queues() test.
@@ -166,7 +145,6 @@ func (m *Mailbox) Reset() {
 	m.closed = false
 	m.listed = false // its hub, if any, is Reset with it
 	m.dropped.Store(0)
-	m.busy.Store(false)
 }
 
 // bell is a consumer's one wake-up primitive. A consumer about to block
@@ -193,7 +171,7 @@ func (b *bell) ring() {
 // Hub is the receiving end of a consumer that owns several mailboxes — a
 // site's run loop: Next hands it their messages one at a time, and when none
 // holds mail it blocks on Bell, the site's one wake-up primitive. Producers
-// (the consumer itself, TCP readers, worker shards) only ever Put.
+// (the consumer itself, TCP readers, FaultNet) only ever Put.
 type Hub struct {
 	mu     sync.Mutex
 	ready  []*Mailbox // attached mailboxes holding mail, each listed once, oldest first
@@ -237,10 +215,7 @@ func (h *Hub) Reset() {
 	h.ready = h.ready[:0]
 }
 
-// Ring wakes the consumer if it is parked (or about to park) on Bell.
-func (h *Hub) Ring() { h.bell.ring() }
-
-// Bell delivers a (possibly stale) token after a Put, Close or Ring that
+// Bell delivers a (possibly stale) token after a Put or Close that
 // followed a Next which found nothing.
 func (h *Hub) Bell() <-chan struct{} { return h.bell.ch }
 
@@ -290,77 +265,34 @@ type Network interface {
 	Send(x msg.Message)
 }
 
-// Local is an in-process Network: one mailbox per node id, plus optional
-// per-shard worker mailboxes for hash-partitioned nodes (see Partition).
+// Local is an in-process Network: one mailbox per node id.
 type Local struct {
 	Boxes []*Mailbox
-	// shards[id] holds node id's worker mailboxes, or nil when the node is
-	// unpartitioned. Atomic pointers because Partition may race with a TCP
-	// read loop that is already delivering via Send (a remote site can start
-	// sending before the local RunSites call has set its partitions up; such
-	// early sharded messages fall through to the control mailbox, which
-	// re-routes them).
-	shards []atomic.Pointer[[]*Mailbox]
 }
 
 // NewLocal creates n mailboxes addressed 0..n-1.
 func NewLocal(n int) *Local {
-	return &Local{Boxes: newBoxes(n), shards: make([]atomic.Pointer[[]*Mailbox], n)}
-}
-
-func newBoxes(n int) []*Mailbox {
 	boxes, store := make([]*Mailbox, n), make([]Mailbox, n)
 	for i := range boxes {
 		boxes[i] = &store[i]
 	}
-	return boxes
+	return &Local{Boxes: boxes}
 }
 
-// Partition equips node id with p worker mailboxes (idempotent for equal
-// p) and returns them. The caller is the engine during evaluation setup;
-// shard boxes participate in Close, Dropped, and message fan-out.
-func (l *Local) Partition(id, p int) []*Mailbox {
-	if sb := l.shards[id].Load(); sb != nil && len(*sb) == p {
-		return *sb
-	}
-	boxes := newBoxes(p)
-	l.shards[id].Store(&boxes)
-	return boxes
-}
+// Send enqueues the message into the recipient's mailbox.
+func (l *Local) Send(x msg.Message) { l.Boxes[x.To].Put(x) }
 
-// Send enqueues the message into the recipient's mailbox: the worker shard
-// named by x.Shard when the node is partitioned, the control mailbox
-// otherwise (including sharded messages that arrive before Partition — the
-// control process re-routes those).
-func (l *Local) Send(x msg.Message) {
-	if x.Shard > 0 {
-		if sb := l.shards[x.To].Load(); sb != nil && int(x.Shard) <= len(*sb) {
-			(*sb)[x.Shard-1].Put(x)
-			return
-		}
-	}
-	l.Boxes[x.To].Put(x)
-}
-
-// each calls f on every mailbox, shard boxes included.
-func (l *Local) each(f func(*Mailbox)) {
+// Close closes every mailbox.
+func (l *Local) Close() {
 	for _, b := range l.Boxes {
-		f(b)
-	}
-	for i := range l.shards {
-		if sb := l.shards[i].Load(); sb != nil {
-			for _, b := range *sb {
-				f(b)
-			}
-		}
+		b.Close()
 	}
 }
-
-// Close closes every mailbox, shard boxes included.
-func (l *Local) Close() { l.each((*Mailbox).Close) }
 
 // Dropped sums the post-Close Put drops across all mailboxes.
 func (l *Local) Dropped() (n int64) {
-	l.each(func(b *Mailbox) { n += b.dropped.Load() })
+	for _, b := range l.Boxes {
+		n += b.dropped.Load()
+	}
 	return n
 }

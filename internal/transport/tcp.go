@@ -3,7 +3,6 @@ package transport
 import (
 	"encoding/gob"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"sync"
@@ -305,7 +304,7 @@ func (t *TCP) readLoop(c net.Conn) {
 		// even for a site that never sends to that peer: probe it in the
 		// background so a crash is detected (and the query aborted) instead
 		// of this site waiting forever for tuples that cannot arrive.
-		if peer >= 0 && t.cfg.heartbeatsOn() && !t.isClosed() {
+		if peer >= 0 && !t.isClosed() {
 			t.wg.Add(1)
 			go func() {
 				defer t.wg.Done()
@@ -313,14 +312,9 @@ func (t *TCP) readLoop(c net.Conn) {
 			}()
 		}
 	}()
-	var r io.Reader = c
-	var w io.Writer = c
-	if t.cfg.heartbeatsOn() {
-		sl := &slidingConn{Conn: c, timeout: t.cfg.HeartbeatTimeout, writeTimeout: t.cfg.DialTimeout}
-		r, w = sl, sl
-	}
-	dec := gob.NewDecoder(r)
-	enc := gob.NewEncoder(w)
+	sl := &slidingConn{Conn: c, timeout: t.cfg.HeartbeatTimeout, writeTimeout: t.cfg.DialTimeout}
+	dec := gob.NewDecoder(sl)
+	enc := gob.NewEncoder(sl)
 	for {
 		var m msg.Message
 		if err := dec.Decode(&m); err != nil {
@@ -343,7 +337,7 @@ func (t *TCP) readLoop(c net.Conn) {
 				rl.lastSeq = m.Seq
 			}
 			rl.mu.Unlock()
-			if t.cfg.heartbeatsOn() && echoStop == nil {
+			if echoStop == nil {
 				echoStop = make(chan struct{})
 				t.wg.Add(1)
 				go t.echoHeartbeats(c, enc, rl, echoStop)
@@ -351,21 +345,20 @@ func (t *TCP) readLoop(c net.Conn) {
 		case msg.Heartbeat:
 			// Liveness only: the successful read already reset the deadline.
 		default:
-			if m.Seq > 0 && rl != nil {
-				// Accept exactly the next expected frame; anything else is
-				// a replay duplicate whose in-order copy arrived on an
-				// earlier connection. Delivery happens under the link lock
-				// so two connections draining concurrently cannot reorder
-				// accepted frames.
-				rl.mu.Lock()
-				if m.Seq == rl.lastSeq+1 {
-					rl.lastSeq = m.Seq
-					t.local.Send(m)
-				}
-				rl.mu.Unlock()
-			} else {
+			if rl == nil {
+				return // payload before Hello: not a peer of ours
+			}
+			// Accept exactly the next expected frame; anything else is a
+			// replay duplicate whose in-order copy arrived on an earlier
+			// connection. Delivery happens under the link lock so two
+			// connections draining concurrently cannot reorder accepted
+			// frames.
+			rl.mu.Lock()
+			if m.Seq == rl.lastSeq+1 {
+				rl.lastSeq = m.Seq
 				t.local.Send(m)
 			}
+			rl.mu.Unlock()
 		}
 	}
 }
@@ -408,21 +401,16 @@ func (t *TCP) jitter(max time.Duration) time.Duration {
 }
 
 // Send routes the message to the mailbox of a locally hosted node or over
-// the connection to the hosting site. With heartbeats enabled (the
-// default) every remote frame enters the per-link replay buffer before it
-// is written, so a connection lost mid-stream — including frames the
-// kernel accepted but never delivered — is healed by replaying the
-// unacknowledged suffix on reconnect; only a peer declared down loses
-// messages, and those are counted (trace.Stats.DroppedSends) and logged
-// once per peer at Close.
+// the connection to the hosting site. Every remote frame enters the per-link
+// replay buffer before it is written, so a connection lost mid-stream —
+// including frames the kernel accepted but never delivered — is healed by
+// replaying the unacknowledged suffix on reconnect; only a peer declared down
+// loses messages, and those are counted (trace.Stats.DroppedSends) and
+// logged once per peer at Close.
 func (t *TCP) Send(m msg.Message) {
 	dest := t.hosts[m.To]
 	if dest == t.site {
 		t.local.Send(m)
-		return
-	}
-	if !t.cfg.heartbeatsOn() {
-		t.sendDirect(dest, m)
 		return
 	}
 	lk := t.link(dest)
@@ -457,41 +445,15 @@ func (t *TCP) Send(m msg.Message) {
 	}
 }
 
-// sendDirect is the heartbeats-off send path (legacy semantics): one retry
-// through a fresh dial, no sequence numbers, no replay. Without acks the
-// replay buffer could never be pruned, so this mode accepts that a
-// transient disconnect may lose frames the kernel had buffered; it exists
-// for benchmarking the sequencing overhead, not for fault tolerance.
-func (t *TCP) sendDirect(dest int, m msg.Message) {
-	for attempt := 0; attempt < 2; attempt++ {
-		sc, err := t.peer(dest)
-		if err != nil {
-			break
-		}
-		if t.encode(sc, m) == nil {
-			return
-		}
-		t.dropPeer(dest, sc)
-	}
-	t.noteDrop(dest)
-}
-
 // encode serializes one frame onto the connection under the write lock.
-// With heartbeats on the encoder writes through a slidingConn; a write
-// blocked on a dead peer is unblocked when the read side's heartbeat
-// deadline closes the connection (see slidingConn for why writes carry
-// only the coarse backstop deadline themselves).
+// The encoder writes through a slidingConn; a write blocked on a dead peer is
+// unblocked when the read side's heartbeat deadline closes the connection
+// (see slidingConn for why writes carry only the coarse backstop deadline
+// themselves).
 func (t *TCP) encode(sc *siteConn, m msg.Message) error {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	return sc.enc.Encode(m)
-}
-
-func (t *TCP) noteDrop(site int) {
-	t.cfg.Stats.DroppedSend()
-	t.mu.Lock()
-	t.dropCount[site]++
-	t.mu.Unlock()
 }
 
 // flushLink empties a peer's replay buffer into the drop counters: called
@@ -569,10 +531,7 @@ func (t *TCP) dial(site int, da *dialAttempt) {
 		}
 		c, err := net.DialTimeout("tcp", t.addrs[site], attempt)
 		if err == nil {
-			var w io.Writer = c
-			if t.cfg.heartbeatsOn() {
-				w = &slidingConn{Conn: c, timeout: t.cfg.HeartbeatTimeout, writeTimeout: t.cfg.DialTimeout}
-			}
+			w := &slidingConn{Conn: c, timeout: t.cfg.HeartbeatTimeout, writeTimeout: t.cfg.DialTimeout}
 			sc := &siteConn{c: c, enc: gob.NewEncoder(w), done: make(chan struct{})}
 			if err = t.handshake(site, sc); err == nil {
 				t.finishDial(site, da, sc, nil, false)
@@ -604,17 +563,13 @@ func (t *TCP) dial(site int, da *dialAttempt) {
 	t.finishDial(site, da, nil, fmt.Errorf("transport: dial site %d: %w", site, lastErr), true)
 }
 
-// handshake identifies this site to the accept side (Hello) and, with
-// heartbeats on, replays the unacknowledged suffix of the link's stream so
-// a reconnect loses nothing the kernel had buffered on the dead
-// connection. It installs the connection as the link's live conn in the
-// same critical section as the replay: any frame appended to the buffer
-// after this point is encoded directly by its sender, so no frame can
-// fall between replay and first use.
+// handshake identifies this site to the accept side (Hello) and replays the
+// unacknowledged suffix of the link's stream so a reconnect loses nothing
+// the kernel had buffered on the dead connection. It installs the
+// connection as the link's live conn in the same critical section as the
+// replay: any frame appended to the buffer after this point is encoded
+// directly by its sender, so no frame can fall between replay and first use.
 func (t *TCP) handshake(site int, sc *siteConn) error {
-	if !t.cfg.heartbeatsOn() {
-		return t.encode(sc, msg.Message{Kind: msg.Hello, From: t.site})
-	}
 	t.mu.Lock()
 	reconnect := t.everConn[site]
 	t.mu.Unlock()
@@ -677,11 +632,9 @@ func (t *TCP) finishDial(site int, da *dialAttempt, sc *siteConn, err error, dec
 		t.cfg.Stats.Reconnect()
 		t.logf("transport: site %d: reconnected to site %d", t.site, site)
 	}
-	if t.cfg.heartbeatsOn() {
-		t.wg.Add(2)
-		go t.heartbeatLoop(site, sc)
-		go t.connReadLoop(site, sc)
-	}
+	t.wg.Add(2)
+	go t.heartbeatLoop(site, sc)
+	go t.connReadLoop(site, sc)
 	da.sc = sc
 	close(da.done)
 }
@@ -773,14 +726,12 @@ func (t *TCP) dropPeer(site int, sc *siteConn) {
 		delete(t.conns, site)
 	}
 	t.mu.Unlock()
-	if t.cfg.heartbeatsOn() {
-		lk := t.link(site)
-		lk.mu.Lock()
-		if lk.sc == sc {
-			lk.sc = nil
-		}
-		lk.mu.Unlock()
+	lk := t.link(site)
+	lk.mu.Lock()
+	if lk.sc == sc {
+		lk.sc = nil
 	}
+	lk.mu.Unlock()
 	sc.close()
 }
 

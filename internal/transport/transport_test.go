@@ -246,7 +246,7 @@ func TestTCPDialFailure(t *testing.T) {
 func TestTCPPeerConnectionLoss(t *testing.T) {
 	// Short dial window (Config) so the failure path runs in milliseconds
 	// rather than the production 10s default.
-	cfg := Config{DialTimeout: 300 * time.Millisecond, HeartbeatInterval: NoHeartbeat,
+	cfg := Config{DialTimeout: 300 * time.Millisecond, HeartbeatInterval: 20 * time.Millisecond,
 		BaseBackoff: 5 * time.Millisecond, MaxBackoff: 50 * time.Millisecond}
 	hosts := []int{0, 1}
 	localB := NewLocal(2)

@@ -97,7 +97,7 @@ func ParseEngine(name string) (Engine, error) {
 
 // System is a loaded program plus its extensional database.
 //
-// Concurrent Eval/EvalStream/Query calls and concurrent evaluations of one
+// Concurrent Eval/Answers/Query calls and concurrent evaluations of one
 // PreparedQuery on one System are safe. Mutation (AddFact, LoadData) is
 // internally locked against other mutation and against index warming, but
 // must not overlap with running evaluations (evaluations read the base
@@ -284,13 +284,12 @@ func (s *System) LoadData(pred, path string) (int, error) {
 }
 
 // ensureWarmFor builds every base-relation index the graph's evaluation
-// will probe — single-column and composite — under the lock, so the
-// engine's node processes (which run concurrently, possibly across several
-// simultaneous evaluations) only ever read them.
+// will probe — single-column and composite — under the lock, so
+// simultaneous evaluations only ever read them.
 func (s *System) ensureWarmFor(g *rgg.Graph) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.DB.WarmIndexesFor(engine.IndexNeeds(g))
+	s.DB.WarmFor(engine.IndexNeeds(g))
 }
 
 // AddFact inserts one ground fact pred(args...) given as strings, and
@@ -340,11 +339,8 @@ type config struct {
 	stats        *trace.Stats
 	trace        io.Writer
 	ctx          context.Context
-	deadline     time.Duration
-	cancel       <-chan struct{}
 	profile      *trace.Profile
 	events       *trace.EventLog
-	partitions   int
 	edbDelay     time.Duration
 	// reoptThreshold is the statistics-drift fraction for cached auto
 	// plans: 0 means DefaultReoptThreshold, negative disables re-opt.
@@ -399,12 +395,12 @@ func (s *System) resolveStrategy(cfg *config) rgg.Strategy {
 // accumulator (useful across repeated runs).
 func WithStats(st *trace.Stats) Option { return func(c *config) { c.stats = st } }
 
-// WithPartitions splits every partitionable rule and IDB goal node into n
-// hash-partitioned worker shards (engine.Options.Partitions), parallelizing
-// hot node processes across cores. Answers are identical at any setting; 0
-// or 1 keeps the one-goroutine-per-node behavior. MessagePassing engine
-// only; the setting keys the plan cache alongside strategy and shape.
-func WithPartitions(n int) Option { return func(c *config) { c.partitions = n } }
+// WithPartitions returns an option that changes nothing.
+//
+// Deprecated: ignored; evaluation is never sharded. Kept only because
+// benchmark/ still references it; removed with ROADMAP item 1's [benchmark]
+// PR.
+func WithPartitions(int) Option { return func(*config) {} }
 
 // WithTrace logs every message the engine sends to w, one line each —
 // a debugging and teaching aid. MessagePassing engine only.
@@ -414,68 +410,24 @@ func WithTrace(w io.Writer) Option { return func(c *config) { c.trace = w } }
 // (engine.Options.EDBDelay) — the E12/A7 methodology for modelling disk
 // or remote-store access, which makes evaluations latency-bound rather
 // than CPU-bound. Answers are unchanged. MessagePassing engine only; the
-// setting keys the plan cache alongside strategy, partitions, and shape.
+// setting keys the plan cache alongside strategy and shape.
 func WithEDBDelay(d time.Duration) Option { return func(c *config) { c.edbDelay = d } }
 
 // WithContext derives a MessagePassing evaluation's lifetime from ctx: when
 // ctx is cancelled or its deadline expires, the engine aborts every node
 // process and the evaluation returns an error satisfying errors.Is for both
 // taxonomies — engine.ErrCancelled/engine.ErrDeadline and
-// context.Canceled/context.DeadlineExceeded. This is the primary
-// cancellation mechanism; WithDeadline and WithCancel are shims over it.
+// context.Canceled/context.DeadlineExceeded. Bound an evaluation in time
+// with context.WithTimeout.
 func WithContext(ctx context.Context) Option { return func(c *config) { c.ctx = ctx } }
 
-// WithDeadline bounds a MessagePassing evaluation in wall-clock time: a
-// shim over WithContext that derives a context expiring after d. When it
-// expires, Eval returns an error satisfying errors.Is(err,
-// engine.ErrDeadline) and errors.Is(err, context.DeadlineExceeded) instead
-// of running (or hanging) forever. Composes with WithContext: the earlier
-// of the two deadlines wins.
-func WithDeadline(d time.Duration) Option { return func(c *config) { c.deadline = d } }
-
-// WithCancel aborts a MessagePassing evaluation when ch is closed — a shim
-// over WithContext for callers holding a channel rather than a context; the
-// returned error satisfies errors.Is for engine.ErrCancelled and
-// context.Canceled. Unlike a streaming yield-false (which stops cleanly
-// with partial answers), this is the emergency stop usable from any
-// goroutine.
-func WithCancel(ch <-chan struct{}) Option { return func(c *config) { c.cancel = ch } }
-
-// evalContext derives the single context governing one evaluation from the
-// WithContext/WithDeadline/WithCancel options. The returned cancel must be
-// called when the evaluation finishes (it releases the deadline timer and
-// the channel-watching shim goroutine).
-func (c *config) evalContext() (context.Context, context.CancelFunc) {
-	ctx := c.ctx
-	if ctx == nil {
-		if c.deadline <= 0 && c.cancel == nil {
-			return context.Background(), func() {}
-		}
-		ctx = context.Background()
+// evalContext returns the context governing one evaluation: WithContext's,
+// or context.Background.
+func (c *config) evalContext() context.Context {
+	if c.ctx == nil {
+		return context.Background()
 	}
-	var cancel context.CancelFunc
-	if c.deadline > 0 {
-		ctx, cancel = context.WithTimeout(ctx, c.deadline)
-	} else if c.cancel != nil {
-		ctx, cancel = context.WithCancel(ctx)
-	} else {
-		return ctx, func() {}
-	}
-	if ch := c.cancel; ch != nil {
-		select {
-		case <-ch:
-			cancel() // already closed: a short evaluation could outrun the shim goroutine
-		default:
-			go func() {
-				select {
-				case <-ch:
-					cancel()
-				case <-ctx.Done():
-				}
-			}()
-		}
-	}
-	return ctx, cancel
+	return c.ctx
 }
 
 // engineOptions assembles the engine's option set for this configuration,
@@ -485,7 +437,7 @@ func (c *config) evalContext() (context.Context, context.CancelFunc) {
 func (c *config) engineOptions(ctx context.Context) engine.Options {
 	return engine.Options{Stats: c.stats, Trace: c.trace,
 		Cancel: ctx.Done(), Profile: c.profile, Events: c.events,
-		Partitions: c.partitions, EDBDelay: c.edbDelay}
+		EDBDelay: c.edbDelay}
 }
 
 // ctxDone returns the context's cancellation channel, tolerating nil (the
@@ -555,8 +507,7 @@ func (s *System) Eval(opts ...Option) (*Answer, error) {
 			return nil, err
 		}
 		s.ensureWarmFor(g)
-		ctx, cancel := cfg.evalContext()
-		defer cancel()
+		ctx := cfg.evalContext()
 		res, err := engine.Run(g, s.DB, cfg.engineOptions(ctx))
 		if err != nil {
 			return nil, engineError(err, ctx)
@@ -612,53 +563,34 @@ func (s *System) Explain(pred string, args ...string) (*bottomup.Proof, bool) {
 //	}
 func (s *System) Answers(opts ...Option) iter.Seq2[[]string, error] {
 	return func(yield func([]string, error) bool) {
-		stopped := false
-		_, err := s.EvalStream(func(t []string) bool {
-			if !yield(t, nil) {
-				stopped = true
-				return false
-			}
-			return true
-		}, opts...)
-		if err != nil && !stopped {
-			yield(nil, err)
+		var cfg config
+		for _, o := range opts {
+			o(&cfg)
 		}
-	}
-}
-
-// EvalStream is the pre-iterator streaming interface, kept as a
-// compatibility wrapper: it evaluates with the message-passing engine,
-// invoking yield for every answer as it is derived; returning false from
-// yield cancels the evaluation early. The returned snapshot covers
-// whatever work ran. New code should prefer Answers (range-over-func) or,
-// for repeated parameterized queries, Prepare/Query.
-func (s *System) EvalStream(yield func(tuple []string) bool, opts ...Option) (trace.Snapshot, error) {
-	cfg := config{}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.engine != MessagePassing {
-		return trace.Snapshot{}, fmt.Errorf("mpq: EvalStream supports only the message-passing engine")
-	}
-	g, _, err := s.buildGraph(s.program(), nil, &cfg)
-	if err != nil {
-		return trace.Snapshot{}, err
-	}
-	s.ensureWarmFor(g)
-	ctx, cancel := cfg.evalContext()
-	defer cancel()
-	res, err := engine.RunStream(g, s.DB, cfg.engineOptions(ctx),
-		func(t relation.Tuple) bool {
+		if cfg.engine != MessagePassing {
+			yield(nil, fmt.Errorf("mpq: Answers supports only the message-passing engine"))
+			return
+		}
+		g, _, err := s.buildGraph(s.program(), nil, &cfg)
+		if err != nil {
+			yield(nil, err)
+			return
+		}
+		s.ensureWarmFor(g)
+		ctx := cfg.evalContext()
+		stopped := false
+		_, err = engine.RunStream(g, s.DB, cfg.engineOptions(ctx), func(t relation.Tuple) bool {
 			row := make([]string, len(t))
 			for i, sym := range t {
 				row[i] = s.DB.Syms.String(sym)
 			}
-			return yield(row)
+			stopped = !yield(row, nil)
+			return !stopped
 		})
-	if err != nil {
-		return trace.Snapshot{}, engineError(err, ctx)
+		if err != nil && !stopped {
+			yield(nil, engineError(err, ctx))
+		}
 	}
-	return res.Stats, nil
 }
 
 // Graph compiles and returns the information-passing rule/goal graph for

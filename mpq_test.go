@@ -202,24 +202,33 @@ func TestExplain(t *testing.T) {
 	}
 }
 
+// TestEvalStream: streaming a System's answers through Answers yields
+// exactly the answer set Eval returns.
 func TestEvalStream(t *testing.T) {
 	sys := MustLoad(tcProgram)
 	var got [][]string
-	_, err := sys.EvalStream(func(t []string) bool {
-		got = append(got, append([]string(nil), t...))
-		return true
-	})
+	for tup, err := range sys.Answers() {
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, tup)
+	}
+	ans, err := sys.Eval()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 3 {
-		t.Errorf("streamed %d answers, want 3: %v", len(got), got)
+	want := ans.Tuples
+	sortTuples(got)
+	sortTuples(want)
+	if len(got) != 3 || !reflect.DeepEqual(got, want) {
+		t.Errorf("Answers streamed %v, Eval returned %v", got, want)
 	}
 }
 
-func TestEvalStreamCancel(t *testing.T) {
-	// A large chain; cancel after the first answer. The evaluation must
-	// stop promptly and cleanly.
+// TestAnswersEarlyStop: breaking out of the range loop after the first
+// answer stops the evaluation promptly and cleanly, with no error yielded.
+func TestAnswersEarlyStop(t *testing.T) {
+	// A large chain; stop after the first answer.
 	src := ""
 	for i := 0; i < 200; i++ {
 		src += "edge(n" + fmt.Sprint(i) + ", n" + fmt.Sprint(i+1) + ").\n"
@@ -230,27 +239,32 @@ func TestEvalStreamCancel(t *testing.T) {
 		goal(Y) :- path(n0, Y).
 	`
 	sys := MustLoad(src)
+	st := &trace.Stats{}
 	count := 0
-	st, err := sys.EvalStream(func(t []string) bool {
+	for _, err := range sys.Answers(WithStats(st)) {
+		if err != nil {
+			t.Fatal(err)
+		}
 		count++
-		return false
-	})
-	if err != nil {
-		t.Fatal(err)
+		break
 	}
 	if count != 1 {
-		t.Errorf("yield called %d times after cancel", count)
+		t.Errorf("loop body ran %d times, want 1", count)
 	}
-	if st.Stored >= 200 {
-		t.Errorf("cancellation did not stop the engine early: %d tuples stored", st.Stored)
+	if stored := st.Snapshot().Stored; stored >= 200 {
+		t.Errorf("stopping did not end the engine early: %d tuples stored", stored)
 	}
 }
 
-func TestEvalStreamRejectsOtherEngines(t *testing.T) {
+func TestAnswersRejectsOtherEngines(t *testing.T) {
 	sys := MustLoad(tcProgram)
-	if _, err := sys.EvalStream(func([]string) bool { return true }, WithEngine(SemiNaive)); err == nil {
-		t.Error("EvalStream accepted a bottom-up engine")
+	for _, err := range sys.Answers(WithEngine(SemiNaive)) {
+		if err == nil {
+			t.Error("Answers yielded a row from a bottom-up engine")
+		}
+		return
 	}
+	t.Error("Answers yielded nothing for a bottom-up engine, want an error")
 }
 
 func TestConcurrentEval(t *testing.T) {

@@ -42,28 +42,25 @@ func diskSystem(t *testing.T, source string) *System {
 
 // TestMemoryDiskEquivalence is the byte-identical acceptance check: the
 // same program evaluated over the in-memory and disk backends must produce
-// identical sorted answers across engines, strategies, and partition
-// counts.
+// identical sorted answers across engines and strategies.
 func TestMemoryDiskEquivalence(t *testing.T) {
 	mem := MustLoad(persistProgram)
 	disk := diskSystem(t, persistProgram)
 	engines := []Engine{MessagePassing, SemiNaive, MagicSets}
 	for _, eng := range engines {
 		for _, strat := range []string{"greedy", "qualtree", "leftright", "stats", "auto"} {
-			for _, parts := range []int{1, 4} {
-				name := fmt.Sprintf("%s/%s/p%d", eng, strat, parts)
-				opts := []Option{WithEngine(eng), WithStrategy(strat), WithPartitions(parts)}
-				want, err := mem.Eval(opts...)
-				if err != nil {
-					t.Fatalf("%s memory: %v", name, err)
-				}
-				got, err := disk.Eval(opts...)
-				if err != nil {
-					t.Fatalf("%s disk: %v", name, err)
-				}
-				if !reflect.DeepEqual(got.Tuples, want.Tuples) {
-					t.Errorf("%s: disk %v, memory %v", name, got.Tuples, want.Tuples)
-				}
+			name := fmt.Sprintf("%s/%s", eng, strat)
+			opts := []Option{WithEngine(eng), WithStrategy(strat)}
+			want, err := mem.Eval(opts...)
+			if err != nil {
+				t.Fatalf("%s memory: %v", name, err)
+			}
+			got, err := disk.Eval(opts...)
+			if err != nil {
+				t.Fatalf("%s disk: %v", name, err)
+			}
+			if !reflect.DeepEqual(got.Tuples, want.Tuples) {
+				t.Errorf("%s: disk %v, memory %v", name, got.Tuples, want.Tuples)
 			}
 		}
 	}

@@ -39,15 +39,10 @@ type PreparedQuery struct {
 	plan     *engine.Plan
 	strategy string
 	shape    string
-	defaults []string // source-text constants: the bindings Eval() uses with no args
-	nout     int      // answer columns (parameters are projected away)
-	// partitions is the WithPartitions setting the plan serves. It is part
-	// of the plan-cache key: engine.Plan pools per-run scratch whose worker
-	// wiring is structural, so plans for different partition counts must
-	// not alias.
-	partitions int
-	edbDelay   time.Duration // WithEDBDelay simulated retrieval latency
-	stats      *trace.Stats  // Prepare-time WithStats accumulator, nil for per-call stats
+	defaults []string      // source-text constants: the bindings Eval() uses with no args
+	nout     int           // answer columns (parameters are projected away)
+	edbDelay time.Duration // WithEDBDelay simulated retrieval latency
+	stats    *trace.Stats  // Prepare-time WithStats accumulator, nil for per-call stats
 
 	// choice is the auto planner's decision (nil for manual strategies)
 	// and fingerprint the compiled graph's evaluation orders
@@ -220,7 +215,7 @@ func (s *System) prepare(q *parsedQuery, cfg *config) (*PreparedQuery, error) {
 	s.mu.Unlock()
 	pq := &PreparedQuery{sys: s, plan: plan, strategy: normStrategy(cfg.strategyName),
 		shape: q.shape, defaults: q.consts, nout: nout,
-		partitions: cfg.partitions, edbDelay: cfg.edbDelay, stats: cfg.stats,
+		edbDelay: cfg.edbDelay, stats: cfg.stats,
 		choice: choice, fingerprint: rgg.PlanFingerprint(g)}
 	if choice != nil {
 		pq.statsEpoch.Store(choice.StatsEpoch)
@@ -240,9 +235,9 @@ func (pq *PreparedQuery) Shape() string { return pq.shape }
 func (pq *PreparedQuery) Graph() *rgg.Graph { return pq.plan.Graph() }
 
 // CacheKey returns the System plan-cache key this plan is stored under:
-// strategy, partition count, simulated-latency setting, and canonical
-// shape, NUL-separated. Two queries with equal CacheKeys evaluate through
-// the same compiled plan, so serving-layer result caches can key on
+// strategy, simulated-latency setting, and canonical shape, NUL-separated.
+// Two queries with equal CacheKeys evaluate through the same compiled plan,
+// so serving-layer result caches can key on
 // (CacheKey, bound constants, System.EDBVersion) and never alias distinct
 // plans. For auto plans the strategy segment records the planner's actual
 // decision and its statistics epoch ("auto:cost@42"), so a drift
@@ -253,15 +248,14 @@ func (pq *PreparedQuery) CacheKey() string {
 	if pq.choice != nil {
 		strategy = fmt.Sprintf("%s:%s@%d", AutoStrategy, pq.choice.Strategy, pq.statsEpoch.Load())
 	}
-	return planKey(strategy, pq.partitions, pq.edbDelay, pq.shape)
+	return planKey(strategy, pq.edbDelay, pq.shape)
 }
 
-// planKey builds the plan-cache key. It includes the partition count (a
-// plan's pooled scratch is built for one worker-shard wiring, see
-// PreparedQuery.partitions) and the WithEDBDelay setting (baked into the
-// plan's run options), so configs differing in either never share a plan.
-func planKey(strategy string, partitions int, delay time.Duration, shape string) string {
-	return fmt.Sprintf("%s\x00%d\x00%d\x00%s", strategy, partitions, delay, shape)
+// planKey builds the plan-cache key. It includes the WithEDBDelay setting
+// (baked into the plan's run options), so configs differing in it never
+// share a plan.
+func planKey(strategy string, delay time.Duration, shape string) string {
+	return fmt.Sprintf("%s\x00%d\x00%s", strategy, delay, shape)
 }
 
 // bindSyms validates the arguments and interns them in parameter order —
@@ -309,7 +303,7 @@ func (pq *PreparedQuery) evalWith(ctx context.Context, args []string, stats *tra
 		return nil, err
 	}
 	res, err := pq.plan.Run(engine.Options{Stats: stats, Bind: bind,
-		Cancel: ctxDone(ctx), Partitions: pq.partitions, EDBDelay: pq.edbDelay})
+		Cancel: ctxDone(ctx), EDBDelay: pq.edbDelay})
 	if err != nil {
 		return nil, engineError(err, ctx)
 	}
@@ -340,7 +334,7 @@ func (pq *PreparedQuery) Answers(ctx context.Context, args ...string) iter.Seq2[
 		}
 		stopped := false
 		_, err = pq.plan.RunStream(engine.Options{Stats: pq.stats, Bind: bind,
-			Cancel: ctxDone(ctx), Partitions: pq.partitions, EDBDelay: pq.edbDelay},
+			Cancel: ctxDone(ctx), EDBDelay: pq.edbDelay},
 			func(t relation.Tuple) bool {
 				row := make([]string, pq.nout)
 				for i := 0; i < pq.nout; i++ {
@@ -453,7 +447,7 @@ func (s *System) queryPrepared(src string, cfg *config) (*PreparedQuery, []strin
 	if err != nil {
 		return nil, nil, false, err
 	}
-	key := planKey(normStrategy(cfg.strategyName), cfg.partitions, cfg.edbDelay, q.shape)
+	key := planKey(normStrategy(cfg.strategyName), cfg.edbDelay, q.shape)
 	if pq := s.plans.get(key); pq != nil {
 		if npq := s.maybeReopt(pq, q, cfg); npq != nil {
 			s.plans.put(key, npq)
@@ -550,9 +544,7 @@ func (s *System) Query(ctx context.Context, src string, opts ...Option) (*Answer
 	if ctx != nil {
 		cfg.ctx = ctx
 	}
-	ectx, cancel := cfg.evalContext()
-	defer cancel()
-	tuples, err := pq.evalWith(ectx, args, stats)
+	tuples, err := pq.evalWith(cfg.evalContext(), args, stats)
 	if err != nil {
 		return nil, err
 	}

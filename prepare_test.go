@@ -276,8 +276,8 @@ func TestQueryContextCancellation(t *testing.T) {
 }
 
 // TestEvalContextOption covers the context-first satellites on the classic
-// path: WithContext cancellation maps onto both error taxonomies, and the
-// WithDeadline/WithCancel shims still work routed through a context.
+// path: WithContext cancellation and deadlines map onto both error
+// taxonomies.
 func TestEvalContextOption(t *testing.T) {
 	sys := MustLoad(prepBase)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -287,12 +287,12 @@ func TestEvalContextOption(t *testing.T) {
 	} else if !errors.Is(err, context.Canceled) || !errors.Is(err, engine.ErrCancelled) {
 		t.Errorf("WithContext error %v missing a sentinel", err)
 	}
-	ch := make(chan struct{})
-	close(ch)
-	if _, err := sys.Eval(WithCancel(ch)); err == nil {
-		t.Error("closed cancel channel: Eval succeeded")
-	} else if !errors.Is(err, context.Canceled) || !errors.Is(err, engine.ErrCancelled) {
-		t.Errorf("WithCancel error %v missing a sentinel", err)
+	ctx, cancel = context.WithTimeout(context.Background(), -time.Second)
+	defer cancel()
+	if _, err := sys.Eval(WithContext(ctx)); err == nil {
+		t.Error("expired context: Eval succeeded")
+	} else if !errors.Is(err, context.DeadlineExceeded) || !errors.Is(err, engine.ErrDeadline) {
+		t.Errorf("expired WithContext error %v missing a sentinel", err)
 	}
 }
 
@@ -343,13 +343,12 @@ func TestAddFactDuringWarming(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPreparedSlicedLeafSeesNewFacts: a pooled partitioned plan must see
-// facts added after it was built. Shard and worker leaves once held private
-// slices of the base relations, carved out at plan time, and served a frozen
-// snapshot unless the slices were refreshed; they now filter the one shared
-// store. The cyclic answers below need the two post-Prepare edges to join
-// with each other inside the recursion, which is exactly what a stale leaf
-// loses first.
+// TestPreparedSlicedLeafSeesNewFacts: a pooled plan must see facts added
+// after it was built. Leaves once held private slices of the base relations,
+// carved out at plan time, and served a frozen snapshot unless the slices
+// were refreshed; they now read the one shared store. The cyclic answers
+// below need the two post-Prepare edges to join with each other inside the
+// recursion, which is exactly what a stale leaf loses first.
 func TestPreparedSlicedLeafSeesNewFacts(t *testing.T) {
 	s := MustLoad(`
 		edge(n0, n1).
@@ -357,7 +356,7 @@ func TestPreparedSlicedLeafSeesNewFacts(t *testing.T) {
 		path(X, Y) :- path(X, U), edge(U, Y).
 		goal(X, Y) :- path(X, Y).
 	`)
-	pq, err := s.Prepare(`?- path(X, Y).`, WithPartitions(4))
+	pq, err := s.Prepare(`?- path(X, Y).`)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,10 +64,10 @@ func TestProgramCorpus(t *testing.T) {
 }
 
 // checkDeliveryMatrix evaluates src with the message-passing engine at every
-// strategy (auto included) × partition count × storage backend and requires
-// each answer set to be byte-identical to semi-naive bottom-up evaluation.
-// The engine has one delivery path — packaged, buffered per destination and
-// shard — so this matrix is what stands behind it.
+// strategy (auto included) × storage backend and requires each answer set to
+// be byte-identical to semi-naive bottom-up evaluation. The engine has one
+// delivery path — packaged, buffered per destination — so this matrix is
+// what stands behind it.
 func checkDeliveryMatrix(t *testing.T, src string) {
 	t.Helper()
 	truth, err := MustLoad(src).Eval(WithEngine(SemiNaive))
@@ -81,14 +81,12 @@ func checkDeliveryMatrix(t *testing.T, src string) {
 			sys = diskSystem(t, src)
 		}
 		for _, strat := range []string{"greedy", "qualtree", "leftright", "basic", "stats", "auto"} {
-			for _, parts := range []int{1, 2, 4} {
-				ans, err := sys.Eval(WithStrategy(strat), WithPartitions(parts))
-				if err != nil {
-					t.Fatalf("%s/%s/p%d: %v\n%s", store, strat, parts, err, src)
-				}
-				if got := fmt.Sprint(ans.Tuples); got != want {
-					t.Fatalf("%s/%s/p%d: answers %s, want %s\n%s", store, strat, parts, got, want, src)
-				}
+			ans, err := sys.Eval(WithStrategy(strat))
+			if err != nil {
+				t.Fatalf("%s/%s: %v\n%s", store, strat, err, src)
+			}
+			if got := fmt.Sprint(ans.Tuples); got != want {
+				t.Fatalf("%s/%s: answers %s, want %s\n%s", store, strat, got, want, src)
 			}
 		}
 	}

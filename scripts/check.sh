@@ -10,7 +10,7 @@
 # gate: intra-repo markdown links must resolve, and `go vet` must be clean.
 # `./scripts/check.sh gate` (or `make gate`) runs the perf-regression
 # release gate: cmd/bench re-measures the headline ratios of the committed
-# BENCH_4/5/6/8/9.json records on this tree — including the disk store's
+# BENCH_4/6/8/9.json records on this tree — including the disk store's
 # point scans against the memory store's — and exits nonzero if any falls
 # past its noise floor (thresholds: EXPERIMENTS.md). Self-test with
 # MPQ_GATE_HANDICAP=2ms, which simulates a slowed build — the gate must
@@ -62,10 +62,6 @@ if [ "${1:-}" = "chaos" ]; then
 	exit 0
 fi
 go test -race "$@" ./...
-# Partitioned evaluation exercises real parallelism: re-run the engine
-# suite pinned to one CPU and spread over four, so worker-shard schedules
-# that only misbehave at a particular GOMAXPROCS still surface.
-go test -race -cpu=1,4 "$@" ./internal/engine/
 # Storage-backend sweep: the engine suite again, with every edb.New()
 # backed by a temporary disk segment store. Byte-identical behavior across
 # backends is the Storage contract (doc/STORAGE.md); this catches any

@@ -48,7 +48,7 @@ func (pq *PreparedQuery) Subscription(args ...string) (*Subscription, error) {
 	}
 	return &Subscription{pq: pq, args: args, bind: bind, first: true,
 		inc: pq.plan.Incremental(engine.Options{Stats: pq.stats,
-			Bind: bind, Partitions: pq.partitions, EDBDelay: pq.edbDelay})}, nil
+			Bind: bind, EDBDelay: pq.edbDelay})}, nil
 }
 
 // Next returns the next batch of answers: the query's full current answer

@@ -88,13 +88,14 @@ func TestSubscriptionParameterized(t *testing.T) {
 }
 
 // TestSubscriptionProperty drives random insertion sequences and checks,
-// for every strategy x partition combination, that the accumulated
-// subscription output is byte-identical to a from-scratch evaluation of
-// the grown database after every delta, with no tuple delivered twice.
+// for every strategy with P subscriptions to one prepared query (pP), that
+// each one's accumulated output is byte-identical to a from-scratch
+// evaluation of the grown database after every delta, with no tuple
+// delivered twice.
 func TestSubscriptionProperty(t *testing.T) {
 	for _, strat := range []string{"greedy", "leftright"} {
-		for _, parts := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/p%d", strat, parts), func(t *testing.T) {
+		for _, par := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/p%d", strat, par), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(11))
 				s := MustLoad(`
 					edge(n0, n1).
@@ -102,29 +103,30 @@ func TestSubscriptionProperty(t *testing.T) {
 					path(X, Y) :- path(X, U), edge(U, Y).
 					goal(X, Y) :- path(X, Y).
 				`)
-				opts := []Option{WithStrategy(strat)}
-				if parts > 1 {
-					opts = append(opts, WithPartitions(parts))
-				}
-				pq, err := s.Prepare(`?- path(X, Y).`, opts...)
+				pq, err := s.Prepare(`?- path(X, Y).`, WithStrategy(strat))
 				if err != nil {
 					t.Fatal(err)
 				}
-				sub, err := pq.Subscription()
-				if err != nil {
-					t.Fatal(err)
+				subs := make([]*Subscription, par)
+				delivered := make([]map[string]bool, par)
+				for i := range subs {
+					if subs[i], err = pq.Subscription(); err != nil {
+						t.Fatal(err)
+					}
+					delivered[i] = make(map[string]bool)
 				}
-				delivered := make(map[string]bool)
-				accum := func(rows [][]string) {
-					for _, r := range rows {
+				accum := func(i int) {
+					for _, r := range subNext(t, subs[i]) {
 						k := fmt.Sprint(r)
-						if delivered[k] {
-							t.Errorf("tuple %v delivered twice", r)
+						if delivered[i][k] {
+							t.Errorf("subscription %d: tuple %v delivered twice", i, r)
 						}
-						delivered[k] = true
+						delivered[i][k] = true
 					}
 				}
-				accum(subNext(t, sub))
+				for i := range subs {
+					accum(i)
+				}
 				for round := 0; round < 6; round++ {
 					grew := false
 					for k := rng.Intn(3) + 1; k > 0; k-- {
@@ -132,23 +134,26 @@ func TestSubscriptionProperty(t *testing.T) {
 						b := fmt.Sprintf("n%d", rng.Intn(8))
 						grew = s.AddFact("edge", a, b) || grew
 					}
-					if grew {
+					if !grew {
+						continue
+					}
+					fresh, err := pq.Eval(nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := range subs {
 						// The delta may be empty (edge between already
 						// connected nodes): only wait when answers changed.
-						fresh, err := pq.Eval(nil)
-						if err != nil {
-							t.Fatal(err)
+						if len(fresh.Tuples) > len(delivered[i]) {
+							accum(i)
 						}
-						if len(fresh.Tuples) > len(delivered) {
-							accum(subNext(t, sub))
-						}
-						if len(delivered) != len(fresh.Tuples) {
-							t.Fatalf("round %d: delivered %d tuples, fresh eval has %d",
-								round, len(delivered), len(fresh.Tuples))
+						if len(delivered[i]) != len(fresh.Tuples) {
+							t.Fatalf("round %d: subscription %d delivered %d tuples, fresh eval has %d",
+								round, i, len(delivered[i]), len(fresh.Tuples))
 						}
 						for _, r := range fresh.Tuples {
-							if !delivered[fmt.Sprint(r)] {
-								t.Errorf("round %d: fresh tuple %v never delivered", round, r)
+							if !delivered[i][fmt.Sprint(r)] {
+								t.Errorf("round %d: subscription %d never delivered fresh tuple %v", round, i, r)
 							}
 						}
 					}
