@@ -133,6 +133,9 @@ func (s *System) chooseAuto(prog *ast.Program, rootAd adorn.Adornment, st *trace
 // strategy, running the auto planner when strategy=auto. The returned
 // AutoChoice is nil for manual strategies.
 func (s *System) buildGraph(prog *ast.Program, rootAd adorn.Adornment, cfg *config) (*rgg.Graph, *AutoChoice, error) {
+	if err := s.validate(prog); err != nil {
+		return nil, nil, err
+	}
 	if normStrategy(cfg.strategyName) != AutoStrategy {
 		g, err := rgg.Build(prog, rgg.Options{Strategy: s.resolveStrategy(cfg), RootAd: rootAd})
 		return g, nil, err
@@ -191,7 +194,7 @@ func (s *System) ExplainPlan(opts ...Option) (string, float64, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	g, choice, err := s.buildGraph(s.program(), nil, &cfg)
+	g, choice, err := s.buildGraph(s.Program, nil, &cfg)
 	if err != nil {
 		return "", 0, err
 	}

@@ -227,11 +227,11 @@ func TestAutoReoptDisabled(t *testing.T) {
 	}
 }
 
-// MustLoadSystemCopy rebuilds a fresh System over the same program text
-// (facts included), for answer-equivalence checks after mutation.
+// MustLoadSystemCopy rebuilds a fresh System over the same rules and the
+// facts in s's store, for answer-equivalence checks after mutation.
 func MustLoadSystemCopy(s *System) *System {
 	var b strings.Builder
-	for _, f := range s.Program.Facts {
+	for _, f := range storedFacts(s.DB) {
 		fmt.Fprintf(&b, "%s.\n", f)
 	}
 	for _, r := range s.Program.Rules {

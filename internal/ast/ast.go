@@ -217,7 +217,9 @@ func (r Rule) IsRangeRestricted() bool {
 }
 
 // Program is a parsed system: EDB facts, PIDB rules, and query rules.
-// Query rules are the rules whose head predicate is GoalPred.
+// Query rules are the rules whose head predicate is GoalPred. A program
+// loaded into a store (mpq.Load) holds its rules only: the facts live in
+// the store.
 type Program struct {
 	Facts []Atom // ground atoms: the EDB
 	Rules []Rule // PIDB rules plus query rules
@@ -275,9 +277,17 @@ func (p *Program) Validate(requireQuery bool) error {
 		}
 		edb[f.Key()] = true
 	}
+	return p.ValidateRules(func(k PredKey) bool { return edb[k] }, requireQuery)
+}
+
+// ValidateRules checks Validate's conditions on the rules alone, with isEDB
+// naming the predicates that have facts — for callers that keep the facts
+// somewhere other than p.Facts (a loaded system keeps them only in its
+// store).
+func (p *Program) ValidateRules(isEDB func(PredKey) bool, requireQuery bool) error {
 	sawQuery := false
 	for _, r := range p.Rules {
-		if edb[r.Head.Key()] {
+		if isEDB(r.Head.Key()) {
 			return fmt.Errorf("ast: rule %s has EDB predicate %s in its head", r, r.Head.Key())
 		}
 		if !r.IsRangeRestricted() {

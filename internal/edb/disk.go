@@ -80,6 +80,7 @@ type DiskStore struct {
 	predsFile     *os.File
 	predsOff      int64
 	journalFile   *os.File
+	rowBuf        []byte // commitRow's encoding scratch: a row, then a journal record
 	preds         []*diskRel
 	byKey         map[ast.PredKey]*diskRel
 
@@ -483,10 +484,11 @@ func (ds *DiskStore) commitRow(dr *diskRel, h uint64, t relation.Tuple) error {
 	}
 	ord := int32(dr.n)
 	if dr.width > 0 {
-		buf := make([]byte, dr.width)
-		for i, s := range t {
-			binary.LittleEndian.PutUint32(buf[i*4:], uint32(s))
+		buf := ds.rowBuf[:0]
+		for _, s := range t {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(s))
 		}
+		ds.rowBuf = buf
 		if _, err := dr.f.WriteAt(buf, int64(ord)*int64(dr.width)); err != nil {
 			return fmt.Errorf("edb: disk store: %s segment: %w", dr.key.Name, err)
 		}
@@ -496,11 +498,11 @@ func (ds *DiskStore) commitRow(dr *diskRel, h uint64, t relation.Tuple) error {
 			return err
 		}
 	}
-	var rec [journalRecSize]byte
-	binary.LittleEndian.PutUint32(rec[:], dr.id)
-	binary.LittleEndian.PutUint32(rec[4:], uint32(ord))
+	rec := binary.LittleEndian.AppendUint32(ds.rowBuf[:0], dr.id)
+	rec = binary.LittleEndian.AppendUint32(rec, uint32(ord))
+	ds.rowBuf = rec
 	v := ds.version.Load()
-	if _, err := ds.journalFile.WriteAt(rec[:], int64(v)*journalRecSize); err != nil {
+	if _, err := ds.journalFile.WriteAt(rec, int64(v)*journalRecSize); err != nil {
 		return fmt.Errorf("edb: disk store: journal.log: %w", err)
 	}
 	dr.grow()

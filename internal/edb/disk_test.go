@@ -566,8 +566,8 @@ func TestLoadRowsAtomic(t *testing.T) {
 			}
 			// The same rows minus the bad line load cleanly afterwards.
 			added, err := db.LoadRows("edge", strings.NewReader("a,b\nc,d\ne,f\n"))
-			if err != nil || len(added) != 3 {
-				t.Fatalf("clean load after failure: added=%d err=%v", len(added), err)
+			if err != nil || added != 3 {
+				t.Fatalf("clean load after failure: added=%d err=%v", added, err)
 			}
 		})
 	}

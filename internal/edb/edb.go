@@ -210,9 +210,9 @@ func (db *Database) Constants() []symtab.Sym {
 // starting with '#' skipped. Every row must have the same arity. Loading
 // is all-or-nothing: the whole input is parsed and validated before the
 // first insert, so a parse error (ragged row, oversized line, read
-// failure) leaves the database untouched. It returns the facts that were
-// new, so callers keeping an ast.Program in sync can append them.
-func (db *Database) LoadRows(pred string, r io.Reader) ([]ast.Atom, error) {
+// failure) leaves the database untouched. It returns how many rows were
+// new.
+func (db *Database) LoadRows(pred string, r io.Reader) (int, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	var rows [][]string
@@ -235,31 +235,27 @@ func (db *Database) LoadRows(pred string, r io.Reader) ([]ast.Atom, error) {
 		if arity == -1 {
 			arity = len(cols)
 		} else if len(cols) != arity {
-			return nil, fmt.Errorf("edb: %s line %d: %d columns, want %d", pred, lineNo, len(cols), arity)
+			return 0, fmt.Errorf("edb: %s line %d: %d columns, want %d", pred, lineNo, len(cols), arity)
 		}
 		rows = append(rows, cols)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("edb: reading %s: %w", pred, err)
+		return 0, fmt.Errorf("edb: reading %s: %w", pred, err)
 	}
-	var added []ast.Atom
+	added := 0
 	for _, cols := range rows {
 		if db.Add(pred, cols...) {
-			a := ast.Atom{Pred: pred}
-			for _, c := range cols {
-				a.Args = append(a.Args, ast.C(c))
-			}
-			added = append(added, a)
+			added++
 		}
 	}
 	return added, nil
 }
 
 // LoadFile is LoadRows over the named file.
-func (db *Database) LoadFile(pred, path string) ([]ast.Atom, error) {
+func (db *Database) LoadFile(pred, path string) (int, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("edb: %w", err)
+		return 0, fmt.Errorf("edb: %w", err)
 	}
 	defer f.Close()
 	return db.LoadRows(pred, f)

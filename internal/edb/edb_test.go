@@ -107,8 +107,8 @@ a,b
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(added) != 2 {
-		t.Errorf("added = %d, want 2 (dup and blank skipped)", len(added))
+	if added != 2 {
+		t.Errorf("added = %d, want 2 (dup and blank skipped)", added)
 	}
 	if n := db.Cardinality(ast.PredKey{Name: "edge", Arity: 2}); n != 2 {
 		t.Errorf("relation has %d tuples", n)
@@ -118,18 +118,16 @@ a,b
 		t.Fatal("whitespace not trimmed: constant c missing")
 	}
 	_ = c
-	for _, a := range added {
-		if !a.IsGround() || a.Pred != "edge" {
-			t.Errorf("bad returned atom %v", a)
-		}
+	if got := db.Preds(); len(got) != 1 || got[0] != (ast.PredKey{Name: "edge", Arity: 2}) {
+		t.Errorf("loaded predicates %v, want [edge/2]", got)
 	}
 }
 
 func TestLoadRowsTabs(t *testing.T) {
 	db := New()
 	added, err := db.LoadRows("r", strings.NewReader("a\tb\tc\nx\ty\tz\n"))
-	if err != nil || len(added) != 2 {
-		t.Fatalf("added=%d err=%v", len(added), err)
+	if err != nil || added != 2 {
+		t.Fatalf("added=%d err=%v", added, err)
 	}
 	if db.Cardinality(ast.PredKey{Name: "r", Arity: 3}) != 2 {
 		t.Error("tab-separated rows not loaded as arity 3")
@@ -151,8 +149,8 @@ func TestLoadFile(t *testing.T) {
 	}
 	db := New()
 	added, err := db.LoadFile("edge", path)
-	if err != nil || len(added) != 2 {
-		t.Fatalf("added=%d err=%v", len(added), err)
+	if err != nil || added != 2 {
+		t.Fatalf("added=%d err=%v", added, err)
 	}
 	if _, err := db.LoadFile("edge", filepath.Join(t.TempDir(), "missing")); err == nil {
 		t.Error("missing file accepted")

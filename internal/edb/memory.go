@@ -15,89 +15,79 @@ import (
 // It is the original edb.Database layout behind the Storage seam, and the
 // behavioral reference the disk store's conformance suite compares against.
 //
-// mu guards the relation map and the relation internals (index
+// mu guards the relations, the change log and the statistics (index
 // construction mutates a relation), so a lone writer may overlap readers:
 // a scan collects its row views under RLock and hands them out outside it —
 // row storage is an append-only arena, so captured views stay valid while
 // an insert lands.
 type memStore struct {
-	syms *symtab.Table
-	mu   sync.RWMutex
-	rels map[ast.PredKey]*relation.Relation
+	syms  *symtab.Table
+	mu    sync.RWMutex
+	rels  map[ast.PredKey]*memRel
+	preds []*memRel // by id: first-insert order
+	// changes logs every successful insert as the disk journal does, one
+	// 8-byte (predicate id, ordinal) record each, in commit order; record
+	// i produced version i+1.
+	changes []changeRec
 
-	// version counts successful mutations; the bump comes last in insert
+	// version counts successful mutations; the bump comes last in Insert
 	// so a reader observing it finds the change in the log.
 	version atomic.Uint64
-	// chMu guards the change log and statistics (Stats snapshots are safe
-	// against a concurrent bulk load).
-	chMu    sync.Mutex
-	changes []Change
-	stats   map[ast.PredKey]*relStats
 }
+
+// memRel is one predicate's relation and its incremental statistics.
+type memRel struct {
+	key   ast.PredKey
+	id    uint32
+	rel   *relation.Relation
+	stats relStats
+}
+
+// changeRec is one change-log record: row ordinal ord of predicate pred.
+type changeRec struct{ pred, ord uint32 }
 
 // NewMemory returns an empty in-memory store with a fresh symbol table.
 func NewMemory() Storage { return newMemStore() }
 
 func newMemStore() *memStore {
-	return &memStore{syms: symtab.New(), rels: make(map[ast.PredKey]*relation.Relation)}
+	return &memStore{syms: symtab.New(), rels: make(map[ast.PredKey]*memRel)}
 }
 
 func (ms *memStore) Symbols() *symtab.Table { return ms.syms }
 
-func (ms *memStore) rel(key ast.PredKey) *relation.Relation {
-	r, ok := ms.rels[key]
-	if !ok {
-		r = relation.New(key.Arity)
-		ms.rels[key] = r
+// relation returns key's relation, nil when the predicate has no facts.
+// Caller holds mu.
+func (ms *memStore) relation(key ast.PredKey) *relation.Relation {
+	if mr, ok := ms.rels[key]; ok {
+		return mr.rel
 	}
-	return r
+	return nil
 }
 
 func (ms *memStore) Insert(key ast.PredKey, t relation.Tuple) bool {
 	ms.mu.Lock()
-	r := ms.rel(key)
-	added := r.Insert(t)
-	var row relation.Tuple
-	if added {
-		row = r.Rows()[r.Len()-1] // the store-owned copy
+	defer ms.mu.Unlock()
+	mr, ok := ms.rels[key]
+	if !ok {
+		mr = &memRel{key: key, id: uint32(len(ms.preds)), rel: relation.New(key.Arity),
+			stats: relStats{cols: make([]colSketch, key.Arity)}}
+		ms.rels[key] = mr
+		ms.preds = append(ms.preds, mr)
 	}
-	ms.mu.Unlock()
+	ord, added := mr.rel.Add(t)
 	if !added {
 		return false
 	}
-	ms.record(key, row)
-	return true
-}
-
-// record logs one successful insert, maintains the incremental statistics,
-// and bumps the version (last, so the change is visible first).
-func (ms *memStore) record(key ast.PredKey, t relation.Tuple) {
-	ms.chMu.Lock()
-	v := ms.version.Load() + 1
-	ms.changes = append(ms.changes, Change{Seq: v, Key: key, Row: t})
-	ms.noteInsert(key, t)
-	ms.chMu.Unlock()
+	ms.changes = append(ms.changes, changeRec{pred: mr.id, ord: uint32(ord)})
+	mr.stats.note(t)
 	ms.version.Add(1)
-}
-
-// noteInsert maintains the incremental statistics for one successful
-// insert. Called from record under chMu.
-func (ms *memStore) noteInsert(key ast.PredKey, t relation.Tuple) {
-	if ms.stats == nil {
-		ms.stats = make(map[ast.PredKey]*relStats)
-	}
-	rs, ok := ms.stats[key]
-	if !ok {
-		rs = &relStats{cols: make([]colSketch, key.Arity)}
-		ms.stats[key] = rs
-	}
-	rs.note(t)
+	return true
 }
 
 func (ms *memStore) ScanInto(dst []relation.Tuple, key ast.PredKey, b relation.Binding) []relation.Tuple {
 	ms.mu.RLock()
-	r, ok := ms.rels[key]
-	if !ok {
+	r := ms.relation(key)
+	if r == nil {
 		ms.mu.RUnlock()
 		return dst
 	}
@@ -121,7 +111,7 @@ func (ms *memStore) ScanSince(key ast.PredKey, from int) iter.Seq[relation.Tuple
 	return func(yield func(relation.Tuple) bool) {
 		ms.mu.RLock()
 		var rows []relation.Tuple
-		if r, ok := ms.rels[key]; ok {
+		if r := ms.relation(key); r != nil {
 			if all := r.Rows(); from < len(all) {
 				rows = all[from:]
 			}
@@ -144,9 +134,9 @@ func (ms *memStore) Has(key ast.PredKey) bool {
 
 func (ms *memStore) Preds() []ast.PredKey {
 	ms.mu.RLock()
-	out := make([]ast.PredKey, 0, len(ms.rels))
-	for k := range ms.rels {
-		out = append(out, k)
+	out := make([]ast.PredKey, 0, len(ms.preds))
+	for _, mr := range ms.preds {
+		out = append(out, mr.key)
 	}
 	ms.mu.RUnlock()
 	sortPreds(out)
@@ -156,7 +146,7 @@ func (ms *memStore) Preds() []ast.PredKey {
 func (ms *memStore) Cardinality(key ast.PredKey) int {
 	ms.mu.RLock()
 	defer ms.mu.RUnlock()
-	if r, ok := ms.rels[key]; ok {
+	if r := ms.relation(key); r != nil {
 		return r.Len()
 	}
 	return 0
@@ -165,41 +155,50 @@ func (ms *memStore) Cardinality(key ast.PredKey) int {
 func (ms *memStore) Distinct(key ast.PredKey, col int) int {
 	ms.mu.Lock() // Relation.Distinct may build the column index
 	defer ms.mu.Unlock()
-	if r, ok := ms.rels[key]; ok && col < r.Arity() {
+	if r := ms.relation(key); r != nil && col < r.Arity() {
 		return r.Distinct(col)
 	}
 	return 0
 }
 
 func (ms *memStore) Stats() Stats {
-	ms.chMu.Lock()
-	defer ms.chMu.Unlock()
-	return snapshotStats(ms.version.Load(), ms.stats)
+	ms.mu.RLock()
+	defer ms.mu.RUnlock()
+	live := make(map[ast.PredKey]*relStats, len(ms.preds))
+	for _, mr := range ms.preds {
+		live[mr.key] = &mr.stats
+	}
+	return snapshotStats(ms.version.Load(), live)
 }
 
 func (ms *memStore) Version() uint64 { return ms.version.Load() }
 
+// ChangesSince resolves the log records past v to row views in the
+// relation arenas.
 func (ms *memStore) ChangesSince(v uint64) []Change {
-	ms.chMu.Lock()
-	defer ms.chMu.Unlock()
+	ms.mu.RLock()
+	defer ms.mu.RUnlock()
 	if v >= uint64(len(ms.changes)) {
 		return nil
 	}
-	out := make([]Change, len(ms.changes)-int(v))
-	copy(out, ms.changes[v:])
+	out := make([]Change, 0, uint64(len(ms.changes))-v)
+	for i, rec := range ms.changes[v:] {
+		mr := ms.preds[rec.pred]
+		out = append(out, Change{Seq: v + uint64(i) + 1, Key: mr.key, Row: mr.rel.Rows()[rec.ord]})
+	}
 	return out
 }
 
 func (ms *memStore) WarmFor(needs []IndexNeed) {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
-	for _, r := range ms.rels {
-		for c := 0; c < r.Arity(); c++ {
-			r.BuildIndex(c)
+	for _, mr := range ms.preds {
+		for c := 0; c < mr.rel.Arity(); c++ {
+			mr.rel.BuildIndex(c)
 		}
 	}
 	for _, n := range needs {
-		if r, ok := ms.rels[n.Key]; ok && len(n.Cols) > 0 {
+		if r := ms.relation(n.Key); r != nil && len(n.Cols) > 0 {
 			r.BuildIndexOn(n.Cols...)
 		}
 	}
@@ -212,9 +211,9 @@ func (ms *memStore) Close() error { return nil }
 // map: Has stays false).
 func (ms *memStore) liveRelation(key ast.PredKey) *relation.Relation {
 	ms.mu.RLock()
-	r, ok := ms.rels[key]
+	r := ms.relation(key)
 	ms.mu.RUnlock()
-	if ok {
+	if r != nil {
 		return r
 	}
 	return relation.New(key.Arity)
@@ -224,8 +223,8 @@ func (ms *memStore) liveRelation(key ast.PredKey) *relation.Relation {
 func (ms *memStore) contains(key ast.PredKey, t relation.Tuple) bool {
 	ms.mu.RLock()
 	defer ms.mu.RUnlock()
-	r, ok := ms.rels[key]
-	return ok && r.Contains(t)
+	r := ms.relation(key)
+	return r != nil && r.Contains(t)
 }
 
 // sortPreds orders predicate keys by name then arity, the Preds() contract.

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/edb"
 	"repro/internal/relation"
@@ -28,6 +29,11 @@ type Plan struct {
 	g    *rgg.Graph
 	db   edb.Storage
 	pool sync.Pool // of *scratch
+	// idle keeps one scratch out of the pool: sync.Pool empties itself
+	// within two garbage collections, so a plan run one request at a time
+	// would rebuild its scratch after every other cycle — more often the
+	// smaller the live heap, since cycles come sooner.
+	idle atomic.Pointer[scratch]
 }
 
 // scratch is one site's worth of reusable per-node state: the network and
@@ -72,7 +78,9 @@ func (pl *Plan) RunStream(opts Options, yield func(relation.Tuple) bool) (*Resul
 	if s.built {
 		// A shell whose run failed before building its procs has nothing
 		// worth keeping, and reset could not tell it from a recycled one.
-		pl.pool.Put(s)
+		if !pl.idle.CompareAndSwap(nil, s) {
+			pl.pool.Put(s)
+		}
 	}
 	return res, err
 }
@@ -116,8 +124,11 @@ func (pl *Plan) bind(s *scratch, opts Options, delta bool) (*runner, error) {
 	return rt, nil
 }
 
-// get draws a scratch from the pool, or makes a fresh shell.
+// get draws the idle scratch or one from the pool, or makes a fresh shell.
 func (pl *Plan) get() *scratch {
+	if s := pl.idle.Swap(nil); s != nil {
+		return s
+	}
 	if v := pl.pool.Get(); v != nil {
 		return v.(*scratch)
 	}

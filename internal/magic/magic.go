@@ -188,19 +188,35 @@ func Rewrite(prog *ast.Program, strategy func(ast.Rule, adorn.Adornment) *adorn.
 // rewritten program (it contains the magic seed facts) and owns the symbol
 // table the result's tuples use.
 func Evaluate(prog *ast.Program) (*bottomup.Result, *Rewritten, *edb.Database, error) {
-	return EvaluateWith(prog, nil)
+	return EvaluateWith(prog, nil, nil)
 }
 
-// EvaluateWith is Evaluate with an explicit sideways-information-passing
-// strategy driving the rewrite's adornments (nil means greedy). The answer
-// set is strategy-independent; the magic predicates — and hence the work —
-// are not.
-func EvaluateWith(prog *ast.Program, strategy func(ast.Rule, adorn.Adornment) *adorn.SIP) (*bottomup.Result, *Rewritten, *edb.Database, error) {
+// EvaluateWith is Evaluate over the facts of base as well as the program's
+// own (base may be nil), with an explicit sideways-information-passing
+// strategy driving the rewrite's adornments (nil means greedy). The
+// rewrite's database is private, so base's rows are copied into it, one
+// evaluation at a time. The answer set is strategy-independent; the magic
+// predicates — and hence the work — are not.
+func EvaluateWith(prog *ast.Program, base *edb.Database, strategy func(ast.Rule, adorn.Adornment) *adorn.SIP) (*bottomup.Result, *Rewritten, *edb.Database, error) {
 	rw, err := Rewrite(prog, strategy)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	db := edb.FromProgram(rw.Program)
+	db := edb.New()
+	if base != nil {
+		for _, key := range base.Preds() {
+			args := make([]string, key.Arity)
+			for row := range base.Scan(key, nil) {
+				for i, sym := range row {
+					args[i] = base.Syms.String(sym)
+				}
+				db.Add(key.Name, args...)
+			}
+		}
+	}
+	for _, f := range rw.Program.Facts {
+		db.AddFact(f)
+	}
 	res := bottomup.SemiNaive(rw.Program, db)
 	return res, rw, db, nil
 }

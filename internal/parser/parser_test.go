@@ -87,6 +87,31 @@ func TestParseConstantsKinds(t *testing.T) {
 	}
 }
 
+// TestParseUnicode pins what the byte lexer must keep from the rune lexer:
+// non-ASCII letters and digits lex as identifiers and numbers, an invalid
+// UTF-8 byte inside quotes reads as U+FFFD, and an escape takes the next
+// character literally.
+func TestParseUnicode(t *testing.T) {
+	prog, err := Parse("é(ü_1, 日本, ٣٤, -٣, 'a\xffb', 'x\\'y', \"\\\\\").\nÜber(x).")
+	if err == nil {
+		t.Fatalf("upper-case predicate accepted: %v", prog)
+	}
+	prog, err = Parse("é(ü_1, 日本, ٣٤, -٣, 'a\xffb', 'x\\'y', \"\\\\\").")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"ü_1", "日本", "٣٤", "-٣", "a\uFFFDb", "x'y", "\\"}
+	got := prog.Facts[0]
+	if got.Pred != "é" || len(got.Args) != len(want) {
+		t.Fatalf("parsed %v", got)
+	}
+	for i, w := range want {
+		if got.Args[i] != ast.C(w) {
+			t.Errorf("arg %d = %q, want %q", i, got.Args[i].Const, w)
+		}
+	}
+}
+
 func TestParseVariables(t *testing.T) {
 	prog, err := Parse(`p(X, Y) :- q(X, _underscore, Y).`)
 	if err != nil {
@@ -139,6 +164,9 @@ func TestParseErrors(t *testing.T) {
 		{`:- p(a).`, "identifier"},
 		{`p(a. b).`, "expected"},
 		{`'unterminated`, "unterminated"},
+		{"p('a\\\nb').", "line 1, column 3: unterminated quoted constant"},
+		{"p('\\\n').", "line 1, column 3: unterminated quoted constant"},
+		{"p('a\\", "line 1, column 3: unterminated quoted constant"},
 		{`/* unterminated`, "unterminated block"},
 		{`p ? q.`, "'-'"},
 		{`$bad.`, "unexpected character"},

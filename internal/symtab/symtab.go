@@ -9,6 +9,7 @@ package symtab
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 )
 
@@ -33,7 +34,9 @@ func New() *Table {
 	return &Table{ids: make(map[string]Sym)}
 }
 
-// Intern returns the Sym for text, creating it if necessary.
+// Intern returns the Sym for text, creating it if necessary. A new symbol
+// keeps a copy of text, so interning a substring never keeps the string it
+// was cut from alive; finding an existing symbol allocates nothing.
 func (t *Table) Intern(text string) Sym {
 	t.mu.RLock()
 	s, ok := t.ids[text]
@@ -46,6 +49,7 @@ func (t *Table) Intern(text string) Sym {
 	if s, ok := t.ids[text]; ok {
 		return s
 	}
+	text = strings.Clone(text)
 	t.strs = append(t.strs, text)
 	s = Sym(len(t.strs))
 	t.ids[text] = s

@@ -38,6 +38,7 @@ import (
 	"io"
 	"iter"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -49,6 +50,7 @@ import (
 	"repro/internal/parser"
 	"repro/internal/relation"
 	"repro/internal/rgg"
+	"repro/internal/symtab"
 	"repro/internal/trace"
 )
 
@@ -95,7 +97,10 @@ func ParseEngine(name string) (Engine, error) {
 	return 0, fmt.Errorf("mpq: unknown engine %q (try message-passing, semi-naive, naive, magic-sets, brute-force)", name)
 }
 
-// System is a loaded program plus its extensional database.
+// System is a loaded program plus its extensional database. Program holds
+// the rules only (its Facts are empty); the facts live in DB, which every
+// engine reads — MagicSets copies them into its private rewrite database
+// per evaluation.
 //
 // Concurrent Eval/Answers/Query calls and concurrent evaluations of one
 // PreparedQuery on one System are safe. Mutation (AddFact, LoadData) is
@@ -161,9 +166,12 @@ func WithStorage(st edb.Storage) SystemOption {
 	return func(c *sysConfig) { c.storage = st }
 }
 
-// newSystem builds a System over the configured (or default) storage and
-// loads the program's facts into it.
-func newSystem(prog *ast.Program, opts []SystemOption) *System {
+// load builds a System over the configured (or default) store. parse
+// reads the program, handing each ground fact to the sink it is given; a
+// loader interns the fact's constants and stages the row, and only once the
+// whole program has parsed and validated are the staged rows inserted — a
+// failed load inserts no row.
+func load(opts []SystemOption, parse func(fact func(string, []string) error) (*ast.Program, error)) (*System, error) {
 	var c sysConfig
 	for _, o := range opts {
 		o(&c)
@@ -174,37 +182,86 @@ func newSystem(prog *ast.Program, opts []SystemOption) *System {
 	} else {
 		db = edb.New()
 	}
-	for _, f := range prog.Facts {
-		db.AddFact(f)
+	ld := &loader{syms: db.Syms, index: make(map[ast.PredKey]int32), last: -1}
+	prog, err := parse(ld.fact)
+	if err == nil {
+		err = prog.ValidateRules(ld.isEDB, true)
 	}
-	return &System{Program: prog, DB: db}
+	if err != nil {
+		if c.storage == nil {
+			db.Close()
+		}
+		return nil, err
+	}
+	ld.commit(db)
+	return &System{Program: prog, DB: db}, nil
+}
+
+// loader stages a program's facts as the parser reads them: each row is
+// its predicate's index in a small predicate table plus its interned
+// constants, appended to one flat symbol slice.
+type loader struct {
+	syms  *symtab.Table
+	keys  []ast.PredKey // the predicate table
+	index map[ast.PredKey]int32
+	last  int32        // the previous fact's predicate: facts come in runs
+	preds []int32      // per staged row, its predicate
+	args  []symtab.Sym // the staged rows' constants, back to back
+}
+
+func (ld *loader) fact(pred string, args []string) error {
+	p := ld.last
+	if p < 0 || ld.keys[p].Name != pred || ld.keys[p].Arity != len(args) {
+		key := ast.PredKey{Name: pred, Arity: len(args)}
+		var ok bool
+		if p, ok = ld.index[key]; !ok {
+			key.Name = strings.Clone(pred) // pred is a view of the source text
+			p = int32(len(ld.keys))
+			ld.keys = append(ld.keys, key)
+			ld.index[key] = p
+		}
+		ld.last = p
+	}
+	ld.preds = append(ld.preds, p)
+	for _, a := range args {
+		ld.args = append(ld.args, ld.syms.Intern(a))
+	}
+	return nil
+}
+
+// isEDB reports whether the program has facts for key: no rule may define
+// such a predicate.
+func (ld *loader) isEDB(key ast.PredKey) bool {
+	_, ok := ld.index[key]
+	return ok
+}
+
+// commit inserts the staged rows in source order.
+func (ld *loader) commit(st edb.Storage) {
+	off := 0
+	for _, p := range ld.preds {
+		key := ld.keys[p]
+		st.Insert(key, ld.args[off:off+key.Arity])
+		off += key.Arity
+	}
 }
 
 // Load parses and validates Datalog source, loading its facts into a fresh
 // database (or the store given via WithStorage). The program must define
 // at least one query rule (head predicate "goal", or the `?- body.`
-// sugar).
+// sugar). The System's Program holds the rules; the facts live only in
+// its DB.
 func Load(source string, opts ...SystemOption) (*System, error) {
-	prog, err := parser.Parse(source)
-	if err != nil {
-		return nil, err
-	}
-	if err := prog.Validate(true); err != nil {
-		return nil, err
-	}
-	return newSystem(prog, opts), nil
+	return load(opts, func(fact func(string, []string) error) (*ast.Program, error) {
+		return parser.ParseInto(source, fact)
+	})
 }
 
 // LoadFile reads and Loads the named file.
 func LoadFile(path string, opts ...SystemOption) (*System, error) {
-	prog, err := parser.ParseFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if err := prog.Validate(true); err != nil {
-		return nil, err
-	}
-	return newSystem(prog, opts), nil
+	return load(opts, func(fact func(string, []string) error) (*ast.Program, error) {
+		return parser.ParseFileInto(path, fact)
+	})
 }
 
 // MustLoad is Load for programs known to be well formed; it panics on
@@ -224,8 +281,9 @@ func MustLoad(source string, opts ...SystemOption) *System {
 // no-ops that do not advance the version, so EDBVersion after a clean
 // reopen equals the version at shutdown and every result-cache key and
 // statistics epoch derived from it remains valid. Facts added at runtime
-// (AddFact, LoadData) persist across restarts; Close the system to sync
-// and release the store.
+// (AddFact, LoadData) persist across restarts and are read from the store
+// like the program's own; Close the system to sync and release the store.
+// A program that fails to load inserts no row and persists no symbol.
 func OpenSystem(dir, source string, opts ...SystemOption) (*System, error) {
 	st, err := edb.OpenDisk(dir)
 	if err != nil {
@@ -236,28 +294,7 @@ func OpenSystem(dir, source string, opts ...SystemOption) (*System, error) {
 		st.Close()
 		return nil, err
 	}
-	// Facts added at runtime in earlier sessions (AddFact, LoadData) were
-	// recovered from disk but are absent from the parsed program; the
-	// bottom-up engines and the magic-sets rewrite read Program.Facts, so
-	// rebuild it from the store (the stored union is exactly the program's
-	// facts plus the runtime additions, deduplicated).
-	sys.Program.Facts = sys.factsFromStore()
 	return sys, nil
-}
-
-// factsFromStore renders every stored row back into a ground atom.
-func (s *System) factsFromStore() []ast.Atom {
-	var out []ast.Atom
-	for _, key := range s.DB.Preds() {
-		for row := range s.DB.Scan(key, nil) {
-			a := ast.Atom{Pred: key.Name}
-			for _, sym := range row {
-				a.Args = append(a.Args, ast.C(s.DB.Syms.String(sym)))
-			}
-			out = append(out, a)
-		}
-	}
-	return out
 }
 
 // Close releases the system's storage backend: a no-op for in-memory
@@ -275,12 +312,11 @@ func (s *System) Close() error {
 func (s *System) LoadData(pred, path string) (int, error) {
 	s.mu.Lock()
 	added, err := s.DB.LoadFile(pred, path)
-	s.Program.Facts = append(s.Program.Facts, added...)
 	s.mu.Unlock()
-	if len(added) > 0 {
+	if added > 0 {
 		s.notifyMutation()
 	}
-	return len(added), err
+	return added, err
 }
 
 // ensureWarmFor builds every base-relation index the graph's evaluation
@@ -299,13 +335,6 @@ func (s *System) ensureWarmFor(g *rgg.Graph) {
 func (s *System) AddFact(pred string, args ...string) bool {
 	s.mu.Lock()
 	added := s.DB.Add(pred, args...)
-	if added {
-		a := ast.Atom{Pred: pred}
-		for _, v := range args {
-			a.Args = append(a.Args, ast.C(v))
-		}
-		s.Program.Facts = append(s.Program.Facts, a)
-	}
 	s.mu.Unlock()
 	if added {
 		s.notifyMutation()
@@ -313,15 +342,10 @@ func (s *System) AddFact(pred string, args ...string) bool {
 	return added
 }
 
-// program returns a snapshot of the loaded program for compilation: rules
-// are fixed at load time, and the fact slice is cut at its current length
-// under the lock, so a concurrent AddFact/LoadData (which append under the
-// same lock) never touches what the snapshot's reader sees.
-func (s *System) program() *ast.Program {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := len(s.Program.Facts)
-	return &ast.Program{Rules: s.Program.Rules, Facts: s.Program.Facts[:n:n]}
+// validate checks prog's rules against the store: beyond Validate's rule
+// conditions, no rule may define a predicate that has facts.
+func (s *System) validate(prog *ast.Program) error {
+	return prog.ValidateRules(s.DB.Has, true)
 }
 
 // EDBVersion returns a counter that increases whenever a new fact enters
@@ -502,7 +526,7 @@ func (s *System) Eval(opts ...Option) (*Answer, error) {
 	}
 	switch cfg.engine {
 	case MessagePassing:
-		g, _, err := s.buildGraph(s.program(), nil, &cfg)
+		g, _, err := s.buildGraph(s.Program, nil, &cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -514,20 +538,23 @@ func (s *System) Eval(opts ...Option) (*Answer, error) {
 		}
 		return &Answer{Engine: cfg.engine, Tuples: render(res.Answers, s.DB), Stats: res.Stats}, nil
 	case SemiNaive:
-		res := bottomup.SemiNaive(s.program(), s.DB)
+		res := bottomup.SemiNaive(s.Program, s.DB)
 		return &Answer{Engine: cfg.engine, Tuples: render(res.Goal, s.DB), Counts: res.Counts}, nil
 	case Naive:
-		res := bottomup.Naive(s.program(), s.DB)
+		res := bottomup.Naive(s.Program, s.DB)
 		return &Answer{Engine: cfg.engine, Tuples: render(res.Goal, s.DB), Counts: res.Counts}, nil
 	case BruteForce:
-		res := bottomup.BruteForce(s.program(), s.DB)
+		res := bottomup.BruteForce(s.Program, s.DB)
 		return &Answer{Engine: cfg.engine, Tuples: render(res.Goal, s.DB), Counts: res.Counts}, nil
 	case MagicSets:
+		if err := s.validate(s.Program); err != nil {
+			return nil, err
+		}
 		strat, err := s.magicStrategy(&cfg)
 		if err != nil {
 			return nil, err
 		}
-		res, _, db, err := magic.EvaluateWith(s.program(), strat)
+		res, _, db, err := magic.EvaluateWith(s.Program, s.DB, strat)
 		if err != nil {
 			return nil, err
 		}
@@ -571,7 +598,7 @@ func (s *System) Answers(opts ...Option) iter.Seq2[[]string, error] {
 			yield(nil, fmt.Errorf("mpq: Answers supports only the message-passing engine"))
 			return
 		}
-		g, _, err := s.buildGraph(s.program(), nil, &cfg)
+		g, _, err := s.buildGraph(s.Program, nil, &cfg)
 		if err != nil {
 			yield(nil, err)
 			return
@@ -601,7 +628,7 @@ func (s *System) Graph(opts ...Option) (*rgg.Graph, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	g, _, err := s.buildGraph(s.program(), nil, &cfg)
+	g, _, err := s.buildGraph(s.Program, nil, &cfg)
 	return g, err
 }
 
@@ -613,7 +640,7 @@ func (s *System) Graph(opts ...Option) (*rgg.Graph, error) {
 func (s *System) magicStrategy(cfg *config) (rgg.Strategy, error) {
 	switch normStrategy(cfg.strategyName) {
 	case AutoStrategy:
-		_, choice, err := s.chooseAuto(s.program(), nil, cfg.stats)
+		_, choice, err := s.chooseAuto(s.Program, nil, cfg.stats)
 		if err != nil {
 			return nil, err
 		}

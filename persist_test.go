@@ -149,8 +149,8 @@ func TestOpenSystemRestart(t *testing.T) {
 	if !reflect.DeepEqual(got.Tuples, want.Tuples) {
 		t.Fatalf("restart answers %v, want %v", got.Tuples, want.Tuples)
 	}
-	// The recovered runtime fact must also reach the bottom-up engines,
-	// which read Program.Facts rather than the store.
+	// The recovered runtime fact must also reach the magic-sets engine,
+	// which copies the store into a database of its own.
 	ms, err := re.Eval(WithEngine(MagicSets))
 	if err != nil {
 		t.Fatal(err)

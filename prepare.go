@@ -182,20 +182,14 @@ func (s *System) Prepare(query string, opts ...Option) (*PreparedQuery, error) {
 
 // prepare builds the plan for an already-parsed query.
 func (s *System) prepare(q *parsedQuery, cfg *config) (*PreparedQuery, error) {
-	// Snapshot the program under the lock (AddFact appends concurrently):
-	// the prepared rule replaces any query rules the program defines.
-	s.mu.Lock()
-	prog := &ast.Program{Facts: s.Program.Facts}
+	// The prepared rule replaces any query rules the program defines.
+	prog := &ast.Program{}
 	for _, r := range s.Program.Rules {
 		if r.Head.Pred != ast.GoalPred {
 			prog.Rules = append(prog.Rules, r)
 		}
 	}
-	s.mu.Unlock()
 	prog.Rules = append(prog.Rules, q.rule)
-	if err := prog.Validate(true); err != nil {
-		return nil, err
-	}
 	arity := len(q.rule.Head.Args)
 	nout := arity - len(q.consts)
 	rootAd := make(adorn.Adornment, arity)

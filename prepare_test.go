@@ -388,7 +388,7 @@ func freshTCAnswers(t *testing.T, s *System) [][]string {
 		goal(X, Y) :- path(X, Y).
 	`
 	f := MustLoad(src + "edge(n0, n1).")
-	for _, a := range s.Program.Facts {
+	for _, a := range storedFacts(s.DB) {
 		args := make([]string, len(a.Args))
 		for i, arg := range a.Args {
 			args[i] = arg.Const

@@ -76,6 +76,11 @@ go test -race -count=2 -run 'TestServeSubscribe|TestServeFact|TestSubscription|T
 # snapshot taken under the System lock. The race needs several schedules to
 # show, hence the CPU sweep and the repeat count.
 go test -race -cpu 1,2,4 -count=5 -run TestAddFactDuringWarming .
+# The lexer parses outside input — program files and wire `fact`/query
+# lines — so it is fuzzed on every check, from the committed corpus
+# (internal/parser/testdata/fuzz) outward: round trips, and ParseInto's
+# fact stream against Parse's facts.
+go test -run '^$' -fuzz FuzzParse -fuzztime 10s ./internal/parser/
 # The benchmark module compiles against internal signatures (edb.Storage,
 # engine.Plan, relation) that nothing above builds it against.
 bench_smoke
