@@ -264,16 +264,23 @@ func runServe(addr, programPath, metricsAddr, storeDir string, drainTimeout time
 	var err error
 	if storeDir != "" {
 		// Persistent EDB: recover facts, the statistics epoch, and the
-		// result-cache version from the store, then replay the program's own
-		// facts idempotently (see mpq.OpenSystem).
+		// result-cache version from the store; the program's own facts are
+		// replayed only when the program changed since the last clean
+		// shutdown (see mpq.OpenSystem).
 		var src []byte
 		if src, err = os.ReadFile(programPath); err == nil {
 			sys, err = mpq.OpenSystem(storeDir, string(src))
 		}
 		if err == nil {
 			defer sys.Close()
-			fmt.Fprintf(os.Stderr, "mpqd: persistent EDB %s recovered at version %d (%d facts)\n",
-				storeDir, sys.EDBVersion(), sys.DB.Facts())
+			rc := sys.Recovery()
+			program := "skipped (unchanged)"
+			if rc.Replayed {
+				program = "replayed"
+			}
+			fmt.Fprintf(os.Stderr, "mpqd: persistent EDB %s recovered at version %d (%d facts): program %s, open %v, load %v\n",
+				storeDir, sys.EDBVersion(), sys.DB.Facts(), program,
+				rc.Open.Round(time.Microsecond), rc.Load.Round(time.Microsecond))
 		}
 	} else {
 		sys, err = mpq.LoadFile(programPath)

@@ -309,3 +309,50 @@ func TestConformanceContainsMaterialize(t *testing.T) {
 		})
 	}
 }
+
+// TestConformanceConcurrentDistinct: Distinct takes only the read lock
+// once the column index is built, so planning (rgg.Build asks Distinct for
+// every bound column) overlaps scans. Run under -race, against a writer.
+func TestConformanceConcurrentDistinct(t *testing.T) {
+	for name, mk := range backends(t) {
+		t.Run(name, func(t *testing.T) {
+			st := mk()
+			seedStore(st)
+			key := ast.PredKey{Name: "t", Arity: 3}
+			syms := st.Symbols()
+			want := st.Distinct(key, 0) // builds the column index
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range 100 {
+					st.Insert(ast.PredKey{Name: "e", Arity: 2}, relation.Tuple{syms.Intern("x"), syms.Intern(fmt.Sprintf("w%d", i))})
+				}
+			}()
+			probe := syms.Intern("a3")
+			for r := 0; r < 3; r++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					var buf []relation.Tuple
+					for range 200 {
+						if got := st.Distinct(key, 0); got != want {
+							t.Errorf("Distinct = %d, want %d", got, want)
+						}
+						st.Distinct(key, 2)
+						buf = st.ScanInto(buf[:0], key, relation.Binding{probe, symtab.NoSym, symtab.NoSym})
+						for _, row := range buf {
+							if row[0] != probe {
+								t.Errorf("bound scan yielded %v", row)
+							}
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			if got := st.Distinct(key, 2); got != 40 {
+				t.Errorf("Distinct over column 2 = %d, want 40", got)
+			}
+		})
+	}
+}

@@ -18,6 +18,8 @@
 //	             result-cache version survive a restart for free.
 //	seg-<id>.dat fixed-width rows (arity × 4 bytes), append-only; a row's
 //	             ordinal is its offset / width.
+//	program.rec  the program last loaded over the store (record.go): a
+//	             cache that lets an unchanged program skip its replay.
 //
 // Rows are viewed where they lie, so the store needs a little-endian host
 // and a unix mmap; OpenDisk refuses a big-endian one.
@@ -52,9 +54,8 @@ import (
 )
 
 const (
-	diskManifest     = "mpq-edb v1\n"
-	journalRecSize   = 8
-	diskMaxIndexCols = 8 // mirror of relation.maxIndexCols
+	diskManifest   = "mpq-edb v1\n"
+	journalRecSize = 8
 	// extentRows is how many rows one mapping of a segment covers: 2^18
 	// rows of arity × 4 bytes is arity MiB, a page multiple for every arity.
 	extentRows = 1 << 18
@@ -85,36 +86,43 @@ type DiskStore struct {
 	byKey         map[ast.PredKey]*diskRel
 
 	version atomic.Uint64 // == committed journal record count
+	// torn reports that the open cut a torn tail off the journal.
+	torn bool
+
+	// program is the program record (record.go) read at open or last
+	// written; pending is the one SetProgram asked for, written after the
+	// next sync.
+	program, pending *ProgramRecord
 
 	closed bool
 }
 
 // diskRel is the in-RAM metadata of one relation's segment file: the
-// committed row count, the segment's mappings, the open-addressed dedup set
-// over row hashes (≈12 bytes per row; the rows themselves stay on disk),
-// the hash indexes over row ordinals, and the statistics sketches.
+// segment's mappings, a view of every committed row, the open-addressed
+// dedup set over row hashes, the hash indexes over row ordinals, and the
+// statistics sketches. The rows themselves stay on disk; per row the RAM
+// cost is a 24-byte view, 8 bytes of hash and ≈5 of dedup slot, plus 4 per
+// built index.
 type diskRel struct {
 	key   ast.PredKey
 	id    uint32
 	f     *os.File
 	width int // bytes per row: arity × 4 (0 for propositional predicates)
-	n     int // committed rows
 	// extents[e] views rows [e×extentRows, (e+1)×extentRows) of the segment
 	// through a shared read-only mapping, made when the committed count
 	// first reaches the extent and unmapped only by Close. An extent may
-	// reach past the end of the file; only rows below n are ever addressed.
+	// reach past the end of the file; only committed rows are ever addressed.
 	extents [][]symtab.Sym
+	// rows[ord] views committed row ord in its extent; len(rows) is the
+	// committed row count. Views never move, so a reader may keep a prefix
+	// of rows past the lock it was read under.
+	rows []relation.Tuple
 
-	hashes  []uint64
-	slots   []int32 // ordinal+1; 0 = empty
-	indexes map[uint64]*diskIndex
+	hashes []uint64
+	slots  []int32 // ordinal+1; 0 = empty
+	// indexes are relation's chained-ordinal indexes over rows.
+	indexes relation.Indexes
 	stats   relStats
-}
-
-// diskIndex mirrors relation's composite hash index, over row ordinals.
-type diskIndex struct {
-	cols []int
-	m    map[uint64][]int32
 }
 
 // OpenDisk opens (creating if necessary) a disk store rooted at dir and
@@ -150,7 +158,11 @@ func (ds *DiskStore) open() error {
 	if err := ds.loadPreds(); err != nil {
 		return err
 	}
-	return ds.replayJournal()
+	if err := ds.replayJournal(); err != nil {
+		return err
+	}
+	ds.loadProgram()
+	return nil
 }
 
 // Dir returns the store's root directory.
@@ -173,6 +185,21 @@ func (ds *DiskStore) checkManifest() error {
 	return nil
 }
 
+// readLog reads a whole log file in one allocation of its size, where
+// io.ReadAll would grow a buffer to several times that.
+func readLog(f *os.File) ([]byte, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	b := make([]byte, fi.Size())
+	n, err := f.ReadAt(b, 0)
+	if err == io.EOF {
+		err = nil
+	}
+	return b[:n], err
+}
+
 // openLog opens (creating) a log file for read/write.
 func (ds *DiskStore) openLog(name string) (*os.File, error) {
 	f, err := os.OpenFile(ds.path(name), os.O_RDWR|os.O_CREATE, 0o666)
@@ -191,7 +218,7 @@ func (ds *DiskStore) loadSyms() error {
 		return err
 	}
 	ds.symsFile = f
-	b, err := io.ReadAll(f)
+	b, err := readLog(f)
 	if err != nil {
 		return fmt.Errorf("edb: disk store: syms.log: %w", err)
 	}
@@ -201,7 +228,8 @@ func (ds *DiskStore) loadSyms() error {
 		if w <= 0 || off+w+int(n) > len(b) {
 			break // torn tail
 		}
-		text := string(b[off+w : off+w+int(n)])
+		// Intern copies a new symbol, so it is handed a view of the log.
+		text := unsafe.String(unsafe.SliceData(b[off+w:]), int(n))
 		if got, want := ds.syms.Intern(text), symtab.Sym(ds.symsPersisted+1); got != want {
 			return fmt.Errorf("edb: disk store: syms.log: duplicate symbol %q (id %d, expected %d)", text, got, want)
 		}
@@ -224,7 +252,7 @@ func (ds *DiskStore) loadPreds() error {
 		return err
 	}
 	ds.predsFile = f
-	b, err := io.ReadAll(f)
+	b, err := readLog(f)
 	if err != nil {
 		return fmt.Errorf("edb: disk store: preds.tab: %w", err)
 	}
@@ -292,7 +320,7 @@ func (ds *DiskStore) replayJournal() error {
 		return err
 	}
 	ds.journalFile = f
-	b, err := io.ReadAll(f)
+	b, err := readLog(f)
 	if err != nil {
 		return fmt.Errorf("edb: disk store: journal.log: %w", err)
 	}
@@ -311,6 +339,7 @@ func (ds *DiskStore) replayJournal() error {
 		recs++
 	}
 	if want := int64(recs * journalRecSize); want != int64(len(b)) {
+		ds.torn = true
 		if err := f.Truncate(want); err != nil {
 			return fmt.Errorf("edb: disk store: journal.log: %w", err)
 		}
@@ -325,7 +354,8 @@ func (ds *DiskStore) replayJournal() error {
 }
 
 // rebuildRel truncates the segment to the journaled row count, maps it, and
-// rebuilds the dedup set and statistics with one pass over the rows.
+// rebuilds the row views, dedup set and statistics with one pass over the
+// rows.
 func (ds *DiskStore) rebuildRel(dr *diskRel, count int) error {
 	if err := dr.f.Truncate(int64(count * dr.width)); err != nil {
 		return fmt.Errorf("edb: disk store: %s segment: %w", dr.key.Name, err)
@@ -333,21 +363,21 @@ func (ds *DiskStore) rebuildRel(dr *diskRel, count int) error {
 	if err := dr.mapRows(count); err != nil {
 		return err
 	}
-	dr.n = count
 	if count == 0 {
 		return nil
 	}
-	dr.hashes = make([]uint64, 0, count)
+	dr.rows = make([]relation.Tuple, count)
+	dr.hashes = make([]uint64, count)
 	size := 16
 	for size*3 < (count+1)*4 {
 		size *= 2
 	}
 	dr.slots = make([]int32, size)
-	for ord := 0; ord < count; ord++ {
-		t := dr.row(ord)
+	for ord := range count {
+		t := extentRow(dr.extents, dr.key.Arity, ord)
 		h := relation.HashTuple(t)
 		dr.place(h, int32(ord+1))
-		dr.hashes = append(dr.hashes, h)
+		dr.rows[ord], dr.hashes[ord] = t, h
 		dr.stats.note(t)
 	}
 	return nil
@@ -370,14 +400,6 @@ func (dr *diskRel) mapRows(n int) error {
 	return nil
 }
 
-// row views committed row ord in place. Caller holds the lock.
-func (dr *diskRel) row(ord int) relation.Tuple {
-	if ord < 0 || ord >= dr.n {
-		panic(fmt.Sprintf("edb: disk store: %s row %d of %d", dr.key.Name, ord, dr.n))
-	}
-	return extentRow(dr.extents, dr.key.Arity, ord)
-}
-
 // extentRow views row ord of a segment mapped as extents. The view's
 // capacity ends with the row, so an append to it copies rather than faults.
 func extentRow(extents [][]symtab.Sym, arity, ord int) relation.Tuple {
@@ -386,19 +408,6 @@ func extentRow(extents [][]symtab.Sym, arity, ord int) relation.Tuple {
 	}
 	off := ord % extentRows * arity
 	return extents[ord/extentRows][off : off+arity : off+arity]
-}
-
-// matchInto appends the candidate rows that satisfy b (index keys are
-// hashes, and columns past the index cap are not in the key at all),
-// growing dst at most once. Caller holds the lock.
-func (dr *diskRel) matchInto(dst []relation.Tuple, ords []int32, b relation.Binding) []relation.Tuple {
-	dst = slices.Grow(dst, len(ords))
-	for _, ord := range ords {
-		if t := dr.row(int(ord)); b.Matches(t) {
-			dst = append(dst, t)
-		}
-	}
-	return dst
 }
 
 // ---- dedup ----------------------------------------------------------------
@@ -413,7 +422,7 @@ func (dr *diskRel) place(h uint64, ref int32) {
 }
 
 func (dr *diskRel) grow() {
-	need := dr.n + 1
+	need := len(dr.rows) + 1
 	if len(dr.slots) > 0 && need*4 <= len(dr.slots)*3 {
 		return
 	}
@@ -439,7 +448,7 @@ func (dr *diskRel) lookup(h uint64, t relation.Tuple) int {
 		if s == 0 {
 			return -1
 		}
-		if ord := int(s - 1); dr.hashes[ord] == h && dr.row(ord).Equal(t) {
+		if ord := int(s - 1); dr.hashes[ord] == h && dr.rows[ord].Equal(t) {
 			return ord
 		}
 	}
@@ -482,7 +491,7 @@ func (ds *DiskStore) commitRow(dr *diskRel, h uint64, t relation.Tuple) error {
 	if err := ds.persistSyms(); err != nil {
 		return err
 	}
-	ord := int32(dr.n)
+	ord := int32(len(dr.rows))
 	if dr.width > 0 {
 		buf := ds.rowBuf[:0]
 		for _, s := range t {
@@ -494,7 +503,7 @@ func (ds *DiskStore) commitRow(dr *diskRel, h uint64, t relation.Tuple) error {
 		}
 		// Before the journal record: a row that cannot be mapped stays an
 		// orphan the next open truncates away.
-		if err := dr.mapRows(dr.n + 1); err != nil {
+		if err := dr.mapRows(len(dr.rows) + 1); err != nil {
 			return err
 		}
 	}
@@ -508,11 +517,17 @@ func (ds *DiskStore) commitRow(dr *diskRel, h uint64, t relation.Tuple) error {
 	dr.grow()
 	dr.place(h, ord+1)
 	dr.hashes = append(dr.hashes, h)
-	dr.n++
-	for _, ix := range dr.indexes {
-		ix.add(t, ord)
+	row := extentRow(dr.extents, dr.key.Arity, int(ord))
+	if len(dr.rows) == cap(dr.rows) {
+		// Double: append's gentler growth for large slices would allocate
+		// five times the final size of the views over a long load.
+		dr.rows = slices.Grow(dr.rows, max(len(dr.rows), 16))
 	}
-	dr.stats.note(t)
+	dr.rows = append(dr.rows, row)
+	for _, ix := range dr.indexes {
+		ix.Add(dr.rows, row, ord)
+	}
+	dr.stats.note(row)
 	ds.version.Add(1)
 	return nil
 }
@@ -541,15 +556,9 @@ func (ds *DiskStore) persistSyms() error {
 }
 
 func (ds *DiskStore) ScanInto(dst []relation.Tuple, key ast.PredKey, b relation.Binding) []relation.Tuple {
-	var cols [diskMaxIndexCols]int
-	var vals [diskMaxIndexCols]symtab.Sym
-	nb := 0
-	for i, v := range b {
-		if v != symtab.NoSym && nb < diskMaxIndexCols {
-			cols[nb], vals[nb] = i, v
-			nb++
-		}
-	}
+	var cols [relation.MaxIndexCols]int
+	var vals [relation.MaxIndexCols]symtab.Sym
+	nb, _ := relation.BoundCols(b, &cols, &vals)
 	ds.mu.RLock()
 	dr, ok := ds.byKey[key]
 	if !ok {
@@ -557,17 +566,14 @@ func (ds *DiskStore) ScanInto(dst []relation.Tuple, key ast.PredKey, b relation.
 		return dst
 	}
 	if nb == 0 {
-		dst = slices.Grow(dst, dr.n)
-		for ord := 0; ord < dr.n; ord++ {
-			dst = append(dst, dr.row(ord))
-		}
+		dst = append(dst, dr.rows...)
 		ds.mu.RUnlock()
 		return dst
 	}
-	// Point probe: the composite index over the bound columns names the
-	// candidate ordinals; the rows are views into the mapping.
-	if ix, ok := dr.indexes[diskColsKey(cols[:nb])]; ok {
-		dst = dr.matchInto(dst, ix.probe(vals[:nb]), b)
+	// Point probe: the composite index over the bound columns chains the
+	// matching ordinals; the rows are views into the mapping.
+	if ix := dr.indexes.Find(relation.ColsKey(cols[:nb])); ix != nil {
+		dst = ix.SelectInto(dst, dr.rows, b)
 		ds.mu.RUnlock()
 		return dst
 	}
@@ -576,7 +582,7 @@ func (ds *DiskStore) ScanInto(dst []relation.Tuple, key ast.PredKey, b relation.
 	ds.mu.RUnlock()
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	return dr.matchInto(dst, ds.buildIndex(dr, cols[:nb]).probe(vals[:nb]), b)
+	return dr.indexes.On(dr.rows, cols[:nb]).SelectInto(dst, dr.rows, b)
 }
 
 func (ds *DiskStore) Scan(key ast.PredKey, b relation.Binding) iter.Seq[relation.Tuple] {
@@ -585,19 +591,16 @@ func (ds *DiskStore) Scan(key ast.PredKey, b relation.Binding) iter.Seq[relation
 
 func (ds *DiskStore) ScanSince(key ast.PredKey, from int) iter.Seq[relation.Tuple] {
 	return func(yield func(relation.Tuple) bool) {
-		// Snapshot the committed count and the extent list, then stream
-		// without the lock: committed rows are immutable and mappings never
-		// move.
+		// Snapshot the committed row views, then stream without the lock:
+		// committed rows are immutable and mappings never move.
 		ds.mu.RLock()
-		dr, ok := ds.byKey[key]
-		var n int
-		var extents [][]symtab.Sym
-		if ok {
-			n, extents = dr.n, dr.extents
+		var rows []relation.Tuple
+		if dr, ok := ds.byKey[key]; ok {
+			rows = dr.rows
 		}
 		ds.mu.RUnlock()
-		for ord := max(from, 0); ord < n; ord++ {
-			if !yield(extentRow(extents, key.Arity, ord)) {
+		for _, t := range rows[min(max(from, 0), len(rows)):] {
+			if !yield(t) {
 				return
 			}
 		}
@@ -626,20 +629,29 @@ func (ds *DiskStore) Cardinality(key ast.PredKey) int {
 	ds.mu.RLock()
 	defer ds.mu.RUnlock()
 	if dr, ok := ds.byKey[key]; ok {
-		return dr.n
+		return len(dr.rows)
 	}
 	return 0
 }
 
+// Distinct reads the key count of the column's index, under the read lock
+// once the index is built (rgg.Build asks on every plan-cache miss).
 func (ds *DiskStore) Distinct(key ast.PredKey, col int) int {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
+	ds.mu.RLock()
 	dr, ok := ds.byKey[key]
-	if !ok || col < 0 || col >= dr.key.Arity || dr.n == 0 {
+	if !ok || col < 0 || col >= dr.key.Arity || len(dr.rows) == 0 {
+		ds.mu.RUnlock()
 		return 0
 	}
-	// Single-column keys are the symbols themselves: exact.
-	return len(ds.buildIndex(dr, []int{col}).m)
+	if ix := dr.indexes.Find(relation.ColsKey([]int{col})); ix != nil {
+		n := ix.Keys()
+		ds.mu.RUnlock()
+		return n
+	}
+	ds.mu.RUnlock()
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
+	return dr.indexes.On(dr.rows, []int{col}).Keys()
 }
 
 func (ds *DiskStore) Stats() Stats {
@@ -674,7 +686,7 @@ func (ds *DiskStore) ChangesSince(v uint64) []Change {
 		predID := binary.LittleEndian.Uint32(buf[i*journalRecSize:])
 		ordinal := binary.LittleEndian.Uint32(buf[i*journalRecSize+4:])
 		dr := ds.preds[predID]
-		out = append(out, Change{Seq: v + i + 1, Key: dr.key, Row: dr.row(int(ordinal))})
+		out = append(out, Change{Seq: v + i + 1, Key: dr.key, Row: dr.rows[ordinal]})
 	}
 	return out
 }
@@ -684,13 +696,13 @@ func (ds *DiskStore) WarmFor(needs []IndexNeed) {
 	defer ds.mu.Unlock()
 	for _, dr := range ds.preds {
 		for c := 0; c < dr.key.Arity; c++ {
-			ds.buildIndex(dr, []int{c})
+			dr.indexes.On(dr.rows, []int{c})
 		}
 	}
 	for _, nd := range needs {
 		dr, ok := ds.byKey[nd.Key]
 		if ok && len(nd.Cols) > 0 {
-			ds.buildIndex(dr, nd.Cols)
+			dr.indexes.On(dr.rows, nd.Cols)
 		}
 	}
 }
@@ -706,11 +718,15 @@ func (ds *DiskStore) contains(key ast.PredKey, t relation.Tuple) bool {
 	return ok && dr.lookup(relation.HashTuple(t), t) >= 0
 }
 
-// Sync flushes all store files to stable storage.
+// Sync flushes all store files to stable storage, then writes the program
+// record SetProgram asked for.
 func (ds *DiskStore) Sync() error {
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	return ds.syncLocked()
+	if err := ds.syncLocked(); err != nil {
+		return err
+	}
+	return ds.writeProgram()
 }
 
 func (ds *DiskStore) syncLocked() error {
@@ -731,7 +747,8 @@ func (ds *DiskStore) syncLocked() error {
 	return first
 }
 
-// Close syncs, unmaps every segment and closes every file; row views taken
+// Close syncs, writes a pending program record, unmaps every segment and
+// closes every file; row views taken
 // from the store die with it. Closing twice is harmless. Temporary stores
 // (MPQ_STORE=disk) also remove their directory.
 func (ds *DiskStore) Close() error {
@@ -742,6 +759,9 @@ func (ds *DiskStore) Close() error {
 	}
 	ds.closed = true
 	err := ds.syncLocked()
+	if err == nil {
+		err = ds.writeProgram()
+	}
 	if uerr := ds.unmap(); err == nil {
 		err = uerr
 	}
@@ -780,56 +800,4 @@ func (ds *DiskStore) closeFiles() {
 			dr.f.Close()
 		}
 	}
-}
-
-// ---- indexes --------------------------------------------------------------
-
-// diskColsKey packs an index's column list into its map key (the same
-// scheme as relation.colsKey).
-func diskColsKey(cols []int) uint64 {
-	k := uint64(0)
-	for _, c := range cols {
-		k = k<<8 | uint64(c+1)
-	}
-	return k
-}
-
-func (ix *diskIndex) rowKey(t relation.Tuple) uint64 {
-	if len(ix.cols) == 1 {
-		return uint64(uint32(t[ix.cols[0]]))
-	}
-	return relation.HashTupleAt(t, ix.cols)
-}
-
-func (ix *diskIndex) probe(vals []symtab.Sym) []int32 {
-	if len(ix.cols) == 1 {
-		return ix.m[uint64(uint32(vals[0]))]
-	}
-	return ix.m[relation.HashTuple(vals)]
-}
-
-func (ix *diskIndex) add(t relation.Tuple, ord int32) {
-	k := ix.rowKey(t)
-	ix.m[k] = append(ix.m[k], ord)
-}
-
-// buildIndex returns (building by one pass over the segment if needed) the
-// hash index over cols, capped at diskMaxIndexCols. Caller holds mu.
-func (ds *DiskStore) buildIndex(dr *diskRel, cols []int) *diskIndex {
-	if len(cols) > diskMaxIndexCols {
-		cols = cols[:diskMaxIndexCols]
-	}
-	k := diskColsKey(cols)
-	if ix, ok := dr.indexes[k]; ok {
-		return ix
-	}
-	ix := &diskIndex{cols: append([]int(nil), cols...), m: make(map[uint64][]int32, dr.n)}
-	for ord := 0; ord < dr.n; ord++ {
-		ix.add(dr.row(ord), int32(ord))
-	}
-	if dr.indexes == nil {
-		dr.indexes = make(map[uint64]*diskIndex)
-	}
-	dr.indexes[k] = ix
-	return ix
 }

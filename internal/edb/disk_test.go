@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -487,8 +488,8 @@ func TestDiskSegmentEdges(t *testing.T) {
 			t.Errorf("unknown relation probe yields %v", rows)
 		}
 		dr := st.byKey[full]
-		if dr.n != extentRows || len(dr.extents) != 1 {
-			t.Fatalf("full relation: %d rows in %d extents, want %d in 1", dr.n, len(dr.extents), extentRows)
+		if len(dr.rows) != extentRows || len(dr.extents) != 1 {
+			t.Fatalf("full relation: %d rows in %d extents, want %d in 1", len(dr.rows), len(dr.extents), extentRows)
 		}
 		last := wideRow(ids, 2, extentRows-1)
 		if got := st.ScanInto(nil, full, relation.Binding(last)); len(got) != 1 || !got[0].Equal(last) {
@@ -570,5 +571,100 @@ func TestLoadRowsAtomic(t *testing.T) {
 				t.Fatalf("clean load after failure: added=%d err=%v", added, err)
 			}
 		})
+	}
+}
+
+// TestDiskProgramRecord: a program record reaches the disk only with the
+// sync that makes its rows durable, survives a clean reopen whole, and is
+// ignored — never half-trusted — once the journal no longer reaches its
+// version, the journal was torn, or its bytes are damaged.
+func TestDiskProgramRecord(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedStore(st)
+	rec := &ProgramRecord{Hash: [32]byte{1, 2, 3}, Version: st.Version(),
+		Facts: []ast.PredKey{{Name: "t", Arity: 3}, {Name: "flag"}}, Rules: "goal(X) :- t(X, Y, Z).\n"}
+	if err := st.SetProgram(rec); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, programRecFile)); !os.IsNotExist(err) {
+		t.Fatalf("record on disk before any sync: %v", err)
+	}
+	if _, ok := st.Program(); ok {
+		t.Fatal("pending record reported before it was written")
+	}
+	st.Close()
+
+	reopen := func() *DiskStore {
+		t.Helper()
+		re, err := OpenDisk(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return re
+	}
+	re := reopen()
+	got, ok := re.Program()
+	if !ok || !reflect.DeepEqual(got, rec) {
+		t.Fatalf("reopened record = %+v, %v; want %+v", got, ok, rec)
+	}
+	re.Close()
+	good, err := os.ReadFile(filepath.Join(dir, programRecFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for name, damage := range map[string]func(){
+		"truncated record": func() { os.WriteFile(filepath.Join(dir, programRecFile), good[:len(good)-1], 0o666) },
+		"flipped byte": func() {
+			b := append([]byte(nil), good...)
+			b[len(programRecMagic)+40] ^= 1
+			os.WriteFile(filepath.Join(dir, programRecFile), b, 0o666)
+		},
+		"journal below version": func() { corrupt(t, filepath.Join(dir, "journal.log"), journalRecSize, nil) },
+		"torn journal":          func() { corrupt(t, filepath.Join(dir, "journal.log"), 0, []byte{0, 0, 0}) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			// Start each case from the good store: rebuild it, record and all.
+			os.RemoveAll(dir)
+			st, err := OpenDisk(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seedStore(st)
+			st.SetProgram(rec)
+			st.Close()
+			damage()
+			re := reopen()
+			defer re.Close()
+			if got, ok := re.Program(); ok {
+				t.Fatalf("damaged store trusted its record %+v", got)
+			}
+		})
+	}
+}
+
+// TestDecodeProgramRejectsDamage: every strict prefix and every single-bit
+// flip of a record decodes to nothing.
+func TestDecodeProgramRejectsDamage(t *testing.T) {
+	good := (&ProgramRecord{Version: 7, Facts: []ast.PredKey{{Name: "e", Arity: 2}},
+		Rules: "goal(Y) :- e(a, Y).\n"}).encode()
+	if rec := decodeProgram(good); rec == nil || rec.Version != 7 || rec.Rules != "goal(Y) :- e(a, Y).\n" {
+		t.Fatalf("good record decoded to %+v", rec)
+	}
+	for n := range len(good) {
+		if rec := decodeProgram(good[:n]); rec != nil {
+			t.Fatalf("%d-byte prefix decoded to %+v", n, rec)
+		}
+	}
+	for i := range len(good) * 8 {
+		b := append([]byte(nil), good...)
+		b[i/8] ^= 1 << (i % 8)
+		if rec := decodeProgram(b); rec != nil {
+			t.Fatalf("flip of bit %d decoded to %+v", i, rec)
+		}
 	}
 }

@@ -152,13 +152,23 @@ func (ms *memStore) Cardinality(key ast.PredKey) int {
 	return 0
 }
 
+// Distinct reads the key count of the column's index, under the read lock
+// once the index is built (rgg.Build asks on every plan-cache miss).
 func (ms *memStore) Distinct(key ast.PredKey, col int) int {
-	ms.mu.Lock() // Relation.Distinct may build the column index
-	defer ms.mu.Unlock()
-	if r := ms.relation(key); r != nil && col < r.Arity() {
-		return r.Distinct(col)
+	ms.mu.RLock()
+	r := ms.relation(key)
+	if r == nil || col < 0 || col >= r.Arity() {
+		ms.mu.RUnlock()
+		return 0
 	}
-	return 0
+	n, ok := r.TryDistinct(col)
+	ms.mu.RUnlock()
+	if ok {
+		return n
+	}
+	ms.mu.Lock() // the one-time build of the column index
+	defer ms.mu.Unlock()
+	return r.Distinct(col)
 }
 
 func (ms *memStore) Stats() Stats {

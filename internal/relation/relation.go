@@ -108,14 +108,14 @@ func HashTupleAt(vals []symtab.Sym, pos []int) uint64 {
 	return h
 }
 
-// maxIndexCols caps the width of a composite index key. Equalities beyond
+// MaxIndexCols caps the width of a composite index key. Equalities beyond
 // the cap are verified per candidate row (they still never trigger a scan
 // of non-candidates).
-const maxIndexCols = 8
+const MaxIndexCols = 8
 
-// colsKey packs an index's column list (each < 255) into the map key that
+// ColsKey packs an index's column list (each < 255) into the map key that
 // identifies it, without allocating.
-func colsKey(cols []int) uint64 {
+func ColsKey(cols []int) uint64 {
 	k := uint64(0)
 	for _, c := range cols {
 		k = k<<8 | uint64(c+1)
@@ -123,14 +123,19 @@ func colsKey(cols []int) uint64 {
 	return k
 }
 
-// index is a hash index over a fixed column list. Every distinct value of
+// Index is a hash index over a fixed column list. Every distinct value of
 // the indexed columns owns one bucket of an open-addressed table, and the
 // rows holding that value are chained through next in insertion order, so
 // adding a row — under a new key or an old one — allocates nothing beyond
 // the amortized growth of the two flat slices, and Reset keeps both. The
 // bucket count is the exact distinct count of the column list.
-type index struct {
-	key     uint64 // colsKey(cols)
+//
+// The index does not hold the rows: every method takes the row sequence it
+// indexes, by ordinal, so a store that keeps its rows elsewhere (the disk
+// store's mapped segments, viewed as a []Tuple) shares the one
+// implementation a Relation uses.
+type Index struct {
+	key     uint64 // ColsKey(cols)
 	cols    []int
 	buckets []bucket // power-of-two size, under 3/4 occupancy
 	next    []int32  // next[ord]: ordinal+1 of the following row with the same key, 0 at the end
@@ -141,11 +146,12 @@ type index struct {
 // marks an empty bucket) and its length.
 type bucket struct{ head, tail, n int32 }
 
-func newIndex(cols []int, rows []Tuple) *index {
-	ix := &index{key: colsKey(cols), cols: append([]int(nil), cols...),
+// NewIndex indexes rows on cols (at most MaxIndexCols of them).
+func NewIndex(cols []int, rows []Tuple) *Index {
+	ix := &Index{key: ColsKey(cols), cols: append([]int(nil), cols...),
 		buckets: make([]bucket, 16), next: make([]int32, 0, len(rows))}
 	for ord, row := range rows {
-		ix.add(rows, row, int32(ord))
+		ix.Add(rows, row, int32(ord))
 	}
 	return ix
 }
@@ -154,7 +160,7 @@ func newIndex(cols []int, rows []Tuple) *index {
 // index-column order): the key's own bucket, or the empty one where it
 // would go (head == 0). A chain is walked from head (ordinal+1 of its
 // first row) through next[ref-1] until 0.
-func (ix *index) find(rows []Tuple, vals []symtab.Sym) *bucket {
+func (ix *Index) find(rows []Tuple, vals []symtab.Sym) *bucket {
 	mask := uint64(len(ix.buckets) - 1)
 probe:
 	for i := hashSyms(vals) & mask; ; i = (i + 1) & mask {
@@ -172,13 +178,17 @@ probe:
 	}
 }
 
-// add appends row ord (the next ordinal: rows are indexed in order) to its
-// key's chain.
-func (ix *index) add(rows []Tuple, row Tuple, ord int32) {
+// Keys returns the number of distinct keys: for a single column, the exact
+// count of its distinct values.
+func (ix *Index) Keys() int { return ix.keys }
+
+// Add appends row ord (the next ordinal: rows are indexed in order) to its
+// key's chain; rows[ord] is row.
+func (ix *Index) Add(rows []Tuple, row Tuple, ord int32) {
 	if (ix.keys+1)*4 > len(ix.buckets)*3 {
 		ix.grow(rows)
 	}
-	var buf [maxIndexCols]symtab.Sym
+	var buf [MaxIndexCols]symtab.Sym
 	vals := buf[:len(ix.cols)]
 	for k, c := range ix.cols {
 		vals[k] = row[c]
@@ -197,7 +207,7 @@ func (ix *index) add(rows []Tuple, row Tuple, ord int32) {
 
 // grow doubles the bucket table. Keys are distinct, so re-placing a bucket
 // needs its hash but no comparisons.
-func (ix *index) grow(rows []Tuple) {
+func (ix *Index) grow(rows []Tuple) {
 	old := ix.buckets
 	ix.buckets = make([]bucket, 2*len(old))
 	mask := uint64(len(ix.buckets) - 1)
@@ -213,7 +223,7 @@ func (ix *index) grow(rows []Tuple) {
 	}
 }
 
-func (ix *index) reset() {
+func (ix *Index) reset() {
 	clear(ix.buckets)
 	ix.next = ix.next[:0]
 	ix.keys = 0
@@ -231,14 +241,12 @@ func (ix *index) reset() {
 // goroutines must warm every index it will probe first (see
 // edb.Database.WarmFor).
 type Relation struct {
-	arity  int
-	rows   []Tuple  // row views into arena chunks, in insertion order
-	hashes []uint64 // hashes[i] = hashSyms(rows[i])
-	chunk  []symtab.Sym
-	slots  []int32 // open-addressed dedup set: row ordinal+1; 0 = empty
-	// indexes holds the built indexes, found by colsKey (a relation has a
-	// handful at most, so a scan beats hashing the key).
-	indexes []*index
+	arity   int
+	rows    []Tuple  // row views into arena chunks, in insertion order
+	hashes  []uint64 // hashes[i] = hashSyms(rows[i])
+	chunk   []symtab.Sym
+	slots   []int32 // open-addressed dedup set: row ordinal+1; 0 = empty
+	indexes Indexes
 }
 
 // New returns an empty relation of the given arity. Arity zero is legal and
@@ -359,7 +367,7 @@ func (r *Relation) Add(t Tuple) (ord int, isNew bool) {
 	r.hashes = append(r.hashes, h)
 	r.place(h, int32(ord+1))
 	for _, ix := range r.indexes {
-		ix.add(r.rows, row, int32(ord))
+		ix.Add(r.rows, row, int32(ord))
 	}
 	return ord, true
 }
@@ -400,29 +408,38 @@ func (r *Relation) Contains(t Tuple) bool { return r.Ordinal(t) >= 0 }
 // tuples are owned by the relation; callers must not mutate them.
 func (r *Relation) Rows() []Tuple { return r.rows }
 
-// indexOn returns (building if needed) the hash index over cols, capped at
-// maxIndexCols columns.
-func (r *Relation) indexOn(cols []int) *index {
-	if len(cols) > maxIndexCols {
-		cols = cols[:maxIndexCols]
-	}
-	if ix := r.index(colsKey(cols)); ix != nil {
-		return ix
-	}
-	ix := newIndex(cols, r.rows)
-	r.indexes = append(r.indexes, ix)
-	return ix
-}
+// Indexes is the set of indexes built over one row sequence, found by
+// ColsKey (a relation has a handful at most, so a scan beats hashing the
+// key).
+type Indexes []*Index
 
-// index returns the built index with the given colsKey, or nil.
-func (r *Relation) index(key uint64) *index {
-	for _, ix := range r.indexes {
+// Find returns the index with the given ColsKey, or nil.
+func (s Indexes) Find(key uint64) *Index {
+	for _, ix := range s {
 		if ix.key == key {
 			return ix
 		}
 	}
 	return nil
 }
+
+// On returns (building over rows if needed) the index over cols, capped at
+// MaxIndexCols columns.
+func (s *Indexes) On(rows []Tuple, cols []int) *Index {
+	if len(cols) > MaxIndexCols {
+		cols = cols[:MaxIndexCols]
+	}
+	if ix := s.Find(ColsKey(cols)); ix != nil {
+		return ix
+	}
+	ix := NewIndex(cols, rows)
+	*s = append(*s, ix)
+	return ix
+}
+
+// indexOn returns (building if needed) the hash index over cols, capped at
+// MaxIndexCols columns.
+func (r *Relation) indexOn(cols []int) *Index { return r.indexes.On(r.rows, cols) }
 
 // Distinct reports the number of distinct values in column col, building
 // the column's hash index if needed (so concurrent readers should call this
@@ -432,6 +449,18 @@ func (r *Relation) Distinct(col int) int {
 		return 0
 	}
 	return r.indexOn([]int{col}).keys
+}
+
+// TryDistinct is Distinct as a pure read: when column col has no index yet
+// it reports false and leaves r alone.
+func (r *Relation) TryDistinct(col int) (int, bool) {
+	if r.Len() == 0 {
+		return 0, true
+	}
+	if ix := r.indexes.Find(ColsKey([]int{col})); ix != nil {
+		return ix.keys, true
+	}
+	return 0, false
 }
 
 // BuildIndex forces construction of the hash index on column col. Indexes
@@ -445,7 +474,7 @@ func (r *Relation) BuildIndex(col int) {
 }
 
 // BuildIndexOn forces construction of the composite hash index over cols
-// (in the given order, capped at maxIndexCols). Building an index that
+// (in the given order, capped at MaxIndexCols). Building an index that
 // already exists is a no-op.
 func (r *Relation) BuildIndexOn(cols ...int) {
 	if len(cols) == 0 {
@@ -490,17 +519,17 @@ func (b Binding) Constrains() bool {
 	return false
 }
 
-// boundCols lists the bound columns of b (at most maxIndexCols: the index
+// BoundCols lists the bound columns of b (at most MaxIndexCols: the index
 // key) into cols and their values into vals, returning how many there are
 // and whether they are all of b's constraints — when not, candidates still
 // need Matches.
-func boundCols(b Binding, cols *[maxIndexCols]int, vals *[maxIndexCols]symtab.Sym) (n int, exact bool) {
+func BoundCols(b Binding, cols *[MaxIndexCols]int, vals *[MaxIndexCols]symtab.Sym) (n int, exact bool) {
 	exact = true
 	for i, v := range b {
 		if v == symtab.NoSym {
 			continue
 		}
-		if n == maxIndexCols {
+		if n == MaxIndexCols {
 			exact = false
 			break
 		}
@@ -515,20 +544,20 @@ func boundCols(b Binding, cols *[maxIndexCols]int, vals *[maxIndexCols]symtab.Sy
 // column: every row matches and no index is involved. Otherwise ix is the
 // index, built on first use when build is set; without build a missing index
 // leaves ix nil and the relation untouched (a pure read).
-func (r *Relation) probe(b Binding, build bool) (ix *index, bk *bucket, exact, all bool) {
+func (r *Relation) probe(b Binding, build bool) (ix *Index, bk *bucket, exact, all bool) {
 	if len(b) != r.arity {
 		panic(fmt.Sprintf("relation: select binding arity %d on arity-%d relation", len(b), r.arity))
 	}
-	var cols [maxIndexCols]int
-	var vals [maxIndexCols]symtab.Sym
-	n, exact := boundCols(b, &cols, &vals)
+	var cols [MaxIndexCols]int
+	var vals [MaxIndexCols]symtab.Sym
+	n, exact := BoundCols(b, &cols, &vals)
 	switch {
 	case n == 0:
 		return nil, nil, exact, true
 	case build:
 		ix = r.indexOn(cols[:n])
 	default:
-		if ix = r.index(colsKey(cols[:n])); ix == nil {
+		if ix = r.indexes.Find(ColsKey(cols[:n])); ix == nil {
 			return nil, nil, exact, false
 		}
 	}
@@ -545,7 +574,7 @@ func (r *Relation) Select(b Binding) []Tuple {
 	if all {
 		return r.rows
 	}
-	return r.chain(nil, ix, bk, b, exact)
+	return ix.chain(nil, r.rows, bk, b, exact)
 }
 
 // SelectInto is Select appending to dst, for callers that probe per row and
@@ -555,7 +584,7 @@ func (r *Relation) SelectInto(dst []Tuple, b Binding) []Tuple {
 	if all {
 		return append(dst, r.rows...)
 	}
-	return r.chain(dst, ix, bk, b, exact)
+	return ix.chain(dst, r.rows, bk, b, exact)
 }
 
 // TrySelectInto is SelectInto as a pure read: when the composite index over
@@ -570,16 +599,28 @@ func (r *Relation) TrySelectInto(dst []Tuple, b Binding) ([]Tuple, bool) {
 	case ix == nil:
 		return dst, false
 	}
-	return r.chain(dst, ix, bk, b, exact), true
+	return ix.chain(dst, r.rows, bk, b, exact), true
+}
+
+// SelectInto appends the rows matching b, in insertion order, to dst. b must
+// bind exactly the indexed columns — or, for an index of MaxIndexCols
+// columns, those and more, which the candidates are then checked against.
+func (ix *Index) SelectInto(dst, rows []Tuple, b Binding) []Tuple {
+	var buf [MaxIndexCols]symtab.Sym
+	vals := buf[:len(ix.cols)]
+	for k, c := range ix.cols {
+		vals[k] = b[c]
+	}
+	return ix.chain(dst, rows, ix.find(rows, vals), b, len(ix.cols) < MaxIndexCols)
 }
 
 // chain appends the bucket's rows, in insertion order, growing dst at most
 // once. The index key covers every bound column unless there are more than
-// maxIndexCols (!exact).
-func (r *Relation) chain(dst []Tuple, ix *index, bk *bucket, b Binding, exact bool) []Tuple {
+// MaxIndexCols (!exact).
+func (ix *Index) chain(dst, rows []Tuple, bk *bucket, b Binding, exact bool) []Tuple {
 	dst = slices.Grow(dst, int(bk.n))
 	for ref := bk.head; ref != 0; ref = ix.next[ref-1] {
-		if row := r.rows[ref-1]; exact || b.Matches(row) {
+		if row := rows[ref-1]; exact || b.Matches(row) {
 			dst = append(dst, row)
 		}
 	}
@@ -620,7 +661,7 @@ type EqPair struct{ L, R int }
 
 // eqAll verifies every join equality between a (left) and b (right). Probes
 // through a composite index still verify: the index key is a hash, and
-// pairs beyond maxIndexCols are not part of the key at all.
+// pairs beyond MaxIndexCols are not part of the key at all.
 func eqAll(a, b Tuple, on []EqPair) bool {
 	for _, p := range on {
 		if a[p.L] != b[p.R] {
@@ -659,11 +700,11 @@ func Join(r, s *Relation, on []EqPair) *Relation {
 		return out
 	}
 	n := len(on)
-	if n > maxIndexCols {
-		n = maxIndexCols
+	if n > MaxIndexCols {
+		n = MaxIndexCols
 	}
-	var colsBuf [maxIndexCols]int
-	var valsBuf [maxIndexCols]symtab.Sym
+	var colsBuf [MaxIndexCols]int
+	var valsBuf [MaxIndexCols]symtab.Sym
 	if r.Len() < s.Len() {
 		// r is smaller: index r on the left columns, stream s through it.
 		for i := 0; i < n; i++ {
@@ -717,11 +758,11 @@ func SemiJoin(r, s *Relation, on []EqPair) *Relation {
 		return out
 	}
 	n := len(on)
-	if n > maxIndexCols {
-		n = maxIndexCols
+	if n > MaxIndexCols {
+		n = MaxIndexCols
 	}
-	var colsBuf [maxIndexCols]int
-	var valsBuf [maxIndexCols]symtab.Sym
+	var colsBuf [MaxIndexCols]int
+	var valsBuf [MaxIndexCols]symtab.Sym
 	for i := 0; i < n; i++ {
 		colsBuf[i] = on[i].R
 	}

@@ -33,6 +33,7 @@ package mpq
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
@@ -41,6 +42,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unsafe"
 
 	"repro/internal/ast"
 	"repro/internal/bottomup"
@@ -111,8 +113,9 @@ type System struct {
 	Program *ast.Program
 	DB      *edb.Database
 
-	mu    sync.Mutex // serializes mutation and index warming
-	plans planCache  // compiled query shapes, LRU (see Query)
+	mu       sync.Mutex // serializes mutation and index warming
+	plans    planCache  // compiled query shapes, LRU (see Query)
+	recovery Recovery   // how OpenSystem brought the system up
 
 	// subMu guards subCh, the mutation wake-up channel for subscriptions.
 	// notifyMutation closes it (waking every waiter) strictly after the
@@ -159,9 +162,9 @@ type sysConfig struct {
 // MPQ_STORE=disk environment variable is set). The program's facts are
 // loaded into it on top of whatever it already holds — duplicate inserts
 // are no-ops, so handing a reopened edb.OpenDisk store to Load replays the
-// program without disturbing the store's version (see OpenSystem, which
-// packages exactly that). The System takes ownership: Close closes the
-// store.
+// program without disturbing the store's version. Load always reads every
+// fact; OpenSystem skips that when the store's program record shows the
+// program unchanged. The System takes ownership: Close closes the store.
 func WithStorage(st edb.Storage) SystemOption {
 	return func(c *sysConfig) { c.storage = st }
 }
@@ -170,8 +173,9 @@ func WithStorage(st edb.Storage) SystemOption {
 // reads the program, handing each ground fact to the sink it is given; a
 // loader interns the fact's constants and stages the row, and only once the
 // whole program has parsed and validated are the staged rows inserted — a
-// failed load inserts no row.
-func load(opts []SystemOption, parse func(fact func(string, []string) error) (*ast.Program, error)) (*System, error) {
+// failed load inserts no row. It also returns the predicates the program
+// has facts for, in first-fact order.
+func load(opts []SystemOption, parse func(fact func(string, []string) error) (*ast.Program, error)) (*System, []ast.PredKey, error) {
 	var c sysConfig
 	for _, o := range opts {
 		o(&c)
@@ -191,10 +195,10 @@ func load(opts []SystemOption, parse func(fact func(string, []string) error) (*a
 		if c.storage == nil {
 			db.Close()
 		}
-		return nil, err
+		return nil, nil, err
 	}
 	ld.commit(db)
-	return &System{Program: prog, DB: db}, nil
+	return &System{Program: prog, DB: db}, ld.keys, nil
 }
 
 // loader stages a program's facts as the parser reads them: each row is
@@ -252,16 +256,18 @@ func (ld *loader) commit(st edb.Storage) {
 // sugar). The System's Program holds the rules; the facts live only in
 // its DB.
 func Load(source string, opts ...SystemOption) (*System, error) {
-	return load(opts, func(fact func(string, []string) error) (*ast.Program, error) {
+	sys, _, err := load(opts, func(fact func(string, []string) error) (*ast.Program, error) {
 		return parser.ParseInto(source, fact)
 	})
+	return sys, err
 }
 
 // LoadFile reads and Loads the named file.
 func LoadFile(path string, opts ...SystemOption) (*System, error) {
-	return load(opts, func(fact func(string, []string) error) (*ast.Program, error) {
+	sys, _, err := load(opts, func(fact func(string, []string) error) (*ast.Program, error) {
 		return parser.ParseFileInto(path, fact)
 	})
+	return sys, err
 }
 
 // MustLoad is Load for programs known to be well formed; it panics on
@@ -276,26 +282,95 @@ func MustLoad(source string, opts ...SystemOption) *System {
 
 // OpenSystem loads the program source over a persistent disk store rooted
 // at dir (created on first use): the store's facts, symbol table,
-// statistics, and version counter are recovered from disk, and the
-// program's own facts are (re-)inserted idempotently — duplicates are
-// no-ops that do not advance the version, so EDBVersion after a clean
-// reopen equals the version at shutdown and every result-cache key and
-// statistics epoch derived from it remains valid. Facts added at runtime
+// statistics, and version counter are recovered from disk. When the source
+// is byte-identical to the program last loaded over the store, and the
+// store still holds every fact that load committed, the program's facts
+// are not read at all: the store's program record supplies the rules and
+// the predicates they must not define. Otherwise the program is loaded in
+// full, its facts inserted idempotently — duplicates are no-ops that do
+// not advance the version — and the record is rewritten at the next Close.
+// Either way EDBVersion after a clean reopen equals the version at
+// shutdown, so every result-cache key and statistics epoch derived from it
+// remains valid, and the answers are the same. Facts added at runtime
 // (AddFact, LoadData) persist across restarts and are read from the store
 // like the program's own; Close the system to sync and release the store.
 // A program that fails to load inserts no row and persists no symbol.
 func OpenSystem(dir, source string, opts ...SystemOption) (*System, error) {
+	start := time.Now()
 	st, err := edb.OpenDisk(dir)
 	if err != nil {
 		return nil, err
 	}
-	sys, err := Load(source, append(opts, WithStorage(st))...)
-	if err != nil {
-		st.Close()
-		return nil, err
+	opened := time.Now()
+	hash := sha256.Sum256(unsafe.Slice(unsafe.StringData(source), len(source)))
+	sys := fromRecord(st, hash)
+	if sys == nil {
+		if sys, err = replay(st, source, hash, opts); err != nil {
+			st.Close()
+			return nil, err
+		}
 	}
+	sys.recovery.Open, sys.recovery.Load = opened.Sub(start), time.Since(opened)
 	return sys, nil
 }
+
+// fromRecord builds the System from st's program record when the record
+// describes the program whose source hashes to hash: the rules are parsed
+// back from the record and validated against its fact predicates, and no
+// fact is read. It returns nil when there is no usable record.
+func fromRecord(st *edb.DiskStore, hash [sha256.Size]byte) *System {
+	rec, ok := st.Program()
+	if !ok || rec.Hash != hash {
+		return nil
+	}
+	prog, err := parser.Parse(rec.Rules)
+	if err != nil || len(prog.Facts) > 0 {
+		return nil
+	}
+	facts := make(map[ast.PredKey]bool, len(rec.Facts))
+	for _, k := range rec.Facts {
+		facts[k] = true
+	}
+	if prog.ValidateRules(func(k ast.PredKey) bool { return facts[k] }, true) != nil {
+		return nil
+	}
+	return &System{Program: prog, DB: edb.FromStorage(st)}
+}
+
+// replay loads the program in full over st and has the store record it:
+// the stale record goes first, the new one is written once Close (or a
+// Sync) has made the rows it vouches for durable.
+func replay(st *edb.DiskStore, source string, hash [sha256.Size]byte, opts []SystemOption) (*System, error) {
+	if err := st.SetProgram(nil); err != nil {
+		return nil, err
+	}
+	sys, facts, err := load(append(opts, WithStorage(st)), func(fact func(string, []string) error) (*ast.Program, error) {
+		return parser.ParseInto(source, fact)
+	})
+	if err != nil {
+		return nil, err
+	}
+	rec := &edb.ProgramRecord{Hash: hash, Version: st.Version(), Facts: facts, Rules: sys.Program.String()}
+	if err := st.SetProgram(rec); err != nil {
+		return nil, err
+	}
+	sys.recovery.Replayed = true
+	return sys, nil
+}
+
+// Recovery describes how OpenSystem brought a System up.
+type Recovery struct {
+	// Replayed reports whether the program's facts were read and
+	// re-inserted; false means the store's program record vouched for them.
+	Replayed bool
+	// Open is the time spent recovering the store, Load the time spent
+	// loading the program over it (a full replay, or the record's rules).
+	Open, Load time.Duration
+}
+
+// Recovery reports how OpenSystem opened s; it is zero for a System built
+// any other way.
+func (s *System) Recovery() Recovery { return s.recovery }
 
 // Close releases the system's storage backend: a no-op for in-memory
 // systems, a sync-and-close for disk-backed ones (OpenSystem,

@@ -2,7 +2,9 @@ package mpq
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/exec"
@@ -131,6 +133,9 @@ func TestOpenSystemRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
+	if re.Recovery().Replayed {
+		t.Error("clean reopen of an unchanged program replayed its facts")
+	}
 	if re.EDBVersion() != version {
 		t.Fatalf("EDBVersion after restart = %d, want %d (program replay must not re-insert)",
 			re.EDBVersion(), version)
@@ -213,9 +218,11 @@ func answerLines(resp []string) []string {
 }
 
 // TestMpqdStoreRestart is the full daemon restart e2e: mpqd -serve -store
-// answers queries, accepts a fact over the wire, dies by SIGKILL, and a
-// restarted daemon on the same store serves byte-identical answers —
-// runtime fact included — without any data reloading.
+// answers queries, accepts a fact over the wire, stops, and a restarted
+// daemon on the same store serves byte-identical answers — runtime fact
+// included. After SIGKILL (no drain, no sync, so no program record) the
+// restart replays the program; after SIGTERM (drain, sync, record written)
+// it skips the replay. Each daemon's recovery line says which.
 func TestMpqdStoreRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("e2e daemon test skipped in -short mode")
@@ -224,6 +231,21 @@ func TestMpqdStoreRestart(t *testing.T) {
 	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/mpqd").CombinedOutput(); err != nil {
 		t.Fatalf("building mpqd: %v\n%s", err, out)
 	}
+	for _, tc := range []struct {
+		name    string
+		sig     syscall.Signal
+		restart string // the restarted daemon's recovery line
+	}{
+		{"SIGKILL", syscall.SIGKILL, "program replayed"},
+		{"SIGTERM", syscall.SIGTERM, "program skipped"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mpqdRestart(t, bin, tc.sig, tc.restart)
+		})
+	}
+}
+
+func mpqdRestart(t *testing.T, bin string, sig syscall.Signal, restart string) {
 	dir := t.TempDir()
 	prog := filepath.Join(dir, "q.dl")
 	if err := os.WriteFile(prog, []byte(persistProgram+"\n"), 0o644); err != nil {
@@ -231,7 +253,9 @@ func TestMpqdStoreRestart(t *testing.T) {
 	}
 	store := filepath.Join(dir, "store")
 
-	start := func() (*exec.Cmd, string) {
+	// start runs a daemon whose stderr is teed into log, readable once the
+	// daemon has been waited for.
+	start := func(log *bytes.Buffer) (*exec.Cmd, string) {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -239,14 +263,24 @@ func TestMpqdStoreRestart(t *testing.T) {
 		addr := ln.Addr().String()
 		ln.Close()
 		cmd := exec.Command(bin, "-program", prog, "-serve", addr, "-store", store)
-		cmd.Stderr = os.Stderr
+		cmd.Stderr = io.MultiWriter(os.Stderr, log)
 		if err := cmd.Start(); err != nil {
 			t.Fatal(err)
 		}
 		return cmd, addr
 	}
+	recovery := func(log *bytes.Buffer) string {
+		for _, l := range strings.Split(log.String(), "\n") {
+			if strings.Contains(l, "recovered at version") {
+				return l
+			}
+		}
+		t.Fatalf("no recovery line in %q", log.String())
+		return ""
+	}
 
-	cmd, addr := start()
+	var log1, log2 bytes.Buffer
+	cmd, addr := start(&log1)
 	defer cmd.Process.Kill()
 	before := mpqdQuery(t, addr, "?- path(a, Y).")
 	if len(before) == 0 || !strings.HasPrefix(before[len(before)-1], ". ") {
@@ -261,12 +295,16 @@ func TestMpqdStoreRestart(t *testing.T) {
 	}
 
 	// SIGKILL: no drain, no sync — the crash the journal layout tolerates.
-	if err := cmd.Process.Signal(syscall.SIGKILL); err != nil {
+	// SIGTERM: drain, then Close syncs and writes the program record.
+	if err := cmd.Process.Signal(sig); err != nil {
 		t.Fatal(err)
 	}
 	cmd.Wait()
+	if line := recovery(&log1); !strings.Contains(line, "program replayed") {
+		t.Errorf("first start over an empty store: %q", line)
+	}
 
-	cmd2, addr2 := start()
+	cmd2, addr2 := start(&log2)
 	defer cmd2.Process.Kill()
 	recovered := answerLines(mpqdQuery(t, addr2, "?- path(a, Y)."))
 	if !reflect.DeepEqual(recovered, after) {
@@ -274,6 +312,9 @@ func TestMpqdStoreRestart(t *testing.T) {
 	}
 	cmd2.Process.Signal(syscall.SIGTERM)
 	cmd2.Wait()
+	if line := recovery(&log2); !strings.Contains(line, restart) {
+		t.Errorf("restart after %v: %q, want %q", sig, line, restart)
+	}
 }
 
 func contains(lines []string, want string) bool {

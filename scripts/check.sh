@@ -81,6 +81,11 @@ go test -race -cpu 1,2,4 -count=5 -run TestAddFactDuringWarming .
 # (internal/parser/testdata/fuzz) outward: round trips, and ParseInto's
 # fact stream against Parse's facts.
 go test -run '^$' -fuzz FuzzParse -fuzztime 10s ./internal/parser/
+# A disk store's program record (program.rec) is a cache that decides
+# whether a reopen reads the program's facts: whatever bytes it holds,
+# OpenSystem must end where a record-less open does (corpus in
+# testdata/fuzz/FuzzReopen).
+go test -run '^$' -fuzz FuzzReopen -fuzztime 10s .
 # The benchmark module compiles against internal signatures (edb.Storage,
 # engine.Plan, relation) that nothing above builds it against.
 bench_smoke
