@@ -65,9 +65,8 @@ func newState(prog *ast.Program, db *edb.Database) *state {
 }
 
 // rel resolves an atom's current relation: IDB if defined by rules, else
-// the base relation, materialized from the store once per evaluation (the
-// in-memory backend hands back its live relation, so this is zero-copy
-// there).
+// the base relation, materialized from the store once per evaluation (both
+// backends hand back their live relation, so this is zero-copy).
 func (s *state) rel(key ast.PredKey) *relation.Relation {
 	if r, ok := s.idb[key]; ok {
 		return r

@@ -38,13 +38,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"iter"
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
-	"sync"
-	"sync/atomic"
 	"syscall"
 	"unsafe"
 
@@ -61,31 +57,29 @@ const (
 	extentRows = 1 << 18
 )
 
-// DiskStore is the disk-backed Storage. Safe for concurrent readers and
-// for a lone writer overlapping readers (the same contract as the
-// in-memory store): committed rows are immutable and their mappings never
-// move, so a row view outlives the lock it was taken under; the in-RAM
-// metadata (dedup set, indexes, statistics, the extent list) lives behind
-// an RWMutex.
+// DiskStore is the disk-backed Storage: the shared core, whose relations
+// view each committed row where it lies in a mapped segment extent. Safe
+// for concurrent readers and for a lone writer overlapping readers (the
+// same contract as the in-memory store): committed rows are immutable and
+// their mappings never move, so a row view outlives the lock it was taken
+// under. The core's lock also guards the files and the extent lists, and
+// its version equals the committed journal record count.
 type DiskStore struct {
-	dir  string
-	syms *symtab.Table
+	core
+	dir string
 	// removeOnClose deletes the store directory on Close — the
 	// MPQ_STORE=disk temporary-store mode.
 	removeOnClose bool
 
-	mu            sync.RWMutex
 	symsFile      *os.File
 	symsOff       int64
 	symsPersisted int // symbol ids 1..symsPersisted are on disk
 	predsFile     *os.File
 	predsOff      int64
 	journalFile   *os.File
-	rowBuf        []byte // commitRow's encoding scratch: a row, then a journal record
-	preds         []*diskRel
-	byKey         map[ast.PredKey]*diskRel
+	rowBuf        []byte     // commitRow's encoding scratch: a row, then a journal record
+	segs          []*segment // by predicate id
 
-	version atomic.Uint64 // == committed journal record count
 	// torn reports that the open cut a torn tail off the journal.
 	torn bool
 
@@ -97,15 +91,11 @@ type DiskStore struct {
 	closed bool
 }
 
-// diskRel is the in-RAM metadata of one relation's segment file: the
-// segment's mappings, a view of every committed row, the open-addressed
-// dedup set over row hashes, the hash indexes over row ordinals, and the
-// statistics sketches. The rows themselves stay on disk; per row the RAM
-// cost is a 24-byte view, 8 bytes of hash and ≈5 of dedup slot, plus 4 per
-// built index.
-type diskRel struct {
-	key   ast.PredKey
-	id    uint32
+// segment is one predicate's segment file and its mappings. The predicate's
+// relation appends a view of each committed row (relation.AppendView), so
+// the rows stay on disk; per row the RAM cost is the relation's 24-byte
+// view, 8 bytes of hash and ≈5 of dedup slot, plus 4 per built index.
+type segment struct {
 	f     *os.File
 	width int // bytes per row: arity × 4 (0 for propositional predicates)
 	// extents[e] views rows [e×extentRows, (e+1)×extentRows) of the segment
@@ -113,24 +103,15 @@ type diskRel struct {
 	// first reaches the extent and unmapped only by Close. An extent may
 	// reach past the end of the file; only committed rows are ever addressed.
 	extents [][]symtab.Sym
-	// rows[ord] views committed row ord in its extent; len(rows) is the
-	// committed row count. Views never move, so a reader may keep a prefix
-	// of rows past the lock it was read under.
-	rows []relation.Tuple
-
-	hashes []uint64
-	slots  []int32 // ordinal+1; 0 = empty
-	// indexes are relation's chained-ordinal indexes over rows.
-	indexes relation.Indexes
-	stats   relStats
 }
 
 // OpenDisk opens (creating if necessary) a disk store rooted at dir and
 // replays its logs: symbols re-intern in id order, segments are truncated
-// to the journaled row counts, and the dedup sets, statistics sketches,
-// and version are rebuilt. The returned store's Version equals the count
-// of successful inserts ever committed, so statistics epochs and
-// result-cache keys derived from it survive the restart.
+// to the journaled row counts, and the relations (row views and dedup
+// sets), statistics sketches, and version are rebuilt. The returned
+// store's Version equals the count of successful inserts ever committed,
+// so statistics epochs and result-cache keys derived from it survive the
+// restart.
 func OpenDisk(dir string) (*DiskStore, error) {
 	// Rows are viewed in place, so the segment's byte order must be the host's.
 	if binary.NativeEndian.Uint16([]byte{1, 0}) != 1 {
@@ -139,7 +120,8 @@ func OpenDisk(dir string) (*DiskStore, error) {
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, fmt.Errorf("edb: disk store: %w", err)
 	}
-	ds := &DiskStore{dir: dir, syms: symtab.New(), byKey: make(map[ast.PredKey]*diskRel)}
+	ds := &DiskStore{dir: dir}
+	ds.init()
 	if err := ds.open(); err != nil {
 		ds.unmap() // its error would only shadow the one that failed the open
 		ds.closeFiles()
@@ -282,9 +264,10 @@ func (ds *DiskStore) loadPreds() error {
 	return nil
 }
 
-// addRel registers a relation, optionally appending it to preds.tab
-// (persist=true for new predicates at runtime, false during replay).
-func (ds *DiskStore) addRel(key ast.PredKey, persist bool) (*diskRel, error) {
+// addRel registers a predicate and opens its segment, optionally appending
+// it to preds.tab (persist=true for new predicates at runtime, false during
+// replay).
+func (ds *DiskStore) addRel(key ast.PredKey, persist bool) (*pred, error) {
 	if key.Arity < 0 || key.Arity > (1<<16) {
 		return nil, fmt.Errorf("edb: disk store: bad arity %d for %s", key.Arity, key.Name)
 	}
@@ -292,8 +275,6 @@ func (ds *DiskStore) addRel(key ast.PredKey, persist bool) (*diskRel, error) {
 	if err != nil {
 		return nil, err
 	}
-	dr := &diskRel{key: key, id: uint32(len(ds.preds)), f: f, width: key.Arity * 4,
-		stats: relStats{cols: make([]colSketch, key.Arity)}}
 	if persist {
 		var buf []byte
 		buf = binary.AppendUvarint(buf, uint64(len(key.Name)))
@@ -305,15 +286,14 @@ func (ds *DiskStore) addRel(key ast.PredKey, persist bool) (*diskRel, error) {
 		}
 		ds.predsOff += int64(len(buf))
 	}
-	ds.preds = append(ds.preds, dr)
-	ds.byKey[key] = dr
-	return dr, nil
+	ds.segs = append(ds.segs, &segment{f: f, width: key.Arity * 4})
+	return ds.register(key), nil
 }
 
 // replayJournal truncates the journal to a record boundary, derives each
 // relation's committed row count, truncates the segments to match, and
-// rebuilds the in-RAM dedup sets and statistics by one sequential scan
-// per segment.
+// rebuilds the relations and statistics by one sequential scan per
+// segment.
 func (ds *DiskStore) replayJournal() error {
 	f, err := ds.openLog("journal.log")
 	if err != nil {
@@ -345,8 +325,8 @@ func (ds *DiskStore) replayJournal() error {
 		}
 	}
 	ds.version.Store(uint64(recs))
-	for i, dr := range ds.preds {
-		if err := ds.rebuildRel(dr, counts[i]); err != nil {
+	for i, p := range ds.preds {
+		if err := ds.rebuildRel(p, counts[i]); err != nil {
 			return err
 		}
 	}
@@ -354,31 +334,20 @@ func (ds *DiskStore) replayJournal() error {
 }
 
 // rebuildRel truncates the segment to the journaled row count, maps it, and
-// rebuilds the row views, dedup set and statistics with one pass over the
-// rows.
-func (ds *DiskStore) rebuildRel(dr *diskRel, count int) error {
-	if err := dr.f.Truncate(int64(count * dr.width)); err != nil {
-		return fmt.Errorf("edb: disk store: %s segment: %w", dr.key.Name, err)
+// rebuilds the relation and statistics with one pass over the rows.
+func (ds *DiskStore) rebuildRel(p *pred, count int) error {
+	seg := ds.segs[p.id]
+	if err := seg.f.Truncate(int64(count * seg.width)); err != nil {
+		return fmt.Errorf("edb: disk store: %s segment: %w", p.key.Name, err)
 	}
-	if err := dr.mapRows(count); err != nil {
+	if err := seg.mapRows(p.key, count); err != nil {
 		return err
 	}
-	if count == 0 {
-		return nil
-	}
-	dr.rows = make([]relation.Tuple, count)
-	dr.hashes = make([]uint64, count)
-	size := 16
-	for size*3 < (count+1)*4 {
-		size *= 2
-	}
-	dr.slots = make([]int32, size)
+	p.rel.Grow(count)
 	for ord := range count {
-		t := extentRow(dr.extents, dr.key.Arity, ord)
-		h := relation.HashTuple(t)
-		dr.place(h, int32(ord+1))
-		dr.rows[ord], dr.hashes[ord] = t, h
-		dr.stats.note(t)
+		row := extentRow(seg.extents, p.key.Arity, ord)
+		p.rel.AppendView(row)
+		p.stats.note(row)
 	}
 	return nil
 }
@@ -388,14 +357,14 @@ func (ds *DiskStore) rebuildRel(dr *diskRel, count int) error {
 // mapRows extends the mappings to cover the first n rows. An extent starts
 // at a multiple of arity MiB, which every page size divides. Caller holds
 // the write lock (or is opening the store).
-func (dr *diskRel) mapRows(n int) error {
-	for dr.width > 0 && len(dr.extents)*extentRows < n {
-		b, err := syscall.Mmap(int(dr.f.Fd()), int64(len(dr.extents))*extentRows*int64(dr.width),
-			extentRows*dr.width, syscall.PROT_READ, syscall.MAP_SHARED)
+func (seg *segment) mapRows(key ast.PredKey, n int) error {
+	for seg.width > 0 && len(seg.extents)*extentRows < n {
+		b, err := syscall.Mmap(int(seg.f.Fd()), int64(len(seg.extents))*extentRows*int64(seg.width),
+			extentRows*seg.width, syscall.PROT_READ, syscall.MAP_SHARED)
 		if err != nil {
-			return fmt.Errorf("edb: disk store: mapping %s segment: %w", dr.key.Name, err)
+			return fmt.Errorf("edb: disk store: mapping %s segment: %w", key.Name, err)
 		}
-		dr.extents = append(dr.extents, unsafe.Slice((*symtab.Sym)(unsafe.Pointer(&b[0])), len(b)/4))
+		seg.extents = append(seg.extents, unsafe.Slice((*symtab.Sym)(unsafe.Pointer(&b[0])), len(b)/4))
 	}
 	return nil
 }
@@ -410,125 +379,67 @@ func extentRow(extents [][]symtab.Sym, arity, ord int) relation.Tuple {
 	return extents[ord/extentRows][off : off+arity : off+arity]
 }
 
-// ---- dedup ----------------------------------------------------------------
-
-func (dr *diskRel) place(h uint64, ref int32) {
-	mask := uint64(len(dr.slots) - 1)
-	i := h & mask
-	for dr.slots[i] != 0 {
-		i = (i + 1) & mask
-	}
-	dr.slots[i] = ref
-}
-
-func (dr *diskRel) grow() {
-	need := len(dr.rows) + 1
-	if len(dr.slots) > 0 && need*4 <= len(dr.slots)*3 {
-		return
-	}
-	size := 16
-	for size*3 < need*4 {
-		size *= 2
-	}
-	dr.slots = make([]int32, size)
-	for ord, h := range dr.hashes {
-		dr.place(h, int32(ord+1))
-	}
-}
-
-// lookup returns the ordinal of the row equal to t (hash h), or -1.
-// Equality candidates are verified against the segment.
-func (dr *diskRel) lookup(h uint64, t relation.Tuple) int {
-	if len(dr.slots) == 0 {
-		return -1
-	}
-	mask := uint64(len(dr.slots) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		s := dr.slots[i]
-		if s == 0 {
-			return -1
-		}
-		if ord := int(s - 1); dr.hashes[ord] == h && dr.rows[ord].Equal(t) {
-			return ord
-		}
-	}
-}
-
-// ---- Storage --------------------------------------------------------------
-
-func (ds *DiskStore) Symbols() *symtab.Table { return ds.syms }
+// ---- writes ---------------------------------------------------------------
 
 // Insert commits one row: symbols first (so stored ids always resolve),
-// then the segment row, then the journal record, then the in-RAM metadata
-// and the version bump. IO errors panic — the store cannot both report
-// "not inserted" and stay consistent with a half-applied write, and every
-// caller treats the EDB as infallible memory; a panicking node process is
-// converted to a typed query abort by the engine.
+// then the segment row, then the journal record, then the relation's view
+// of the row, the statistics and the version bump. IO errors panic — the
+// store cannot both report "not inserted" and stay consistent with a
+// half-applied write, and every caller treats the EDB as infallible
+// memory; a panicking node process is converted to a typed query abort by
+// the engine.
 func (ds *DiskStore) Insert(key ast.PredKey, t relation.Tuple) bool {
 	if len(t) != key.Arity {
 		panic(fmt.Sprintf("edb: inserting arity-%d tuple into %s/%d", len(t), key.Name, key.Arity))
 	}
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	dr, ok := ds.byKey[key]
-	if !ok {
+	p := ds.byKey[key]
+	if p == nil {
 		var err error
-		if dr, err = ds.addRel(key, true); err != nil {
+		if p, err = ds.addRel(key, true); err != nil {
 			panic(err)
 		}
 	}
-	h := relation.HashTuple(t)
-	if dr.lookup(h, t) >= 0 {
+	if p.rel.Contains(t) {
 		return false
 	}
-	if err := ds.commitRow(dr, h, t); err != nil {
+	if err := ds.commitRow(p, t); err != nil {
 		panic(err)
 	}
 	return true
 }
 
-func (ds *DiskStore) commitRow(dr *diskRel, h uint64, t relation.Tuple) error {
+func (ds *DiskStore) commitRow(p *pred, t relation.Tuple) error {
 	if err := ds.persistSyms(); err != nil {
 		return err
 	}
-	ord := int32(len(dr.rows))
-	if dr.width > 0 {
+	seg, ord := ds.segs[p.id], p.rel.Len()
+	if seg.width > 0 {
 		buf := ds.rowBuf[:0]
 		for _, s := range t {
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(s))
 		}
 		ds.rowBuf = buf
-		if _, err := dr.f.WriteAt(buf, int64(ord)*int64(dr.width)); err != nil {
-			return fmt.Errorf("edb: disk store: %s segment: %w", dr.key.Name, err)
+		if _, err := seg.f.WriteAt(buf, int64(ord)*int64(seg.width)); err != nil {
+			return fmt.Errorf("edb: disk store: %s segment: %w", p.key.Name, err)
 		}
 		// Before the journal record: a row that cannot be mapped stays an
 		// orphan the next open truncates away.
-		if err := dr.mapRows(len(dr.rows) + 1); err != nil {
+		if err := seg.mapRows(p.key, ord+1); err != nil {
 			return err
 		}
 	}
-	rec := binary.LittleEndian.AppendUint32(ds.rowBuf[:0], dr.id)
+	rec := binary.LittleEndian.AppendUint32(ds.rowBuf[:0], p.id)
 	rec = binary.LittleEndian.AppendUint32(rec, uint32(ord))
 	ds.rowBuf = rec
 	v := ds.version.Load()
 	if _, err := ds.journalFile.WriteAt(rec, int64(v)*journalRecSize); err != nil {
 		return fmt.Errorf("edb: disk store: journal.log: %w", err)
 	}
-	dr.grow()
-	dr.place(h, ord+1)
-	dr.hashes = append(dr.hashes, h)
-	row := extentRow(dr.extents, dr.key.Arity, int(ord))
-	if len(dr.rows) == cap(dr.rows) {
-		// Double: append's gentler growth for large slices would allocate
-		// five times the final size of the views over a long load.
-		dr.rows = slices.Grow(dr.rows, max(len(dr.rows), 16))
-	}
-	dr.rows = append(dr.rows, row)
-	for _, ix := range dr.indexes {
-		ix.Add(dr.rows, row, ord)
-	}
-	dr.stats.note(row)
-	ds.version.Add(1)
+	row := extentRow(seg.extents, p.key.Arity, ord)
+	p.rel.AppendView(row)
+	ds.committed(p, row)
 	return nil
 }
 
@@ -555,117 +466,6 @@ func (ds *DiskStore) persistSyms() error {
 	return nil
 }
 
-func (ds *DiskStore) ScanInto(dst []relation.Tuple, key ast.PredKey, b relation.Binding) []relation.Tuple {
-	var cols [relation.MaxIndexCols]int
-	var vals [relation.MaxIndexCols]symtab.Sym
-	nb, _ := relation.BoundCols(b, &cols, &vals)
-	ds.mu.RLock()
-	dr, ok := ds.byKey[key]
-	if !ok {
-		ds.mu.RUnlock()
-		return dst
-	}
-	if nb == 0 {
-		dst = append(dst, dr.rows...)
-		ds.mu.RUnlock()
-		return dst
-	}
-	// Point probe: the composite index over the bound columns chains the
-	// matching ordinals; the rows are views into the mapping.
-	if ix := dr.indexes.Find(relation.ColsKey(cols[:nb])); ix != nil {
-		dst = ix.SelectInto(dst, dr.rows, b)
-		ds.mu.RUnlock()
-		return dst
-	}
-	// The index is missing: take the write lock for the one-time build
-	// (WarmFor makes this path cold).
-	ds.mu.RUnlock()
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	return dr.indexes.On(dr.rows, cols[:nb]).SelectInto(dst, dr.rows, b)
-}
-
-func (ds *DiskStore) Scan(key ast.PredKey, b relation.Binding) iter.Seq[relation.Tuple] {
-	return scanSeq(ds, key, b)
-}
-
-func (ds *DiskStore) ScanSince(key ast.PredKey, from int) iter.Seq[relation.Tuple] {
-	return func(yield func(relation.Tuple) bool) {
-		// Snapshot the committed row views, then stream without the lock:
-		// committed rows are immutable and mappings never move.
-		ds.mu.RLock()
-		var rows []relation.Tuple
-		if dr, ok := ds.byKey[key]; ok {
-			rows = dr.rows
-		}
-		ds.mu.RUnlock()
-		for _, t := range rows[min(max(from, 0), len(rows)):] {
-			if !yield(t) {
-				return
-			}
-		}
-	}
-}
-
-func (ds *DiskStore) Has(key ast.PredKey) bool {
-	ds.mu.RLock()
-	_, ok := ds.byKey[key]
-	ds.mu.RUnlock()
-	return ok
-}
-
-func (ds *DiskStore) Preds() []ast.PredKey {
-	ds.mu.RLock()
-	out := make([]ast.PredKey, 0, len(ds.preds))
-	for _, dr := range ds.preds {
-		out = append(out, dr.key)
-	}
-	ds.mu.RUnlock()
-	sortPreds(out)
-	return out
-}
-
-func (ds *DiskStore) Cardinality(key ast.PredKey) int {
-	ds.mu.RLock()
-	defer ds.mu.RUnlock()
-	if dr, ok := ds.byKey[key]; ok {
-		return len(dr.rows)
-	}
-	return 0
-}
-
-// Distinct reads the key count of the column's index, under the read lock
-// once the index is built (rgg.Build asks on every plan-cache miss).
-func (ds *DiskStore) Distinct(key ast.PredKey, col int) int {
-	ds.mu.RLock()
-	dr, ok := ds.byKey[key]
-	if !ok || col < 0 || col >= dr.key.Arity || len(dr.rows) == 0 {
-		ds.mu.RUnlock()
-		return 0
-	}
-	if ix := dr.indexes.Find(relation.ColsKey([]int{col})); ix != nil {
-		n := ix.Keys()
-		ds.mu.RUnlock()
-		return n
-	}
-	ds.mu.RUnlock()
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	return dr.indexes.On(dr.rows, []int{col}).Keys()
-}
-
-func (ds *DiskStore) Stats() Stats {
-	ds.mu.RLock()
-	defer ds.mu.RUnlock()
-	live := make(map[ast.PredKey]*relStats, len(ds.preds))
-	for _, dr := range ds.preds {
-		live[dr.key] = &dr.stats
-	}
-	return snapshotStats(ds.version.Load(), live)
-}
-
-func (ds *DiskStore) Version() uint64 { return ds.version.Load() }
-
 // ChangesSince reads the journal tail past v and resolves each record's
 // row as a view into its segment.
 func (ds *DiskStore) ChangesSince(v uint64) []Change {
@@ -685,37 +485,10 @@ func (ds *DiskStore) ChangesSince(v uint64) []Change {
 	for i := uint64(0); i < cur-v; i++ {
 		predID := binary.LittleEndian.Uint32(buf[i*journalRecSize:])
 		ordinal := binary.LittleEndian.Uint32(buf[i*journalRecSize+4:])
-		dr := ds.preds[predID]
-		out = append(out, Change{Seq: v + i + 1, Key: dr.key, Row: dr.rows[ordinal]})
+		p := ds.preds[predID]
+		out = append(out, Change{Seq: v + i + 1, Key: p.key, Row: p.rel.Rows()[ordinal]})
 	}
 	return out
-}
-
-func (ds *DiskStore) WarmFor(needs []IndexNeed) {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	for _, dr := range ds.preds {
-		for c := 0; c < dr.key.Arity; c++ {
-			dr.indexes.On(dr.rows, []int{c})
-		}
-	}
-	for _, nd := range needs {
-		dr, ok := ds.byKey[nd.Key]
-		if ok && len(nd.Cols) > 0 {
-			dr.indexes.On(dr.rows, nd.Cols)
-		}
-	}
-}
-
-// contains is Contains's fast path through the dedup set.
-func (ds *DiskStore) contains(key ast.PredKey, t relation.Tuple) bool {
-	if key.Arity != len(t) {
-		return false
-	}
-	ds.mu.RLock()
-	defer ds.mu.RUnlock()
-	dr, ok := ds.byKey[key]
-	return ok && dr.lookup(relation.HashTuple(t), t) >= 0
 }
 
 // Sync flushes all store files to stable storage, then writes the program
@@ -740,8 +513,8 @@ func (ds *DiskStore) syncLocked() error {
 	}
 	sync(ds.symsFile)
 	sync(ds.predsFile)
-	for _, dr := range ds.preds {
-		sync(dr.f)
+	for _, seg := range ds.segs {
+		sync(seg.f)
 	}
 	sync(ds.journalFile) // last: a synced journal record implies synced rows
 	return first
@@ -777,14 +550,14 @@ func (ds *DiskStore) Close() error {
 // unmap releases every segment mapping, returning the first failure.
 func (ds *DiskStore) unmap() error {
 	var first error
-	for _, dr := range ds.preds {
-		for _, ext := range dr.extents {
+	for id, seg := range ds.segs {
+		for _, ext := range seg.extents {
 			b := unsafe.Slice((*byte)(unsafe.Pointer(&ext[0])), len(ext)*4)
 			if err := syscall.Munmap(b); err != nil && first == nil {
-				first = fmt.Errorf("edb: disk store: unmapping %s segment: %w", dr.key.Name, err)
+				first = fmt.Errorf("edb: disk store: unmapping %s segment: %w", ds.preds[id].key.Name, err)
 			}
 		}
-		dr.extents = nil
+		seg.extents = nil
 	}
 	return first
 }
@@ -795,9 +568,7 @@ func (ds *DiskStore) closeFiles() {
 			f.Close()
 		}
 	}
-	for _, dr := range ds.preds {
-		if dr.f != nil {
-			dr.f.Close()
-		}
+	for _, seg := range ds.segs {
+		seg.f.Close()
 	}
 }

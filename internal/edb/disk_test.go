@@ -232,6 +232,64 @@ func TestDiskTornSymsAndPreds(t *testing.T) {
 	}
 }
 
+// TestDiskEmptyPredicateUnlisted tears off the only journal record of a
+// predicate whose preds.tab entry survived. Like the memory store, the
+// reopened store must not list a predicate with no row — the statistics
+// strategy would price it as an empty base relation — yet a later insert
+// must reuse its id and segment rather than register it twice.
+func TestDiskEmptyPredicateUnlisted(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	syms := st.Symbols()
+	e, f := ast.PredKey{Name: "e", Arity: 2}, ast.PredKey{Name: "f", Arity: 1}
+	st.Insert(e, relation.Tuple{syms.Intern("a"), syms.Intern("b")})
+	st.Insert(f, relation.Tuple{syms.Intern("c")})
+	st.Close()
+	if err := os.Truncate(filepath.Join(dir, "journal.log"), journalRecSize); err != nil {
+		t.Fatal(err)
+	}
+	predsTab, err := os.Stat(filepath.Join(dir, "preds.tab"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.Has(f) || re.Cardinality(f) != 0 {
+		t.Errorf("Has(f) = %v with %d rows, want false", re.Has(f), re.Cardinality(f))
+	}
+	if got := re.Preds(); !reflect.DeepEqual(got, []ast.PredKey{e}) {
+		t.Errorf("Preds = %v, want [e/2]", got)
+	}
+	if _, ok := re.Stats().Rels[f]; ok {
+		t.Error("Stats lists f with no row")
+	}
+	if !re.Insert(f, relation.Tuple{re.Symbols().Intern("c")}) || !re.Has(f) {
+		t.Fatal("insert into the recovered empty predicate failed")
+	}
+	if id := re.byKey[f].id; id != 1 {
+		t.Errorf("f re-registered as id %d, want its old id 1", id)
+	}
+	re.Close()
+	if fi, err := os.Stat(filepath.Join(dir, "preds.tab")); err != nil || fi.Size() != predsTab.Size() {
+		t.Errorf("preds.tab grew on the reinsert: %v", err)
+	}
+
+	re2, err := OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re2.Close()
+	if got := re2.Preds(); !reflect.DeepEqual(got, []ast.PredKey{e, f}) || re2.Version() != 2 {
+		t.Errorf("after reinsert and reopen: Preds = %v version %d, want [e/2 f/1] at 2", got, re2.Version())
+	}
+}
+
 // TestDiskManifestGuard rejects a directory claiming another format.
 func TestDiskManifestGuard(t *testing.T) {
 	dir := t.TempDir()
@@ -424,9 +482,9 @@ func TestDiskCloseUnmapsAndReopens(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, dr := range st.preds {
-		if dr.extents != nil {
-			t.Errorf("%s still mapped after Close", dr.key.Name)
+	for id, seg := range st.segs {
+		if seg.extents != nil {
+			t.Errorf("%s still mapped after Close", st.preds[id].key.Name)
 		}
 	}
 	re, err := OpenDisk(dir)
@@ -478,8 +536,8 @@ func TestDiskSegmentEdges(t *testing.T) {
 		if rows := st.ScanInto(nil, flag, relation.Binding{}); len(rows) != 1 {
 			t.Errorf("propositional ScanInto = %v", rows)
 		}
-		if dr := st.byKey[flag]; len(dr.extents) != 0 {
-			t.Errorf("propositional relation mapped %d extents", len(dr.extents))
+		if seg := st.segs[st.byKey[flag].id]; len(seg.extents) != 0 {
+			t.Errorf("propositional relation mapped %d extents", len(seg.extents))
 		}
 		if rows := collect(st, empty, nil); rows != nil {
 			t.Errorf("unknown relation yields %v", rows)
@@ -487,9 +545,9 @@ func TestDiskSegmentEdges(t *testing.T) {
 		if rows := st.ScanInto(nil, empty, relation.Binding{ids[0], symtab.NoSym}); rows != nil {
 			t.Errorf("unknown relation probe yields %v", rows)
 		}
-		dr := st.byKey[full]
-		if len(dr.rows) != extentRows || len(dr.extents) != 1 {
-			t.Fatalf("full relation: %d rows in %d extents, want %d in 1", len(dr.rows), len(dr.extents), extentRows)
+		p := st.byKey[full]
+		if n, seg := p.rel.Len(), st.segs[p.id]; n != extentRows || len(seg.extents) != 1 {
+			t.Fatalf("full relation: %d rows in %d extents, want %d in 1", n, len(seg.extents), extentRows)
 		}
 		last := wideRow(ids, 2, extentRows-1)
 		if got := st.ScanInto(nil, full, relation.Binding(last)); len(got) != 1 || !got[0].Equal(last) {
@@ -506,8 +564,8 @@ func TestDiskSegmentEdges(t *testing.T) {
 	check(st)
 	// One row more opens the second extent.
 	st.Insert(full, wideRow(ids, 2, extentRows))
-	if dr := st.byKey[full]; len(dr.extents) != 2 {
-		t.Errorf("row %d did not map a second extent (%d mapped)", extentRows, len(dr.extents))
+	if seg := st.segs[st.byKey[full].id]; len(seg.extents) != 2 {
+		t.Errorf("row %d did not map a second extent (%d mapped)", extentRows, len(seg.extents))
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)

@@ -4,16 +4,15 @@
 // relations; during graph construction the EDB is never consulted (§2.1),
 // which this package's read-only interface makes easy to respect.
 //
-// Storage is the pluggable seam: the in-memory store (New) and the
-// disk-backed segment store (OpenDisk) both implement it, and Database is
-// the loading/convenience layer shared by every backend.
+// Storage is the pluggable seam: the in-memory store (NewMemory) and the
+// disk-backed segment store (OpenDisk) both implement it, and Database
+// adds loading to either.
 package edb
 
 import (
 	"bufio"
 	"fmt"
 	"io"
-	"iter"
 	"os"
 	"runtime"
 	"strings"
@@ -23,10 +22,9 @@ import (
 	"repro/internal/symtab"
 )
 
-// Database is the loading and convenience layer over a Storage backend: it
-// parses facts, interns their constants, and delegates every read to the
-// store. It implements Storage itself (by delegation), so any API that
-// takes a Storage accepts a *Database directly.
+// Database is a Storage backend plus loading: it parses facts and interns
+// their constants. It embeds the store, so it is a Storage itself and any
+// API that takes a Storage accepts a *Database directly.
 //
 // Loading is not safe for concurrent use with other loading; once loaded,
 // concurrent reads are safe provided every index the readers will probe
@@ -35,10 +33,10 @@ import (
 // the backends synchronize internally — but callers wanting a consistent
 // read serialize mutation themselves (mpq.System holds its mutation lock).
 type Database struct {
+	Storage
 	// Syms is the store's symbol table (== Symbols()), exported for the
 	// many call sites that render or intern constants.
-	Syms  *symtab.Table
-	store Storage
+	Syms *symtab.Table
 }
 
 // Change records one successful mutation: the row inserted and the
@@ -58,7 +56,7 @@ func New() *Database {
 	if os.Getenv("MPQ_STORE") == "disk" {
 		return FromStorage(newTempDiskStore())
 	}
-	return FromStorage(newMemStore())
+	return FromStorage(NewMemory())
 }
 
 // newTempDiskStore opens a disk store in a fresh temporary directory for
@@ -88,7 +86,7 @@ func newTempDiskStore() Storage {
 // FromStorage wraps an existing store (e.g. a reopened disk store) in the
 // loading layer.
 func FromStorage(st Storage) *Database {
-	return &Database{Syms: st.Symbols(), store: st}
+	return &Database{Storage: st, Syms: st.Symbols()}
 }
 
 // FromProgram loads every fact of the program into a new database.
@@ -100,13 +98,6 @@ func FromProgram(p *ast.Program) *Database {
 	return db
 }
 
-// Store returns the underlying Storage backend.
-func (db *Database) Store() Storage { return db.store }
-
-// Close releases the backend's resources. Harmless for the in-memory
-// store; required for disk stores (it syncs and closes the segment files).
-func (db *Database) Close() error { return db.store.Close() }
-
 // AddFact inserts one ground atom and reports whether it was new.
 // It panics if the atom is not ground; callers validate programs first.
 func (db *Database) AddFact(a ast.Atom) bool {
@@ -117,7 +108,7 @@ func (db *Database) AddFact(a ast.Atom) bool {
 		}
 		t[i] = db.Syms.Intern(arg.Const)
 	}
-	return db.store.Insert(a.Key(), t)
+	return db.Insert(a.Key(), t)
 }
 
 // Add inserts the fact pred(args...) given as raw strings and reports
@@ -128,72 +119,14 @@ func (db *Database) Add(pred string, args ...string) bool {
 	for i, s := range args {
 		t[i] = db.Syms.Intern(s)
 	}
-	return db.store.Insert(ast.PredKey{Name: pred, Arity: len(args)}, t)
+	return db.Insert(ast.PredKey{Name: pred, Arity: len(args)}, t)
 }
-
-// ---- Storage delegation ---------------------------------------------------
-
-// Symbols returns the symbol table (same as the Syms field).
-func (db *Database) Symbols() *symtab.Table { return db.Syms }
-
-// Insert adds one pre-interned row; see Storage.Insert.
-func (db *Database) Insert(key ast.PredKey, t relation.Tuple) bool {
-	return db.store.Insert(key, t)
-}
-
-// ScanInto appends key's rows matching the partial binding to dst; see
-// Storage.ScanInto.
-func (db *Database) ScanInto(dst []relation.Tuple, key ast.PredKey, b relation.Binding) []relation.Tuple {
-	return db.store.ScanInto(dst, key, b)
-}
-
-// Scan streams key's rows matching the partial binding; see Storage.Scan.
-func (db *Database) Scan(key ast.PredKey, b relation.Binding) iter.Seq[relation.Tuple] {
-	return db.store.Scan(key, b)
-}
-
-// ScanSince streams key's rows with insertion ordinal >= from.
-func (db *Database) ScanSince(key ast.PredKey, from int) iter.Seq[relation.Tuple] {
-	return db.store.ScanSince(key, from)
-}
-
-// ChangesSince returns a copy of the changes with Seq > v, oldest first.
-// Passing the value of a previous Version() call yields exactly the
-// mutations that happened after it.
-func (db *Database) ChangesSince(v uint64) []Change { return db.store.ChangesSince(v) }
-
-// Version returns a counter that increases on every successful mutation.
-// Two reads returning the same value bracket a window with no new facts,
-// which is what result caches key on to stay fresh.
-func (db *Database) Version() uint64 { return db.store.Version() }
-
-// Has reports whether the database contains any facts for key.
-func (db *Database) Has(key ast.PredKey) bool { return db.store.Has(key) }
-
-// Preds returns the predicate keys with at least one fact, sorted.
-func (db *Database) Preds() []ast.PredKey { return db.store.Preds() }
-
-// Cardinality returns key's exact row count.
-func (db *Database) Cardinality(key ast.PredKey) int { return db.store.Cardinality(key) }
-
-// Distinct returns the exact distinct-value count of key's column col. It
-// may build an index: planning-time only.
-func (db *Database) Distinct(key ast.PredKey, col int) int { return db.store.Distinct(key, col) }
-
-// Stats snapshots the database's statistics; see Storage.Stats.
-func (db *Database) Stats() Stats { return db.store.Stats() }
-
-// WarmFor pre-builds every single-column index plus the named composite
-// indexes; see Storage.WarmFor.
-func (db *Database) WarmFor(needs []IndexNeed) { db.store.WarmFor(needs) }
-
-// ---- loading --------------------------------------------------------------
 
 // Facts returns the total number of stored facts.
 func (db *Database) Facts() int {
 	n := 0
-	for _, key := range db.store.Preds() {
-		n += db.store.Cardinality(key)
+	for _, key := range db.Preds() {
+		n += db.Cardinality(key)
 	}
 	return n
 }

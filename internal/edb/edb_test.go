@@ -181,9 +181,7 @@ func TestWarmFor(t *testing.T) {
 // TestWarmForIdempotent is the regression test for composite warming:
 // warming the same needs twice must not rebuild any index.
 func TestWarmForIdempotent(t *testing.T) {
-	// Index-build introspection is a relation.Relation feature, so this
-	// test pins the in-memory backend regardless of MPQ_STORE.
-	db := FromStorage(NewMemory())
+	db := New()
 	db.Add("g", "a", "b", "c")
 	db.Add("g", "a", "d", "e")
 	db.Add("lone", "x")

@@ -21,7 +21,7 @@ import (
 const sketchRegisters = 64
 
 // colSketch estimates a column's distinct count: register j holds the
-// maximum "leading-zero rank" observed among hashes routed to bucket j.
+// maximum "leading-zero rank" observed among hash values routed to bucket j.
 type colSketch struct {
 	reg [sketchRegisters]uint8
 }

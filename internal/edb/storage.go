@@ -10,6 +10,9 @@ package edb
 
 import (
 	"iter"
+	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/ast"
 	"repro/internal/relation"
@@ -55,7 +58,9 @@ type Storage interface {
 	// the delta window between two Cardinality observations.
 	ScanSince(key ast.PredKey, from int) iter.Seq[relation.Tuple]
 
-	// Has reports whether any facts were ever loaded for key.
+	// Has reports whether key holds at least one row. A predicate with no
+	// row is unknown to every read, even one a disk store still has
+	// registered after recovery dropped its rows.
 	Has(key ast.PredKey) bool
 
 	// Preds returns the predicate keys with at least one fact, sorted.
@@ -92,17 +97,103 @@ type Storage interface {
 	// Close releases the store's resources (files, caches). The in-memory
 	// store's Close is a no-op. Using a store after Close is undefined.
 	Close() error
+
+	// base returns the core shared by both backends (so only this package
+	// implements Storage); Materialize and Contains read through it.
+	base() *core
 }
 
-// scanSeq is every backend's Scan: a bound scan is one ScanInto, and a scan
-// of everything is the delta window from ordinal 0, which streams without
-// collecting the relation first.
-func scanSeq(st Storage, key ast.PredKey, b relation.Binding) iter.Seq[relation.Tuple] {
+// core is what both backends share: the predicate catalog with one
+// relation.Relation and one relStats per predicate, the version, and the
+// lock guarding them. It implements every read of Storage once; a backend
+// adds Insert, ChangesSince and Close, and decides where a committed row's
+// bytes live (the relation's arena, or a mapped segment extent).
+//
+// mu guards the catalog, the relations and the statistics (index
+// construction mutates a relation), so a lone writer may overlap readers:
+// a scan collects its row views under RLock and hands them out outside it —
+// a committed row never moves, so captured views stay valid while an
+// insert lands.
+type core struct {
+	syms  *symtab.Table
+	mu    sync.RWMutex
+	byKey map[ast.PredKey]*pred
+	preds []*pred // by id: registration order
+	// version counts successful mutations; the bump comes last in an
+	// insert, so a reader observing it finds the change logged.
+	version atomic.Uint64
+}
+
+// pred is one predicate's relation and its incremental statistics. A
+// predicate is registered before its first row commits, and a disk store
+// recovers registrations whose rows were lost, so it may hold no row; the
+// reads treat such a predicate as unknown.
+type pred struct {
+	key   ast.PredKey
+	id    uint32
+	rel   *relation.Relation
+	stats relStats
+}
+
+func (c *core) init() {
+	c.syms = symtab.New()
+	c.byKey = make(map[ast.PredKey]*pred)
+}
+
+// register adds key to the catalog under the next id. Caller holds mu.
+func (c *core) register(key ast.PredKey) *pred {
+	p := &pred{key: key, id: uint32(len(c.preds)), rel: relation.New(key.Arity),
+		stats: relStats{cols: make([]colSketch, key.Arity)}}
+	c.byKey[key] = p
+	c.preds = append(c.preds, p)
+	return p
+}
+
+// committed folds a committed row into the statistics and bumps the
+// version: the last step of every successful insert. Caller holds mu.
+func (c *core) committed(p *pred, row relation.Tuple) {
+	p.stats.note(row)
+	c.version.Add(1)
+}
+
+// live returns key's relation when it holds a row, else nil. Caller holds
+// mu.
+func (c *core) live(key ast.PredKey) *relation.Relation {
+	if p := c.byKey[key]; p != nil && p.rel.Len() > 0 {
+		return p.rel
+	}
+	return nil
+}
+
+func (c *core) Symbols() *symtab.Table { return c.syms }
+
+func (c *core) ScanInto(dst []relation.Tuple, key ast.PredKey, b relation.Binding) []relation.Tuple {
+	c.mu.RLock()
+	r := c.live(key)
+	if r == nil {
+		c.mu.RUnlock()
+		return dst
+	}
+	out, indexed := r.TrySelectInto(dst, b)
+	c.mu.RUnlock()
+	if !indexed {
+		// The composite index the probe needs is missing: take the write
+		// lock for the one-time build (WarmFor makes this path cold).
+		c.mu.Lock()
+		out = r.SelectInto(dst, b)
+		c.mu.Unlock()
+	}
+	return out
+}
+
+// Scan is one ScanInto for a bound scan; a scan of everything is the delta
+// window from ordinal 0, which streams without collecting the rows first.
+func (c *core) Scan(key ast.PredKey, b relation.Binding) iter.Seq[relation.Tuple] {
 	if !b.Constrains() {
-		return st.ScanSince(key, 0)
+		return c.ScanSince(key, 0)
 	}
 	return func(yield func(relation.Tuple) bool) {
-		for _, t := range st.ScanInto(nil, key, b) {
+		for _, t := range c.ScanInto(nil, key, b) {
 			if !yield(t) {
 				return
 			}
@@ -110,53 +201,129 @@ func scanSeq(st Storage, key ast.PredKey, b relation.Binding) iter.Seq[relation.
 	}
 }
 
-// liveRelation is the internal fast path for Materialize: stores that hold
-// their rows as a *relation.Relation expose it directly instead of copying.
-type liveRelation interface {
-	liveRelation(key ast.PredKey) *relation.Relation
+func (c *core) ScanSince(key ast.PredKey, from int) iter.Seq[relation.Tuple] {
+	return func(yield func(relation.Tuple) bool) {
+		c.mu.RLock()
+		var rows []relation.Tuple
+		if r := c.live(key); r != nil {
+			rows = r.Rows()
+		}
+		c.mu.RUnlock()
+		for _, t := range rows[min(max(from, 0), len(rows)):] {
+			if !yield(t) {
+				return
+			}
+		}
+	}
 }
 
-// pointProber is the internal fast path for Contains: stores with a dedup
-// set answer membership without an index probe or scan.
-type pointProber interface {
-	contains(key ast.PredKey, t relation.Tuple) bool
+func (c *core) Has(key ast.PredKey) bool {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.live(key) != nil
 }
 
-// Materialize returns key's rows as a relation. For the in-memory store
-// this is the live base relation itself (zero copies — treat it as
-// read-only); other stores materialize a fresh relation from a full scan,
-// so callers that consult a relation repeatedly should materialize once
-// and reuse it. An unknown predicate yields an empty relation of the
-// key's arity.
+func (c *core) Preds() []ast.PredKey {
+	c.mu.RLock()
+	out := make([]ast.PredKey, 0, len(c.preds))
+	for _, p := range c.preds {
+		if p.rel.Len() > 0 {
+			out = append(out, p.key)
+		}
+	}
+	c.mu.RUnlock()
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Name != out[j].Name {
+			return out[i].Name < out[j].Name
+		}
+		return out[i].Arity < out[j].Arity
+	})
+	return out
+}
+
+func (c *core) Cardinality(key ast.PredKey) int {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if r := c.live(key); r != nil {
+		return r.Len()
+	}
+	return 0
+}
+
+// Distinct reads the key count of the column's index, under the read lock
+// once the index is built (rgg.Build asks on every plan-cache miss).
+func (c *core) Distinct(key ast.PredKey, col int) int {
+	c.mu.RLock()
+	r := c.live(key)
+	if r == nil || col < 0 || col >= r.Arity() {
+		c.mu.RUnlock()
+		return 0
+	}
+	n, ok := r.TryDistinct(col)
+	c.mu.RUnlock()
+	if ok {
+		return n
+	}
+	c.mu.Lock() // the one-time build of the column index
+	defer c.mu.Unlock()
+	return r.Distinct(col)
+}
+
+func (c *core) Stats() Stats {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	live := make(map[ast.PredKey]*relStats, len(c.preds))
+	for _, p := range c.preds {
+		if p.rel.Len() > 0 {
+			live[p.key] = &p.stats
+		}
+	}
+	return snapshotStats(c.version.Load(), live)
+}
+
+func (c *core) Version() uint64 { return c.version.Load() }
+
+func (c *core) WarmFor(needs []IndexNeed) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, p := range c.preds {
+		for col := range p.key.Arity {
+			p.rel.BuildIndex(col)
+		}
+	}
+	for _, n := range needs {
+		if p := c.byKey[n.Key]; p != nil && len(n.Cols) > 0 {
+			p.rel.BuildIndexOn(n.Cols...)
+		}
+	}
+}
+
+func (c *core) base() *core { return c }
+
+// Materialize returns key's rows as the store's own relation: zero copies
+// on either backend, so treat it as read-only, and do not use a disk
+// store's after Close. An unknown predicate yields an empty relation of
+// the key's arity.
 func Materialize(st Storage, key ast.PredKey) *relation.Relation {
-	if db, ok := st.(*Database); ok {
-		st = db.store
+	c := st.base()
+	c.mu.RLock()
+	p := c.byKey[key]
+	c.mu.RUnlock()
+	if p != nil {
+		return p.rel
 	}
-	if lv, ok := st.(liveRelation); ok {
-		return lv.liveRelation(key)
-	}
-	r := relation.New(key.Arity)
-	for t := range st.Scan(key, nil) {
-		r.Insert(t)
-	}
-	return r
+	return relation.New(key.Arity)
 }
 
-// Contains reports whether the store holds exactly the tuple t for key.
-// Stores with a membership structure answer in O(1); the generic fallback
-// is a fully-bound Scan.
+// Contains reports whether the store holds exactly the tuple t for key, in
+// O(1) through the relation's dedup set.
 func Contains(st Storage, key ast.PredKey, t relation.Tuple) bool {
-	if db, ok := st.(*Database); ok {
-		st = db.store
-	}
-	if pp, ok := st.(pointProber); ok {
-		return pp.contains(key, t)
-	}
-	if key.Arity != len(t) {
-		return false
-	}
-	for range st.Scan(key, relation.Binding(t)) {
-		return true
-	}
-	return false
+	return st.base().contains(key, t)
+}
+
+func (c *core) contains(key ast.PredKey, t relation.Tuple) bool {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	p := c.byKey[key]
+	return p != nil && p.rel.Contains(t)
 }

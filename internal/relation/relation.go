@@ -94,13 +94,9 @@ func hashSyms(vals []symtab.Sym) uint64 {
 	return h
 }
 
-// HashTuple exposes the relation's FNV-1a row hash, for stores that index
-// rows the same way a Relation does.
-func HashTuple(vals []symtab.Sym) uint64 { return hashSyms(vals) }
-
-// HashTupleAt hashes the values at the given positions of a row, in the
+// hashSymsAt hashes the values at the given positions of a row, in the
 // given order — the key of a column index.
-func HashTupleAt(vals []symtab.Sym, pos []int) uint64 {
+func hashSymsAt(vals []symtab.Sym, pos []int) uint64 {
 	h := uint64(fnvOffset64)
 	for _, p := range pos {
 		h = fnvMix(h, uint32(vals[p]))
@@ -108,14 +104,14 @@ func HashTupleAt(vals []symtab.Sym, pos []int) uint64 {
 	return h
 }
 
-// MaxIndexCols caps the width of a composite index key. Equalities beyond
+// maxIndexCols caps the width of a composite index key. Equalities beyond
 // the cap are verified per candidate row (they still never trigger a scan
 // of non-candidates).
-const MaxIndexCols = 8
+const maxIndexCols = 8
 
-// ColsKey packs an index's column list (each < 255) into the map key that
+// colsKey packs an index's column list (each < 255) into the key that
 // identifies it, without allocating.
-func ColsKey(cols []int) uint64 {
+func colsKey(cols []int) uint64 {
 	k := uint64(0)
 	for _, c := range cols {
 		k = k<<8 | uint64(c+1)
@@ -123,19 +119,15 @@ func ColsKey(cols []int) uint64 {
 	return k
 }
 
-// Index is a hash index over a fixed column list. Every distinct value of
+// index is a hash index over a fixed column list. Every distinct value of
 // the indexed columns owns one bucket of an open-addressed table, and the
 // rows holding that value are chained through next in insertion order, so
 // adding a row — under a new key or an old one — allocates nothing beyond
 // the amortized growth of the two flat slices, and Reset keeps both. The
-// bucket count is the exact distinct count of the column list.
-//
-// The index does not hold the rows: every method takes the row sequence it
-// indexes, by ordinal, so a store that keeps its rows elsewhere (the disk
-// store's mapped segments, viewed as a []Tuple) shares the one
-// implementation a Relation uses.
-type Index struct {
-	key     uint64 // ColsKey(cols)
+// bucket count is the exact distinct count of the column list. The index
+// does not hold the rows: its methods take the relation's rows, by ordinal.
+type index struct {
+	key     uint64 // colsKey(cols)
 	cols    []int
 	buckets []bucket // power-of-two size, under 3/4 occupancy
 	next    []int32  // next[ord]: ordinal+1 of the following row with the same key, 0 at the end
@@ -146,12 +138,12 @@ type Index struct {
 // marks an empty bucket) and its length.
 type bucket struct{ head, tail, n int32 }
 
-// NewIndex indexes rows on cols (at most MaxIndexCols of them).
-func NewIndex(cols []int, rows []Tuple) *Index {
-	ix := &Index{key: ColsKey(cols), cols: append([]int(nil), cols...),
+// newIndex indexes rows on cols (at most maxIndexCols of them).
+func newIndex(cols []int, rows []Tuple) *index {
+	ix := &index{key: colsKey(cols), cols: append([]int(nil), cols...),
 		buckets: make([]bucket, 16), next: make([]int32, 0, len(rows))}
 	for ord, row := range rows {
-		ix.Add(rows, row, int32(ord))
+		ix.add(rows, row, int32(ord))
 	}
 	return ix
 }
@@ -160,7 +152,7 @@ func NewIndex(cols []int, rows []Tuple) *Index {
 // index-column order): the key's own bucket, or the empty one where it
 // would go (head == 0). A chain is walked from head (ordinal+1 of its
 // first row) through next[ref-1] until 0.
-func (ix *Index) find(rows []Tuple, vals []symtab.Sym) *bucket {
+func (ix *index) find(rows []Tuple, vals []symtab.Sym) *bucket {
 	mask := uint64(len(ix.buckets) - 1)
 probe:
 	for i := hashSyms(vals) & mask; ; i = (i + 1) & mask {
@@ -178,17 +170,13 @@ probe:
 	}
 }
 
-// Keys returns the number of distinct keys: for a single column, the exact
-// count of its distinct values.
-func (ix *Index) Keys() int { return ix.keys }
-
-// Add appends row ord (the next ordinal: rows are indexed in order) to its
+// add appends row ord (the next ordinal: rows are indexed in order) to its
 // key's chain; rows[ord] is row.
-func (ix *Index) Add(rows []Tuple, row Tuple, ord int32) {
+func (ix *index) add(rows []Tuple, row Tuple, ord int32) {
 	if (ix.keys+1)*4 > len(ix.buckets)*3 {
 		ix.grow(rows)
 	}
-	var buf [MaxIndexCols]symtab.Sym
+	var buf [maxIndexCols]symtab.Sym
 	vals := buf[:len(ix.cols)]
 	for k, c := range ix.cols {
 		vals[k] = row[c]
@@ -207,7 +195,7 @@ func (ix *Index) Add(rows []Tuple, row Tuple, ord int32) {
 
 // grow doubles the bucket table. Keys are distinct, so re-placing a bucket
 // needs its hash but no comparisons.
-func (ix *Index) grow(rows []Tuple) {
+func (ix *index) grow(rows []Tuple) {
 	old := ix.buckets
 	ix.buckets = make([]bucket, 2*len(old))
 	mask := uint64(len(ix.buckets) - 1)
@@ -215,7 +203,7 @@ func (ix *Index) grow(rows []Tuple) {
 		if b.head == 0 {
 			continue
 		}
-		i := HashTupleAt(rows[b.head-1], ix.cols) & mask
+		i := hashSymsAt(rows[b.head-1], ix.cols) & mask
 		for ix.buckets[i].head != 0 {
 			i = (i + 1) & mask
 		}
@@ -223,7 +211,7 @@ func (ix *Index) grow(rows []Tuple) {
 	}
 }
 
-func (ix *Index) reset() {
+func (ix *index) reset() {
 	clear(ix.buckets)
 	ix.next = ix.next[:0]
 	ix.keys = 0
@@ -239,14 +227,14 @@ func (ix *Index) reset() {
 // no-shared-memory regime prescribes. Because index construction is lazy
 // and mutates the relation, code that reads one relation from several
 // goroutines must warm every index it will probe first (see
-// edb.Database.WarmFor).
+// edb.Storage.WarmFor).
 type Relation struct {
 	arity   int
-	rows    []Tuple  // row views into arena chunks, in insertion order
+	rows    []Tuple  // row views, in insertion order: into arena chunks, or AppendView's
 	hashes  []uint64 // hashes[i] = hashSyms(rows[i])
 	chunk   []symtab.Sym
-	slots   []int32 // open-addressed dedup set: row ordinal+1; 0 = empty
-	indexes Indexes
+	slots   []int32  // open-addressed dedup set: row ordinal+1; 0 = empty
+	indexes []*index // a handful at most: a scan beats hashing the key
 }
 
 // New returns an empty relation of the given arity. Arity zero is legal and
@@ -305,10 +293,9 @@ func (r *Relation) place(h uint64, ref int32) {
 	r.slots[i] = ref
 }
 
-// grow keeps the open-addressed table under 3/4 occupancy for the next
-// insert, rebuilding from the stored hashes when it doubles.
-func (r *Relation) grow() {
-	need := len(r.rows) + 1
+// reserve keeps the open-addressed table under 3/4 occupancy for need
+// rows, rebuilding from the stored hashes when it grows.
+func (r *Relation) reserve(need int) {
 	if len(r.slots) > 0 && need*4 <= len(r.slots)*3 {
 		return
 	}
@@ -360,16 +347,47 @@ func (r *Relation) Add(t Tuple) (ord int, isNew bool) {
 	if ord := r.lookup(h, t); ord >= 0 {
 		return ord, false
 	}
-	r.grow()
-	row := r.arena(t)
-	ord = len(r.rows)
+	return r.push(h, r.arena(t)), true
+}
+
+// AppendView appends t, which must not be a member, without copying it: the
+// relation keeps the caller's view, whose memory must stay valid and
+// unchanged for the relation's lifetime. It returns t's ordinal. A store
+// whose rows live elsewhere (the disk store's mapped segments) gets the
+// relation's dedup set and indexes over them this way.
+func (r *Relation) AppendView(t Tuple) int {
+	if len(t) != r.arity {
+		panic(fmt.Sprintf("relation: appending arity-%d tuple to arity-%d relation", len(t), r.arity))
+	}
+	if len(r.rows) == cap(r.rows) {
+		// Double: append's gentler growth for large slices would allocate
+		// five times the final size of the views over a long load.
+		n := max(len(r.rows), 16)
+		r.rows, r.hashes = slices.Grow(r.rows, n), slices.Grow(r.hashes, n)
+	}
+	return r.push(hashSyms(t), t)
+}
+
+// Grow presizes the relation for n more rows, so that many inserts neither
+// rehash the dedup set nor copy the row list.
+func (r *Relation) Grow(n int) {
+	r.rows = slices.Grow(r.rows, n)
+	r.hashes = slices.Grow(r.hashes, n)
+	r.reserve(len(r.rows) + n)
+}
+
+// push appends a new row (its view and hash) to the rows, the dedup set and
+// every index, returning its ordinal.
+func (r *Relation) push(h uint64, row Tuple) int {
+	r.reserve(len(r.rows) + 1)
+	ord := len(r.rows)
 	r.rows = append(r.rows, row)
 	r.hashes = append(r.hashes, h)
 	r.place(h, int32(ord+1))
 	for _, ix := range r.indexes {
-		ix.Add(r.rows, row, int32(ord))
+		ix.add(r.rows, row, int32(ord))
 	}
-	return ord, true
+	return ord
 }
 
 // Ordinal returns the position of t in Rows(), or -1 when t is not a
@@ -408,14 +426,10 @@ func (r *Relation) Contains(t Tuple) bool { return r.Ordinal(t) >= 0 }
 // tuples are owned by the relation; callers must not mutate them.
 func (r *Relation) Rows() []Tuple { return r.rows }
 
-// Indexes is the set of indexes built over one row sequence, found by
-// ColsKey (a relation has a handful at most, so a scan beats hashing the
-// key).
-type Indexes []*Index
-
-// Find returns the index with the given ColsKey, or nil.
-func (s Indexes) Find(key uint64) *Index {
-	for _, ix := range s {
+// findIndex returns the built index over the columns with the given
+// colsKey, or nil.
+func (r *Relation) findIndex(key uint64) *index {
+	for _, ix := range r.indexes {
 		if ix.key == key {
 			return ix
 		}
@@ -423,23 +437,19 @@ func (s Indexes) Find(key uint64) *Index {
 	return nil
 }
 
-// On returns (building over rows if needed) the index over cols, capped at
-// MaxIndexCols columns.
-func (s *Indexes) On(rows []Tuple, cols []int) *Index {
-	if len(cols) > MaxIndexCols {
-		cols = cols[:MaxIndexCols]
+// indexOn returns (building if needed) the hash index over cols, capped at
+// maxIndexCols columns.
+func (r *Relation) indexOn(cols []int) *index {
+	if len(cols) > maxIndexCols {
+		cols = cols[:maxIndexCols]
 	}
-	if ix := s.Find(ColsKey(cols)); ix != nil {
+	if ix := r.findIndex(colsKey(cols)); ix != nil {
 		return ix
 	}
-	ix := NewIndex(cols, rows)
-	*s = append(*s, ix)
+	ix := newIndex(cols, r.rows)
+	r.indexes = append(r.indexes, ix)
 	return ix
 }
-
-// indexOn returns (building if needed) the hash index over cols, capped at
-// MaxIndexCols columns.
-func (r *Relation) indexOn(cols []int) *Index { return r.indexes.On(r.rows, cols) }
 
 // Distinct reports the number of distinct values in column col, building
 // the column's hash index if needed (so concurrent readers should call this
@@ -457,7 +467,7 @@ func (r *Relation) TryDistinct(col int) (int, bool) {
 	if r.Len() == 0 {
 		return 0, true
 	}
-	if ix := r.indexes.Find(ColsKey([]int{col})); ix != nil {
+	if ix := r.findIndex(colsKey([]int{col})); ix != nil {
 		return ix.keys, true
 	}
 	return 0, false
@@ -474,7 +484,7 @@ func (r *Relation) BuildIndex(col int) {
 }
 
 // BuildIndexOn forces construction of the composite hash index over cols
-// (in the given order, capped at MaxIndexCols). Building an index that
+// (in the given order, capped at maxIndexCols). Building an index that
 // already exists is a no-op.
 func (r *Relation) BuildIndexOn(cols ...int) {
 	if len(cols) == 0 {
@@ -519,45 +529,38 @@ func (b Binding) Constrains() bool {
 	return false
 }
 
-// BoundCols lists the bound columns of b (at most MaxIndexCols: the index
-// key) into cols and their values into vals, returning how many there are
-// and whether they are all of b's constraints — when not, candidates still
-// need Matches.
-func BoundCols(b Binding, cols *[MaxIndexCols]int, vals *[MaxIndexCols]symtab.Sym) (n int, exact bool) {
-	exact = true
+// probe finds the chain of rows matching b's bound columns in the composite
+// index over exactly that column set. all reports a binding with no bound
+// column: every row matches and no index is involved. Otherwise ix is the
+// index, built on first use when build is set; without build a missing index
+// leaves ix nil and the relation untouched (a pure read). A nil binding
+// binds nothing. exact reports that the index key covers every bound
+// column; past maxIndexCols of them, candidates still need Matches.
+func (r *Relation) probe(b Binding, build bool) (ix *index, bk *bucket, exact, all bool) {
+	if b != nil && len(b) != r.arity {
+		panic(fmt.Sprintf("relation: select binding arity %d on arity-%d relation", len(b), r.arity))
+	}
+	var cols [maxIndexCols]int
+	var vals [maxIndexCols]symtab.Sym
+	n, exact := 0, true
 	for i, v := range b {
 		if v == symtab.NoSym {
 			continue
 		}
-		if n == MaxIndexCols {
+		if n == maxIndexCols {
 			exact = false
 			break
 		}
 		cols[n], vals[n] = i, v
 		n++
 	}
-	return n, exact
-}
-
-// probe finds the chain of rows matching b's bound columns in the composite
-// index over exactly that column set. all reports a binding with no bound
-// column: every row matches and no index is involved. Otherwise ix is the
-// index, built on first use when build is set; without build a missing index
-// leaves ix nil and the relation untouched (a pure read).
-func (r *Relation) probe(b Binding, build bool) (ix *Index, bk *bucket, exact, all bool) {
-	if len(b) != r.arity {
-		panic(fmt.Sprintf("relation: select binding arity %d on arity-%d relation", len(b), r.arity))
-	}
-	var cols [MaxIndexCols]int
-	var vals [MaxIndexCols]symtab.Sym
-	n, exact := BoundCols(b, &cols, &vals)
 	switch {
 	case n == 0:
 		return nil, nil, exact, true
 	case build:
 		ix = r.indexOn(cols[:n])
 	default:
-		if ix = r.indexes.Find(ColsKey(cols[:n])); ix == nil {
+		if ix = r.findIndex(colsKey(cols[:n])); ix == nil {
 			return nil, nil, exact, false
 		}
 	}
@@ -602,22 +605,10 @@ func (r *Relation) TrySelectInto(dst []Tuple, b Binding) ([]Tuple, bool) {
 	return ix.chain(dst, r.rows, bk, b, exact), true
 }
 
-// SelectInto appends the rows matching b, in insertion order, to dst. b must
-// bind exactly the indexed columns — or, for an index of MaxIndexCols
-// columns, those and more, which the candidates are then checked against.
-func (ix *Index) SelectInto(dst, rows []Tuple, b Binding) []Tuple {
-	var buf [MaxIndexCols]symtab.Sym
-	vals := buf[:len(ix.cols)]
-	for k, c := range ix.cols {
-		vals[k] = b[c]
-	}
-	return ix.chain(dst, rows, ix.find(rows, vals), b, len(ix.cols) < MaxIndexCols)
-}
-
 // chain appends the bucket's rows, in insertion order, growing dst at most
 // once. The index key covers every bound column unless there are more than
-// MaxIndexCols (!exact).
-func (ix *Index) chain(dst, rows []Tuple, bk *bucket, b Binding, exact bool) []Tuple {
+// maxIndexCols (!exact).
+func (ix *index) chain(dst, rows []Tuple, bk *bucket, b Binding, exact bool) []Tuple {
 	dst = slices.Grow(dst, int(bk.n))
 	for ref := bk.head; ref != 0; ref = ix.next[ref-1] {
 		if row := rows[ref-1]; exact || b.Matches(row) {
@@ -661,7 +652,7 @@ type EqPair struct{ L, R int }
 
 // eqAll verifies every join equality between a (left) and b (right). Probes
 // through a composite index still verify: the index key is a hash, and
-// pairs beyond MaxIndexCols are not part of the key at all.
+// pairs beyond maxIndexCols are not part of the key at all.
 func eqAll(a, b Tuple, on []EqPair) bool {
 	for _, p := range on {
 		if a[p.L] != b[p.R] {
@@ -700,11 +691,11 @@ func Join(r, s *Relation, on []EqPair) *Relation {
 		return out
 	}
 	n := len(on)
-	if n > MaxIndexCols {
-		n = MaxIndexCols
+	if n > maxIndexCols {
+		n = maxIndexCols
 	}
-	var colsBuf [MaxIndexCols]int
-	var valsBuf [MaxIndexCols]symtab.Sym
+	var colsBuf [maxIndexCols]int
+	var valsBuf [maxIndexCols]symtab.Sym
 	if r.Len() < s.Len() {
 		// r is smaller: index r on the left columns, stream s through it.
 		for i := 0; i < n; i++ {
@@ -758,11 +749,11 @@ func SemiJoin(r, s *Relation, on []EqPair) *Relation {
 		return out
 	}
 	n := len(on)
-	if n > MaxIndexCols {
-		n = MaxIndexCols
+	if n > maxIndexCols {
+		n = maxIndexCols
 	}
-	var colsBuf [MaxIndexCols]int
-	var valsBuf [MaxIndexCols]symtab.Sym
+	var colsBuf [maxIndexCols]int
+	var valsBuf [maxIndexCols]symtab.Sym
 	for i := 0; i < n; i++ {
 		colsBuf[i] = on[i].R
 	}

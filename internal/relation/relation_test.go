@@ -36,6 +36,34 @@ func TestInsertCopies(t *testing.T) {
 	}
 }
 
+// TestAppendViewKeepsView: AppendView stores the caller's view rather than
+// a copy, and the row joins the dedup set and every index like an inserted
+// one, whether the relation was presized by Grow or not.
+func TestAppendViewKeepsView(t *testing.T) {
+	backing := []symtab.Sym{1, 2, 1, 3, 4, 2}
+	for _, presize := range []bool{false, true} {
+		r := New(2)
+		r.BuildIndex(0)
+		if presize {
+			r.Grow(3)
+		}
+		for i := 0; i < len(backing); i += 2 {
+			if ord := r.AppendView(backing[i : i+2 : i+2]); ord != i/2 {
+				t.Fatalf("AppendView ordinal %d, want %d", ord, i/2)
+			}
+		}
+		if !r.Contains(tup(1, 3)) || r.Insert(tup(4, 2)) || r.Len() != 3 {
+			t.Errorf("appended rows missing from the dedup set: len %d", r.Len())
+		}
+		if got := r.Select(Binding{1, symtab.NoSym}); len(got) != 2 {
+			t.Errorf("index over appended rows selects %v", got)
+		}
+		if &r.Rows()[1][0] != &backing[2] {
+			t.Error("AppendView copied the row")
+		}
+	}
+}
+
 func TestTupleKeyInjective(t *testing.T) {
 	// Symbols that collide byte-wise under naive encodings.
 	pairs := [][2]Tuple{
