@@ -16,8 +16,9 @@ check:
 check-short:
 	./scripts/check.sh -short
 
-# Failure-handling suite only (fault injection, heartbeats, kills, the
-# chaos soak), run twice under the race detector.
+# Failure-handling suite only (fault injection, heartbeats, kills, sites
+# that close as they finish, the chaos soak), run twice under the race
+# detector.
 chaos:
 	./scripts/check.sh chaos
 

@@ -1058,7 +1058,7 @@ func a4Failure(quick bool) {
 			Commentary  string            `json:"commentary"`
 		}{
 			Record: "BENCH_2",
-			Description: "Failure-aware evaluation (heartbeats + reconnect backoff, query " +
+			Description: "Failure-aware evaluation (heartbeats, query " +
 				"deadlines, Abort protocol, per-process panic isolation) measured on the " +
 				"failure-free path. Acceptance (<2% regression) covers the DEFAULT path: " +
 				"in-process rows compare this tree with no deadline armed (but the Abort " +

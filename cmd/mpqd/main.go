@@ -40,8 +40,8 @@
 //
 // Observability (see doc/OBSERVABILITY.md): -metrics ADDR serves live
 // Prometheus counters on /metrics — engine message/row/round counters plus
-// the transport failure counters (heartbeats, reconnects, replays, peer
-// downs) — and Go runtime profiling under /debug/pprof/. -profile prints a
+// the transport failure counters (heartbeats, peer downs, dropped sends) —
+// and Go runtime profiling under /debug/pprof/. -profile prints a
 // per-node report for this site's partition when the query finishes.
 package main
 
@@ -72,11 +72,10 @@ func main() {
 	strategy := flag.String("strategy", "greedy", "information passing strategy (greedy, qualtree, leftright, basic, stats, auto)")
 	reoptThreshold := flag.Float64("reopt-threshold", 0, "-serve with -strategy auto: statistics-drift fraction that re-optimizes cached plans (0 = default, negative disables)")
 	stats := flag.Bool("stats", false, "print execution statistics (driver site)")
-	dialTimeout := flag.Duration("dial-timeout", 10*time.Second, "total window for (re)connecting to a peer site before declaring it down")
+	dialTimeout := flag.Duration("dial-timeout", 10*time.Second, "window for the first connection to a peer site (sites start in any order) before declaring it down; a broken connection is never re-dialed")
 	heartbeat := flag.Duration("heartbeat", 500*time.Millisecond, "liveness heartbeat interval per peer connection (must be positive)")
-	maxBackoff := flag.Duration("max-backoff", time.Second, "cap on the exponential reconnect backoff")
 	deadline := flag.Duration("deadline", 0, "abort the query after this wall-clock time (0 = no deadline)")
-	chaos := flag.String("chaos", "", "fault-injection spec: 'delay:FROM-TO:D[:JITTER];cut:FROM-TO:N[:HEAL];crash:SITE:N' ('*' = any site)")
+	chaos := flag.String("chaos", "", "fault-injection spec: 'delay:FROM-TO:D[:JITTER];cut:FROM-TO:N;crash:SITE:N' ('*' = any site)")
 	chaosSeed := flag.Int64("chaos-seed", 1, "seed for deterministic chaos jitter")
 	metricsAddr := flag.String("metrics", "", "serve Prometheus /metrics and /debug/pprof/ on this address (e.g. :9090)")
 	profile := flag.Bool("profile", false, "print a per-node profile report for this site's partition after the query")
@@ -93,7 +92,7 @@ func main() {
 	store := flag.String("store", "", "-serve: persistent EDB directory (created on first run; facts, statistics epoch, and result-cache version survive restarts)")
 	flag.Parse()
 	if *heartbeat <= 0 {
-		fmt.Fprintln(os.Stderr, "mpqd: -heartbeat must be positive (the TCP transport's replay needs its acknowledgements)")
+		fmt.Fprintln(os.Stderr, "mpqd: -heartbeat must be positive (heartbeats are how a site notices a silent peer)")
 		usage()
 	}
 
@@ -142,7 +141,6 @@ func main() {
 	cfg := transport.Config{
 		DialTimeout:       *dialTimeout,
 		HeartbeatInterval: *heartbeat,
-		MaxBackoff:        *maxBackoff,
 		Stats:             st,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "mpqd: "+format+"\n", args...)

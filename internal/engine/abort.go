@@ -12,9 +12,9 @@ import (
 // the condition, sends msg.Abort so all sites stop, and Run/RunSites return
 // one of these (test with errors.Is).
 var (
-	// ErrSiteDown: a peer site was declared unreachable by the transport
-	// (heartbeat loss followed by a failed reconnect window, or an
-	// injected FaultNet crash).
+	// ErrSiteDown: a peer site was declared down by the transport (a
+	// broken link: an error, heartbeat silence, or an end without Bye; a
+	// failed first dial; or an injected FaultNet crash or cut).
 	ErrSiteDown = errors.New("engine: site down")
 	// ErrDeadline: the evaluation exceeded Options.Deadline.
 	ErrDeadline = errors.New("engine: deadline exceeded")

@@ -13,6 +13,7 @@ import (
 	"repro/internal/edb"
 	"repro/internal/parser"
 	"repro/internal/rgg"
+	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/workload"
 )
@@ -100,6 +101,73 @@ func TestEngineOverTCP(t *testing.T) {
 	}
 	if results[0].Answers.Len() == 0 {
 		t.Error("no answers over TCP")
+	}
+}
+
+// TestTCPSitesCloseAsTheyFinish runs clean 3-site evaluations in which
+// every site closes its transport as soon as its own RunSites returns, as
+// mpqd does. A site that finished and left must read as a departure, not a
+// failure, and the driver must not send a site anything after it left:
+// every site returns nil with no PeerDown and no dropped send, and every
+// round ends far inside the 10s default dial window.
+func TestTCPSitesCloseAsTheyFinish(t *testing.T) {
+	const sites, rounds = 3, 100
+	mkProg := func() *ast.Program { return workload.Program(workload.TCRules, workload.Chain("edge", 60)) }
+	g, err := rgg.Build(mkProg(), rgg.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts := Partition(g, sites)
+	want, err := Run(g, workload.DB(mkProg()), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < rounds; round++ {
+		addrs := make([]string, sites)
+		for i := range addrs {
+			addrs[i] = "127.0.0.1:0"
+		}
+		locals := make([]*transport.Local, sites)
+		nets := make([]*transport.TCP, sites)
+		stats := make([]*trace.Stats, sites)
+		for i := 0; i < sites; i++ {
+			locals[i] = transport.NewLocal(len(g.Nodes) + 1)
+			stats[i] = &trace.Stats{}
+			n, err := transport.NewTCPConfig(i, addrs, hosts, locals[i], transport.Config{Stats: stats[i]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			addrs[i] = n.Addr()
+			nets[i] = n
+		}
+		start := time.Now()
+		var wg sync.WaitGroup
+		results := make([]*Result, sites)
+		errs := make([]error, sites)
+		for i := 0; i < sites; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				results[i], errs[i] = RunSites(g, workload.DB(mkProg()), nets[i], locals[i], hosts, i, Options{})
+				nets[i].Close()
+			}()
+		}
+		wg.Wait()
+		elapsed := time.Since(start)
+		for i := 0; i < sites; i++ {
+			if errs[i] != nil {
+				t.Fatalf("round %d: site %d: %v", round, i, errs[i])
+			}
+			if sn := stats[i].Snapshot(); sn.PeerDowns != 0 || sn.DroppedSends != 0 {
+				t.Fatalf("round %d: site %d: PeerDowns=%d DroppedSends=%d, want 0 and 0", round, i, sn.PeerDowns, sn.DroppedSends)
+			}
+		}
+		if elapsed >= 2*time.Second {
+			t.Fatalf("round %d took %v, want under 2s", round, elapsed)
+		}
+		if got := results[0].Answers.Len(); got != want.Answers.Len() {
+			t.Fatalf("round %d: %d answers, want %d", round, got, want.Answers.Len())
+		}
 	}
 }
 

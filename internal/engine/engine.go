@@ -342,9 +342,13 @@ func (rt *runner) run(yield func(relation.Tuple) bool) (*Result, error) {
 			}
 		}
 		if answers != nil && rt.hosts != nil {
-			// Release the other sites: each leaves its loop at its first Shutdown.
+			// Release the other sites: one Shutdown each, to the first node it
+			// hosts. A site leaves its loop at its first Shutdown and may close
+			// its transport right away, so a second one would find it gone.
+			released := map[int]bool{rt.site: true}
 			for id := range rt.g.Nodes {
-				if rt.hosts[id] != rt.site {
+				if s := rt.hosts[id]; !released[s] {
+					released[s] = true
 					rt.send(msg.Message{Kind: msg.Shutdown, From: rt.driver, To: id})
 				}
 			}

@@ -211,10 +211,9 @@ func typedAbort(err error) bool {
 // three sites under seeded fault schedules. The contract under every
 // schedule: the driver either produces exactly the failure-free answers or
 // returns a typed abort — it never hangs and never returns wrong answers
-// silently. Cut schedules are permanent (no heal): the End watermark always
-// travels the same link, after the tuples it covers, so losing tuples
-// without losing their End is impossible and silent wrong answers cannot
-// occur (see doc/PROTOCOL.md, "Failure model").
+// silently. A cut is a broken connection: its far end is reported down, so
+// the evaluation aborts with ErrSiteDown (see doc/PROTOCOL.md, "Failure
+// model").
 func TestChaosSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak skipped in -short mode")
@@ -229,6 +228,8 @@ func TestChaosSoak(t *testing.T) {
 		// messages — guarding against thresholds the workload never reaches
 		// (a fault schedule that never fires tests nothing).
 		wantFaults bool
+		// wantErr, when set, is the error the driver must return.
+		wantErr error
 	}
 	// crashSite closes every mailbox the site hosts, exactly as if the OS
 	// process died.
@@ -249,7 +250,7 @@ func TestChaosSoak(t *testing.T) {
 				fn.AddLink(transport.LinkFault{From: transport.AnySite, To: transport.AnySite,
 					Delay: 100 * time.Microsecond, Jitter: 400 * time.Microsecond})
 			}},
-		{name: "cut-permanent", wantFaults: true,
+		{name: "cut-permanent", wantFaults: true, wantErr: ErrSiteDown,
 			configure: func(fn *transport.FaultNet, hosts []int, local *transport.Local) {
 				// The two busiest cross-site links: requests outbound from
 				// the driver's site, answers inbound to it. Thresholds are
@@ -315,6 +316,9 @@ func TestChaosSoak(t *testing.T) {
 					}
 				default:
 					t.Errorf("untyped driver error: %v", derr)
+				}
+				if sc.wantErr != nil && !errors.Is(derr, sc.wantErr) {
+					t.Errorf("driver returned %v under %s, want %v", derr, sc.name, sc.wantErr)
 				}
 				if sc.wantFaults && faultDrops == 0 {
 					t.Errorf("fault schedule never fired (0 drops): thresholds too high for this workload")

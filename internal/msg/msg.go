@@ -52,9 +52,9 @@ const (
 	// Nudge tells a component's leader that a member just drained its
 	// queue, so a protocol round may now succeed.
 	Nudge
-	// Shutdown releases another site: the driver's site sends it to the
-	// nodes hosted elsewhere once the query answer is complete, and a site
-	// leaves its run loop at the first one it finds.
+	// Shutdown releases another site: once the query answer is complete,
+	// the driver's site sends one to each other site (to the first node it
+	// hosts), and a site leaves its run loop at the first one it finds.
 	Shutdown
 	// TupleBatch carries Count derived tuples in one message: Vals is the
 	// concatenation of Count rows of equal width. It is the tuple-side
@@ -71,13 +71,20 @@ const (
 	Abort
 	// Hello is a transport-level frame sent once when a site dials a peer;
 	// From holds the dialing *site* id (not a node id). It lets the accept
-	// side attribute the connection — and later failures — to a site.
+	// side attribute the connection — and its failure — to a site.
 	// Hello never reaches a node mailbox.
 	Hello
-	// Heartbeat is a transport-level liveness frame exchanged periodically
-	// on each site-pair connection; From holds the sending site id. It
-	// never reaches a node mailbox and carries no protocol meaning.
+	// Heartbeat is a transport-level liveness frame that both ends of a
+	// site-pair connection write periodically; From holds the sending site
+	// id. A connection silent for longer than the heartbeat timeout is
+	// broken. Heartbeat never reaches a node mailbox and carries no
+	// protocol meaning.
 	Heartbeat
+	// Bye is the last frame a site writes on each of its connections when
+	// it leaves cleanly; From holds the site id. A connection that ends
+	// without it is broken, and its peer is declared down. Bye never
+	// reaches a node mailbox.
+	Bye
 )
 
 // Abort reason codes, carried in Message.Reason.
@@ -112,7 +119,7 @@ func ReasonString(r uint8) string {
 var kindNames = [...]string{
 	"relreq", "tupreq", "tuple", "end", "reqend",
 	"endreq", "endneg", "endconf", "nudge", "shutdown", "tuplebatch",
-	"abort", "hello", "heartbeat",
+	"abort", "hello", "heartbeat", "bye",
 }
 
 func (k Kind) String() string {
@@ -150,13 +157,6 @@ type Message struct {
 	// Note carries human-readable abort detail, e.g. a panic stack trace
 	// or the name of the failed site (Abort messages only).
 	Note string
-	// Seq is transport-level per-link sequencing, assigned by the TCP
-	// transport and never set by the engine. On payload frames it numbers
-	// the site-to-site stream (1, 2, ...) so a reconnect can replay the
-	// unacknowledged suffix and the receiver can drop replay duplicates;
-	// on Hello and Heartbeat frames it carries the cumulative
-	// acknowledgement (highest sequence delivered so far).
-	Seq uint64
 }
 
 // String renders the message for traces and test failures.

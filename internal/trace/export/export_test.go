@@ -22,7 +22,7 @@ func TestPrometheusGolden(t *testing.T) {
 		Protocol: 9, Rounds: 10,
 		Derived: 11, Stored: 12, Dups: 13,
 		Joins: 14, EDBScans: 15, EDBTuples: 16,
-		Heartbeats: 17, Reconnects: 18, Replays: 19, PeerDowns: 20,
+		Heartbeats: 17, PeerDowns: 20,
 		Aborts: 21, DroppedSends: 22, DroppedPuts: 23, FaultDrops: 24,
 		PlanHits: 25, PlanMisses: 26,
 		StrategyAutoGreedy: 35, StrategyAutoQualtree: 36,
@@ -79,12 +79,6 @@ mpq_edb_tuples_total 16
 # HELP mpq_transport_heartbeats_total Heartbeat frames sent over TCP site-pair connections.
 # TYPE mpq_transport_heartbeats_total counter
 mpq_transport_heartbeats_total 17
-# HELP mpq_transport_reconnects_total Successful re-dials after a connection loss.
-# TYPE mpq_transport_reconnects_total counter
-mpq_transport_reconnects_total 18
-# HELP mpq_transport_replayed_frames_total Frames re-sent by a reconnect's unacked-suffix replay.
-# TYPE mpq_transport_replayed_frames_total counter
-mpq_transport_replayed_frames_total 19
 # HELP mpq_transport_peer_down_total Peer sites declared unreachable.
 # TYPE mpq_transport_peer_down_total counter
 mpq_transport_peer_down_total 20

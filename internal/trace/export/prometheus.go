@@ -70,10 +70,6 @@ var promRows = []metricRow{
 	// Transport and failure handling (PR 2's counters).
 	{"mpq_transport_heartbeats_total", "", "Heartbeat frames sent over TCP site-pair connections.", "counter",
 		func(sn trace.Snapshot) int64 { return sn.Heartbeats }},
-	{"mpq_transport_reconnects_total", "", "Successful re-dials after a connection loss.", "counter",
-		func(sn trace.Snapshot) int64 { return sn.Reconnects }},
-	{"mpq_transport_replayed_frames_total", "", "Frames re-sent by a reconnect's unacked-suffix replay.", "counter",
-		func(sn trace.Snapshot) int64 { return sn.Replays }},
 	{"mpq_transport_peer_down_total", "", "Peer sites declared unreachable.", "counter",
 		func(sn trace.Snapshot) int64 { return sn.PeerDowns }},
 	{"mpq_aborts_total", "", "Query aborts initiated (at most one per site per query).", "counter",

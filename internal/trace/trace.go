@@ -37,8 +37,6 @@ type Stats struct {
 
 	// Failure-handling counters (transport + abort path).
 	heartbeats   atomic.Int64 // heartbeat frames sent over TCP
-	reconnects   atomic.Int64 // successful re-dials after a connection loss
-	replays      atomic.Int64 // frames re-sent by a reconnect's unacked-suffix replay
 	peerDowns    atomic.Int64 // peer sites declared unreachable
 	aborts       atomic.Int64 // query aborts initiated (one per site at most)
 	droppedSends atomic.Int64 // sends dropped at the transport (failed peer / closed net)
@@ -102,8 +100,6 @@ func (s *Stats) ReqEndMsg()          { s.reqEnds.Add(1) }
 func (s *Stats) ProtocolMsg()        { s.protocol.Add(1) }
 func (s *Stats) Round()              { s.rounds.Add(1) }
 func (s *Stats) Heartbeat()          { s.heartbeats.Add(1) }
-func (s *Stats) Reconnect()          { s.reconnects.Add(1) }
-func (s *Stats) Replays(n int)       { s.replays.Add(int64(n)) }
 func (s *Stats) PeerDown()           { s.peerDowns.Add(1) }
 func (s *Stats) Abort()              { s.aborts.Add(1) }
 func (s *Stats) DroppedSend()        { s.droppedSends.Add(1) }
@@ -194,12 +190,11 @@ type Snapshot struct {
 	Protocol, Rounds                    int64
 	Derived, Stored, Dups               int64
 	Joins, EDBScans, EDBTuples          int64
-	// Failure-handling counters: transport liveness traffic, recoveries,
-	// declared peer failures, query aborts, and messages dropped at the
+	// Failure-handling counters: transport liveness traffic, declared
+	// peer failures, query aborts, and messages dropped at the
 	// transport or by closed mailboxes (drops are counted, never silent,
 	// so a lossy run is visible in its statistics).
-	Heartbeats, Reconnects, Replays   int64
-	PeerDowns                         int64
+	Heartbeats, PeerDowns             int64
 	Aborts, DroppedSends, DroppedPuts int64
 	FaultDrops                        int64
 	// Plan-cache lookups: a hit reused a compiled rule/goal graph, a miss
@@ -253,8 +248,6 @@ func (s *Stats) Snapshot() Snapshot {
 		EDBScans:              s.edbScans.Load(),
 		EDBTuples:             s.edbTuples.Load(),
 		Heartbeats:            s.heartbeats.Load(),
-		Reconnects:            s.reconnects.Load(),
-		Replays:               s.replays.Load(),
 		PeerDowns:             s.peerDowns.Load(),
 		Aborts:                s.aborts.Load(),
 		DroppedSends:          s.droppedSends.Load(),
@@ -312,9 +305,9 @@ func (sn Snapshot) String() string {
 	fmt.Fprintf(&b, " protocol=%d rounds=%d", sn.Protocol, sn.Rounds)
 	fmt.Fprintf(&b, " derived=%d stored=%d dups=%d joins=%d edbscans=%d edbtuples=%d",
 		sn.Derived, sn.Stored, sn.Dups, sn.Joins, sn.EDBScans, sn.EDBTuples)
-	if sn.Heartbeats+sn.Reconnects+sn.Replays+sn.PeerDowns+sn.Aborts+sn.DroppedSends+sn.DroppedPuts+sn.FaultDrops > 0 {
-		fmt.Fprintf(&b, " heartbeats=%d reconnects=%d replays=%d peerdowns=%d aborts=%d dropped=%d/%dputs faultdrops=%d",
-			sn.Heartbeats, sn.Reconnects, sn.Replays, sn.PeerDowns, sn.Aborts, sn.DroppedSends, sn.DroppedPuts, sn.FaultDrops)
+	if sn.Heartbeats+sn.PeerDowns+sn.Aborts+sn.DroppedSends+sn.DroppedPuts+sn.FaultDrops > 0 {
+		fmt.Fprintf(&b, " heartbeats=%d peerdowns=%d aborts=%d dropped=%d/%dputs faultdrops=%d",
+			sn.Heartbeats, sn.PeerDowns, sn.Aborts, sn.DroppedSends, sn.DroppedPuts, sn.FaultDrops)
 	}
 	if sn.PlanHits+sn.PlanMisses > 0 {
 		fmt.Fprintf(&b, " planhits=%d planmisses=%d", sn.PlanHits, sn.PlanMisses)

@@ -21,7 +21,8 @@ import (
 //     delivered after Delay + seeded-random jitter, preserving per-link
 //     FIFO order (a dedicated worker delivers each link's queue in order);
 //   - connection cuts: after CutAfter messages have crossed a link, the
-//     link drops everything, optionally healing HealAfter later;
+//     link is broken for good — it drops everything from then on and a
+//     PeerDown names its far end, as a broken TCP connection would;
 //   - whole-site crashes: immediately (CrashNow) or after the site has
 //     sent AfterSends messages (AddCrash), every message to or from the
 //     site is dropped, the registered OnCrash callback runs (tests use it
@@ -64,12 +65,9 @@ type LinkFault struct {
 	// Delay + uniform[0, Jitter) after it was sent, in FIFO order per link.
 	Delay, Jitter time.Duration
 	// CutAfter cuts the link once this many messages have crossed it
-	// (0 = never): subsequent messages are dropped.
+	// (0 = never): the far end is reported down, and this and every later
+	// message on the link is dropped.
 	CutAfter int
-	// HealAfter reopens a cut link this long after the cut (0 = the cut is
-	// permanent). Messages sent while cut are lost, not queued — exactly
-	// the loss profile of a real connection cut.
-	HealAfter time.Duration
 }
 
 // AnySite is the LinkFault wildcard for From or To.
@@ -87,8 +85,7 @@ type SiteCrash struct {
 type linkState struct {
 	rule    LinkFault
 	crossed int
-	cutTime time.Time // nonzero while (or after) the link was cut
-	healed  bool      // cut already healed; no further cuts
+	cut     bool
 
 	// Delay queue (only when rule.Delay or rule.Jitter is set).
 	qmu    sync.Mutex
@@ -161,21 +158,27 @@ func (f *FaultNet) crashLocked(site int) func() {
 		return nil
 	}
 	f.crashed[site] = true
-	// One copy per site: in-process harnesses run every site of the topology
-	// against this one channel, a site stops reading after its first event,
-	// and the crashed site itself may be among the readers.
-	for range slices.Max(f.hosts) + 1 {
-		select {
-		case f.down <- PeerDown{Site: site, Err: fmt.Errorf("faultnet: site %d crashed", site)}:
-		default:
-		}
-	}
+	f.downLocked(site, fmt.Errorf("faultnet: site %d crashed", site))
 	return f.onCrash[site]
 }
 
-// Down reports each crashed site, once per site of the topology — the
-// perfect-failure-detector view of the injected schedule. Wire it into
-// engine.Options.PeerDown to test abort-on-failure without real sockets.
+// downLocked reports a site down, one copy per site of the topology:
+// in-process harnesses run every site against this one channel, a site
+// stops reading after its first event, and the site reported may itself be
+// among the readers; f.mu held.
+func (f *FaultNet) downLocked(site int, err error) {
+	for range slices.Max(f.hosts) + 1 {
+		select {
+		case f.down <- PeerDown{Site: site, Err: err}:
+		default:
+		}
+	}
+}
+
+// Down reports each crashed site and the far end of each cut link, once per
+// site of the topology — the perfect-failure-detector view of the injected
+// schedule. Wire it into engine.Options.PeerDown to test abort-on-failure
+// without real sockets.
 func (f *FaultNet) Down() <-chan PeerDown { return f.down }
 
 // Send applies the fault schedule to one message: drop it (crashed site or
@@ -210,18 +213,11 @@ func (f *FaultNet) Send(m msg.Message) {
 		return
 	}
 	ls.crossed++
-	now := time.Now()
-	if !ls.cutTime.IsZero() && !ls.healed {
-		if ls.rule.HealAfter > 0 && now.Sub(ls.cutTime) >= ls.rule.HealAfter {
-			ls.healed = true // one-shot cut; link works again
-		} else {
-			f.Stats.FaultDrop()
-			f.mu.Unlock()
-			return
-		}
+	if !ls.cut && ls.rule.CutAfter > 0 && ls.crossed > ls.rule.CutAfter {
+		ls.cut = true
+		f.downLocked(to, fmt.Errorf("faultnet: link %d-%d cut", from, to))
 	}
-	if ls.rule.CutAfter > 0 && !ls.healed && ls.cutTime.IsZero() && ls.crossed > ls.rule.CutAfter {
-		ls.cutTime = now
+	if ls.cut {
 		f.Stats.FaultDrop()
 		f.mu.Unlock()
 		return
@@ -238,7 +234,7 @@ func (f *FaultNet) Send(m msg.Message) {
 	f.mu.Unlock()
 
 	ls.qmu.Lock()
-	ls.q = append(ls.q, delayedMsg{m: m, due: now.Add(d)})
+	ls.q = append(ls.q, delayedMsg{m: m, due: time.Now().Add(d)})
 	ls.qcond.Signal()
 	ls.qmu.Unlock()
 }
@@ -323,7 +319,7 @@ func (f *FaultNet) Close() {
 // directives, sites given as integers or * (any):
 //
 //	delay:FROM-TO:BASE[:JITTER]   e.g. delay:0-1:5ms:2ms
-//	cut:FROM-TO:N[:HEAL]          e.g. cut:*-2:100:2s
+//	cut:FROM-TO:N                 e.g. cut:*-2:100
 //	crash:SITE:N                  e.g. crash:1:500
 func ParseChaos(spec string) (links []LinkFault, crashes []SiteCrash, err error) {
 	for _, dir := range strings.Split(spec, ";") {
@@ -354,8 +350,8 @@ func ParseChaos(spec string) (links []LinkFault, crashes []SiteCrash, err error)
 			}
 			links = append(links, r)
 		case "cut":
-			if len(parts) < 3 || len(parts) > 4 {
-				return nil, nil, bad("want cut:FROM-TO:N[:HEAL]")
+			if len(parts) != 3 {
+				return nil, nil, bad("want cut:FROM-TO:N")
 			}
 			from, to, err := parseSitePair(parts[1])
 			if err != nil {
@@ -365,13 +361,7 @@ func ParseChaos(spec string) (links []LinkFault, crashes []SiteCrash, err error)
 			if err != nil || n <= 0 {
 				return nil, nil, bad("cut count must be a positive integer")
 			}
-			r := LinkFault{From: from, To: to, CutAfter: n}
-			if len(parts) == 4 {
-				if r.HealAfter, err = time.ParseDuration(parts[3]); err != nil {
-					return nil, nil, bad(err.Error())
-				}
-			}
-			links = append(links, r)
+			links = append(links, LinkFault{From: from, To: to, CutAfter: n})
 		case "crash":
 			if len(parts) != 3 {
 				return nil, nil, bad("want crash:SITE:N")

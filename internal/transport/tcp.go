@@ -1,9 +1,10 @@
 package transport
 
 import (
+	"context"
 	"encoding/gob"
+	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"time"
@@ -24,102 +25,70 @@ import (
 // on one site (engine.Partition enforces this; a fully general distribution
 // would extend the protocol with per-channel message counts).
 //
-// Failure handling (see doc/PROTOCOL.md, "Failure model"): each dialed
-// connection starts with a Hello frame identifying the dialing site, then
-// carries periodic heartbeats in both directions (the dialer pings, the
-// acceptor echoes). A connection that errors or stays silent past
-// Config.HeartbeatTimeout is torn down and re-dialed with exponential
-// backoff + jitter; once the total re-dial window (Config.DialTimeout)
-// expires the peer is declared down — subsequent sends drop fast (counted,
-// logged once per peer at Close) and a PeerDown event is emitted on Down().
-//
-// Reconnection preserves the FIFO stream exactly. A successful socket
-// write only proves bytes reached the kernel, not the peer, so the
-// transport never trusts writes: with heartbeats enabled every payload
-// frame carries a per-link sequence number, the acceptor acknowledges the
-// highest delivered sequence on its heartbeat echoes, and a reconnecting
-// dialer replays the entire unacknowledged suffix after its Hello. The
-// receiver accepts exactly the next expected sequence and drops everything
-// else as a replay duplicate, so a healed connection delivers the same
-// stream as an unbroken one — no loss, no duplication, no reordering.
+// Failure handling (see doc/PROTOCOL.md, "Failure model"): links are
+// fail-stop. A site dials each peer once, at its first send there, and
+// retries a refused dial only within Config.DialTimeout, because sites
+// start in any order. The connection opens with a Hello frame naming the
+// dialing site; both ends then heartbeat on it, so each end's read deadline
+// (Config.HeartbeatTimeout) notices a silent peer. A connection is never
+// re-dialed: when one errors, goes silent, or ends without the peer's Bye
+// frame, the peer is declared down — one PeerDown event on Down(), and
+// every later send to it is dropped (counted, logged once per peer at
+// Close). A delivered stream is therefore always a FIFO prefix of the sent
+// one. Close writes Bye on every connection before closing it, which is
+// how a peer tells a site that finished and left from one that crashed.
 type TCP struct {
 	site  int
 	hosts []int // node id → site id
 	local *Local
 	ln    net.Listener
 	cfg   Config
+	addrs []string
+
+	ctx  context.Context // cancelled by Close
+	stop context.CancelFunc
 
 	mu        sync.Mutex
-	conns     map[int]*siteConn    // established dialed connections, by peer site
-	dialing   map[int]*dialAttempt // in-flight dial attempts, by peer site
-	failed    map[int]error        // peers declared down: sends drop fast
-	everConn  map[int]bool         // peers successfully dialed at least once
-	downSent  map[int]bool         // PeerDown already emitted for this peer
+	dials     map[int]*dialAttempt // the one dial to each peer site
+	gone      map[int]error        // peers down or departed: sends drop fast
 	dropCount map[int]int64        // sends dropped, by destination site
-	accepted  map[net.Conn]int     // accepted connections → peer site (-1 unknown)
-	links     map[int]*peerLink    // outbound sequencing state, by peer site
-	recv      map[int]*recvLink    // inbound sequencing state, by peer site
-
-	down chan PeerDown
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
-
-	wg       sync.WaitGroup
-	addrs    []string
-	closed   bool
-	closedCh chan struct{}
+	live      map[*siteConn]bool   // open connections, dialed and accepted
+	down      chan PeerDown
+	wg        sync.WaitGroup
 }
 
-// siteConn is one established outbound connection. The mutex serializes
-// writes (the gob encoder is stateful); done is closed exactly once when
-// the connection is torn down.
+// siteConn is one open connection, dialed or accepted. The mutex serializes
+// writes (the gob encoder is stateful); done is closed when its reader
+// returns, which is when the connection's fate has been judged.
 type siteConn struct {
-	mu        sync.Mutex
-	c         net.Conn
-	enc       *gob.Encoder
-	done      chan struct{}
-	closeOnce sync.Once
+	mu   sync.Mutex
+	c    net.Conn
+	rw   *slidingConn
+	enc  *gob.Encoder
+	done chan struct{}
 }
 
-func (sc *siteConn) close() {
-	sc.closeOnce.Do(func() {
-		close(sc.done)
-		sc.c.Close()
-	})
+func (sc *siteConn) write(m msg.Message) error {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	return sc.enc.Encode(m)
 }
 
-// peerLink is the durable outbound state for one peer site; it outlives
-// individual connections so a reconnect can resume the sequence stream.
-// Lock order: peerLink.mu may be taken before siteConn.mu, never after.
-type peerLink struct {
-	mu      sync.Mutex
-	sc      *siteConn     // current live connection; nil while down/dialing
-	nextSeq uint64        // sequence number for the next payload frame
-	ackSeq  uint64        // highest sequence the peer has acknowledged
-	unacked []msg.Message // frames in (ackSeq, nextSeq), in sequence order
-}
-
-// recvLink is the durable inbound state for one peer site: the highest
-// sequence delivered to local mailboxes, shared by every connection that
-// peer has dialed (a reconnect replays frames the old connection may have
-// delivered already; this is where the duplicates are dropped). The state
-// deliberately outlives connections but not the transport: a peer *site*
-// that restarts is a new evaluation — its stream is not a resumption of
-// the old one, and the engine's failure handling (PeerDown, deadlines)
-// governs that case, not link-level sequencing.
-type recvLink struct {
-	mu      sync.Mutex
-	lastSeq uint64
-}
-
-// dialAttempt deduplicates concurrent dials to one peer: every interested
-// sender waits on done and shares the outcome.
+// dialAttempt is the one dial to a peer site: every sender waits on done
+// and shares the outcome.
 type dialAttempt struct {
 	done chan struct{}
 	sc   *siteConn
 	err  error
 }
+
+// dialRetry spaces the retries of a refused first dial.
+const dialRetry = 20 * time.Millisecond
+
+var (
+	errBye    = errors.New("peer left")
+	errClosed = errors.New("transport: closed")
+)
 
 // slidingConn makes deadlines measure *stalls* rather than frame size.
 // Read pushes the read deadline forward on every call, so a large frame
@@ -181,31 +150,20 @@ func NewTCPConfig(site int, addrs []string, hosts []int, local *Local, cfg Confi
 	if err != nil {
 		return nil, fmt.Errorf("transport: site %d listen: %w", site, err)
 	}
-	cfg = cfg.withDefaults()
-	seed := cfg.JitterSeed
-	if seed == 0 {
-		seed = 1
-	}
 	t := &TCP{
 		site:      site,
 		hosts:     hosts,
 		local:     local,
 		ln:        ln,
-		cfg:       cfg,
-		conns:     make(map[int]*siteConn),
-		dialing:   make(map[int]*dialAttempt),
-		failed:    make(map[int]error),
-		everConn:  make(map[int]bool),
-		downSent:  make(map[int]bool),
-		dropCount: make(map[int]int64),
-		accepted:  make(map[net.Conn]int),
-		links:     make(map[int]*peerLink),
-		recv:      make(map[int]*recvLink),
-		down:      make(chan PeerDown, len(addrs)+1),
-		rng:       rand.New(rand.NewSource(seed)),
+		cfg:       cfg.withDefaults(),
 		addrs:     addrs,
-		closedCh:  make(chan struct{}),
+		dials:     make(map[int]*dialAttempt),
+		gone:      make(map[int]error),
+		dropCount: make(map[int]int64),
+		live:      make(map[*siteConn]bool),
+		down:      make(chan PeerDown, len(addrs)+1),
 	}
+	t.ctx, t.stop = context.WithCancel(context.Background())
 	t.wg.Add(1)
 	go t.acceptLoop()
 	return t, nil
@@ -215,49 +173,16 @@ func NewTCPConfig(site int, addrs []string, hosts []int, local *Local, cfg Confi
 // configured address used port 0).
 func (t *TCP) Addr() string { return t.ln.Addr().String() }
 
-// Down delivers at most one PeerDown event per peer site declared
-// unreachable. The channel is buffered for every possible peer, so the
-// transport never blocks on it; the engine's watchdog (Options.PeerDown)
-// aborts the query on the first event.
+// Down delivers at most one PeerDown event per peer site declared down.
+// The channel is buffered for every possible peer, so the transport never
+// blocks on it; the engine's watchdog (Options.PeerDown) aborts the query
+// on the first event.
 func (t *TCP) Down() <-chan PeerDown { return t.down }
-
-func (t *TCP) isClosed() bool {
-	select {
-	case <-t.closedCh:
-		return true
-	default:
-		return false
-	}
-}
 
 func (t *TCP) logf(format string, args ...any) {
 	if t.cfg.Logf != nil {
 		t.cfg.Logf(format, args...)
 	}
-}
-
-// link returns the durable outbound sequencing state for a peer site.
-func (t *TCP) link(site int) *peerLink {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	lk := t.links[site]
-	if lk == nil {
-		lk = &peerLink{nextSeq: 1}
-		t.links[site] = lk
-	}
-	return lk
-}
-
-// recvLinkFor returns the durable inbound sequencing state for a peer site.
-func (t *TCP) recvLinkFor(site int) *recvLink {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	rl := t.recv[site]
-	if rl == nil {
-		rl = &recvLink{}
-		t.recv[site] = rl
-	}
-	return rl
 }
 
 func (t *TCP) acceptLoop() {
@@ -267,384 +192,89 @@ func (t *TCP) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		t.mu.Lock()
-		if t.closed {
-			t.mu.Unlock()
-			c.Close()
-			return
-		}
-		t.accepted[c] = -1
-		t.mu.Unlock()
-		t.wg.Add(1)
-		go t.readLoop(c)
+		t.serve(t.newConn(c), -1)
 	}
 }
 
-// readLoop serves one accepted connection: it decodes frames, swallows the
-// transport-level Hello/Heartbeat traffic, and delivers everything else to
-// the local mailboxes. With heartbeats enabled, the read deadline slides
-// forward on every successful read — a connection silent past
-// HeartbeatTimeout is treated as dead — and an echo goroutine heartbeats
-// back to the dialer (carrying the cumulative delivery acknowledgement) so
-// the dialer's own read deadline stays satisfied.
-func (t *TCP) readLoop(c net.Conn) {
+func (t *TCP) newConn(c net.Conn) *siteConn {
+	rw := &slidingConn{Conn: c, timeout: t.cfg.HeartbeatTimeout, writeTimeout: t.cfg.DialTimeout}
+	return &siteConn{c: c, rw: rw, enc: gob.NewEncoder(rw), done: make(chan struct{})}
+}
+
+// serve registers an open connection and starts its reader and heartbeat
+// goroutines. peer is the far site, or -1 on an accepted connection until
+// its Hello arrives. It returns nil, closing the connection, once the
+// transport is closed.
+func (t *TCP) serve(sc *siteConn, peer int) *siteConn {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.ctx.Err() != nil {
+		sc.c.Close()
+		return nil
+	}
+	t.live[sc] = true
+	t.wg.Add(2)
+	go t.readLoop(sc, peer)
+	go t.heartbeatLoop(sc)
+	return sc
+}
+
+// readLoop decodes one connection's frames until it ends, delivering
+// payload frames to the local mailboxes and swallowing Hello and Heartbeat
+// traffic. The read deadline slides forward on every successful read, so
+// a connection silent past HeartbeatTimeout ends with a timeout. A
+// connection that ends at the peer's Bye records a departure; any other
+// end declares the peer down.
+func (t *TCP) readLoop(sc *siteConn, peer int) {
 	defer t.wg.Done()
-	peer := -1
-	var rl *recvLink
-	var echoStop chan struct{}
-	defer func() {
-		c.Close()
-		if echoStop != nil {
-			close(echoStop)
-		}
-		t.mu.Lock()
-		delete(t.accepted, c)
-		t.mu.Unlock()
-		// A lost inbound connection from a known peer is a failure signal
-		// even for a site that never sends to that peer: probe it in the
-		// background so a crash is detected (and the query aborted) instead
-		// of this site waiting forever for tuples that cannot arrive.
-		if peer >= 0 && !t.isClosed() {
-			t.wg.Add(1)
-			go func() {
-				defer t.wg.Done()
-				t.peer(peer) // outcome recorded in conns/failed; errors emit PeerDown
-			}()
-		}
-	}()
-	sl := &slidingConn{Conn: c, timeout: t.cfg.HeartbeatTimeout, writeTimeout: t.cfg.DialTimeout}
-	dec := gob.NewDecoder(sl)
-	enc := gob.NewEncoder(sl)
-	for {
+	dec := gob.NewDecoder(sc.rw)
+	var err error
+	for err == nil {
 		var m msg.Message
-		if err := dec.Decode(&m); err != nil {
-			return
+		if err = dec.Decode(&m); err != nil {
+			break
 		}
 		switch m.Kind {
 		case msg.Hello:
 			peer = m.From
-			t.mu.Lock()
-			t.accepted[c] = peer
-			t.mu.Unlock()
-			rl = t.recvLinkFor(peer)
-			// Hello carries the cumulative ack the dialer's replay resumes
-			// from. A receiver that kept its state has lastSeq >= that ack
-			// already (acks only ever report delivered frames) and this is
-			// a no-op; a receiver restarted from scratch fast-forwards so
-			// the replayed suffix lands as the next expected frames.
-			rl.mu.Lock()
-			if m.Seq > rl.lastSeq {
-				rl.lastSeq = m.Seq
-			}
-			rl.mu.Unlock()
-			if echoStop == nil {
-				echoStop = make(chan struct{})
-				t.wg.Add(1)
-				go t.echoHeartbeats(c, enc, rl, echoStop)
-			}
 		case msg.Heartbeat:
-			// Liveness only: the successful read already reset the deadline.
+			// Liveness only: the successful read already moved the deadline.
+		case msg.Bye:
+			err = errBye
 		default:
-			if rl == nil {
-				return // payload before Hello: not a peer of ours
-			}
-			// Accept exactly the next expected frame; anything else is a
-			// replay duplicate whose in-order copy arrived on an earlier
-			// connection. Delivery happens under the link lock so two
-			// connections draining concurrently cannot reorder accepted
-			// frames.
-			rl.mu.Lock()
-			if m.Seq == rl.lastSeq+1 {
-				rl.lastSeq = m.Seq
+			if peer < 0 {
+				err = errors.New("payload before Hello")
+			} else {
 				t.local.Send(m)
 			}
-			rl.mu.Unlock()
 		}
-	}
-}
-
-// echoHeartbeats writes periodic heartbeats back to the dialing site on the
-// accepted connection, so the dialer can detect this site's death through
-// its read deadline. Each echo carries the cumulative delivery ack
-// (recvLink.lastSeq) that lets the dialer prune its replay buffer. Exits
-// when the connection dies or the transport closes.
-func (t *TCP) echoHeartbeats(c net.Conn, enc *gob.Encoder, rl *recvLink, stop chan struct{}) {
-	defer t.wg.Done()
-	tick := time.NewTicker(t.cfg.HeartbeatInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.closedCh:
-			return
-		case <-tick.C:
-			rl.mu.Lock()
-			ack := rl.lastSeq
-			rl.mu.Unlock()
-			if err := enc.Encode(msg.Message{Kind: msg.Heartbeat, From: t.site, Seq: ack}); err != nil {
-				return // readLoop will see the dead conn and clean up
-			}
-			t.cfg.Stats.Heartbeat()
-		}
-	}
-}
-
-// jitter draws a deterministic random duration in [0, max).
-func (t *TCP) jitter(max time.Duration) time.Duration {
-	if max <= 0 {
-		return 0
-	}
-	t.rngMu.Lock()
-	defer t.rngMu.Unlock()
-	return time.Duration(t.rng.Int63n(int64(max)))
-}
-
-// Send routes the message to the mailbox of a locally hosted node or over
-// the connection to the hosting site. Every remote frame enters the per-link
-// replay buffer before it is written, so a connection lost mid-stream —
-// including frames the kernel accepted but never delivered — is healed by
-// replaying the unacknowledged suffix on reconnect; only a peer declared down
-// loses messages, and those are counted (trace.Stats.DroppedSends) and
-// logged once per peer at Close.
-func (t *TCP) Send(m msg.Message) {
-	dest := t.hosts[m.To]
-	if dest == t.site {
-		t.local.Send(m)
-		return
-	}
-	lk := t.link(dest)
-	lk.mu.Lock()
-	m.Seq = lk.nextSeq
-	lk.nextSeq++
-	lk.unacked = append(lk.unacked, m)
-	sc := lk.sc
-	var encErr error
-	if sc != nil {
-		encErr = t.encode(sc, m)
-	}
-	lk.mu.Unlock()
-	switch {
-	case sc == nil:
-		// No live connection. Join or start the dial; its handshake
-		// replays the unacked suffix — including this frame — in order,
-		// so there is nothing to write here. (The append above and the
-		// handshake's replay both run under lk.mu: whichever runs second
-		// sees the other's effect, so the frame is either replayed or
-		// encoded directly, never skipped.)
-		if _, err := t.peer(dest); err != nil {
-			// Peer declared down (or transport closed): nothing will ever
-			// replay the buffer — flush it into the drop counters.
-			t.flushLink(dest)
-		}
-	case encErr != nil:
-		// The write failed; the frame stays in the replay buffer and the
-		// reconnect triggered here delivers it (or the peer is declared
-		// down and the buffer is flushed as drops).
-		t.connLost(dest, sc)
-	}
-}
-
-// encode serializes one frame onto the connection under the write lock.
-// The encoder writes through a slidingConn; a write blocked on a dead peer is
-// unblocked when the read side's heartbeat deadline closes the connection
-// (see slidingConn for why writes carry only the coarse backstop deadline
-// themselves).
-func (t *TCP) encode(sc *siteConn, m msg.Message) error {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	return sc.enc.Encode(m)
-}
-
-// flushLink empties a peer's replay buffer into the drop counters: called
-// when the peer is declared down (no reconnect will ever replay it) so the
-// buffered frames are surfaced as drops rather than silently retained.
-func (t *TCP) flushLink(site int) {
-	lk := t.link(site)
-	lk.mu.Lock()
-	n := len(lk.unacked)
-	lk.unacked = nil
-	lk.ackSeq = lk.nextSeq - 1
-	lk.mu.Unlock()
-	if n == 0 {
-		return
 	}
 	t.mu.Lock()
-	t.dropCount[site] += int64(n)
+	delete(t.live, sc)
 	t.mu.Unlock()
-	for i := 0; i < n; i++ {
-		t.cfg.Stats.DroppedSend()
+	sc.c.Close()
+	close(sc.done)
+	if peer >= 0 {
+		t.lose(peer, err)
 	}
 }
 
-// peer returns the connection to the given site, joining an in-flight dial
-// attempt or starting one (with backoff, within the DialTimeout window) if
-// none exists.
-func (t *TCP) peer(site int) (*siteConn, error) {
+// lose records how a link to a peer ended: errBye is a departure, anything
+// else declares the peer down and emits its one PeerDown. Either way later
+// sends to the peer drop. The first outcome for a peer stands, and nothing
+// is recorded once this transport is closing (its own sockets are what
+// ended).
+func (t *TCP) lose(site int, err error) {
 	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil, fmt.Errorf("transport: closed")
-	}
-	if err := t.failed[site]; err != nil {
-		t.mu.Unlock()
-		return nil, fmt.Errorf("transport: site %d unreachable: %w", site, err)
-	}
-	if sc, ok := t.conns[site]; ok {
-		t.mu.Unlock()
-		return sc, nil
-	}
-	da, inflight := t.dialing[site]
-	if !inflight {
-		da = &dialAttempt{done: make(chan struct{})}
-		t.dialing[site] = da
-		t.wg.Add(1)
-		go t.dial(site, da)
-	}
-	t.mu.Unlock()
-
-	select {
-	case <-da.done:
-		return da.sc, da.err
-	case <-t.closedCh:
-		return nil, fmt.Errorf("transport: closed while dialing site %d", site)
-	}
-}
-
-// dial attempts to connect to the peer with exponential backoff + jitter
-// until success or the DialTimeout window closes; a window expiry declares
-// the peer down. A connection that fails its handshake (Hello write or
-// replay of the unacked suffix) counts as a failed attempt and re-enters
-// the backoff loop — it is never published to waiting senders.
-func (t *TCP) dial(site int, da *dialAttempt) {
-	defer t.wg.Done()
-	deadline := time.Now().Add(t.cfg.DialTimeout)
-	backoff := t.cfg.BaseBackoff
-	var lastErr error
-	for {
-		attempt := t.cfg.MaxBackoff
-		if rem := time.Until(deadline); rem < attempt {
-			attempt = rem
-		}
-		if attempt <= 0 {
-			break
-		}
-		c, err := net.DialTimeout("tcp", t.addrs[site], attempt)
-		if err == nil {
-			w := &slidingConn{Conn: c, timeout: t.cfg.HeartbeatTimeout, writeTimeout: t.cfg.DialTimeout}
-			sc := &siteConn{c: c, enc: gob.NewEncoder(w), done: make(chan struct{})}
-			if err = t.handshake(site, sc); err == nil {
-				t.finishDial(site, da, sc, nil, false)
-				return
-			}
-			sc.close()
-		}
-		lastErr = err
-		wait := backoff + t.jitter(backoff/2)
-		if backoff < t.cfg.MaxBackoff {
-			backoff *= 2
-			if backoff > t.cfg.MaxBackoff {
-				backoff = t.cfg.MaxBackoff
-			}
-		}
-		if time.Now().Add(wait).After(deadline) {
-			break
-		}
-		select {
-		case <-t.closedCh:
-			t.finishDial(site, da, nil, fmt.Errorf("transport: closed while dialing site %d", site), false)
-			return
-		case <-time.After(wait):
-		}
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("dial window expired")
-	}
-	t.finishDial(site, da, nil, fmt.Errorf("transport: dial site %d: %w", site, lastErr), true)
-}
-
-// handshake identifies this site to the accept side (Hello) and replays the
-// unacknowledged suffix of the link's stream so a reconnect loses nothing
-// the kernel had buffered on the dead connection. It installs the
-// connection as the link's live conn in the same critical section as the
-// replay: any frame appended to the buffer after this point is encoded
-// directly by its sender, so no frame can fall between replay and first use.
-func (t *TCP) handshake(site int, sc *siteConn) error {
-	t.mu.Lock()
-	reconnect := t.everConn[site]
-	t.mu.Unlock()
-	lk := t.link(site)
-	lk.mu.Lock()
-	defer lk.mu.Unlock()
-	// Hello carries the cumulative ack the replay resumes from, letting a
-	// peer restarted from scratch fast-forward its expected sequence.
-	if err := t.encode(sc, msg.Message{Kind: msg.Hello, From: t.site, Seq: lk.ackSeq}); err != nil {
-		return err
-	}
-	// On a first connection the buffer holds frames sent while the dial
-	// was in flight — first transmissions, not replays; only count (and
-	// log) retransmissions on an actual reconnect.
-	if n := len(lk.unacked); n > 0 && reconnect {
-		t.cfg.Stats.Replays(n)
-		t.logf("transport: site %d: replaying %d unacknowledged frame(s) to site %d", t.site, n, site)
-	}
-	for _, f := range lk.unacked {
-		if err := t.encode(sc, f); err != nil {
-			return err
-		}
-	}
-	lk.sc = sc
-	return nil
-}
-
-// finishDial publishes a dial outcome: registers the handshaken connection
-// (starting its heartbeat machinery) or records the failure (declaring the
-// peer down when the window expired).
-func (t *TCP) finishDial(site int, da *dialAttempt, sc *siteConn, err error, declareDown bool) {
-	t.mu.Lock()
-	delete(t.dialing, site)
-	if t.closed && sc != nil {
-		t.mu.Unlock()
-		t.dropPeer(site, sc)
-		da.err = fmt.Errorf("transport: closed")
-		close(da.done)
+	defer t.mu.Unlock()
+	if t.ctx.Err() != nil || t.gone[site] != nil {
 		return
 	}
-	if err != nil {
-		if declareDown {
-			t.failed[site] = err
-			t.markDownLocked(site, err)
-		}
-		t.mu.Unlock()
-		if declareDown {
-			t.flushLink(site)
-		}
-		da.err = err
-		close(da.done)
+	if err == errBye {
+		t.gone[site] = fmt.Errorf("site %d left", site)
 		return
 	}
-	reconnect := t.everConn[site]
-	t.everConn[site] = true
-	t.conns[site] = sc
-	t.mu.Unlock()
-
-	if reconnect {
-		t.cfg.Stats.Reconnect()
-		t.logf("transport: site %d: reconnected to site %d", t.site, site)
-	}
-	t.wg.Add(2)
-	go t.heartbeatLoop(site, sc)
-	go t.connReadLoop(site, sc)
-	da.sc = sc
-	close(da.done)
-}
-
-// markDownLocked emits the one-shot PeerDown event for a peer; t.mu held.
-func (t *TCP) markDownLocked(site int, err error) {
-	if t.downSent[site] {
-		return
-	}
-	t.downSent[site] = true
+	t.gone[site] = err
 	t.cfg.Stats.PeerDown()
 	t.logf("transport: site %d: peer site %d declared down: %v", t.site, site, err)
 	select {
@@ -653,10 +283,10 @@ func (t *TCP) markDownLocked(site int, err error) {
 	}
 }
 
-// heartbeatLoop pings the peer over an established outbound connection so
-// the accept side's read deadline stays satisfied and write failures
-// surface within one interval of a crash.
-func (t *TCP) heartbeatLoop(site int, sc *siteConn) {
+// heartbeatLoop writes a liveness frame every HeartbeatInterval so the far
+// end's read deadline stays satisfied. A failed write ends it; the reader
+// judges the connection.
+func (t *TCP) heartbeatLoop(sc *siteConn) {
 	defer t.wg.Done()
 	tick := time.NewTicker(t.cfg.HeartbeatInterval)
 	defer tick.Stop()
@@ -664,11 +294,10 @@ func (t *TCP) heartbeatLoop(site int, sc *siteConn) {
 		select {
 		case <-sc.done:
 			return
-		case <-t.closedCh:
+		case <-t.ctx.Done():
 			return
 		case <-tick.C:
-			if err := t.encode(sc, msg.Message{Kind: msg.Heartbeat, From: t.site}); err != nil {
-				t.connLost(site, sc)
+			if sc.write(msg.Message{Kind: msg.Heartbeat, From: t.site}) != nil {
 				return
 			}
 			t.cfg.Stats.Heartbeat()
@@ -676,102 +305,139 @@ func (t *TCP) heartbeatLoop(site int, sc *siteConn) {
 	}
 }
 
-// connReadLoop watches an established outbound connection for the peer's
-// heartbeat echoes: silence past HeartbeatTimeout (sliding with each read)
-// or any read error means the connection is dead. The echoes carry the
-// peer's cumulative delivery ack, which prunes the replay buffer so a
-// reconnect replays only frames still outstanding.
-func (t *TCP) connReadLoop(site int, sc *siteConn) {
-	defer t.wg.Done()
-	dec := gob.NewDecoder(&slidingConn{Conn: sc.c, timeout: t.cfg.HeartbeatTimeout})
-	lk := t.link(site)
-	for {
-		var m msg.Message
-		if err := dec.Decode(&m); err != nil {
-			t.connLost(site, sc)
-			return
-		}
-		if m.Kind == msg.Heartbeat && m.Seq > 0 {
-			lk.mu.Lock()
-			if ack := m.Seq; ack > lk.ackSeq && ack < lk.nextSeq {
-				lk.unacked = lk.unacked[ack-lk.ackSeq:]
-				lk.ackSeq = ack
-				if len(lk.unacked) == 0 {
-					lk.unacked = nil // release the backing array when idle
-				}
-			}
-			lk.mu.Unlock()
-		}
-	}
-}
-
-// connLost tears down a dead connection and, unless the transport is
-// closing, re-dials in the background so failures are detected and masked
-// (or declared) even when no Send is pending.
-func (t *TCP) connLost(site int, sc *siteConn) {
-	t.dropPeer(site, sc)
-	if t.isClosed() {
+// Send routes the message to the mailbox of a locally hosted node or over
+// the connection to the hosting site. A message to a peer that is down or
+// gone, or whose write fails, is dropped and counted
+// (trace.Stats.DroppedSends, logged once per peer at Close).
+func (t *TCP) Send(m msg.Message) {
+	dest := t.hosts[m.To]
+	if dest == t.site {
+		t.local.Send(m)
 		return
 	}
-	t.wg.Add(1)
-	go func() {
-		defer t.wg.Done()
-		t.peer(site) // success re-registers the conn; failure declares the peer down
-	}()
+	sc, err := t.peer(dest)
+	if err == nil {
+		if err = sc.write(m); err != nil {
+			t.writeFailed(dest, sc, err)
+		}
+	}
+	if err != nil {
+		t.mu.Lock()
+		t.dropCount[dest]++
+		t.mu.Unlock()
+		t.cfg.Stats.DroppedSend()
+	}
 }
 
-func (t *TCP) dropPeer(site int, sc *siteConn) {
+// writeFailed settles a failed write to a peer. The reader judges the
+// connection, because a write also fails when the peer has left and its
+// Bye still sits unread in the socket; only a reader that stays blocked
+// for HeartbeatTimeout (a peer still heartbeating but no longer reading)
+// leaves the failed write to declare the peer down.
+func (t *TCP) writeFailed(site int, sc *siteConn, err error) {
+	select {
+	case <-sc.done:
+	case <-time.After(t.cfg.HeartbeatTimeout):
+		t.lose(site, err)
+		sc.c.Close()
+	}
+}
+
+// peer returns the connection to the given site, starting its one dial or
+// waiting for the dial in flight.
+func (t *TCP) peer(site int) (*siteConn, error) {
 	t.mu.Lock()
-	if cur, ok := t.conns[site]; ok && cur == sc {
-		delete(t.conns, site)
+	if t.ctx.Err() != nil {
+		t.mu.Unlock()
+		return nil, errClosed
+	}
+	if err := t.gone[site]; err != nil {
+		t.mu.Unlock()
+		return nil, err
+	}
+	da := t.dials[site]
+	if da == nil {
+		da = &dialAttempt{done: make(chan struct{})}
+		t.dials[site] = da
+		t.wg.Add(1)
+		go t.dial(site, da)
 	}
 	t.mu.Unlock()
-	lk := t.link(site)
-	lk.mu.Lock()
-	if lk.sc == sc {
-		lk.sc = nil
+	select {
+	case <-da.done:
+		return da.sc, da.err
+	case <-t.ctx.Done():
+		return nil, errClosed
 	}
-	lk.mu.Unlock()
-	sc.close()
 }
 
-// Close stops the listener and tears down peer connections. In-flight
-// reads finish; subsequent sends are dropped. Per-peer drop totals are
-// logged once here — the shutdown-time visibility for messages that were
-// discarded because a peer was unreachable.
-func (t *TCP) Close() {
+// dial makes the one connection to a peer and says Hello on it. Sites
+// start in any order, so a failed attempt is retried every dialRetry until
+// DialTimeout runs out; then the peer is declared down.
+func (t *TCP) dial(site int, da *dialAttempt) {
+	defer t.wg.Done()
+	defer close(da.done)
+	ctx, cancel := context.WithTimeout(t.ctx, t.cfg.DialTimeout)
+	defer cancel()
+	var d net.Dialer
+	for {
+		c, err := d.DialContext(ctx, "tcp", t.addrs[site])
+		if err == nil {
+			sc := t.newConn(c)
+			if err = sc.write(msg.Message{Kind: msg.Hello, From: t.site}); err == nil {
+				if da.sc = t.serve(sc, site); da.sc == nil {
+					da.err = errClosed
+				}
+				return
+			}
+			c.Close()
+		}
+		select {
+		case <-ctx.Done():
+			da.err = fmt.Errorf("transport: dial site %d: %w", site, err)
+			t.lose(site, da.err)
+			return
+		case <-time.After(dialRetry):
+		}
+	}
+}
+
+// Close leaves cleanly: it writes Bye on every open connection, dialed and
+// accepted, so each peer sees a departure rather than a crash, then closes
+// the connections and the listener. Later sends are dropped. Per-peer drop
+// totals are logged once here — the shutdown-time visibility for messages
+// discarded because a peer was down or gone.
+func (t *TCP) Close() { t.shutdown(true) }
+
+// shutdown closes the transport, saying Bye first when bye is set; without
+// it, peers see the broken links of a crashed site.
+func (t *TCP) shutdown(bye bool) {
 	t.mu.Lock()
-	if t.closed {
+	if t.ctx.Err() != nil {
 		t.mu.Unlock()
 		return
 	}
-	t.closed = true
-	close(t.closedCh)
-	conns := t.conns
-	t.conns = make(map[int]*siteConn)
-	accepted := make([]net.Conn, 0, len(t.accepted))
-	for c := range t.accepted {
-		accepted = append(accepted, c)
+	t.stop()
+	live := make([]*siteConn, 0, len(t.live))
+	for sc := range t.live {
+		live = append(live, sc)
 	}
-	drops := make(map[int]int64, len(t.dropCount))
 	for site, n := range t.dropCount {
-		drops[site] = n
-	}
-	failed := make(map[int]error, len(t.failed))
-	for site, err := range t.failed {
-		failed[site] = err
+		t.logf("transport: site %d: dropped %d message(s) to site %d (%v)", t.site, n, site, t.gone[site])
 	}
 	t.mu.Unlock()
 
-	for site, n := range drops {
-		t.logf("transport: site %d: dropped %d message(s) to site %d (%v)", t.site, n, site, failed[site])
-	}
 	t.ln.Close()
-	for _, sc := range conns {
-		sc.close()
-	}
-	for _, c := range accepted {
-		c.Close()
+	for _, sc := range live {
+		if bye {
+			// Under the write lock, so no frame can follow the Bye.
+			sc.mu.Lock()
+			sc.enc.Encode(msg.Message{Kind: msg.Bye, From: t.site})
+			sc.c.Close()
+			sc.mu.Unlock()
+		} else {
+			sc.c.Close()
+		}
 	}
 	t.wg.Wait()
 }

@@ -246,8 +246,7 @@ func TestTCPDialFailure(t *testing.T) {
 func TestTCPPeerConnectionLoss(t *testing.T) {
 	// Short dial window (Config) so the failure path runs in milliseconds
 	// rather than the production 10s default.
-	cfg := Config{DialTimeout: 300 * time.Millisecond, HeartbeatInterval: 20 * time.Millisecond,
-		BaseBackoff: 5 * time.Millisecond, MaxBackoff: 50 * time.Millisecond}
+	cfg := Config{DialTimeout: 300 * time.Millisecond, HeartbeatInterval: 20 * time.Millisecond}
 	hosts := []int{0, 1}
 	localB := NewLocal(2)
 	siteB, err := NewTCPConfig(1, []string{"", "127.0.0.1:0"}, hosts, localB, cfg)
@@ -264,10 +263,9 @@ func TestTCPPeerConnectionLoss(t *testing.T) {
 	if m, ok := localB.Boxes[1].Get(); !ok || m.N != 1 {
 		t.Fatal("first send not delivered")
 	}
-	// Kill B; subsequent sends from A must not panic: writes to the dead
-	// socket eventually error, the peer is evicted, the re-dial times out
-	// once, and later sends drop fast via the failure cache.
-	siteB.Close()
+	// Kill B; subsequent sends from A must not panic: the broken link
+	// declares B down and later sends drop fast.
+	siteB.Kill()
 	done := make(chan bool)
 	go func() {
 		for i := 0; i < 50; i++ {

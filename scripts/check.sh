@@ -3,9 +3,9 @@
 # detector. `make check` runs this. Pass -short through for a quick pass:
 #   ./scripts/check.sh -short
 # `./scripts/check.sh chaos` (or `make chaos`) runs the failure-handling
-# suite — fault injection, heartbeats, kills, deadlines, the chaos soak —
-# twice under the race detector, to shake out schedules that only hang or
-# race on the second run.
+# suite — fault injection, heartbeats, kills, clean departures, deadlines,
+# the chaos soak — twice under the race detector, to shake out schedules
+# that only hang or race on the second run.
 # `./scripts/check.sh docs` (or `make docs`) runs only the documentation
 # gate: intra-repo markdown links must resolve, and `go vet` must be clean.
 # `./scripts/check.sh gate` (or `make gate`) runs the perf-regression
@@ -57,7 +57,7 @@ fi
 if [ "${1:-}" = "chaos" ]; then
 	shift
 	go test -race -count=2 \
-		-run 'Chaos|FaultNet|ParseChaos|Deadline|Cancel|Panic|Heartbeat|PeerDown|KilledPeer|Reconnect|SiteKill|ConnectionLoss' \
+		-run 'Chaos|FaultNet|ParseChaos|Deadline|Cancel|Panic|Heartbeat|PeerDown|KilledPeer|Frozen|Departure|CloseAsTheyFinish|SiteKill|ConnectionLoss' \
 		"$@" ./internal/engine/ ./internal/transport/
 	exit 0
 fi
