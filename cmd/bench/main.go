@@ -1102,12 +1102,12 @@ func a4Failure(quick bool) {
 
 // a5Observability measures what the observability layer costs a query that
 // does not use it, and what opting in costs. All configurations run on the
-// same binary — profiling and event logging are runtime-armed via
-// engine.Options — so the deltas isolate exactly the new work: with both
-// sinks nil, one pointer check per sent message and one hoisted boolean per
-// handled message; with a profile armed, two time.Now calls plus a handful
-// of uncontended atomic adds per message; with a trace buffer armed, one
-// short mutexed ring append on top. The "off" column is also compared
+// same binary — the profile and its span ring are runtime-armed via
+// engine.Options — so the deltas isolate exactly the new work: with no
+// profile, one pointer check per sent and per handled message; with a
+// profile armed, two clock reads plus a handful of uncontended atomic adds
+// per message; with its span ring armed (Profile.RecordSpans), one short
+// mutexed ring write on top. The "off" column is also compared
 // against the same benchmarks recorded in BENCH_2.json before this change
 // (watchdog_off), bounding the disabled-path regression across trees. With
 // -json the measurements are written out as BENCH_3.json.
@@ -1144,7 +1144,7 @@ func a5Observability(quick bool) {
 				opts.Profile = trace.NewProfile()
 			}
 			if m.events {
-				opts.Events = trace.NewEventLog(0)
+				opts.Profile.RecordSpans(0)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -1179,10 +1179,10 @@ func a5Observability(quick bool) {
 
 	type workloadRecord struct {
 		Workload string `json:"workload"`
-		// Off is the default configuration on this tree: Profile and Events
-		// both nil. Compare against Bench2Ref (the same benchmark recorded
-		// as watchdog_off in BENCH_2.json before this change) for the
-		// disabled-path regression.
+		// Off is the default configuration on this tree: no Profile; Both
+		// also arms the profile's span ring. Compare Off against Bench2Ref
+		// (the same benchmark recorded as watchdog_off in BENCH_2.json
+		// before this change) for the disabled-path regression.
 		Off         microResult `json:"observability_off"`
 		Profile     microResult `json:"profile_armed"`
 		Both        microResult `json:"profile_and_events_armed"`
@@ -1226,9 +1226,9 @@ func a5Observability(quick bool) {
 		}{
 			Record: "BENCH_3",
 			Description: "Query observability (per-node counter shards, profile reports, " +
-				"structured event log) measured with the sinks disabled and armed. " +
+				"span ring of handled messages) measured disabled and armed. " +
 				"Acceptance covers the DEFAULT path: observability_off compares this " +
-				"tree with Profile and Events both nil against the same benchmarks " +
+				"tree with no Profile against the same benchmarks " +
 				"recorded as watchdog_off in BENCH_2.json before the change " +
 				"(off_vs_bench2_pct). profile_overhead_pct and " +
 				"profile_and_events_overhead_pct report the opt-in cost. Best of 6 " +
@@ -1237,15 +1237,15 @@ func a5Observability(quick bool) {
 			Machine:   machineInfo(),
 			Units:     map[string]string{"time": "ns/op", "bytes": "B/op", "allocs": "allocs/op"},
 			InProcess: records,
-			Commentary: "With both sinks nil the send path pays one pointer check per " +
-				"message and the process loop one hoisted boolean, which is why " +
+			Commentary: "With no profile the send path and the run loop pay one " +
+				"pointer check per message, which is why " +
 				"off_vs_bench2_pct sits at measurement noise. Arming a profile adds " +
-				"two monotonic clock reads (time.Now around each handled message) " +
+				"two monotonic clock reads around each handled message " +
 				"plus uncontended atomic adds on the owning node's cache line — per-" +
 				"node shards are written only by the node's own goroutine, so there " +
-				"is no shared-counter contention. The event log adds one short " +
-				"mutexed append into a preallocated ring; its fixed capacity (oldest " +
-				"events drop first) bounds both memory and the append cost. These " +
+				"is no shared-counter contention. The span ring adds one short " +
+				"mutexed write into a preallocated ring; its fixed capacity (oldest " +
+				"spans drop first) bounds both memory and the write cost. These " +
 				"scheduler-bound microqueries (~120us, a few hundred messages) are " +
 				"close to the worst case for per-message taxes; the relative cost " +
 				"shrinks as queries grow join- or data-bound.",

@@ -5,14 +5,20 @@
 //
 //	mpq [-engine message-passing|semi-naive|naive|magic-sets|brute-force]
 //	    [-strategy greedy|qualtree|leftright] [-stats] [-graph]
-//	    [-profile] [-trace-out events.json]
+//	    [-profile] [-trace] [-trace-out events.json] [-trace-events N]
 //	    [-data pred=file.csv]... [-i] [program.dl]
 //
-// Observability (message-passing engine; see doc/OBSERVABILITY.md):
-// -profile prints a per-node report after evaluation — top nodes by
-// messages, rows, joins, and wall-time, the termination-round timeline,
-// and a per-site breakdown. -trace-out writes the evaluation's event log
-// as Chrome trace_event JSON, loadable in chrome://tracing or Perfetto.
+// Observability (message-passing engine; see doc/OBSERVABILITY.md): all
+// three flags arm one profile and render it after the evaluation, also
+// when the evaluation fails or times out. -profile prints a per-node
+// report — top nodes by messages, rows, joins, and wall-time, the
+// termination-round timeline, and a per-site breakdown. -trace prints
+// every handled message to stderr, one line each (time, receiver ←
+// sender, kind, rows), with the termination rounds on lines of their own;
+// it reads the profile's bounded span ring, so on a long run only the
+// newest -trace-events messages are shown. -trace-out writes the same
+// spans as Chrome trace_event JSON, loadable in chrome://tracing or
+// Perfetto.
 //
 // The program file contains facts, rules, and at least one query — either
 // rules for the distinguished predicate goal, or `?- body.` sugar:
@@ -49,6 +55,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -75,11 +82,11 @@ func main() {
 	stats := flag.Bool("stats", false, "print execution statistics")
 	graph := flag.Bool("graph", false, "print the rule/goal graph before evaluating")
 	interactive := flag.Bool("i", false, "interactive session")
-	traceMsgs := flag.Bool("trace", false, "log every engine message to stderr")
+	traceMsgs := flag.Bool("trace", false, "after evaluation, print every handled message and termination round to stderr (message-passing engine)")
 	profile := flag.Bool("profile", false, "print a per-node profile report after evaluation (message-passing engine)")
 	profileTop := flag.Int("profile-top", 5, "how many nodes each -profile top-K table shows")
-	traceOut := flag.String("trace-out", "", "write the evaluation's event log as Chrome trace_event JSON to this file")
-	traceCap := flag.Int("trace-events", 0, "event-log ring capacity for -trace-out (0 = default 65536; oldest events drop first)")
+	traceOut := flag.String("trace-out", "", "write the evaluation's handled-message spans as Chrome trace_event JSON to this file")
+	traceCap := flag.Int("trace-events", 0, "span ring capacity for -trace and -trace-out (0 = default 65536; oldest messages drop first)")
 	timeout := flag.Duration("timeout", 0, "abort the evaluation after this wall-clock time (message-passing engine; 0 = none)")
 	explain := flag.String("explain", "", "'plan' prints the compiled plan (chosen strategy, SIP orders, estimated vs. observed cost); a ground fact like 'path(a,d)' prints its proof tree instead of evaluating")
 	connect := flag.String("connect", "", "client mode: send queries to an `mpqd -serve` address instead of evaluating locally")
@@ -113,17 +120,13 @@ func main() {
 		fatal(err)
 	}
 	opts := []mpq.Option{mpq.WithEngine(eng), mpq.WithStrategy(*strategy)}
-	if *traceMsgs {
-		opts = append(opts, mpq.WithTrace(os.Stderr))
-	}
-	obs := &observer{top: *profileTop, out: *traceOut}
-	if *profile {
+	obs := &observer{report: *profile, text: *traceMsgs, out: *traceOut, top: *profileTop}
+	if *profile || *traceMsgs || *traceOut != "" {
 		obs.prof = trace.NewProfile()
+		if *traceMsgs || *traceOut != "" {
+			obs.prof.RecordSpans(*traceCap)
+		}
 		opts = append(opts, mpq.WithProfile(obs.prof))
-	}
-	if *traceOut != "" {
-		obs.log = trace.NewEventLog(*traceCap)
-		opts = append(opts, mpq.WithEventLog(obs.log))
 	}
 
 	if *interactive {
@@ -161,14 +164,15 @@ func main() {
 		return
 	}
 	ans, err := eval(sys, opts, *timeout)
-	if err != nil {
-		fatal(err)
+	if err == nil {
+		printAnswer(ans)
+		if *stats {
+			printStats(ans, eng)
+		}
 	}
-	printAnswer(ans)
-	if *stats {
-		printStats(ans, eng)
-	}
-	if err := obs.finish(); err != nil {
+	// A failed or timed-out evaluation renders too, before the non-zero
+	// exit: its trace is the one most wanted.
+	if err = errors.Join(err, obs.finish()); err != nil {
 		fatal(err)
 	}
 }
@@ -305,29 +309,40 @@ func runSubscribe(addr, tenant string, queries []string, stats bool) error {
 	return resp.Err() // EOF: server closed the subscription
 }
 
-// observer holds the opt-in observability sinks (-profile, -trace-out) and
-// renders them after an evaluation. Each evaluation re-initializes the
-// sinks, so in the REPL the report and trace file cover the latest query.
+// observer holds the opt-in profile (armed by -profile, -trace or
+// -trace-out) and renders it after an evaluation. Each evaluation
+// re-initializes the profile, so in the REPL the output covers the latest
+// query.
 type observer struct {
-	prof *trace.Profile
-	log  *trace.EventLog
-	out  string // -trace-out path
-	top  int
+	prof   *trace.Profile
+	report bool   // -profile
+	text   bool   // -trace
+	out    string // -trace-out path
+	top    int
 }
 
 func (o *observer) finish() error {
-	if o.prof != nil {
-		fmt.Fprintln(os.Stderr)
-		if err := export.WriteReport(os.Stderr, o.prof.Snapshot(), o.top); err != nil {
+	if o.prof == nil || o.prof.Size() == 0 {
+		return nil // nothing armed, or no message-passing evaluation ran
+	}
+	ps := o.prof.Snapshot()
+	if o.text {
+		if err := export.WriteTraceText(os.Stderr, ps); err != nil {
 			return err
 		}
 	}
-	if o.log != nil {
+	if o.report {
+		fmt.Fprintln(os.Stderr)
+		if err := export.WriteReport(os.Stderr, ps, o.top); err != nil {
+			return err
+		}
+	}
+	if o.out != "" {
 		f, err := os.Create(o.out)
 		if err != nil {
 			return err
 		}
-		if err := export.WriteTraceEvents(f, o.log); err != nil {
+		if err := export.WriteTraceEvents(f, ps); err != nil {
 			f.Close()
 			return err
 		}
@@ -491,15 +506,13 @@ func evalQuery(clauses []string, query string, data dataFlags, opts []mpq.Option
 		return
 	}
 	ans, err := eval(sys, opts, timeout)
-	if err != nil {
-		fmt.Println(err)
-		return
+	if err == nil {
+		printAnswer(ans)
+		if stats {
+			printStats(ans, mpq.MessagePassing)
+		}
 	}
-	printAnswer(ans)
-	if stats {
-		printStats(ans, mpq.MessagePassing)
-	}
-	if err := obs.finish(); err != nil {
+	if err = errors.Join(err, obs.finish()); err != nil {
 		fmt.Println(err)
 	}
 }

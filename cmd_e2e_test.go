@@ -2,12 +2,14 @@ package mpq
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"syscall"
 	"testing"
@@ -55,6 +57,53 @@ func TestCommandsEndToEnd(t *testing.T) {
 			if !strings.Contains(s, "b") || !strings.Contains(s, "c") || strings.Contains(s, "y\n") {
 				t.Errorf("%s answers wrong:\n%s", engine, s)
 			}
+		}
+	})
+
+	// -trace, -trace-out and -profile arm one profile and render it after
+	// the evaluation: the text trace and the report on stderr, the
+	// trace_event JSON in the named file.
+	t.Run("mpq-observe", func(t *testing.T) {
+		events := filepath.Join(dir, "events.json")
+		cmd := exec.Command(filepath.Join(bin, "mpq"), "-trace", "-profile", "-trace-out", events,
+			"-data", "edge="+data, prog)
+		var stdout, stderr strings.Builder
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("%v\n%s", err, stderr.String())
+		}
+		if got := stdout.String(); got != "b\nc\n" {
+			t.Errorf("answers = %q, want \"b\\nc\\n\"", got)
+		}
+		errOut := stderr.String()
+		for _, kind := range []string{"relreq", "tupreq", "tuple(batch)?", "end", "reqend"} {
+			if !regexp.MustCompile(`(?m)µs  #\d+ ← #\d+  ` + kind + `( rows=\d+)?$`).MatchString(errOut) {
+				t.Errorf("-trace shows no handled %s message:\n%s", kind, errOut)
+			}
+		}
+		if !regexp.MustCompile(`(?m)µs  #\d+ round \d+$`).MatchString(errOut) {
+			t.Errorf("-trace shows no round line:\n%s", errOut)
+		}
+		if !strings.Contains(errOut, "query profile:") {
+			t.Errorf("-profile printed no report:\n%s", errOut)
+		}
+		phases := traceEventPhases(t, events)
+		if phases["X"] == 0 || phases["i"] == 0 {
+			t.Errorf("-trace-out phases = %v, want X spans and i round marks", phases)
+		}
+	})
+
+	// A timed-out evaluation still writes its -trace-out file, then exits 1.
+	t.Run("mpq-timeout-trace", func(t *testing.T) {
+		events := filepath.Join(dir, "timeout.json")
+		out, err := exec.Command(filepath.Join(bin, "mpq"), "-timeout", "1ns", "-trace-out", events,
+			"-data", "edge="+data, prog).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), "deadline exceeded") {
+			t.Fatalf("mpq -timeout 1ns: err = %v, want exit status 1 on the deadline\n%s", err, out)
+		}
+		if phases := traceEventPhases(t, events); phases["M"] == 0 {
+			t.Errorf("-trace-out after a timeout names no nodes: %v", phases)
 		}
 	})
 
@@ -165,6 +214,29 @@ func TestCommandsEndToEnd(t *testing.T) {
 			t.Errorf("mpq -connect answers = %q, want \"b\\nc\\ny\\n\"", got)
 		}
 	})
+}
+
+// traceEventPhases parses a trace_event JSON file and counts its events
+// by phase ("M" metadata, "X" spans, "i" instants).
+func traceEventPhases(t *testing.T, path string) map[string]int {
+	t.Helper()
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file struct {
+		TraceEvents []struct {
+			Phase string `json:"ph"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf, &file); err != nil {
+		t.Fatalf("%s is not trace_event JSON: %v", path, err)
+	}
+	phases := map[string]int{}
+	for _, e := range file.TraceEvents {
+		phases[e.Phase]++
+	}
+	return phases
 }
 
 // TestMpqdSigtermAtStartup closes the start-up signal window of mpqd

@@ -259,19 +259,20 @@ func TestProtocolMessageForcesFlush(t *testing.T) {
 	forced := 0
 	for seed := int64(0); seed < 60; seed++ {
 		// The seeded pick runs before every step: it first judges the step
-		// that just finished — the event log (capacity one) names the node and
-		// the message it handled, the recording network what it sent — then
-		// notes what every node holds now.
+		// that just finished — the profile's span ring (capacity one) names the
+		// node and the message it handled, the recording network what it sent
+		// — then notes what every node holds now. The driver holds nothing.
 		var rt *runner
 		var net *recNet
 		rng := rand.New(rand.NewSource(seed))
-		events := trace.NewEventLog(1)
+		prof := trace.NewProfile()
+		prof.RecordSpans(1)
 		held, before, judged := []int(nil), 0, 0
 		pick := func(n int) int {
-			evs, dropped, _ := events.Events()
-			if total := dropped + len(evs); total > judged && evs[0].Op == trace.EvHandle {
+			ps := prof.Snapshot()
+			if total := ps.Dropped + len(ps.Spans); total > judged && ps.Spans[0].Node < len(held) {
 				judged = total
-				e := evs[0]
+				e := ps.Spans[0]
 				if h := held[e.Node]; h > 0 && !isWork(msg.Kind(e.Kind)) {
 					forced++
 					rows := 0
@@ -296,7 +297,7 @@ func TestProtocolMessageForcesFlush(t *testing.T) {
 			before = len(net.sent)
 			return rng.Intn(n)
 		}
-		rt, net = newTestRunner(t, src, Options{pick: pick, Events: events})
+		rt, net = newTestRunner(t, src, Options{pick: pick, Profile: prof})
 		if _, err := rt.run(nil); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -27,10 +27,8 @@ package engine
 
 import (
 	"fmt"
-	"io"
 	"runtime/debug"
 	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/edb"
@@ -55,10 +53,6 @@ type Options struct {
 	// Stats, when non-nil, receives the execution counters (useful for
 	// aggregating across runs). A fresh Stats is used otherwise.
 	Stats *trace.Stats
-	// Trace, when non-nil, receives one line per message sent, in send
-	// order per sender (global order is the scheduler's). Intended for
-	// debugging and teaching; it serializes sends and is slow.
-	Trace io.Writer
 	// EDBDelay simulates per-retrieval latency at EDB leaves (disk or a
 	// remote store): sites overlap these waits, one run loop cannot. Zero
 	// (the default) disables the simulation.
@@ -80,17 +74,12 @@ type Options struct {
 	PeerDown <-chan transport.PeerDown
 	// Profile, when non-nil, collects per-node counters (messages, rows,
 	// joins, wall-time per rule/goal node) plus the termination-round
-	// timeline; render it with internal/trace/export.WriteReport. The
+	// timeline, and every handled message's span when its ring is armed
+	// (Profile.RecordSpans); render it with internal/trace/export. The
 	// engine sizes and labels the profile itself. Multi-site runs profile
 	// per site: each RunSites call observes the nodes its site hosts.
 	// Disabled (nil), the only cost is one nil check per message.
 	Profile *trace.Profile
-	// Events, when non-nil, records one structured event per handled
-	// message and per protocol round into a bounded ring, exportable as
-	// Chrome trace_event JSON (export.WriteTraceEvents). Opt-in; like
-	// Trace it adds per-message work (a timestamped, mutex-guarded
-	// append), so keep it off benchmark paths.
-	Events *trace.EventLog
 	// Bind supplies runtime values for the root goal's "d" (dynamically
 	// bound) argument positions, in position order: the driver seeds the
 	// evaluation with one tuple request carrying them, between the initial
@@ -188,14 +177,9 @@ type runner struct {
 	driver   int // driver's node id: len(g.Nodes)
 	bind     []symtab.Sym
 	edbDelay time.Duration
-	traceW   io.Writer
-	traceMu  sync.Mutex
-
-	// Observability (nil when disabled): prof shards the counters by node,
-	// events records the structured event log, begin anchors both clocks.
-	prof   *trace.Profile
-	events *trace.EventLog
-	begin  time.Time
+	// prof, nil when disabled, shards the counters by node and records
+	// the rounds and the handled messages.
+	prof *trace.Profile
 
 	// local is the Local transport hosting this site's mailboxes.
 	local *transport.Local
@@ -239,36 +223,20 @@ func newRunner(g *rgg.Graph, db edb.Storage, opts Options, s *scratch) (*runner,
 		return nil, fmt.Errorf("engine: Bind has %d values, root has %d dynamic positions", len(opts.Bind), w)
 	}
 	rt := &runner{g: g, db: db, net: s.net, stats: stats, driver: len(g.Nodes),
-		bind: opts.Bind, edbDelay: opts.EDBDelay, traceW: opts.Trace,
-		prof: opts.Profile, events: opts.Events, pick: opts.pick,
+		bind: opts.Bind, edbDelay: opts.EDBDelay, prof: opts.Profile, pick: opts.pick,
 		local: s.local, hub: s.hub, procs: s.procs, hosts: s.hosts, site: s.site,
 		cancel: opts.Cancel, peerDown: opts.PeerDown, deadline: opts.Deadline}
-	if rt.prof != nil || rt.events != nil {
-		rt.initObservers()
+	if rt.prof != nil {
+		rt.initProfile()
 	}
 	return rt, nil
 }
 
-// initObservers sizes the profile/event log for this graph and labels
-// every shard with the node's adorned atom, kind, and hosting site, so
-// exports and reports are readable without the graph in hand.
-func (rt *runner) initObservers() {
-	n := rt.driver + 1
-	if rt.prof != nil {
-		rt.prof.Init(n)
-	}
-	if rt.events != nil {
-		rt.events.Init(n)
-	}
-	rt.begin = time.Now()
-	setMeta := func(id int, m trace.NodeMeta) {
-		if rt.prof != nil {
-			rt.prof.SetMeta(id, m)
-		}
-		if rt.events != nil {
-			rt.events.SetMeta(id, m)
-		}
-	}
+// initProfile sizes the profile for this graph and labels every shard with
+// the node's adorned atom, kind, and hosting site, so exports and reports
+// are readable without the graph in hand.
+func (rt *runner) initProfile() {
+	rt.prof.Init(rt.driver + 1)
 	site := func(id int) int {
 		if rt.hosts != nil {
 			return rt.hosts[id]
@@ -285,9 +253,9 @@ func (rt *runner) initObservers() {
 		case nd.Kind == rgg.Goal:
 			kind = "goal"
 		}
-		setMeta(id, trace.NodeMeta{Label: nd.Adorned().String(), Kind: kind, Site: site(id)})
+		rt.prof.SetMeta(id, trace.NodeMeta{Label: nd.Adorned().String(), Kind: kind, Site: site(id)})
 	}
-	setMeta(rt.driver, trace.NodeMeta{Label: "driver", Kind: "driver", Site: site(rt.driver)})
+	rt.prof.SetMeta(rt.driver, trace.NodeMeta{Label: "driver", Kind: "driver", Site: site(rt.driver)})
 }
 
 // IndexNeeds exposes edbIndexNeeds for callers that coordinate warming
@@ -401,59 +369,70 @@ func (rt *runner) loop(yield func(relation.Tuple) bool) (answers *relation.Relat
 		}
 		rt.send(msg.Message{Kind: msg.ReqEnd, From: rt.driver, To: rt.g.Root})
 	}
-	observe := rt.prof != nil || rt.events != nil
+	prof := rt.prof
 	for {
 		rt.poll()
 		if rt.abortError() != nil {
 			return answers
 		}
 		m, ok := rt.hub.Next(rt.pick)
-		switch {
-		case !ok:
+		if !ok {
 			rt.park()
-		case m.Kind == msg.Abort:
+			continue
+		}
+		switch m.Kind {
+		case msg.Abort:
 			// Relayed from another site's failure; abort relays it onward
 			// once, so a partially delivered broadcast still reaches everyone.
 			rt.abort(m.Reason, m.Note)
-		case m.Kind == msg.Shutdown:
+			continue
+		case msg.Shutdown:
 			return answers
-		case m.To != rt.driver:
+		}
+		var at time.Duration
+		if prof != nil {
+			at = prof.Since()
+		}
+		done := false
+		if m.To != rt.driver {
 			stepping = rt.procs[m.To]
-			var start time.Time
-			if observe {
-				start = time.Now()
-			}
 			stepping.step(m)
-			if observe {
-				stepping.observe(m, start)
-			}
 			stepping = nil
-		case m.Kind == msg.End:
-			if m.All {
-				return answers
-			}
-		default: // goal tuples for the user process: collected, yielded as they arrive
-			arity := answers.Arity()
-			for i, n := 0, rowsIn(m); i < n; i++ {
-				row := relation.Tuple(m.Vals[i*arity : (i+1)*arity])
-				answers.Insert(row)
-				if yield != nil && !yield(row) {
-					return answers
-				}
-			}
+		} else {
+			done = rt.receive(m, answers, yield)
+		}
+		if prof != nil {
+			prof.Handled(trace.Span{At: at, Dur: prof.Since() - at,
+				Node: m.To, From: m.From, Kind: uint8(m.Kind), Rows: rowsIn(m)})
+		}
+		if done {
+			return answers
 		}
 	}
+}
+
+// receive plays the user process for one message addressed to the driver:
+// goal tuples are collected and yielded as they arrive. It reports whether
+// the evaluation is over: the root's final end came, or yield declined.
+func (rt *runner) receive(m msg.Message, answers *relation.Relation, yield func(relation.Tuple) bool) bool {
+	if m.Kind == msg.End {
+		return m.All
+	}
+	arity := answers.Arity()
+	for i, n := 0, rowsIn(m); i < n; i++ {
+		row := relation.Tuple(m.Vals[i*arity : (i+1)*arity])
+		answers.Insert(row)
+		if yield != nil && !yield(row) {
+			return true
+		}
+	}
+	return false
 }
 
 // send dispatches a message and records it: once into the aggregate
 // stats, and — when profiling — once into the *sender's* shard, so every
 // message is attributed to the rule/goal node that produced it.
 func (rt *runner) send(m msg.Message) {
-	if rt.traceW != nil {
-		rt.traceMu.Lock()
-		fmt.Fprintf(rt.traceW, "%s\n", m)
-		rt.traceMu.Unlock()
-	}
 	switch m.Kind {
 	case msg.RelReq:
 		rt.stats.RelReq()

@@ -10,9 +10,9 @@ import (
 	"repro/internal/trace"
 )
 
-// runObserved evaluates src with a profile and event log armed and returns
-// the result plus both sinks.
-func runObserved(t *testing.T, src string, opts Options) (*Result, *trace.Profile, *trace.EventLog) {
+// runObserved evaluates src with a profile and its span ring armed and
+// returns the result plus the profile.
+func runObserved(t *testing.T, src string, opts Options) (*Result, *trace.Profile) {
 	t.Helper()
 	prog := parser.MustParse(src)
 	db := edb.FromProgram(prog)
@@ -21,14 +21,13 @@ func runObserved(t *testing.T, src string, opts Options) (*Result, *trace.Profil
 		t.Fatal(err)
 	}
 	prof := trace.NewProfile()
-	log := trace.NewEventLog(0)
+	prof.RecordSpans(0)
 	opts.Profile = prof
-	opts.Events = log
 	res, err := Run(g, db, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, prof, log
+	return res, prof
 }
 
 // TestProfileMatchesAggregate is the cross-check that makes the per-node
@@ -50,7 +49,7 @@ func TestProfileMatchesAggregate(t *testing.T) {
 		`, Options{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res, prof, log := runObserved(t, tc.src, tc.opts)
+			res, prof := runObserved(t, tc.src, tc.opts)
 			agg := res.Stats
 			ps := prof.Snapshot()
 
@@ -99,20 +98,16 @@ func TestProfileMatchesAggregate(t *testing.T) {
 				t.Errorf("handled %d > sent %d", handled, agg.Messages()+agg.Protocol)
 			}
 
-			// The event log saw the same handles (ring larger than the run).
-			events, dropped, meta := log.Events()
-			if dropped != 0 {
-				t.Fatalf("default ring dropped %d events on a tiny query", dropped)
+			// The span ring saw the same handles (ring larger than the run),
+			// each naming a labelled receiver and sender.
+			if ps.Dropped != 0 {
+				t.Fatalf("default ring dropped %d spans on a tiny query", ps.Dropped)
 			}
-			var evHandles int64
-			for _, e := range events {
-				if e.Op == trace.EvHandle {
-					evHandles++
+			check("ring spans", int64(len(ps.Spans)), handled)
+			for _, s := range ps.Spans {
+				if s.Node < 0 || s.Node >= len(ps.Nodes) || s.From < 0 || s.From >= len(ps.Nodes) {
+					t.Fatalf("span %+v names a node outside the %d labelled", s, len(ps.Nodes))
 				}
-			}
-			check("event-log handles", evHandles, handled)
-			if len(meta) != len(ps.Nodes) {
-				t.Errorf("event log labels %d nodes, profile %d", len(meta), len(ps.Nodes))
 			}
 		})
 	}
@@ -121,7 +116,7 @@ func TestProfileMatchesAggregate(t *testing.T) {
 // TestProfileMeta checks the engine labels shards usefully: adorned atoms
 // for graph nodes, kinds from the node type, and a driver shard last.
 func TestProfileMeta(t *testing.T) {
-	_, prof, _ := runObserved(t, p1data, Options{})
+	_, prof := runObserved(t, p1data, Options{})
 	ps := prof.Snapshot()
 	if len(ps.Nodes) < 3 {
 		t.Fatalf("only %d shards", len(ps.Nodes))
@@ -159,7 +154,7 @@ func TestProfileMeta(t *testing.T) {
 // TestProfileRecursionRounds checks that a recursive query's termination
 // rounds land in the timeline with a confirming final mark.
 func TestProfileRecursionRounds(t *testing.T) {
-	_, prof, _ := runObserved(t, `
+	_, prof := runObserved(t, `
 		edge(a, b). edge(b, c). edge(c, a).
 		path(X, Y) :- edge(X, Y).
 		path(X, Y) :- path(X, U), edge(U, Y).

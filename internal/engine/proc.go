@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/adorn"
 	"repro/internal/msg"
@@ -290,22 +289,6 @@ func (p *proc) step(m msg.Message) {
 	p.after(m)
 }
 
-// observe records the handling span of one message — wall-clock from
-// dequeue to completion, including every join, derivation, and send the
-// message triggered — into the node's profile shard and the event log.
-// Only reached when profiling or event tracing is on.
-func (p *proc) observe(m msg.Message, start time.Time) {
-	dur := time.Since(start)
-	at := start.Sub(p.rt.begin)
-	if p.shard != nil {
-		p.shard.Handled(at, dur)
-	}
-	if l := p.rt.events; l != nil {
-		l.Add(trace.Event{At: at, Dur: dur, Op: trace.EvHandle,
-			Node: p.id, From: m.From, Kind: uint8(m.Kind), Rows: rowsIn(m)})
-	}
-}
-
 // flushWork adds the process's private tally (p.work: every derived tuple,
 // join probe and EDB scan lands on the node that did the work) to the
 // aggregate stats and, when profiling, this node's shard.
@@ -510,9 +493,6 @@ func (p *proc) startRound() {
 	if p.rt.prof != nil {
 		p.rt.prof.MarkRound(p.id, p.round, false)
 	}
-	if l := p.rt.events; l != nil {
-		l.Add(trace.Event{At: l.Since(), Op: trace.EvRound, Node: p.id, Seq: p.round})
-	}
 	p.inRound = true
 	p.anyNeg = false
 	p.idleness = 1
@@ -587,9 +567,6 @@ func (p *proc) answerRound() {
 		p.confirmed = true
 		if p.rt.prof != nil {
 			p.rt.prof.MarkRound(p.id, p.round, true)
-		}
-		if l := p.rt.events; l != nil {
-			l.Add(trace.Event{At: l.Since(), Op: trace.EvConfirm, Node: p.id, Seq: p.round})
 		}
 		p.goal.confirmedEnd()
 		return

@@ -3,7 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
-	"sync"
+	"strings"
 	"testing"
 
 	"repro/internal/adorn"
@@ -12,6 +12,8 @@ import (
 	"repro/internal/parser"
 	"repro/internal/relation"
 	"repro/internal/rgg"
+	"repro/internal/trace"
+	"repro/internal/trace/export"
 )
 
 // seeded is a scheduling seam (Options.pick) that steps a random process
@@ -123,8 +125,8 @@ func TestBasicStrategyAgrees(t *testing.T) {
 	}
 }
 
-// TestTraceWriter checks the message-trace option emits every basic
-// message kind in a readable form.
+// TestTraceWriter checks the text trace (mpq -trace) rendered from a
+// profile's span ring shows every basic message kind and a round line.
 func TestTraceWriter(t *testing.T) {
 	prog := parser.MustParse(p1data)
 	db := edb.FromProgram(prog)
@@ -132,13 +134,18 @@ func TestTraceWriter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf syncBuffer
-	res, err := Run(g, db, Options{Trace: &buf})
+	prof := trace.NewProfile()
+	prof.RecordSpans(0)
+	res, err := Run(g, db, Options{Profile: prof})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var buf strings.Builder
+	if err := export.WriteTraceText(&buf, prof.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
 	out := buf.String()
-	for _, want := range []string{"relreq", "tupreq", "tuple", "end", "endreq"} {
+	for _, want := range []string{"relreq", "tupreq", "tuple", "end", "endreq", "round 1"} {
 		if !contains(out, want) {
 			t.Errorf("trace missing %q", want)
 		}
@@ -146,24 +153,6 @@ func TestTraceWriter(t *testing.T) {
 	if res.Answers.Len() == 0 {
 		t.Error("traced run produced no answers")
 	}
-}
-
-type syncBuffer struct {
-	mu sync.Mutex
-	b  []byte
-}
-
-func (s *syncBuffer) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.b = append(s.b, p...)
-	return len(p), nil
-}
-
-func (s *syncBuffer) String() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return string(s.b)
 }
 
 func contains(s, sub string) bool {

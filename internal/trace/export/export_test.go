@@ -252,20 +252,12 @@ func TestDiagnosticsMux(t *testing.T) {
 // a known phase, microsecond timestamps, and pid/tid routing; metadata
 // names for every site and node; duration spans for handles.
 func TestTraceEventJSON(t *testing.T) {
-	l := trace.NewEventLog(16)
-	l.Init(3)
-	l.SetMeta(0, trace.NodeMeta{Label: "path(X,Y)", Kind: "goal", Site: 0})
-	l.SetMeta(1, trace.NodeMeta{Label: "path(X,Y)", Kind: "rule", Site: 1})
-	l.SetMeta(2, trace.NodeMeta{Label: "driver", Kind: "driver", Site: 0})
-	l.Add(trace.Event{At: 10 * time.Microsecond, Dur: 5 * time.Microsecond,
-		Op: trace.EvHandle, Node: 0, From: 2, Kind: uint8(msg.Tuple), Rows: 1})
-	l.Add(trace.Event{At: 20 * time.Microsecond, Dur: 2 * time.Microsecond,
-		Op: trace.EvHandle, Node: 1, From: 0, Kind: uint8(msg.TupReq), Rows: 3})
-	l.Add(trace.Event{At: 30 * time.Microsecond, Op: trace.EvRound, Node: 0, Seq: 1})
-	l.Add(trace.Event{At: 40 * time.Microsecond, Op: trace.EvConfirm, Node: 0, Seq: 1})
+	p := traceProfile()
+	p.MarkRound(0, 1, false)
+	p.MarkRound(0, 1, true)
 
 	var buf bytes.Buffer
-	if err := WriteTraceEvents(&buf, l); err != nil {
+	if err := WriteTraceEvents(&buf, p.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	var out struct {
@@ -330,15 +322,33 @@ func TestTraceEventJSON(t *testing.T) {
 	}
 }
 
+// traceProfile is a three-node profile (two sites, driver last) with two
+// handled messages in an armed span ring: a tuple at 10µs for 5µs and a
+// three-row tuple request at 20µs for 2µs.
+func traceProfile() *trace.Profile {
+	p := trace.NewProfile()
+	p.RecordSpans(16)
+	p.Init(3)
+	p.SetMeta(0, trace.NodeMeta{Label: "path(X,Y)", Kind: "goal", Site: 0})
+	p.SetMeta(1, trace.NodeMeta{Label: "path(X,Y)", Kind: "rule", Site: 1})
+	p.SetMeta(2, trace.NodeMeta{Label: "driver", Kind: "driver", Site: 0})
+	p.Handled(trace.Span{At: 10 * time.Microsecond, Dur: 5 * time.Microsecond,
+		Node: 0, From: 2, Kind: uint8(msg.Tuple), Rows: 1})
+	p.Handled(trace.Span{At: 20 * time.Microsecond, Dur: 2 * time.Microsecond,
+		Node: 1, From: 0, Kind: uint8(msg.TupReq), Rows: 3})
+	return p
+}
+
 // TestTraceEventDropped surfaces ring overflow in otherData.
 func TestTraceEventDropped(t *testing.T) {
-	l := trace.NewEventLog(2)
-	l.Init(1)
+	p := trace.NewProfile()
+	p.RecordSpans(2)
+	p.Init(1)
 	for i := 0; i < 5; i++ {
-		l.Add(trace.Event{Op: trace.EvHandle, Node: 0})
+		p.Handled(trace.Span{Node: 0})
 	}
 	var buf bytes.Buffer
-	if err := WriteTraceEvents(&buf, l); err != nil {
+	if err := WriteTraceEvents(&buf, p.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
 	var out struct {
@@ -349,6 +359,48 @@ func TestTraceEventDropped(t *testing.T) {
 	}
 	if out.OtherData["dropped_events"].(float64) != 3 {
 		t.Errorf("dropped_events = %v, want 3", out.OtherData["dropped_events"])
+	}
+}
+
+// TestWriteTraceText checks the text renderer: a legend line per node,
+// one line per handled message with receiver, sender, kind and rows, and
+// each round on its own line in time order among the messages.
+func TestWriteTraceText(t *testing.T) {
+	ps := traceProfile().Snapshot()
+	ps.Rounds = []trace.RoundMark{
+		{At: 15 * time.Microsecond, Node: 0, Round: 1},
+		{At: 30 * time.Microsecond, Node: 0, Round: 1, Confirmed: true},
+	}
+	var buf bytes.Buffer
+	if err := WriteTraceText(&buf, ps); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"#0 = goal path(X,Y) (site 0)",
+		"#1 = rule path(X,Y) (site 1)",
+		"#2 = driver (site 0)",
+		"10.0µs  #0 ← #2  tuple rows=1",
+		"15.0µs  #0 round 1",
+		"20.0µs  #1 ← #0  tupreq rows=3",
+		"30.0µs  #0 round 1 confirmed",
+	}
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(lines) != len(want) {
+		t.Fatalf("%d lines, want %d:\n%s", len(lines), len(want), buf.String())
+	}
+	for i, w := range want {
+		if strings.TrimSpace(lines[i]) != w {
+			t.Errorf("line %d = %q, want %q", i, strings.TrimSpace(lines[i]), w)
+		}
+	}
+
+	ps.Dropped = 7
+	buf.Reset()
+	if err := WriteTraceText(&buf, ps); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "7 older messages dropped") {
+		t.Errorf("dropped spans not reported:\n%s", buf.String())
 	}
 }
 

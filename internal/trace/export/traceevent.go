@@ -32,73 +32,81 @@ type traceFile struct {
 
 const usPerNs = 1e-3
 
-// WriteTraceEvents renders the event log as Chrome trace_event JSON: each
-// site becomes a "process" row group, each node a named "thread" whose
-// message-handling spans appear as complete ("X") events, and termination
-// rounds appear as instant ("i") events on the leader's row. Load the file
-// in chrome://tracing or https://ui.perfetto.dev to see message flow and
-// quiescence convergence on a timeline.
-func WriteTraceEvents(w io.Writer, log *trace.EventLog) error {
-	events, dropped, meta := log.Events()
+// WriteTraceEvents renders a profile's span ring as Chrome trace_event
+// JSON: each site becomes a "process" row group, each node a named
+// "thread" whose message-handling spans appear as complete ("X") events,
+// and termination rounds appear as instant ("i") events on the leader's
+// row. Load the file in chrome://tracing or https://ui.perfetto.dev to see
+// message flow and quiescence convergence on a timeline.
+func WriteTraceEvents(w io.Writer, ps trace.ProfileSnapshot) error {
 	out := traceFile{DisplayTimeUnit: "ns"}
-	if dropped > 0 {
-		out.OtherData = map[string]any{"dropped_events": dropped}
+	if ps.Dropped > 0 {
+		out.OtherData = map[string]any{"dropped_events": ps.Dropped}
 	}
 
 	// Metadata: name the site processes and node threads so Perfetto rows
 	// read as "goal path^df(X,Y)" instead of bare thread ids.
 	sites := map[int]bool{}
-	for id, m := range meta {
-		if !sites[m.Site] {
-			sites[m.Site] = true
+	for _, n := range ps.Nodes {
+		if !sites[n.Site] {
+			sites[n.Site] = true
 			out.TraceEvents = append(out.TraceEvents, traceEvent{
-				Name: "process_name", Phase: "M", PID: m.Site, TID: 0,
-				Args: map[string]any{"name": fmt.Sprintf("site %d", m.Site)},
+				Name: "process_name", Phase: "M", PID: n.Site, TID: 0,
+				Args: map[string]any{"name": fmt.Sprintf("site %d", n.Site)},
 			})
 		}
-		label := m.Label
-		if label == "" {
-			label = fmt.Sprintf("node %d", id)
-		} else {
-			label = m.Kind + " " + label
-		}
 		out.TraceEvents = append(out.TraceEvents, traceEvent{
-			Name: "thread_name", Phase: "M", PID: m.Site, TID: id,
-			Args: map[string]any{"name": label},
+			Name: "thread_name", Phase: "M", PID: n.Site, TID: n.ID,
+			Args: map[string]any{"name": nodeName(n)},
 		})
 	}
 
 	site := func(node int) int {
-		if node >= 0 && node < len(meta) {
-			return meta[node].Site
+		if node >= 0 && node < len(ps.Nodes) {
+			return ps.Nodes[node].Site
 		}
 		return 0
 	}
-	for _, e := range events {
-		switch e.Op {
-		case trace.EvHandle:
-			args := map[string]any{"from": e.From}
-			if e.Rows > 1 {
-				args["rows"] = e.Rows
-			}
-			out.TraceEvents = append(out.TraceEvents, traceEvent{
-				Name: msg.Kind(e.Kind).String(), Cat: "msg", Phase: "X",
-				TS: float64(e.At) * usPerNs, Dur: float64(e.Dur) * usPerNs,
-				PID: site(e.Node), TID: e.Node, Args: args,
-			})
-		case trace.EvRound, trace.EvConfirm:
-			name := fmt.Sprintf("round %d", e.Seq)
-			if e.Op == trace.EvConfirm {
-				name = fmt.Sprintf("round %d confirmed", e.Seq)
-			}
-			out.TraceEvents = append(out.TraceEvents, traceEvent{
-				Name: name, Cat: "protocol", Phase: "i",
-				TS:  float64(e.At) * usPerNs,
-				PID: site(e.Node), TID: e.Node, Scope: "p",
-			})
+	for _, s := range ps.Spans {
+		args := map[string]any{"from": s.From}
+		if s.Rows > 1 {
+			args["rows"] = s.Rows
 		}
+		out.TraceEvents = append(out.TraceEvents, traceEvent{
+			Name: msg.Kind(s.Kind).String(), Cat: "msg", Phase: "X",
+			TS: float64(s.At) * usPerNs, Dur: float64(s.Dur) * usPerNs,
+			PID: site(s.Node), TID: s.Node, Args: args,
+		})
+	}
+	for _, r := range ps.Rounds {
+		out.TraceEvents = append(out.TraceEvents, traceEvent{
+			Name: roundName(r), Cat: "protocol", Phase: "i",
+			TS:  float64(r.At) * usPerNs,
+			PID: site(r.Node), TID: r.Node, Scope: "p",
+		})
 	}
 
 	enc := json.NewEncoder(w)
 	return enc.Encode(out)
+}
+
+// nodeName labels a node for the renderers: its kind and adorned atom
+// ("goal path(X,Y)"), "driver", or "node N" when the profile has no label.
+func nodeName(n trace.NodeProfile) string {
+	switch {
+	case n.Label == "":
+		return fmt.Sprintf("node %d", n.ID)
+	case n.Kind == "driver":
+		return "driver"
+	}
+	return n.Kind + " " + n.Label
+}
+
+// roundName names one termination-round mark: "round 3" or "round 3
+// confirmed".
+func roundName(r trace.RoundMark) string {
+	if r.Confirmed {
+		return fmt.Sprintf("round %d confirmed", r.Round)
+	}
+	return fmt.Sprintf("round %d", r.Round)
 }

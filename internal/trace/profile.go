@@ -9,7 +9,12 @@
 // NodeShard of atomic counters (node processes never contend on a shared
 // word, and the send path touches only the sender's shard), and the
 // snapshot is taken after the evaluation drains. Only the low-frequency
-// round timeline takes a mutex.
+// round timeline takes a mutex — and, when armed, the span ring: an opt-in,
+// bounded record of every handled message and when it ran, which the
+// exporters render as a text trace (mpq -trace) or as Chrome trace_event
+// JSON (mpq -trace-out). The ring never grows past its capacity, so
+// tracing a runaway query costs bounded memory; the newest spans win and
+// the snapshot reports how many older ones were overwritten.
 package trace
 
 import (
@@ -92,6 +97,20 @@ type RoundMark struct {
 	Confirmed bool          // true when this round confirmed quiescence
 }
 
+// Span is one handled message: node Node handled a message of Kind (a
+// msg.Kind) from node From, carrying Rows rows, starting At after Init and
+// busy for Dur — including every join, derivation and send it triggered.
+type Span struct {
+	At, Dur    time.Duration
+	Node, From int
+	Kind       uint8
+	Rows       int
+}
+
+// DefaultSpanCap is the ring capacity RecordSpans(0) selects: enough for
+// every message of a mid-size query, bounded for runaway ones.
+const DefaultSpanCap = 1 << 16
+
 // Profile collects per-node counters for one query evaluation. Create one
 // with NewProfile, pass it via the engine's Options (or mpq.WithProfile),
 // and read it with Snapshot after the evaluation returns. A Profile must
@@ -101,8 +120,13 @@ type Profile struct {
 	shards []NodeShard
 	meta   []NodeMeta
 
+	// mu guards the round timeline and the span ring. ring is fixed-size
+	// once RecordSpans armed it (nil otherwise); nspans counts the spans
+	// recorded since Init, so slot nspans%len(ring) is the next to write.
 	mu       sync.Mutex
 	timeline []RoundMark
+	ring     []Span
+	nspans   int
 }
 
 // NewProfile returns an empty profile. The engine sizes it (Init) when the
@@ -118,6 +142,22 @@ func (p *Profile) Init(n int) {
 	p.meta = make([]NodeMeta, n)
 	p.mu.Lock()
 	p.timeline = nil
+	p.nspans = 0
+	p.mu.Unlock()
+}
+
+// RecordSpans arms the span ring: from now on every handled message is also
+// kept as a Span, the newest capacity of them (0 selects DefaultSpanCap).
+// Call it before the evaluation; it stays armed across Init. Recording takes
+// one short mutex-protected write per handled message, so it is meant for
+// diagnosis, not for benchmark paths.
+func (p *Profile) RecordSpans(capacity int) {
+	if capacity <= 0 {
+		capacity = DefaultSpanCap
+	}
+	p.mu.Lock()
+	p.ring = make([]Span, capacity)
+	p.nspans = 0
 	p.mu.Unlock()
 }
 
@@ -132,6 +172,19 @@ func (p *Profile) Size() int { return len(p.shards) }
 
 // Since returns the time elapsed since Init, the profile's clock.
 func (p *Profile) Since() time.Duration { return time.Since(p.start) }
+
+// Handled records one handled message: its time goes into the handling
+// node's shard and, when RecordSpans armed the ring, the span into the ring.
+func (p *Profile) Handled(s Span) {
+	p.shards[s.Node].Handled(s.At, s.Dur)
+	if p.ring == nil {
+		return
+	}
+	p.mu.Lock()
+	p.ring[p.nspans%len(p.ring)] = s
+	p.nspans++
+	p.mu.Unlock()
+}
 
 // MarkRound appends to the termination-round timeline. Rounds are rare
 // (one per component quiescence probe), so a mutex is fine here; the
@@ -176,6 +229,10 @@ type ProfileSnapshot struct {
 	Elapsed time.Duration
 	Nodes   []NodeProfile // graph order; the last entry is the driver
 	Rounds  []RoundMark   // termination-round timeline, in mark order
+	// Spans holds the span ring's handled messages oldest-first (nil unless
+	// RecordSpans armed it); Dropped counts the older spans it overwrote.
+	Spans   []Span
+	Dropped int
 }
 
 // Snapshot copies every shard. Call it after the evaluation has returned;
@@ -192,6 +249,15 @@ func (p *Profile) Snapshot() ProfileSnapshot {
 	}
 	p.mu.Lock()
 	snap.Rounds = append([]RoundMark(nil), p.timeline...)
+	if p.ring != nil {
+		if p.nspans <= len(p.ring) {
+			snap.Spans = append([]Span{}, p.ring[:p.nspans]...)
+		} else {
+			head := p.nspans % len(p.ring) // the oldest retained span's slot
+			snap.Spans = append(append(make([]Span, 0, len(p.ring)), p.ring[head:]...), p.ring[:head]...)
+			snap.Dropped = p.nspans - len(p.ring)
+		}
+	}
 	p.mu.Unlock()
 	return snap
 }

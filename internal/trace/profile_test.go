@@ -140,64 +140,79 @@ func TestProfileInitResets(t *testing.T) {
 	}
 }
 
-// TestEventLogRing checks the bounded ring: under capacity everything is
-// retained; over capacity the oldest events drop and the retained ones come
-// back oldest-first.
-func TestEventLogRing(t *testing.T) {
-	l := NewEventLog(4)
-	l.Init(1)
-	for i := 0; i < 3; i++ {
-		l.Add(Event{Seq: i})
+// TestSpanRing checks the bounded span ring: under capacity everything is
+// retained; over capacity the oldest spans drop and the retained ones come
+// back oldest-first. Init empties the ring but keeps it armed; an unarmed
+// profile keeps no spans at all.
+func TestSpanRing(t *testing.T) {
+	p := NewProfile()
+	p.Init(1)
+	p.Handled(Span{Node: 0})
+	if sn := p.Snapshot(); sn.Spans != nil || sn.Dropped != 0 || sn.Nodes[0].Handled != 1 {
+		t.Fatalf("unarmed ring: %d spans, %d dropped, %d handled", len(sn.Spans), sn.Dropped, sn.Nodes[0].Handled)
 	}
-	events, dropped, _ := l.Events()
-	if dropped != 0 || len(events) != 3 {
-		t.Fatalf("under capacity: %d events, %d dropped", len(events), dropped)
+	p.RecordSpans(4)
+	for i := 0; i < 3; i++ {
+		p.Handled(Span{Rows: i})
+	}
+	sn := p.Snapshot()
+	if sn.Dropped != 0 || len(sn.Spans) != 3 {
+		t.Fatalf("under capacity: %d spans, %d dropped", len(sn.Spans), sn.Dropped)
 	}
 	for i := 3; i < 10; i++ {
-		l.Add(Event{Seq: i})
+		p.Handled(Span{Rows: i})
 	}
-	events, dropped, _ = l.Events()
-	if len(events) != 4 || dropped != 6 {
-		t.Fatalf("over capacity: %d events, %d dropped", len(events), dropped)
+	sn = p.Snapshot()
+	if len(sn.Spans) != 4 || sn.Dropped != 6 {
+		t.Fatalf("over capacity: %d spans, %d dropped", len(sn.Spans), sn.Dropped)
 	}
-	for i, e := range events {
-		if e.Seq != 6+i {
-			t.Errorf("event %d has seq %d, want %d (oldest-first rotation)", i, e.Seq, 6+i)
+	for i, s := range sn.Spans {
+		if s.Rows != 6+i {
+			t.Errorf("span %d has rows %d, want %d (oldest-first rotation)", i, s.Rows, 6+i)
 		}
+	}
+	if h := sn.Nodes[0].Handled; h != 11 {
+		t.Errorf("shard handled %d, want 11 (every span counts in the shard)", h)
+	}
+	p.Init(1)
+	p.Handled(Span{Rows: 42})
+	if sn = p.Snapshot(); len(sn.Spans) != 1 || sn.Dropped != 0 || sn.Spans[0].Rows != 42 {
+		t.Errorf("after Init: spans %+v, dropped %d", sn.Spans, sn.Dropped)
 	}
 }
 
-// TestEventLogConcurrent exercises the ring from several writers under
+// TestSpanRingConcurrent exercises the ring from several writers under
 // -race; the invariant is just that nothing is lost below capacity.
-func TestEventLogConcurrent(t *testing.T) {
+func TestSpanRingConcurrent(t *testing.T) {
 	const writers, per = 4, 100
-	l := NewEventLog(writers * per)
-	l.Init(writers)
+	p := NewProfile()
+	p.RecordSpans(writers * per)
+	p.Init(writers)
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				l.Add(Event{Op: EvHandle, Node: w, Seq: i})
+				p.Handled(Span{Node: w, Rows: i})
 			}
 		}(w)
 	}
 	wg.Wait()
-	events, dropped, meta := l.Events()
-	if len(events) != writers*per || dropped != 0 {
-		t.Fatalf("got %d events, %d dropped", len(events), dropped)
+	sn := p.Snapshot()
+	if len(sn.Spans) != writers*per || sn.Dropped != 0 {
+		t.Fatalf("got %d spans, %d dropped", len(sn.Spans), sn.Dropped)
 	}
-	if len(meta) != writers {
-		t.Fatalf("meta size %d", len(meta))
+	if len(sn.Nodes) != writers {
+		t.Fatalf("meta size %d", len(sn.Nodes))
 	}
 	perNode := map[int]int{}
-	for _, e := range events {
-		perNode[e.Node]++
+	for _, s := range sn.Spans {
+		perNode[s.Node]++
 	}
 	for w := 0; w < writers; w++ {
-		if perNode[w] != per {
-			t.Errorf("writer %d recorded %d events, want %d", w, perNode[w], per)
+		if perNode[w] != per || sn.Nodes[w].Handled != per {
+			t.Errorf("writer %d recorded %d spans and %d handles, want %d", w, perNode[w], sn.Nodes[w].Handled, per)
 		}
 	}
 }

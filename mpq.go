@@ -36,7 +36,6 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"io"
 	"iter"
 	"sort"
 	"strings"
@@ -436,10 +435,8 @@ type config struct {
 	engine       Engine
 	strategyName string
 	stats        *trace.Stats
-	trace        io.Writer
 	ctx          context.Context
 	profile      *trace.Profile
-	events       *trace.EventLog
 	edbDelay     time.Duration
 	// reoptThreshold is the statistics-drift fraction for cached auto
 	// plans: 0 means DefaultReoptThreshold, negative disables re-opt.
@@ -501,10 +498,6 @@ func WithStats(st *trace.Stats) Option { return func(c *config) { c.stats = st }
 // PR.
 func WithPartitions(int) Option { return func(*config) {} }
 
-// WithTrace logs every message the engine sends to w, one line each —
-// a debugging and teaching aid. MessagePassing engine only.
-func WithTrace(w io.Writer) Option { return func(c *config) { c.trace = w } }
-
 // WithEDBDelay charges every EDB-leaf retrieval a simulated latency
 // (engine.Options.EDBDelay) — the E12/A7 methodology for modelling disk
 // or remote-store access, which makes evaluations latency-bound rather
@@ -529,14 +522,14 @@ func (c *config) evalContext() context.Context {
 	return c.ctx
 }
 
-// engineOptions assembles the engine's option set for this configuration,
-// wiring the derived context in as the engine's cancel signal (the
-// context's own timer enforces any deadline, so engine.Options.Deadline
-// stays unset).
-func (c *config) engineOptions(ctx context.Context) engine.Options {
-	return engine.Options{Stats: c.stats, Trace: c.trace,
-		Cancel: ctx.Done(), Profile: c.profile, Events: c.events,
-		EDBDelay: c.edbDelay}
+// engineOptions assembles the engine's option set for this configuration
+// — every evaluation entry point builds its engine.Options here — binding
+// the root's "d" positions to bind and wiring ctx in as the engine's cancel
+// signal (the context's own timer enforces any deadline, so
+// engine.Options.Deadline stays unset; a nil ctx never cancels).
+func (c *config) engineOptions(ctx context.Context, bind []symtab.Sym) engine.Options {
+	return engine.Options{Stats: c.stats, Profile: c.profile, EDBDelay: c.edbDelay,
+		Cancel: ctxDone(ctx), Bind: bind}
 }
 
 // ctxDone returns the context's cancellation channel, tolerating nil (the
@@ -567,16 +560,14 @@ func engineError(err error, ctx context.Context) error {
 
 // WithProfile collects per-node execution counters into p (messages, rows,
 // joins, and wall-time per rule/goal graph node, plus the termination-
-// round timeline). Create p with trace.NewProfile, evaluate, then render
-// p.Snapshot() with internal/trace/export.WriteReport — this is what
-// `mpq -profile` does. MessagePassing engine only.
+// round timeline) and, when p.RecordSpans armed its ring, every handled
+// message. Create p with trace.NewProfile, evaluate, then render
+// p.Snapshot() with internal/trace/export: WriteReport (`mpq -profile`),
+// WriteTraceText (`mpq -trace`) or WriteTraceEvents (`mpq -trace-out`).
+// MessagePassing engine only: Eval, Answers and Query. Prepare ignores it,
+// because a PreparedQuery is shared by concurrent evaluations and a
+// Profile must not be.
 func WithProfile(p *trace.Profile) Option { return func(c *config) { c.profile = p } }
-
-// WithEventLog records a bounded structured event log into l (one event
-// per handled message and protocol round), exportable as Chrome
-// trace_event JSON for chrome://tracing / Perfetto — this is what
-// `mpq -trace-out` does. MessagePassing engine only.
-func WithEventLog(l *trace.EventLog) Option { return func(c *config) { c.events = l } }
 
 // Answer is a completed evaluation.
 type Answer struct {
@@ -607,7 +598,7 @@ func (s *System) Eval(opts ...Option) (*Answer, error) {
 		}
 		s.ensureWarmFor(g)
 		ctx := cfg.evalContext()
-		res, err := engine.Run(g, s.DB, cfg.engineOptions(ctx))
+		res, err := engine.Run(g, s.DB, cfg.engineOptions(ctx, nil))
 		if err != nil {
 			return nil, engineError(err, ctx)
 		}
@@ -681,7 +672,7 @@ func (s *System) Answers(opts ...Option) iter.Seq2[[]string, error] {
 		s.ensureWarmFor(g)
 		ctx := cfg.evalContext()
 		stopped := false
-		_, err = engine.RunStream(g, s.DB, cfg.engineOptions(ctx), func(t relation.Tuple) bool {
+		_, err = engine.RunStream(g, s.DB, cfg.engineOptions(ctx, nil), func(t relation.Tuple) bool {
 			row := make([]string, len(t))
 			for i, sym := range t {
 				row[i] = s.DB.Syms.String(sym)

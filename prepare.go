@@ -39,10 +39,12 @@ type PreparedQuery struct {
 	plan     *engine.Plan
 	strategy string
 	shape    string
-	defaults []string      // source-text constants: the bindings Eval() uses with no args
-	nout     int           // answer columns (parameters are projected away)
-	edbDelay time.Duration // WithEDBDelay simulated retrieval latency
-	stats    *trace.Stats  // Prepare-time WithStats accumulator, nil for per-call stats
+	defaults []string // source-text constants: the bindings Eval() uses with no args
+	nout     int      // answer columns (parameters are projected away)
+	// run is what every evaluation of the plan starts from: the
+	// Prepare-time WithStats accumulator (nil for per-call stats) and the
+	// WithEDBDelay simulated retrieval latency. It keeps no profile.
+	run config
 
 	// choice is the auto planner's decision (nil for manual strategies)
 	// and fingerprint the compiled graph's evaluation orders
@@ -164,7 +166,8 @@ func canonicalShape(r ast.Rule) string {
 // select the sideways-information-passing strategy; only the
 // message-passing engine supports preparation. The graph build, adornment,
 // and index warming all happen here, once; see PreparedQuery for the
-// re-evaluation contract.
+// re-evaluation contract. WithProfile is ignored: the plan is shared by
+// concurrent evaluations, and a Profile must not be.
 func (s *System) Prepare(query string, opts ...Option) (*PreparedQuery, error) {
 	cfg := config{engine: MessagePassing}
 	for _, o := range opts {
@@ -209,7 +212,7 @@ func (s *System) prepare(q *parsedQuery, cfg *config) (*PreparedQuery, error) {
 	s.mu.Unlock()
 	pq := &PreparedQuery{sys: s, plan: plan, strategy: normStrategy(cfg.strategyName),
 		shape: q.shape, defaults: q.consts, nout: nout,
-		edbDelay: cfg.edbDelay, stats: cfg.stats,
+		run:    config{stats: cfg.stats, edbDelay: cfg.edbDelay},
 		choice: choice, fingerprint: rgg.PlanFingerprint(g)}
 	if choice != nil {
 		pq.statsEpoch.Store(choice.StatsEpoch)
@@ -242,7 +245,7 @@ func (pq *PreparedQuery) CacheKey() string {
 	if pq.choice != nil {
 		strategy = fmt.Sprintf("%s:%s@%d", AutoStrategy, pq.choice.Strategy, pq.statsEpoch.Load())
 	}
-	return planKey(strategy, pq.edbDelay, pq.shape)
+	return planKey(strategy, pq.run.edbDelay, pq.shape)
 }
 
 // planKey builds the plan-cache key. It includes the WithEDBDelay setting
@@ -279,25 +282,25 @@ func (pq *PreparedQuery) bindSyms(args []string) ([]symtab.Sym, error) {
 // the dual-taxonomy errors described at WithContext; a nil ctx means
 // context.Background.
 func (pq *PreparedQuery) Eval(ctx context.Context, args ...string) (*Answer, error) {
-	stats := pq.stats
-	if stats == nil {
-		stats = &trace.Stats{}
+	cfg := pq.run
+	if cfg.stats == nil {
+		cfg.stats = &trace.Stats{}
 	}
-	tuples, err := pq.evalWith(ctx, args, stats)
+	tuples, err := pq.evalWith(ctx, args, &cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Answer{Engine: MessagePassing, Tuples: tuples, Stats: stats.Snapshot()}, nil
+	return &Answer{Engine: MessagePassing, Tuples: tuples, Stats: cfg.stats.Snapshot()}, nil
 }
 
-// evalWith is the collection core shared by Eval and System.Query.
-func (pq *PreparedQuery) evalWith(ctx context.Context, args []string, stats *trace.Stats) ([][]string, error) {
+// evalWith is the collection core shared by Eval and System.Query; cfg
+// supplies the engine options (stats, profile, simulated latency).
+func (pq *PreparedQuery) evalWith(ctx context.Context, args []string, cfg *config) ([][]string, error) {
 	bind, err := pq.bindSyms(args)
 	if err != nil {
 		return nil, err
 	}
-	res, err := pq.plan.Run(engine.Options{Stats: stats, Bind: bind,
-		Cancel: ctxDone(ctx), EDBDelay: pq.edbDelay})
+	res, err := pq.plan.Run(cfg.engineOptions(ctx, bind))
 	if err != nil {
 		return nil, engineError(err, ctx)
 	}
@@ -327,8 +330,7 @@ func (pq *PreparedQuery) Answers(ctx context.Context, args ...string) iter.Seq2[
 			return
 		}
 		stopped := false
-		_, err = pq.plan.RunStream(engine.Options{Stats: pq.stats, Bind: bind,
-			Cancel: ctxDone(ctx), EDBDelay: pq.edbDelay},
+		_, err = pq.plan.RunStream(pq.run.engineOptions(ctx, bind),
 			func(t relation.Tuple) bool {
 				row := make([]string, pq.nout)
 				for i := 0; i < pq.nout; i++ {
@@ -520,16 +522,15 @@ func (s *System) maybeReopt(pq *PreparedQuery, q *parsedQuery, cfg *config) *Pre
 // feeding the Prometheus mpq_plan_cache_total series).
 //
 // ctx governs cancellation as in WithContext (nil means background);
-// WithStrategy selects the graph and keys the cache alongside the shape.
+// WithStrategy selects the graph and keys the cache alongside the shape;
+// WithProfile profiles this evaluation, hit or miss.
 func (s *System) Query(ctx context.Context, src string, opts ...Option) (*Answer, error) {
 	cfg := config{engine: MessagePassing}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	stats := cfg.stats
-	if stats == nil {
-		stats = &trace.Stats{}
-		cfg.stats = stats
+	if cfg.stats == nil {
+		cfg.stats = &trace.Stats{}
 	}
 	pq, args, reused, err := s.queryPrepared(src, &cfg)
 	if err != nil {
@@ -538,9 +539,9 @@ func (s *System) Query(ctx context.Context, src string, opts ...Option) (*Answer
 	if ctx != nil {
 		cfg.ctx = ctx
 	}
-	tuples, err := pq.evalWith(cfg.evalContext(), args, stats)
+	tuples, err := pq.evalWith(cfg.evalContext(), args, &cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Answer{Engine: MessagePassing, Tuples: tuples, Stats: stats.Snapshot(), Reused: reused}, nil
+	return &Answer{Engine: MessagePassing, Tuples: tuples, Stats: cfg.stats.Snapshot(), Reused: reused}, nil
 }

@@ -247,6 +247,50 @@ func TestQueryPlanCache(t *testing.T) {
 	}
 }
 
+// TestQueryProfile: Query fills a WithProfile profile on a plan-cache miss
+// and on a hit alike; Prepare ignores the option, so the plan's own
+// evaluations leave it empty.
+func TestQueryProfile(t *testing.T) {
+	handled := func(p *trace.Profile) (n int64) {
+		for _, node := range p.Snapshot().Nodes {
+			n += node.Handled
+		}
+		return n
+	}
+	sys := MustLoad(prepBase)
+	var first int64
+	for _, round := range []string{"miss", "hit"} {
+		p := trace.NewProfile()
+		ans, err := sys.Query(nil, "?- path(a, Y).", WithProfile(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ans.Reused != (round == "hit") {
+			t.Fatalf("%s: Reused = %v", round, ans.Reused)
+		}
+		if p.Size() == 0 || handled(p) == 0 {
+			t.Fatalf("%s: Query left the profile empty (%d shards)", round, p.Size())
+		}
+		if first == 0 {
+			first = handled(p)
+		} else if got := handled(p); got != first {
+			t.Errorf("hit profile handled %d messages, miss %d", got, first)
+		}
+	}
+
+	ignored := trace.NewProfile()
+	pq, err := sys.Prepare("?- path(a, Y).", WithProfile(ignored))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pq.Eval(nil); err != nil {
+		t.Fatal(err)
+	}
+	if ignored.Size() != 0 {
+		t.Errorf("Prepare kept WithProfile: %d shards filled", ignored.Size())
+	}
+}
+
 func TestQueryContextCancellation(t *testing.T) {
 	sys := MustLoad(prepBase)
 	ctx, cancel := context.WithCancel(context.Background())

@@ -47,8 +47,7 @@ func (pq *PreparedQuery) Subscription(args ...string) (*Subscription, error) {
 		args = pq.defaults
 	}
 	return &Subscription{pq: pq, args: args, bind: bind, first: true,
-		inc: pq.plan.Incremental(engine.Options{Stats: pq.stats,
-			Bind: bind, EDBDelay: pq.edbDelay})}, nil
+		inc: pq.plan.Incremental(pq.run.engineOptions(nil, bind))}, nil
 }
 
 // Next returns the next batch of answers: the query's full current answer
