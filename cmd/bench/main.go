@@ -809,8 +809,8 @@ func a3Substrate(quick bool) {
 			"row_messages":  rows,
 			"frames":        frames,
 			"message_ratio": ratio,
-			"batched_rows":  res.Stats.TupleRows,
-			"batches":       res.Stats.TupleBatches,
+			"tuple_rows":    res.Stats.TupleRows,
+			"tuple_frames":  res.Stats.Tuples,
 			"time":          el.String(),
 		})
 	}
@@ -1225,7 +1225,7 @@ func a5Observability(quick bool) {
 			Commentary  string            `json:"commentary"`
 		}{
 			Record: "BENCH_3",
-			Description: "Query observability (per-node counter shards, profile reports, " +
+			Description: "Query observability (per-node tallies, profile reports, " +
 				"span ring of handled messages) measured disabled and armed. " +
 				"Acceptance covers the DEFAULT path: observability_off compares this " +
 				"tree with no Profile against the same benchmarks " +
@@ -1237,13 +1237,12 @@ func a5Observability(quick bool) {
 			Machine:   machineInfo(),
 			Units:     map[string]string{"time": "ns/op", "bytes": "B/op", "allocs": "allocs/op"},
 			InProcess: records,
-			Commentary: "With no profile the send path and the run loop pay one " +
-				"pointer check per message, which is why " +
+			Commentary: "With no profile the run loop pays one " +
+				"pointer check per handled message, which is why " +
 				"off_vs_bench2_pct sits at measurement noise. Arming a profile adds " +
-				"two monotonic clock reads around each handled message " +
-				"plus uncontended atomic adds on the owning node's cache line — per-" +
-				"node shards are written only by the node's own goroutine, so there " +
-				"is no shared-counter contention. The span ring adds one short " +
+				"two monotonic clock reads and a few plain adds around each handled " +
+				"message; every node counts into its own tally whether or not a " +
+				"profile is armed, so there is no shared-counter contention. The span ring adds one short " +
 				"mutexed write into a preallocated ring; its fixed capacity (oldest " +
 				"spans drop first) bounds both memory and the write cost. These " +
 				"scheduler-bound microqueries (~120us, a few hundred messages) are " +

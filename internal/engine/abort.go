@@ -61,7 +61,6 @@ func (rt *runner) abort(reason uint8, note string) {
 		return
 	}
 	rt.abortErr = abortReasonError(reason, note)
-	rt.stats.Abort()
 	if rt.hosts == nil {
 		return
 	}

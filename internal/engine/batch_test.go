@@ -191,14 +191,13 @@ func TestFramingInvariants(t *testing.T) {
 	for _, m := range net.sent {
 		switch m.Kind {
 		case msg.Tuple:
-			lone++
-			if m.Count != 0 || len(m.Vals) != width(m) {
-				t.Fatalf("lone row framed wrongly: %v", m)
+			if m.Count < 2 {
+				lone++
+			} else {
+				batches++
 			}
-		case msg.TupleBatch:
-			batches++
-			if m.Count < 2 || len(m.Vals) != m.Count*width(m) {
-				t.Fatalf("batch framed wrongly (width %d): %v", width(m), m)
+			if n := rowsIn(m); len(m.Vals) != n*width(m) {
+				t.Fatalf("tuple framed wrongly (width %d): %v", width(m), m)
 			}
 		case msg.TupReq:
 			if n := rowsIn(m); len(m.Vals) != n*width(m) {
@@ -220,7 +219,7 @@ func TestZeroWidthRows(t *testing.T) {
 		b.add(nil)
 	}
 	m := tupleMsg(7, &b)
-	if m.Kind != msg.TupleBatch || m.Count != 3 || len(m.Vals) != 0 || b.count != 0 {
+	if m.Kind != msg.Tuple || m.Count != 3 || len(m.Vals) != 0 || b.count != 0 {
 		t.Fatalf("zero-width batch = %v (buffer left with %d rows)", m, b.count)
 	}
 	b.add(nil)
@@ -240,9 +239,9 @@ func TestZeroWidthRows(t *testing.T) {
 	rt, _ := newTestRunner(t, src, Options{})
 	root := rt.procs[rt.g.Root]
 	root.goal.customers[0].registered = true
-	root.goal.handle(msg.Message{Kind: msg.TupleBatch, From: root.node.Children[0], To: root.id, Count: 3})
-	if root.work.Stored != 1 || root.work.Dups != 2 || root.buffered != 1 {
-		t.Errorf("3 empty rows: stored=%d dups=%d buffered=%d, want 1, 2, 1", root.work.Stored, root.work.Dups, root.buffered)
+	root.goal.handle(msg.Message{Kind: msg.Tuple, From: root.node.Children[0], To: root.id, Count: 3})
+	if root.tally.Stored != 1 || root.tally.Dups != 2 || root.buffered != 1 {
+		t.Errorf("3 empty rows: stored=%d dups=%d buffered=%d, want 1, 2, 1", root.tally.Stored, root.tally.Dups, root.buffered)
 	}
 }
 
@@ -280,7 +279,7 @@ func TestProtocolMessageForcesFlush(t *testing.T) {
 						if rows == h {
 							break
 						}
-						if out.From != e.Node || (out.Kind != msg.TupReq && out.Kind != msg.Tuple && out.Kind != msg.TupleBatch) {
+						if out.From != e.Node || (out.Kind != msg.TupReq && out.Kind != msg.Tuple) {
 							t.Fatalf("seed %d: node %d sent %v while still holding %d buffered rows", seed, e.Node, out, h-rows)
 						}
 						rows += rowsIn(out)
@@ -331,7 +330,7 @@ func TestDeltaWindowBatches(t *testing.T) {
 	if want := 6 * 7 / 2; len(rows) != want {
 		t.Errorf("delta round yielded %d answers, want %d", len(rows), want)
 	}
-	if res.Stats.TupleBatches == 0 {
-		t.Errorf("a 6-row delta window travelled without a single batch: %v", res.Stats)
+	if res.Stats.TupleRows <= res.Stats.Tuples {
+		t.Errorf("a 6-row delta window travelled without a single multi-row Tuple: %v", res.Stats)
 	}
 }

@@ -51,7 +51,8 @@ type Result struct {
 // Options tune an evaluation. The zero value is ready to use.
 type Options struct {
 	// Stats, when non-nil, receives the execution counters (useful for
-	// aggregating across runs). A fresh Stats is used otherwise.
+	// aggregating across runs), all at once when the evaluation ends —
+	// also when it is aborted. A fresh Stats is used otherwise.
 	Stats *trace.Stats
 	// EDBDelay simulates per-retrieval latency at EDB leaves (disk or a
 	// remote store): sites overlap these waits, one run loop cannot. Zero
@@ -177,8 +178,12 @@ type runner struct {
 	driver   int // driver's node id: len(g.Nodes)
 	bind     []symtab.Sym
 	edbDelay time.Duration
-	// prof, nil when disabled, shards the counters by node and records
-	// the rounds and the handled messages.
+	// tallies holds one plain counter set per node id, the driver's last
+	// (the scratch's, zeroed by Plan.bind): each hosted process counts into
+	// its own, and run folds them into stats, and hands them to prof, once
+	// the evaluation ends.
+	tallies []trace.Tally
+	// prof, nil when disabled, records the rounds and the handled messages.
 	prof *trace.Profile
 
 	// local is the Local transport hosting this site's mailboxes.
@@ -222,7 +227,7 @@ func newRunner(g *rgg.Graph, db edb.Storage, opts Options, s *scratch) (*runner,
 	if w := len(dynamicPositions(g.Nodes[g.Root].Ad)); len(opts.Bind) != w {
 		return nil, fmt.Errorf("engine: Bind has %d values, root has %d dynamic positions", len(opts.Bind), w)
 	}
-	rt := &runner{g: g, db: db, net: s.net, stats: stats, driver: len(g.Nodes),
+	rt := &runner{g: g, db: db, net: s.net, stats: stats, driver: len(g.Nodes), tallies: s.tallies,
 		bind: opts.Bind, edbDelay: opts.EDBDelay, prof: opts.Profile, pick: opts.pick,
 		local: s.local, hub: s.hub, procs: s.procs, hosts: s.hosts, site: s.site,
 		cancel: opts.Cancel, peerDown: opts.PeerDown, deadline: opts.Deadline}
@@ -232,7 +237,7 @@ func newRunner(g *rgg.Graph, db edb.Storage, opts Options, s *scratch) (*runner,
 	return rt, nil
 }
 
-// initProfile sizes the profile for this graph and labels every shard with
+// initProfile sizes the profile for this graph and labels every node with
 // the node's adorned atom, kind, and hosting site, so exports and reports
 // are readable without the graph in hand.
 func (rt *runner) initProfile() {
@@ -303,26 +308,35 @@ func edbIndexNeeds(g *rgg.Graph) []edb.IndexNeed {
 func (rt *runner) run(yield func(relation.Tuple) bool) (*Result, error) {
 	answers := rt.loop(yield)
 	err := rt.abortError()
-	if err == nil {
-		for _, p := range rt.procs {
-			if p != nil {
-				p.flushWork() // an early cancel can stop a node mid-drain
-			}
-		}
-		if answers != nil && rt.hosts != nil {
-			// Release the other sites: one Shutdown each, to the first node it
-			// hosts. A site leaves its loop at its first Shutdown and may close
-			// its transport right away, so a second one would find it gone.
-			released := map[int]bool{rt.site: true}
-			for id := range rt.g.Nodes {
-				if s := rt.hosts[id]; !released[s] {
-					released[s] = true
-					rt.send(msg.Message{Kind: msg.Shutdown, From: rt.driver, To: id})
-				}
+	if err == nil && answers != nil && rt.hosts != nil {
+		// Release the other sites: one Shutdown each, to the first node it
+		// hosts. A site leaves its loop at its first Shutdown and may close
+		// its transport right away, so a second one would find it gone.
+		released := map[int]bool{rt.site: true}
+		for id := range rt.g.Nodes {
+			if s := rt.hosts[id]; !released[s] {
+				released[s] = true
+				rt.send(msg.Message{Kind: msg.Shutdown, From: rt.driver, To: id})
 			}
 		}
 	}
+	// The end-of-evaluation fold, on every path: the evaluation touches the
+	// shared stats here and nowhere else.
+	var sum trace.Tally
+	for _, t := range rt.tallies {
+		sum.Add(t)
+	}
+	rt.stats.Add(sum)
 	rt.stats.DroppedPuts(rt.local.Dropped())
+	if err != nil {
+		rt.stats.Abort()
+	}
+	if rt.delta {
+		rt.stats.DeltaRound()
+	}
+	if rt.prof != nil {
+		rt.prof.End(rt.tallies)
+	}
 	if err != nil || answers == nil {
 		return nil, err
 	}
@@ -429,41 +443,26 @@ func (rt *runner) receive(m msg.Message, answers *relation.Relation, yield func(
 	return false
 }
 
-// send dispatches a message and records it: once into the aggregate
-// stats, and — when profiling — once into the *sender's* shard, so every
-// message is attributed to the rule/goal node that produced it.
+// send dispatches a message and counts it in the sender's tally, so every
+// message is attributed to the rule/goal node (or the driver) that produced
+// it.
 func (rt *runner) send(m msg.Message) {
+	t := &rt.tallies[m.From]
 	switch m.Kind {
 	case msg.RelReq:
-		rt.stats.RelReq()
+		t.RelReqs++
 	case msg.TupReq:
-		rt.stats.TupReq()
-		rt.stats.TupReqRows(rowsIn(m))
+		t.TupReqs++
+		t.TupReqRows += int64(rowsIn(m))
 	case msg.Tuple:
-		rt.stats.TupleMsg()
-	case msg.TupleBatch:
-		rt.stats.TupleBatchMsg(m.Count)
+		t.Tuples++
+		t.TupleRows += int64(rowsIn(m))
 	case msg.End:
-		rt.stats.EndMsg()
+		t.Ends++
 	case msg.ReqEnd:
-		rt.stats.ReqEndMsg()
+		t.ReqEnds++
 	case msg.EndReq, msg.EndNeg, msg.EndConf, msg.Nudge:
-		rt.stats.ProtocolMsg()
-	}
-	if rt.prof != nil && m.From >= 0 && m.From < rt.prof.Size() {
-		sh := rt.prof.Counters(m.From)
-		switch m.Kind {
-		case msg.RelReq, msg.End, msg.ReqEnd:
-			sh.Msg()
-		case msg.TupReq:
-			sh.Msg()
-			sh.ReqRows(rowsIn(m))
-		case msg.Tuple, msg.TupleBatch:
-			sh.Msg()
-			sh.RowsOut(rowsIn(m))
-		case msg.EndReq, msg.EndNeg, msg.EndConf, msg.Nudge:
-			sh.ProtocolMsg()
-		}
+		t.Protocol++
 	}
 	rt.net.Send(m)
 }

@@ -93,7 +93,7 @@ type panicNet struct {
 }
 
 func (p *panicNet) Send(m msg.Message) {
-	if m.Kind == msg.Tuple || m.Kind == msg.TupleBatch {
+	if m.Kind == msg.Tuple {
 		armed := false
 		p.once.Do(func() { armed = true })
 		if armed {

@@ -169,7 +169,7 @@ func (g *goalState) handle(m msg.Message) {
 		for i, n, w := 0, rowsIn(m), len(g.dPos); i < n; i++ {
 			g.onTupReq(c, m.Vals[i*w:(i+1)*w])
 		}
-	case msg.Tuple, msg.TupleBatch:
+	case msg.Tuple:
 		for i, n, w := 0, rowsIn(m), len(g.carried); i < n; i++ {
 			g.onTuple(m.Vals[i*w : (i+1)*w])
 		}
@@ -265,10 +265,10 @@ func (g *goalState) onTuple(vals []symtab.Sym) {
 		return
 	}
 	if !g.answers.Insert(vals) {
-		g.p.work.Dups++
+		g.p.tally.Dups++
 		return
 	}
-	g.p.work.Stored++
+	g.p.tally.Stored++
 	req := 0 // with no "d" positions every customer made the one implicit request
 	if len(g.dPos) > 0 {
 		// The d-position values of a carried tuple are the tuple request
@@ -300,13 +300,13 @@ func (g *goalState) serviceEDB(vals []symtab.Sym) {
 		}
 		binding[pos] = vals[i]
 	}
-	g.p.work.EDBScans++
+	g.p.tally.EDBScans++
 	if d := g.p.rt.edbDelay; d > 0 {
 		time.Sleep(d) // simulated retrieval latency (see Options.EDBDelay)
 	}
 	n := g.p.node
 	g.rows = g.p.rt.db.ScanInto(g.rows[:0], n.Atom.Key(), binding)
-	g.p.work.EDBTuples += int64(len(g.rows))
+	g.p.tally.EDBTuples += int64(len(g.rows))
 	for _, row := range g.rows {
 		g.emitBase(row)
 	}
@@ -346,7 +346,7 @@ func (g *goalState) serviceEDBDelta() {
 	if from >= total {
 		return
 	}
-	g.p.work.EDBScans++
+	g.p.tally.EDBScans++
 	if d := g.p.rt.edbDelay; d > 0 {
 		time.Sleep(d) // one simulated retrieval for the whole window
 	}
@@ -378,8 +378,8 @@ window:
 		}
 		g.onTuple(g.buf)
 	}
-	g.p.work.EDBTuples += int64(scanned)
-	g.p.rt.stats.DeltaSeeded(int64(seeded))
+	g.p.tally.EDBTuples += int64(scanned)
+	g.p.tally.DeltaSeeded += int64(seeded)
 }
 
 // maybeEnd implements non-recursive completion: once every cross-component

@@ -31,10 +31,9 @@ func runObserved(t *testing.T, src string, opts Options) (*Result, *trace.Profil
 }
 
 // TestProfileMatchesAggregate is the cross-check that makes the per-node
-// shards trustworthy: summed over all shards (driver included), every
-// sharded quantity must equal the aggregate trace.Stats counter the engine
-// has always maintained — the profile is a decomposition of the totals,
-// not a second approximate accounting.
+// view trustworthy: summed over all nodes (driver included), every per-node
+// quantity must equal the aggregate trace.Stats counter — the profile is a
+// decomposition of the totals, not a second approximate accounting.
 func TestProfileMatchesAggregate(t *testing.T) {
 	for _, tc := range []struct {
 		name, src string
@@ -56,23 +55,23 @@ func TestProfileMatchesAggregate(t *testing.T) {
 			var msgs, protocol, rowsOut, reqRows, derived, stored, dups int64
 			var joins, edbScans, edbRows, rounds, handled int64
 			for _, n := range ps.Nodes {
-				msgs += n.Msgs
+				msgs += n.Messages()
 				protocol += n.Protocol
-				rowsOut += n.RowsOut
-				reqRows += n.ReqRows
+				rowsOut += n.TupleRows
+				reqRows += n.TupReqRows
 				derived += n.Derived
 				stored += n.Stored
 				dups += n.Dups
 				joins += n.Joins
 				edbScans += n.EDBScans
-				edbRows += n.EDBRows
+				edbRows += n.EDBTuples
 				rounds += n.Rounds
 				handled += n.Handled
 			}
 			check := func(what string, got, want int64) {
 				t.Helper()
 				if got != want {
-					t.Errorf("Σ shard %s = %d, aggregate = %d", what, got, want)
+					t.Errorf("Σ node %s = %d, aggregate = %d", what, got, want)
 				}
 			}
 			check("msgs", msgs, agg.Messages())
@@ -113,17 +112,17 @@ func TestProfileMatchesAggregate(t *testing.T) {
 	}
 }
 
-// TestProfileMeta checks the engine labels shards usefully: adorned atoms
-// for graph nodes, kinds from the node type, and a driver shard last.
+// TestProfileMeta checks the engine labels nodes usefully: adorned atoms
+// for graph nodes, kinds from the node type, and the driver last.
 func TestProfileMeta(t *testing.T) {
 	_, prof := runObserved(t, p1data, Options{})
 	ps := prof.Snapshot()
 	if len(ps.Nodes) < 3 {
-		t.Fatalf("only %d shards", len(ps.Nodes))
+		t.Fatalf("only %d nodes", len(ps.Nodes))
 	}
 	driver := ps.Nodes[len(ps.Nodes)-1]
 	if driver.Kind != "driver" || driver.Label != "driver" {
-		t.Errorf("last shard is %q/%q, want the driver", driver.Kind, driver.Label)
+		t.Errorf("last node is %q/%q, want the driver", driver.Kind, driver.Label)
 	}
 	kinds := map[string]int{}
 	for _, n := range ps.Nodes[:len(ps.Nodes)-1] {
@@ -172,5 +171,18 @@ func TestProfileRecursionRounds(t *testing.T) {
 		if ps.Rounds[i].At < ps.Rounds[i-1].At {
 			t.Errorf("timeline out of order at %d: %+v", i, ps.Rounds)
 		}
+	}
+}
+
+// TestProfileElapsedIsTheEvaluation: the profile's elapsed time is stamped
+// when the evaluation ends, so whatever the caller does before reading the
+// profile — printing answers, say — is not counted in it.
+func TestProfileElapsedIsTheEvaluation(t *testing.T) {
+	start := time.Now()
+	_, prof := runObserved(t, p1data, Options{})
+	ran := time.Since(start)
+	time.Sleep(50 * time.Millisecond)
+	if ps := prof.Snapshot(); ps.Elapsed <= 0 || ps.Elapsed > ran {
+		t.Errorf("profile elapsed %v, want within the %v the evaluation took", ps.Elapsed, ran)
 	}
 }

@@ -40,16 +40,18 @@ type Plan struct {
 // the in-process mailboxes under it, the hub listing the hosted mailboxes for
 // the run loop, and the hosted node processes (whose temporaries keep their
 // relation capacity across runs), built by the first run that gets as far as
-// needing them. hosts and site place the nodes for a multi-site run (see
+// needing them, with one tally per node id (the driver's last) that they
+// count into. hosts and site place the nodes for a multi-site run (see
 // RunSites); a single-site scratch has nil hosts and sends over local.
 type scratch struct {
-	local *transport.Local
-	net   transport.Network
-	hosts []int
-	site  int
-	hub   *transport.Hub
-	procs []*proc
-	built bool
+	local   *transport.Local
+	net     transport.Network
+	hosts   []int
+	site    int
+	hub     *transport.Hub
+	procs   []*proc
+	tallies []trace.Tally
+	built   bool
 }
 
 // NewPlan compiles the graph/database pair into a reusable plan, warming
@@ -104,6 +106,7 @@ func (pl *Plan) bind(s *scratch, opts Options, delta bool) (*runner, error) {
 		return nil, err
 	}
 	rt.delta = delta
+	clear(s.tallies)
 	if !s.built {
 		for id := range pl.g.Nodes {
 			if s.hosts == nil || s.hosts[id] == s.site {
@@ -117,9 +120,6 @@ func (pl *Plan) bind(s *scratch, opts Options, delta bool) (*runner, error) {
 		for _, p := range s.procs {
 			p.reset(rt)
 		}
-	}
-	if delta {
-		rt.stats.DeltaRound()
 	}
 	return rt, nil
 }
@@ -145,8 +145,8 @@ func (pl *Plan) newScratch() *scratch {
 // siteScratch makes a shell for site's share of the plan under hosts (nil:
 // every node), sending over net; local holds the mailboxes its hub attaches.
 func (pl *Plan) siteScratch(net transport.Network, local *transport.Local, hosts []int, site int) *scratch {
-	s := &scratch{local: local, net: net, hosts: hosts, site: site,
-		hub: transport.NewHub(), procs: make([]*proc, len(pl.g.Nodes))}
+	s := &scratch{local: local, net: net, hosts: hosts, site: site, hub: transport.NewHub(),
+		procs: make([]*proc, len(pl.g.Nodes)), tallies: make([]trace.Tally, len(pl.g.Nodes)+1)}
 	for id, b := range local.Boxes {
 		if hosts == nil || hosts[id] == site {
 			s.hub.Attach(b)
@@ -162,9 +162,9 @@ func (pl *Plan) siteScratch(net transport.Network, local *transport.Local, hosts
 // next round of an Incremental — to the state that round starts from. Either
 // way every allocation whose size tracks the data survives (relation
 // row/index capacity, request bitsets, output-buffer size hints, mailbox
-// backing arrays) and the run-scoped wiring — the runner pointer and its
-// profile shard — is rebound. It runs strictly between evaluations, after
-// the previous loop has returned.
+// backing arrays) and the run-scoped runner pointer is rebound (the tally
+// is the scratch's, zeroed by bind). It runs strictly between evaluations,
+// after the previous loop has returned.
 //
 // A delta round keeps everything the semi-naive re-evaluation relies on:
 //
@@ -188,10 +188,6 @@ func (pl *Plan) siteScratch(net transport.Network, local *transport.Local, hosts
 
 func (p *proc) reset(rt *runner) {
 	p.rt = rt
-	p.shard = nil
-	if rt.prof != nil {
-		p.shard = rt.prof.Counters(p.id)
-	}
 	for _, f := range p.feeds {
 		if !rt.delta {
 			f.sent, f.acked = 0, 0
@@ -201,7 +197,6 @@ func (p *proc) reset(rt *runner) {
 	p.idleness, p.round, p.waitingFor = 0, 0, 0
 	p.anyNeg, p.inRound, p.confirmed, p.probeWaits = false, false, false, false
 	p.clearOutput()
-	p.work = trace.Work{}
 	p.box.Reset()
 	if p.goal != nil {
 		p.goal.reset(rt.delta)

@@ -22,12 +22,9 @@ type proc struct {
 	id   int
 	node *rgg.Node
 	box  *transport.Mailbox
-
-	// shard is this node's profile counter shard, nil unless
-	// Options.Profile is set. flushWork adds the node's work tally to it
-	// alongside the aggregate stats; rt.send attributes sent messages by
-	// m.From.
-	shard *trace.NodeShard
+	// tally is this node's entry in rt.tallies: rt.send counts the
+	// messages the node sends there, and the handlers their work.
+	tally *trace.Tally
 
 	// recursive is true when the node belongs to a nontrivial strong
 	// component; such nodes run the Fig 2 protocol instead of sending
@@ -66,10 +63,6 @@ type proc struct {
 	kids     []kidOut
 	custs    []custOut
 	buffered int
-
-	// work tallies this process's data-path counters; flushWork adds them
-	// to the shared stats (and the profile shard) once per mailbox drain.
-	work trace.Work
 }
 
 // kidOut is the request stream to one child: node.Children in order, then
@@ -147,10 +140,7 @@ func (f *feedState) settled() bool {
 
 func newProc(rt *runner, id int, box *transport.Mailbox) *proc {
 	n := rt.g.Nodes[id]
-	p := &proc{rt: rt, id: id, node: n, box: box}
-	if rt.prof != nil {
-		p.shard = rt.prof.Counters(id)
-	}
+	p := &proc{rt: rt, id: id, node: n, box: box, tally: &rt.tallies[id]}
 	p.recursive = rt.g.Recursive(id)
 	if p.recursive {
 		p.leaderID = rt.g.Leader[n.SCC]
@@ -284,23 +274,8 @@ func (p *proc) step(m msg.Message) {
 	p.handle(m)
 	if p.box.Empty() {
 		p.flushAll()
-		p.flushWork()
 	}
 	p.after(m)
-}
-
-// flushWork adds the process's private tally (p.work: every derived tuple,
-// join probe and EDB scan lands on the node that did the work) to the
-// aggregate stats and, when profiling, this node's shard.
-func (p *proc) flushWork() {
-	if p.work == (trace.Work{}) {
-		return
-	}
-	p.rt.stats.AddWork(p.work)
-	if p.shard != nil {
-		p.shard.AddWork(p.work)
-	}
-	p.work = trace.Work{}
 }
 
 // queueTupReq buffers one tuple-request binding for child position k,
@@ -324,8 +299,8 @@ func (p *proc) queueTuple(c int, vals []symtab.Sym) {
 
 // flushAll drains the output buffers onto the channel: one packaged tuple
 // request per child with buffered bindings (footnote 2: "if packaged, the
-// retrieval can be done in one scan"), then per customer mailbox a lone row
-// as an ordinary Tuple, several as one TupleBatch.
+// retrieval can be done in one scan"), then one Tuple per customer mailbox
+// with buffered rows.
 func (p *proc) flushAll() {
 	if p.buffered == 0 {
 		return
@@ -344,13 +319,10 @@ func (p *proc) flushAll() {
 	}
 }
 
-// tupleMsg empties a row buffer into the message that carries it.
+// tupleMsg empties a row buffer into the Tuple that carries it.
 func tupleMsg(to int, b *rowBuf) msg.Message {
 	vals, n := b.take()
-	if n == 1 {
-		return msg.Message{Kind: msg.Tuple, To: to, Vals: vals}
-	}
-	return msg.Message{Kind: msg.TupleBatch, To: to, Vals: vals, Count: n}
+	return msg.Message{Kind: msg.Tuple, To: to, Vals: vals, Count: n}
 }
 
 // clearOutput drops anything still buffered (the previous run ended early).
@@ -364,15 +336,10 @@ func (p *proc) clearOutput() {
 	}
 }
 
-// rowsIn is the number of rows a Tuple, TupleBatch or (possibly packaged)
-// TupReq carries; row i of width w is m.Vals[i*w:(i+1)*w]. Zero-width rows
-// are legal: a propositional batch is Count empty rows.
-func rowsIn(m msg.Message) int {
-	if m.Kind == msg.TupleBatch || m.Count > 1 {
-		return m.Count
-	}
-	return 1
-}
+// rowsIn is the number of rows a (possibly packaged) Tuple or TupReq
+// carries; row i of width w is m.Vals[i*w:(i+1)*w]. Zero-width rows are
+// legal: a propositional Tuple is Count empty rows.
+func rowsIn(m msg.Message) int { return max(m.Count, 1) }
 
 func (p *proc) handle(m msg.Message) {
 	switch m.Kind {
@@ -485,11 +452,8 @@ func (p *proc) after(m msg.Message) {
 // startRound originates an end request (leader only): "idleness := 1;
 // create-end-request; process-end-request".
 func (p *proc) startRound() {
-	p.rt.stats.Round()
+	p.tally.Rounds++
 	p.round++
-	if p.shard != nil {
-		p.shard.Round()
-	}
 	if p.rt.prof != nil {
 		p.rt.prof.MarkRound(p.id, p.round, false)
 	}

@@ -278,7 +278,7 @@ func (r *ruleState) handle(m msg.Message) {
 		for i, n, w := 0, rowsIn(m), r.nHeadD; i < n; i++ {
 			r.onHeadBinding(m.Vals[i*w : (i+1)*w])
 		}
-	case msg.Tuple, msg.TupleBatch:
+	case msg.Tuple:
 		src := r.p.kidPos(m.From)
 		for i, n, w := 0, rowsIn(m), r.subs[src].width; i < n; i++ {
 			r.onSubTuple(src, m.Vals[i*w:(i+1)*w])
@@ -344,7 +344,7 @@ func (r *ruleState) onSubTuple(src int, vals []symtab.Sym) {
 	if s.rel.Insert(s.row) {
 		r.trigger(src, s.colSlots, s.row)
 	} else {
-		r.p.work.Dups++
+		r.p.tally.Dups++
 	}
 }
 
@@ -382,7 +382,7 @@ func (r *ruleState) extend(pl *joinPlan, depth int) {
 		rows = st.rel.SelectInto(st.rows[:0], st.bind)
 		st.rows = rows
 	}
-	r.p.work.Joins += int64(len(rows))
+	r.p.tally.Joins += int64(len(rows))
 	for _, row := range rows {
 		for _, cs := range st.fresh {
 			r.slots[cs.slot] = row[cs.col]
@@ -413,7 +413,7 @@ func (r *ruleState) emitHead() {
 			r.headBuf[i] = r.headConsts[i]
 		}
 	}
-	r.p.work.Derived++
+	r.p.tally.Derived++
 	if r.sentHeads.Insert(r.headBuf) {
 		r.p.queueTuple(0, r.headBuf)
 	}

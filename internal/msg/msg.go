@@ -28,8 +28,12 @@ const (
 	// TupReq "specifies one binding for all of the d arguments" (§3.1).
 	// Vals holds the values of the d positions in position order.
 	TupReq
-	// Tuple carries one derived tuple to a successor. Vals holds the
-	// values of the carried (non-existential) positions in position order.
+	// Tuple carries derived tuples to a successor: Vals holds the values of
+	// the carried (non-existential) positions in position order, Count rows
+	// of equal width concatenated. Several rows in one Tuple is footnote 2's
+	// packaging applied to deliveries; semantically it is exactly Count
+	// consecutive single-row Tuples from the same sender (see
+	// doc/PROTOCOL.md, "Packaged delivery").
 	Tuple
 	// End notifies a customer that requested results are complete. N is a
 	// watermark: the first N tuple requests this feeder received from the
@@ -56,12 +60,6 @@ const (
 	// the driver's site sends one to each other site (to the first node it
 	// hosts), and a site leaves its run loop at the first one it finds.
 	Shutdown
-	// TupleBatch carries Count derived tuples in one message: Vals is the
-	// concatenation of Count rows of equal width. It is the tuple-side
-	// generalization of footnote 2's packaged requests; semantically it is
-	// exactly Count consecutive Tuple messages from the same sender (see
-	// doc/PROTOCOL.md, "Vectorized tuple delivery").
-	TupleBatch
 	// Abort tells a site to stop immediately: the query cannot complete (a
 	// site died, the deadline passed, or a node panicked) and its run loop
 	// should return instead of waiting for messages that will never arrive. Reason carries the cause; Note optional
@@ -118,7 +116,7 @@ func ReasonString(r uint8) string {
 
 var kindNames = [...]string{
 	"relreq", "tupreq", "tuple", "end", "reqend",
-	"endreq", "endneg", "endconf", "nudge", "shutdown", "tuplebatch",
+	"endreq", "endneg", "endconf", "nudge", "shutdown",
 	"abort", "hello", "heartbeat", "bye",
 }
 
@@ -138,11 +136,10 @@ type Message struct {
 	From int
 	To   int
 	// Vals carries d-argument bindings (TupReq) or carried-position values
-	// (Tuple). A batched tuple request (footnote 2's "packaged" requests)
-	// or a TupleBatch concatenates Count rows.
+	// (Tuple). A packaged message (footnote 2) concatenates Count rows.
 	Vals []symtab.Sym
-	// Count is the number of rows in a batched TupReq or TupleBatch; zero
-	// or one means a single row.
+	// Count is the number of rows in a TupReq or Tuple; zero or one means
+	// a single row.
 	Count int
 	// N is the End watermark: how many of the customer's tuple-request
 	// bindings are fully serviced.
@@ -164,8 +161,6 @@ func (m Message) String() string {
 	switch m.Kind {
 	case Tuple, TupReq:
 		return fmt.Sprintf("%s %d→%d %v", m.Kind, m.From, m.To, m.Vals)
-	case TupleBatch:
-		return fmt.Sprintf("%s %d→%d rows=%d %v", m.Kind, m.From, m.To, m.Count, m.Vals)
 	case End:
 		return fmt.Sprintf("end %d→%d n=%d all=%v", m.From, m.To, m.N, m.All)
 	case EndReq, EndNeg, EndConf:

@@ -17,19 +17,22 @@ import (
 // series of one family — the properties scrapers and diff-readers rely on.
 func TestPrometheusGolden(t *testing.T) {
 	sn := trace.Snapshot{
-		RelReqs: 1, TupReqs: 2, Tuples: 3, TupleBatches: 4, Ends: 5, ReqEnds: 6,
-		TupReqRows: 7, TupleRows: 8,
-		Protocol: 9, Rounds: 10,
-		Derived: 11, Stored: 12, Dups: 13,
-		Joins: 14, EDBScans: 15, EDBTuples: 16,
+		Tally: trace.Tally{
+			RelReqs: 1, TupReqs: 2, Tuples: 3, Ends: 5, ReqEnds: 6,
+			TupReqRows: 7, TupleRows: 8,
+			Protocol: 9, Rounds: 10,
+			Derived: 11, Stored: 12, Dups: 13,
+			Joins: 14, EDBScans: 15, EDBTuples: 16,
+			DeltaSeeded: 34,
+		},
 		Heartbeats: 17, PeerDowns: 20,
 		Aborts: 21, DroppedSends: 22, DroppedPuts: 23, FaultDrops: 24,
 		PlanHits: 25, PlanMisses: 26,
 		StrategyAutoGreedy: 35, StrategyAutoQualtree: 36,
 		StrategyAutoLeftright: 37, StrategyAutoCost: 38,
 		PlanReopts: 39, StatsRefreshes: 40,
-		DeltaRounds: 33, DeltaSeeded: 34,
-		Shed: 28, ResultHits: 29, ResultMisses: 30,
+		DeltaRounds: 33,
+		Shed:        28, ResultHits: 29, ResultMisses: 30,
 		SLOGood: 31, SLOBad: 32, BurnRateMicro: 1_500_000,
 	}
 	// One sample in the first bucket, one in the sixth, one beyond the
@@ -45,7 +48,6 @@ func TestPrometheusGolden(t *testing.T) {
 mpq_messages_total{kind="relation_request"} 1
 mpq_messages_total{kind="tuple_request"} 2
 mpq_messages_total{kind="tuple"} 3
-mpq_messages_total{kind="tuple_batch"} 4
 mpq_messages_total{kind="end"} 5
 mpq_messages_total{kind="request_end"} 6
 # HELP mpq_rows_total Rows carried by tuple deliveries and tuple requests (batching-invariant).
@@ -226,7 +228,7 @@ func TestMetricsHandler(t *testing.T) {
 		t.Errorf("first scrape missing zero counter:\n%s", rec.Body.String())
 	}
 
-	st.TupleMsg()
+	st.Add(trace.Tally{Tuples: 1, TupleRows: 1})
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if !strings.Contains(rec.Body.String(), `mpq_messages_total{kind="tuple"} 1`) {
@@ -412,15 +414,11 @@ func TestWriteReport(t *testing.T) {
 	p.SetMeta(0, trace.NodeMeta{Label: "path(X,Y)", Kind: "goal", Site: 0})
 	p.SetMeta(1, trace.NodeMeta{Label: "path(X,Y) :- ...", Kind: "rule", Site: 1})
 	p.SetMeta(2, trace.NodeMeta{Label: "driver", Kind: "driver", Site: 0})
-	hot := p.Counters(1)
 	for i := 0; i < 10; i++ {
-		hot.Msg()
-		hot.RowsOut(1)
-		hot.AddWork(trace.Work{Joins: 4})
-		hot.Handled(time.Duration(i)*time.Millisecond, time.Millisecond)
+		p.Handled(trace.Span{Node: 1, At: time.Duration(i) * time.Millisecond, Dur: time.Millisecond})
 	}
-	p.Counters(0).Msg()
 	p.MarkRound(0, 1, true)
+	p.End([]trace.Tally{{Tuples: 1, TupleRows: 1}, {Tuples: 10, TupleRows: 10, Joins: 40}, {}})
 
 	var buf bytes.Buffer
 	if err := WriteReport(&buf, p.Snapshot(), 2); err != nil {

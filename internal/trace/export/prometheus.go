@@ -30,16 +30,14 @@ type metricRow struct {
 // metric family must be adjacent (Prometheus exposition format requires
 // it).
 var promRows = []metricRow{
-	// §3.1 basic messages, by kind. One unit per message; batches count
-	// their rows in mpq_rows_total below (see trace.Snapshot.Messages).
+	// §3.1 basic messages, by kind. One unit per message; packaged
+	// messages count their rows in mpq_rows_total below (see trace.Tally).
 	{"mpq_messages_total", `kind="relation_request"`, "Basic messages sent, by §3.1 kind (a batch is one message).", "counter",
 		func(sn trace.Snapshot) int64 { return sn.RelReqs }},
 	{"mpq_messages_total", `kind="tuple_request"`, "", "",
 		func(sn trace.Snapshot) int64 { return sn.TupReqs }},
 	{"mpq_messages_total", `kind="tuple"`, "", "",
 		func(sn trace.Snapshot) int64 { return sn.Tuples }},
-	{"mpq_messages_total", `kind="tuple_batch"`, "", "",
-		func(sn trace.Snapshot) int64 { return sn.TupleBatches }},
 	{"mpq_messages_total", `kind="end"`, "", "",
 		func(sn trace.Snapshot) int64 { return sn.Ends }},
 	{"mpq_messages_total", `kind="request_end"`, "", "",

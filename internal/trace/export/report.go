@@ -13,7 +13,7 @@ import (
 // WriteReport renders a per-query profile (mpq -profile): overall totals,
 // the top-K nodes by messages sent and by wall-time spent handling, the
 // termination-round timeline, and a per-site breakdown. topK <= 0 selects
-// 5. The report reads per-node shards, so "which goal/rule node is hot" —
+// 5. The report reads per-node tallies, so "which goal/rule node is hot" —
 // the quantity the aggregate trace.Stats line cannot show — is its whole
 // point; Query-Subquery Nets' per-node tuple accounting is the comparable
 // presentation in the literature.
@@ -25,8 +25,8 @@ func WriteReport(w io.Writer, ps trace.ProfileSnapshot, topK int) error {
 	var busy time.Duration
 	active := 0
 	for _, n := range ps.Nodes {
-		totalMsgs += n.Msgs + n.Protocol
-		totalRows += n.RowsOut
+		totalMsgs += n.Messages() + n.Protocol
+		totalRows += n.TupleRows
 		totalJoins += n.Joins
 		busy += n.Busy
 		if n.Active() {
@@ -60,13 +60,13 @@ func WriteReport(w io.Writer, ps trace.ProfileSnapshot, topK int) error {
 		fmt.Fprintln(tw, "  node\tsite\tmsgs\trows\tjoins\tderived\tstored\tdups\tbusy\tspan\tlabel")
 		for _, n := range nodes {
 			fmt.Fprintf(tw, "  #%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%s\t%s\t%s %s\n",
-				n.ID, n.Site, n.Msgs+n.Protocol, n.RowsOut, n.Joins, n.Derived, n.Stored, n.Dups,
+				n.ID, n.Site, n.Messages()+n.Protocol, n.TupleRows, n.Joins, n.Derived, n.Stored, n.Dups,
 				rd(n.Busy), span(n), n.Kind, n.Label)
 		}
 		tw.Flush()
 	}
-	top("messages sent", func(n trace.NodeProfile) int64 { return n.Msgs + n.Protocol })
-	top("rows sent", func(n trace.NodeProfile) int64 { return n.RowsOut })
+	top("messages sent", func(n trace.NodeProfile) int64 { return n.Messages() + n.Protocol })
+	top("rows sent", func(n trace.NodeProfile) int64 { return n.TupleRows })
 	top("join probes", func(n trace.NodeProfile) int64 { return n.Joins })
 	top("wall-time (busy handling)", func(n trace.NodeProfile) int64 { return int64(n.Busy) })
 
@@ -91,7 +91,7 @@ func WriteReport(w io.Writer, ps trace.ProfileSnapshot, topK int) error {
 	fmt.Fprintln(tw, "  site\tnodes\tactive\tmsgs\trows\tjoins\tbusy")
 	for _, s := range sites {
 		fmt.Fprintf(tw, "  %d\t%d\t%d\t%d\t%d\t%d\t%s\n",
-			s.Site, s.Nodes, s.ActiveNodes, s.Msgs+s.Protocol, s.RowsOut, s.Joins, rd(s.Busy))
+			s.Site, s.Nodes, s.ActiveNodes, s.Messages()+s.Protocol, s.TupleRows, s.Joins, rd(s.Busy))
 	}
 	return tw.Flush()
 }

@@ -34,7 +34,7 @@ func WriteTraceText(w io.Writer, ps trace.ProfileSnapshot) error {
 		}
 		fmt.Fprintf(bw, "%12.1fµs  #%d ← #%d  %s", float64(s.At)*usPerNs, s.Node, s.From, msg.Kind(s.Kind))
 		switch msg.Kind(s.Kind) {
-		case msg.Tuple, msg.TupleBatch, msg.TupReq:
+		case msg.Tuple, msg.TupReq:
 			fmt.Fprintf(bw, " rows=%d", s.Rows)
 		}
 		bw.WriteByte('\n')

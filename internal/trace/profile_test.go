@@ -6,30 +6,31 @@ import (
 	"time"
 )
 
-// TestProfileConcurrentShards hammers every shard from its own goroutine —
-// the engine's access pattern — and checks the snapshot totals. Run under
-// -race this also proves the shard hooks need no locks.
+// TestProfileConcurrentShards gives every node its own goroutine, which
+// counts into the node's own tally and records the node's handled messages —
+// plain fields, no locks — and checks the snapshot totals once End handed
+// the tallies over. Run under -race this proves per-node recording needs no
+// synchronisation between nodes.
 func TestProfileConcurrentShards(t *testing.T) {
 	const nodes, perNode = 8, 1000
 	p := NewProfile()
 	p.Init(nodes)
+	tallies := make([]Tally, nodes)
 	var wg sync.WaitGroup
 	for id := 0; id < nodes; id++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			sh := p.Counters(id)
+			t := &tallies[id]
 			for i := 0; i < perNode; i++ {
-				sh.Msg()
-				sh.RowsOut(2)
-				sh.ReqRows(1)
-				sh.ProtocolMsg()
-				sh.AddWork(Work{Derived: 1, Stored: 1, Dups: 1, Joins: 3, EDBScans: 1, EDBTuples: 4})
-				sh.Handled(time.Duration(i)*time.Microsecond, time.Microsecond)
+				t.Add(Tally{Tuples: 1, TupleRows: 2, TupReqRows: 1, Protocol: 1,
+					Derived: 1, Stored: 1, Dups: 1, Joins: 3, EDBScans: 1, EDBTuples: 4})
+				p.Handled(Span{Node: id, At: time.Duration(i) * time.Microsecond, Dur: time.Microsecond})
 			}
 		}(id)
 	}
 	wg.Wait()
+	p.End(tallies)
 
 	sn := p.Snapshot()
 	if len(sn.Nodes) != nodes {
@@ -37,18 +38,18 @@ func TestProfileConcurrentShards(t *testing.T) {
 	}
 	var msgs, rows, joins, handled, busy int64
 	for _, n := range sn.Nodes {
-		if n.Msgs != perNode || n.Protocol != perNode || n.Derived != perNode ||
+		if n.Messages() != perNode || n.Protocol != perNode || n.Derived != perNode ||
 			n.Stored != perNode || n.Dups != perNode || n.EDBScans != perNode {
 			t.Errorf("node %d per-unit counters off: %+v", n.ID, n)
 		}
-		if n.RowsOut != 2*perNode || n.ReqRows != perNode || n.Joins != 3*perNode || n.EDBRows != 4*perNode {
+		if n.TupleRows != 2*perNode || n.TupReqRows != perNode || n.Joins != 3*perNode || n.EDBTuples != 4*perNode {
 			t.Errorf("node %d row counters off: %+v", n.ID, n)
 		}
 		if !n.Active() {
 			t.Errorf("node %d not active after %d handles", n.ID, perNode)
 		}
-		msgs += n.Msgs
-		rows += n.RowsOut
+		msgs += n.Messages()
+		rows += n.TupleRows
 		joins += n.Joins
 		handled += n.Handled
 		busy += int64(n.Busy)
@@ -64,15 +65,14 @@ func TestProfileConcurrentShards(t *testing.T) {
 	}
 }
 
-// TestProfileActivityWindow checks the first/last encoding, in particular
-// that a message handled at exactly t=0 still registers as activity.
+// TestProfileActivityWindow checks the activity window, in particular that
+// a message handled at exactly t=0 still registers as activity.
 func TestProfileActivityWindow(t *testing.T) {
 	p := NewProfile()
 	p.Init(2)
-	sh := p.Counters(0)
-	sh.Handled(0, 5*time.Microsecond)
-	sh.Handled(10*time.Microsecond, 2*time.Microsecond)
-	sh.Handled(3*time.Microsecond, time.Microsecond) // out of order: must not shrink the window
+	p.Handled(Span{Node: 0, At: 0, Dur: 5 * time.Microsecond})
+	p.Handled(Span{Node: 0, At: 10 * time.Microsecond, Dur: 2 * time.Microsecond})
+	p.Handled(Span{Node: 0, At: 3 * time.Microsecond, Dur: time.Microsecond}) // out of order: must not shrink the window
 
 	sn := p.Snapshot()
 	n := sn.Nodes[0]
@@ -99,10 +99,9 @@ func TestProfileRoundsAndSites(t *testing.T) {
 	p.SetMeta(1, NodeMeta{Label: "b", Kind: "rule", Site: 1})
 	p.SetMeta(2, NodeMeta{Label: "c", Kind: "goal", Site: 1})
 	p.SetMeta(3, NodeMeta{Label: "driver", Kind: "driver", Site: 0})
-	p.Counters(1).Msg()
-	p.Counters(2).Msg()
 	p.MarkRound(1, 1, false)
 	p.MarkRound(1, 2, true)
+	p.End([]Tally{1: {Tuples: 1}, 2: {Tuples: 1}, 3: {}})
 
 	sn := p.Snapshot()
 	if len(sn.Rounds) != 2 {
@@ -118,7 +117,7 @@ func TestProfileRoundsAndSites(t *testing.T) {
 	if sites[0].Nodes != 2 || sites[1].Nodes != 2 {
 		t.Errorf("site node counts: %+v", sites)
 	}
-	if sites[0].Msgs != 0 || sites[1].Msgs != 2 || sites[1].ActiveNodes != 2 {
+	if sites[0].Messages() != 0 || sites[1].Messages() != 2 || sites[1].ActiveNodes != 2 {
 		t.Errorf("site aggregates: %+v", sites)
 	}
 }
@@ -128,15 +127,16 @@ func TestProfileRoundsAndSites(t *testing.T) {
 func TestProfileInitResets(t *testing.T) {
 	p := NewProfile()
 	p.Init(2)
-	p.Counters(0).Msg()
 	p.MarkRound(0, 1, false)
+	p.Handled(Span{Node: 0, Dur: time.Microsecond})
+	p.End([]Tally{{Tuples: 1}, {}})
 	p.Init(3)
 	sn := p.Snapshot()
 	if len(sn.Nodes) != 3 {
 		t.Fatalf("nodes = %d, want 3", len(sn.Nodes))
 	}
-	if sn.Nodes[0].Msgs != 0 || len(sn.Rounds) != 0 {
-		t.Errorf("Init did not reset: %+v rounds=%d", sn.Nodes[0], len(sn.Rounds))
+	if sn.Nodes[0].Messages() != 0 || sn.Nodes[0].Handled != 0 || len(sn.Rounds) != 0 || sn.Elapsed != 0 {
+		t.Errorf("Init did not reset: %+v rounds=%d elapsed=%v", sn.Nodes[0], len(sn.Rounds), sn.Elapsed)
 	}
 }
 
@@ -172,7 +172,7 @@ func TestSpanRing(t *testing.T) {
 		}
 	}
 	if h := sn.Nodes[0].Handled; h != 11 {
-		t.Errorf("shard handled %d, want 11 (every span counts in the shard)", h)
+		t.Errorf("node handled %d, want 11 (every span counts for its node)", h)
 	}
 	p.Init(1)
 	p.Handled(Span{Rows: 42})

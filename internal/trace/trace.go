@@ -1,39 +1,80 @@
 // Package trace collects execution counters from the message-passing
 // engine: messages by kind, tuples derived and deduplicated, joins probed,
-// and termination-protocol rounds. Counters are updated with atomic
-// operations because every node process increments them concurrently; the
-// per-row ones (derived, stored, duplicate, join and EDB counts) are tallied
-// privately by each process in a Work and added once per mailbox drain, so
-// the row path never touches a cache line other processes — or other
-// evaluations sharing the Stats — write.
+// and termination-protocol rounds. Each node process counts into its own
+// plain Tally while the evaluation runs, and the engine adds the
+// evaluation's tallies to the shared Stats once, when it ends. The counters
+// other goroutines update — transport, planning and serving — are atomic
+// hooks on Stats.
 package trace
 
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 )
 
+// Tally is what one node process did during one evaluation: the messages it
+// sent by kind (§3.1), the rows those messages carried, the Fig 2 protocol
+// messages and rounds it originated, and its data-path work. The process
+// owns it exclusively (plain fields, no atomics).
+//
+// Messages count frames and rows apart: a Tuple of 50 rows adds 1 to Tuples
+// and 50 to TupleRows, and a packaged tuple request (footnote 2) with 50
+// bindings adds 1 to TupReqs and 50 to TupReqRows. So Messages measures
+// traffic in frames — the quantity packaging reduces — while TupleRows and
+// TupReqRows measure the information moved, which packaging must not change.
+// Exporters keep the same split (see doc/OBSERVABILITY.md).
+type Tally struct {
+	RelReqs, TupReqs, Tuples, Ends, ReqEnds int64
+	TupReqRows, TupleRows                   int64
+	Protocol, Rounds                        int64 // Fig 2 messages sent; rounds originated
+	Derived, Stored, Dups                   int64 // head tuples derived at rule nodes; stored and discarded at goal nodes
+	Joins, EDBScans, EDBTuples              int64 // join probe candidates; EDB selections and the tuples they read
+	// DeltaSeeded counts the Δ base tuples seeded at EDB leaves during
+	// delta rounds (see engine.Incremental and doc/SUBSCRIPTIONS.md).
+	DeltaSeeded int64
+}
+
+// Add adds o to t.
+func (t *Tally) Add(o Tally) {
+	t.RelReqs += o.RelReqs
+	t.TupReqs += o.TupReqs
+	t.Tuples += o.Tuples
+	t.Ends += o.Ends
+	t.ReqEnds += o.ReqEnds
+	t.TupReqRows += o.TupReqRows
+	t.TupleRows += o.TupleRows
+	t.Protocol += o.Protocol
+	t.Rounds += o.Rounds
+	t.Derived += o.Derived
+	t.Stored += o.Stored
+	t.Dups += o.Dups
+	t.Joins += o.Joins
+	t.EDBScans += o.EDBScans
+	t.EDBTuples += o.EDBTuples
+	t.DeltaSeeded += o.DeltaSeeded
+}
+
+// Messages is the total count of basic messages (§3.1): relation requests,
+// tuple requests, tuples, ends, and request-ends, in frames.
+func (t Tally) Messages() int64 {
+	return t.RelReqs + t.TupReqs + t.Tuples + t.Ends + t.ReqEnds
+}
+
+// RowMessages is what Messages would be if every row travelled alone, as in
+// the paper's tuple-at-a-time model: the information moved, in messages.
+// RowMessages()/Messages() is the mean number of rows per frame.
+func (t Tally) RowMessages() int64 {
+	return t.RelReqs + t.TupReqRows + t.TupleRows + t.Ends + t.ReqEnds
+}
+
 // Stats is a set of monotone counters. The zero value is ready to use.
 // All methods are safe for concurrent use.
 type Stats struct {
-	relReqs    atomic.Int64
-	tupReqs    atomic.Int64
-	tupReqRows atomic.Int64 // bindings carried inside tuple-request messages
-	tuples     atomic.Int64
-	batches    atomic.Int64 // TupleBatch messages
-	tupleRows  atomic.Int64 // rows delivered, via Tuple or TupleBatch
-	ends       atomic.Int64
-	reqEnds    atomic.Int64
-	protocol   atomic.Int64 // end request/negative/confirmed + nudges
-	rounds     atomic.Int64 // termination protocol rounds originated
-	derived    atomic.Int64 // head tuples derived at rule nodes (before dedup)
-	stored     atomic.Int64 // new tuples stored at goal nodes
-	dups       atomic.Int64 // duplicate tuples discarded
-	joins      atomic.Int64 // join probe candidates examined
-	edbScans   atomic.Int64 // EDB selections performed
-	edbTuples  atomic.Int64 // tuples read from the EDB
+	mu    sync.Mutex
+	tally Tally // the sum of every finished evaluation's tallies
 
 	// Failure-handling counters (transport + abort path).
 	heartbeats   atomic.Int64 // heartbeat frames sent over TCP
@@ -60,13 +101,11 @@ type Stats struct {
 	planReopts     atomic.Int64
 	statsRefreshes atomic.Int64
 
-	// Incremental (delta) re-evaluation counters: delta rounds driven
-	// through a retained plan (engine.Incremental) and the Δ base tuples
-	// those rounds seeded at EDB leaves. A delta round re-runs the Fig 2
-	// termination machinery, so Rounds still counts its protocol rounds;
-	// DeltaRounds counts the evaluations themselves.
+	// Delta rounds driven through a retained plan (engine.Incremental). A
+	// delta round re-runs the Fig 2 termination machinery, so Rounds still
+	// counts its protocol rounds; DeltaRounds counts the evaluations
+	// themselves.
 	deltaRounds atomic.Int64
-	deltaSeeded atomic.Int64
 
 	// Serving-layer counters (internal/serve): load shedding, the
 	// versioned result cache, and the SLO surface. Latency histograms
@@ -83,22 +122,17 @@ type Stats struct {
 	endToEnd     Histogram
 }
 
-// Counter increment hooks, one per event the engine reports.
+// Add folds one evaluation's tallies into the counters. The engine calls it
+// once per evaluation, when the evaluation ends.
+func (s *Stats) Add(t Tally) {
+	s.mu.Lock()
+	s.tally.Add(t)
+	s.mu.Unlock()
+}
 
-func (s *Stats) RelReq() { s.relReqs.Add(1) }
-func (s *Stats) TupReq() { s.tupReqs.Add(1) }
-func (s *Stats) TupReqRows(n int) {
-	s.tupReqRows.Add(int64(n))
-}
-func (s *Stats) TupleMsg() { s.tuples.Add(1); s.tupleRows.Add(1) }
-func (s *Stats) TupleBatchMsg(rows int) {
-	s.batches.Add(1)
-	s.tupleRows.Add(int64(rows))
-}
-func (s *Stats) EndMsg()             { s.ends.Add(1) }
-func (s *Stats) ReqEndMsg()          { s.reqEnds.Add(1) }
-func (s *Stats) ProtocolMsg()        { s.protocol.Add(1) }
-func (s *Stats) Round()              { s.rounds.Add(1) }
+// Counter increment hooks for the events counted outside the node
+// processes' tallies.
+
 func (s *Stats) Heartbeat()          { s.heartbeats.Add(1) }
 func (s *Stats) PeerDown()           { s.peerDowns.Add(1) }
 func (s *Stats) Abort()              { s.aborts.Add(1) }
@@ -110,35 +144,6 @@ func (s *Stats) PlanMiss()           { s.planMisses.Add(1) }
 func (s *Stats) PlanReopt()          { s.planReopts.Add(1) }
 func (s *Stats) StatsRefresh()       { s.statsRefreshes.Add(1) }
 func (s *Stats) DeltaRound()         { s.deltaRounds.Add(1) }
-func (s *Stats) DeltaSeeded(n int64) { s.deltaSeeded.Add(n) }
-
-// Work is one node process's private tally of data-path events since its
-// last flush: head tuples derived at rule nodes (before dedup), new tuples
-// stored at goal nodes, duplicates discarded, join probe candidates
-// examined, EDB selections performed and tuples read from the EDB. The
-// process owns it exclusively (plain fields, no atomics) and hands it to
-// Stats.AddWork / NodeShard.AddWork when its mailbox drains.
-type Work struct {
-	Derived, Stored, Dups, Joins, EDBScans, EDBTuples int64
-}
-
-// AddWork folds a process's tally into the shared counters.
-func (s *Stats) AddWork(w Work) {
-	add(&s.derived, w.Derived)
-	add(&s.stored, w.Stored)
-	add(&s.dups, w.Dups)
-	add(&s.joins, w.Joins)
-	add(&s.edbScans, w.EDBScans)
-	add(&s.edbTuples, w.EDBTuples)
-}
-
-// add skips the atomic (and the cache-line ownership transfer) for the
-// counters a flush did not move — most of them, for any one node kind.
-func add(c *atomic.Int64, n int64) {
-	if n != 0 {
-		c.Add(n)
-	}
-}
 
 // StrategyAuto counts one auto-planner decision for the named winning
 // candidate. Unknown names are ignored (the exported label set is fixed
@@ -179,17 +184,10 @@ func (s *Stats) ObserveEval(d time.Duration) { s.evalTime.Observe(d) }
 // ObserveEndToEnd records a request's full latency (arrival to response).
 func (s *Stats) ObserveEndToEnd(d time.Duration) { s.endToEnd.Observe(d) }
 
-// Snapshot is an immutable copy of the counters at one instant.
+// Snapshot is an immutable copy of the counters at one instant. Its Tally
+// sums every evaluation that has ended.
 type Snapshot struct {
-	RelReqs, TupReqs, Tuples, Ends, ReqEnds int64
-	// TupReqRows and TupleRows count the rows carried by (possibly
-	// packaged) tuple requests and (possibly batched) tuple deliveries, so
-	// message counts stay interpretable when batching collapses many rows
-	// into one message. TupleBatches counts TupleBatch messages.
-	TupReqRows, TupleBatches, TupleRows int64
-	Protocol, Rounds                    int64
-	Derived, Stored, Dups               int64
-	Joins, EDBScans, EDBTuples          int64
+	Tally
 	// Failure-handling counters: transport liveness traffic, declared
 	// peer failures, query aborts, and messages dropped at the
 	// transport or by closed mailboxes (drops are counted, never silent,
@@ -207,9 +205,8 @@ type Snapshot struct {
 	StrategyAutoLeftright, StrategyAutoCost  int64
 	PlanReopts, StatsRefreshes               int64
 	// Incremental re-evaluation: delta rounds run through retained plans
-	// and Δ base tuples seeded at EDB leaves during them (see
-	// engine.Incremental and doc/SUBSCRIPTIONS.md).
-	DeltaRounds, DeltaSeeded int64
+	// (see engine.Incremental and doc/SUBSCRIPTIONS.md).
+	DeltaRounds int64
 	// Deprecated: ignored; evaluation is never sharded. Kept only because
 	// benchmark/ still references it; removed with ROADMAP item 1's
 	// [benchmark] PR. Always 0.
@@ -230,23 +227,11 @@ type Snapshot struct {
 
 // Snapshot reads every counter.
 func (s *Stats) Snapshot() Snapshot {
+	s.mu.Lock()
+	t := s.tally
+	s.mu.Unlock()
 	return Snapshot{
-		RelReqs:               s.relReqs.Load(),
-		TupReqs:               s.tupReqs.Load(),
-		TupReqRows:            s.tupReqRows.Load(),
-		Tuples:                s.tuples.Load(),
-		TupleBatches:          s.batches.Load(),
-		TupleRows:             s.tupleRows.Load(),
-		Ends:                  s.ends.Load(),
-		ReqEnds:               s.reqEnds.Load(),
-		Protocol:              s.protocol.Load(),
-		Rounds:                s.rounds.Load(),
-		Derived:               s.derived.Load(),
-		Stored:                s.stored.Load(),
-		Dups:                  s.dups.Load(),
-		Joins:                 s.joins.Load(),
-		EDBScans:              s.edbScans.Load(),
-		EDBTuples:             s.edbTuples.Load(),
+		Tally:                 t,
 		Heartbeats:            s.heartbeats.Load(),
 		PeerDowns:             s.peerDowns.Load(),
 		Aborts:                s.aborts.Load(),
@@ -262,7 +247,6 @@ func (s *Stats) Snapshot() Snapshot {
 		PlanReopts:            s.planReopts.Load(),
 		StatsRefreshes:        s.statsRefreshes.Load(),
 		DeltaRounds:           s.deltaRounds.Load(),
-		DeltaSeeded:           s.deltaSeeded.Load(),
 		Shed:                  s.shed.Load(),
 		ResultHits:            s.resultHits.Load(),
 		ResultMisses:          s.resultMisses.Load(),
@@ -275,33 +259,11 @@ func (s *Stats) Snapshot() Snapshot {
 	}
 }
 
-// Messages is the total count of basic messages (§3.1): relation requests,
-// tuple requests, tuples (single and batched), ends, and request-ends.
-//
-// Accounting convention for batches: a message is one transferable unit,
-// however many rows it carries. A TupleBatch of 50 rows adds 1 here (via
-// TupleBatches) and 50 to TupleRows; a packaged tuple request (footnote 2)
-// with 50 bindings adds 1 (via TupReqs) and 50 to TupReqRows. So Messages
-// measures traffic in channel/frame units — the quantity batching reduces —
-// while TupleRows + TupReqRows measure the information moved, which
-// batching must NOT change. Exporters keep the same split: messages_total
-// counts units, rows_total counts rows (see doc/OBSERVABILITY.md).
-func (sn Snapshot) Messages() int64 {
-	return sn.RelReqs + sn.TupReqs + sn.Tuples + sn.TupleBatches + sn.Ends + sn.ReqEnds
-}
-
-// RowMessages is what Messages would be if every row travelled alone, as in
-// the paper's tuple-at-a-time model: the information moved, in messages.
-// RowMessages()/Messages() is the mean number of rows per frame.
-func (sn Snapshot) RowMessages() int64 {
-	return sn.RelReqs + sn.TupReqRows + sn.TupleRows + sn.Ends + sn.ReqEnds
-}
-
 // String renders the snapshot as a single diagnostic line.
 func (sn Snapshot) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "msgs=%d (relreq=%d tupreq=%d/%drows tuple=%d batch=%d/%drows end=%d reqend=%d)",
-		sn.Messages(), sn.RelReqs, sn.TupReqs, sn.TupReqRows, sn.Tuples, sn.TupleBatches, sn.TupleRows, sn.Ends, sn.ReqEnds)
+	fmt.Fprintf(&b, "msgs=%d (relreq=%d tupreq=%d/%drows tuple=%d/%drows end=%d reqend=%d)",
+		sn.Messages(), sn.RelReqs, sn.TupReqs, sn.TupReqRows, sn.Tuples, sn.TupleRows, sn.Ends, sn.ReqEnds)
 	fmt.Fprintf(&b, " protocol=%d rounds=%d", sn.Protocol, sn.Rounds)
 	fmt.Fprintf(&b, " derived=%d stored=%d dups=%d joins=%d edbscans=%d edbtuples=%d",
 		sn.Derived, sn.Stored, sn.Dups, sn.Joins, sn.EDBScans, sn.EDBTuples)

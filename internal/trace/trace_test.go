@@ -8,15 +8,8 @@ import (
 
 func TestCountersAndSnapshot(t *testing.T) {
 	var s Stats
-	s.RelReq()
-	s.TupReq()
-	s.TupReq()
-	s.TupleMsg()
-	s.EndMsg()
-	s.ReqEndMsg()
-	s.ProtocolMsg()
-	s.Round()
-	s.AddWork(Work{Derived: 1, Stored: 1, Dups: 1, Joins: 5, EDBScans: 1, EDBTuples: 7})
+	s.Add(Tally{RelReqs: 1, TupReqs: 1, Tuples: 1, Ends: 1, Protocol: 1, Rounds: 1})
+	s.Add(Tally{TupReqs: 1, ReqEnds: 1, Derived: 1, Stored: 1, Dups: 1, Joins: 5, EDBScans: 1, EDBTuples: 7})
 	sn := s.Snapshot()
 	if sn.RelReqs != 1 || sn.TupReqs != 2 || sn.Tuples != 1 || sn.Ends != 1 || sn.ReqEnds != 1 {
 		t.Errorf("basic counters wrong: %+v", sn)
@@ -41,8 +34,7 @@ func TestConcurrentIncrements(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				s.TupleMsg()
-				s.AddWork(Work{Joins: 2})
+				s.Add(Tally{Tuples: 1, Joins: 2})
 			}
 		}()
 	}
@@ -58,10 +50,9 @@ func TestConcurrentIncrements(t *testing.T) {
 
 func TestSnapshotString(t *testing.T) {
 	var s Stats
-	s.RelReq()
-	s.Round()
+	s.Add(Tally{RelReqs: 1, Rounds: 1, Tuples: 2, TupleRows: 5})
 	out := s.Snapshot().String()
-	for _, w := range []string{"msgs=1", "relreq=1", "rounds=1", "joins=0"} {
+	for _, w := range []string{"msgs=3", "relreq=1", "tuple=2/5rows", "rounds=1", "joins=0"} {
 		if !strings.Contains(out, w) {
 			t.Errorf("String %q missing %q", out, w)
 		}

@@ -438,7 +438,7 @@ func TestTCPLargeFrameSurvivesHeartbeatTimeout(t *testing.T) {
 	}
 
 	start := time.Now()
-	siteA.Send(msg.Message{Kind: msg.TupleBatch, From: 0, To: 1, Vals: vals, Count: rows, N: 2})
+	siteA.Send(msg.Message{Kind: msg.Tuple, From: 0, To: 1, Vals: vals, Count: rows, N: 2})
 	done := make(chan msg.Message, 1)
 	go func() {
 		m, _ := localB.Boxes[1].Get()

@@ -92,7 +92,7 @@ var (
 
 // slidingConn makes deadlines measure *stalls* rather than frame size.
 // Read pushes the read deadline forward on every call, so a large frame
-// (e.g. a TupleBatch over a slow link) that takes longer than
+// (e.g. a many-row Tuple over a slow link) that takes longer than
 // HeartbeatTimeout to stream keeps the connection alive as long as bytes
 // are arriving.
 //

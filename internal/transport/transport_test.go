@@ -293,8 +293,8 @@ func TestTCPAddr(t *testing.T) {
 	_ = fmt.Sprint(site.Addr())
 }
 
-// TestTCPTupleBatchSingleFrame checks a TupleBatch crosses the wire as one
-// message (one gob frame), payload intact, ordered with surrounding
+// TestTCPTupleBatchSingleFrame checks a multi-row Tuple crosses the wire as
+// one message (one gob frame), payload intact, ordered with surrounding
 // traffic.
 func TestTCPTupleBatchSingleFrame(t *testing.T) {
 	hosts := []int{0, 1}
@@ -316,7 +316,7 @@ func TestTCPTupleBatchSingleFrame(t *testing.T) {
 		vals = append(vals, symtab.Sym(i+1))
 	}
 	siteA.Send(msg.Message{Kind: msg.Tuple, From: 0, To: 1, Vals: vals[:width]})
-	siteA.Send(msg.Message{Kind: msg.TupleBatch, From: 0, To: 1, Vals: vals, Count: rows})
+	siteA.Send(msg.Message{Kind: msg.Tuple, From: 0, To: 1, Vals: vals, Count: rows})
 	siteA.Send(msg.Message{Kind: msg.End, From: 0, To: 1, N: 1})
 
 	first, ok := localB.Boxes[1].Get()
@@ -324,8 +324,8 @@ func TestTCPTupleBatchSingleFrame(t *testing.T) {
 		t.Fatalf("first message = %v", first)
 	}
 	batch, ok := localB.Boxes[1].Get()
-	if !ok || batch.Kind != msg.TupleBatch {
-		t.Fatalf("second message = %v, want one TupleBatch", batch)
+	if !ok || batch.Kind != msg.Tuple {
+		t.Fatalf("second message = %v, want one multi-row Tuple", batch)
 	}
 	if batch.Count != rows || len(batch.Vals) != rows*width {
 		t.Fatalf("batch carried %d rows / %d vals, want %d / %d", batch.Count, len(batch.Vals), rows, rows*width)

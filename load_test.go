@@ -2,6 +2,7 @@ package mpq
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -277,11 +278,19 @@ func TestPrepareCostIndependentOfEDB(t *testing.T) {
 		if _, err := sys.Prepare(query); err != nil { // warms the indexes
 			t.Fatal(err)
 		}
-		allocs = testing.AllocsPerRun(10, func() {
-			if _, err := sys.Prepare(query); err != nil {
-				t.Fatal(err)
-			}
-		})
+		// The least of several measurements: under -race, sync.Pool drops a
+		// random share of what is put back (one Prepare allocates 208 to 225
+		// times there, against a steady 208 without the detector), and
+		// AllocsPerRun reads the process-wide malloc count. Both only ever
+		// add allocations.
+		allocs = math.Inf(1)
+		for range 10 {
+			allocs = min(allocs, testing.AllocsPerRun(10, func() {
+				if _, err := sys.Prepare(query); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
 		best = time.Hour
 		for i := 0; i < 10; i++ {
 			start := time.Now()

@@ -269,7 +269,7 @@ func TestQueryProfile(t *testing.T) {
 			t.Fatalf("%s: Reused = %v", round, ans.Reused)
 		}
 		if p.Size() == 0 || handled(p) == 0 {
-			t.Fatalf("%s: Query left the profile empty (%d shards)", round, p.Size())
+			t.Fatalf("%s: Query left the profile empty (%d nodes)", round, p.Size())
 		}
 		if first == 0 {
 			first = handled(p)
@@ -287,7 +287,7 @@ func TestQueryProfile(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ignored.Size() != 0 {
-		t.Errorf("Prepare kept WithProfile: %d shards filled", ignored.Size())
+		t.Errorf("Prepare kept WithProfile: %d nodes filled", ignored.Size())
 	}
 }
 

@@ -78,6 +78,10 @@ go test -race -count=2 -run 'TestServeSubscribe|TestServeFact|TestSubscription|T
 # snapshot taken under the System lock. The race needs several schedules to
 # show, hence the CPU sweep and the repeat count.
 go test -race -cpu 1,2,4 -count=5 -run TestAddFactDuringWarming .
+# Every Go benchmark once, so the in-process twins of the benchmark
+# workloads (BenchmarkReachCluster, BenchmarkPointLookup) and the other
+# micro-benchmarks keep compiling and running; a few seconds in all.
+go test -run '^$' -bench . -benchtime 1x "$@" ./...
 # The lexer parses outside input — program files and wire `fact`/query
 # lines — so it is fuzzed on every check, from the committed corpus
 # (internal/parser/testdata/fuzz) outward: round trips, and ParseInto's
