@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check check-short chaos docs gate bench bench-smoke pairs
+.PHONY: build test check check-short chaos docs gate bench bench-smoke pairs profile
 
 build:
 	$(GO) build ./...
@@ -46,3 +46,13 @@ bench-smoke:
 # which goes first: make pairs BASE=HEAD~1 WORKLOAD=point_mem [N=10].
 pairs:
 	./scripts/pairs.sh $(BASE) $(WORKLOAD) $(N)
+
+# CPU profile of BenchmarkReachCluster/serial (the in-process twin of
+# reach_mem), printed as the top functions by cumulative share; the profile
+# and its test binary are written to PROFILE_DIR, outside the tree.
+PROFILE_DIR ?= $(or $(TMPDIR),/tmp)/mpq-profile
+profile:
+	mkdir -p $(PROFILE_DIR)
+	cd internal/engine && $(GO) test -run '^$$' -bench 'BenchmarkReachCluster/serial' -benchtime 3s \
+		-cpuprofile $(PROFILE_DIR)/cpu.out -o $(PROFILE_DIR)/engine.test
+	$(GO) tool pprof -top -cum $(PROFILE_DIR)/engine.test $(PROFILE_DIR)/cpu.out | head -40

@@ -3,6 +3,8 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +15,7 @@ import (
 	"repro/internal/parser"
 	"repro/internal/relation"
 	"repro/internal/rgg"
+	"repro/internal/symtab"
 	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/workload"
@@ -332,5 +335,77 @@ func TestDeltaWindowBatches(t *testing.T) {
 	}
 	if res.Stats.TupleRows <= res.Stats.Tuples {
 		t.Errorf("a 6-row delta window travelled without a single multi-row Tuple: %v", res.Stats)
+	}
+}
+
+// TestRecycledFramesNotAliased: a handled frame's buffer goes back to the
+// site's row buffers, so what must never be recycled is pinned here. Rows a
+// RunStream yield keeps without copying stay intact through a later pooled
+// run, Options.Bind is left alone, and frames crossing between in-process
+// sites over a delaying network leave the answers whole.
+func TestRecycledFramesNotAliased(t *testing.T) {
+	plan, ids := reachCluster(t, edb.New())
+	for i := 0; i < 2; i++ { // fill the pooled scratch's free list
+		if _, err := plan.Run(Options{Bind: ids[3:4]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Spare capacity behind the caller's binding shows any write into its
+	// memory, not only one that changes the value.
+	bind := append(make([]symtab.Sym, 0, 64), ids[7])
+	bound := slices.Clone(bind[:cap(bind)])
+	var kept []relation.Tuple
+	res, err := plan.RunStream(Options{Bind: bind}, func(row relation.Tuple) bool {
+		kept = append(kept, row)
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(bind[:cap(bind)], bound) {
+		t.Errorf("the run wrote into Options.Bind's memory")
+	}
+	render := func(rows []relation.Tuple) string {
+		s := make([]string, len(rows))
+		for i, r := range rows {
+			s[i] = fmt.Sprint(r)
+		}
+		slices.Sort(s)
+		return strings.Join(s, " ")
+	}
+	want := render(res.Answers.Rows())
+	if got := render(kept); len(kept) == 0 || got != want {
+		t.Fatalf("kept %d rows, answers %d: the rows differ", len(kept), res.Answers.Len())
+	}
+	if _, err := plan.Run(Options{Bind: ids[11:12]}); err != nil {
+		t.Fatal(err)
+	}
+	if got := render(kept); got != want {
+		t.Errorf("a second pooled run rewrote the %d rows a yield kept", len(kept))
+	}
+	if !slices.Equal(bind[:cap(bind)], bound) {
+		t.Errorf("a second pooled run wrote into the first run's Options.Bind")
+	}
+
+	facts := workload.Random("edge", 48, 300, rand.New(rand.NewSource(9)))
+	src := workload.Program(workload.TCRules, facts).String()
+	prog := parser.MustParse(src)
+	g, err := rgg.Build(prog, rgg.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts := Partition(g, 2)
+	delay := func(fn *transport.FaultNet, _ []int, _ *transport.Local) {
+		for _, l := range [][2]int{{0, 1}, {1, 0}} {
+			fn.AddLink(transport.LinkFault{From: l[0], To: l[1], Delay: 20 * time.Microsecond, Jitter: 200 * time.Microsecond})
+		}
+	}
+	db := edb.FromProgram(prog)
+	sites, err, _, _ := chaosSites(t, g, func(int) *edb.Database { return db }, hosts, delay, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := renderSet(sites.Answers, db), renderSetBottomup(t, src); got != want {
+		t.Errorf("two delayed sites: %d answers differ from semi-naive", sites.Answers.Len())
 	}
 }

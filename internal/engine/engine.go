@@ -185,6 +185,8 @@ type runner struct {
 	tallies []trace.Tally
 	// prof, nil when disabled, records the rounds and the handled messages.
 	prof *trace.Profile
+	// frames is the scratch's free list of row buffers (see recycle).
+	frames *frames
 
 	// local is the Local transport hosting this site's mailboxes.
 	local *transport.Local
@@ -228,7 +230,7 @@ func newRunner(g *rgg.Graph, db edb.Storage, opts Options, s *scratch) (*runner,
 		return nil, fmt.Errorf("engine: Bind has %d values, root has %d dynamic positions", len(opts.Bind), w)
 	}
 	rt := &runner{g: g, db: db, net: s.net, stats: stats, driver: len(g.Nodes), tallies: s.tallies,
-		bind: opts.Bind, edbDelay: opts.EDBDelay, prof: opts.Profile, pick: opts.pick,
+		bind: opts.Bind, edbDelay: opts.EDBDelay, prof: opts.Profile, frames: &s.frames, pick: opts.pick,
 		local: s.local, hub: s.hub, procs: s.procs, hosts: s.hosts, site: s.site,
 		cancel: opts.Cancel, peerDown: opts.PeerDown, deadline: opts.Deadline}
 	if rt.prof != nil {
@@ -441,6 +443,32 @@ func (rt *runner) receive(m msg.Message, answers *relation.Relation, yield func(
 		}
 	}
 	return false
+}
+
+// ownsFrames reports whether node id is a node process this site hosts
+// (never the driver): only frames between two such nodes are recycled. A
+// frame to the driver may have rows a RunStream yield keeps, a TupReq from
+// the driver carries the caller's Options.Bind, and a frame to or from
+// another site belongs to its transport.
+func (rt *runner) ownsFrames(id int) bool {
+	return id != rt.driver && (rt.hosts == nil || rt.hosts[id] == rt.site)
+}
+
+// framesTo returns the free list for the row buffers sending to node id:
+// the site's when the frames come back to it, else nil.
+func (rt *runner) framesTo(id int) *frames {
+	if rt.ownsFrames(id) {
+		return rt.frames
+	}
+	return nil
+}
+
+// recycle returns a data frame's payload to the site's free list once a
+// hosted node has handled it, when its sender is hosted here too.
+func (rt *runner) recycle(m msg.Message) {
+	if (m.Kind == msg.Tuple || m.Kind == msg.TupReq) && rt.ownsFrames(m.From) {
+		rt.frames.put(m.Vals)
+	}
 }
 
 // send dispatches a message and counts it in the sender's tally, so every

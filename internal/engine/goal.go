@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"slices"
 	"time"
 
+	"repro/internal/adorn"
 	"repro/internal/msg"
 	"repro/internal/relation"
 	"repro/internal/rgg"
@@ -19,6 +21,15 @@ import (
 // answer tuples that are genuinely new", and "a goal node with multiple
 // out-edges needs to furnish answers in separate streams to each successor
 // node" — different successors will have requested different subsets.
+//
+// Two flavors are exempt from storing. Variant nodes relay their ancestor's
+// stream (the paper's "trivial goal nodes"). An EDB leaf without an
+// existential position passes its selected rows straight to its one
+// customer: the base relation is a set, a selection that carries every
+// non-constant position is injective, different bindings select disjoint
+// rows, and reqs refuses a binding twice, so no row can repeat — and a
+// leaf, off every cycle with a single customer, never replays its store.
+// Its answers relation is nil.
 type goalState struct {
 	p *proc
 
@@ -34,7 +45,7 @@ type goalState struct {
 	// reqs holds the d-bindings already forwarded/serviced. A binding's
 	// ordinal there names it in each customer's asked set.
 	reqs    *relation.Relation
-	answers *relation.Relation
+	answers *relation.Relation // nil on a pass-through EDB leaf
 
 	// Scratch, reused by every row: an answer's d-projection, the probe for
 	// the stored answers under one d-binding, and probe results.
@@ -131,7 +142,9 @@ func newGoalState(p *proc) *goalState {
 		isEDB:     n.EDB,
 	}
 	g.reqs = relation.New(len(g.dPos))
-	g.answers = relation.New(len(g.carried))
+	if !passThrough(n, len(p.custs)) {
+		g.answers = relation.New(len(g.carried))
+	}
 	g.dVals = make(relation.Tuple, len(g.dPos))
 	g.ansBind = make(relation.Binding, len(g.carried))
 	idx := make(map[int]int, len(g.carried))
@@ -158,6 +171,15 @@ func newGoalState(p *proc) *goalState {
 		}
 	}
 	return g
+}
+
+// passThrough reports whether goal node n, with the given number of
+// customers, may deliver its answers without an answer store: it is an EDB
+// leaf with one customer and no existential position, so every argument is
+// a constant or carried and its selection never collapses two base rows
+// into one answer.
+func passThrough(n *rgg.Node, customers int) bool {
+	return n.EDB && customers == 1 && !slices.Contains(n.Ad, adorn.Existential)
 }
 
 func (g *goalState) handle(m msg.Message) {
@@ -196,7 +218,7 @@ func (g *goalState) onRelReq(c int) {
 		// delta round the customer re-registers but already received the
 		// store in earlier rounds, so the replay is skipped (fresh=false:
 		// registrations survive a delta reset).
-		if fresh {
+		if fresh && g.answers != nil {
 			for _, t := range g.answers.Rows() {
 				g.p.queueTuple(c, t)
 			}
@@ -312,10 +334,8 @@ func (g *goalState) serviceEDB(vals []symtab.Sym) {
 	}
 }
 
-// emitBase delivers one selected base row: repeated variables filter, the
-// projection drops existential values, and the answer store dedups (the
-// projection may collapse rows that differ only existentially) before the
-// row streams to the customer.
+// emitBase delivers one selected base row: repeated variables filter and
+// the projection drops existential values before emitLeaf streams it.
 func (g *goalState) emitBase(row relation.Tuple) {
 	for _, eq := range g.eqPos {
 		if row[eq[0]] != row[eq[1]] {
@@ -325,7 +345,18 @@ func (g *goalState) emitBase(row relation.Tuple) {
 	for i, pos := range g.carried {
 		g.buf[i] = row[pos]
 	}
-	g.onTuple(g.buf)
+	g.emitLeaf(g.buf)
+}
+
+// emitLeaf streams one projected base row to the leaf's customer: straight
+// through on a pass-through leaf, else through the answer store, which
+// dedups what the projection collapsed (rows differing only existentially).
+func (g *goalState) emitLeaf(vals []symtab.Sym) {
+	if g.answers == nil {
+		g.p.queueTuple(0, vals)
+		return
+	}
+	g.onTuple(vals)
 }
 
 // serviceEDBDelta seeds one delta round at an EDB leaf: the base-relation
@@ -376,7 +407,7 @@ window:
 		for i, pos := range g.carried {
 			g.buf[i] = row[pos]
 		}
-		g.onTuple(g.buf)
+		g.emitLeaf(g.buf)
 	}
 	g.p.tally.EDBTuples += int64(scanned)
 	g.p.tally.DeltaSeeded += int64(seeded)

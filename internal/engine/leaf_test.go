@@ -5,6 +5,7 @@ import (
 	"iter"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,10 +13,12 @@ import (
 	"repro/internal/ast"
 	"repro/internal/bottomup"
 	"repro/internal/edb"
+	"repro/internal/magic"
 	"repro/internal/parser"
 	"repro/internal/relation"
 	"repro/internal/rgg"
 	"repro/internal/symtab"
+	"repro/internal/trace"
 )
 
 // An EDB leaf is a retrieval process in front of the one shared store: it
@@ -251,4 +254,115 @@ func TestLeafOwnershipMatrix(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestLeafPassThrough pins which EDB leaves keep an answer store. A leaf
+// without existential positions streams its selected rows to its one
+// customer unstored; one whose projection drops a position still dedups what
+// the projection collapses; and a delta round's window rows, under a binding
+// requested in an earlier round or a new one, still reach the driver once.
+func TestLeafPassThrough(t *testing.T) {
+	leafStored := func(prof *trace.Profile) (leaves int, stored int64) {
+		for _, n := range prof.Snapshot().Nodes {
+			if n.Kind == "edb" {
+				leaves++
+				stored += n.Stored
+			}
+		}
+		return leaves, stored
+	}
+
+	t.Run("existential", func(t *testing.T) {
+		res, prof := runObserved(t, `e(a, 1). e(a, 2).
+			p(X) :- e(X, Z).
+			goal(X) :- p(X).`, Options{})
+		if res.Answers.Len() != 1 {
+			t.Errorf("%d answers, want 1", res.Answers.Len())
+		}
+		if leaves, stored := leafStored(prof); leaves != 1 || stored != 1 {
+			t.Errorf("%d leaves stored %d rows, want one leaf storing 1", leaves, stored)
+		}
+	})
+
+	t.Run("reach", func(t *testing.T) {
+		db := edb.New()
+		plan, ids := reachCluster(t, db)
+		prof := trace.NewProfile()
+		res, err := plan.Run(Options{Bind: ids[7:8], Profile: prof})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if leaves, stored := leafStored(prof); leaves == 0 || stored != 0 {
+			t.Errorf("%d leaves stored %d rows, want none", leaves, stored)
+		}
+		start := db.Syms.String(ids[7])
+		truth, _, tdb, err := magic.EvaluateWith(parser.MustParse(`
+			path(X, Y) :- edge(X, Y).
+			path(X, Y) :- path(X, U), edge(U, Y).
+			goal(Y) :- path(`+start+`, Y).`), db, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got, want []string
+		for _, row := range res.Answers.Rows() {
+			got = append(got, db.Syms.String(row[0]))
+		}
+		for _, row := range truth.Goal.Rows() {
+			want = append(want, tdb.Syms.String(row[0]))
+		}
+		slices.Sort(got)
+		slices.Sort(want)
+		if len(want) == 0 || !slices.Equal(got, want) {
+			t.Errorf("reach from %s: %d answers, semi-naive %d", start, len(got), len(want))
+		}
+	})
+
+	t.Run("delta", func(t *testing.T) {
+		src := `
+			edge(a, b). edge(b, c).
+			path(X, Y) :- edge(X, Y).
+			path(X, Y) :- path(X, U), edge(U, Y).
+			goal(Y) :- path(a, Y).
+		`
+		prog := parser.MustParse(src)
+		db := edb.FromProgram(prog)
+		g, err := rgg.Build(prog, rgg.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof := trace.NewProfile()
+		inc := NewPlan(g, db).Incremental(Options{Profile: prof})
+		seen := relation.New(1)
+		round := func(name string) int {
+			rows, _ := incRound(t, inc)
+			for _, r := range rows {
+				if !seen.Insert(r) {
+					t.Errorf("%s: answer %s yielded again", name, r.String(db.Syms))
+				}
+			}
+			if _, stored := leafStored(prof); stored != 0 {
+				t.Errorf("%s: leaves stored %d rows, want none", name, stored)
+			}
+			if got, want := renderSet(seen, db), freshSet(t, src, db, nil, Options{}); got != want {
+				t.Fatalf("%s: answers so far %s, a fresh run %s", name, got, want)
+			}
+			return len(rows)
+		}
+		round("full round")
+		// Each delta round extends a node whose binding was requested before
+		// (b, then c) and hangs a further edge off the new node, whose binding
+		// is requested for the first time within the round; the edge out of z
+		// stays under a binding nobody asks for.
+		for i, add := range [][][2]string{
+			{{"b", "d"}, {"d", "e"}, {"z", "a"}},
+			{{"c", "f"}, {"f", "a"}, {"a", "d"}},
+		} {
+			for _, e := range add {
+				db.Add("edge", e[0], e[1])
+			}
+			if n := round(fmt.Sprintf("delta round %d", i+1)); n == 0 {
+				t.Errorf("delta round %d yielded nothing", i+1)
+			}
+		}
+	})
 }

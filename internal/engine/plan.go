@@ -41,8 +41,9 @@ type Plan struct {
 // the run loop, and the hosted node processes (whose temporaries keep their
 // relation capacity across runs), built by the first run that gets as far as
 // needing them, with one tally per node id (the driver's last) that they
-// count into. hosts and site place the nodes for a multi-site run (see
-// RunSites); a single-site scratch has nil hosts and sends over local.
+// count into and the free list of row buffers their output draws from. hosts
+// and site place the nodes for a multi-site run (see RunSites); a
+// single-site scratch has nil hosts and sends over local.
 type scratch struct {
 	local   *transport.Local
 	net     transport.Network
@@ -51,6 +52,7 @@ type scratch struct {
 	hub     *transport.Hub
 	procs   []*proc
 	tallies []trace.Tally
+	frames  frames
 	built   bool
 }
 
@@ -161,9 +163,9 @@ func (pl *Plan) siteScratch(net transport.Network, local *transport.Local, hosts
 // back to its just-constructed state for a pooled run, or — rt.delta, the
 // next round of an Incremental — to the state that round starts from. Either
 // way every allocation whose size tracks the data survives (relation
-// row/index capacity, request bitsets, output-buffer size hints, mailbox
-// backing arrays) and the run-scoped runner pointer is rebound (the tally
-// is the scratch's, zeroed by bind). It runs strictly between evaluations,
+// row/index capacity, request bitsets, output-buffer size hints, the free
+// list of row buffers, mailbox backing arrays) and the run-scoped runner
+// pointer is rebound (the tally is the scratch's, zeroed by bind). It runs strictly between evaluations,
 // after the previous loop has returned.
 //
 // A delta round keeps everything the semi-naive re-evaluation relies on:
@@ -212,7 +214,9 @@ func (g *goalState) reset(delta bool) {
 	g.relReqForwarded = false
 	if !delta {
 		g.reqs.Reset()
-		g.answers.Reset()
+		if g.answers != nil {
+			g.answers.Reset()
+		}
 	}
 }
 

@@ -83,17 +83,21 @@ type custOut struct {
 
 // rowBuf accumulates concatenated same-width rows bound for one mailbox
 // (d-bindings of a packaged tuple request, or carried rows of a tuple
-// batch). A flush hands vals to the receiver, so each flush costs one
-// allocation, sized by the flush before it.
+// batch). A flush hands vals to the receiver, and the next add takes a
+// buffer from free, the site's free list, when this buffer's frames go back
+// there (see frames), or otherwise makes one sized by the flush before.
 type rowBuf struct {
 	vals  []symtab.Sym
 	count int
+	free  *frames // nil: frames to the driver or another site
 	hint  int
 }
 
 func (b *rowBuf) add(vals []symtab.Sym) {
-	if b.vals == nil && b.hint > 0 {
-		b.vals = make([]symtab.Sym, 0, b.hint)
+	if b.vals == nil {
+		if b.vals = b.free.get(); b.vals == nil && b.hint > 0 {
+			b.vals = make([]symtab.Sym, 0, b.hint)
+		}
 	}
 	b.vals = append(b.vals, vals...)
 	b.count++
@@ -103,12 +107,42 @@ func (b *rowBuf) add(vals []symtab.Sym) {
 func (b *rowBuf) take() (vals []symtab.Sym, count int) {
 	vals, count = b.vals, b.count
 	b.hint = len(vals)
-	b.drop()
+	b.vals, b.count = nil, 0
 	return vals, count
 }
 
-// drop discards the buffered rows, keeping the size hint.
-func (b *rowBuf) drop() { b.vals, b.count = nil, 0 }
+// drop discards the buffered rows, keeping the size hint and returning the
+// buffer to the free list.
+func (b *rowBuf) drop() {
+	b.free.put(b.vals)
+	b.vals, b.count = nil, 0
+}
+
+// frames is a site's free list of row buffers. A frame's payload is dead
+// once its receiver has handled it — every handler copies what it keeps —
+// so the run loop puts a frame between two hosted nodes back here (see
+// runner.recycle), and the rowBufs that send such frames take from here
+// before allocating. What is taken comes back, so a pooled scratch's frames
+// stop allocating once its list holds buffers enough, and large enough, for
+// its runs. Only the run loop touches the list: no lock.
+type frames struct{ free [][]symtab.Sym }
+
+// get pops a recycled buffer, empty, or returns nil when there is none.
+func (f *frames) get() []symtab.Sym {
+	if f == nil || len(f.free) == 0 {
+		return nil
+	}
+	v := f.free[len(f.free)-1]
+	f.free = f.free[:len(f.free)-1]
+	return v
+}
+
+// put keeps v's backing array for a later get.
+func (f *frames) put(v []symtab.Sym) {
+	if f != nil && cap(v) > 0 {
+		f.free = append(f.free, v[:0])
+	}
+}
 
 // feedState is the customer's view of one cross-component child: how many
 // tuple requests were sent and how many the child has acknowledged as fully
@@ -163,7 +197,7 @@ func newProc(rt *runner, id int, box *transport.Mailbox) *proc {
 	}
 	p.kids = make([]kidOut, len(kids))
 	for i, c := range kids {
-		p.kids[i] = kidOut{id: c, feed: p.feed(c)}
+		p.kids[i] = kidOut{id: c, feed: p.feed(c), buf: rowBuf{free: rt.framesTo(c)}}
 	}
 	custs := []int{p.customerID()}
 	for id, v := range rt.g.Nodes {
@@ -173,7 +207,7 @@ func newProc(rt *runner, id int, box *transport.Mailbox) *proc {
 	}
 	p.custs = make([]custOut, len(custs))
 	for i, c := range custs {
-		p.custs[i] = custOut{id: c}
+		p.custs[i] = custOut{id: c, buf: rowBuf{free: rt.framesTo(c)}}
 	}
 	switch n.Kind {
 	case rgg.Goal:
@@ -272,6 +306,7 @@ func (p *proc) step(m msg.Message) {
 		p.flushAll()
 	}
 	p.handle(m)
+	p.rt.recycle(m)
 	if p.box.Empty() {
 		p.flushAll()
 	}
