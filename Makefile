@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check check-short chaos docs gate bench bench-smoke pairs profile
+.PHONY: build test check check-short chaos docs gate bench bench-smoke pairs profile lines
 
 build:
 	$(GO) build ./...
@@ -56,3 +56,8 @@ profile:
 	cd internal/engine && $(GO) test -run '^$$' -bench 'BenchmarkReachCluster/serial' -benchtime 3s \
 		-cpuprofile $(PROFILE_DIR)/cpu.out -o $(PROFILE_DIR)/engine.test
 	$(GO) tool pprof -top -cum $(PROFILE_DIR)/engine.test $(PROFILE_DIR)/cpu.out | head -40
+
+# Non-test Go lines per package, the tree total and the length of
+# api/mpq.txt: the size figures ROADMAP.md tracks.
+lines:
+	./scripts/lines.sh

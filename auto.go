@@ -41,9 +41,9 @@ const reoptMinEpoch = 16
 
 // AutoChoice records one adaptive-planning decision.
 type AutoChoice struct {
-	// Strategy is the winning candidate: "greedy", "qualtree",
-	// "leftright", or "cost" (exhaustive ordering under the stats-backed
-	// model, rgg.TableStrategy).
+	// Strategy is the winning candidate: the name of an rgg.Strategies
+	// entry marked Candidate ("cost" is exhaustive ordering under the
+	// stats-backed model, rgg.TableStrategy).
 	Strategy string
 	// CostLog is the winner's estimated log10 cost (rgg.GraphCostLog).
 	CostLog float64
@@ -57,35 +57,14 @@ type AutoChoice struct {
 	// Fallback is non-nil when no statistics were available and the
 	// greedy default was used; it satisfies errors.Is(·, ErrNoStats).
 	Fallback error
-
-	// strat replays the winning strategy (for engines that re-derive
-	// SIPs from it, e.g. the magic-sets rewrite).
-	strat rgg.Strategy
-}
-
-// autoCandidates is the fixed scoring order; ties go to the earliest, so
-// greedy — the paper's default — wins when the model cannot separate.
-var autoCandidates = []string{"greedy", "qualtree", "leftright", "cost"}
-
-// candidateStrategy maps an auto-candidate name to its strategy.
-func candidateStrategy(name string, t *costmodel.Table) rgg.Strategy {
-	switch name {
-	case "qualtree":
-		return rgg.QualTreeStrategy
-	case "leftright":
-		return rgg.LeftToRightStrategy
-	case "cost":
-		return rgg.TableStrategy(t)
-	default:
-		return rgg.GreedyStrategy
-	}
 }
 
 // chooseAuto runs one adaptive-planning decision for prog under rootAd:
-// snapshot statistics, build every candidate's graph, score each under
-// the stats-backed cost model, keep the cheapest. With no statistics it
-// falls back to greedy and records ErrNoStats. The decision and the
-// statistics refresh are counted into st (StrategyAuto*, StatsRefreshes).
+// snapshot statistics, build every candidate's graph in rgg.Strategies
+// order, score each under the stats-backed cost model, keep the cheapest
+// (ties go to the earliest). With no statistics it falls back to greedy
+// and records ErrNoStats. The decision and the statistics refresh are
+// counted into st (StrategyAuto*, StatsRefreshes).
 func (s *System) chooseAuto(prog *ast.Program, rootAd adorn.Adornment, st *trace.Stats) (*rgg.Graph, *AutoChoice, error) {
 	est := s.DB.Stats()
 	if st != nil {
@@ -94,10 +73,10 @@ func (s *System) chooseAuto(prog *ast.Program, rootAd adorn.Adornment, st *trace
 	choice := &AutoChoice{StatsEpoch: est.Epoch, StatsRows: est.Rows}
 	table, err := costmodel.FromStats(est)
 	if err != nil {
-		choice.Strategy = "greedy"
-		choice.strat = rgg.GreedyStrategy
-		choice.Fallback = fmt.Errorf("mpq: auto planning fell back to greedy: %w", err)
-		g, berr := rgg.Build(prog, rgg.Options{Strategy: rgg.GreedyStrategy, RootAd: rootAd})
+		greedy := rgg.StrategyNamed("")
+		choice.Strategy = greedy.Name
+		choice.Fallback = fmt.Errorf("mpq: auto planning fell back to %s: %w", greedy.Name, err)
+		g, berr := rgg.Build(prog, rgg.Options{Strategy: greedy.Make(s.DB, nil), RootAd: rootAd})
 		if berr != nil {
 			return nil, nil, berr
 		}
@@ -106,20 +85,22 @@ func (s *System) chooseAuto(prog *ast.Program, rootAd adorn.Adornment, st *trace
 		}
 		return g, choice, nil
 	}
-	choice.Candidates = make(map[string]float64, len(autoCandidates))
+	choice.Candidates = make(map[string]float64)
 	var bestG *rgg.Graph
 	best := math.Inf(1)
-	for _, name := range autoCandidates {
-		strat := candidateStrategy(name, table)
-		g, berr := rgg.Build(prog, rgg.Options{Strategy: strat, RootAd: rootAd})
+	for _, cand := range rgg.Strategies {
+		if !cand.Candidate {
+			continue
+		}
+		g, berr := rgg.Build(prog, rgg.Options{Strategy: cand.Make(s.DB, table), RootAd: rootAd})
 		if berr != nil {
 			return nil, nil, berr
 		}
 		cost := rgg.GraphCostLog(g, table)
-		choice.Candidates[name] = cost
+		choice.Candidates[cand.Name] = cost
 		if cost < best {
 			best, bestG = cost, g
-			choice.Strategy, choice.strat = name, strat
+			choice.Strategy = cand.Name
 		}
 	}
 	choice.CostLog = best
@@ -127,20 +108,6 @@ func (s *System) chooseAuto(prog *ast.Program, rootAd adorn.Adornment, st *trace
 		st.StrategyAuto(choice.Strategy)
 	}
 	return bestG, choice, nil
-}
-
-// buildGraph compiles the rule/goal graph for prog under the configured
-// strategy, running the auto planner when strategy=auto. The returned
-// AutoChoice is nil for manual strategies.
-func (s *System) buildGraph(prog *ast.Program, rootAd adorn.Adornment, cfg *config) (*rgg.Graph, *AutoChoice, error) {
-	if err := s.validate(prog); err != nil {
-		return nil, nil, err
-	}
-	if normStrategy(cfg.strategyName) != AutoStrategy {
-		g, err := rgg.Build(prog, rgg.Options{Strategy: s.resolveStrategy(cfg), RootAd: rootAd})
-		return g, nil, err
-	}
-	return s.chooseAuto(prog, rootAd, cfg.stats)
 }
 
 // Choice returns the auto planner's decision behind this plan, or nil
@@ -177,11 +144,8 @@ func (pq *PreparedQuery) PlanSummary() string {
 // statistics. For auto plans the header also reports every candidate's
 // score, so "why this strategy" is answerable from the output alone.
 func (pq *PreparedQuery) ExplainPlan() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "plan %s %s\n", pq.shape, pq.PlanSummary())
-	writeCandidates(&b, pq.choice)
-	explainGraph(&b, pq.plan.Graph(), pq.sys)
-	return b.String()
+	text, _ := pq.explain("plan " + pq.shape + " " + pq.PlanSummary())
+	return text
 }
 
 // ExplainPlan compiles the program's query under the configured strategy
@@ -190,28 +154,24 @@ func (pq *PreparedQuery) ExplainPlan() string {
 // estimated log10 cost — the "estimated" half of `mpq -explain plan`'s
 // estimated-vs-observed report.
 func (s *System) ExplainPlan(opts ...Option) (string, float64, error) {
-	cfg := config{engine: MessagePassing}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	g, choice, err := s.buildGraph(s.Program, nil, &cfg)
+	cfg := newConfig(opts)
+	pq, err := s.compile(s.Program, nil, &cfg)
 	if err != nil {
 		return "", 0, err
 	}
+	text, est := pq.explain("plan " + pq.PlanSummary())
+	return text, est, nil
+}
+
+// explain renders the plan under header: the auto scoreboard, then every
+// rule node's SIP order and estimates. It also returns the plan's total
+// estimated log10 cost.
+func (pq *PreparedQuery) explain(header string) (string, float64) {
 	var b strings.Builder
-	if choice != nil {
-		if choice.Fallback != nil {
-			fmt.Fprintf(&b, "plan strategy=%s(auto fallback: no stats)\n", choice.Strategy)
-		} else {
-			fmt.Fprintf(&b, "plan strategy=%s(auto) est_cost_log10=%.2f stats_epoch=%d\n",
-				choice.Strategy, choice.CostLog, choice.StatsEpoch)
-		}
-	} else {
-		fmt.Fprintf(&b, "plan strategy=%s\n", normStrategy(cfg.strategyName))
-	}
-	writeCandidates(&b, choice)
-	est := explainGraph(&b, g, s)
-	return b.String(), est, nil
+	b.WriteString(header + "\n")
+	writeCandidates(&b, pq.choice)
+	est := explainGraph(&b, pq.plan.Graph(), pq.sys)
+	return b.String(), est
 }
 
 // writeCandidates appends the auto planner's scoreboard line ("why this

@@ -1,12 +1,18 @@
 // Command mpq evaluates Datalog queries with the message-passing engine or
-// one of the baseline evaluators.
+// one of the §1.1 baseline evaluators that the reproduction tests it
+// against (internal/bottomup, internal/magic).
 //
 // Usage:
 //
 //	mpq [-engine message-passing|semi-naive|naive|magic-sets|brute-force]
-//	    [-strategy greedy|qualtree|leftright] [-stats] [-graph]
+//	    [-strategy greedy|qualtree|leftright|basic|stats|auto] [-stats] [-graph]
 //	    [-profile] [-trace] [-trace-out events.json] [-trace-events N]
 //	    [-data pred=file.csv]... [-i] [program.dl]
+//
+// -strategy picks the sideways information passing of the message-passing
+// engine and of the magic-sets rewrite; the other baselines ignore it.
+// "auto" scores message-passing graphs, so it is a usage error with any
+// other engine.
 //
 // Observability (message-passing engine; see doc/OBSERVABILITY.md): all
 // three flags arm one profile and render it after the evaluation, also
@@ -61,11 +67,18 @@ import (
 	"math"
 	"net"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"repro"
+	"repro/internal/ast"
+	"repro/internal/bottomup"
+	"repro/internal/edb"
+	"repro/internal/magic"
 	"repro/internal/parser"
+	"repro/internal/relation"
+	"repro/internal/rgg"
 	"repro/internal/trace"
 	"repro/internal/trace/export"
 )
@@ -77,7 +90,7 @@ func (d *dataFlags) String() string     { return strings.Join(*d, ",") }
 func (d *dataFlags) Set(v string) error { *d = append(*d, v); return nil }
 
 func main() {
-	engineName := flag.String("engine", "message-passing", "evaluation engine")
+	engineName := flag.String("engine", "message-passing", "evaluation engine: message-passing, or a bottom-up oracle: semi-naive, naive, magic-sets, brute-force")
 	strategy := flag.String("strategy", "greedy", "information passing strategy: greedy, qualtree, leftright, basic, stats, auto")
 	stats := flag.Bool("stats", false, "print execution statistics")
 	graph := flag.Bool("graph", false, "print the rule/goal graph before evaluating")
@@ -115,22 +128,31 @@ func main() {
 	if *subscribe {
 		fatal(fmt.Errorf("-subscribe needs -connect (subscriptions live on an mpqd -serve instance)"))
 	}
-	eng, err := mpq.ParseEngine(*engineName)
-	if err != nil {
-		fatal(err)
+	ev := &evaluator{strategy: *strategy, timeout: *timeout,
+		opts: []mpq.Option{mpq.WithStrategy(*strategy)}}
+	if *engineName != "message-passing" {
+		var ok bool
+		if ev.oracle, ok = oracles[*engineName]; !ok {
+			fatal(fmt.Errorf("unknown engine %q (try message-passing, semi-naive, naive, magic-sets, brute-force)", *engineName))
+		}
+		if *strategy == mpq.AutoStrategy {
+			fmt.Fprintf(os.Stderr, "mpq: -strategy %s scores message-passing plans; -engine %s takes a manual strategy\n",
+				*strategy, *engineName)
+			flag.Usage()
+			os.Exit(2)
+		}
 	}
-	opts := []mpq.Option{mpq.WithEngine(eng), mpq.WithStrategy(*strategy)}
 	obs := &observer{report: *profile, text: *traceMsgs, out: *traceOut, top: *profileTop}
 	if *profile || *traceMsgs || *traceOut != "" {
 		obs.prof = trace.NewProfile()
 		if *traceMsgs || *traceOut != "" {
 			obs.prof.RecordSpans(*traceCap)
 		}
-		opts = append(opts, mpq.WithProfile(obs.prof))
+		ev.opts = append(ev.opts, mpq.WithProfile(obs.prof))
 	}
 
 	if *interactive {
-		repl(flag.Arg(0), data, opts, *timeout, *stats, obs)
+		repl(flag.Arg(0), data, ev, *stats, obs)
 		return
 	}
 	if flag.NArg() != 1 {
@@ -152,7 +174,7 @@ func main() {
 		fmt.Println(g.Text())
 	}
 	if *explain == "plan" {
-		if err := explainPlan(sys, eng, opts, *timeout); err != nil {
+		if err := explainPlan(sys, ev); err != nil {
 			fatal(err)
 		}
 		return
@@ -163,11 +185,11 @@ func main() {
 		}
 		return
 	}
-	ans, err := eval(sys, opts, *timeout)
+	ans, counts, err := ev.eval(sys)
 	if err == nil {
 		printAnswer(ans)
 		if *stats {
-			printStats(ans, eng)
+			printStats(ans, counts)
 		}
 	}
 	// A failed or timed-out evaluation renders too, before the non-zero
@@ -383,12 +405,14 @@ func printAnswer(ans *mpq.Answer) {
 	}
 }
 
-func printStats(ans *mpq.Answer, eng mpq.Engine) {
-	if eng == mpq.MessagePassing {
+// printStats prints the message-passing counters, or an oracle's counts
+// when it has them.
+func printStats(ans *mpq.Answer, counts *bottomup.Counts) {
+	if counts == nil {
 		fmt.Fprintf(os.Stderr, "%s\n", ans.Stats)
 	} else {
 		fmt.Fprintf(os.Stderr, "iterations=%d derived=%d model=%d joins=%d\n",
-			ans.Counts.Iterations, ans.Counts.Derived, ans.Counts.ModelSize, ans.Counts.Joins)
+			counts.Iterations, counts.Derived, counts.ModelSize, counts.Joins)
 	}
 }
 
@@ -398,21 +422,19 @@ func printStats(ans *mpq.Answer, eng mpq.Engine) {
 // report estimated vs. observed cost. "Observed" is rows processed: the
 // engine's tuple-traffic counters for message passing, candidate tuples
 // examined plus derivations for the bottom-up engines.
-func explainPlan(sys *mpq.System, eng mpq.Engine, opts []mpq.Option, timeout time.Duration) error {
-	text, est, err := sys.ExplainPlan(opts...)
+func explainPlan(sys *mpq.System, ev *evaluator) error {
+	text, est, err := sys.ExplainPlan(ev.opts...)
 	if err != nil {
 		return err
 	}
 	fmt.Print(text)
-	ans, err := eval(sys, opts, timeout)
+	ans, counts, err := ev.eval(sys)
 	if err != nil {
 		return err
 	}
-	var observed int64
-	if eng == mpq.MessagePassing {
-		observed = ans.Stats.TupReqRows + ans.Stats.TupleRows + ans.Stats.EDBTuples
-	} else {
-		observed = ans.Counts.Work()
+	observed := ans.Stats.TupReqRows + ans.Stats.TupleRows + ans.Stats.EDBTuples
+	if counts != nil {
+		observed = counts.Work()
 	}
 	obsLog := math.Inf(-1)
 	if observed > 0 {
@@ -425,7 +447,7 @@ func explainPlan(sys *mpq.System, eng mpq.Engine, opts []mpq.Option, timeout tim
 // repl reads clauses from stdin. Facts and rules accumulate; `?- body.`
 // evaluates immediately against everything accumulated so far. A starting
 // program file (optional) seeds the session.
-func repl(programPath string, data dataFlags, opts []mpq.Option, timeout time.Duration, stats bool, obs *observer) {
+func repl(programPath string, data dataFlags, ev *evaluator, stats bool, obs *observer) {
 	var clauses []string
 	if programPath != "" {
 		src, err := os.ReadFile(programPath)
@@ -481,7 +503,7 @@ func repl(programPath string, data dataFlags, opts []mpq.Option, timeout time.Du
 		clause := partial
 		partial = ""
 		if strings.HasPrefix(strings.TrimSpace(clause), "?-") {
-			evalQuery(clauses, clause, data, opts, timeout, stats, obs)
+			evalQuery(clauses, clause, data, ev, stats, obs)
 			continue
 		}
 		// Check the clause stands on its own (syntax, safety) before
@@ -494,7 +516,7 @@ func repl(programPath string, data dataFlags, opts []mpq.Option, timeout time.Du
 	}
 }
 
-func evalQuery(clauses []string, query string, data dataFlags, opts []mpq.Option, timeout time.Duration, stats bool, obs *observer) {
+func evalQuery(clauses []string, query string, data dataFlags, ev *evaluator, stats bool, obs *observer) {
 	src := strings.Join(clauses, "\n") + "\n" + query
 	sys, err := mpq.Load(src)
 	if err != nil {
@@ -505,11 +527,11 @@ func evalQuery(clauses []string, query string, data dataFlags, opts []mpq.Option
 		fmt.Println(err)
 		return
 	}
-	ans, err := eval(sys, opts, timeout)
+	ans, counts, err := ev.eval(sys)
 	if err == nil {
 		printAnswer(ans)
 		if stats {
-			printStats(ans, mpq.MessagePassing)
+			printStats(ans, counts)
 		}
 	}
 	if err = errors.Join(err, obs.finish()); err != nil {
@@ -517,14 +539,73 @@ func evalQuery(clauses []string, query string, data dataFlags, opts []mpq.Option
 	}
 }
 
-// eval runs one evaluation, aborted after timeout when it is positive.
-func eval(sys *mpq.System, opts []mpq.Option, timeout time.Duration) (*mpq.Answer, error) {
-	if timeout > 0 {
-		ctx, cancel := context.WithTimeout(context.Background(), timeout)
+// oracle is one of the §1.1 baselines: it evaluates sys's query bottom-up
+// and returns the result with the database whose symbols its rows use.
+type oracle func(sys *mpq.System, strategy string) (*bottomup.Result, *edb.Database, error)
+
+// oracles are the -engine values other than message-passing.
+var oracles = map[string]oracle{
+	"semi-naive":  bottomUp(bottomup.SemiNaive),
+	"naive":       bottomUp(bottomup.Naive),
+	"brute-force": bottomUp(bottomup.BruteForce),
+	"magic-sets": func(sys *mpq.System, strategy string) (*bottomup.Result, *edb.Database, error) {
+		s := rgg.StrategyNamed(strategy)
+		if s.Name == "basic" { // an all-free rewrite is not what "basic" ablates: keep the rewrite's greedy
+			s = rgg.StrategyNamed("")
+		}
+		res, _, db, err := magic.EvaluateWith(sys.Program, sys.DB, s.Make(sys.DB, nil))
+		return res, db, err
+	},
+}
+
+// bottomUp makes an oracle of a bottom-up evaluation over sys's own store.
+func bottomUp(eval func(*ast.Program, *edb.Database) *bottomup.Result) oracle {
+	return func(sys *mpq.System, _ string) (*bottomup.Result, *edb.Database, error) {
+		return eval(sys.Program, sys.DB), sys.DB, nil
+	}
+}
+
+// evaluator is what -engine, -strategy and -timeout make of one evaluation.
+type evaluator struct {
+	oracle   oracle // nil: message passing
+	strategy string
+	opts     []mpq.Option // message passing's
+	timeout  time.Duration
+}
+
+// eval evaluates sys's query: by message passing, aborted after the
+// timeout when it is positive, or by the oracle, whose counts it returns.
+func (ev *evaluator) eval(sys *mpq.System) (*mpq.Answer, *bottomup.Counts, error) {
+	if ev.oracle != nil {
+		res, db, err := ev.oracle(sys, ev.strategy)
+		if err != nil {
+			return nil, nil, err
+		}
+		return &mpq.Answer{Tuples: render(res.Goal, db)}, &res.Counts, nil
+	}
+	opts := ev.opts
+	if ev.timeout > 0 {
+		ctx, cancel := context.WithTimeout(context.Background(), ev.timeout)
 		defer cancel()
 		opts = append(opts[:len(opts):len(opts)], mpq.WithContext(ctx))
 	}
-	return sys.Eval(opts...)
+	ans, err := sys.Eval(opts...)
+	return ans, nil, err
+}
+
+// render turns r's rows into constant strings through db's symbols, sorted
+// like mpq.Answer's.
+func render(r *relation.Relation, db *edb.Database) [][]string {
+	out := make([][]string, 0, r.Len())
+	for _, t := range r.Rows() {
+		row := make([]string, len(t))
+		for i, sym := range t {
+			row[i] = db.Syms.String(sym)
+		}
+		out = append(out, row)
+	}
+	slices.SortFunc(out, slices.Compare)
+	return out
 }
 
 // printProof parses "pred(c1,c2,...)" and prints why it holds.
@@ -541,7 +622,7 @@ func printProof(sys *mpq.System, factSrc string) error {
 	for i, a := range f.Args {
 		args[i] = a.Const
 	}
-	proof, ok := sys.Explain(f.Pred, args...)
+	proof, ok := bottomup.NewExplainer(sys.Program, sys.DB).Explain(f.Pred, args...)
 	if !ok {
 		fmt.Printf("%s does not hold\n", f)
 		return nil

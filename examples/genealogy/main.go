@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"repro"
+	"repro/internal/bottomup"
 )
 
 const family = `
@@ -83,7 +84,7 @@ func main() {
 
 	// Why is kate in alice's generation? The Syllog-style explanation
 	// facility prints a proof tree grounded in the par facts.
-	if proof, ok := sg.Explain("sg", "alice", "kate"); ok {
+	if proof, ok := bottomup.NewExplainer(sg.Program, sg.DB).Explain("sg", "alice", "kate"); ok {
 		fmt.Println("\nwhy sg(alice, kate):")
 		fmt.Print(proof)
 	}

@@ -9,6 +9,7 @@ import (
 	"log"
 
 	"repro"
+	"repro/internal/bottomup"
 )
 
 func main() {
@@ -49,10 +50,7 @@ func main() {
 
 	// The same query through the bottom-up baseline computes the full
 	// minimum model, paris included.
-	full, err := sys.Eval(mpq.WithEngine(mpq.SemiNaive))
-	if err != nil {
-		log.Fatal(err)
-	}
+	full := bottomup.SemiNaive(sys.Program, sys.DB)
 	fmt.Printf("semi-naive computes the full reach closure: %d tuples for %d answers\n",
-		full.Counts.ModelSize, len(ans.Tuples))
+		full.ModelSize, len(ans.Tuples))
 }

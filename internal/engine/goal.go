@@ -335,17 +335,19 @@ func (g *goalState) serviceEDB(vals []symtab.Sym) {
 }
 
 // emitBase delivers one selected base row: repeated variables filter and
-// the projection drops existential values before emitLeaf streams it.
-func (g *goalState) emitBase(row relation.Tuple) {
+// the projection drops existential values before emitLeaf streams it. It
+// reports whether the row survived the filter.
+func (g *goalState) emitBase(row relation.Tuple) bool {
 	for _, eq := range g.eqPos {
 		if row[eq[0]] != row[eq[1]] {
-			return
+			return false
 		}
 	}
 	for i, pos := range g.carried {
 		g.buf[i] = row[pos]
 	}
 	g.emitLeaf(g.buf)
+	return true
 }
 
 // emitLeaf streams one projected base row to the leaf's customer: straight
@@ -382,18 +384,10 @@ func (g *goalState) serviceEDBDelta() {
 		time.Sleep(d) // one simulated retrieval for the whole window
 	}
 	scanned, seeded := 0, 0
-window:
 	for row := range g.p.rt.db.ScanSince(n.Atom.Key(), from) {
 		scanned++
-		for i, sym := range g.consts {
-			if sym != symtab.NoSym && row[i] != sym {
-				continue window
-			}
-		}
-		for _, eq := range g.eqPos {
-			if row[eq[0]] != row[eq[1]] {
-				continue window
-			}
+		if !g.consts.Matches(row) {
+			continue
 		}
 		if len(g.dPos) > 0 {
 			for i, pos := range g.dPos {
@@ -403,11 +397,9 @@ window:
 				continue
 			}
 		}
-		seeded++
-		for i, pos := range g.carried {
-			g.buf[i] = row[pos]
+		if g.emitBase(row) {
+			seeded++
 		}
-		g.emitLeaf(g.buf)
 	}
 	g.p.tally.EDBTuples += int64(scanned)
 	g.p.tally.DeltaSeeded += int64(seeded)

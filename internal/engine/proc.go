@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/adorn"
 	"repro/internal/msg"
@@ -188,7 +189,7 @@ func newProc(rt *runner, id int, box *transport.Mailbox) *proc {
 	}
 	for _, c := range n.Children {
 		if rt.g.Nodes[c].SCC != n.SCC {
-			p.feeds = append(p.feeds, &feedState{child: c, hasD: hasDynamic(childAdornment(rt.g, c))})
+			p.feeds = append(p.feeds, &feedState{child: c, hasD: slices.Contains(rt.g.Nodes[c].Ad, adorn.Dynamic)})
 		}
 	}
 	kids := n.Children
@@ -249,22 +250,6 @@ func (p *proc) feed(c int) *feedState {
 		}
 	}
 	return nil
-}
-
-// childAdornment returns the adornment governing requests to child c: a
-// rule node inherits its parent goal's adornment; goal nodes carry their
-// own.
-func childAdornment(g *rgg.Graph, c int) adorn.Adornment {
-	return g.Nodes[c].Ad
-}
-
-func hasDynamic(ad adorn.Adornment) bool {
-	for _, c := range ad {
-		if c == adorn.Dynamic {
-			return true
-		}
-	}
-	return false
 }
 
 // carriedPositions returns the argument positions whose values travel in

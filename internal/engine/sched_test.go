@@ -198,9 +198,6 @@ func TestPositionHelpers(t *testing.T) {
 	if got := fmt.Sprint(dynamicPositions(ad)); got != "[1]" {
 		t.Errorf("dynamic = %s, want [1]", got)
 	}
-	if hasDynamic(mustAd("cff")) || !hasDynamic(mustAd("fdf")) {
-		t.Error("hasDynamic wrong")
-	}
 }
 
 func mustAd(s string) adorn.Adornment {

@@ -196,8 +196,14 @@ func Evaluate(prog *ast.Program) (*bottomup.Result, *Rewritten, *edb.Database, e
 // strategy driving the rewrite's adornments (nil means greedy). The
 // rewrite's database is private, so base's rows are copied into it, one
 // evaluation at a time. The answer set is strategy-independent; the magic
-// predicates — and hence the work — are not.
+// predicates — and hence the work — are not. No rule may define a
+// predicate that base has facts for.
 func EvaluateWith(prog *ast.Program, base *edb.Database, strategy func(ast.Rule, adorn.Adornment) *adorn.SIP) (*bottomup.Result, *Rewritten, *edb.Database, error) {
+	if base != nil {
+		if err := prog.ValidateRules(base.Has, true); err != nil {
+			return nil, nil, nil, err
+		}
+	}
 	rw, err := Rewrite(prog, strategy)
 	if err != nil {
 		return nil, nil, nil, err

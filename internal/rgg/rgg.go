@@ -294,6 +294,39 @@ func BasicStrategy(r ast.Rule, headAd adorn.Adornment) *adorn.SIP {
 	return s
 }
 
+// NamedStrategy is one entry of the strategy table. Make builds the
+// strategy from what it may read: db for "stats", the statistics table t
+// for "cost". Manual entries are selectable by name (mpq.WithStrategy,
+// `-strategy`); Candidate entries are the ones the auto planner scores.
+type NamedStrategy struct {
+	Name              string
+	Make              func(db edb.Storage, t *costmodel.Table) Strategy
+	Manual, Candidate bool
+}
+
+// Strategies is the one table of strategy names, in the auto planner's
+// scoring order: ties go to the earliest, so greedy, the paper's default,
+// wins when the cost model cannot separate candidates.
+var Strategies = []NamedStrategy{
+	{"greedy", func(edb.Storage, *costmodel.Table) Strategy { return GreedyStrategy }, true, true},
+	{"qualtree", func(edb.Storage, *costmodel.Table) Strategy { return QualTreeStrategy }, true, true},
+	{"leftright", func(edb.Storage, *costmodel.Table) Strategy { return LeftToRightStrategy }, true, true},
+	{"basic", func(edb.Storage, *costmodel.Table) Strategy { return BasicStrategy }, true, false},
+	{"stats", func(db edb.Storage, _ *costmodel.Table) Strategy { return StatsStrategy(db) }, true, false},
+	{"cost", func(_ edb.Storage, t *costmodel.Table) Strategy { return TableStrategy(t) }, false, true},
+}
+
+// StrategyNamed returns the manual strategy called name; an empty or
+// unknown name selects greedy.
+func StrategyNamed(name string) NamedStrategy {
+	for _, s := range Strategies {
+		if s.Manual && s.Name == name {
+			return s
+		}
+	}
+	return Strategies[0]
+}
+
 // Options configure graph construction.
 type Options struct {
 	// Strategy defaults to GreedyStrategy.

@@ -160,10 +160,11 @@ func TestRuntimeFactOnRulePredicate(t *testing.T) {
 	if _, err := sys.Prepare("?- path(a, Y)."); err == nil || err.Error() != want {
 		t.Errorf("Prepare: %v, want %q", err, want)
 	}
-	for _, eng := range []Engine{MessagePassing, MagicSets} {
-		if _, err := sys.Eval(WithEngine(eng)); err == nil || err.Error() != want {
-			t.Errorf("Eval(%v): %v, want %q", eng, err, want)
-		}
+	if _, err := sys.Eval(); err == nil || err.Error() != want {
+		t.Errorf("Eval: %v, want %q", err, want)
+	}
+	if _, err := magicSets(sys, "greedy"); err == nil || err.Error() != want {
+		t.Errorf("magic sets: %v, want %q", err, want)
 	}
 }
 

@@ -4,19 +4,17 @@
 //
 // A System holds a function-free Horn program — an extensional database of
 // facts, intensional rules, and query rules for the distinguished predicate
-// "goal" — and evaluates the query with a choice of engines:
+// "goal" — and evaluates the query the paper's way: the query is compiled
+// into an information-passing rule/goal graph whose nodes run as
+// cooperating processes communicating only by messages; sideways
+// information passing restricts computation to (potentially) relevant
+// tuples, and recursive cycles terminate via the paper's distributed
+// protocol.
 //
-//   - MessagePassing (the paper's contribution): the query is compiled into
-//     an information-passing rule/goal graph whose nodes run as cooperating
-//     processes communicating only by messages; sideways information
-//     passing restricts computation to (potentially) relevant tuples, and
-//     recursive cycles terminate via the paper's distributed protocol.
-//   - SemiNaive / Naive: classical bottom-up least-fixpoint evaluation of
-//     the whole minimum model.
-//   - MagicSets: the same sideways information passing compiled into rules
-//     and run bottom-up.
-//   - BruteForce: §1.1's ground instantiation over the constant domain
-//     (exponential; for the scaling experiment only).
+// The §1.1 baselines — naive and semi-naive bottom-up evaluation, the
+// magic-sets rewrite and brute-force ground instantiation — are this
+// module's test oracles. They live in internal/bottomup and internal/magic,
+// which the tests, `mpq -engine` and `mpq -explain FACT` call directly.
 //
 // # Quickstart
 //
@@ -47,7 +45,6 @@ import (
 	"repro/internal/bottomup"
 	"repro/internal/edb"
 	"repro/internal/engine"
-	"repro/internal/magic"
 	"repro/internal/parser"
 	"repro/internal/relation"
 	"repro/internal/rgg"
@@ -55,53 +52,8 @@ import (
 	"repro/internal/trace"
 )
 
-// Engine selects an evaluation method.
-type Engine int
-
-const (
-	// MessagePassing is the paper's framework and the default.
-	MessagePassing Engine = iota
-	// SemiNaive is delta-driven bottom-up evaluation of the full model.
-	SemiNaive
-	// Naive is plain fixpoint iteration of the full model.
-	Naive
-	// MagicSets rewrites the program with magic predicates, then runs
-	// semi-naive evaluation.
-	MagicSets
-	// BruteForce enumerates all ground rule instances (§1.1); it is
-	// exponential in variables per rule and only suitable for tiny inputs.
-	BruteForce
-)
-
-var engineNames = map[Engine]string{
-	MessagePassing: "message-passing",
-	SemiNaive:      "semi-naive",
-	Naive:          "naive",
-	MagicSets:      "magic-sets",
-	BruteForce:     "brute-force",
-}
-
-func (e Engine) String() string {
-	if s, ok := engineNames[e]; ok {
-		return s
-	}
-	return fmt.Sprintf("engine(%d)", int(e))
-}
-
-// ParseEngine resolves an engine by its String name.
-func ParseEngine(name string) (Engine, error) {
-	for e, s := range engineNames {
-		if s == name {
-			return e, nil
-		}
-	}
-	return 0, fmt.Errorf("mpq: unknown engine %q (try message-passing, semi-naive, naive, magic-sets, brute-force)", name)
-}
-
 // System is a loaded program plus its extensional database. Program holds
-// the rules only (its Facts are empty); the facts live in DB, which every
-// engine reads — MagicSets copies them into its private rewrite database
-// per evaluation.
+// the rules only (its Facts are empty); the facts live in DB.
 //
 // Concurrent Eval/Answers/Query calls and concurrent evaluations of one
 // PreparedQuery on one System are safe. Mutation (AddFact, LoadData) is
@@ -382,7 +334,7 @@ func (s *System) Close() error {
 
 // LoadData bulk-loads delimited rows (tab- or comma-separated, '#'
 // comments) from the named file as facts for pred, returning how many were
-// new. All engines see the loaded facts.
+// new.
 func (s *System) LoadData(pred, path string) (int, error) {
 	s.mu.Lock()
 	added, err := s.DB.LoadFile(pred, path)
@@ -391,15 +343,6 @@ func (s *System) LoadData(pred, path string) (int, error) {
 		s.notifyMutation()
 	}
 	return added, err
-}
-
-// ensureWarmFor builds every base-relation index the graph's evaluation
-// will probe — single-column and composite — under the lock, so
-// simultaneous evaluations only ever read them.
-func (s *System) ensureWarmFor(g *rgg.Graph) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.DB.WarmFor(engine.IndexNeeds(g))
 }
 
 // AddFact inserts one ground fact pred(args...) given as strings, and
@@ -430,9 +373,9 @@ func (s *System) EDBVersion() uint64 {
 	return s.DB.Version()
 }
 
-// config collects Eval options.
+// config collects evaluation options.
 type config struct {
-	engine       Engine
+	semiNaive    bool // WithEngine(SemiNaive)
 	strategyName string
 	stats        *trace.Stats
 	ctx          context.Context
@@ -446,8 +389,43 @@ type config struct {
 // Option adjusts one evaluation.
 type Option func(*config)
 
-// WithEngine selects the evaluation method (default MessagePassing).
-func WithEngine(e Engine) Option { return func(c *config) { c.engine = e } }
+// newConfig applies opts: every entry point parses its options here.
+func newConfig(opts []Option) config {
+	var c config
+	for _, o := range opts {
+		o(&c)
+	}
+	return c
+}
+
+// messagePassingOnly rejects WithEngine(SemiNaive), which only Eval
+// honours, at the entry points that compile for the message-passing
+// evaluator.
+func (c *config) messagePassingOnly(entry string) error {
+	if c.semiNaive {
+		return fmt.Errorf("mpq: %s supports only the message-passing engine", entry)
+	}
+	return nil
+}
+
+// Engine selects an evaluator other than message passing.
+//
+// Deprecated: SemiNaive is its only value, kept because benchmark/ still
+// checks its workload oracle against it; removed with ROADMAP item 1's
+// [benchmark] PR. Tests and tools call internal/bottomup and internal/magic
+// directly.
+type Engine int
+
+// SemiNaive is bottom-up semi-naive evaluation of the full minimum model.
+//
+// Deprecated: see Engine.
+const SemiNaive Engine = 1
+
+// WithEngine(SemiNaive) makes Eval evaluate bottom-up semi-naive instead of
+// by message passing; Prepare, Query, QueryPrepared and Answers reject it.
+//
+// Deprecated: see Engine.
+func WithEngine(e Engine) Option { return func(c *config) { c.semiNaive = e == SemiNaive } }
 
 // WithStrategy selects the sideways information passing strategy by name:
 // "greedy" (default, Definition 2.4), "qualtree" (Theorem 4.1 with greedy
@@ -470,23 +448,6 @@ func WithReoptThreshold(t float64) Option {
 	return func(c *config) { c.reoptThreshold = t }
 }
 
-// resolveStrategy binds a strategy name to the system's database (the
-// "stats" strategy needs real cardinalities).
-func (s *System) resolveStrategy(cfg *config) rgg.Strategy {
-	switch cfg.strategyName {
-	case "qualtree":
-		return rgg.QualTreeStrategy
-	case "leftright":
-		return rgg.LeftToRightStrategy
-	case "basic":
-		return rgg.BasicStrategy
-	case "stats":
-		return rgg.StatsStrategy(s.DB)
-	default:
-		return rgg.GreedyStrategy
-	}
-}
-
 // WithStats directs the message engine's counters into the given
 // accumulator (useful across repeated runs).
 func WithStats(st *trace.Stats) Option { return func(c *config) { c.stats = st } }
@@ -501,11 +462,11 @@ func WithPartitions(int) Option { return func(*config) {} }
 // WithEDBDelay charges every EDB-leaf retrieval a simulated latency
 // (engine.Options.EDBDelay) — the E12/A7 methodology for modelling disk
 // or remote-store access, which makes evaluations latency-bound rather
-// than CPU-bound. Answers are unchanged. MessagePassing engine only; the
-// setting keys the plan cache alongside strategy and shape.
+// than CPU-bound. Answers are unchanged. The setting keys the plan cache
+// alongside strategy and shape.
 func WithEDBDelay(d time.Duration) Option { return func(c *config) { c.edbDelay = d } }
 
-// WithContext derives a MessagePassing evaluation's lifetime from ctx: when
+// WithContext derives an evaluation's lifetime from ctx: when
 // ctx is cancelled or its deadline expires, the engine aborts every node
 // process and the evaluation returns an error satisfying errors.Is for both
 // taxonomies — engine.ErrCancelled/engine.ErrDeadline and
@@ -564,90 +525,43 @@ func engineError(err error, ctx context.Context) error {
 // message. Create p with trace.NewProfile, evaluate, then render
 // p.Snapshot() with internal/trace/export: WriteReport (`mpq -profile`),
 // WriteTraceText (`mpq -trace`) or WriteTraceEvents (`mpq -trace-out`).
-// MessagePassing engine only: Eval, Answers and Query. Prepare ignores it,
+// Eval, Answers and Query take it. Prepare ignores it,
 // because a PreparedQuery is shared by concurrent evaluations and a
 // Profile must not be.
 func WithProfile(p *trace.Profile) Option { return func(c *config) { c.profile = p } }
 
 // Answer is a completed evaluation.
 type Answer struct {
-	// Engine records which method produced the answer.
-	Engine Engine
 	// Tuples holds the goal tuples as constant strings, sorted.
 	Tuples [][]string
-	// Stats holds the message engine's counters (MessagePassing only).
+	// Stats holds the evaluation's counters.
 	Stats trace.Snapshot
 	// Reused reports whether Query served this evaluation from the plan
 	// cache (always false for Eval and the first Query of a shape).
 	Reused bool
-	// Counts holds bottom-up effort counters (other engines).
-	Counts bottomup.Counts
 }
 
-// Eval evaluates the system's query.
+// Eval evaluates the system's query. Each call compiles the program's
+// query afresh; Prepare compiles once for repeated evaluation.
 func (s *System) Eval(opts ...Option) (*Answer, error) {
-	cfg := config{engine: MessagePassing}
-	for _, o := range opts {
-		o(&cfg)
+	cfg := newConfig(opts)
+	if cfg.semiNaive {
+		goal := bottomup.SemiNaive(s.Program, s.DB).Goal
+		return &Answer{Tuples: s.rows(goal, goal.Arity())}, nil
 	}
-	switch cfg.engine {
-	case MessagePassing:
-		g, _, err := s.buildGraph(s.Program, nil, &cfg)
-		if err != nil {
-			return nil, err
-		}
-		s.ensureWarmFor(g)
-		ctx := cfg.evalContext()
-		res, err := engine.Run(g, s.DB, cfg.engineOptions(ctx, nil))
-		if err != nil {
-			return nil, engineError(err, ctx)
-		}
-		return &Answer{Engine: cfg.engine, Tuples: render(res.Answers, s.DB), Stats: res.Stats}, nil
-	case SemiNaive:
-		res := bottomup.SemiNaive(s.Program, s.DB)
-		return &Answer{Engine: cfg.engine, Tuples: render(res.Goal, s.DB), Counts: res.Counts}, nil
-	case Naive:
-		res := bottomup.Naive(s.Program, s.DB)
-		return &Answer{Engine: cfg.engine, Tuples: render(res.Goal, s.DB), Counts: res.Counts}, nil
-	case BruteForce:
-		res := bottomup.BruteForce(s.Program, s.DB)
-		return &Answer{Engine: cfg.engine, Tuples: render(res.Goal, s.DB), Counts: res.Counts}, nil
-	case MagicSets:
-		if err := s.validate(s.Program); err != nil {
-			return nil, err
-		}
-		strat, err := s.magicStrategy(&cfg)
-		if err != nil {
-			return nil, err
-		}
-		res, _, db, err := magic.EvaluateWith(s.Program, s.DB, strat)
-		if err != nil {
-			return nil, err
-		}
-		return &Answer{Engine: cfg.engine, Tuples: render(res.Goal, db), Counts: res.Counts}, nil
-	default:
-		return nil, fmt.Errorf("mpq: unknown engine %v", cfg.engine)
+	pq, err := s.compile(s.Program, nil, &cfg)
+	if err != nil {
+		return nil, err
 	}
+	return pq.evalWith(cfg.evalContext(), nil, &cfg)
 }
 
-// Explain returns a proof tree showing why pred(args...) holds in the
-// minimum model — the classic deductive-database "why" facility (the
-// paper's related work cites Walker's Syllog, a system built around such
-// explanations). ok is false when the fact does not hold. Proof search
-// evaluates bottom-up with derivation recording, so the first call is as
-// expensive as a SemiNaive evaluation.
-func (s *System) Explain(pred string, args ...string) (*bottomup.Proof, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return bottomup.NewExplainer(s.Program, s.DB).Explain(pred, args...)
-}
-
-// Answers evaluates with the message-passing engine and returns the goal
-// tuples as a range-over-func iterator, in derivation order ("answer
-// tuples come trickling in throughout the computation", §3.1 of the
-// paper). Breaking out of the range cancels the evaluation cleanly, so an
-// exists-style query is a plain loop-and-break. A non-nil error is yielded
-// at most once, as the final pair, with a nil tuple:
+// Answers evaluates the system's query and returns the goal tuples as a
+// range-over-func iterator, in derivation order ("answer tuples come
+// trickling in throughout the computation", §3.1 of the paper). Breaking
+// out of the range cancels the evaluation cleanly, so an exists-style query
+// is a plain loop-and-break. A non-nil error is yielded at most once, as
+// the final pair, with a nil tuple:
 //
 //	for tuple, err := range sys.Answers() {
 //	    if err != nil { ... }
@@ -656,33 +570,17 @@ func (s *System) Explain(pred string, args ...string) (*bottomup.Proof, bool) {
 //	}
 func (s *System) Answers(opts ...Option) iter.Seq2[[]string, error] {
 	return func(yield func([]string, error) bool) {
-		var cfg config
-		for _, o := range opts {
-			o(&cfg)
-		}
-		if cfg.engine != MessagePassing {
-			yield(nil, fmt.Errorf("mpq: Answers supports only the message-passing engine"))
+		cfg := newConfig(opts)
+		if err := cfg.messagePassingOnly("Answers"); err != nil {
+			yield(nil, err)
 			return
 		}
-		g, _, err := s.buildGraph(s.Program, nil, &cfg)
+		pq, err := s.compile(s.Program, nil, &cfg)
 		if err != nil {
 			yield(nil, err)
 			return
 		}
-		s.ensureWarmFor(g)
-		ctx := cfg.evalContext()
-		stopped := false
-		_, err = engine.RunStream(g, s.DB, cfg.engineOptions(ctx, nil), func(t relation.Tuple) bool {
-			row := make([]string, len(t))
-			for i, sym := range t {
-				row[i] = s.DB.Syms.String(sym)
-			}
-			stopped = !yield(row, nil)
-			return !stopped
-		})
-		if err != nil && !stopped {
-			yield(nil, engineError(err, ctx))
-		}
+		pq.stream(cfg.evalContext(), nil, &cfg, yield)
 	}
 }
 
@@ -690,42 +588,29 @@ func (s *System) Answers(opts ...Option) iter.Seq2[[]string, error] {
 // the system's query, for inspection (Text, DOT) or for driving the engine
 // package directly (e.g. distributed evaluation with engine.RunSites).
 func (s *System) Graph(opts ...Option) (*rgg.Graph, error) {
-	cfg := config{}
-	for _, o := range opts {
-		o(&cfg)
+	cfg := newConfig(opts)
+	pq, err := s.compile(s.Program, nil, &cfg)
+	if err != nil {
+		return nil, err
 	}
-	g, _, err := s.buildGraph(s.Program, nil, &cfg)
-	return g, err
+	return pq.Graph(), nil
 }
 
-// magicStrategy maps the configured strategy onto the magic-sets rewrite's
-// adornment strategy. "auto" runs the adaptive planner and replays its
-// winning candidate; "basic" (no sideways passing) and the default greedy
-// both use the rewrite's own greedy default — an all-free magic rewrite is
-// never what an ablation of the message engine means by "basic".
-func (s *System) magicStrategy(cfg *config) (rgg.Strategy, error) {
-	switch normStrategy(cfg.strategyName) {
-	case AutoStrategy:
-		_, choice, err := s.chooseAuto(s.Program, nil, cfg.stats)
-		if err != nil {
-			return nil, err
-		}
-		return choice.strat, nil
-	case "basic", "greedy":
-		return nil, nil
-	default:
-		return s.resolveStrategy(cfg), nil
+// row renders a goal tuple's first n columns as constant strings: the one
+// row renderer of every evaluation path.
+func (s *System) row(t relation.Tuple, n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = s.DB.Syms.String(t[i])
 	}
+	return out
 }
 
-func render(r *relation.Relation, db *edb.Database) [][]string {
+// rows renders every tuple of r, its first n columns, in sortTuples order.
+func (s *System) rows(r *relation.Relation, n int) [][]string {
 	out := make([][]string, 0, r.Len())
-	for _, row := range r.Sorted() {
-		t := make([]string, len(row))
-		for i, sym := range row {
-			t[i] = db.Syms.String(sym)
-		}
-		out = append(out, t)
+	for _, t := range r.Rows() {
+		out = append(out, s.row(t, n))
 	}
 	sortTuples(out)
 	return out

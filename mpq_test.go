@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/bottomup"
 	"repro/internal/trace"
 )
 
@@ -32,29 +33,25 @@ func TestLoadAndEvalDefault(t *testing.T) {
 	if !reflect.DeepEqual(ans.Tuples, want) {
 		t.Errorf("Tuples = %v, want %v", ans.Tuples, want)
 	}
-	if ans.Engine != MessagePassing {
-		t.Errorf("Engine = %v", ans.Engine)
-	}
 	if ans.Stats.Messages() == 0 {
 		t.Error("no messages recorded")
 	}
 }
 
 func TestAllEnginesAgree(t *testing.T) {
-	engines := []Engine{MessagePassing, SemiNaive, Naive, MagicSets, BruteForce}
 	var baseline [][]string
-	for _, e := range engines {
+	for _, e := range evaluators {
 		sys := MustLoad(tcProgram)
-		ans, err := sys.Eval(WithEngine(e))
+		tuples, err := e.eval(sys)
 		if err != nil {
-			t.Fatalf("%v: %v", e, err)
+			t.Fatalf("%s: %v", e.name, err)
 		}
 		if baseline == nil {
-			baseline = ans.Tuples
+			baseline = tuples
 			continue
 		}
-		if !reflect.DeepEqual(ans.Tuples, baseline) {
-			t.Errorf("%v answers %v != %v", e, ans.Tuples, baseline)
+		if !reflect.DeepEqual(tuples, baseline) {
+			t.Errorf("%s answers %v != %v", e.name, tuples, baseline)
 		}
 	}
 }
@@ -99,15 +96,15 @@ func TestLoadData(t *testing.T) {
 	if err != nil || n != 2 {
 		t.Fatalf("LoadData = %d, %v", n, err)
 	}
-	// Every engine must see the loaded facts (in particular MagicSets,
-	// which rebuilds its database from the program).
-	for _, e := range []Engine{MessagePassing, SemiNaive, MagicSets} {
-		ans, err := sys.Eval(WithEngine(e))
+	// Every evaluator must see the loaded facts (in particular magic
+	// sets, which rebuilds its database from the program).
+	for _, e := range evaluators {
+		tuples, err := e.eval(sys)
 		if err != nil {
-			t.Fatalf("%v: %v", e, err)
+			t.Fatalf("%s: %v", e.name, err)
 		}
-		if !ans.Has("f1") {
-			t.Errorf("%v: loaded fact unreachable: %v", e, ans.Tuples)
+		if ans := (&Answer{Tuples: tuples}); !ans.Has("f1") {
+			t.Errorf("%s: loaded fact unreachable: %v", e.name, tuples)
 		}
 	}
 }
@@ -169,24 +166,12 @@ func TestWithStats(t *testing.T) {
 	}
 }
 
-func TestParseEngine(t *testing.T) {
-	for _, e := range []Engine{MessagePassing, SemiNaive, Naive, MagicSets, BruteForce} {
-		got, err := ParseEngine(e.String())
-		if err != nil || got != e {
-			t.Errorf("ParseEngine(%q) = %v, %v", e.String(), got, err)
-		}
-	}
-	if _, err := ParseEngine("nope"); err == nil {
-		t.Error("ParseEngine accepted junk")
-	}
-	if Engine(99).String() == "" {
-		t.Error("unknown engine String empty")
-	}
-}
-
+// TestExplain: the proof search behind `mpq -explain FACT` and the REPL's
+// \why, over a loaded System's rules and store.
 func TestExplain(t *testing.T) {
 	sys := MustLoad(tcProgram)
-	p, ok := sys.Explain("path", "a", "d")
+	ex := bottomup.NewExplainer(sys.Program, sys.DB)
+	p, ok := ex.Explain("path", "a", "d")
 	if !ok {
 		t.Fatal("path(a,d) not provable")
 	}
@@ -194,10 +179,10 @@ func TestExplain(t *testing.T) {
 	if !strings.Contains(s, "path(a, d)") || !strings.Contains(s, "[EDB fact]") {
 		t.Errorf("proof malformed:\n%s", s)
 	}
-	if _, ok := sys.Explain("path", "d", "a"); ok {
+	if _, ok := ex.Explain("path", "d", "a"); ok {
 		t.Error("proved a false fact")
 	}
-	if _, ok := sys.Explain("edge", "a", "b"); !ok {
+	if _, ok := ex.Explain("edge", "a", "b"); !ok {
 		t.Error("EDB fact not explainable")
 	}
 }

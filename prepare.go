@@ -48,7 +48,8 @@ type PreparedQuery struct {
 
 	// choice is the auto planner's decision (nil for manual strategies)
 	// and fingerprint the compiled graph's evaluation orders
-	// (rgg.PlanFingerprint). statsEpoch starts at the planning-time
+	// (rgg.PlanFingerprint; auto plans only, which drift checks compare).
+	// statsEpoch starts at the planning-time
 	// statistics epoch and advances when a drift check re-scores the
 	// candidates and finds this plan still best — it is atomic because
 	// drift checks run concurrently with CacheKey readers.
@@ -169,12 +170,9 @@ func canonicalShape(r ast.Rule) string {
 // re-evaluation contract. WithProfile is ignored: the plan is shared by
 // concurrent evaluations, and a Profile must not be.
 func (s *System) Prepare(query string, opts ...Option) (*PreparedQuery, error) {
-	cfg := config{engine: MessagePassing}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.engine != MessagePassing {
-		return nil, fmt.Errorf("mpq: Prepare supports only the message-passing engine")
+	cfg := newConfig(opts)
+	if err := cfg.messagePassingOnly("Prepare"); err != nil {
+		return nil, err
 	}
 	q, err := parseQuery(query)
 	if err != nil {
@@ -203,18 +201,44 @@ func (s *System) prepare(q *parsedQuery, cfg *config) (*PreparedQuery, error) {
 			rootAd[i] = adorn.Dynamic
 		}
 	}
-	g, choice, err := s.buildGraph(prog, rootAd, cfg)
+	pq, err := s.compile(prog, rootAd, cfg)
+	if err != nil {
+		return nil, err
+	}
+	pq.shape, pq.defaults, pq.nout = q.shape, q.consts, nout
+	return pq, nil
+}
+
+// compile is the one compile path, beneath Prepare, Query, Eval and
+// Answers: it validates prog, builds its rule/goal graph under rootAd with
+// the configured strategy (or the auto planner's choice), and binds the
+// graph to the database as an engine plan, warming every index the graph
+// probes under s.mu so simultaneous evaluations only ever read them. The
+// plan answers every root column; prepare narrows that to the query's
+// output columns.
+func (s *System) compile(prog *ast.Program, rootAd adorn.Adornment, cfg *config) (*PreparedQuery, error) {
+	if err := s.validate(prog); err != nil {
+		return nil, err
+	}
+	name := normStrategy(cfg.strategyName)
+	var g *rgg.Graph
+	var choice *AutoChoice
+	var err error
+	if name == AutoStrategy {
+		g, choice, err = s.chooseAuto(prog, rootAd, cfg.stats)
+	} else {
+		g, err = rgg.Build(prog, rgg.Options{Strategy: rgg.StrategyNamed(name).Make(s.DB, nil), RootAd: rootAd})
+	}
 	if err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
-	plan := engine.NewPlan(g, s.DB) // warms every index the graph probes, once
+	plan := engine.NewPlan(g, s.DB)
 	s.mu.Unlock()
-	pq := &PreparedQuery{sys: s, plan: plan, strategy: normStrategy(cfg.strategyName),
-		shape: q.shape, defaults: q.consts, nout: nout,
-		run:    config{stats: cfg.stats, edbDelay: cfg.edbDelay},
-		choice: choice, fingerprint: rgg.PlanFingerprint(g)}
+	pq := &PreparedQuery{sys: s, plan: plan, strategy: name, nout: len(g.Nodes[g.Root].Atom.Args),
+		run: config{stats: cfg.stats, edbDelay: cfg.edbDelay}, choice: choice}
 	if choice != nil {
+		pq.fingerprint = rgg.PlanFingerprint(g)
 		pq.statsEpoch.Store(choice.StatsEpoch)
 	}
 	return pq, nil
@@ -282,20 +306,14 @@ func (pq *PreparedQuery) bindSyms(args []string) ([]symtab.Sym, error) {
 // the dual-taxonomy errors described at WithContext; a nil ctx means
 // context.Background.
 func (pq *PreparedQuery) Eval(ctx context.Context, args ...string) (*Answer, error) {
-	cfg := pq.run
-	if cfg.stats == nil {
-		cfg.stats = &trace.Stats{}
-	}
-	tuples, err := pq.evalWith(ctx, args, &cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Answer{Engine: MessagePassing, Tuples: tuples, Stats: cfg.stats.Snapshot()}, nil
+	return pq.evalWith(ctx, args, &pq.run)
 }
 
-// evalWith is the collection core shared by Eval and System.Query; cfg
-// supplies the engine options (stats, profile, simulated latency).
-func (pq *PreparedQuery) evalWith(ctx context.Context, args []string, cfg *config) ([][]string, error) {
+// evalWith is the collection core shared by both Evals and Query; cfg
+// supplies the engine options (stats, profile, simulated latency). Only the
+// parameter columns are projected away: they are single-valued per run, so
+// distinctness is preserved.
+func (pq *PreparedQuery) evalWith(ctx context.Context, args []string, cfg *config) (*Answer, error) {
 	bind, err := pq.bindSyms(args)
 	if err != nil {
 		return nil, err
@@ -304,18 +322,7 @@ func (pq *PreparedQuery) evalWith(ctx context.Context, args []string, cfg *confi
 	if err != nil {
 		return nil, engineError(err, ctx)
 	}
-	// Project the parameter columns away (they are single-valued per run,
-	// so distinctness is preserved) and render exactly like Eval.
-	out := make([][]string, 0, res.Answers.Len())
-	for _, row := range res.Answers.Rows() {
-		t := make([]string, pq.nout)
-		for i := 0; i < pq.nout; i++ {
-			t[i] = pq.sys.DB.Syms.String(row[i])
-		}
-		out = append(out, t)
-	}
-	sortTuples(out)
-	return out, nil
+	return &Answer{Tuples: pq.sys.rows(res.Answers, pq.nout), Stats: res.Stats}, nil
 }
 
 // Answers is Eval in iterator shape: goal tuples are yielded in derivation
@@ -324,41 +331,38 @@ func (pq *PreparedQuery) evalWith(ctx context.Context, args []string, cfg *confi
 // tuple.
 func (pq *PreparedQuery) Answers(ctx context.Context, args ...string) iter.Seq2[[]string, error] {
 	return func(yield func([]string, error) bool) {
-		bind, err := pq.bindSyms(args)
-		if err != nil {
-			yield(nil, err)
-			return
-		}
-		stopped := false
-		_, err = pq.plan.RunStream(pq.run.engineOptions(ctx, bind),
-			func(t relation.Tuple) bool {
-				row := make([]string, pq.nout)
-				for i := 0; i < pq.nout; i++ {
-					row[i] = pq.sys.DB.Syms.String(t[i])
-				}
-				if !yield(row, nil) {
-					stopped = true
-					return false
-				}
-				return true
-			})
-		if err != nil && !stopped {
-			yield(nil, engineError(err, ctx))
-		}
+		pq.stream(ctx, args, &pq.run, yield)
 	}
 }
 
-// normStrategy maps a strategy name onto the name resolveStrategy will
-// actually use (unknown and empty both fall back to greedy), so plan-cache
-// keys never alias two different graphs or split one. "auto" is its own
-// name: auto plans are looked up under the requested strategy, while
-// their CacheKey records the planner's decision.
+// stream is the streaming core shared by both Answers: it runs the plan
+// with cfg's engine options and yields each answer as it arrives.
+func (pq *PreparedQuery) stream(ctx context.Context, args []string, cfg *config, yield func([]string, error) bool) {
+	bind, err := pq.bindSyms(args)
+	if err != nil {
+		yield(nil, err)
+		return
+	}
+	stopped := false
+	_, err = pq.plan.RunStream(cfg.engineOptions(ctx, bind), func(t relation.Tuple) bool {
+		stopped = !yield(pq.sys.row(t, pq.nout), nil)
+		return !stopped
+	})
+	if err != nil && !stopped {
+		yield(nil, engineError(err, ctx))
+	}
+}
+
+// normStrategy maps a strategy name onto the name compile will use
+// (unknown and empty both select greedy), so plan-cache keys never alias
+// two different graphs or split one. "auto" is its own name: auto plans
+// are looked up under the requested strategy, while their CacheKey records
+// the planner's decision.
 func normStrategy(name string) string {
-	switch name {
-	case "qualtree", "leftright", "basic", "stats", AutoStrategy:
+	if name == AutoStrategy {
 		return name
 	}
-	return "greedy"
+	return rgg.StrategyNamed(name).Name
 }
 
 // planCacheCap bounds the per-System plan cache. Eviction is LRU; a busy
@@ -428,16 +432,13 @@ func (c *planCache) Len() int {
 // stream with pq.Answers(ctx, args...). Two concurrent misses on one shape
 // may both compile; the cache keeps the later plan and both are correct.
 func (s *System) QueryPrepared(src string, opts ...Option) (pq *PreparedQuery, args []string, reused bool, err error) {
-	cfg := config{engine: MessagePassing}
-	for _, o := range opts {
-		o(&cfg)
-	}
+	cfg := newConfig(opts)
 	return s.queryPrepared(src, &cfg)
 }
 
 func (s *System) queryPrepared(src string, cfg *config) (*PreparedQuery, []string, bool, error) {
-	if cfg.engine != MessagePassing {
-		return nil, nil, false, fmt.Errorf("mpq: Query supports only the message-passing engine")
+	if err := cfg.messagePassingOnly("Query"); err != nil {
+		return nil, nil, false, err
 	}
 	q, err := parseQuery(src)
 	if err != nil {
@@ -525,10 +526,7 @@ func (s *System) maybeReopt(pq *PreparedQuery, q *parsedQuery, cfg *config) *Pre
 // WithStrategy selects the graph and keys the cache alongside the shape;
 // WithProfile profiles this evaluation, hit or miss.
 func (s *System) Query(ctx context.Context, src string, opts ...Option) (*Answer, error) {
-	cfg := config{engine: MessagePassing}
-	for _, o := range opts {
-		o(&cfg)
-	}
+	cfg := newConfig(opts)
 	if cfg.stats == nil {
 		cfg.stats = &trace.Stats{}
 	}
@@ -539,9 +537,10 @@ func (s *System) Query(ctx context.Context, src string, opts ...Option) (*Answer
 	if ctx != nil {
 		cfg.ctx = ctx
 	}
-	tuples, err := pq.evalWith(cfg.evalContext(), args, &cfg)
+	ans, err := pq.evalWith(cfg.evalContext(), args, &cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Answer{Engine: MessagePassing, Tuples: tuples, Stats: cfg.stats.Snapshot(), Reused: reused}, nil
+	ans.Reused = reused
+	return ans, nil
 }

@@ -111,11 +111,7 @@ func (sub *Subscription) round(ctx context.Context) ([][]string, error) {
 	sub.seen = sys.DB.Version()
 	var rows [][]string
 	_, err := sub.inc.Round(ctxDone(ctx), func(t relation.Tuple) bool {
-		row := make([]string, sub.pq.nout)
-		for i := 0; i < sub.pq.nout; i++ {
-			row[i] = sys.DB.Syms.String(t[i])
-		}
-		rows = append(rows, row)
+		rows = append(rows, sys.row(t, sub.pq.nout))
 		return true
 	})
 	sys.mu.Unlock()
