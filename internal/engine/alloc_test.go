@@ -10,6 +10,7 @@ import (
 	"repro/internal/parser"
 	"repro/internal/rgg"
 	"repro/internal/symtab"
+	"repro/internal/workload"
 )
 
 // reachClusters loads db with the benchmark's dataset D cut down to the given
@@ -145,6 +146,37 @@ func BenchmarkPointLookup(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := plan.Run(Options{Bind: ids[i%len(ids) : i%len(ids)+1]}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSameGeneration is the in-process twin of the sg_embed workload: a
+// pooled `?- sg(K, Y).` over Tree(3,7), K a leaf (each query has 2,187
+// answers, one per leaf).
+func BenchmarkSameGeneration(b *testing.B) {
+	db := edb.New()
+	for _, f := range workload.Tree(3, 7) {
+		db.AddFact(f)
+	}
+	prog := parser.MustParse(`
+		sg(X, Y) :- par(X, P), par(Y, P).
+		sg(X, Y) :- par(X, XP), sg(XP, YP), par(Y, YP).
+		goal(Y, K) :- sg(K, Y).
+	`)
+	g, err := rgg.Build(prog, rgg.Options{RootAd: adorn.Adornment{adorn.Free, adorn.Dynamic}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan := NewPlan(g, db)
+	leaves := make([]symtab.Sym, 3*3*3*3*3*3*3)
+	for i := range leaves {
+		leaves[i] = db.Symbols().Intern(fmt.Sprintf("c%d", i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := plan.Run(Options{Bind: leaves[i%len(leaves) : i%len(leaves)+1]}); err != nil {
 			b.Fatal(err)
 		}
 	}

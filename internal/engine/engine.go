@@ -265,12 +265,6 @@ func (rt *runner) initProfile() {
 	rt.prof.SetMeta(rt.driver, trace.NodeMeta{Label: "driver", Kind: "driver", Site: site(rt.driver)})
 }
 
-// IndexNeeds exposes edbIndexNeeds for callers that coordinate warming
-// themselves: index construction mutates the shared base relations, so a
-// caller running evaluations concurrently (mpq.System) must warm every
-// index its graphs will probe under its own lock before the first run.
-func IndexNeeds(g *rgg.Graph) []edb.IndexNeed { return edbIndexNeeds(g) }
-
 // edbIndexNeeds lists the composite indexes evaluation will probe on the
 // base relations: each EDB leaf's selection binds its constant argument
 // positions plus its "d" positions, and relation.Select probes the

@@ -44,7 +44,9 @@ func testPlan(t *testing.T, src string) *Plan {
 // kept one tally folded in at the end. Tuples holds what were then Tuples
 // plus TupleBatches, one frame kind since. Stored counts IDB goals only: no
 // EDB leaf here has an existential position, so each passes its rows
-// through unstored, which changes no message or row.
+// through unstored, which changes no message or row. Joins counts the
+// probes of rule joins in connectivity order, where an all-bound step is a
+// membership test counting 1 on a hit.
 func TestStatsGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name, src string
@@ -52,13 +54,13 @@ func TestStatsGolden(t *testing.T) {
 	}{
 		{"P1", p1data, trace.Tally{RelReqs: 18, TupReqs: 11, Tuples: 24, Ends: 11, ReqEnds: 1,
 			TupReqRows: 11, TupleRows: 24, Protocol: 47, Rounds: 7,
-			Derived: 7, Stored: 5, Dups: 1, Joins: 32, EDBScans: 5, EDBTuples: 5}},
+			Derived: 7, Stored: 5, Dups: 1, Joins: 27, EDBScans: 5, EDBTuples: 5}},
 		{"linear TC", linearTC, trace.Tally{RelReqs: 9, TupReqs: 3, Tuples: 23, Ends: 8, ReqEnds: 1,
 			TupReqRows: 3, TupleRows: 23, Protocol: 19, Rounds: 4,
-			Derived: 7, Stored: 6, Dups: 1, Joins: 16, EDBScans: 4, EDBTuples: 4}},
+			Derived: 7, Stored: 6, Dups: 1, Joins: 13, EDBScans: 4, EDBTuples: 4}},
 		{"fan-out TC", fanOutTC, trace.Tally{RelReqs: 9, TupReqs: 3, Tuples: 6 + 15, Ends: 8, ReqEnds: 1,
 			TupReqRows: 7, TupleRows: 52, Protocol: 19, Rounds: 4,
-			Derived: 17, Stored: 14, Joins: 37, EDBScans: 8, EDBTuples: 10}},
+			Derived: 17, Stored: 14, Joins: 30, EDBScans: 8, EDBTuples: 10}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res, err := testPlan(t, tc.src).Run(Options{})

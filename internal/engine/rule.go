@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"slices"
+
 	"repro/internal/msg"
 	"repro/internal/relation"
 	"repro/internal/symtab"
@@ -99,9 +101,10 @@ type joinPlan struct {
 }
 
 // joinStep probes rel on the columns whose slots are assigned by then
-// (bound) and assigns the rest (fresh) from each matching row. bind and
-// rows are the probe's scratch: the binding (only its bound columns are
-// ever written) and the result buffer.
+// (bound) and assigns the rest (fresh) from each matching row; a step with
+// no fresh column is a membership test. bind and rows are the probe's
+// scratch: the binding (only its bound columns are ever written) and the
+// result buffer.
 type joinStep struct {
 	rel          *relation.Relation
 	bound, fresh []colSlot
@@ -205,7 +208,8 @@ func (r *ruleState) compile(src int) []joinPlan {
 		orderPos[i] = rank
 	}
 	// before lists the sources joined ahead of rank: the head bindings (so
-	// only requested derivations survive), then the earlier subgoals.
+	// only requested derivations survive), then the earlier subgoals. plan
+	// picks the order in which they are probed.
 	before := func(rank int) []int {
 		var out []int
 		if src != headSource {
@@ -244,16 +248,36 @@ func (r *ruleState) source(i int) (*relation.Relation, []int) {
 	return r.subs[i].rel, r.subs[i].colSlots
 }
 
-// plan compiles the join of a new src row against the listed sources.
+// plan compiles the join of a new src row against the listed sources, in
+// connectivity order: each step is the source left with the most columns
+// already assigned (ties keep the listed order), so it probes on what the
+// steps before it bound instead of scanning. The order is a control choice:
+// the complete extensions, and so the derivations and requests, are the
+// same in any order; only the probes made on the way differ.
 func (r *ruleState) plan(src int, sources []int, req int) joinPlan {
 	assigned := make([]bool, len(r.slots))
 	_, own := r.source(src)
 	for _, sl := range own {
 		assigned[sl] = true
 	}
+	left := slices.Clone(sources)
 	pl := joinPlan{req: req}
-	for _, i := range sources {
-		rel, colSlots := r.source(i)
+	for len(left) > 0 {
+		best, bestBound := 0, -1
+		for k, i := range left {
+			_, colSlots := r.source(i)
+			n := 0
+			for _, sl := range colSlots {
+				if assigned[sl] {
+					n++
+				}
+			}
+			if n > bestBound {
+				best, bestBound = k, n
+			}
+		}
+		rel, colSlots := r.source(left[best])
+		left = slices.Delete(left, best, best+1)
 		st := joinStep{rel: rel, bind: make(relation.Binding, rel.Arity())}
 		for col, sl := range colSlots {
 			if assigned[sl] {
@@ -374,6 +398,18 @@ func (r *ruleState) extend(pl *joinPlan, depth int) {
 		return
 	}
 	st := &pl.steps[depth]
+	if len(st.fresh) == 0 {
+		// Every column is bound: a membership test, which needs no index
+		// over all of rel's columns.
+		for _, cs := range st.bound {
+			st.bind[cs.col] = r.slots[cs.slot]
+		}
+		if st.rel.Contains(relation.Tuple(st.bind)) {
+			r.p.tally.Joins++
+			r.extend(pl, depth+1)
+		}
+		return
+	}
 	rows := st.rel.Rows()
 	if len(st.bound) > 0 {
 		for _, cs := range st.bound {

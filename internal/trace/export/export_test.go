@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/msg"
+	"repro/internal/rgg"
 	"repro/internal/trace"
 )
 
@@ -433,5 +434,42 @@ func TestWriteReport(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q\n%s", want, out)
 		}
+	}
+}
+
+// TestAutoStrategiesCounted pins the auto planner's counters to its
+// candidate table: a decision for any Candidate entry of rgg.Strategies
+// moves a Stats counter and exactly that candidate's mpq_plan_strategy_total
+// series, so a candidate added to the table cannot go uncounted.
+func TestAutoStrategiesCounted(t *testing.T) {
+	candidates := 0
+	for _, s := range rgg.Strategies {
+		if !s.Candidate {
+			continue
+		}
+		candidates++
+		var st trace.Stats
+		st.StrategyAuto(s.Name)
+		sn := st.Snapshot()
+		if sn == (trace.Snapshot{}) {
+			t.Errorf("candidate %q: Stats.StrategyAuto counted nothing", s.Name)
+			continue
+		}
+		var buf bytes.Buffer
+		if err := WritePrometheus(&buf, sn); err != nil {
+			t.Fatal(err)
+		}
+		var moved []string
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if strings.HasPrefix(line, "mpq_plan_strategy_total{") && !strings.HasSuffix(line, " 0") {
+				moved = append(moved, line)
+			}
+		}
+		if want := `mpq_plan_strategy_total{strategy="` + s.Name + `"} 1`; len(moved) != 1 || moved[0] != want {
+			t.Errorf("candidate %q: strategy series that moved = %q, want [%s]", s.Name, moved, want)
+		}
+	}
+	if candidates == 0 {
+		t.Fatal("rgg.Strategies has no candidate")
 	}
 }

@@ -35,7 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -599,35 +599,36 @@ func (s *System) Graph(opts ...Option) (*rgg.Graph, error) {
 // row renders a goal tuple's first n columns as constant strings: the one
 // row renderer of every evaluation path.
 func (s *System) row(t relation.Tuple, n int) []string {
-	out := make([]string, n)
-	for i := range out {
-		out[i] = s.DB.Syms.String(t[i])
+	return s.renderInto(make([]string, n), t)
+}
+
+// renderInto renders t's first len(dst) columns into dst.
+func (s *System) renderInto(dst []string, t relation.Tuple) []string {
+	for i := range dst {
+		dst[i] = s.DB.Syms.String(t[i])
 	}
-	return out
+	return dst
 }
 
 // rows renders every tuple of r, its first n columns, in sortTuples order.
+// The strings of all rows share one backing array; each row is capped at
+// its own n, so a caller's append to one row cannot write into the next.
 func (s *System) rows(r *relation.Relation, n int) [][]string {
-	out := make([][]string, 0, r.Len())
-	for _, t := range r.Rows() {
-		out = append(out, s.row(t, n))
+	flat := make([]string, r.Len()*n)
+	out := make([][]string, r.Len())
+	for i, t := range r.Rows() {
+		out[i] = s.renderInto(flat[i*n:(i+1)*n:(i+1)*n], t)
 	}
 	sortTuples(out)
 	return out
 }
 
 // sortTuples orders rendered tuples lexicographically — the one answer
-// order every evaluation path (Eval, Query, PreparedQuery.Eval) produces,
-// so equivalence checks can compare byte for byte.
+// order every evaluation path (Eval, Query, PreparedQuery.Eval,
+// Subscription rounds) produces, so equivalence checks can compare byte for
+// byte.
 func sortTuples(out [][]string) {
-	sort.Slice(out, func(i, j int) bool {
-		for k := range out[i] {
-			if out[i][k] != out[j][k] {
-				return out[i][k] < out[j][k]
-			}
-		}
-		return false
-	})
+	slices.SortFunc(out, slices.Compare[[]string])
 }
 
 // Has reports whether the answer contains the exact tuple.
