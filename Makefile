@@ -47,13 +47,14 @@ bench-smoke:
 pairs:
 	./scripts/pairs.sh $(BASE) $(WORKLOAD) $(N)
 
-# CPU profile of BenchmarkReachCluster/serial (the in-process twin of
-# reach_mem), printed as the top functions by cumulative share; the profile
+# CPU profile of BenchmarkReachCluster/stream (the in-process twin of
+# reach_mem: a streamed run, the shape mpqd serves), printed as the top
+# functions by cumulative share; the profile
 # and its test binary are written to PROFILE_DIR, outside the tree.
 PROFILE_DIR ?= $(or $(TMPDIR),/tmp)/mpq-profile
 profile:
 	mkdir -p $(PROFILE_DIR)
-	cd internal/engine && $(GO) test -run '^$$' -bench 'BenchmarkReachCluster/serial' -benchtime 3s \
+	cd internal/engine && $(GO) test -run '^$$' -bench 'BenchmarkReachCluster/stream' -benchtime 3s \
 		-cpuprofile $(PROFILE_DIR)/cpu.out -o $(PROFILE_DIR)/engine.test
 	$(GO) tool pprof -top -cum $(PROFILE_DIR)/engine.test $(PROFILE_DIR)/cpu.out | head -40
 

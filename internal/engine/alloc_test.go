@@ -3,11 +3,13 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/adorn"
 	"repro/internal/edb"
 	"repro/internal/parser"
+	"repro/internal/relation"
 	"repro/internal/rgg"
 	"repro/internal/symtab"
 	"repro/internal/workload"
@@ -73,14 +75,18 @@ func diskDB(tb testing.TB) *edb.Database {
 // appends row views into its own buffer, so what is left is per-run wiring.
 // Before the node processes became batch-at-a-time it was about 9. A run
 // also stays under an absolute ceiling of 90 allocations (about 60 measured,
-// nearly all of them the Result's answer relation): frames between the
-// site's nodes reuse the buffers of frames already handled, and one
-// allocation per flush, as before, was about 190.
+// nearly all of them the relation a collecting run builds for
+// Result.Answers): frames between the site's nodes reuse the buffers of
+// frames already handled, and one allocation per flush, as before, was about
+// 190. A streamed run, the shape a server runs, stores no answer at all: it
+// stays under 28 allocations and 27 KB (22 and 21.5 KB measured, plus a
+// quarter; a collecting run makes 59 and 128 KB).
 func TestAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation budget is measured on the full cluster")
 	}
 	budget, ceiling := 0.1, 90.0
+	const streamCeiling, streamBytes = 28.0, 27 << 10
 	if raceEnabled {
 		budget = 0.25 // measured 0.05 and 0.11: mailbox and frame buffers the pools dropped
 	}
@@ -108,8 +114,30 @@ func TestAllocBudget(t *testing.T) {
 		}
 		// sync.Pool drops scratches under the race detector, and a rebuilt
 		// one refills its free list: no ceiling to hold there.
-		if !raceEnabled && allocs > ceiling {
+		if raceEnabled {
+			continue
+		}
+		if allocs > ceiling {
 			t.Errorf("%s: %.0f allocs per pooled reach run, ceiling %.0f", backend.name, allocs, ceiling)
+		}
+		stream := func() {
+			if _, err := plan.RunStream(opts, func(relation.Tuple) bool { return true }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		stream()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs = testing.AllocsPerRun(10, stream)
+		runtime.ReadMemStats(&after)
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / 11 // AllocsPerRun adds a warm-up run
+		switch {
+		case allocs > streamCeiling:
+			t.Errorf("%s: %.0f allocs per pooled streamed reach run, ceiling %.0f", backend.name, allocs, streamCeiling)
+		case bytes > streamBytes:
+			t.Errorf("%s: %.0f bytes per pooled streamed reach run, ceiling %d", backend.name, bytes, streamBytes)
+		default:
+			t.Logf("%s: %.0f allocs and %.1f KB per pooled streamed reach run", backend.name, allocs, bytes/1024)
 		}
 	}
 }
@@ -122,6 +150,16 @@ func BenchmarkReachCluster(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := plan.Run(Options{Bind: []symtab.Sym{ids[i%len(ids)]}}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("stream", func(b *testing.B) {
+		b.ReportAllocs()
+		rows := 0
+		count := func(relation.Tuple) bool { rows++; return true }
+		for i := 0; i < b.N; i++ {
+			if _, err := plan.RunStream(Options{Bind: []symtab.Sym{ids[i%len(ids)]}}, count); err != nil {
 				b.Fatal(err)
 			}
 		}

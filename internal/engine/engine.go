@@ -42,7 +42,9 @@ import (
 
 // Result is a completed query evaluation.
 type Result struct {
-	// Answers holds the goal tuples, one column per goal argument.
+	// Answers holds the goal tuples, one column per goal argument, when the
+	// evaluation was run without a yield; under a yield it is nil, the
+	// tuples having gone to the yield only.
 	Answers *relation.Relation
 	// Stats snapshots the execution counters.
 	Stats trace.Snapshot
@@ -105,9 +107,11 @@ func Run(g *rgg.Graph, db edb.Storage, opts Options) (*Result, error) {
 
 // RunStream is Run with answer streaming: yield is invoked for each goal
 // tuple as it arrives, in derivation order ("answer tuples come trickling
-// in throughout the computation", §3.1). Returning false cancels the
-// evaluation early and the partial Result is returned. A nil yield collects
-// answers silently.
+// in throughout the computation", §3.1), each tuple once. The tuple's
+// memory is the caller's to keep. Returning false ends the evaluation
+// early, without error. Under a yield the Result carries the Stats only:
+// its Answers is nil. A nil yield collects the answers into
+// Result.Answers, as Run does.
 func RunStream(g *rgg.Graph, db edb.Storage, opts Options, yield func(relation.Tuple) bool) (*Result, error) {
 	return NewPlan(g, db).RunStream(opts, yield)
 }
@@ -299,12 +303,29 @@ func edbIndexNeeds(g *rgg.Graph) []edb.IndexNeed {
 	return needs
 }
 
+// drives reports whether the driver (the user process) is hosted here.
+func (rt *runner) drives() bool {
+	return rt.hosts == nil || rt.hosts[rt.driver] == rt.site
+}
+
 // run executes this site's share of the evaluation on the calling goroutine:
 // the Result on the driver's site, (nil, nil) elsewhere, the abort on either.
+// A nil yield is the one place answers are collected: the driver's site
+// passes the loop a yield that inserts each goal tuple into the Result's
+// relation. Any other yield is the answers' only destination.
 func (rt *runner) run(yield func(relation.Tuple) bool) (*Result, error) {
-	answers := rt.loop(yield)
+	drives := rt.drives()
+	var answers *relation.Relation
+	if yield == nil && drives {
+		answers = relation.New(len(rt.g.Nodes[rt.g.Root].Atom.Args))
+		yield = func(t relation.Tuple) bool {
+			answers.Insert(t)
+			return true
+		}
+	}
+	rt.loop(yield)
 	err := rt.abortError()
-	if err == nil && answers != nil && rt.hosts != nil {
+	if err == nil && drives && rt.hosts != nil {
 		// Release the other sites: one Shutdown each, to the first node it
 		// hosts. A site leaves its loop at its first Shutdown and may close
 		// its transport right away, so a second one would find it gone.
@@ -333,7 +354,7 @@ func (rt *runner) run(yield func(relation.Tuple) bool) (*Result, error) {
 	if rt.prof != nil {
 		rt.prof.End(rt.tallies)
 	}
-	if err != nil || answers == nil {
+	if err != nil || !drives {
 		return nil, err
 	}
 	return &Result{Answers: answers, Stats: rt.stats.Snapshot()}, nil
@@ -346,8 +367,9 @@ func (rt *runner) run(yield func(relation.Tuple) bool) (*Result, error) {
 // complete under every control strategy, so the choice only moves
 // wall-clock. It ends at the final end, when yield declines, when the
 // driver's site releases this one, or at a recorded abort, and blocks only
-// when no hosted mailbox has mail. answers is nil off the driver's site.
-func (rt *runner) loop(yield func(relation.Tuple) bool) (answers *relation.Relation) {
+// when no hosted mailbox has mail. Off the driver's site yield is never
+// called.
+func (rt *runner) loop(yield func(relation.Tuple) bool) {
 	if rt.deadline > 0 {
 		expired := make(chan struct{})
 		defer time.AfterFunc(rt.deadline, func() { close(expired) }).Stop()
@@ -368,8 +390,7 @@ func (rt *runner) loop(yield func(relation.Tuple) bool) (answers *relation.Relat
 		}
 	}()
 
-	if rt.hosts == nil || rt.hosts[rt.driver] == rt.site {
-		answers = relation.New(len(rt.g.Nodes[rt.g.Root].Atom.Args))
+	if rt.drives() {
 		rt.send(msg.Message{Kind: msg.RelReq, From: rt.driver, To: rt.g.Root})
 		if len(rt.bind) > 0 {
 			// Seed the root's "d" positions with the caller's runtime constants
@@ -383,7 +404,7 @@ func (rt *runner) loop(yield func(relation.Tuple) bool) (answers *relation.Relat
 	for {
 		rt.poll()
 		if rt.abortError() != nil {
-			return answers
+			return
 		}
 		m, ok := rt.hub.Next(rt.pick)
 		if !ok {
@@ -397,7 +418,7 @@ func (rt *runner) loop(yield func(relation.Tuple) bool) (answers *relation.Relat
 			rt.abort(m.Reason, m.Note)
 			continue
 		case msg.Shutdown:
-			return answers
+			return
 		}
 		var at time.Duration
 		if prof != nil {
@@ -409,30 +430,29 @@ func (rt *runner) loop(yield func(relation.Tuple) bool) (answers *relation.Relat
 			stepping.step(m)
 			stepping = nil
 		} else {
-			done = rt.receive(m, answers, yield)
+			done = rt.receive(m, yield)
 		}
 		if prof != nil {
 			prof.Handled(trace.Span{At: at, Dur: prof.Since() - at,
 				Node: m.To, From: m.From, Kind: uint8(m.Kind), Rows: rowsIn(m)})
 		}
 		if done {
-			return answers
+			return
 		}
 	}
 }
 
 // receive plays the user process for one message addressed to the driver:
-// goal tuples are collected and yielded as they arrive. It reports whether
-// the evaluation is over: the root's final end came, or yield declined.
-func (rt *runner) receive(m msg.Message, answers *relation.Relation, yield func(relation.Tuple) bool) bool {
+// goal tuples are yielded as they arrive and stored nowhere (the root goal
+// has already deduplicated them, §3.1). It reports whether the evaluation is
+// over: the root's final end came, or yield declined.
+func (rt *runner) receive(m msg.Message, yield func(relation.Tuple) bool) bool {
 	if m.Kind == msg.End {
 		return m.All
 	}
-	arity := answers.Arity()
+	arity := len(rt.g.Nodes[rt.g.Root].Atom.Args)
 	for i, n := 0, rowsIn(m); i < n; i++ {
-		row := relation.Tuple(m.Vals[i*arity : (i+1)*arity])
-		answers.Insert(row)
-		if yield != nil && !yield(row) {
+		if !yield(relation.Tuple(m.Vals[i*arity : (i+1)*arity : (i+1)*arity])) {
 			return true
 		}
 	}

@@ -62,8 +62,9 @@ func (pl *Plan) Incremental(opts Options) *Incremental {
 }
 
 // Round runs one evaluation round: a full run the first time, a delta round
-// after. yield (optional) streams answers as they arrive; the returned
-// Result holds this round's new answers only. cancel (optional) aborts the
+// after. Only this round's new answers come out: with a nil yield the
+// returned Result's Answers holds them; otherwise yield receives each as it
+// arrives and Answers is nil. cancel (optional) aborts the
 // round like Options.Cancel. A round that returns an error leaves the
 // retained state unreliable: every later Round returns
 // ErrIncrementalBroken.

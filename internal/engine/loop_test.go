@@ -49,10 +49,10 @@ func pointCluster(tb testing.TB, db *edb.Database) (*Plan, []symtab.Sym) {
 	return NewPlan(g, db), ids
 }
 
-// pointRunAllocs is what a pooled point lookup allocates (measured: the
-// runner, the answer relation and its rows, the Result); the budget below
-// allows half as much again.
-const pointRunAllocs = 20
+// pointRunAllocs is what a pooled, streamed point lookup allocates
+// (measured; the driver stores no answer); the budget below allows half as
+// much again.
+const pointRunAllocs = 5
 
 // TestPointRunBudget pins the fixed cost of a request: a pooled Plan.Run
 // runs to completion on the calling goroutine — no goroutine exists during or
@@ -66,12 +66,13 @@ func TestPointRunBudget(t *testing.T) {
 		db   *edb.Database
 	}{{"memory", edb.FromStorage(edb.NewMemory())}, {"disk", diskDB(t)}} {
 		plan, ids := pointCluster(t, backend.db)
-		before, during, rows := runtime.NumGoroutine(), 0, 0
+		before, during := runtime.NumGoroutine(), 0
+		var rows []relation.Tuple
 		run := func(opts Options) *Result {
-			rows = 0
-			res, err := plan.RunStream(opts, func(relation.Tuple) bool {
+			rows = rows[:0]
+			res, err := plan.RunStream(opts, func(row relation.Tuple) bool {
 				during = max(during, runtime.NumGoroutine())
-				rows++
+				rows = append(rows, row)
 				return true
 			})
 			if err != nil {
@@ -80,16 +81,26 @@ func TestPointRunBudget(t *testing.T) {
 			return res
 		}
 		def, sharded := Options{Bind: ids[7:8]}, Options{Partitions: 4, Bind: ids[7:8]}
-		want := run(def) // the second run draws the pooled scratch
+		run(def) // the second run draws the pooled scratch
+		want := fmt.Sprint(rows)
 		got := run(sharded)
-		if rows == 0 {
+		if len(rows) == 0 {
 			t.Fatalf("%s: point lookup found nothing", backend.name)
 		}
 		if after := runtime.NumGoroutine(); during != before || after != before {
 			t.Errorf("%s: goroutines before/during/after a run = %d/%d/%d, want no change", backend.name, before, during, after)
 		}
-		if g, w := fmt.Sprint(got.Answers.Rows()), fmt.Sprint(want.Answers.Rows()); g != w {
-			t.Errorf("%s: Partitions=4 answers %s, default %s", backend.name, g, w)
+		// A streamed run's Result holds no answers: the yielded rows are
+		// checked against a collecting run of the same plan and binding.
+		collected, err := plan.Run(def)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := fmt.Sprint(collected.Answers.Rows()); want != w {
+			t.Errorf("%s: default run yielded %s, a collecting run answers %s", backend.name, want, w)
+		}
+		if g := fmt.Sprint(rows); g != want {
+			t.Errorf("%s: Partitions=4 answers %s, default %s", backend.name, g, want)
 		}
 		if got.Stats.Workers != 0 {
 			t.Errorf("%s: Partitions=4 reports %d workers, want 0", backend.name, got.Stats.Workers)
@@ -157,11 +168,12 @@ func TestPartitionedWorkerGauge(t *testing.T) {
 }
 
 // TestSeededLoopRandomPrograms drives the production loop under seeded
-// schedules over random positive programs. For every (program, seed): the
-// answers equal semi-naive's; an abort injected at a seeded step returns the
-// typed error without hanging and leaves the pooled scratch reusable; and an
-// Incremental under the same kind of schedule, after a fact is added,
-// accumulates exactly the grown database's answers.
+// schedules over random positive programs. For every (program, seed): a
+// streamed run yields no answer twice, and its answers equal semi-naive's;
+// an abort injected at a seeded step returns the typed error without hanging
+// and leaves the pooled scratch reusable; and an Incremental under the same
+// kind of schedule, after a fact is added, accumulates exactly the grown
+// database's answers.
 func TestSeededLoopRandomPrograms(t *testing.T) {
 	programs, seeds := int64(40), int64(25)
 	if testing.Short() {
@@ -192,12 +204,21 @@ func TestSeededLoopRandomPrograms(t *testing.T) {
 			plan := NewPlan(g, db)
 			rng := rand.New(rand.NewSource(seed))
 			steps := 0
-			res, err := plan.Run(Options{pick: func(n int) int { steps++; return rng.Intn(n) }})
+			// The driver stores nothing: the root's answer set is the only
+			// deduplication between the graph and a streamed run's yield.
+			arity := len(g.Nodes[g.Root].Atom.Args)
+			streamed := relation.New(arity)
+			_, err := plan.RunStream(Options{pick: func(n int) int { steps++; return rng.Intn(n) }}, func(row relation.Tuple) bool {
+				if !streamed.Insert(row) {
+					fail("streamed run yielded %s twice", row.String(db.Syms))
+				}
+				return true
+			})
 			if err != nil {
 				fail("%v", err)
 			}
-			if got := renderSet(res.Answers, db); got != want {
-				fail("answers %s, want %s", got, want)
+			if got := renderSet(streamed, db); got != want {
+				fail("streamed answers %s, want %s", got, want)
 			}
 
 			// Cancel from inside the schedule: the loop must see it before its
@@ -217,7 +238,8 @@ func TestSeededLoopRandomPrograms(t *testing.T) {
 			case err != nil || picks > at:
 				fail("run cancelled at step %d of %d returned %v, want ErrCancelled", at, picks, err)
 			}
-			if res, err = plan.Run(Options{pick: rng.Intn}); err != nil {
+			res, err := plan.Run(Options{pick: rng.Intn})
+			if err != nil {
 				fail("run on the scratch an abort left behind: %v", err)
 			}
 			if got := renderSet(res.Answers, db); got != want {
@@ -225,7 +247,7 @@ func TestSeededLoopRandomPrograms(t *testing.T) {
 			}
 
 			inc := plan.Incremental(Options{pick: rng.Intn})
-			seen := relation.New(len(g.Nodes[g.Root].Atom.Args))
+			seen := relation.New(arity)
 			round := func() {
 				rows, _ := incRound(t, inc)
 				for _, r := range rows {

@@ -73,9 +73,10 @@ func (pl *Plan) Run(opts Options) (*Result, error) {
 	return pl.RunStream(opts, nil)
 }
 
-// RunStream is Run with answer streaming, as the package-level RunStream
-// (nil yield collects silently; yield returning false cancels early). It runs
-// to completion on the calling goroutine and starts none.
+// RunStream is Run with answer streaming, as the package-level RunStream:
+// under a yield the Result's Answers is nil, a nil yield collects them, and
+// yield returning false ends the run early. It runs to completion on the
+// calling goroutine and starts none.
 func (pl *Plan) RunStream(opts Options, yield func(relation.Tuple) bool) (*Result, error) {
 	s := pl.get()
 	res, err := pl.runOn(s, opts, false, yield)

@@ -47,10 +47,13 @@ func (c *resultCache) get(key string) ([][]string, bool) {
 	return nil, false
 }
 
+// put stores a copy of rows: the evaluation rendered them into chunks whose
+// unused tails the cache should not keep alive.
 func (c *resultCache) put(key string, rows [][]string) {
 	if len(rows) > maxCachedRows {
 		return
 	}
+	rows = compact(rows)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.m[key]; ok {
@@ -64,6 +67,22 @@ func (c *resultCache) put(key string, rows [][]string) {
 		c.order.Remove(el)
 		delete(c.m, el.Value.(*cacheEntry).key)
 	}
+}
+
+// compact copies rows into one exact-size backing array, each row capped at
+// its own width.
+func compact(rows [][]string) [][]string {
+	n := 0
+	for _, r := range rows {
+		n += len(r)
+	}
+	flat := make([]string, 0, n)
+	out := make([][]string, len(rows))
+	for i, r := range rows {
+		flat = append(flat, r...)
+		out[i] = flat[len(flat)-len(r) : len(flat) : len(flat)]
+	}
+	return out
 }
 
 func (c *resultCache) len() int {

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Sym is an interned constant. The zero value is NoSym, which is never a
@@ -23,15 +24,25 @@ const NoSym Sym = 0
 
 // Table interns strings to Syms and resolves Syms back to strings.
 // The zero value is not usable; call New.
+//
+// String takes no lock: the texts live in an append-only array published
+// through an atomic pointer, and an atomic count says how much of it is
+// written. Intern writes under the mutex, past the count, and advances the
+// count afterwards; when the array is full it publishes a longer copy
+// first. A reader that loads the count before the array therefore always
+// finds every text the count covers.
 type Table struct {
 	mu   sync.RWMutex
-	ids  map[string]Sym
-	strs []string // strs[s-1] is the text of Sym s
+	ids  map[string]Sym           // guarded by mu
+	strs atomic.Pointer[[]string] // (*strs)[s-1] is the text of Sym s
+	n    atomic.Int32             // how many symbols strs holds
 }
 
 // New returns an empty symbol table.
 func New() *Table {
-	return &Table{ids: make(map[string]Sym)}
+	t := &Table{ids: make(map[string]Sym)}
+	t.strs.Store(new([]string))
+	return t
 }
 
 // Intern returns the Sym for text, creating it if necessary. A new symbol
@@ -50,8 +61,16 @@ func (t *Table) Intern(text string) Sym {
 		return s
 	}
 	text = strings.Clone(text)
-	t.strs = append(t.strs, text)
-	s = Sym(len(t.strs))
+	strs, n := *t.strs.Load(), int(t.n.Load())
+	if n == len(strs) {
+		grown := make([]string, max(2*n, 64))
+		copy(grown, strs)
+		t.strs.Store(&grown)
+		strs = grown
+	}
+	strs[n] = text
+	s = Sym(n + 1)
+	t.n.Store(int32(s))
 	t.ids[text] = s
 	return s
 }
@@ -64,32 +83,27 @@ func (t *Table) Lookup(text string) (Sym, bool) {
 	return s, ok
 }
 
-// String resolves a Sym to its text. It panics on NoSym or an id that was
-// never issued by this table, since that always indicates a programming
-// error rather than bad input.
+// String resolves a Sym to its text without taking a lock. It panics on
+// NoSym or an id that was never issued by this table, since that always
+// indicates a programming error rather than bad input.
 func (t *Table) String(s Sym) string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if s <= 0 || int(s) > len(t.strs) {
-		panic(fmt.Sprintf("symtab: invalid Sym %d (table has %d symbols)", s, len(t.strs)))
+	n := t.n.Load()
+	if s <= 0 || int32(s) > n {
+		panic(fmt.Sprintf("symtab: invalid Sym %d (table has %d symbols)", s, n))
 	}
-	return t.strs[s-1]
+	return (*t.strs.Load())[s-1]
 }
 
 // Len reports how many distinct symbols have been interned.
 func (t *Table) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.strs)
+	return int(t.n.Load())
 }
 
 // All returns the interned symbols in interning order. The result is a
 // fresh slice owned by the caller.
 func (t *Table) All() []Sym {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]Sym, len(t.strs))
-	for i := range t.strs {
+	out := make([]Sym, t.n.Load())
+	for i := range out {
 		out[i] = Sym(i + 1)
 	}
 	return out

@@ -119,3 +119,47 @@ func TestQuickRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestConcurrentInternString resolves symbols while other goroutines intern
+// new ones, so the lock-free String reads the array as Intern grows it (run
+// under -race): every resolved text must be the one interned.
+func TestConcurrentInternString(t *testing.T) {
+	tab := New()
+	const writers, readers, perWriter = 2, 4, 2000
+	var wg sync.WaitGroup
+	syms := make(chan Sym, 256)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				syms <- tab.Intern(fmt.Sprintf("w%d_%d", w, i))
+			}
+		}(w)
+	}
+	var rg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		rg.Add(1)
+		go func() {
+			defer rg.Done()
+			for s := range syms {
+				// Every symbol issued so far resolves, also those that other
+				// writers interned after s.
+				for _, q := range []Sym{s, Sym(tab.Len()), 1} {
+					if tab.String(q) == "" {
+						t.Errorf("String(%d) is empty", q)
+					}
+				}
+				if id, ok := tab.Lookup(tab.String(s)); !ok || id != s {
+					t.Errorf("String(%d) = %q, which interns as %d", s, tab.String(s), id)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(syms)
+	rg.Wait()
+	if got, want := tab.Len(), writers*perWriter; got != want {
+		t.Errorf("Len = %d, want %d", got, want)
+	}
+}

@@ -546,8 +546,7 @@ type Answer struct {
 func (s *System) Eval(opts ...Option) (*Answer, error) {
 	cfg := newConfig(opts)
 	if cfg.semiNaive {
-		goal := bottomup.SemiNaive(s.Program, s.DB).Goal
-		return &Answer{Tuples: s.rows(goal, goal.Arity())}, nil
+		return &Answer{Tuples: s.renderAll(bottomup.SemiNaive(s.Program, s.DB).Goal)}, nil
 	}
 	pq, err := s.compile(s.Program, nil, &cfg)
 	if err != nil {
@@ -596,31 +595,63 @@ func (s *System) Graph(opts ...Option) (*rgg.Graph, error) {
 	return pq.Graph(), nil
 }
 
-// row renders a goal tuple's first n columns as constant strings: the one
-// row renderer of every evaluation path.
-func (s *System) row(t relation.Tuple, n int) []string {
-	return s.renderInto(make([]string, n), t)
+// renderer turns goal tuples into constant strings: the one row renderer of
+// every evaluation path. Rows are cut from flat chunks of minChunkRows rows,
+// doubling up to maxChunkRows, and each row is capped at its own width, so a
+// caller's append to one row cannot write into the next. A chunk is never
+// reused: every row is the caller's to keep. keep also collects rows for a
+// caller that sorts them once at the end (sorted).
+type renderer struct {
+	syms *symtab.Table
+	n    int        // columns per row: the answer columns, leading
+	size int        // rows in the next chunk
+	free []string   // the current chunk's unused tail
+	rows [][]string // the rows keep collected
 }
 
-// renderInto renders t's first len(dst) columns into dst.
-func (s *System) renderInto(dst []string, t relation.Tuple) []string {
-	for i := range dst {
-		dst[i] = s.DB.Syms.String(t[i])
-	}
-	return dst
+const minChunkRows, maxChunkRows = 8, 256
+
+// renderer returns a renderer of the first n columns of goal tuples.
+func (s *System) renderer(n int) *renderer {
+	// free and rows start empty but non-nil: rows of no columns, and an
+	// answer with no rows, are empty slices rather than nil.
+	return &renderer{syms: s.DB.Syms, n: n, size: minChunkRows, free: []string{}, rows: [][]string{}}
 }
 
-// rows renders every tuple of r, its first n columns, in sortTuples order.
-// The strings of all rows share one backing array; each row is capped at
-// its own n, so a caller's append to one row cannot write into the next.
-func (s *System) rows(r *relation.Relation, n int) [][]string {
-	flat := make([]string, r.Len()*n)
-	out := make([][]string, r.Len())
-	for i, t := range r.Rows() {
-		out[i] = s.renderInto(flat[i*n:(i+1)*n:(i+1)*n], t)
+// row renders t's first n columns.
+func (r *renderer) row(t relation.Tuple) []string {
+	n := r.n
+	if len(r.free) < n {
+		r.free = make([]string, r.size*n)
+		r.size = min(2*r.size, maxChunkRows)
 	}
-	sortTuples(out)
-	return out
+	row := r.free[:n:n]
+	r.free = r.free[n:]
+	for i := range row {
+		row[i] = r.syms.String(t[i])
+	}
+	return row
+}
+
+// keep renders t and collects the row; it is a yield that never declines.
+func (r *renderer) keep(t relation.Tuple) bool {
+	r.rows = append(r.rows, r.row(t))
+	return true
+}
+
+// sorted returns the collected rows in sortTuples order.
+func (r *renderer) sorted() [][]string {
+	sortTuples(r.rows)
+	return r.rows
+}
+
+// renderAll renders every tuple of rel in sortTuples order.
+func (s *System) renderAll(rel *relation.Relation) [][]string {
+	r := s.renderer(rel.Arity())
+	for _, t := range rel.Rows() {
+		r.keep(t)
+	}
+	return r.sorted()
 }
 
 // sortTuples orders rendered tuples lexicographically — the one answer
@@ -628,7 +659,18 @@ func (s *System) rows(r *relation.Relation, n int) [][]string {
 // Subscription rounds) produces, so equivalence checks can compare byte for
 // byte.
 func sortTuples(out [][]string) {
-	slices.SortFunc(out, slices.Compare[[]string])
+	slices.SortFunc(out, compareTuples)
+}
+
+// compareTuples is slices.Compare for rendered tuples, comparing each
+// column once.
+func compareTuples(a, b []string) int {
+	for i := range min(len(a), len(b)) {
+		if c := strings.Compare(a[i], b[i]); c != 0 {
+			return c
+		}
+	}
+	return len(a) - len(b)
 }
 
 // Has reports whether the answer contains the exact tuple.

@@ -310,7 +310,8 @@ func (pq *PreparedQuery) Eval(ctx context.Context, args ...string) (*Answer, err
 }
 
 // evalWith is the collection core shared by both Evals and Query; cfg
-// supplies the engine options (stats, profile, simulated latency). Only the
+// supplies the engine options (stats, profile, simulated latency). The
+// yielded rows are rendered as they arrive and sorted once. Only the
 // parameter columns are projected away: they are single-valued per run, so
 // distinctness is preserved.
 func (pq *PreparedQuery) evalWith(ctx context.Context, args []string, cfg *config) (*Answer, error) {
@@ -318,11 +319,12 @@ func (pq *PreparedQuery) evalWith(ctx context.Context, args []string, cfg *confi
 	if err != nil {
 		return nil, err
 	}
-	res, err := pq.plan.Run(cfg.engineOptions(ctx, bind))
+	r := pq.sys.renderer(pq.nout)
+	res, err := pq.plan.RunStream(cfg.engineOptions(ctx, bind), r.keep)
 	if err != nil {
 		return nil, engineError(err, ctx)
 	}
-	return &Answer{Tuples: pq.sys.rows(res.Answers, pq.nout), Stats: res.Stats}, nil
+	return &Answer{Tuples: r.sorted(), Stats: res.Stats}, nil
 }
 
 // Answers is Eval in iterator shape: goal tuples are yielded in derivation
@@ -343,9 +345,10 @@ func (pq *PreparedQuery) stream(ctx context.Context, args []string, cfg *config,
 		yield(nil, err)
 		return
 	}
+	r := pq.sys.renderer(pq.nout)
 	stopped := false
 	_, err = pq.plan.RunStream(cfg.engineOptions(ctx, bind), func(t relation.Tuple) bool {
-		stopped = !yield(pq.sys.row(t, pq.nout), nil)
+		stopped = !yield(r.row(t), nil)
 		return !stopped
 	})
 	if err != nil && !stopped {

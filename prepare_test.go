@@ -170,6 +170,54 @@ func TestPreparedAnswersIterator(t *testing.T) {
 	}
 }
 
+// TestPreparedAnswersRowsKept: rows kept from PreparedQuery.Answers are the
+// caller's. The renderer cuts them from shared chunks, so they must survive
+// the run and a second run unchanged, and an append to one kept row must not
+// write into the next.
+func TestPreparedAnswersRowsKept(t *testing.T) {
+	var src strings.Builder
+	for i := 0; i < 40; i++ {
+		fmt.Fprintf(&src, "edge(n%d, n%d). ", i, i+1)
+	}
+	src.WriteString("path(X, Y) :- edge(X, Y). path(X, Y) :- path(X, U), edge(U, Y). goal(Y) :- path(n0, Y).")
+	sys := MustLoad(src.String())
+	pq, err := sys.Prepare("?- path(X, Y).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	collect := func() [][]string {
+		var rows [][]string
+		for row, err := range pq.Answers(context.Background()) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows = append(rows, row)
+		}
+		return rows
+	}
+	kept := collect()
+	if len(kept) != 40*41/2 {
+		t.Fatalf("%d answers, want %d", len(kept), 40*41/2)
+	}
+	want := make([][]string, len(kept))
+	for i, row := range kept {
+		want[i] = append([]string(nil), row...)
+	}
+	if !reflect.DeepEqual(kept, want) {
+		t.Fatal("kept rows changed once the run ended")
+	}
+	collect()
+	if !reflect.DeepEqual(kept, want) {
+		t.Fatal("a second run rewrote the rows the first one yielded")
+	}
+	for i := 0; i+1 < len(kept); i++ {
+		_ = append(kept[i], "appended")
+		if !reflect.DeepEqual(kept[i+1], want[i+1]) {
+			t.Fatalf("an append to row %d wrote into row %d: %v", i, i+1, kept[i+1])
+		}
+	}
+}
+
 func TestPreparedConcurrent(t *testing.T) {
 	sys := MustLoad(prepBase)
 	pq, err := sys.Prepare("?- path(a, Y).")

@@ -52,8 +52,7 @@ var evaluators = []struct {
 // oracle renders a bottom-up baseline's goal relation like Answer.Tuples.
 func oracle(eval func(*ast.Program, *edb.Database) *bottomup.Result) func(*System) ([][]string, error) {
 	return func(sys *System) ([][]string, error) {
-		goal := eval(sys.Program, sys.DB).Goal
-		return sys.rows(goal, goal.Arity()), nil
+		return sys.renderAll(eval(sys.Program, sys.DB).Goal), nil
 	}
 }
 
@@ -64,7 +63,7 @@ func magicSets(sys *System, strategy string) ([][]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	return (&System{DB: db}).rows(res.Goal, res.Goal.Arity()), nil
+	return (&System{DB: db}).renderAll(res.Goal), nil
 }
 
 // TestProgramCorpus runs every program in testdata/programs through every

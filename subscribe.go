@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/engine"
-	"repro/internal/relation"
 	"repro/internal/symtab"
 )
 
@@ -109,17 +108,13 @@ func (sub *Subscription) round(ctx context.Context) ([][]string, error) {
 	sys := sub.pq.sys
 	sys.mu.Lock()
 	sub.seen = sys.DB.Version()
-	var rows [][]string
-	_, err := sub.inc.Round(ctxDone(ctx), func(t relation.Tuple) bool {
-		rows = append(rows, sys.row(t, sub.pq.nout))
-		return true
-	})
+	r := sys.renderer(sub.pq.nout)
+	_, err := sub.inc.Round(ctxDone(ctx), r.keep)
 	sys.mu.Unlock()
 	if err != nil {
 		return nil, engineError(err, ctx)
 	}
-	sortTuples(rows)
-	return rows, nil
+	return r.sorted(), nil
 }
 
 // Version reports the EDB version the delivered rounds cover: every
