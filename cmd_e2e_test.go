@@ -96,10 +96,20 @@ func TestCommandsEndToEnd(t *testing.T) {
 	// -trace, -trace-out and -profile arm one profile and render it after
 	// the evaluation: the text trace and the report on stderr, the
 	// trace_event JSON in the named file.
+	// The rules are right-linear: base subgoals are joined in place, so the
+	// tuple requests the trace must show are the ones to path(U, Y).
 	t.Run("mpq-observe", func(t *testing.T) {
 		events := filepath.Join(dir, "events.json")
+		right := filepath.Join(dir, "right.dl")
+		if err := os.WriteFile(right, []byte(`
+			path(X, Y) :- edge(X, Y).
+			path(X, Y) :- edge(X, U), path(U, Y).
+			?- path(a, Y).
+		`), 0o644); err != nil {
+			t.Fatal(err)
+		}
 		cmd := exec.Command(filepath.Join(bin, "mpq"), "-trace", "-profile", "-trace-out", events,
-			"-data", "edge="+data, prog)
+			"-data", "edge="+data, right)
 		var stdout, stderr strings.Builder
 		cmd.Stdout, cmd.Stderr = &stdout, &stderr
 		if err := cmd.Run(); err != nil {

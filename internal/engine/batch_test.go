@@ -294,7 +294,11 @@ func TestProtocolMessageForcesFlush(t *testing.T) {
 			}
 			held = held[:0]
 			for _, p := range rt.procs {
-				held = append(held, p.buffered)
+				h := 0
+				if p != nil { // a base subgoal joined in place has no process
+					h = p.buffered
+				}
+				held = append(held, h)
 			}
 			before = len(net.sent)
 			return rng.Intn(n)

@@ -282,13 +282,15 @@ var shapePrograms = map[string]string{
 }
 
 // siteDB is site's share of prog's facts under hosts: only the base
-// relations its hosted EDB leaves read — the data lives where it is read.
-// Every constant is still interned in program order, so symbol ids agree
-// across sites exactly as with edb.FromProgram.
+// relations read there — by its hosted EDB leaves that keep a process, and
+// by its hosted rules, which join their other base subgoals in place — so
+// the data lives where it is read. Every constant is still interned in
+// program order, so symbol ids agree across sites exactly as with
+// edb.FromProgram.
 func siteDB(prog *ast.Program, g *rgg.Graph, hosts []int, site int) *edb.Database {
 	reads := map[ast.PredKey]bool{}
 	for id, n := range g.Nodes {
-		if n.EDB && hosts[id] == site {
+		if n.EDB && (inPlace(n) && hosts[n.Parent] == site || !inPlace(n) && hosts[id] == site) {
 			reads[n.Atom.Key()] = true
 		}
 	}

@@ -56,9 +56,9 @@ type Options struct {
 	// aggregating across runs), all at once when the evaluation ends —
 	// also when it is aborted. A fresh Stats is used otherwise.
 	Stats *trace.Stats
-	// EDBDelay simulates per-retrieval latency at EDB leaves (disk or a
-	// remote store): sites overlap these waits, one run loop cannot. Zero
-	// (the default) disables the simulation.
+	// EDBDelay simulates per-retrieval latency (disk or a remote store) at
+	// each EDB leaf scan and base-subgoal tuple request: sites overlap these
+	// waits, one run loop cannot. Zero (the default) disables it.
 	EDBDelay time.Duration
 	// Deadline, when positive, bounds the evaluation in wall-clock time:
 	// when it expires the query is aborted everywhere (an Abort message goes
@@ -197,9 +197,9 @@ type runner struct {
 
 	// The run loop's side: hub lists the hosted mailboxes (the driver's too,
 	// on its site) that hold mail; procs are the hosted processes by node id,
-	// nil for nodes hosted elsewhere. pick is the one scheduling decision —
-	// which of the n processes with mail steps next — nil meaning the one
-	// that has waited longest.
+	// nil for nodes hosted elsewhere and for base subgoals joined in place.
+	// pick is the one scheduling decision — which of the n processes with
+	// mail steps next — nil meaning the one that has waited longest.
 	hub   *transport.Hub
 	procs []*proc
 	pick  func(n int) int
@@ -218,9 +218,10 @@ type runner struct {
 	expired  <-chan struct{}
 
 	// delta marks a delta round of an Incremental evaluation: node state is
-	// retained from the previous round, EDB leaves seed only their delta
-	// windows, and RelReq handlers skip the late-registration replay (the
-	// customer already holds everything stored). False for ordinary runs.
+	// retained from the previous round, base selections seed only their
+	// delta windows, and RelReq handlers skip the late-registration replay
+	// (the customer already holds everything stored). False for ordinary
+	// runs.
 	delta bool
 }
 
@@ -269,36 +270,46 @@ func (rt *runner) initProfile() {
 	rt.prof.SetMeta(rt.driver, trace.NodeMeta{Label: "driver", Kind: "driver", Site: site(rt.driver)})
 }
 
-// edbIndexNeeds lists the composite indexes evaluation will probe on the
-// base relations: each EDB leaf's selection binds its constant argument
-// positions plus its "d" positions, and relation.Select probes the
-// composite index over exactly that column set (ascending). Single-bound-
-// column leaves are covered by the unconditional per-column warming.
-func edbIndexNeeds(g *rgg.Graph) []edb.IndexNeed {
+// edbIndexNeeds lists the composite indexes evaluation probes on the base
+// relations, read off the compiled selections: a tuple request binds the
+// constants and "d" positions, a join step over a base subgoal the
+// constants and the columns bound before it (an all-bound step tests
+// membership, needing none). Select probes the index over exactly that
+// column set (ascending); single columns are warmed unconditionally.
+func edbIndexNeeds(g *rgg.Graph, db edb.Storage) []edb.IndexNeed {
 	var needs []edb.IndexNeed
-	for _, n := range g.Nodes {
-		if !n.EDB {
-			continue
-		}
-		bound := make(map[int]bool)
-		for i, t := range n.Atom.Args {
-			if !t.IsVar() {
-				bound[i] = true
-			}
-		}
-		for _, pos := range dynamicPositions(n.Ad) {
-			bound[pos] = true
-		}
-		if len(bound) < 2 {
-			continue
-		}
-		cols := make([]int, 0, len(bound))
-		for i := range n.Atom.Args {
-			if bound[i] {
+	add := func(sel *baseSel, cols []int) {
+		for i, v := range sel.consts {
+			if v != symtab.NoSym {
 				cols = append(cols, i)
 			}
 		}
-		needs = append(needs, edb.IndexNeed{Key: n.Atom.Key(), Cols: cols})
+		if slices.Sort(cols); len(cols) >= 2 {
+			needs = append(needs, edb.IndexNeed{Key: sel.key, Cols: slices.Compact(cols)})
+		}
+	}
+	for _, n := range g.Nodes {
+		if n.EDB && !inPlace(n) {
+			sel := newBaseSel(n.Atom, n.Ad, db)
+			add(sel, slices.Clone(sel.dPos))
+		} else if n.Kind == rgg.Rule {
+			r := newRuleState(g, n, db)
+			for _, s := range r.subs {
+				if s.sel != nil {
+					add(s.sel, slices.Clone(s.sel.dPos))
+				}
+			}
+			for _, pl := range slices.Concat(r.plans...) {
+				for _, st := range pl.steps {
+					if cols := []int(nil); st.sub != nil && len(st.fresh) > 0 {
+						for _, cs := range st.bound {
+							cols = append(cols, cs.col)
+						}
+						add(st.sub.sel, cols)
+					}
+				}
+			}
+		}
 	}
 	return needs
 }

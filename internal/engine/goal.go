@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"repro/internal/adorn"
+	"repro/internal/ast"
+	"repro/internal/edb"
 	"repro/internal/msg"
 	"repro/internal/relation"
 	"repro/internal/rgg"
@@ -13,23 +15,24 @@ import (
 
 // goalState is the mutable state of a goal-node process. Three flavors
 // share it, distinguished at construction: ordinary IDB goal nodes (union
-// of rule children, per-customer answer streams), EDB leaves (selection
-// against the base relation), and variant nodes (selection on an ancestor's
-// relation through a cycle edge).
+// of rule children, per-customer answer streams), the EDB leaves that keep
+// a process (selection against the base relation), and variant nodes
+// (selection on an ancestor's relation through a cycle edge).
 //
 // Per §3.1, "goal nodes store their temporary relations, and only forward
 // answer tuples that are genuinely new", and "a goal node with multiple
 // out-edges needs to furnish answers in separate streams to each successor
 // node" — different successors will have requested different subsets.
 //
-// Two flavors are exempt from storing. Variant nodes relay their ancestor's
-// stream (the paper's "trivial goal nodes"). An EDB leaf without an
-// existential position passes its selected rows straight to its one
-// customer: the base relation is a set, a selection that carries every
-// non-constant position is injective, different bindings select disjoint
-// rows, and reqs refuses a binding twice, so no row can repeat — and a
-// leaf, off every cycle with a single customer, never replays its store.
-// Its answers relation is nil.
+// Two kinds of EDB leaf keep a process; below a rule, a leaf with no
+// existential position has none: its rule joins it in place (see inPlace).
+// A leaf with an existential position stores its answers, to dedup what
+// its projection collapses. A base query at the root passes its selected
+// rows straight to the driver: the base relation is a set, a selection that
+// carries every non-constant position is injective, different bindings
+// select disjoint rows, and reqs refuses a binding twice, so no row can
+// repeat. Its answers relation is nil. Variant nodes relay their
+// ancestor's stream (the paper's "trivial goal nodes") without storing.
 type goalState struct {
 	p *proc
 
@@ -45,7 +48,7 @@ type goalState struct {
 	// reqs holds the d-bindings already forwarded/serviced. A binding's
 	// ordinal there names it in each customer's asked set.
 	reqs    *relation.Relation
-	answers *relation.Relation // nil on a pass-through EDB leaf
+	answers *relation.Relation // nil on the root's EDB leaf
 
 	// Scratch, reused by every row: an answer's d-projection, the probe for
 	// the stored answers under one d-binding, and probe results.
@@ -53,18 +56,10 @@ type goalState struct {
 	ansBind relation.Binding
 	rows    []relation.Tuple
 
-	// EDB leaves: retrieval processes in front of the one shared store. A
-	// leaf holds no rows of its own, so a predicate with no facts at plan
-	// time picks up rows as they arrive.
-	isEDB  bool
-	consts relation.Binding // constant positions, pre-interned
-	eqPos  [][2]int         // argument positions repeating a variable: [later, first]
-	// seenBase is the base-relation cardinality this leaf has absorbed:
-	// ordinals [seenBase:] are the next delta window (Incremental rounds),
-	// streamed from the store with ScanSince.
-	seenBase int
-	binding  relation.Binding // scratch: one selection against the base relation
-	buf      relation.Tuple   // scratch: a base row projected to the carried positions
+	// EDB leaves: the selection, and a base row projected to the carried
+	// positions.
+	sel *baseSel
+	buf relation.Tuple
 
 	// Variant nodes.
 	cycleTo int
@@ -139,10 +134,9 @@ func newGoalState(p *proc) *goalState {
 		carried:   carriedPositions(n.Ad),
 		customers: make([]customerState, len(p.custs)),
 		cycleTo:   n.CycleTo,
-		isEDB:     n.EDB,
 	}
 	g.reqs = relation.New(len(g.dPos))
-	if !passThrough(n, len(p.custs)) {
+	if !n.EDB || slices.Contains(n.Ad, adorn.Existential) {
 		g.answers = relation.New(len(g.carried))
 	}
 	g.dVals = make(relation.Tuple, len(g.dPos))
@@ -154,32 +148,53 @@ func newGoalState(p *proc) *goalState {
 	for _, pos := range g.dPos {
 		g.dIdx = append(g.dIdx, idx[pos])
 	}
-	if g.isEDB {
-		g.seenBase = p.rt.db.Cardinality(n.Atom.Key())
-		g.consts = make(relation.Binding, len(n.Atom.Args))
-		g.binding = make(relation.Binding, len(n.Atom.Args))
+	if n.EDB {
+		g.sel = newBaseSel(n.Atom, n.Ad, p.rt.db)
 		g.buf = make(relation.Tuple, len(g.carried))
-		first := make(map[string]int) // variable → its first argument position
-		for i, t := range n.Atom.Args {
-			if !t.IsVar() {
-				g.consts[i] = p.rt.db.Symbols().Intern(t.Const)
-			} else if f, seen := first[t.Var]; seen {
-				g.eqPos = append(g.eqPos, [2]int{i, f})
-			} else {
-				first[t.Var] = i
-			}
-		}
 	}
 	return g
 }
 
-// passThrough reports whether goal node n, with the given number of
-// customers, may deliver its answers without an answer store: it is an EDB
-// leaf with one customer and no existential position, so every argument is
-// a constant or carried and its selection never collapses two base rows
-// into one answer.
-func passThrough(n *rgg.Node, customers int) bool {
-	return n.EDB && customers == 1 && !slices.Contains(n.Ad, adorn.Existential)
+// inPlace reports whether goal node n is a base subgoal its rule joins in
+// place, having no process: an EDB leaf below a rule whose selection never
+// collapses two base rows into one answer (no existential position).
+func inPlace(n *rgg.Node) bool {
+	return n.EDB && n.Parent != rgg.NoNode && !slices.Contains(n.Ad, adorn.Existential)
+}
+
+// baseSel is an EDB leaf's selection against the one shared store (so a
+// predicate with no facts at plan time picks up rows as they arrive):
+// constant positions and "d" bindings select, repeated variables filter.
+// Leaf processes and rules' in-place base subgoals read through one.
+type baseSel struct {
+	key    ast.PredKey
+	consts relation.Binding // constant positions, pre-interned
+	eqPos  [][2]int         // argument positions repeating a variable: [later, first]
+	dPos   []int            // argument positions of class "d"
+	seen   int              // cardinality absorbed: [seen:] is the next delta window
+	// Scratch: one selection, a row's d-projection and the selected rows,
+	// held while they are bind's (a rule's probe under it reuses them).
+	bind  relation.Binding
+	dVals relation.Tuple
+	rows  []relation.Tuple
+	held  bool
+}
+
+func newBaseSel(atom ast.Atom, ad adorn.Adornment, db edb.Storage) *baseSel {
+	b := &baseSel{key: atom.Key(), consts: make(relation.Binding, len(atom.Args)), dPos: dynamicPositions(ad),
+		seen: db.Cardinality(atom.Key()), bind: make(relation.Binding, len(atom.Args))}
+	b.dVals = make(relation.Tuple, len(b.dPos))
+	first := make(map[string]int) // variable → its first argument position
+	for i, t := range atom.Args {
+		if !t.IsVar() {
+			b.consts[i] = db.Symbols().Intern(t.Const)
+		} else if f, seen := first[t.Var]; seen {
+			b.eqPos = append(b.eqPos, [2]int{i, f})
+		} else {
+			first[t.Var] = i
+		}
+	}
+	return b
 }
 
 func (g *goalState) handle(m msg.Message) {
@@ -229,9 +244,9 @@ func (g *goalState) onRelReq(c int) {
 		switch {
 		case g.cycleTo != rgg.NoNode:
 			g.p.send(msg.Message{Kind: msg.RelReq, To: g.cycleTo})
-		case g.isEDB:
+		case g.sel != nil:
 			if g.p.rt.delta {
-				g.serviceEDBDelta()
+				g.sel.window(g.p, g.reqs, g.emit)
 			} else if len(g.dPos) == 0 {
 				g.serviceEDB(nil)
 			}
@@ -269,7 +284,7 @@ func (g *goalState) onTupReq(c int, vals []symtab.Sym) {
 	switch {
 	case g.cycleTo != rgg.NoNode:
 		g.p.queueTupReq(0, vals)
-	case g.isEDB:
+	case g.sel != nil:
 		g.serviceEDB(vals)
 	default:
 		for k := range g.p.kids {
@@ -310,99 +325,96 @@ func (g *goalState) onTuple(vals []symtab.Sym) {
 }
 
 // serviceEDB answers one tuple request (or the implicit request when vals
-// is nil) by selection against the base relation: constant positions and
-// "d" bindings select, repeated variables filter, and the projection to the
-// carried positions drops existential values.
+// is nil) by selection against the base relation.
 func (g *goalState) serviceEDB(vals []symtab.Sym) {
-	binding := g.binding
-	copy(binding, g.consts)
-	for i, pos := range g.dPos {
-		if binding[pos] != symtab.NoSym && binding[pos] != vals[i] {
-			return // repeated d-variable bound inconsistently: no matches
-		}
-		binding[pos] = vals[i]
-	}
-	g.p.tally.EDBScans++
-	if d := g.p.rt.edbDelay; d > 0 {
-		time.Sleep(d) // simulated retrieval latency (see Options.EDBDelay)
-	}
-	n := g.p.node
-	g.rows = g.p.rt.db.ScanInto(g.rows[:0], n.Atom.Key(), binding)
-	g.p.tally.EDBTuples += int64(len(g.rows))
-	for _, row := range g.rows {
-		g.emitBase(row)
+	for _, row := range g.sel.retrieve(g.p, vals) {
+		g.emit(row)
 	}
 }
 
-// emitBase delivers one selected base row: repeated variables filter and
-// the projection drops existential values before emitLeaf streams it. It
-// reports whether the row survived the filter.
-func (g *goalState) emitBase(row relation.Tuple) bool {
-	for _, eq := range g.eqPos {
+// emit delivers one selected base row, projected to the carried positions:
+// straight to the driver from the root's leaf, else through the answer
+// store, which dedups rows differing only existentially.
+func (g *goalState) emit(row relation.Tuple) {
+	for i, pos := range g.carried {
+		g.buf[i] = row[pos]
+	}
+	if g.answers == nil {
+		g.p.queueTuple(0, g.buf)
+		return
+	}
+	g.onTuple(g.buf)
+}
+
+// retrieve selects the rows matching the constants and vals at the "d"
+// positions (nil vals: the implicit request) whose repeated variables
+// agree, and counts one EDB scan.
+func (b *baseSel) retrieve(p *proc, vals []symtab.Sym) []relation.Tuple {
+	copy(b.bind, b.consts)
+	b.held = false
+	for i, pos := range b.dPos {
+		if b.bind[pos] != symtab.NoSym && b.bind[pos] != vals[i] {
+			return nil // repeated d-variable bound inconsistently: no matches
+		}
+		b.bind[pos] = vals[i]
+	}
+	p.tally.EDBScans++
+	if d := p.rt.edbDelay; d > 0 {
+		time.Sleep(d) // simulated retrieval latency (see Options.EDBDelay)
+	}
+	b.rows, b.held = p.rt.db.ScanInto(b.rows[:0], b.key, b.bind), true
+	p.tally.EDBTuples += int64(len(b.rows))
+	if len(b.eqPos) > 0 {
+		b.rows = slices.DeleteFunc(b.rows, func(row relation.Tuple) bool { return !b.match(row) })
+	}
+	return b.rows
+}
+
+// holds reports whether rows are the selection under binding bind.
+func (b *baseSel) holds(bind relation.Binding) bool {
+	return b.held && slices.Equal(b.bind, bind)
+}
+
+// match reports whether a row's repeated variables agree.
+func (b *baseSel) match(row relation.Tuple) bool {
+	for _, eq := range b.eqPos {
 		if row[eq[0]] != row[eq[1]] {
 			return false
 		}
 	}
-	for i, pos := range g.carried {
-		g.buf[i] = row[pos]
-	}
-	g.emitLeaf(g.buf)
 	return true
 }
 
-// emitLeaf streams one projected base row to the leaf's customer: straight
-// through on a pass-through leaf, else through the answer store, which
-// dedups what the projection collapsed (rows differing only existentially).
-func (g *goalState) emitLeaf(vals []symtab.Sym) {
-	if g.answers == nil {
-		g.p.queueTuple(0, vals)
-		return
-	}
-	g.onTuple(vals)
-}
-
-// serviceEDBDelta seeds one delta round at an EDB leaf: the base-relation
-// rows appended since the previous round (the Δ window) are filtered and
-// delivered exactly as serviceEDB would have, but without rescanning the
-// rows every earlier round already absorbed.
-//
-// Free-access leaves (no "d" positions) deliver every surviving window row.
-// Bound-access leaves deliver only rows whose d-projection was already
-// requested (g.reqs): a row under a never-requested binding is not part
-// of any answer yet — it waits in the relation and is found by the ordinary
-// scan when its binding first arrives.
-func (g *goalState) serviceEDBDelta() {
-	n := g.p.node
-	from := g.seenBase
-	total := g.p.rt.db.Cardinality(n.Atom.Key())
-	g.seenBase = total
+// window seeds one delta round: the rows appended since the previous round
+// (the Δ window) that the selection keeps, and whose d-projection is in
+// reqs, go to keep. A row under a binding never requested joins no answer
+// yet: the retrieval for that binding finds it when it first arrives.
+func (b *baseSel) window(p *proc, reqs *relation.Relation, keep func(relation.Tuple)) {
+	from, total := b.seen, p.rt.db.Cardinality(b.key)
+	b.seen = total
 	if from >= total {
 		return
 	}
-	g.p.tally.EDBScans++
-	if d := g.p.rt.edbDelay; d > 0 {
+	p.tally.EDBScans++
+	if d := p.rt.edbDelay; d > 0 {
 		time.Sleep(d) // one simulated retrieval for the whole window
 	}
 	scanned, seeded := 0, 0
-	for row := range g.p.rt.db.ScanSince(n.Atom.Key(), from) {
+	for row := range p.rt.db.ScanSince(b.key, from) {
 		scanned++
-		if !g.consts.Matches(row) {
+		if !b.consts.Matches(row) || !b.match(row) {
 			continue
 		}
-		if len(g.dPos) > 0 {
-			for i, pos := range g.dPos {
-				g.dVals[i] = row[pos]
-			}
-			if !g.reqs.Contains(g.dVals) {
-				continue
-			}
+		for i, pos := range b.dPos {
+			b.dVals[i] = row[pos]
 		}
-		if g.emitBase(row) {
+		if len(b.dPos) == 0 || reqs.Contains(b.dVals) {
+			keep(row)
 			seeded++
 		}
 	}
-	g.p.tally.EDBTuples += int64(scanned)
-	g.p.tally.DeltaSeeded += int64(seeded)
+	p.tally.EDBTuples += int64(scanned)
+	p.tally.DeltaSeeded += int64(seeded)
 }
 
 // maybeEnd implements non-recursive completion: once every cross-component

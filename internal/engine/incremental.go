@@ -3,7 +3,8 @@
 // subgoal temporaries are insert-triggered dedup sets, so the state left
 // behind by a completed run IS the semi-naive "seen" state. Re-driving the
 // same retained node processes after the EDB gained rows therefore
-// re-derives exactly the consequences of the new rows: each EDB leaf seeds
+// re-derives exactly the consequences of the new rows: each base selection
+// (an EDB leaf's, or a rule's for a base subgoal joined in place) seeds
 // only its delta window (the base-relation rows appended since the previous
 // round), every dedup set silently absorbs re-derivations of old tuples,
 // and only genuinely new answers reach the driver.

@@ -57,10 +57,10 @@ type scratch struct {
 }
 
 // NewPlan compiles the graph/database pair into a reusable plan, warming
-// the EDB indexes the graph's adornments will probe (done here once instead
-// of per run).
+// the EDB indexes its compiled selections and join steps will probe (done
+// here once instead of per run; see edbIndexNeeds).
 func NewPlan(g *rgg.Graph, db edb.Storage) *Plan {
-	db.WarmFor(edbIndexNeeds(g))
+	db.WarmFor(edbIndexNeeds(g, db))
 	return &Plan{g: g, db: db}
 }
 
@@ -112,7 +112,7 @@ func (pl *Plan) bind(s *scratch, opts Options, delta bool) (*runner, error) {
 	clear(s.tallies)
 	if !s.built {
 		for id := range pl.g.Nodes {
-			if s.hosts == nil || s.hosts[id] == s.site {
+			if (s.hosts == nil || s.hosts[id] == s.site) && !inPlace(pl.g.Nodes[id]) {
 				s.procs[id] = newProc(rt, id, s.local.Boxes[id])
 			}
 		}
@@ -121,7 +121,9 @@ func (pl *Plan) bind(s *scratch, opts Options, delta bool) (*runner, error) {
 		s.hub.Reset()
 		s.local.Boxes[rt.driver].Reset()
 		for _, p := range s.procs {
-			p.reset(rt)
+			if p != nil {
+				p.reset(rt)
+			}
 		}
 	}
 	return rt, nil
@@ -176,9 +178,9 @@ func (pl *Plan) siteScratch(net transport.Network, local *transport.Local, hosts
 //   feedState.sent / acked                  feedState.allEnd / drained
 //   customer registered / asked / reqCount   customer reqEnd / allSent
 //     / lastWatermark                         / deltaEnded
-//   goal reqs / answers / seenBase          relReqForwarded
-//   rule hb / sentHeads / subs[i].rel       relReqReceived
-//     / sentReqs                            Fig 2 state, mailboxes,
+//   goal reqs / answers / sel.seen          relReqForwarded
+//   rule hb / sentHeads / subs[i].rel       relReqReceived, sel.held
+//     / sentReqs / sel.seen                 Fig 2 state, mailboxes,
 //                                             output buffers
 //
 // Keeping both sides of each watermark pair (sent/acked, reqCount/
@@ -187,7 +189,7 @@ func (pl *Plan) siteScratch(net transport.Network, local *transport.Local, hosts
 // sent by k and the child's eventual End{N} by the same k. Resetting
 // allEnd/allSent/reqEnd re-arms the final End{All} chain, which the
 // re-swept relation request re-triggers once the round settles. (A pooled
-// run leaves seenBase alone too: only delta rounds read that watermark.)
+// run leaves sel.seen alone too: only delta rounds read that watermark.)
 
 func (p *proc) reset(rt *runner) {
 	p.rt = rt
@@ -224,13 +226,19 @@ func (g *goalState) reset(delta bool) {
 func (r *ruleState) reset(delta bool) {
 	r.relReqReceived = false
 	r.parent.reset(delta)
-	if delta {
-		return
-	}
-	r.hb.Reset()
-	r.sentHeads.Reset()
 	for _, s := range r.subs {
-		s.rel.Reset()
-		s.sentReqs.Reset()
+		switch {
+		case s.sel != nil:
+			s.sel.held = false // the base relation may have grown since
+		case !delta:
+			s.rel.Reset()
+		}
+		if !delta {
+			s.sentReqs.Reset()
+		}
+	}
+	if !delta {
+		r.hb.Reset()
+		r.sentHeads.Reset()
 	}
 }

@@ -188,7 +188,7 @@ func newProc(rt *runner, id int, box *transport.Mailbox) *proc {
 		}
 	}
 	for _, c := range n.Children {
-		if rt.g.Nodes[c].SCC != n.SCC {
+		if rt.g.Nodes[c].SCC != n.SCC && !inPlace(rt.g.Nodes[c]) {
 			p.feeds = append(p.feeds, &feedState{child: c, hasD: slices.Contains(rt.g.Nodes[c].Ad, adorn.Dynamic)})
 		}
 	}
@@ -214,7 +214,8 @@ func newProc(rt *runner, id int, box *transport.Mailbox) *proc {
 	case rgg.Goal:
 		p.goal = newGoalState(p)
 	case rgg.Rule:
-		p.rule = newRuleState(p)
+		p.rule = newRuleState(rt.g, n, rt.db)
+		p.rule.p = p
 	}
 	return p
 }

@@ -3,8 +3,10 @@ package engine
 import (
 	"slices"
 
+	"repro/internal/edb"
 	"repro/internal/msg"
 	"repro/internal/relation"
+	"repro/internal/rgg"
 	"repro/internal/symtab"
 )
 
@@ -18,13 +20,18 @@ import (
 // bindings complete a prefix join up to subgoal j (in SIP order), the
 // projection onto j's "d" variables is sent to j as tuple requests.
 //
-// Internally a rule instance's variables map to dense slots; each stored
-// source (the head-binding relation plus one relation per subgoal) lists
-// which slots its columns populate, and derivations enumerate matching
-// slot assignments by indexed backtracking join. Which sources a new row
-// joins against, in what order, and which of their columns are probe keys
-// is a pure function of (rule, SIP, source), so it is compiled once here
-// into joinPlans; the row path only fills preallocated scratch.
+// A base subgoal without an existential position is joined in place
+// (inPlace): no leaf process, no temporary relation. Steps over it probe the
+// base relation, fixed for the run, on the slots already bound, so its rows
+// are found when a derivation's other rows arrive.
+//
+// Internally a rule instance's variables map to dense slots; each source
+// (the head-binding relation plus one per subgoal) lists which slots its
+// columns populate, and derivations enumerate matching slot assignments by
+// indexed backtracking join. Which sources a new row joins against, in
+// what order, and which of their columns are probe keys is a pure function
+// of (rule, SIP, source), so it is compiled once here into joinPlans; the
+// row path only fills preallocated scratch.
 type ruleState struct {
 	p *proc
 
@@ -46,8 +53,8 @@ type ruleState struct {
 
 	subs []*subSource
 	// plans[src+1] lists what a new row of source src sets off (index 0:
-	// a new head binding): the head derivation, then one sideways pass per
-	// later subgoal with "d" arguments.
+	// a new head binding): one sideways pass per later subgoal with "d"
+	// arguments, in SIP order, then the head derivation.
 	plans [][]joinPlan
 
 	// Scratch, reused by every row: the slot assignment and the
@@ -62,20 +69,22 @@ type ruleState struct {
 	parent customerState
 }
 
-// subSource is one subgoal's stored temporary relation plus the mappings
-// between its carried argument positions, its distinct variables, and the
-// rule's slots. Subgoal i is served by child i: proc.kids lists a rule
-// node's children in body order.
+// subSource is one subgoal's stored temporary relation, whose columns are
+// its carried argument positions, and their mapping to the rule's slots.
+// Subgoal i is served by child i: proc.kids lists a rule node's children in
+// body order.
 type subSource struct {
-	width    int        // carried argument positions: the width of an answer row
-	colSlots []int      // slot of each distinct variable (column of rel)
-	colFrom  []int      // the carried position supplying each column
-	checks   []valCheck // carried positions repeating an earlier variable
-	rel      *relation.Relation
-	row      relation.Tuple // scratch: the answer projected to rel's columns
-	dSlots   []int          // slot providing each "d" argument's value
-	dBuf     relation.Tuple // scratch: one d-binding
+	colSlots []int              // slot of each column
+	eq       [][2]int           // columns repeating a variable: [later, first]
+	rel      *relation.Relation // the answers received
+	dSlots   []int              // slot providing each "d" argument's value
+	dBuf     relation.Tuple     // scratch: one d-binding
 	sentReqs *relation.Relation
+	// sel is set on a base subgoal joined in place: rel is nil, colSlots has
+	// a slot per argument (-1: a constant), pending holds the window rows a
+	// delta round has not joined yet (seedWindows).
+	sel     *baseSel
+	pending *relation.Relation
 }
 
 // valCheck is one equality an incoming row must satisfy before it is
@@ -92,31 +101,34 @@ func (c valCheck) ok(vals []symtab.Sym) bool {
 	return vals[c.at] == c.sym
 }
 
-// joinPlan extends a new row's slot assignment through steps, one stored
-// source each; every complete extension derives a head tuple (req < 0) or
+// joinPlan extends a new row's slot assignment through steps, one source
+// each; every complete extension derives a head tuple (req < 0) or
 // requests subgoal req's "d" projection.
 type joinPlan struct {
 	steps []joinStep
 	req   int
 }
 
-// joinStep probes rel on the columns whose slots are assigned by then
+// joinStep probes a source on the columns whose slots are assigned by then
 // (bound) and assigns the rest (fresh) from each matching row; a step with
-// no fresh column is a membership test. bind and rows are the probe's
-// scratch: the binding (only its bound columns are ever written) and the
-// result buffer.
+// no fresh column is a membership test. The source is rel, or the base
+// relation of sub: columns are then argument positions, and eq pairs
+// positions repeating a fresh variable. bind and rows are the probe's
+// scratch.
 type joinStep struct {
 	rel          *relation.Relation
+	sub          *subSource
 	bound, fresh []colSlot
+	eq           [][2]int
 	bind         relation.Binding
 	rows         []relation.Tuple
 }
 
 type colSlot struct{ col, slot int }
 
-func newRuleState(p *proc) *ruleState {
-	n := p.node
-	r := &ruleState{p: p}
+// newRuleState compiles rule node n of g; the proc sets p.
+func newRuleState(g *rgg.Graph, n *rgg.Node, db edb.Storage) *ruleState {
+	r := &ruleState{}
 	slotOf := make(map[string]int)
 	slot := func(v string) int {
 		s, ok := slotOf[v]
@@ -126,7 +138,7 @@ func newRuleState(p *proc) *ruleState {
 		}
 		return s
 	}
-	syms := p.rt.db.Symbols()
+	syms := db.Symbols()
 
 	// Head "d" interface: the head-binding relation over the distinct head
 	// d-variables, and the checks on everything else a binding carries.
@@ -165,32 +177,40 @@ func newRuleState(p *proc) *ruleState {
 	for i, atom := range n.Rule.Body {
 		ad := n.SIP.SubAd[i]
 		s := &subSource{}
-		col := make(map[string]int) // variable → column of rel
-		for k, pos := range carriedPositions(ad) {
-			v := atom.Args[pos].Var // carried positions always hold variables
-			if ci, seen := col[v]; seen {
-				s.checks = append(s.checks, valCheck{at: k, other: s.colFrom[ci]})
-			} else {
-				col[v] = len(s.colFrom)
-				s.colFrom = append(s.colFrom, k)
-				s.colSlots = append(s.colSlots, slot(v))
-			}
-			s.width++
-		}
-		s.rel = relation.New(len(s.colFrom))
-		s.row = make(relation.Tuple, len(s.colFrom))
 		for _, pos := range dynamicPositions(ad) {
 			s.dSlots = append(s.dSlots, slot(atom.Args[pos].Var))
 		}
 		s.dBuf = make(relation.Tuple, len(s.dSlots))
 		s.sentReqs = relation.New(len(s.dSlots))
 		r.subs = append(r.subs, s)
+		if inPlace(g.Nodes[n.Children[i]]) {
+			s.sel, s.pending = newBaseSel(atom, ad, db), relation.New(len(atom.Args))
+			for _, t := range atom.Args {
+				sl := -1
+				if t.IsVar() {
+					sl = slot(t.Var)
+				}
+				s.colSlots = append(s.colSlots, sl)
+			}
+			continue
+		}
+		first := make(map[int]int) // slot → its first column
+		for k, pos := range carriedPositions(ad) {
+			sl := slot(atom.Args[pos].Var) // carried positions always hold variables
+			if f, seen := first[sl]; seen {
+				s.eq = append(s.eq, [2]int{k, f})
+			} else {
+				first[sl] = k
+			}
+			s.colSlots = append(s.colSlots, sl)
+		}
+		s.rel = relation.New(len(s.colSlots))
 	}
 
 	r.slots = make([]symtab.Sym, len(slotOf))
 	r.plans = make([][]joinPlan, len(r.subs)+1)
 	for src := headSource; src < len(r.subs); src++ {
-		r.plans[src+1] = r.compile(src)
+		r.plans[src+1] = r.compile(n.SIP.Order, src)
 	}
 	return r
 }
@@ -199,9 +219,10 @@ func newRuleState(p *proc) *ruleState {
 // join source.
 const headSource = -1
 
-// compile builds the plans a new row of source src runs (see trigger).
-func (r *ruleState) compile(src int) []joinPlan {
-	order := r.p.node.SIP.Order
+// compile builds the plans a new row of source src runs (see trigger). The
+// sideways passes run first: a base step probing under a binding the same
+// row has just requested then reuses the rows its retrieval read (holds).
+func (r *ruleState) compile(order []int, src int) []joinPlan {
 	// orderPos: body index → rank in the information passing order.
 	orderPos := make([]int, len(r.subs))
 	for rank, i := range order {
@@ -222,12 +243,10 @@ func (r *ruleState) compile(src int) []joinPlan {
 		}
 		return out
 	}
-	// (a) Derive head tuples: join the new assignment against every other
-	// source.
-	plans := []joinPlan{r.plan(src, before(len(r.subs)), -1)}
-	// (b) Sideways information passing: for each subgoal j with "d"
+	// (a) Sideways information passing: for each subgoal j with "d"
 	// arguments strictly after src, project the prefix join onto j's d
 	// variables and request the new bindings.
+	var plans []joinPlan
 	for rank, j := range order {
 		if len(r.subs[j].dSlots) == 0 || j == src {
 			continue
@@ -237,7 +256,9 @@ func (r *ruleState) compile(src int) []joinPlan {
 		}
 		plans = append(plans, r.plan(src, before(rank), j))
 	}
-	return plans
+	// (b) Derive head tuples: join the new assignment against every other
+	// source.
+	return append(plans, r.plan(src, before(len(r.subs)), -1))
 }
 
 // source returns a join source's relation and the slots of its columns.
@@ -251,15 +272,19 @@ func (r *ruleState) source(i int) (*relation.Relation, []int) {
 // plan compiles the join of a new src row against the listed sources, in
 // connectivity order: each step is the source left with the most columns
 // already assigned (ties keep the listed order), so it probes on what the
-// steps before it bound instead of scanning. The order is a control choice:
-// the complete extensions, and so the derivations and requests, are the
-// same in any order; only the probes made on the way differ.
+// steps before it bound instead of scanning; a base subgoal waits for a
+// bound column or its "d" arguments. The order is a control choice: the
+// complete extensions, and so the derivations and requests, are the same
+// in any order; only the probes made on the way differ.
 func (r *ruleState) plan(src int, sources []int, req int) joinPlan {
 	assigned := make([]bool, len(r.slots))
 	_, own := r.source(src)
 	for _, sl := range own {
-		assigned[sl] = true
+		if sl >= 0 {
+			assigned[sl] = true
+		}
 	}
+	unbound := func(sl int) bool { return !assigned[sl] }
 	left := slices.Clone(sources)
 	pl := joinPlan{req: req}
 	for len(left) > 0 {
@@ -268,24 +293,43 @@ func (r *ruleState) plan(src int, sources []int, req int) joinPlan {
 			_, colSlots := r.source(i)
 			n := 0
 			for _, sl := range colSlots {
-				if assigned[sl] {
+				if sl >= 0 && assigned[sl] {
 					n++
 				}
+			}
+			if n == 0 && i != headSource && r.subs[i].sel != nil && slices.ContainsFunc(r.subs[i].dSlots, unbound) {
+				continue
 			}
 			if n > bestBound {
 				best, bestBound = k, n
 			}
 		}
-		rel, colSlots := r.source(left[best])
+		i := left[best]
 		left = slices.Delete(left, best, best+1)
-		st := joinStep{rel: rel, bind: make(relation.Binding, rel.Arity())}
+		rel, colSlots := r.source(i)
+		st := joinStep{rel: rel}
+		if rel != nil {
+			st.bind = make(relation.Binding, rel.Arity())
+		} else {
+			st.sub = r.subs[i]
+			st.bind = slices.Clone(st.sub.sel.consts)
+		}
+		first := make(map[int]int) // fresh slot → its first column
 		for col, sl := range colSlots {
-			if assigned[sl] {
+			c, seen := first[sl]
+			switch {
+			case sl < 0:
+			case seen:
+				st.eq = append(st.eq, [2]int{col, c})
+			case assigned[sl]:
 				st.bound = append(st.bound, colSlot{col, sl})
-			} else {
+			default:
+				first[sl] = col
 				st.fresh = append(st.fresh, colSlot{col, sl})
-				assigned[sl] = true
 			}
+		}
+		for sl := range first {
+			assigned[sl] = true
 		}
 		pl.steps = append(pl.steps, st)
 	}
@@ -304,7 +348,7 @@ func (r *ruleState) handle(m msg.Message) {
 		}
 	case msg.Tuple:
 		src := r.p.kidPos(m.From)
-		for i, n, w := 0, rowsIn(m), r.subs[src].width; i < n; i++ {
+		for i, n, w := 0, rowsIn(m), len(r.subs[src].colSlots); i < n; i++ {
 			r.onSubTuple(src, m.Vals[i*w:(i+1)*w])
 		}
 	default:
@@ -312,16 +356,26 @@ func (r *ruleState) handle(m msg.Message) {
 	}
 }
 
-// onRelReq propagates the relation request to every subgoal. A head with no
-// "d" positions has the single implicit binding (the empty one), which
-// starts information passing immediately.
+// onRelReq propagates the relation request to every subgoal with a process
+// and the implicit request to base subgoals without "d" positions, and
+// seeds a delta round's base windows. A head with no "d" positions has the
+// single implicit binding (the empty one), which starts information passing
+// immediately.
 func (r *ruleState) onRelReq() {
 	if r.relReqReceived {
 		return
 	}
 	r.relReqReceived = true
-	for _, c := range r.p.node.Children {
-		r.p.send(msg.Message{Kind: msg.RelReq, To: c})
+	for k, c := range r.p.node.Children {
+		switch s := r.subs[k]; {
+		case s.sel == nil:
+			r.p.send(msg.Message{Kind: msg.RelReq, To: c})
+		case len(s.dSlots) == 0:
+			r.requestSub(k) // the implicit request, new once per run
+		}
+	}
+	if r.p.rt.delta {
+		r.seedWindows()
 	}
 	if r.nHeadD == 0 {
 		r.parent.reqEnd = true
@@ -331,6 +385,27 @@ func (r *ruleState) onRelReq() {
 		// tuples themselves as they arrive.
 		if r.hb.Insert(r.hbRow) {
 			r.trigger(headSource, nil, nil)
+		}
+	}
+}
+
+// seedWindows joins a delta round's new base rows: each base subgoal's
+// window runs the subgoal's plans as rows just received, one subgoal after
+// another. A window row waits in pending until its turn, so a derivation
+// using two windows' rows is found once, by the later window's plans.
+func (r *ruleState) seedWindows() {
+	for _, s := range r.subs {
+		if s.sel != nil {
+			s.sel.window(r.p, s.sentReqs, func(row relation.Tuple) { s.pending.Insert(row) })
+			r.p.tally.TupleRows += int64(s.pending.Len())
+		}
+	}
+	for j, s := range r.subs {
+		if s.sel != nil {
+			for _, row := range s.pending.Rows() {
+				r.trigger(j, s.colSlots, row)
+			}
+			s.pending.Reset()
 		}
 	}
 }
@@ -357,16 +432,13 @@ func (r *ruleState) onHeadBinding(vals []symtab.Sym) {
 // new, triggers derivations and downstream requests.
 func (r *ruleState) onSubTuple(src int, vals []symtab.Sym) {
 	s := r.subs[src]
-	for _, c := range s.checks {
-		if !c.ok(vals) {
+	for _, eq := range s.eq {
+		if vals[eq[0]] != vals[eq[1]] {
 			return // repeated variable mismatch: not a real match
 		}
 	}
-	for ci, k := range s.colFrom {
-		s.row[ci] = vals[k]
-	}
-	if s.rel.Insert(s.row) {
-		r.trigger(src, s.colSlots, s.row)
+	if s.rel.Insert(vals) {
+		r.trigger(src, s.colSlots, vals)
 	} else {
 		r.p.tally.Dups++
 	}
@@ -377,7 +449,9 @@ func (r *ruleState) onSubTuple(src int, vals []symtab.Sym) {
 // prefix joins into tuple requests for later subgoals.
 func (r *ruleState) trigger(src int, cols []int, vals relation.Tuple) {
 	for i, c := range cols {
-		r.slots[c] = vals[i]
+		if c >= 0 {
+			r.slots[c] = vals[i]
+		}
 	}
 	plans := r.plans[src+1]
 	for i := range plans {
@@ -398,28 +472,36 @@ func (r *ruleState) extend(pl *joinPlan, depth int) {
 		return
 	}
 	st := &pl.steps[depth]
-	if len(st.fresh) == 0 {
+	for _, cs := range st.bound {
+		st.bind[cs.col] = r.slots[cs.slot]
+	}
+	var rows []relation.Tuple
+	switch {
+	case len(st.fresh) == 0:
 		// Every column is bound: a membership test, which needs no index
-		// over all of rel's columns.
-		for _, cs := range st.bound {
-			st.bind[cs.col] = r.slots[cs.slot]
-		}
-		if st.rel.Contains(relation.Tuple(st.bind)) {
+		// over all of the relation's columns.
+		t := relation.Tuple(st.bind)
+		if st.sub == nil && st.rel.Contains(t) || st.sub != nil && edb.Contains(r.p.rt.db, st.sub.sel.key, t) && st.admits(t) {
 			r.p.tally.Joins++
 			r.extend(pl, depth+1)
 		}
 		return
-	}
-	rows := st.rel.Rows()
-	if len(st.bound) > 0 {
-		for _, cs := range st.bound {
-			st.bind[cs.col] = r.slots[cs.slot]
-		}
+	case st.sub == nil && len(st.bound) == 0:
+		rows = st.rel.Rows()
+	case st.sub == nil:
 		rows = st.rel.SelectInto(st.rows[:0], st.bind)
 		st.rows = rows
+	case st.sub.sel.holds(st.bind):
+		rows = st.sub.sel.rows
+	default:
+		rows = r.p.rt.db.ScanInto(st.rows[:0], st.sub.sel.key, st.bind)
+		st.rows = rows
 	}
-	r.p.tally.Joins += int64(len(rows))
 	for _, row := range rows {
+		if st.sub != nil && !st.admits(row) {
+			continue
+		}
+		r.p.tally.Joins++
 		for _, cs := range st.fresh {
 			r.slots[cs.slot] = row[cs.col]
 		}
@@ -427,15 +509,35 @@ func (r *ruleState) extend(pl *joinPlan, depth int) {
 	}
 }
 
+// admits reports whether a base row probed in place joins: its repeated
+// fresh variables agree, and it is no delta-window row waiting its turn.
+func (st *joinStep) admits(row relation.Tuple) bool {
+	for _, eq := range st.eq {
+		if row[eq[0]] != row[eq[1]] {
+			return false
+		}
+	}
+	return st.sub.pending.Len() == 0 || !st.sub.pending.Contains(row)
+}
+
 // requestSub sends subgoal j one tuple request for the d-binding read from
-// the slots, unless already sent.
+// the slots, unless already sent. A base subgoal counts instead what its
+// leaf did — the request, one EDB scan, the rows sent — so the tally keeps
+// §3.1's logical counts; the rule's probes read the rows.
 func (r *ruleState) requestSub(j int) {
 	s := r.subs[j]
 	for i, sl := range s.dSlots {
 		s.dBuf[i] = r.slots[sl]
 	}
-	if s.sentReqs.Insert(s.dBuf) {
+	switch {
+	case !s.sentReqs.Insert(s.dBuf):
+	case s.sel == nil:
 		r.p.queueTupReq(j, s.dBuf)
+	default:
+		if len(s.dSlots) > 0 {
+			r.p.tally.TupReqRows++
+		}
+		r.p.tally.TupleRows += int64(len(s.sel.retrieve(r.p, s.dBuf)))
 	}
 }
 

@@ -58,8 +58,10 @@ import (
 // Concurrent Eval/Answers/Query calls and concurrent evaluations of one
 // PreparedQuery on one System are safe. Mutation (AddFact, LoadData) is
 // internally locked against other mutation and against index warming, but
-// must not overlap with running evaluations (evaluations read the base
-// relations without locks).
+// must not overlap with running evaluations: each base read takes the
+// store's read lock, yet an evaluation assumes the base relations fixed for
+// its whole run — rules probe them in place, and delta rounds read windows
+// bounded at the round's start.
 type System struct {
 	Program *ast.Program
 	DB      *edb.Database
