@@ -1,6 +1,6 @@
 // A8 — SLO-grade serving under multi-tenant overload: per-tenant
 // admission quotas with deficit-round-robin queueing, typed fail-fast
-// load shedding, and the versioned result cache. The measurement core
+// load shedding, and the result cache. The measurement core
 // (a8Measure) is shared with the release gate (`bench -gate`), which
 // re-verifies the same acceptance checks on every candidate tree.
 package main
@@ -408,9 +408,9 @@ func a8Serving(quick bool) {
 				"itself sheds almost every attempt: with 1 running and 2 queued, the " +
 				"remaining connections hit the queue-full check and fail in microseconds " +
 				"with the typed overload error — no work is wasted on requests that " +
-				"cannot be served. The cache phase shows the versioned result cache " +
-				"replaying the populating evaluation's exact answer bytes; any AddFact " +
-				"bumps the EDB version and every cached key goes cold, so staleness is " +
+				"cannot be served. The cache phase shows the result cache replaying the " +
+				"populating evaluation's exact answer bytes; a read after an AddFact " +
+				"brings its live view forward by one delta round first, so staleness is " +
 				"impossible by construction. The gate self-test is MPQ_GATE_HANDICAP: " +
 				"setting it to a nonzero duration (e.g. 2ms) injects that latency into " +
 				"the gate's prepared-path measurement, simulating a regressed build, and " +

@@ -24,8 +24,12 @@
 // evaluations run at once, -tenant-quota caps any one tenant's share,
 // excess requests wait in bounded per-tenant queues drained fairly, and
 // requests past -queue-depth are shed immediately with a typed overload
-// error. A -result-cache LRU in front of evaluation replays repeated
-// (query, constants) answers until any new fact invalidates them. SIGINT
+// error. A result cache in front of evaluation keeps live views of
+// repeated (query, constants) pairs, at most -result-cache of them: a hit
+// at an unchanged EDB replays the cold reply byte for byte, and a hit
+// after new facts first brings its view forward by one delta round,
+// replying with the same set a fresh evaluation gives, in the cold reply's
+// order followed by each round's new rows. SIGINT
 // or SIGTERM drains gracefully: stop accepting, finish in-flight queries
 // for up to -drain-timeout, then abort the stragglers. The diagnostics
 // mux also accepts queries on POST /query. A "subscribe <query>" line
@@ -84,12 +88,12 @@ func main() {
 	maxConcurrent := flag.Int("max-concurrent", 0, "-serve: how many queries evaluate at once (0 = GOMAXPROCS; excess queries queue per tenant)")
 	tenantQuota := flag.Int("tenant-quota", 0, "-serve: cap one tenant's share of -max-concurrent (0 = no per-tenant cap)")
 	queueDepth := flag.Int("queue-depth", 0, "-serve: bound each tenant's admission queue (0 = default; beyond it requests are shed)")
-	resultCache := flag.Int("result-cache", 0, "-serve: result-cache entries (0 = default, negative disables)")
+	resultCache := flag.Int("result-cache", 0, "-serve: result-cache views at most (0 = default, negative disables)")
 	sloObjective := flag.Duration("slo", 0, "-serve: end-to-end latency objective feeding the SLO burn-rate gauge (0 = off)")
 	sloTarget := flag.Float64("slo-target", 0.99, "-serve: fraction of requests that should meet -slo")
 	sloWindow := flag.Duration("slo-window", time.Minute, "-serve: sliding window for the burn-rate gauge")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "-serve: how long SIGINT/SIGTERM lets in-flight queries finish before aborting them")
-	store := flag.String("store", "", "-serve: persistent EDB directory (created on first run; facts, statistics epoch, and result-cache version survive restarts)")
+	store := flag.String("store", "", "-serve: persistent EDB directory (created on first run; facts, statistics epoch, and EDB version survive restarts)")
 	flag.Parse()
 	if *heartbeat <= 0 {
 		fmt.Fprintln(os.Stderr, "mpqd: -heartbeat must be positive (heartbeats are how a site notices a silent peer)")
@@ -261,8 +265,8 @@ func runServe(addr, programPath, metricsAddr, storeDir string, drainTimeout time
 	var sys *mpq.System
 	var err error
 	if storeDir != "" {
-		// Persistent EDB: recover facts, the statistics epoch, and the
-		// result-cache version from the store; the program's own facts are
+		// Persistent EDB: recover facts, the statistics epoch, and the EDB
+		// version from the store; the program's own facts are
 		// replayed only when the program changed since the last clean
 		// shutdown (see mpq.OpenSystem).
 		var src []byte

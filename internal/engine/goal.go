@@ -370,6 +370,13 @@ func (b *baseSel) retrieve(p *proc, vals []symtab.Sym) []relation.Tuple {
 	return b.rows
 }
 
+// rewind readies the selection for a run that is not a delta round: no rows
+// held, and the next delta window starts at the base relation's current end.
+func (b *baseSel) rewind(db edb.Storage) {
+	b.held = false
+	b.seen = db.Cardinality(b.key)
+}
+
 // holds reports whether rows are the selection under binding bind.
 func (b *baseSel) holds(bind relation.Binding) bool {
 	return b.held && slices.Equal(b.bind, bind)

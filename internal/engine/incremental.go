@@ -43,14 +43,15 @@ var ErrIncrementalBroken = errors.New("engine: incremental evaluation broken by 
 // rounds' answers is byte-identical to a fresh full evaluation at the
 // current EDB (see doc/SUBSCRIPTIONS.md).
 //
-// An Incremental owns its scratch permanently (it never returns to the
-// Plan's pool: its state diverges from just-constructed). It is NOT safe
-// for concurrent use, and — like all evaluations — a Round must not overlap
-// with EDB mutation; mutate strictly between rounds.
+// An Incremental draws its scratch from the Plan's pool at its first Round
+// and keeps it until Close hands it back. It is NOT safe for concurrent
+// use, and — like all evaluations — a Round must not overlap with EDB
+// mutation; mutate strictly between rounds.
 type Incremental struct {
 	pl     *Plan
 	opts   Options
 	s      *scratch
+	ran    bool // a round has run: the next one is a delta round
 	broken bool
 }
 
@@ -68,7 +69,7 @@ func (pl *Plan) Incremental(opts Options) *Incremental {
 // arrives and Answers is nil. cancel (optional) aborts the
 // round like Options.Cancel. A round that returns an error leaves the
 // retained state unreliable: every later Round returns
-// ErrIncrementalBroken.
+// ErrIncrementalBroken, as does every Round after Close.
 func (inc *Incremental) Round(cancel <-chan struct{}, yield func(relation.Tuple) bool) (*Result, error) {
 	if inc.broken {
 		return nil, ErrIncrementalBroken
@@ -78,11 +79,36 @@ func (inc *Incremental) Round(cancel <-chan struct{}, yield func(relation.Tuple)
 		opts.Cancel = cancel
 	}
 	if inc.s == nil {
-		inc.s = inc.pl.newScratch()
+		// A pooled scratch is already built, so whether this is a delta
+		// round is the Incremental's own record, not the scratch's.
+		inc.s = inc.pl.get()
 	}
-	// The scratch is built by the first round that runs; rounds after it are
-	// delta rounds, and only a round that ran can break the retained state.
-	res, err := inc.pl.runOn(inc.s, opts, inc.s.built, yield)
-	inc.broken = err != nil && inc.s.built
+	res, err := inc.pl.runOn(inc.s, opts, inc.ran, yield)
+	inc.ran, inc.broken = true, err != nil
 	return res, err
+}
+
+// Close ends the retained evaluation and hands its scratch back to the
+// Plan: to the idle slot when that is empty, so the next evaluation of the
+// plan reuses it before a garbage collection can empty the pool. A scratch
+// that never got built is dropped. Every later Round fails.
+func (inc *Incremental) Close() {
+	if s := inc.s; s != nil && s.built {
+		inc.pl.put(s)
+	}
+	inc.s, inc.broken = nil, true
+}
+
+// Retained estimates the bytes its node processes' stored relations hold:
+// what keeping the evaluation alive costs.
+func (inc *Incremental) Retained() int {
+	n := 0
+	if inc.s != nil {
+		for _, p := range inc.s.procs {
+			if p != nil {
+				n += p.retained()
+			}
+		}
+	}
+	return n
 }

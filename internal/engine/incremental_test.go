@@ -6,10 +6,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bottomup"
 	"repro/internal/edb"
 	"repro/internal/parser"
 	"repro/internal/relation"
 	"repro/internal/rgg"
+	"repro/internal/trace"
 )
 
 // roundRows runs one Incremental round and returns the tuples it yielded,
@@ -250,5 +252,63 @@ func TestIncrementalBroken(t *testing.T) {
 	}
 	if _, err := inc.Round(nil, func(relation.Tuple) bool { return true }); err != ErrIncrementalBroken {
 		t.Fatalf("Round after failure = %v, want ErrIncrementalBroken", err)
+	}
+}
+
+// TestIncrementalRecycledScratch starts an Incremental on the scratch
+// another Incremental handed back after delta rounds: its first round must
+// be a full run (the scratch is already built), and its delta windows must
+// start at that first round, not where the previous owner stopped reading.
+func TestIncrementalRecycledScratch(t *testing.T) {
+	prog := parser.MustParse(`
+		edge(a, b). edge(b, c).
+		path(X, Y) :- edge(X, Y).
+		path(X, Y) :- path(X, U), edge(U, Y).
+		goal(Y) :- path(a, Y).
+	`)
+	db := edb.FromProgram(prog)
+	g, err := rgg.Build(prog, rgg.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := NewPlan(g, db)
+	first := plan.Incremental(Options{})
+	incRound(t, first)
+	db.Add("edge", "c", "d")
+	incRound(t, first)
+	db.Add("edge", "d", "e")
+	incRound(t, first)
+	s := first.s
+	first.Close()
+	if _, err := first.Round(nil, nil); err != ErrIncrementalBroken {
+		t.Fatalf("Round after Close = %v, want ErrIncrementalBroken", err)
+	}
+
+	// Rows the previous owner never read: the next full run covers them.
+	db.Add("edge", "e", "f")
+	db.Add("edge", "b", "g")
+	stats := &trace.Stats{}
+	inc := plan.Incremental(Options{Stats: stats})
+	seen := relation.New(1)
+	check := func(when string) {
+		t.Helper()
+		rows, _ := incRound(t, inc)
+		for _, r := range rows {
+			if !seen.Insert(r) {
+				t.Errorf("%s: answer %s repeated", when, r.String(db.Syms))
+			}
+		}
+		if got, want := renderSet(seen, db), renderSet(bottomup.SemiNaive(prog, db).Goal, db); got != want {
+			t.Fatalf("%s: answers %s, want %s", when, got, want)
+		}
+	}
+	check("first round")
+	if inc.s != s {
+		t.Fatal("the Incremental did not reuse the scratch Close handed back")
+	}
+	db.Add("edge", "g", "h")
+	check("delta round")
+	if got := stats.Snapshot().DeltaSeeded; got != 1 {
+		t.Errorf("delta round seeded %d rows, want 1 (only the row added after the first round)", got)
 	}
 }

@@ -173,12 +173,17 @@ func TestPartitionedWorkerGauge(t *testing.T) {
 // an abort injected at a seeded step returns the typed error without hanging
 // and leaves the pooled scratch reusable; and an Incremental under the same
 // kind of schedule, after a fact is added, accumulates exactly the grown
-// database's answers.
+// database's answers. Each program also runs split across two in-process
+// sites. Throughout, no rule temporary may receive a row twice: onSubTuple
+// appends without a membership probe on that premise, and checkSubTuples
+// turns a repeat into a failed run.
 func TestSeededLoopRandomPrograms(t *testing.T) {
 	programs, seeds := int64(40), int64(25)
 	if testing.Short() {
 		programs, seeds = 8, 5
 	}
+	checkSubTuples.Store(true)
+	defer checkSubTuples.Store(false)
 	srcs := make([]string, 0, programs+int64(len(randomGraphShapes)))
 	for ps := int64(0); ps < programs; ps++ {
 		srcs = append(srcs, workload.RandomProgram(rand.New(rand.NewSource(ps))).String())
@@ -195,6 +200,14 @@ func TestSeededLoopRandomPrograms(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := renderSetBottomup(t, src)
+		db := edb.FromProgram(prog)
+		res, err := runPlanSites(NewPlan(g, db), 2)
+		if err != nil {
+			t.Fatalf("program %d on two sites: %v\n%s", ps, err, src)
+		}
+		if got := renderSet(res.Answers, db); got != want {
+			t.Fatalf("program %d on two sites: answers %s, want %s\n%s", ps, got, want, src)
+		}
 		for seed := int64(0); seed < seeds; seed++ {
 			fail := func(what string, args ...any) {
 				t.Helper()

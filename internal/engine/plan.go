@@ -83,9 +83,7 @@ func (pl *Plan) RunStream(opts Options, yield func(relation.Tuple) bool) (*Resul
 	if s.built {
 		// A shell whose run failed before building its procs has nothing
 		// worth keeping, and reset could not tell it from a recycled one.
-		if !pl.idle.CompareAndSwap(nil, s) {
-			pl.pool.Put(s)
-		}
+		pl.put(s)
 	}
 	return res, err
 }
@@ -140,6 +138,14 @@ func (pl *Plan) get() *scratch {
 	return pl.newScratch()
 }
 
+// put hands a built scratch back: to the idle slot when it is empty, else
+// to the pool.
+func (pl *Plan) put(s *scratch) {
+	if !pl.idle.CompareAndSwap(nil, s) {
+		pl.pool.Put(s)
+	}
+}
+
 // newScratch makes a single-site shell: every node hosted, sending over
 // in-process mailboxes.
 func (pl *Plan) newScratch() *scratch {
@@ -188,8 +194,10 @@ func (pl *Plan) siteScratch(net transport.Network, local *transport.Local, hosts
 // carry over: a delta round that sends k new requests down an edge raises
 // sent by k and the child's eventual End{N} by the same k. Resetting
 // allEnd/allSent/reqEnd re-arms the final End{All} chain, which the
-// re-swept relation request re-triggers once the round settles. (A pooled
-// run leaves sel.seen alone too: only delta rounds read that watermark.)
+// re-swept relation request re-triggers once the round settles. A run that
+// is not a delta round re-reads every sel.seen, so a scratch recycled from
+// the pool (perhaps after another Incremental's delta rounds) starts its
+// delta windows at its own first round.
 
 func (p *proc) reset(rt *runner) {
 	p.rt = rt
@@ -220,6 +228,9 @@ func (g *goalState) reset(delta bool) {
 		if g.answers != nil {
 			g.answers.Reset()
 		}
+		if g.sel != nil {
+			g.sel.rewind(g.p.rt.db)
+		}
 	}
 }
 
@@ -228,6 +239,9 @@ func (r *ruleState) reset(delta bool) {
 	r.parent.reset(delta)
 	for _, s := range r.subs {
 		switch {
+		case s.sel != nil && !delta:
+			s.sel.rewind(r.p.rt.db)
+			s.pending.Reset() // rows an aborted delta round left unjoined
 		case s.sel != nil:
 			s.sel.held = false // the base relation may have grown since
 		case !delta:
@@ -241,4 +255,24 @@ func (r *ruleState) reset(delta bool) {
 		r.hb.Reset()
 		r.sentHeads.Reset()
 	}
+}
+
+// retained estimates the bytes the process's stored relations hold.
+func (p *proc) retained() int {
+	if g := p.goal; g != nil {
+		n := g.reqs.Bytes()
+		if g.answers != nil {
+			n += g.answers.Bytes()
+		}
+		return n
+	}
+	r := p.rule
+	n := r.hb.Bytes() + r.sentHeads.Bytes()
+	for _, s := range r.subs {
+		n += s.sentReqs.Bytes()
+		if s.rel != nil {
+			n += s.rel.Bytes()
+		}
+	}
+	return n
 }

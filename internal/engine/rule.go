@@ -2,6 +2,7 @@ package engine
 
 import (
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/edb"
 	"repro/internal/msg"
@@ -428,8 +429,12 @@ func (r *ruleState) onHeadBinding(vals []symtab.Sym) {
 	}
 }
 
-// onSubTuple folds a subgoal answer into its temporary relation and, when
-// new, triggers derivations and downstream requests.
+// onSubTuple folds a subgoal answer into its temporary relation and
+// triggers derivations and downstream requests. The row is new: the child
+// goal stores its answers and sends each one to a customer once, for a
+// binding this rule asked for, in this round or an earlier one; so the
+// temporary appends it without the membership probe (its dedup slots stay
+// for the joins' Contains).
 func (r *ruleState) onSubTuple(src int, vals []symtab.Sym) {
 	s := r.subs[src]
 	for _, eq := range s.eq {
@@ -437,12 +442,16 @@ func (r *ruleState) onSubTuple(src int, vals []symtab.Sym) {
 			return // repeated variable mismatch: not a real match
 		}
 	}
-	if s.rel.Insert(vals) {
-		r.trigger(src, s.colSlots, vals)
-	} else {
-		r.p.tally.Dups++
+	if checkSubTuples.Load() && s.rel.Contains(vals) {
+		r.p.internalf("subgoal %d received %v twice", src, vals)
 	}
+	s.rel.Append(vals)
+	r.trigger(src, s.colSlots, vals)
 }
+
+// checkSubTuples makes onSubTuple verify that no subgoal row arrives twice.
+// Tests set it; it costs a probe per row.
+var checkSubTuples atomic.Bool
 
 // trigger runs incremental information passing after source src gained the
 // assignment (cols→vals): derive any now-complete head tuples, and extend

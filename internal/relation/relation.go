@@ -350,6 +350,17 @@ func (r *Relation) Add(t Tuple) (ord int, isNew bool) {
 	return r.push(h, r.arena(t)), true
 }
 
+// Append adds t, which must not be a member, and returns its ordinal: Insert
+// without the membership probe, for a caller that knows t is new. The
+// relation keeps its own copy, and t becomes visible to Contains and the
+// indexes as after Insert.
+func (r *Relation) Append(t Tuple) int {
+	if len(t) != r.arity {
+		panic(fmt.Sprintf("relation: appending arity-%d tuple to arity-%d relation", len(t), r.arity))
+	}
+	return r.push(hashSyms(t), r.arena(t))
+}
+
 // AppendView appends t, which must not be a member, without copying it: the
 // relation keeps the caller's view, whose memory must stay valid and
 // unchanged for the relation's lifetime. It returns t's ordinal. A store
@@ -417,6 +428,16 @@ func (r *Relation) Reset() {
 	for _, ix := range r.indexes {
 		ix.reset()
 	}
+}
+
+// Bytes estimates the memory the relation holds: its row views and hashes,
+// its arena, its dedup table and its indexes.
+func (r *Relation) Bytes() int {
+	n := cap(r.rows)*24 + cap(r.hashes)*8 + max(len(r.rows)*r.arity, cap(r.chunk))*4 + cap(r.slots)*4
+	for _, ix := range r.indexes {
+		n += len(ix.buckets)*12 + cap(ix.next)*4
+	}
+	return n
 }
 
 // Contains reports membership. It never allocates.

@@ -12,9 +12,15 @@
 // full, or the estimated wait already exceeds the request's deadline, the
 // request is shed immediately with the typed ErrOverloaded — overload
 // degrades into fast rejections, never unbounded latency. In front of
-// admission sits a versioned result cache (see resultCache): an LRU keyed
-// by (plan, constants, EDB version) whose hits replay recorded answers
-// byte-for-byte without evaluating or occupying a slot.
+// admission sits a result cache of live views (see resultCache), keyed by
+// (plan, constants): each view is an mpq.Subscription over the key's
+// retained evaluation plus the rows its rounds rendered, and a hit
+// occupies no admission slot. A hit at the EDB version the rows cover
+// replays them, byte-identical to the cold reply that filled the view. A
+// hit at a newer version first brings the view forward by one delta round
+// (Subscription.Poll): its reply is the same set as a fresh evaluation at
+// the version it reached, in the cold reply's order followed by each
+// round's new rows.
 //
 // # Line protocol
 //
@@ -26,8 +32,10 @@
 // response; connections start as the default tenant). The server streams
 // the response for each query, in order:
 //
-//	T <v1>\t<v2>...    one line per answer tuple, in derivation order
-//	                   (a bare "T" is the empty tuple of a ground query)
+//	T <v1>\t<v2>...    one line per answer tuple, in derivation order (a
+//	                   brought-forward cache hit: the cold reply's order,
+//	                   then each round's new rows); a bare "T" is the
+//	                   empty tuple of a ground query
 //	. <n> plan=hit|miss  terminal: n answers; was the plan reused?
 //	E <message>          terminal instead of ".": the query failed
 //
@@ -66,8 +74,9 @@
 // is invalid, the evaluation fails, or the server shuts down
 // ("E shutting down"); the client ends it by sending "quit" or closing
 // the connection. Version bumps reach subscribers only after the fact is
-// visible and the result cache's key version has moved, so a subscriber
-// reacting to a frame never sees a stale cached answer set.
+// visible, and every cache hit compares its view's version with the
+// current one, so a subscriber reacting to a frame never sees a stale
+// cached answer set.
 package serve
 
 import (
@@ -118,8 +127,9 @@ type Config struct {
 	// unlisted tenants weigh 1. A weight-2 tenant drains twice as fast
 	// under contention.
 	TenantWeights map[string]int
-	// ResultCacheSize is the result-cache entry bound: 0 means
-	// DefaultResultCacheSize, negative disables the cache entirely.
+	// ResultCacheSize bounds the result cache's live views: 0 means
+	// DefaultResultCacheSize, negative disables the cache entirely. A
+	// retained-byte budget (viewBudget) bounds them as well.
 	ResultCacheSize int
 	// SLOObjective, when positive, classifies each request against this
 	// end-to-end latency objective, feeding the mpq_slo_requests_total
@@ -150,7 +160,7 @@ func DefaultMaxConcurrent() int { return runtime.GOMAXPROCS(0) }
 // leaves QueueDepth unset.
 const DefaultQueueDepth = 64
 
-// DefaultResultCacheSize is the result-cache entry bound when Config
+// DefaultResultCacheSize is the result-cache view bound when Config
 // leaves ResultCacheSize at zero.
 const DefaultResultCacheSize = 1024
 
@@ -174,10 +184,11 @@ type Server struct {
 
 	// evalMu excludes wire mutations ("fact" lines) from in-flight
 	// evaluations: AddFact is documented as unsafe against a running
-	// evaluation, so evaluations hold the read side while the fact
-	// directive takes the write side. Subscription rounds do not
-	// participate — they already serialize with mutations on the
-	// System's own mutation lock.
+	// evaluation, so evaluations and result-cache rounds hold the read
+	// side while the fact directive takes the write side. A request takes
+	// it before any result-cache view's lock (see resultCache).
+	// Subscription rounds do not participate — they already serialize
+	// with mutations on the System's own mutation lock.
 	evalMu sync.RWMutex
 
 	mu        sync.Mutex
@@ -206,7 +217,7 @@ func New(sys *mpq.System, cfg Config) *Server {
 		if size == 0 {
 			size = DefaultResultCacheSize
 		}
-		s.cache = newResultCache(size)
+		s.cache = newResultCache(size, cfg.Stats)
 	}
 	s.slo = newSLO(cfg.SLOObjective, cfg.SLOTarget, cfg.SLOWindow, cfg.Stats)
 	return s
@@ -403,8 +414,8 @@ func (s *Server) serveLine(tenant, src string, w *bufio.Writer) {
 // it to the System under the write side of evalMu (no evaluation may be
 // mid-flight), and report whether it was new plus the EDB version it
 // produced. The version bump inside AddFact lands before any subscriber
-// wakes, so the "+" reply's version is already visible to result-cache
-// keying.
+// wakes, so the "+" reply's version is already visible to every
+// result-cache hit.
 func (s *Server) serveFact(src string, w io.Writer) {
 	prog, err := parser.Parse(src)
 	if err != nil {
@@ -533,36 +544,45 @@ func (s *Server) serveSubscribe(tenant, src string, sc *bufio.Scanner, w *bufio.
 }
 
 // run serves one query under the server's full policy stack: plan-cache
-// resolution, result-cache lookup (a hit replays recorded answers and
-// touches neither admission nor the engine), fair admission with
-// shedding, then a streamed evaluation whose exact emissions populate
-// the cache. cached reports a result-cache hit.
-func (s *Server) run(ctx context.Context, tenant, src string, emit func(tuple []string)) (reused, cached bool, err error) {
+// resolution, result-cache lookup (a hit replays a live view's answers,
+// brought forward first when the EDB moved, and touches neither admission
+// nor a full evaluation), fair admission with shedding, then an evaluation:
+// the first round of a new view when the key is admitted to the cache, a
+// pooled streamed run otherwise. cache names the result-cache outcome
+// ("hit", "forward" or "miss"; "" when the cache is off).
+func (s *Server) run(ctx context.Context, tenant, src string, emit func(tuple []string)) (reused bool, cache string, err error) {
 	t0 := time.Now()
 	stats := s.cfg.Stats
 	pq, args, reused, err := s.sys.QueryPrepared(src, s.queryOpts()...)
 	if err != nil {
-		return false, false, err
+		return false, "", err
 	}
 
 	var key string
 	if s.cache != nil {
-		key = resultKey(pq, args, s.sys.EDBVersion())
-		if rows, ok := s.cache.get(key); ok {
-			stats.ResultHit()
-			for _, t := range rows {
-				emit(t)
+		key = resultKey(pq, args)
+		if v := s.cache.lookup(key); v != nil {
+			if rows, outcome, ok := s.replay(ctx, v); ok {
+				if outcome == "forward" {
+					stats.ResultForward()
+				} else {
+					stats.ResultHit()
+				}
+				for _, t := range rows {
+					emit(t)
+				}
+				e2e := time.Since(t0)
+				stats.ObserveEndToEnd(e2e)
+				s.slo.observe(e2e, false)
+				if s.cfg.Logf != nil {
+					s.cfg.Logf("query %q tenant=%s: %d answers, cache=%s, %v",
+						src, tenant, len(rows), outcome, e2e.Round(time.Microsecond))
+				}
+				return reused, outcome, nil
 			}
-			e2e := time.Since(t0)
-			stats.ObserveEndToEnd(e2e)
-			s.slo.observe(e2e, false)
-			if s.cfg.Logf != nil {
-				s.cfg.Logf("query %q tenant=%s: %d answers, cache=hit, %v",
-					src, tenant, len(rows), e2e.Round(time.Microsecond))
-			}
-			return reused, true, nil
 		}
 		stats.ResultMiss()
+		cache = "miss"
 	}
 
 	if s.cfg.Timeout > 0 {
@@ -581,7 +601,7 @@ func (s *Server) run(ctx context.Context, tenant, src string, emit func(tuple []
 		e2e := time.Since(t0)
 		stats.ObserveEndToEnd(e2e)
 		s.slo.observe(e2e, true)
-		return reused, false, aerr
+		return reused, cache, aerr
 	}
 	stats.ObserveQueueWait(time.Since(t0))
 	evalStart := time.Now()
@@ -594,36 +614,103 @@ func (s *Server) run(ctx context.Context, tenant, src string, emit func(tuple []
 		s.slo.observe(e2e, err != nil)
 	}()
 
-	var rows [][]string
+	// Hold the read side of evalMu for the whole evaluation so a concurrent
+	// "fact" mutation cannot land mid-run (the write side waits for every
+	// in-flight evaluation).
 	n := 0
-	// Hold the read side of evalMu for the whole streamed evaluation so a
-	// concurrent "fact" mutation cannot land mid-run (the write side waits
-	// for every in-flight evaluation).
 	s.evalMu.RLock()
-	var evalErr error
-	for tuple, terr := range pq.Answers(ctx, args...) {
-		if terr != nil {
-			evalErr = terr
-			break
+	var rows [][]string
+	filled := false
+	if s.cache != nil {
+		v, victims := s.cache.admit(key, pq, args)
+		closeViews(victims)
+		if v != nil {
+			rows, filled, err = s.fill(ctx, v)
 		}
-		emit(tuple)
-		if s.cache != nil {
-			rows = append(rows, tuple)
+	}
+	if !filled && err == nil {
+		for tuple, terr := range pq.Answers(ctx, args...) {
+			if terr != nil {
+				err = terr
+				break
+			}
+			emit(tuple)
+			n++
 		}
-		n++
 	}
 	s.evalMu.RUnlock()
-	if evalErr != nil {
-		return reused, false, evalErr
+	if err != nil {
+		return reused, cache, err
 	}
-	if s.cache != nil {
-		s.cache.put(key, rows)
+	for _, t := range rows {
+		emit(t)
 	}
+	n += len(rows)
 	if s.cfg.Logf != nil {
 		s.cfg.Logf("query %q tenant=%s: %d answers, plan=%s %s, %v",
 			src, tenant, n, planWord(reused), pq.PlanSummary(), time.Since(t0).Round(time.Microsecond))
 	}
-	return reused, false, nil
+	return reused, cache, nil
+}
+
+// replay returns a live view's rows for a hit, first bringing the view
+// forward by one delta round (Subscription.Poll) when the EDB moved past
+// the version its rows cover: outcome "forward" when a round ran, "hit"
+// otherwise. ok is false when the view is closed, not yet filled, or its
+// round failed (the view is then closed): the request takes the miss path.
+func (s *Server) replay(ctx context.Context, v *view) (rows [][]string, outcome string, ok bool) {
+	s.evalMu.RLock()
+	defer s.evalMu.RUnlock()
+	v.mu.Lock()
+	if v.sub == nil || v.rows == nil {
+		v.mu.Unlock()
+		return nil, "", false
+	}
+	if v.version == s.sys.EDBVersion() {
+		rows = v.rows
+		v.mu.Unlock()
+		return rows, "hit", true
+	}
+	fresh, err := v.sub.Poll(ctx)
+	if err != nil {
+		s.cache.remove(v)
+		v.close()
+		v.mu.Unlock()
+		return nil, "", false
+	}
+	v.version = v.sub.Version()
+	if fresh == nil { // only predicates the plan does not read changed
+		rows = v.rows
+		v.mu.Unlock()
+		return rows, "hit", true
+	}
+	v.rows = append(v.rows, fresh...)
+	rows = v.rows
+	release(v, s.cache.settle(v))
+	return rows, "forward", true
+}
+
+// fill runs a new view's first round and returns its rows, the cold reply.
+// filled is false when the view was evicted before the round could start:
+// the request then evaluates on the pooled path. A failed round closes
+// the view. The caller holds evalMu's read side.
+func (s *Server) fill(ctx context.Context, v *view) (rows [][]string, filled bool, err error) {
+	v.mu.Lock()
+	if v.sub == nil {
+		v.mu.Unlock()
+		return nil, false, nil
+	}
+	rows, err = v.sub.Poll(ctx)
+	if err != nil {
+		s.cache.remove(v)
+		v.close()
+		v.mu.Unlock()
+		return nil, true, err
+	}
+	rows = compact(rows)
+	v.rows, v.version = rows, v.sub.Version()
+	release(v, s.cache.settle(v))
+	return rows, true, nil
 }
 
 // Handler serves the same queries over HTTP for the diagnostics mux:
@@ -631,8 +718,8 @@ func (s *Server) run(ctx context.Context, tenant, src string, emit func(tuple []
 // the X-Mpq-Tenant header (default tenant when absent). The response is
 // text/plain in the line-protocol framing (T/. lines, buffered — answer
 // sets are finite), with the plan outcome duplicated in the X-Mpq-Plan
-// header and the result-cache outcome in X-Mpq-Cache (when the cache is
-// enabled); errors map to 400 (bad query), 503 (shed with ErrOverloaded
+// header and the result-cache outcome (hit, forward or miss) in
+// X-Mpq-Cache when the cache is enabled; errors map to 400 (bad query), 503 (shed with ErrOverloaded
 // or shutting down).
 func (s *Server) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -662,7 +749,7 @@ func (s *Server) Handler() http.Handler {
 		// Buffer the response so pre-stream errors can still set a status.
 		var buf strings.Builder
 		n := 0
-		reused, cached, err := s.run(r.Context(), tenant, src, func(tuple []string) {
+		reused, cache, err := s.run(r.Context(), tenant, src, func(tuple []string) {
 			writeTuple(&buf, tuple)
 			n++
 		})
@@ -676,8 +763,8 @@ func (s *Server) Handler() http.Handler {
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.Header().Set("X-Mpq-Plan", planWord(reused))
-		if s.cache != nil {
-			w.Header().Set("X-Mpq-Cache", map[bool]string{true: "hit", false: "miss"}[cached])
+		if cache != "" {
+			w.Header().Set("X-Mpq-Cache", cache)
 		}
 		io.WriteString(w, buf.String())
 		fmt.Fprintf(w, ". %d plan=%s\n", n, planWord(reused))

@@ -166,10 +166,10 @@ func TestServeFactDirective(t *testing.T) {
 }
 
 // TestServeSubscribeCacheFreshness pins the mutation/wake ordering end to
-// end: AddFact bumps the EDB version (moving every result-cache key)
-// before waking subscribers, so once a subscriber has seen a delta frame,
-// a query on another connection can never be served a stale cached answer
-// set.
+// end: AddFact bumps the EDB version (which every result-cache hit
+// compares with its view's) before waking subscribers, so once a
+// subscriber has seen a delta frame, a query on another connection can
+// never be served a stale cached answer set.
 func TestServeSubscribeCacheFreshness(t *testing.T) {
 	srv, addr := startServer(t, Config{})
 	subConn, err := net.Dial("tcp", addr)
@@ -196,7 +196,7 @@ func TestServeSubscribeCacheFreshness(t *testing.T) {
 		t.Fatalf("delta round = %v, want [e]", tuples)
 	}
 	// The subscriber has the delta, so the version moved before the wake:
-	// this lookup must miss the stale entry and see the new answer.
+	// this hit must bring its view forward and see the new answer.
 	tuples, _, err := query(t, qConn, qSc, "?- path(a, Y).")
 	if err != nil {
 		t.Fatal(err)

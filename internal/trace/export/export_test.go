@@ -34,6 +34,7 @@ func TestPrometheusGolden(t *testing.T) {
 		PlanReopts: 39, StatsRefreshes: 40,
 		DeltaRounds: 33,
 		Shed:        28, ResultHits: 29, ResultMisses: 30,
+		ResultForwards: 41, ResultViews: 42, ResultViewBytes: 43,
 		SLOGood: 31, SLOBad: 32, BurnRateMicro: 1_500_000,
 	}
 	// One sample in the first bucket, one in the sixth, one beyond the
@@ -122,10 +123,17 @@ mpq_delta_seeded_tuples_total 34
 # HELP mpq_serve_shed_total Requests rejected by admission load shedding (typed ErrOverloaded, fail-fast).
 # TYPE mpq_serve_shed_total counter
 mpq_serve_shed_total 28
-# HELP mpq_serve_result_cache_total Result-cache lookups by outcome: a hit replays cached answers with zero evaluation.
+# HELP mpq_serve_result_cache_total Result-cache lookups by outcome: a hit replays a live view with zero evaluation, a forward hit first runs one delta round.
 # TYPE mpq_serve_result_cache_total counter
 mpq_serve_result_cache_total{result="hit"} 29
+mpq_serve_result_cache_total{result="forward"} 41
 mpq_serve_result_cache_total{result="miss"} 30
+# HELP mpq_serve_result_views Live result-cache views (gauge).
+# TYPE mpq_serve_result_views gauge
+mpq_serve_result_views 42
+# HELP mpq_serve_result_view_bytes Bytes the live result-cache views retain: rendered rows plus retained engine relations (gauge).
+# TYPE mpq_serve_result_view_bytes gauge
+mpq_serve_result_view_bytes 43
 # HELP mpq_slo_requests_total Requests meeting (good) or missing (bad; includes shed) the configured latency objective.
 # TYPE mpq_slo_requests_total counter
 mpq_slo_requests_total{verdict="good"} 31

@@ -106,13 +106,19 @@ var promRows = []metricRow{
 	{"mpq_delta_seeded_tuples_total", "", "Δ base tuples seeded into EDB leaves by delta rounds.", "counter",
 		func(sn trace.Snapshot) int64 { return sn.DeltaSeeded }},
 	// Multi-tenant serving (internal/serve): admission load shedding and
-	// the versioned result cache in front of evaluation.
+	// the result cache of live views in front of evaluation.
 	{"mpq_serve_shed_total", "", "Requests rejected by admission load shedding (typed ErrOverloaded, fail-fast).", "counter",
 		func(sn trace.Snapshot) int64 { return sn.Shed }},
-	{"mpq_serve_result_cache_total", `result="hit"`, "Result-cache lookups by outcome: a hit replays cached answers with zero evaluation.", "counter",
+	{"mpq_serve_result_cache_total", `result="hit"`, "Result-cache lookups by outcome: a hit replays a live view with zero evaluation, a forward hit first runs one delta round.", "counter",
 		func(sn trace.Snapshot) int64 { return sn.ResultHits }},
+	{"mpq_serve_result_cache_total", `result="forward"`, "", "",
+		func(sn trace.Snapshot) int64 { return sn.ResultForwards }},
 	{"mpq_serve_result_cache_total", `result="miss"`, "", "",
 		func(sn trace.Snapshot) int64 { return sn.ResultMisses }},
+	{"mpq_serve_result_views", "", "Live result-cache views (gauge).", "gauge",
+		func(sn trace.Snapshot) int64 { return sn.ResultViews }},
+	{"mpq_serve_result_view_bytes", "", "Bytes the live result-cache views retain: rendered rows plus retained engine relations (gauge).", "gauge",
+		func(sn trace.Snapshot) int64 { return sn.ResultViewBytes }},
 	// SLO accounting over the configured latency objective.
 	{"mpq_slo_requests_total", `verdict="good"`, "Requests meeting (good) or missing (bad; includes shed) the configured latency objective.", "counter",
 		func(sn trace.Snapshot) int64 { return sn.SLOGood }},

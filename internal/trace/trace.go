@@ -108,18 +108,21 @@ type Stats struct {
 	deltaRounds atomic.Int64
 
 	// Serving-layer counters (internal/serve): load shedding, the
-	// versioned result cache, and the SLO surface. Latency histograms
+	// result cache of live views, and the SLO surface. Latency histograms
 	// cover a request's time queued behind admission, its evaluation, and
 	// end to end (queue + eval).
-	shed         atomic.Int64 // requests rejected by admission load shedding
-	resultHits   atomic.Int64 // result-cache hits (answers replayed, no evaluation)
-	resultMisses atomic.Int64 // result-cache misses (evaluated, then cached)
-	sloGood      atomic.Int64 // requests that met the latency objective
-	sloBad       atomic.Int64 // requests that missed it or were shed
-	burnMicro    atomic.Int64 // gauge: SLO burn rate ×1e6 over the sliding window
-	queueWait    Histogram
-	evalTime     Histogram
-	endToEnd     Histogram
+	shed           atomic.Int64 // requests rejected by admission load shedding
+	resultHits     atomic.Int64 // result-cache hits (answers replayed, no evaluation)
+	resultForwards atomic.Int64 // hits a delta round brought forward before the replay
+	resultMisses   atomic.Int64 // result-cache misses (evaluated, perhaps into a new view)
+	resultViews    atomic.Int64 // gauge: live result-cache views
+	resultBytes    atomic.Int64 // gauge: bytes those views retain
+	sloGood        atomic.Int64 // requests that met the latency objective
+	sloBad         atomic.Int64 // requests that missed it or were shed
+	burnMicro      atomic.Int64 // gauge: SLO burn rate ×1e6 over the sliding window
+	queueWait      Histogram
+	evalTime       Histogram
+	endToEnd       Histogram
 }
 
 // Add folds one evaluation's tallies into the counters. The engine calls it
@@ -163,11 +166,19 @@ func (s *Stats) StrategyAuto(name string) {
 
 // Serving-layer hooks (see internal/serve).
 
-func (s *Stats) Shed()       { s.shed.Add(1) }
-func (s *Stats) ResultHit()  { s.resultHits.Add(1) }
-func (s *Stats) ResultMiss() { s.resultMisses.Add(1) }
-func (s *Stats) SLOGood()    { s.sloGood.Add(1) }
-func (s *Stats) SLOBad()     { s.sloBad.Add(1) }
+func (s *Stats) Shed()          { s.shed.Add(1) }
+func (s *Stats) ResultHit()     { s.resultHits.Add(1) }
+func (s *Stats) ResultForward() { s.resultForwards.Add(1) }
+func (s *Stats) ResultMiss()    { s.resultMisses.Add(1) }
+func (s *Stats) SLOGood()       { s.sloGood.Add(1) }
+func (s *Stats) SLOBad()        { s.sloBad.Add(1) }
+
+// SetResultViews records the result-cache gauges: how many live views the
+// cache holds and the bytes they retain.
+func (s *Stats) SetResultViews(views, bytes int64) {
+	s.resultViews.Store(views)
+	s.resultBytes.Store(bytes)
+}
 
 // SetBurnRate records the SLO burn-rate gauge, scaled by 1e6 (burn rate
 // 1.0 — spending error budget exactly as fast as the objective allows —
@@ -212,14 +223,17 @@ type Snapshot struct {
 	// [benchmark] PR. Always 0.
 	Workers int64
 	// Serving-layer counters: requests rejected by admission load
-	// shedding, result-cache outcomes (a hit replays cached answers and
-	// performs zero evaluation), and the SLO surface — requests that
-	// met/missed the configured latency objective plus the sliding-window
-	// burn-rate gauge (×1e6; see Stats.SetBurnRate).
-	Shed                     int64
-	ResultHits, ResultMisses int64
-	SLOGood, SLOBad          int64
-	BurnRateMicro            int64
+	// shedding, result-cache outcomes (a hit replays a live view's answers
+	// and performs zero evaluation, a forward hit first brings the view
+	// forward by one delta round), the live views and the bytes they
+	// retain (gauges), and the SLO surface — requests that met/missed the
+	// configured latency objective plus the sliding-window burn-rate gauge
+	// (×1e6; see Stats.SetBurnRate).
+	Shed                                     int64
+	ResultHits, ResultForwards, ResultMisses int64
+	ResultViews, ResultViewBytes             int64
+	SLOGood, SLOBad                          int64
+	BurnRateMicro                            int64
 	// Serving-layer latency distributions: admission queue wait,
 	// evaluation, and end to end.
 	QueueWait, Eval, EndToEnd HistSnapshot
@@ -249,7 +263,10 @@ func (s *Stats) Snapshot() Snapshot {
 		DeltaRounds:           s.deltaRounds.Load(),
 		Shed:                  s.shed.Load(),
 		ResultHits:            s.resultHits.Load(),
+		ResultForwards:        s.resultForwards.Load(),
 		ResultMisses:          s.resultMisses.Load(),
+		ResultViews:           s.resultViews.Load(),
+		ResultViewBytes:       s.resultBytes.Load(),
 		SLOGood:               s.sloGood.Load(),
 		SLOBad:                s.sloBad.Load(),
 		BurnRateMicro:         s.burnMicro.Load(),
@@ -282,8 +299,9 @@ func (sn Snapshot) String() string {
 	if sn.DeltaRounds > 0 {
 		fmt.Fprintf(&b, " deltarounds=%d deltaseeded=%d", sn.DeltaRounds, sn.DeltaSeeded)
 	}
-	if sn.Shed+sn.ResultHits+sn.ResultMisses > 0 {
-		fmt.Fprintf(&b, " shed=%d resulthits=%d resultmisses=%d", sn.Shed, sn.ResultHits, sn.ResultMisses)
+	if sn.Shed+sn.ResultHits+sn.ResultForwards+sn.ResultMisses > 0 {
+		fmt.Fprintf(&b, " shed=%d resulthits=%d resultforwards=%d resultmisses=%d resultviews=%d/%dB",
+			sn.Shed, sn.ResultHits, sn.ResultForwards, sn.ResultMisses, sn.ResultViews, sn.ResultViewBytes)
 	}
 	if sn.SLOGood+sn.SLOBad > 0 {
 		fmt.Fprintf(&b, " slogood=%d slobad=%d burn=%.2f", sn.SLOGood, sn.SLOBad, float64(sn.BurnRateMicro)/1e6)
