@@ -384,7 +384,7 @@ func BenchmarkRelationInsertDup(b *testing.B) {
 	for i := 0; i < 4096; i++ {
 		r.Insert(relation.Tuple{symtab.Sym(i + 1), symtab.Sym(i%977 + 1), symtab.Sym(i%53 + 1)})
 	}
-	probe := append(relation.Tuple{}, r.Rows()[100]...)
+	probe := append(relation.Tuple{}, r.Row(100)...)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

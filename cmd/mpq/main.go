@@ -597,7 +597,7 @@ func (ev *evaluator) eval(sys *mpq.System) (*mpq.Answer, *bottomup.Counts, error
 // like mpq.Answer's.
 func render(r *relation.Relation, db *edb.Database) [][]string {
 	out := make([][]string, 0, r.Len())
-	for _, t := range r.Rows() {
+	for t := range r.All() {
 		row := make([]string, len(t))
 		for i, sym := range t {
 			row[i] = db.Syms.String(sym)

@@ -50,6 +50,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -58,6 +59,7 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -290,9 +292,9 @@ func runServe(addr, programPath, metricsAddr, storeDir string, drainTimeout time
 	if err != nil {
 		fatal(err)
 	}
-	cfg.Logf = func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "mpqd: "+format+"\n", args...)
-	}
+	qlog := &queryLog{w: bufio.NewWriterSize(os.Stderr, 64<<10)}
+	defer qlog.flush()
+	cfg.Logf = qlog.logf
 	srv := serve.New(sys, cfg)
 	var metricsSrv *http.Server
 	if metricsAddr != "" {
@@ -316,13 +318,17 @@ func runServe(addr, programPath, metricsAddr, storeDir string, drainTimeout time
 	select {
 	case err := <-done:
 		if err != nil {
+			qlog.flush()
 			fatal(err)
 		}
 	case <-sig.Done():
+		qlog.flush()
 		fmt.Fprintf(os.Stderr, "mpqd: signal received, draining for up to %v\n", drainTimeout)
 		ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
+		err := srv.Shutdown(ctx)
+		qlog.flush()
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "mpqd: drain deadline hit, in-flight queries aborted\n")
 		} else {
 			fmt.Fprintf(os.Stderr, "mpqd: drained cleanly\n")
@@ -333,6 +339,38 @@ func runServe(addr, programPath, metricsAddr, storeDir string, drainTimeout time
 			scancel()
 		}
 	}
+}
+
+// logFlushEvery is how long a served query's log line may wait in the
+// buffer before it reaches stderr.
+const logFlushEvery = 100 * time.Millisecond
+
+// queryLog is the serve mode's per-query log: lines collect in one buffered
+// writer, which a timer flushes logFlushEvery after the first line it holds
+// (sooner only when the buffer fills), and runServe flushes on drain and
+// exit. A served query so costs no write(2) of its own. Startup and fatal
+// messages bypass it.
+type queryLog struct {
+	mu      sync.Mutex
+	w       *bufio.Writer
+	pending bool // a flush is scheduled
+}
+
+func (l *queryLog) logf(format string, args ...any) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	fmt.Fprintf(l.w, "mpqd: "+format+"\n", args...)
+	if !l.pending {
+		l.pending = true
+		time.AfterFunc(logFlushEvery, l.flush)
+	}
+}
+
+func (l *queryLog) flush() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.w.Flush()
+	l.pending = false
 }
 
 func count(hosts []int, site int) int {

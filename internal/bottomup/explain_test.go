@@ -174,7 +174,7 @@ func TestExplainAllModelTuples(t *testing.T) {
 		goal(Y) :- t(a, Y).
 	`)
 	for key, rel := range e.Result().IDB {
-		for _, row := range rel.Rows() {
+		for row := range rel.All() {
 			args := make([]string, len(row))
 			for i, s := range row {
 				args[i] = e.db.Syms.String(s)

@@ -52,15 +52,13 @@ import (
 const (
 	diskManifest   = "mpq-edb v1\n"
 	journalRecSize = 8
-	// extentRows is how many rows one mapping of a segment covers: 2^18
-	// rows of arity × 4 bytes is arity MiB, a page multiple for every arity.
-	extentRows = 1 << 18
 )
 
 // DiskStore is the disk-backed Storage: the shared core, whose relations
-// view each committed row where it lies in a mapped segment extent. Safe
-// for concurrent readers and for a lone writer overlapping readers (the
-// same contract as the in-memory store): committed rows are immutable and
+// take the mapped segment extents as their chunks and so read each
+// committed row where it lies. Safe for concurrent readers and for a lone
+// writer overlapping readers (the same contract as the in-memory store):
+// committed rows are immutable and
 // their mappings never move, so a row view outlives the lock it was taken
 // under. The core's lock also guards the files and the extent lists, and
 // its version equals the committed journal record count.
@@ -91,26 +89,25 @@ type DiskStore struct {
 	closed bool
 }
 
-// segment is one predicate's segment file and its mappings. The predicate's
-// relation appends a view of each committed row (relation.AppendView), so
-// the rows stay on disk; per row the RAM cost is the relation's 24-byte
-// view, 8 bytes of hash and ≈5 of dedup slot, plus 4 per built index.
+// segment is one predicate's segment file and its mappings. Each mapped
+// extent is handed to the predicate's relation as its chunks
+// (relation.MapExtent), so the rows stay on disk; per row the RAM cost is
+// 8 bytes of hash and ≈5 of dedup slot, plus 4 per built index.
 type segment struct {
 	f     *os.File
 	width int // bytes per row: arity × 4 (0 for propositional predicates)
-	// extents[e] views rows [e×extentRows, (e+1)×extentRows) of the segment
-	// through a shared read-only mapping, made when the committed count
-	// first reaches the extent and unmapped only by Close. An extent may
-	// reach past the end of the file; only committed rows are ever addressed.
-	extents [][]symtab.Sym
+	// extents[e] maps rows [e, e+1)×relation.ExtentRows shared and read-only
+	// from when the committed count first reaches them until Close. It may
+	// reach past the end of the file; only committed rows are addressed.
+	extents [][]byte
 }
 
 // OpenDisk opens (creating if necessary) a disk store rooted at dir and
 // replays its logs: symbols re-intern in id order, segments are truncated
-// to the journaled row counts, and the relations (row views and dedup
-// sets), statistics sketches, and version are rebuilt. The returned
-// store's Version equals the count of successful inserts ever committed,
-// so statistics epochs and result-cache keys derived from it survive the
+// to the journaled row counts, and the relations (over the mapped rows),
+// statistics sketches, and version are rebuilt. The returned store's
+// Version equals the count of successful inserts ever committed, so
+// statistics epochs and result-cache keys derived from it survive the
 // restart.
 func OpenDisk(dir string) (*DiskStore, error) {
 	// Rows are viewed in place, so the segment's byte order must be the host's.
@@ -340,54 +337,43 @@ func (ds *DiskStore) rebuildRel(p *pred, count int) error {
 	if err := seg.f.Truncate(int64(count * seg.width)); err != nil {
 		return fmt.Errorf("edb: disk store: %s segment: %w", p.key.Name, err)
 	}
-	if err := seg.mapRows(p.key, count); err != nil {
+	if err := seg.mapRows(p, count); err != nil {
 		return err
 	}
 	p.rel.Grow(count)
-	for ord := range count {
-		row := extentRow(seg.extents, p.key.Arity, ord)
-		p.rel.AppendView(row)
-		p.stats.note(row)
+	for range count {
+		p.stats.note(p.rel.Row(p.rel.AppendMapped()))
 	}
 	return nil
 }
 
 // ---- row access -----------------------------------------------------------
 
-// mapRows extends the mappings to cover the first n rows. An extent starts
-// at a multiple of arity MiB, which every page size divides. Caller holds
-// the write lock (or is opening the store).
-func (seg *segment) mapRows(key ast.PredKey, n int) error {
-	for seg.width > 0 && len(seg.extents)*extentRows < n {
-		b, err := syscall.Mmap(int(seg.f.Fd()), int64(len(seg.extents))*extentRows*int64(seg.width),
-			extentRows*seg.width, syscall.PROT_READ, syscall.MAP_SHARED)
+// mapRows extends the mappings to cover the first n rows of p and hands
+// each new extent to p's relation. An extent of 2^18 rows starts at a
+// multiple of arity MiB, which every page size divides. Caller holds the
+// write lock (or is opening the store).
+func (seg *segment) mapRows(p *pred, n int) error {
+	for size := relation.ExtentRows * seg.width; size > 0 && len(seg.extents)*relation.ExtentRows < n; {
+		b, err := syscall.Mmap(int(seg.f.Fd()), int64(len(seg.extents))*int64(size), size, syscall.PROT_READ, syscall.MAP_SHARED)
 		if err != nil {
-			return fmt.Errorf("edb: disk store: mapping %s segment: %w", key.Name, err)
+			return fmt.Errorf("edb: disk store: mapping %s segment: %w", p.key.Name, err)
 		}
-		seg.extents = append(seg.extents, unsafe.Slice((*symtab.Sym)(unsafe.Pointer(&b[0])), len(b)/4))
+		seg.extents = append(seg.extents, b)
+		p.rel.MapExtent(unsafe.Slice((*symtab.Sym)(unsafe.Pointer(&b[0])), len(b)/4))
 	}
 	return nil
-}
-
-// extentRow views row ord of a segment mapped as extents. The view's
-// capacity ends with the row, so an append to it copies rather than faults.
-func extentRow(extents [][]symtab.Sym, arity, ord int) relation.Tuple {
-	if arity == 0 {
-		return relation.Tuple{}
-	}
-	off := ord % extentRows * arity
-	return extents[ord/extentRows][off : off+arity : off+arity]
 }
 
 // ---- writes ---------------------------------------------------------------
 
 // Insert commits one row: symbols first (so stored ids always resolve),
-// then the segment row, then the journal record, then the relation's view
-// of the row, the statistics and the version bump. IO errors panic — the
-// store cannot both report "not inserted" and stay consistent with a
-// half-applied write, and every caller treats the EDB as infallible
-// memory; a panicking node process is converted to a typed query abort by
-// the engine.
+// then the segment row, then the journal record, then the relation's
+// append of the row where it lies, the statistics and the version bump. IO
+// errors panic — the store cannot both report "not inserted" and stay
+// consistent with a half-applied write, and every caller treats the EDB as
+// infallible memory; a panicking node process is converted to a typed
+// query abort by the engine.
 func (ds *DiskStore) Insert(key ast.PredKey, t relation.Tuple) bool {
 	if len(t) != key.Arity {
 		panic(fmt.Sprintf("edb: inserting arity-%d tuple into %s/%d", len(t), key.Name, key.Arity))
@@ -426,7 +412,7 @@ func (ds *DiskStore) commitRow(p *pred, t relation.Tuple) error {
 		}
 		// Before the journal record: a row that cannot be mapped stays an
 		// orphan the next open truncates away.
-		if err := seg.mapRows(p.key, ord+1); err != nil {
+		if err := seg.mapRows(p, ord+1); err != nil {
 			return err
 		}
 	}
@@ -437,9 +423,7 @@ func (ds *DiskStore) commitRow(p *pred, t relation.Tuple) error {
 	if _, err := ds.journalFile.WriteAt(rec, int64(v)*journalRecSize); err != nil {
 		return fmt.Errorf("edb: disk store: journal.log: %w", err)
 	}
-	row := extentRow(seg.extents, p.key.Arity, ord)
-	p.rel.AppendView(row)
-	ds.committed(p, row)
+	ds.committed(p, p.rel.Row(p.rel.AppendMapped()))
 	return nil
 }
 
@@ -486,7 +470,7 @@ func (ds *DiskStore) ChangesSince(v uint64) []Change {
 		predID := binary.LittleEndian.Uint32(buf[i*journalRecSize:])
 		ordinal := binary.LittleEndian.Uint32(buf[i*journalRecSize+4:])
 		p := ds.preds[predID]
-		out = append(out, Change{Seq: v + i + 1, Key: p.key, Row: p.rel.Rows()[ordinal]})
+		out = append(out, Change{Seq: v + i + 1, Key: p.key, Row: p.rel.Row(int(ordinal))})
 	}
 	return out
 }
@@ -551,8 +535,7 @@ func (ds *DiskStore) Close() error {
 func (ds *DiskStore) unmap() error {
 	var first error
 	for id, seg := range ds.segs {
-		for _, ext := range seg.extents {
-			b := unsafe.Slice((*byte)(unsafe.Pointer(&ext[0])), len(ext)*4)
+		for _, b := range seg.extents {
 			if err := syscall.Munmap(b); err != nil && first == nil {
 				first = fmt.Errorf("edb: disk store: unmapping %s segment: %w", ds.preds[id].key.Name, err)
 			}

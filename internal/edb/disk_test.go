@@ -336,7 +336,7 @@ func TestDiskViewsSurviveGrowth(t *testing.T) {
 			// Arity 1 has only as many distinct rows as symbols.
 			ids := make([]symtab.Sym, 1000)
 			if arity == 1 {
-				ids = make([]symtab.Sym, extentRows+50_000)
+				ids = make([]symtab.Sym, relation.ExtentRows+50_000)
 			}
 			for i := range ids {
 				ids[i] = st.Symbols().Intern(fmt.Sprint("s", i))
@@ -375,8 +375,8 @@ func TestDiskViewsSurviveGrowth(t *testing.T) {
 					t.Fatalf("row %d rejected as a duplicate", i)
 				}
 			}
-			if grown <= extentRows {
-				t.Fatalf("%d rows do not cross the %d-row extent boundary", grown, extentRows)
+			if grown <= relation.ExtentRows {
+				t.Fatalf("%d rows do not cross the %d-row extent boundary", grown, relation.ExtentRows)
 			}
 			for i, v := range views {
 				if !v.Equal(want[i]) {
@@ -411,7 +411,7 @@ func TestDiskWriterCrossesExtent(t *testing.T) {
 		ids[i] = st.Symbols().Intern(fmt.Sprint("s", i))
 	}
 	key := wideKey(2)
-	const start, end = extentRows - 2000, extentRows + 2000
+	const start, end = relation.ExtentRows - 2000, relation.ExtentRows + 2000
 	for i := 0; i < start; i++ {
 		st.Insert(key, wideRow(ids, 2, i))
 	}
@@ -525,7 +525,7 @@ func TestDiskSegmentEdges(t *testing.T) {
 	if !st.Insert(flag, relation.Tuple{}) || st.Insert(flag, relation.Tuple{}) {
 		t.Fatal("propositional fact: want new once, then a duplicate")
 	}
-	for i := 0; i < extentRows; i++ {
+	for i := 0; i < relation.ExtentRows; i++ {
 		st.Insert(full, wideRow(ids, 2, i))
 	}
 	check := func(st *DiskStore) {
@@ -546,15 +546,15 @@ func TestDiskSegmentEdges(t *testing.T) {
 			t.Errorf("unknown relation probe yields %v", rows)
 		}
 		p := st.byKey[full]
-		if n, seg := p.rel.Len(), st.segs[p.id]; n != extentRows || len(seg.extents) != 1 {
-			t.Fatalf("full relation: %d rows in %d extents, want %d in 1", n, len(seg.extents), extentRows)
+		if n, seg := p.rel.Len(), st.segs[p.id]; n != relation.ExtentRows || len(seg.extents) != 1 {
+			t.Fatalf("full relation: %d rows in %d extents, want %d in 1", n, len(seg.extents), relation.ExtentRows)
 		}
-		last := wideRow(ids, 2, extentRows-1)
+		last := wideRow(ids, 2, relation.ExtentRows-1)
 		if got := st.ScanInto(nil, full, relation.Binding(last)); len(got) != 1 || !got[0].Equal(last) {
 			t.Errorf("last row of the extent reads back as %v", got)
 		}
 		n := 0
-		for range st.ScanSince(full, extentRows-10) {
+		for range st.ScanSince(full, relation.ExtentRows-10) {
 			n++
 		}
 		if n != 10 {
@@ -563,9 +563,9 @@ func TestDiskSegmentEdges(t *testing.T) {
 	}
 	check(st)
 	// One row more opens the second extent.
-	st.Insert(full, wideRow(ids, 2, extentRows))
+	st.Insert(full, wideRow(ids, 2, relation.ExtentRows))
 	if seg := st.segs[st.byKey[full].id]; len(seg.extents) != 2 {
-		t.Errorf("row %d did not map a second extent (%d mapped)", extentRows, len(seg.extents))
+		t.Errorf("row %d did not map a second extent (%d mapped)", relation.ExtentRows, len(seg.extents))
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)

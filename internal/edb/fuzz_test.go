@@ -186,7 +186,7 @@ func conform(t *testing.T, mem, disk Storage, keys []ast.PredKey, ids []symtab.S
 		if mr.Arity() != key.Arity || dr.Arity() != key.Arity {
 			t.Fatalf("Materialize(%v): arity %d in memory, %d on disk", key, mr.Arity(), dr.Arity())
 		}
-		sameRows(t, fmt.Sprintf("Materialize(%v)", key), mr.Rows(), dr.Rows())
+		sameRows(t, fmt.Sprintf("Materialize(%v)", key), slices.Collect(mr.All()), slices.Collect(dr.All()))
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 )
 
 // memStore is the in-memory Storage: the shared core, with each committed
-// row copied into its relation's arena. It is the behavioral reference the
+// row copied into its relation's chunks. It is the behavioral reference the
 // disk store's conformance suite compares against.
 type memStore struct {
 	core
@@ -43,7 +43,7 @@ func (ms *memStore) Insert(key ast.PredKey, t relation.Tuple) bool {
 }
 
 // ChangesSince resolves the log records past v to row views in the
-// relation arenas.
+// relations' chunks.
 func (ms *memStore) ChangesSince(v uint64) []Change {
 	ms.mu.RLock()
 	defer ms.mu.RUnlock()
@@ -53,7 +53,7 @@ func (ms *memStore) ChangesSince(v uint64) []Change {
 	out := make([]Change, 0, uint64(len(ms.changes))-v)
 	for i, rec := range ms.changes[v:] {
 		p := ms.preds[rec.pred]
-		out = append(out, Change{Seq: v + uint64(i) + 1, Key: p.key, Row: p.rel.Rows()[rec.ord]})
+		out = append(out, Change{Seq: v + uint64(i) + 1, Key: p.key, Row: p.rel.Row(int(rec.ord))})
 	}
 	return out
 }

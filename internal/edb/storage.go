@@ -29,7 +29,7 @@ import (
 // Rows are tuples of symbols interned in Symbols(); Insert callers intern
 // first. Scans yield tuples in insertion order — the property the engine's
 // delta windows rely on — and the yielded tuples are read-only views of
-// store-owned memory (relation arenas, mapped segments): never mutate one,
+// store-owned memory (relation chunks, mapped segments): never mutate one,
 // but retaining one is fine — it stays valid until Close.
 type Storage interface {
 	// Symbols returns the store's symbol table. All rows are expressed in
@@ -107,13 +107,14 @@ type Storage interface {
 // relation.Relation and one relStats per predicate, the version, and the
 // lock guarding them. It implements every read of Storage once; a backend
 // adds Insert, ChangesSince and Close, and decides where a committed row's
-// bytes live (the relation's arena, or a mapped segment extent).
+// bytes live: the relation's own chunks, or mapped segment extents that the
+// relation takes as its chunks.
 //
 // mu guards the catalog, the relations and the statistics (index
 // construction mutates a relation), so a lone writer may overlap readers:
-// a scan collects its row views under RLock and hands them out outside it —
-// a committed row never moves, so captured views stay valid while an
-// insert lands.
+// a scan collects its row views, or copies the relation's Rows, under RLock
+// and reads them outside it — a committed row never moves, so captured
+// views stay valid while an insert lands.
 type core struct {
 	syms  *symtab.Table
 	mu    sync.RWMutex
@@ -203,14 +204,16 @@ func (c *core) Scan(key ast.PredKey, b relation.Binding) iter.Seq[relation.Tuple
 
 func (c *core) ScanSince(key ast.PredKey, from int) iter.Seq[relation.Tuple] {
 	return func(yield func(relation.Tuple) bool) {
+		// The copy of the relation's Rows reads the committed rows outside
+		// the lock: they never move, and an insert only adds past them.
 		c.mu.RLock()
-		var rows []relation.Tuple
+		var rows relation.Rows
 		if r := c.live(key); r != nil {
-			rows = r.Rows()
+			rows = r.Rows
 		}
 		c.mu.RUnlock()
-		for _, t := range rows[min(max(from, 0), len(rows)):] {
-			if !yield(t) {
+		for i := max(from, 0); i < rows.Len(); i++ {
+			if !yield(rows.Row(i)) {
 				return
 			}
 		}
@@ -288,7 +291,7 @@ func (c *core) WarmFor(needs []IndexNeed) {
 	defer c.mu.Unlock()
 	for _, p := range c.preds {
 		for col := range p.key.Arity {
-			p.rel.BuildIndex(col)
+			p.rel.BuildIndexOn(col)
 		}
 	}
 	for _, n := range needs {

@@ -144,9 +144,14 @@ func TestAllocBudget(t *testing.T) {
 }
 
 // BenchmarkReachCluster is the in-process twin of the reach_mem workload:
-// pooled reach queries, one at a time and two concurrent requests.
+// pooled reach queries, one at a time and two concurrent requests. The
+// stream50 case streams over all 50 clusters of dataset D (200k edges),
+// each query keyed in another cluster, so its base probes miss the CPU
+// caches as the daemon's do; one cluster's 4,000 edges stay cached.
 func BenchmarkReachCluster(b *testing.B) {
 	plan, ids := reachCluster(b, edb.New())
+	var wide *Plan
+	var wideKeys []symtab.Sym
 	b.Run("serial", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -161,6 +166,25 @@ func BenchmarkReachCluster(b *testing.B) {
 		count := func(relation.Tuple) bool { rows++; return true }
 		for i := 0; i < b.N; i++ {
 			if _, err := plan.RunStream(Options{Bind: []symtab.Sym{ids[i%len(ids)]}}, count); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("stream50", func(b *testing.B) {
+		const clusters = 50
+		if wide == nil {
+			db := edb.New()
+			g, _ := reachClusters(b, db, clusters)
+			wide = NewPlan(g, db)
+			for i := range 1000 {
+				wideKeys = append(wideKeys, db.Symbols().Intern(fmt.Sprintf("c%d_n%d", i%clusters, i*7919%1000)))
+			}
+			b.ResetTimer()
+		}
+		b.ReportAllocs()
+		count := func(relation.Tuple) bool { return true }
+		for i := 0; i < b.N; i++ {
+			if _, err := wide.RunStream(Options{Bind: wideKeys[i%len(wideKeys) : i%len(wideKeys)+1]}, count); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -382,7 +382,7 @@ func TestRecycledFramesNotAliased(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := render(res.Answers.Rows())
+	want := render(slices.Collect(res.Answers.All()))
 	if got := render(kept); len(kept) == 0 || got != want {
 		t.Fatalf("kept %d rows, answers %d: the rows differ", len(kept), res.Answers.Len())
 	}

@@ -234,8 +234,8 @@ func (g *goalState) onRelReq(c int) {
 		// store in earlier rounds, so the replay is skipped (fresh=false:
 		// registrations survive a delta reset).
 		if fresh && g.answers != nil {
-			for _, t := range g.answers.Rows() {
-				g.p.queueTuple(c, t)
+			for ord := range g.answers.Len() {
+				g.p.queueTuple(c, g.answers.Row(ord))
 			}
 		}
 	}

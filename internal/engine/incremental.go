@@ -103,12 +103,16 @@ func (inc *Incremental) Close() {
 // what keeping the evaluation alive costs.
 func (inc *Incremental) Retained() int {
 	n := 0
-	if inc.s != nil {
-		for _, p := range inc.s.procs {
+	if s := inc.s; s != nil {
+		for _, p := range s.procs {
 			if p != nil {
 				n += p.retained()
 			}
 		}
+		for _, f := range s.frames.free {
+			n += cap(f) * 4
+		}
+		n += cap(s.frames.free) * tupleBytes
 	}
 	return n
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"repro/internal/parser"
 	"repro/internal/relation"
 	"repro/internal/rgg"
+	"repro/internal/symtab"
 	"repro/internal/trace"
 )
 
@@ -310,5 +312,47 @@ func TestIncrementalRecycledScratch(t *testing.T) {
 	check("delta round")
 	if got := stats.Snapshot().DeltaSeeded; got != 1 {
 		t.Errorf("delta round seeded %d rows, want 1 (only the row added after the first round)", got)
+	}
+}
+
+// TestRetainedMatchesHeap: Retained is what keeping a retained evaluation
+// alive costs. The heap freed by dropping a set of retained reach
+// evaluations (without Close, which would pool their scratch) and
+// collecting must be within ±10 % of their summed Retained.
+func TestRetainedMatchesHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("measures the heap of 32 retained reach evaluations")
+	}
+	const clusters, views = 4, 32
+	db := edb.New()
+	g, _ := reachClusters(t, db, clusters)
+	plan := NewPlan(g, db)
+	keys := make([]symtab.Sym, views)
+	for i := range keys {
+		keys[i] = db.Symbols().Intern(fmt.Sprintf("c%d_n%d", i%clusters, i*37%1000))
+	}
+	var held, freed runtime.MemStats
+	incs := make([]*Incremental, views)
+	for i := range incs {
+		incs[i] = plan.Incremental(Options{Bind: keys[i : i+1]})
+		if _, err := incs[i].Round(nil, func(relation.Tuple) bool { return true }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	retained := 0
+	for _, inc := range incs {
+		retained += inc.Retained()
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&held)
+	clear(incs)
+	runtime.GC()
+	runtime.ReadMemStats(&freed)
+	runtime.KeepAlive(plan) // the plan and its EDB outlive the views
+	heap := float64(held.HeapAlloc) - float64(freed.HeapAlloc)
+	ratio := float64(retained) / heap
+	t.Logf("%d views: Retained %d bytes, freed heap %.0f bytes, ratio %.3f", views, retained, heap, ratio)
+	if ratio < 0.9 || ratio > 1.1 {
+		t.Errorf("Retained is %.3f of the heap the views held, want within ±10 %%", ratio)
 	}
 }

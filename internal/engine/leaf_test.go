@@ -304,10 +304,10 @@ func TestLeafPassThrough(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got, want []string
-		for _, row := range res.Answers.Rows() {
+		for row := range res.Answers.All() {
 			got = append(got, db.Syms.String(row[0]))
 		}
-		for _, row := range truth.Goal.Rows() {
+		for row := range truth.Goal.All() {
 			want = append(want, tdb.Syms.String(row[0]))
 		}
 		slices.Sort(got)

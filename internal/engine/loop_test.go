@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -96,7 +97,7 @@ func TestPointRunBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if w := fmt.Sprint(collected.Answers.Rows()); want != w {
+		if w := fmt.Sprint(slices.Collect(collected.Answers.All())); want != w {
 			t.Errorf("%s: default run yielded %s, a collecting run answers %s", backend.name, want, w)
 		}
 		if g := fmt.Sprint(rows); g != want {

@@ -3,6 +3,7 @@ package engine
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/edb"
 	"repro/internal/relation"
@@ -257,22 +258,50 @@ func (r *ruleState) reset(delta bool) {
 	}
 }
 
-// retained estimates the bytes the process's stored relations hold.
+// retained estimates the heap the process keeps between rounds: its stored
+// relations, its customers' asked sets, the row lists its probes reuse, its
+// mailbox queue and its output buffers.
 func (p *proc) retained() int {
+	n := p.box.Bytes()
+	for _, k := range p.kids {
+		n += cap(k.buf.vals) * 4
+	}
+	for _, c := range p.custs {
+		n += cap(c.buf.vals) * 4
+	}
 	if g := p.goal; g != nil {
-		n := g.reqs.Bytes()
+		n += g.reqs.Bytes() + cap(g.rows)*tupleBytes
 		if g.answers != nil {
 			n += g.answers.Bytes()
+		}
+		if g.sel != nil {
+			n += cap(g.sel.rows) * tupleBytes
+		}
+		for _, cs := range g.customers {
+			n += cap(cs.asked) * 8
 		}
 		return n
 	}
 	r := p.rule
-	n := r.hb.Bytes() + r.sentHeads.Bytes()
+	n += r.hb.Bytes() + r.sentHeads.Bytes() + cap(r.parent.asked)*8
 	for _, s := range r.subs {
 		n += s.sentReqs.Bytes()
 		if s.rel != nil {
 			n += s.rel.Bytes()
 		}
+		if s.sel != nil {
+			n += s.pending.Bytes() + cap(s.sel.rows)*tupleBytes
+		}
+	}
+	for _, plans := range r.plans {
+		for _, pl := range plans {
+			for _, st := range pl.steps {
+				n += cap(st.rows) * tupleBytes
+			}
+		}
 	}
 	return n
 }
+
+// tupleBytes is the size of a row view's slice header.
+const tupleBytes = int(unsafe.Sizeof(relation.Tuple(nil)))

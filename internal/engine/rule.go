@@ -403,8 +403,8 @@ func (r *ruleState) seedWindows() {
 	}
 	for j, s := range r.subs {
 		if s.sel != nil {
-			for _, row := range s.pending.Rows() {
-				r.trigger(j, s.colSlots, row)
+			for ord := range s.pending.Len() {
+				r.trigger(j, s.colSlots, s.pending.Row(ord))
 			}
 			s.pending.Reset()
 		}
@@ -496,7 +496,12 @@ func (r *ruleState) extend(pl *joinPlan, depth int) {
 		}
 		return
 	case st.sub == nil && len(st.bound) == 0:
-		rows = st.rel.Rows()
+		for ord := range st.rel.Len() {
+			r.p.tally.Joins++
+			r.bindFresh(st, st.rel.Row(ord))
+			r.extend(pl, depth+1)
+		}
+		return
 	case st.sub == nil:
 		rows = st.rel.SelectInto(st.rows[:0], st.bind)
 		st.rows = rows
@@ -511,10 +516,15 @@ func (r *ruleState) extend(pl *joinPlan, depth int) {
 			continue
 		}
 		r.p.tally.Joins++
-		for _, cs := range st.fresh {
-			r.slots[cs.slot] = row[cs.col]
-		}
+		r.bindFresh(st, row)
 		r.extend(pl, depth+1)
+	}
+}
+
+// bindFresh assigns the step's fresh slots from a matching row.
+func (r *ruleState) bindFresh(st *joinStep, row relation.Tuple) {
+	for _, cs := range st.fresh {
+		r.slots[cs.slot] = row[cs.col]
 	}
 }
 

@@ -7,18 +7,23 @@
 //
 // The substrate is allocation-free on its hot paths: membership is an
 // open-addressed hash set over an FNV-1a hash of the symbol columns (no
-// per-tuple string key is ever materialized), row storage is a chunked
-// flat arena of symbols (inserts do not allocate a slice header plus a
-// clone per tuple), and joins probe composite (multi-column) hash indexes
-// so a k-column equijoin costs one hash lookup per probe tuple instead of
-// a single-column probe followed by an equality scan.
+// per-tuple string key is ever materialized); rows lie in flat chunks of
+// symbols that never move, and row i is addressed by its ordinal alone —
+// no per-row slice header, and an insert copies the row into place — which
+// is also how a store's mapped extents serve as a relation's chunks
+// (MapExtent); and joins probe composite (multi-column) hash indexes so a
+// k-column equijoin costs one hash lookup per probe tuple instead of a
+// single-column probe followed by an equality scan.
 package relation
 
 import (
 	"fmt"
+	"iter"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
+	"unsafe"
 
 	"repro/internal/symtab"
 )
@@ -26,33 +31,16 @@ import (
 // Tuple is a fixed-arity row of interned constants.
 type Tuple []symtab.Sym
 
-// Key encodes the tuple as a string usable as a map key. Symbols are 32-bit,
-// so four bytes per column give a collision-free encoding. The relation
-// internals no longer use it (they hash columns directly); it remains for
-// callers that need tuples as keys of ordinary Go maps.
+// Key encodes the tuple as a string usable as a map key: its symbols'
+// bytes, four per column, so the encoding is collision-free. The relation
+// internals do not use it (they hash columns directly); it is for callers
+// that need tuples as keys of ordinary Go maps.
 func (t Tuple) Key() string {
-	b := make([]byte, 4*len(t))
-	for i, s := range t {
-		b[4*i] = byte(s)
-		b[4*i+1] = byte(s >> 8)
-		b[4*i+2] = byte(s >> 16)
-		b[4*i+3] = byte(s >> 24)
-	}
-	return string(b)
+	return string(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(t))), 4*len(t)))
 }
 
 // Equal reports column-wise equality.
-func (t Tuple) Equal(u Tuple) bool {
-	if len(t) != len(u) {
-		return false
-	}
-	for i := range t {
-		if t[i] != u[i] {
-			return false
-		}
-	}
-	return true
-}
+func (t Tuple) Equal(u Tuple) bool { return slices.Equal(t, u) }
 
 // Clone returns a copy of the tuple.
 func (t Tuple) Clone() Tuple {
@@ -119,13 +107,82 @@ func colsKey(cols []int) uint64 {
 	return k
 }
 
+// Row storage. A relation's rows lie in chunks that never move and are
+// addressed by ordinal alone: chunks 0 and 1 hold 64 rows each, every later
+// one of the first ExtentRows rows twice its predecessor, and past those
+// every chunk holds ExtentRows. A small relation so pays for 64 rows, and a
+// chunk never straddles a multiple of ExtentRows, which is what lets the disk
+// store hand its mapped extents in as chunks (MapExtent).
+const (
+	firstShift  = 6
+	ExtentShift = 18
+	ExtentRows  = 1 << ExtentShift             // rows per store extent
+	firstChunks = ExtentShift - firstShift + 1 // chunks of the first extent
+)
+
+// chunkOf returns the chunk holding row ord and the row's place in it.
+func chunkOf(ord int) (c, off int) {
+	if ord >= ExtentRows {
+		return firstChunks - 1 + ord>>ExtentShift, ord & (ExtentRows - 1)
+	}
+	top := bits.Len(uint(ord) | (1<<firstShift - 1))
+	return top - firstShift, ord - 1<<(top-1)&^(1<<firstShift-1)
+}
+
+// chunkStart returns the ordinal of chunk c's first row.
+func chunkStart(c int) int {
+	if c < firstChunks {
+		return 1 << (c + firstShift - 1) &^ (1<<firstShift - 1)
+	}
+	return (c - firstChunks + 1) << ExtentShift
+}
+
+// Rows addresses a relation's rows by ordinal: row i is Row(i), a view of
+// its chunk. A Rows value copied from a relation (its embedded Rows) reads
+// the rows it covers without the relation, for as long as the relation is
+// not Reset: chunks never move, and a later insert only adds rows past Len.
+// A store shares its relations between goroutines this way: the copy is
+// taken under its lock and read outside it.
+type Rows struct {
+	chunks [][]symtab.Sym
+	arity  int
+	n      int
+}
+
+// Arity returns the number of columns.
+func (rs *Rows) Arity() int { return rs.arity }
+
+// Len returns the number of rows.
+func (rs *Rows) Len() int { return rs.n }
+
+// Row returns row i (0 <= i < Len) as a read-only view of its chunk, valid
+// until the relation is Reset. Its capacity ends with the row, so an append
+// to it copies.
+func (rs *Rows) Row(i int) Tuple {
+	c, off := chunkOf(i)
+	off *= rs.arity
+	return rs.chunks[c][off : off+rs.arity : off+rs.arity]
+}
+
+// All iterates over the rows present when it is called, in order.
+func (rs *Rows) All() iter.Seq[Tuple] {
+	v := *rs
+	return func(yield func(Tuple) bool) {
+		for i := range v.n {
+			if !yield(v.Row(i)) {
+				return
+			}
+		}
+	}
+}
+
 // index is a hash index over a fixed column list. Every distinct value of
 // the indexed columns owns one bucket of an open-addressed table, and the
 // rows holding that value are chained through next in insertion order, so
 // adding a row — under a new key or an old one — allocates nothing beyond
 // the amortized growth of the two flat slices, and Reset keeps both. The
 // bucket count is the exact distinct count of the column list. The index
-// does not hold the rows: its methods take the relation's rows, by ordinal.
+// does not hold the rows: its methods read the relation's, by ordinal.
 type index struct {
 	key     uint64 // colsKey(cols)
 	cols    []int
@@ -138,12 +195,12 @@ type index struct {
 // marks an empty bucket) and its length.
 type bucket struct{ head, tail, n int32 }
 
-// newIndex indexes rows on cols (at most maxIndexCols of them).
-func newIndex(cols []int, rows []Tuple) *index {
+// newIndex indexes r's rows on cols (at most maxIndexCols of them).
+func newIndex(cols []int, r *Relation) *index {
 	ix := &index{key: colsKey(cols), cols: append([]int(nil), cols...),
-		buckets: make([]bucket, 16), next: make([]int32, 0, len(rows))}
-	for ord, row := range rows {
-		ix.add(rows, row, int32(ord))
+		buckets: make([]bucket, 16), next: make([]int32, 0, r.n)}
+	for ord := range r.n {
+		ix.add(r, r.Row(ord), int32(ord))
 	}
 	return ix
 }
@@ -152,7 +209,7 @@ func newIndex(cols []int, rows []Tuple) *index {
 // index-column order): the key's own bucket, or the empty one where it
 // would go (head == 0). A chain is walked from head (ordinal+1 of its
 // first row) through next[ref-1] until 0.
-func (ix *index) find(rows []Tuple, vals []symtab.Sym) *bucket {
+func (ix *index) find(r *Relation, vals []symtab.Sym) *bucket {
 	mask := uint64(len(ix.buckets) - 1)
 probe:
 	for i := hashSyms(vals) & mask; ; i = (i + 1) & mask {
@@ -160,7 +217,7 @@ probe:
 		if b.head == 0 {
 			return b
 		}
-		row := rows[b.head-1]
+		row := r.Row(int(b.head - 1))
 		for k, c := range ix.cols {
 			if row[c] != vals[k] {
 				continue probe
@@ -171,10 +228,10 @@ probe:
 }
 
 // add appends row ord (the next ordinal: rows are indexed in order) to its
-// key's chain; rows[ord] is row.
-func (ix *index) add(rows []Tuple, row Tuple, ord int32) {
+// key's chain; r.Row(ord) is row.
+func (ix *index) add(r *Relation, row Tuple, ord int32) {
 	if (ix.keys+1)*4 > len(ix.buckets)*3 {
-		ix.grow(rows)
+		ix.grow(r)
 	}
 	var buf [maxIndexCols]symtab.Sym
 	vals := buf[:len(ix.cols)]
@@ -182,7 +239,7 @@ func (ix *index) add(rows []Tuple, row Tuple, ord int32) {
 		vals[k] = row[c]
 	}
 	ix.next = append(ix.next, 0)
-	b := ix.find(rows, vals)
+	b := ix.find(r, vals)
 	if b.head == 0 {
 		b.head = ord + 1
 		ix.keys++
@@ -195,7 +252,7 @@ func (ix *index) add(rows []Tuple, row Tuple, ord int32) {
 
 // grow doubles the bucket table. Keys are distinct, so re-placing a bucket
 // needs its hash but no comparisons.
-func (ix *index) grow(rows []Tuple) {
+func (ix *index) grow(r *Relation) {
 	old := ix.buckets
 	ix.buckets = make([]bucket, 2*len(old))
 	mask := uint64(len(ix.buckets) - 1)
@@ -203,7 +260,7 @@ func (ix *index) grow(rows []Tuple) {
 		if b.head == 0 {
 			continue
 		}
-		i := hashSymsAt(rows[b.head-1], ix.cols) & mask
+		i := hashSymsAt(r.Row(int(b.head-1)), ix.cols) & mask
 		for ix.buckets[i].head != 0 {
 			i = (i + 1) & mask
 		}
@@ -229,10 +286,9 @@ func (ix *index) reset() {
 // goroutines must warm every index it will probe first (see
 // edb.Storage.WarmFor).
 type Relation struct {
-	arity   int
-	rows    []Tuple  // row views, in insertion order: into arena chunks, or AppendView's
-	hashes  []uint64 // hashes[i] = hashSyms(rows[i])
-	chunk   []symtab.Sym
+	Rows
+	mapped  bool     // the chunks are a store's mapped extents (MapExtent)
+	hashes  []uint64 // hashes[i] = hashSyms(Row(i))
 	slots   []int32  // open-addressed dedup set: row ordinal+1; 0 = empty
 	indexes []*index // a handful at most: a scan beats hashing the key
 }
@@ -244,7 +300,7 @@ func New(arity int) *Relation {
 	if arity < 0 {
 		panic(fmt.Sprintf("relation: negative arity %d", arity))
 	}
-	return &Relation{arity: arity}
+	return &Relation{Rows: Rows{arity: arity}}
 }
 
 // FromTuples builds a relation of the given arity from tuples, discarding
@@ -256,12 +312,6 @@ func FromTuples(arity int, tuples []Tuple) *Relation {
 	}
 	return r
 }
-
-// Arity returns the number of columns.
-func (r *Relation) Arity() int { return r.arity }
-
-// Len returns the number of distinct tuples.
-func (r *Relation) Len() int { return len(r.rows) }
 
 // lookup returns the ordinal of the row equal to t (whose hash is h), or
 // -1. It never allocates.
@@ -276,7 +326,7 @@ func (r *Relation) lookup(h uint64, t Tuple) int {
 			return -1
 		}
 		ord := int(s - 1)
-		if r.hashes[ord] == h && r.rows[ord].Equal(t) {
+		if r.hashes[ord] == h && r.Row(ord).Equal(t) {
 			return ord
 		}
 	}
@@ -309,23 +359,17 @@ func (r *Relation) reserve(need int) {
 	}
 }
 
-// arena appends the tuple's symbols to the current chunk and returns a
-// stable view of them. Full chunks are never reallocated (row views keep
-// them alive), so views stay valid as the relation grows.
-func (r *Relation) arena(t Tuple) Tuple {
-	if r.arity == 0 {
-		return Tuple{}
-	}
-	if len(r.chunk)+r.arity > cap(r.chunk) {
-		per := 64
-		for per < len(r.rows) && per < 16384 {
-			per *= 2
+// next returns the place of the next row, Row(Len()), allocating its chunk
+// on the first row that lands in it; Reset keeps every chunk.
+func (r *Relation) next() Tuple {
+	c, _ := chunkOf(r.n)
+	if c == len(r.chunks) {
+		if r.mapped {
+			panic("relation: row past the mapped extents")
 		}
-		r.chunk = make([]symtab.Sym, 0, per*r.arity)
+		r.chunks = append(r.chunks, make([]symtab.Sym, (chunkStart(c+1)-chunkStart(c))*r.arity))
 	}
-	off := len(r.chunk)
-	r.chunk = append(r.chunk, t...)
-	return r.chunk[off:len(r.chunk):len(r.chunk)]
+	return r.Row(r.n)
 }
 
 // Insert adds the tuple and reports whether it was new. The relation keeps
@@ -335,8 +379,8 @@ func (r *Relation) Insert(t Tuple) bool {
 	return isNew
 }
 
-// Add is Insert that also returns the tuple's ordinal: its position in
-// Rows(), whether it was just appended or already present. Ordinals are
+// Add is Insert that also returns the tuple's ordinal: its position in the
+// rows, whether it was just appended or already present. Ordinals are
 // dense and stable until Reset, so callers can key side tables (bitsets,
 // per-row lists) by them instead of by a materialized tuple key.
 func (r *Relation) Add(t Tuple) (ord int, isNew bool) {
@@ -347,7 +391,7 @@ func (r *Relation) Add(t Tuple) (ord int, isNew bool) {
 	if ord := r.lookup(h, t); ord >= 0 {
 		return ord, false
 	}
-	return r.push(h, r.arena(t)), true
+	return r.push(h, t), true
 }
 
 // Append adds t, which must not be a member, and returns its ordinal: Insert
@@ -358,51 +402,74 @@ func (r *Relation) Append(t Tuple) int {
 	if len(t) != r.arity {
 		panic(fmt.Sprintf("relation: appending arity-%d tuple to arity-%d relation", len(t), r.arity))
 	}
-	return r.push(hashSyms(t), r.arena(t))
-}
-
-// AppendView appends t, which must not be a member, without copying it: the
-// relation keeps the caller's view, whose memory must stay valid and
-// unchanged for the relation's lifetime. It returns t's ordinal. A store
-// whose rows live elsewhere (the disk store's mapped segments) gets the
-// relation's dedup set and indexes over them this way.
-func (r *Relation) AppendView(t Tuple) int {
-	if len(t) != r.arity {
-		panic(fmt.Sprintf("relation: appending arity-%d tuple to arity-%d relation", len(t), r.arity))
-	}
-	if len(r.rows) == cap(r.rows) {
-		// Double: append's gentler growth for large slices would allocate
-		// five times the final size of the views over a long load.
-		n := max(len(r.rows), 16)
-		r.rows, r.hashes = slices.Grow(r.rows, n), slices.Grow(r.hashes, n)
-	}
 	return r.push(hashSyms(t), t)
 }
 
-// Grow presizes the relation for n more rows, so that many inserts neither
-// rehash the dedup set nor copy the row list.
-func (r *Relation) Grow(n int) {
-	r.rows = slices.Grow(r.rows, n)
-	r.hashes = slices.Grow(r.hashes, n)
-	r.reserve(len(r.rows) + n)
+// push copies the new row t into its place and adds it to the dedup set
+// and every index, returning its ordinal.
+func (r *Relation) push(h uint64, t Tuple) int {
+	if r.mapped {
+		panic("relation: copying a row into mapped extents")
+	}
+	copy(r.next(), t)
+	return r.commit(h)
 }
 
-// push appends a new row (its view and hash) to the rows, the dedup set and
-// every index, returning its ordinal.
-func (r *Relation) push(h uint64, row Tuple) int {
-	r.reserve(len(r.rows) + 1)
-	ord := len(r.rows)
-	r.rows = append(r.rows, row)
+// commit makes the row at ordinal Len() (already in place, with hash h) a
+// member: the dedup set and every index gain it.
+func (r *Relation) commit(h uint64) int {
+	r.reserve(r.n + 1)
+	ord := r.n
+	r.n++
 	r.hashes = append(r.hashes, h)
 	r.place(h, int32(ord+1))
-	for _, ix := range r.indexes {
-		ix.add(r.rows, row, int32(ord))
+	if len(r.indexes) > 0 {
+		row := r.Row(ord)
+		for _, ix := range r.indexes {
+			ix.add(r, row, int32(ord))
+		}
 	}
 	return ord
 }
 
-// Ordinal returns the position of t in Rows(), or -1 when t is not a
-// member. It never allocates.
+// MapExtent gives the relation the memory of its next extent of rows —
+// rows [e×ExtentRows, (e+1)×ExtentRows) for the e-th call — as its chunks,
+// where a store that keeps its rows elsewhere (the disk store's read-only
+// segment mappings) writes them. The memory must hold arity×ExtentRows
+// symbols, stay valid and change only past the rows appended. Such a
+// relation takes rows through AppendMapped alone; call MapExtent before
+// the first row and whenever Len reaches a multiple of ExtentRows.
+func (r *Relation) MapExtent(ext []symtab.Sym) {
+	if !r.mapped && len(r.chunks) > 0 || len(ext) < ExtentRows*r.arity {
+		panic("relation: MapExtent on a relation with heap rows, or a short extent")
+	}
+	r.mapped = true
+	if len(r.chunks) > 0 {
+		r.chunks = append(r.chunks, ext[:ExtentRows*r.arity:ExtentRows*r.arity])
+		return
+	}
+	for c := range firstChunks {
+		lo, hi := chunkStart(c)*r.arity, chunkStart(c+1)*r.arity
+		r.chunks = append(r.chunks, ext[lo:hi:hi])
+	}
+}
+
+// AppendMapped appends the row already lying at ordinal Len() of the mapped
+// extents, which must not be a member, and returns its ordinal. On an
+// arity-0 relation it appends the empty tuple.
+func (r *Relation) AppendMapped() int {
+	return r.commit(hashSyms(r.next()))
+}
+
+// Grow presizes the relation for n more rows, so that many inserts neither
+// rehash the dedup set nor copy the hash list.
+func (r *Relation) Grow(n int) {
+	r.hashes = slices.Grow(r.hashes, n)
+	r.reserve(r.n + n)
+}
+
+// Ordinal returns the ordinal of t, or -1 when t is not a member. It never
+// allocates.
 func (r *Relation) Ordinal(t Tuple) int {
 	if len(t) != r.arity {
 		return -1
@@ -410,42 +477,40 @@ func (r *Relation) Ordinal(t Tuple) int {
 	return r.lookup(hashSyms(t), t)
 }
 
-// Reset empties the relation while keeping its allocations: the row and
-// hash slices, the open-addressed dedup table, the current arena chunk,
-// and every built index (bucket table and row chains; cleared, then
-// maintained incrementally by later inserts) all retain their capacity. Repeated evaluations on one prepared
-// plan reset their temporary relations instead of reallocating them.
+// Reset empties the relation while keeping its allocations: every chunk,
+// the hash list, the open-addressed dedup table, and every built index
+// (bucket table and row chains; cleared, then maintained incrementally by
+// later inserts) all retain their capacity, so a refill of the same size
+// allocates nothing. Repeated evaluations on one prepared plan reset their
+// temporary relations instead of reallocating them.
 func (r *Relation) Reset() {
-	if need := len(r.rows) * r.arity; need > cap(r.chunk) {
-		// The rows spilled over several arena chunks: keep one that holds
-		// them all, so a refill of the same size allocates nothing.
-		r.chunk = make([]symtab.Sym, 0, need)
-	}
-	r.rows = r.rows[:0]
+	r.n = 0
 	r.hashes = r.hashes[:0]
-	r.chunk = r.chunk[:0]
 	clear(r.slots)
 	for _, ix := range r.indexes {
 		ix.reset()
 	}
 }
 
-// Bytes estimates the memory the relation holds: its row views and hashes,
-// its arena, its dedup table and its indexes.
+// Bytes estimates the heap the relation holds: the relation and its chunk
+// table, its chunks (a mapped relation's lie outside the heap), hashes and
+// dedup table, and its indexes.
 func (r *Relation) Bytes() int {
-	n := cap(r.rows)*24 + cap(r.hashes)*8 + max(len(r.rows)*r.arity, cap(r.chunk))*4 + cap(r.slots)*4
+	n := int(unsafe.Sizeof(*r)) + cap(r.chunks)*int(unsafe.Sizeof(r.chunks[0:1][0])) +
+		cap(r.hashes)*8 + cap(r.slots)*4 + cap(r.indexes)*8
+	if !r.mapped {
+		for _, c := range r.chunks {
+			n += cap(c) * 4
+		}
+	}
 	for _, ix := range r.indexes {
-		n += len(ix.buckets)*12 + cap(ix.next)*4
+		n += int(unsafe.Sizeof(*ix)) + cap(ix.cols)*8 + len(ix.buckets)*12 + cap(ix.next)*4
 	}
 	return n
 }
 
 // Contains reports membership. It never allocates.
 func (r *Relation) Contains(t Tuple) bool { return r.Ordinal(t) >= 0 }
-
-// Rows returns the stored tuples in insertion order. The slice and its
-// tuples are owned by the relation; callers must not mutate them.
-func (r *Relation) Rows() []Tuple { return r.rows }
 
 // findIndex returns the built index over the columns with the given
 // colsKey, or nil.
@@ -467,7 +532,7 @@ func (r *Relation) indexOn(cols []int) *index {
 	if ix := r.findIndex(colsKey(cols)); ix != nil {
 		return ix
 	}
-	ix := newIndex(cols, r.rows)
+	ix := newIndex(cols, r)
 	r.indexes = append(r.indexes, ix)
 	return ix
 }
@@ -494,19 +559,11 @@ func (r *Relation) TryDistinct(col int) (int, bool) {
 	return 0, false
 }
 
-// BuildIndex forces construction of the hash index on column col. Indexes
-// are otherwise built lazily on first use, which mutates the relation; code
-// that will read a relation from several goroutines warms its indexes first.
-func (r *Relation) BuildIndex(col int) {
-	if col < 0 || col >= r.arity {
-		panic(fmt.Sprintf("relation: BuildIndex column %d out of range for arity %d", col, r.arity))
-	}
-	r.indexOn([]int{col})
-}
-
 // BuildIndexOn forces construction of the composite hash index over cols
-// (in the given order, capped at maxIndexCols). Building an index that
-// already exists is a no-op.
+// (in the given order, capped at maxIndexCols). Indexes are otherwise built
+// lazily on first use, which mutates the relation; code that will read a
+// relation from several goroutines warms its indexes first. Building an
+// index that already exists is a no-op.
 func (r *Relation) BuildIndexOn(cols ...int) {
 	if len(cols) == 0 {
 		return
@@ -550,14 +607,35 @@ func (b Binding) Constrains() bool {
 	return false
 }
 
-// probe finds the chain of rows matching b's bound columns in the composite
-// index over exactly that column set. all reports a binding with no bound
-// column: every row matches and no index is involved. Otherwise ix is the
-// index, built on first use when build is set; without build a missing index
-// leaves ix nil and the relation untouched (a pure read). A nil binding
-// binds nothing. exact reports that the index key covers every bound
-// column; past maxIndexCols of them, candidates still need Matches.
-func (r *Relation) probe(b Binding, build bool) (ix *index, bk *bucket, exact, all bool) {
+// Select returns the tuples matching the binding, probing the composite
+// index over all bound columns (so a k-column binding is one hash lookup,
+// not an index probe plus a filter scan). A nil binding binds nothing. The
+// returned tuples are owned by r. Note the index over the bound-column set
+// is built on first use; see the concurrency note on Relation.
+func (r *Relation) Select(b Binding) []Tuple { return r.SelectInto(nil, b) }
+
+// SelectInto is Select appending to dst, for callers that probe per row and
+// keep a scratch buffer: it allocates only when dst must grow.
+func (r *Relation) SelectInto(dst []Tuple, b Binding) []Tuple {
+	dst, _ = r.selectInto(dst, b, true)
+	return dst
+}
+
+// TrySelectInto is SelectInto as a pure read: when the composite index over
+// b's bound columns is not built yet it reports false and leaves r alone.
+// Stores shared between goroutines probe with it under their read lock and
+// fall back to SelectInto under the write lock.
+func (r *Relation) TrySelectInto(dst []Tuple, b Binding) ([]Tuple, bool) {
+	return r.selectInto(dst, b, false)
+}
+
+// selectInto appends the rows matching b, in insertion order, growing dst
+// at most once: every row when b binds no column, else the chain of the
+// composite index over the bound columns — built on first use when build
+// is set, and otherwise, when missing, reported by false with r untouched.
+// Bound columns past maxIndexCols are not part of the index key, so the
+// chain's rows are then checked with Matches.
+func (r *Relation) selectInto(dst []Tuple, b Binding, build bool) ([]Tuple, bool) {
 	if b != nil && len(b) != r.arity {
 		panic(fmt.Sprintf("relation: select binding arity %d on arity-%d relation", len(b), r.arity))
 	}
@@ -575,68 +653,29 @@ func (r *Relation) probe(b Binding, build bool) (ix *index, bk *bucket, exact, a
 		cols[n], vals[n] = i, v
 		n++
 	}
+	var ix *index
 	switch {
 	case n == 0:
-		return nil, nil, exact, true
+		dst = slices.Grow(dst, r.n)
+		for i := range r.n {
+			dst = append(dst, r.Row(i))
+		}
+		return dst, true
 	case build:
 		ix = r.indexOn(cols[:n])
 	default:
 		if ix = r.findIndex(colsKey(cols[:n])); ix == nil {
-			return nil, nil, exact, false
+			return dst, false
 		}
 	}
-	return ix, ix.find(r.rows, vals[:n]), exact, false
-}
-
-// Select returns the tuples matching the binding, probing the composite
-// index over all bound columns (so a k-column binding is one hash lookup,
-// not an index probe plus a filter scan). The returned tuples are owned by
-// r. Note the index over the bound-column set is built on first use; see
-// the concurrency note on Relation.
-func (r *Relation) Select(b Binding) []Tuple {
-	ix, bk, exact, all := r.probe(b, true)
-	if all {
-		return r.rows
-	}
-	return ix.chain(nil, r.rows, bk, b, exact)
-}
-
-// SelectInto is Select appending to dst, for callers that probe per row and
-// keep a scratch buffer: it allocates only when dst must grow.
-func (r *Relation) SelectInto(dst []Tuple, b Binding) []Tuple {
-	ix, bk, exact, all := r.probe(b, true)
-	if all {
-		return append(dst, r.rows...)
-	}
-	return ix.chain(dst, r.rows, bk, b, exact)
-}
-
-// TrySelectInto is SelectInto as a pure read: when the composite index over
-// b's bound columns is not built yet it reports false and leaves r alone.
-// Stores shared between goroutines probe with it under their read lock and
-// fall back to SelectInto under the write lock.
-func (r *Relation) TrySelectInto(dst []Tuple, b Binding) ([]Tuple, bool) {
-	ix, bk, exact, all := r.probe(b, false)
-	switch {
-	case all:
-		return append(dst, r.rows...), true
-	case ix == nil:
-		return dst, false
-	}
-	return ix.chain(dst, r.rows, bk, b, exact), true
-}
-
-// chain appends the bucket's rows, in insertion order, growing dst at most
-// once. The index key covers every bound column unless there are more than
-// maxIndexCols (!exact).
-func (ix *index) chain(dst, rows []Tuple, bk *bucket, b Binding, exact bool) []Tuple {
+	bk := ix.find(r, vals[:n])
 	dst = slices.Grow(dst, int(bk.n))
 	for ref := bk.head; ref != 0; ref = ix.next[ref-1] {
-		if row := rows[ref-1]; exact || b.Matches(row) {
+		if row := r.Row(int(ref - 1)); exact || b.Matches(row) {
 			dst = append(dst, row)
 		}
 	}
-	return dst
+	return dst, true
 }
 
 // Project returns a new relation containing each row restricted to cols, in
@@ -644,7 +683,8 @@ func (ix *index) chain(dst, rows []Tuple, bk *bucket, b Binding, exact bool) []T
 func (r *Relation) Project(cols []int) *Relation {
 	out := New(len(cols))
 	buf := make(Tuple, len(cols))
-	for _, row := range r.rows {
+	for ord := range r.n {
+		row := r.Row(ord)
 		for i, c := range cols {
 			buf[i] = row[c]
 		}
@@ -659,8 +699,8 @@ func (r *Relation) Union(s *Relation) int {
 		panic(fmt.Sprintf("relation: union of arity %d with arity %d", r.arity, s.arity))
 	}
 	added := 0
-	for _, t := range s.rows {
-		if r.Insert(t) {
+	for ord := range s.n {
+		if r.Insert(s.Row(ord)) {
 			added++
 		}
 	}
@@ -704,53 +744,49 @@ func Join(r, s *Relation, on []EqPair) *Relation {
 		out.Insert(buf)
 	}
 	if len(on) == 0 {
-		for _, a := range r.rows {
-			for _, b := range s.rows {
-				emit(a, b)
+		for i := range r.n {
+			for j := range s.n {
+				emit(r.Row(i), s.Row(j))
 			}
 		}
 		return out
 	}
-	n := len(on)
-	if n > maxIndexCols {
-		n = maxIndexCols
-	}
-	var colsBuf [maxIndexCols]int
-	var valsBuf [maxIndexCols]symtab.Sym
 	if r.Len() < s.Len() {
 		// r is smaller: index r on the left columns, stream s through it.
-		for i := 0; i < n; i++ {
-			colsBuf[i] = on[i].L
+		flip := make([]EqPair, len(on))
+		for i, p := range on {
+			flip[i] = EqPair{L: p.R, R: p.L}
 		}
-		ix := r.indexOn(colsBuf[:n])
-		for _, b := range s.rows {
-			for i := 0; i < n; i++ {
-				valsBuf[i] = b[on[i].R]
-			}
-			for ref := ix.find(r.rows, valsBuf[:n]).head; ref != 0; ref = ix.next[ref-1] {
-				if a := r.rows[ref-1]; eqAll(a, b, on) {
-					emit(a, b)
-				}
-			}
-		}
-		return out
-	}
-	// s is smaller (or equal): index s on the right columns, stream r.
-	for i := 0; i < n; i++ {
-		colsBuf[i] = on[i].R
-	}
-	ix := s.indexOn(colsBuf[:n])
-	for _, a := range r.rows {
-		for i := 0; i < n; i++ {
-			valsBuf[i] = a[on[i].L]
-		}
-		for ref := ix.find(s.rows, valsBuf[:n]).head; ref != 0; ref = ix.next[ref-1] {
-			if b := s.rows[ref-1]; eqAll(a, b, on) {
-				emit(a, b)
-			}
-		}
+		probeEach(s, r, flip, func(b, a Tuple) bool { emit(a, b); return true })
+	} else {
+		probeEach(r, s, on, func(a, b Tuple) bool { emit(a, b); return true })
 	}
 	return out
+}
+
+// probeEach streams r through s's composite index over the right columns
+// of on: for each row a of r, in order, fn gets a and every row b of s, in
+// s's order, that agrees with a on every pair. fn returns false to move on
+// to r's next row.
+func probeEach(r, s *Relation, on []EqPair, fn func(a, b Tuple) bool) {
+	n := min(len(on), maxIndexCols)
+	var cols [maxIndexCols]int
+	var vals [maxIndexCols]symtab.Sym
+	for i := range n {
+		cols[i] = on[i].R
+	}
+	ix := s.indexOn(cols[:n])
+	for j := range r.n {
+		a := r.Row(j)
+		for i := range n {
+			vals[i] = a[on[i].L]
+		}
+		for ref := ix.find(s, vals[:n]).head; ref != 0; ref = ix.next[ref-1] {
+			if b := s.Row(int(ref - 1)); eqAll(a, b, on) && !fn(a, b) {
+				break
+			}
+		}
+	}
 }
 
 // SemiJoin returns the tuples of r that join with at least one tuple of s
@@ -766,29 +802,8 @@ func SemiJoin(r, s *Relation, on []EqPair) *Relation {
 		}
 		return out
 	}
-	if r.Len() == 0 || s.Len() == 0 {
-		return out
-	}
-	n := len(on)
-	if n > maxIndexCols {
-		n = maxIndexCols
-	}
-	var colsBuf [maxIndexCols]int
-	var valsBuf [maxIndexCols]symtab.Sym
-	for i := 0; i < n; i++ {
-		colsBuf[i] = on[i].R
-	}
-	ix := s.indexOn(colsBuf[:n])
-	for _, a := range r.rows {
-		for i := 0; i < n; i++ {
-			valsBuf[i] = a[on[i].L]
-		}
-		for ref := ix.find(s.rows, valsBuf[:n]).head; ref != 0; ref = ix.next[ref-1] {
-			if eqAll(a, s.rows[ref-1], on) {
-				out.Insert(a)
-				break
-			}
-		}
+	if r.Len() > 0 && s.Len() > 0 {
+		probeEach(r, s, on, func(a, _ Tuple) bool { out.Insert(a); return false })
 	}
 	return out
 }
@@ -799,8 +814,8 @@ func Difference(r, s *Relation) *Relation {
 		panic(fmt.Sprintf("relation: difference of arity %d with arity %d", r.arity, s.arity))
 	}
 	out := New(r.arity)
-	for _, t := range r.rows {
-		if !s.Contains(t) {
+	for ord := range r.n {
+		if t := r.Row(ord); !s.Contains(t) {
 			out.Insert(t)
 		}
 	}
@@ -812,8 +827,8 @@ func Equal(r, s *Relation) bool {
 	if r.arity != s.arity || r.Len() != s.Len() {
 		return false
 	}
-	for _, t := range r.rows {
-		if !s.Contains(t) {
+	for ord := range r.n {
+		if t := r.Row(ord); !s.Contains(t) {
 			return false
 		}
 	}
@@ -823,8 +838,7 @@ func Equal(r, s *Relation) bool {
 // Sorted returns the tuples in lexicographic symbol-id order, for
 // deterministic output.
 func (r *Relation) Sorted() []Tuple {
-	out := make([]Tuple, len(r.rows))
-	copy(out, r.rows)
+	out := r.Select(nil)
 	sort.Slice(out, func(i, j int) bool {
 		for k := range out[i] {
 			if out[i][k] != out[j][k] {

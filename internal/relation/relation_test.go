@@ -2,6 +2,7 @@ package relation
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -36,31 +37,73 @@ func TestInsertCopies(t *testing.T) {
 	}
 }
 
-// TestAppendViewKeepsView: AppendView stores the caller's view rather than
-// a copy, and the row joins the dedup set and every index like an inserted
-// one, whether the relation was presized by Grow or not.
-func TestAppendViewKeepsView(t *testing.T) {
-	backing := []symtab.Sym{1, 2, 1, 3, 4, 2}
+// TestMapExtentKeepsRows: a relation given mapped extents reads its rows
+// where they lie rather than copying them, across the geometric chunks of
+// the first extent and into the next, and each row joins the dedup set and
+// every index like an inserted one, whether the relation was presized by
+// Grow or not.
+func TestMapExtentKeepsRows(t *testing.T) {
+	const n = ExtentRows + 100
+	backing := make([]symtab.Sym, 2*2*ExtentRows)
+	for i := range n {
+		backing[2*i], backing[2*i+1] = symtab.Sym(i%7+1), symtab.Sym(i+1)
+	}
 	for _, presize := range []bool{false, true} {
 		r := New(2)
-		r.BuildIndex(0)
+		r.MapExtent(backing[:2*ExtentRows])
+		r.BuildIndexOn(0)
 		if presize {
-			r.Grow(3)
+			r.Grow(n)
 		}
-		for i := 0; i < len(backing); i += 2 {
-			if ord := r.AppendView(backing[i : i+2 : i+2]); ord != i/2 {
-				t.Fatalf("AppendView ordinal %d, want %d", ord, i/2)
+		for i := range n {
+			if i == ExtentRows {
+				r.MapExtent(backing[2*ExtentRows:])
+			}
+			if ord := r.AppendMapped(); ord != i {
+				t.Fatalf("AppendMapped ordinal %d, want %d", ord, i)
 			}
 		}
-		if !r.Contains(tup(1, 3)) || r.Insert(tup(4, 2)) || r.Len() != 3 {
-			t.Errorf("appended rows missing from the dedup set: len %d", r.Len())
+		if !r.Contains(tup(2, 2)) || r.Contains(tup(2, 3)) || r.Len() != n {
+			t.Errorf("mapped rows missing from the dedup set: len %d", r.Len())
 		}
-		if got := r.Select(Binding{1, symtab.NoSym}); len(got) != 2 {
-			t.Errorf("index over appended rows selects %v", got)
+		if got := r.Select(Binding{1, symtab.NoSym}); len(got) != (n+6)/7 {
+			t.Errorf("index over mapped rows selects %d rows, want %d", len(got), (n+6)/7)
 		}
-		if &r.Rows()[1][0] != &backing[2] {
-			t.Error("AppendView copied the row")
+		for _, i := range []int{0, 63, 64, 127, 128, 1000, ExtentRows - 1, ExtentRows, n - 1} {
+			if &r.Row(i)[0] != &backing[2*i] {
+				t.Errorf("row %d is not read where it lies", i)
+			}
 		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("Insert copied a row into mapped extents")
+				}
+			}()
+			r.Insert(tup(99, 99))
+		}()
+	}
+}
+
+// TestChunkGeometry: ordinals map onto chunks without gaps or overlaps, no
+// chunk straddles an extent boundary, and chunkStart inverts chunkOf.
+func TestChunkGeometry(t *testing.T) {
+	prev := -1
+	for _, ord := range []int{0, 1, 63, 64, 65, 127, 128, 255, 256, 1 << 17, ExtentRows - 1, ExtentRows, ExtentRows + 1, 3*ExtentRows - 1, 3 * ExtentRows} {
+		c, off := chunkOf(ord)
+		if chunkStart(c)+off != ord || off >= chunkStart(c+1)-chunkStart(c) {
+			t.Errorf("ordinal %d: chunk %d offset %d, chunk starts at %d and holds %d", ord, c, off, chunkStart(c), chunkStart(c+1)-chunkStart(c))
+		}
+		if c < prev {
+			t.Errorf("ordinal %d: chunk %d after chunk %d", ord, c, prev)
+		}
+		prev = c
+		if ord >= ExtentRows && off != ord%ExtentRows {
+			t.Errorf("ordinal %d: offset %d straddles an extent", ord, off)
+		}
+	}
+	if chunkStart(firstChunks) != ExtentRows || chunkStart(1) != 1<<firstShift {
+		t.Errorf("first extent spans %d rows in %d chunks", chunkStart(firstChunks), firstChunks)
 	}
 }
 
@@ -161,7 +204,7 @@ func TestJoin(t *testing.T) {
 	}
 	want := []Tuple{{1, 2, 2, 9}, {1, 2, 2, 8}, {3, 4, 4, 7}}
 	if j.Len() != len(want) {
-		t.Fatalf("join has %d tuples, want %d: %v", j.Len(), len(want), j.Rows())
+		t.Fatalf("join has %d tuples, want %d: %v", j.Len(), len(want), slices.Collect(j.All()))
 	}
 	for _, w := range want {
 		if !j.Contains(w) {
@@ -175,7 +218,7 @@ func TestJoinMultiPair(t *testing.T) {
 	s := FromTuples(2, []Tuple{{1, 2}, {1, 9}})
 	j := Join(r, s, []EqPair{{0, 0}, {1, 1}})
 	if j.Len() != 1 || !j.Contains(tup(1, 2, 1, 2)) {
-		t.Errorf("multi-pair join = %v", j.Rows())
+		t.Errorf("multi-pair join = %v", slices.Collect(j.All()))
 	}
 }
 
@@ -203,7 +246,7 @@ func TestSemiJoin(t *testing.T) {
 	s := FromTuples(1, []Tuple{{2}, {6}})
 	sj := SemiJoin(r, s, []EqPair{{L: 1, R: 0}})
 	if sj.Len() != 2 || !sj.Contains(tup(1, 2)) || !sj.Contains(tup(5, 6)) {
-		t.Errorf("semijoin = %v", sj.Rows())
+		t.Errorf("semijoin = %v", slices.Collect(sj.All()))
 	}
 	// No pairs: keeps everything iff s nonempty.
 	if SemiJoin(r, New(1), nil).Len() != 0 {
@@ -219,7 +262,7 @@ func TestDifference(t *testing.T) {
 	s := FromTuples(1, []Tuple{{2}})
 	d := Difference(r, s)
 	if d.Len() != 2 || d.Contains(tup(2)) {
-		t.Errorf("difference = %v", d.Rows())
+		t.Errorf("difference = %v", slices.Collect(d.All()))
 	}
 }
 
@@ -263,7 +306,7 @@ func TestArityPanics(t *testing.T) {
 		"union":      func() { r.Union(New(3)) },
 		"difference": func() { Difference(r, New(1)) },
 		"negative":   func() { New(-1) },
-		"index":      func() { r.BuildIndex(5) },
+		"index":      func() { r.BuildIndexOn(5) },
 	} {
 		func() {
 			defer func() {
@@ -289,8 +332,8 @@ func TestQuickJoinMatchesNestedLoop(t *testing.T) {
 		on := []EqPair{{L: 1, R: 0}}
 		fast := Join(r, s, on)
 		slow := New(4)
-		for _, a := range r.Rows() {
-			for _, b := range s.Rows() {
+		for a := range r.All() {
+			for b := range s.All() {
 				if a[1] == b[0] {
 					slow.Insert(tup(a[0], a[1], b[0], b[1]))
 				}
@@ -333,7 +376,7 @@ func TestQuickSelectMatchesScan(t *testing.T) {
 		b := Binding{symtab.Sym(1 + rng.Intn(3)), 0, symtab.Sym(1 + rng.Intn(3))}
 		fast := r.Select(b)
 		count := 0
-		for _, row := range r.Rows() {
+		for row := range r.All() {
 			if b.Matches(row) {
 				count++
 			}
@@ -358,7 +401,7 @@ func TestQuickSelectMatchesScan(t *testing.T) {
 func TestCompositeIndexMaintenance(t *testing.T) {
 	r := New(3)
 	r.Insert(tup(1, 2, 3))
-	r.BuildIndex(0)
+	r.BuildIndexOn(0)
 	r.BuildIndexOn(0, 2)
 	builds := r.IndexBuilds()
 	for i := symtab.Sym(1); i <= 50; i++ {
@@ -441,7 +484,7 @@ func TestIndexedInsertZeroAllocsAfterReset(t *testing.T) {
 		rows[i] = tup(symtab.Sym(i+1), symtab.Sym(i%97+1), symtab.Sym(n-i))
 	}
 	r := New(3)
-	r.BuildIndex(0)
+	r.BuildIndexOn(0)
 	r.BuildIndexOn(1, 2)
 	fill := func() {
 		r.Reset()
@@ -486,8 +529,8 @@ func TestJoinProbeSideSelection(t *testing.T) {
 	}
 	// Cross-check against nested loop.
 	slow := New(4)
-	for _, a := range large.Rows() {
-		for _, b := range small.Rows() {
+	for a := range large.All() {
+		for b := range small.All() {
 			if a[1] == b[0] {
 				slow.Insert(tup(a[0], a[1], b[0], b[1]))
 			}
@@ -511,8 +554,8 @@ func TestQuickJoinTwoPairsMatchesNestedLoop(t *testing.T) {
 		on := []EqPair{{L: 0, R: 1}, {L: 2, R: 2}}
 		fast := Join(r, s, on)
 		slow := New(6)
-		for _, a := range r.Rows() {
-			for _, b := range s.Rows() {
+		for a := range r.All() {
+			for b := range s.All() {
 				if a[0] == b[1] && a[2] == b[2] {
 					slow.Insert(tup(a[0], a[1], a[2], b[0], b[1], b[2]))
 				}

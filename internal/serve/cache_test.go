@@ -36,7 +36,7 @@ func ask(t *testing.T, srv *Server, src string) ([]string, string) {
 // the program's rules and db, sorted.
 func reach(prog *ast.Program, db *edb.Database, k string) []string {
 	out := []string{}
-	for _, row := range bottomup.SemiNaive(prog, db).IDB[ast.PredKey{Name: "path", Arity: 2}].Rows() {
+	for row := range bottomup.SemiNaive(prog, db).IDB[ast.PredKey{Name: "path", Arity: 2}].All() {
 		if db.Syms.String(row[0]) == k {
 			out = append(out, db.Syms.String(row[1]))
 		}

@@ -21,6 +21,7 @@ package transport
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/msg"
 )
@@ -116,6 +117,13 @@ func (m *Mailbox) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.queue) - m.head
+}
+
+// Bytes reports the heap the mailbox's queue holds, queued or not.
+func (m *Mailbox) Bytes() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return cap(m.queue) * int(unsafe.Sizeof(msg.Message{}))
 }
 
 // Close makes further Puts no-ops and wakes the consumer: a blocked Get

@@ -650,7 +650,7 @@ func (r *renderer) sorted() [][]string {
 // renderAll renders every tuple of rel in sortTuples order.
 func (s *System) renderAll(rel *relation.Relation) [][]string {
 	r := s.renderer(rel.Arity())
-	for _, t := range rel.Rows() {
+	for t := range rel.All() {
 		r.keep(t)
 	}
 	return r.sorted()

@@ -96,6 +96,10 @@ go test -run '^$' -fuzz FuzzReopen -fuzztime 10s .
 # them, must agree on every read (corpus in
 # internal/edb/testdata/fuzz/FuzzStoreConformance).
 go test -run '^$' -fuzz FuzzStoreConformance -fuzztime 10s ./internal/edb/
+# A relation and a map-based model given the same operations, across chunk
+# boundaries and Resets, must agree on every read (corpus in
+# internal/relation/testdata/fuzz/FuzzRelation).
+go test -run '^$' -fuzz FuzzRelation -fuzztime 10s ./internal/relation/
 # The benchmark module compiles against internal signatures (edb.Storage,
 # engine.Plan, relation) that nothing above builds it against.
 bench_smoke
