@@ -644,7 +644,7 @@ func runPlanSites(pl *Plan, sites int) (*Result, error) {
 		go func(i int) {
 			defer wg.Done()
 			if slices.Contains(hosts, i) {
-				results[i], errs[i] = pl.runOn(pl.siteScratch(local, local, hosts, i), Options{}, false, nil)
+				results[i], errs[i] = pl.runOn(pl.siteScratch(local, local, hosts, i), Options{}, false, false, nil)
 			}
 		}(i)
 	}

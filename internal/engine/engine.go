@@ -144,7 +144,7 @@ func RunSites(g *rgg.Graph, db edb.Storage, net transport.Network, local *transp
 		return nil, nil // nothing hosted here: no message would ever release this site
 	}
 	pl := NewPlan(g, db)
-	return pl.runOn(pl.siteScratch(net, local, hosts, site), opts, false, nil)
+	return pl.runOn(pl.siteScratch(net, local, hosts, site), opts, false, false, nil)
 }
 
 // Partition assigns graph nodes to sites such that each nontrivial strong
@@ -221,8 +221,9 @@ type runner struct {
 	// retained from the previous round, base selections seed only their
 	// delta windows, and RelReq handlers skip the late-registration replay
 	// (the customer already holds everything stored). False for ordinary
-	// runs.
-	delta bool
+	// runs. retain marks every round of an Incremental: the processes
+	// outlive the run, so a later round may probe what this one stores.
+	delta, retain bool
 }
 
 // newRunner starts an evaluation's runner over scratch s (see Plan.bind).

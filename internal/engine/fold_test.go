@@ -44,11 +44,13 @@ func testPlan(t *testing.T, src string) *Plan {
 // kept one tally folded in at the end. Tuples holds what were then Tuples
 // plus TupleBatches, one frame kind since. Stored counts IDB goals only.
 // Joins counts the probes of rule joins in connectivity order, where an
-// all-bound step is a membership test counting 1 on a hit. Every base
-// subgoal here is joined in place by its rule, so the frames its leaf
-// exchanged are gone from RelReqs, TupReqs, Tuples and Ends; TupReqRows,
-// TupleRows, EDBScans and EDBTuples still count the requests, rows and
-// scans of §3.1's leaves, as logical counts.
+// all-bound step is a membership test counting 1 on a hit; the rows of a
+// subgoal whose requests carry the head binding make no head-binding test
+// (Joins was 27, 13 and 30 with it). Every base subgoal here is joined in
+// place by its rule, so the frames its leaf exchanged are gone from
+// RelReqs, TupReqs, Tuples and Ends; TupReqRows, TupleRows, EDBScans and
+// EDBTuples still count the requests, rows and scans of §3.1's leaves, as
+// logical counts.
 func TestStatsGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name, src string
@@ -56,13 +58,13 @@ func TestStatsGolden(t *testing.T) {
 	}{
 		{"P1", p1data, trace.Tally{RelReqs: 14, TupReqs: 7, Tuples: 19, Ends: 6, ReqEnds: 1,
 			TupReqRows: 11, TupleRows: 24, Protocol: 46, Rounds: 7,
-			Derived: 7, Stored: 5, Dups: 1, Joins: 27, EDBScans: 5, EDBTuples: 5}},
+			Derived: 7, Stored: 5, Dups: 1, Joins: 16, EDBScans: 5, EDBTuples: 5}},
 		{"linear TC", linearTC, trace.Tally{RelReqs: 7, Tuples: 19, Ends: 4, ReqEnds: 1,
 			TupReqRows: 3, TupleRows: 23, Protocol: 16, Rounds: 3,
-			Derived: 7, Stored: 6, Dups: 1, Joins: 13, EDBScans: 4, EDBTuples: 4}},
+			Derived: 7, Stored: 6, Dups: 1, Joins: 4, EDBScans: 4, EDBTuples: 4}},
 		{"fan-out TC", fanOutTC, trace.Tally{RelReqs: 7, Tuples: 18, Ends: 4, ReqEnds: 1,
 			TupReqRows: 7, TupleRows: 52, Protocol: 16, Rounds: 3,
-			Derived: 17, Stored: 14, Joins: 30, EDBScans: 8, EDBTuples: 10}},
+			Derived: 17, Stored: 14, Joins: 10, EDBScans: 8, EDBTuples: 10}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res, err := testPlan(t, tc.src).Run(Options{})

@@ -83,7 +83,7 @@ func (inc *Incremental) Round(cancel <-chan struct{}, yield func(relation.Tuple)
 		// round is the Incremental's own record, not the scratch's.
 		inc.s = inc.pl.get()
 	}
-	res, err := inc.pl.runOn(inc.s, opts, inc.ran, yield)
+	res, err := inc.pl.runOn(inc.s, opts, true, inc.ran, yield)
 	inc.ran, inc.broken = true, err != nil
 	return res, err
 }

@@ -190,7 +190,7 @@ func TestSeededLoopRandomPrograms(t *testing.T) {
 		srcs = append(srcs, workload.RandomProgram(rand.New(rand.NewSource(ps))).String())
 	}
 	graphs := rand.New(rand.NewSource(7))
-	for _, shape := range randomGraphShapes {
+	for _, shape := range append(randomGraphShapes, constantHeadShape) {
 		srcs = append(srcs, randomGraphProgram(graphs, shape))
 	}
 	aborted := 0
@@ -284,6 +284,18 @@ func TestSeededLoopRandomPrograms(t *testing.T) {
 		t.Errorf("only %d of %d injected aborts landed before the run's last step", aborted, runs)
 	}
 }
+
+// constantHeadShape has a head whose "d" position is a constant, t(n0, Y),
+// over a subgoal without "d" arguments, r(Y): its relation request starts r,
+// so r's rows can reach the rule before the binding n0 does, which s derives
+// only after some edges.
+const constantHeadShape = `
+	r(Y) :- edge(Y, Z).
+	s(X) :- q(n1, X).
+	s(Y) :- s(X), edge(X, Y).
+	t(n0, Y) :- r(Y).
+	t(X, Y) :- edge(X, Y).
+	goal(X, Y) :- s(X), t(X, Y).`
 
 // TestLoopWakesOnWorkerOutput: a site whose every message arrives from
 // another goroutine — FaultNet's delay workers, here delaying each send on

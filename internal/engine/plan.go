@@ -80,7 +80,7 @@ func (pl *Plan) Run(opts Options) (*Result, error) {
 // calling goroutine and starts none.
 func (pl *Plan) RunStream(opts Options, yield func(relation.Tuple) bool) (*Result, error) {
 	s := pl.get()
-	res, err := pl.runOn(s, opts, false, yield)
+	res, err := pl.runOn(s, opts, false, false, yield)
 	if s.built {
 		// A shell whose run failed before building its procs has nothing
 		// worth keeping, and reset could not tell it from a recycled one.
@@ -92,11 +92,14 @@ func (pl *Plan) RunStream(opts Options, yield func(relation.Tuple) bool) (*Resul
 // runOn evaluates once over scratch s, whose procs are built on first use
 // and otherwise returned to their just-constructed state — or, for the
 // delta round of an Incremental, to the state its next round starts from.
-func (pl *Plan) runOn(s *scratch, opts Options, delta bool, yield func(relation.Tuple) bool) (*Result, error) {
+// retain says the procs outlive the run (every round of an Incremental),
+// delta that it is a delta round.
+func (pl *Plan) runOn(s *scratch, opts Options, retain, delta bool, yield func(relation.Tuple) bool) (*Result, error) {
 	rt, err := pl.bind(s, opts, delta)
 	if err != nil {
 		return nil, err
 	}
+	rt.retain = retain
 	return rt.run(yield)
 }
 
@@ -247,6 +250,9 @@ func (r *ruleState) reset(delta bool) {
 			s.sel.held = false // the base relation may have grown since
 		case !delta:
 			s.rel.Reset()
+			if s.seen != nil {
+				s.seen.Reset()
+			}
 		}
 		if !delta {
 			s.sentReqs.Reset()

@@ -26,6 +26,9 @@ import (
 // base relation, fixed for the run, on the slots already bound, so its rows
 // are found when a derivation's other rows arrive.
 //
+// Storing is appropriate, not required: a subgoal whose rows no later probe
+// can read keeps none (see subSource.transient).
+//
 // Internally a rule instance's variables map to dense slots; each source
 // (the head-binding relation plus one per subgoal) lists which slots its
 // columns populate, and derivations enumerate matching slot assignments by
@@ -86,6 +89,25 @@ type subSource struct {
 	// delta round has not joined yet (seedWindows).
 	sel     *baseSel
 	pending *relation.Relation
+
+	// covers: every request to this subgoal carries a head binding already
+	// in hb, so a row of it implies its head binding and the plans it sets
+	// off probe no hb. That holds when the head-binding slots are among its
+	// "d" slots and, for a subgoal without "d" arguments (started by its
+	// relation request, not by a binding), when the head has no "d"
+	// position either: the empty binding is in hb before the request goes
+	// out.
+	//
+	// transient: it covers and is the rule's only subgoal with a process.
+	// Then nothing probes its rows in a run whose processes are not
+	// retained: a new head binding differs from every earlier one on the
+	// head-binding slots, where each stored row carries an earlier one's
+	// values, and base subgoals joined in place set off plans only in delta
+	// rounds. Such a run does not store its rows (see onSubTuple).
+	covers, transient bool
+	// seen holds a transient subgoal's rows under checkSubTuples, so a
+	// repeat still shows when rel does not keep them.
+	seen *relation.Relation
 }
 
 // valCheck is one equality an incoming row must satisfy before it is
@@ -208,6 +230,18 @@ func newRuleState(g *rgg.Graph, n *rgg.Node, db edb.Storage) *ruleState {
 		s.rel = relation.New(len(s.colSlots))
 	}
 
+	procs := 0
+	for _, s := range r.subs {
+		if s.sel == nil {
+			procs++
+		}
+	}
+	for _, s := range r.subs {
+		s.covers = s.sel == nil && (len(s.dSlots) > 0 || r.nHeadD == 0) &&
+			!slices.ContainsFunc(r.hbSlots, func(sl int) bool { return !slices.Contains(s.dSlots, sl) })
+		s.transient = s.covers && procs == 1
+	}
+
 	r.slots = make([]symtab.Sym, len(slotOf))
 	r.plans = make([][]joinPlan, len(r.subs)+1)
 	for src := headSource; src < len(r.subs); src++ {
@@ -230,11 +264,12 @@ func (r *ruleState) compile(order []int, src int) []joinPlan {
 		orderPos[i] = rank
 	}
 	// before lists the sources joined ahead of rank: the head bindings (so
-	// only requested derivations survive), then the earlier subgoals. plan
-	// picks the order in which they are probed.
+	// only requested derivations survive; a covering source's rows are
+	// requested ones), then the earlier subgoals. plan picks the order in
+	// which they are probed.
 	before := func(rank int) []int {
 		var out []int
-		if src != headSource {
+		if src != headSource && !r.subs[src].covers {
 			out = append(out, headSource)
 		}
 		for _, k := range order[:rank] {
@@ -434,7 +469,8 @@ func (r *ruleState) onHeadBinding(vals []symtab.Sym) {
 // goal stores its answers and sends each one to a customer once, for a
 // binding this rule asked for, in this round or an earlier one; so the
 // temporary appends it without the membership probe (its dedup slots stay
-// for the joins' Contains).
+// for the joins' Contains). A transient subgoal's row is stored only when
+// the processes outlive the run, for the delta rounds that probe it.
 func (r *ruleState) onSubTuple(src int, vals []symtab.Sym) {
 	s := r.subs[src]
 	for _, eq := range s.eq {
@@ -442,16 +478,32 @@ func (r *ruleState) onSubTuple(src int, vals []symtab.Sym) {
 			return // repeated variable mismatch: not a real match
 		}
 	}
-	if checkSubTuples.Load() && s.rel.Contains(vals) {
+	store := !s.transient || r.p.rt.retain
+	if checkSubTuples.Load() && s.repeated(store, vals) {
 		r.p.internalf("subgoal %d received %v twice", src, vals)
 	}
-	s.rel.Append(vals)
+	if store {
+		s.rel.Append(vals)
+	}
 	r.trigger(src, s.colSlots, vals)
 }
 
 // checkSubTuples makes onSubTuple verify that no subgoal row arrives twice.
 // Tests set it; it costs a probe per row.
 var checkSubTuples atomic.Bool
+
+// repeated reports whether the subgoal received vals before in this run,
+// or in an earlier round of a retained one: rel holds what is stored, seen
+// what is not.
+func (s *subSource) repeated(stored bool, vals []symtab.Sym) bool {
+	if stored {
+		return s.rel.Contains(vals)
+	}
+	if s.seen == nil {
+		s.seen = relation.New(s.rel.Arity())
+	}
+	return !s.seen.Insert(vals)
+}
 
 // trigger runs incremental information passing after source src gained the
 // assignment (cols→vals): derive any now-complete head tuples, and extend
